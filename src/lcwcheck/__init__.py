@@ -2,7 +2,7 @@
 to limiting Carleman weights.
 
 The package computes Christoffel, Riemann, Ricci, Schouten, Weyl, Cotton
-and Cotton-York tensors through exact order-3 jet arithmetic, decides the
+and Cotton-York tensors from exact order-3 jets of the metric, decides the
 flag-invariance condition on the Weyl operator (dim >= 4) and the
 det(CY) = 0 condition (dim 3), parametrizes the flag-invariant Weyl
 operators, and constructs compactly supported metric bumps prescribing the
@@ -10,7 +10,6 @@ curvature or the Cotton-York tensor at a point.
 """
 
 from .bivectors import (
-    BivectorBasis,
     CurvatureOperator,
     EigenflagParams,
     PMSplit,

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConstraintViolation, DimensionError, NotOrthogonal, SymmetryViolation
-from .pipeline import kulkarni_nomizu
+from .pipeline import _perm_sign, kulkarni_nomizu
 
 
 @lru_cache(maxsize=None)
@@ -43,21 +43,6 @@ def pair_index(n):
 
 def bivector_dim(n):
     return n * (n - 1) // 2
-
-
-@dataclass
-class BivectorBasis:
-    """Bookkeeping for Lambda^2 of an n-dimensional orthonormal frame."""
-
-    dim: int
-
-    @property
-    def pairs(self):
-        return lex_pairs(self.dim)
-
-    @property
-    def m(self):
-        return bivector_dim(self.dim)
 
 
 @dataclass
@@ -162,7 +147,7 @@ def hodge_star_matrix(g=None, orientation=1, dim=None):
         for a, (i, j) in enumerate(pairs):
             rest = [x for x in range(4) if x not in (i, j)]
             k, l = rest
-            sign = _perm_sign_4(i, j, k, l)
+            sign = _perm_sign((i, j, k, l))
             star[pair_index(4)[(k, l)], a] = sign * orientation
         return star
     # dim 3 coordinate formula
@@ -179,17 +164,6 @@ def hodge_star_matrix(g=None, orientation=1, dim=None):
                 g[l, k] * EPS3[i, j, l] for l in range(3)
             ) / sqrtdet
     return star
-
-
-def _perm_sign_4(i, j, k, l):
-    perm = (i, j, k, l)
-    sign = 1
-    p = list(perm)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if p[a] > p[b]:
-                sign = -sign
-    return sign
 
 
 def pm_basis_matrix():

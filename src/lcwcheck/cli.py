@@ -47,7 +47,7 @@ from .perturbation import (
     prescribe_cotton_york,
     prescribe_curvature,
 )
-from .pipeline import compute_snapshot, format_json
+from .pipeline import JetPipeline, compute_snapshot, format_json, snapshot_to_dict
 
 EXIT_PASSES = 0
 EXIT_PARSE = 2
@@ -203,22 +203,7 @@ def cmd_tensors(source, point, which, fmt):
         if metric is None:
             doc = _algebraic_tensors(entry)
         else:
-            p = _parse_point(point, metric.dim)
-            snap = compute_snapshot(metric, p)
-            doc = {
-                "dim": snap.dim,
-                "point": snap.point,
-                "g": snap.g,
-                "gamma": snap.gamma,
-                "riemann": snap.riemann,
-                "ricci": snap.ricci,
-                "scalar": snap.scalar,
-                "schouten": snap.schouten,
-                "weyl": snap.weyl04,
-                "cotton": snap.cotton,
-                "cotton_york": snap.cotton_york,
-                "div_weyl": snap.div_weyl,
-            }
+            doc = snapshot_to_dict(compute_snapshot(metric, _parse_point(point, metric.dim)))
         out = {k: v for k, v in doc.items() if k in ("dim", "point") or k in wanted}
         if fmt == "json":
             _echo_json(out)
@@ -291,17 +276,7 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
             config.tol_rel = tol
         entry, metric = _load_source(source)
         if metric is None:
-            data = entry.algebraic
-            from .pipeline import kulkarni_nomizu
-            from .bivectors import ricci_contract
-
-            op = operator_from_0_4(data.r4, g=data.g)
-            ric = ricci_contract(op)
-            n = data.dim
-            scal = float(np.trace(ric))
-            schouten = (ric - scal / (2 * (n - 1)) * np.eye(n)) / (n - 2)
-            wop = operator_from_0_4(data.r4 - kulkarni_nomizu(schouten, np.eye(n)))
-            report = eigenflag_test(wop, config)
+            report = eigenflag_test(operator_from_0_4(_algebraic_tensors(entry)["weyl"]), config)
         else:
             p = _parse_point(point, metric.dim)
             if which_test == "auto":
@@ -311,9 +286,8 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
 
                 report = cotton_york_test(metric, p, config)
             else:
-                snap = compute_snapshot(metric, p)
-                wop = operator_from_0_4(snap.weyl04, g=snap.g)
-                report = eigenflag_test(wop, config)
+                pl = JetPipeline(metric, p)
+                report = eigenflag_test(operator_from_0_4(pl.weyl(), g=pl.g), config)
         if fmt == "json":
             click.echo(report.to_json())
         else:
@@ -378,7 +352,7 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
 
         chart0 = normal_coordinates(metric, p, radius)
         if n == 3:
-            cy_here = compute_snapshot(chart0.metric, np.zeros(3)).cotton_york
+            cy_here = JetPipeline(chart0.metric, np.zeros(3)).cotton_york()
             if target == "random":
                 d = rng.standard_normal((3, 3))
                 d = (d + d.T) / 2.0
@@ -392,9 +366,9 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
             )
         else:
             from .bivectors import CurvatureOperator, operator_to_0_4
-            from .pipeline import JetPipeline
 
-            r_here = JetPipeline(chart0.metric, np.zeros(n)).riemann()
+            pl0 = JetPipeline(chart0.metric, np.zeros(n))
+            r_here = pl0.riemann()
             if target == "random":
                 # random Weyl shift on top of the current curvature
                 wshift = random_weyl_operator(n, rng)
@@ -402,9 +376,8 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
             else:
                 doc = json.loads(pathlib.Path(target).read_text())
                 wmat = np.array(doc["weyl"], dtype=float)
-                snap = compute_snapshot(chart0.metric, np.zeros(n))
                 wtarget = operator_to_0_4(CurvatureOperator(dim=n, mat=wmat))
-                r0 = r_here - snap.weyl04 + wtarget
+                r0 = r_here - pl0.weyl() + wtarget
             res = prescribe_curvature(
                 CurvaturePrescription(base=metric, point=p, target_r4=r0, radius=radius)
             )

@@ -559,9 +559,11 @@ class MetricDef:
         return out
 
     def check_point(self, point, cond_limit=1e12) -> np.ndarray:
-        """Return g(point) after verifying it is usable (SPD, well
-        conditioned); raise SingularMetric otherwise."""
+        """Return g(point) after verifying it is usable: finite (else
+        DomainError), SPD and well conditioned (else SingularMetric)."""
         g = self.eval_matrix(point)
+        if not np.isfinite(g).all():
+            raise DomainError(f"metric not finite at {np.asarray(point).tolist()}")
         w = np.linalg.eigvalsh(g)
         if w[0] <= 0.0:
             raise SingularMetric(

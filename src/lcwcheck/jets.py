@@ -71,29 +71,8 @@ class JetSpace:
         scatter[np.arange(len(mk)), mk] = 1.0
         self._scatter = scatter
 
-        # Partial-derivative tables: d/dx_k maps coeff(beta + e_k)*(beta_k+1)
-        # into slot beta; degree-3 slots of the result are unknowable at this
-        # truncation order and stay zero.
-        self._diff = []
-        for k in range(dim):
-            dst, src, fac = [], [], []
-            for i, a in enumerate(self.indices):
-                if sum(a) <= MAX_ORDER - 1:
-                    up = list(a)
-                    up[k] += 1
-                    dst.append(i)
-                    src.append(self.index_of[tuple(up)])
-                    fac.append(float(a[k] + 1))
-            self._diff.append((np.array(dst), np.array(src), np.array(fac)))
-
     def mul(self, a, b):
         return (a[self.mul_i] * b[self.mul_j]) @ self._scatter
-
-    def diff(self, c, k):
-        dst, src, fac = self._diff[k]
-        out = np.zeros(self.size)
-        out[dst] = c[src] * fac
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -133,10 +112,6 @@ class Jet3:
         """Partial derivative for multi-index ``alpha`` (coeff * alpha!)."""
         i = self.space.index_of[tuple(alpha)]
         return float(self.c[i] * self.space.factorials[i])
-
-    def partial(self, k):
-        """d/dx_k as a jet; valid through degree 2, degree-3 slots are 0."""
-        return Jet3(self.space, self.space.diff(self.c, k))
 
     def _coerce(self, other):
         if isinstance(other, Jet3):

@@ -32,7 +32,7 @@ from .bivectors import (
 )
 from .dsl import MetricDef
 from .errors import DimensionError, PreconditionViolation
-from .pipeline import compute_snapshot, format_json
+from .pipeline import JetPipeline, compute_snapshot, format_json
 
 
 @dataclass
@@ -526,7 +526,6 @@ def auto_test(metric: MetricDef, point, config: ObstructionConfig | None = None)
     if metric.dim == 3:
         return cotton_york_test(metric, point, config)
     if metric.dim >= 4:
-        snap = compute_snapshot(metric, point)
-        op = operator_from_0_4(snap.weyl04, g=snap.g)
-        return eigenflag_test(op, config)
+        pl = JetPipeline(metric, point)
+        return eigenflag_test(operator_from_0_4(pl.weyl(), g=pl.g), config)
     raise DimensionError("obstruction tests need dim >= 3")

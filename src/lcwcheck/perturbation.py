@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bivectors import _check_curvature_symmetries
 from .dsl import (
     Add,
     Call,
@@ -44,7 +45,7 @@ from .errors import (
     SymmetryViolation,
 )
 from .jets import jet_space
-from .pipeline import EPS3, JetPipeline, compute_snapshot
+from .pipeline import EPS3, JetPipeline
 
 GRID_RADIAL = 10
 GRID_ANGULAR = 64
@@ -247,14 +248,9 @@ class CurvaturePrescription:
     radius: float = 1.0
 
 
-def _check_r4_symmetries(r4, n, tol=1e-9):
+def _check_r4_symmetries(r4, tol=1e-9):
+    _check_curvature_symmetries(r4, tol)
     scale = max(np.abs(r4).max(), 1.0)
-    if (
-        np.abs(r4 + r4.transpose(1, 0, 2, 3)).max() > tol * scale
-        or np.abs(r4 + r4.transpose(0, 1, 3, 2)).max() > tol * scale
-        or np.abs(r4 - r4.transpose(2, 3, 0, 1)).max() > tol * scale
-    ):
-        raise SymmetryViolation("target tensor lacks the curvature pair symmetries")
     bianchi = r4 + r4.transpose(1, 2, 0, 3) + r4.transpose(2, 0, 1, 3)
     if np.abs(bianchi).max() > tol * scale:
         raise SymmetryViolation("target tensor violates the first Bianchi identity")
@@ -275,7 +271,7 @@ def prescribe_curvature(cp: CurvaturePrescription) -> PerturbResult:
     r0 = np.asarray(cp.target_r4, dtype=float)
     if r0.shape != (n, n, n, n):
         raise DimensionError("target curvature has the wrong shape")
-    _check_r4_symmetries(r0, n)
+    _check_r4_symmetries(r0)
     chart = normal_coordinates(cp.base, cp.point, cp.radius)
     base_snapshot = JetPipeline(chart.metric, np.zeros(n))
     r_here = base_snapshot.riemann()
@@ -486,10 +482,10 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
 
     chart = normal_coordinates(cp.base, cp.point, cp.radius)
     origin = np.zeros(3)
-    snap = compute_snapshot(chart.metric, origin)
+    pl = JetPipeline(chart.metric, origin)
     c_target = cy_to_cotton(cy0)
-    dc = c_target - snap.cotton
-    shift = float(np.linalg.norm(cy0 - snap.cotton_york))
+    dc = c_target - pl.cotton()
+    shift = float(np.linalg.norm(cy0 - pl.cotton_york()))
     if shift <= 1e-13 * max(np.linalg.norm(cy0), 1.0):
         return PerturbResult(
             metric=chart.metric,
@@ -527,7 +523,7 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
 
     grid = _grid_points(3, cp.radius)
     _check_positivity(bumped, grid)
-    achieved = compute_snapshot(bumped, origin).cotton_york
+    achieved = JetPipeline(bumped, origin).cotton_york()
     target_error = float(
         np.linalg.norm(achieved - cy0) / max(np.linalg.norm(cy0), 1e-30)
     )

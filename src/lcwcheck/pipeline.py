@@ -1,8 +1,13 @@
 """Pointwise curvature tensors of a coordinate metric.
 
-Everything is computed from order-3 jets of the metric components, so all
-derivatives entering Christoffel symbols, curvature, Schouten, Cotton and
-Cotton-York are exact (no finite differencing anywhere).
+The metric enters as order-3 jets of its components, evaluated once by the
+dsl.  Every derived tensor (inverse metric, Christoffel symbols, curvature,
+Ricci, scalar, Schouten, Weyl) is then a first-order jet: one ndarray of
+shape ``(1 + n, *tensor_shape)`` whose slice 0 is the value at the point and
+whose slice ``1 + a`` is the partial d_a.  That is the only order the
+obstructions read; Cotton and the Weyl divergence take the partials of
+Schouten and Weyl from slices 1..n.  All derivatives are exact (no finite
+differencing anywhere).
 
 Conventions, fixed once and used everywhere:
 
@@ -28,12 +33,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dsl import Call, MetricDef, Mul, Num
-from .errors import DimensionError, SingularMetric
-from .jets import Jet3, jet_constant
+from .errors import DimensionError, DomainError
 
 COND_LIMIT = 1e12
 
@@ -58,6 +63,14 @@ def _perm_sign(p):
 EPS3 = _eps3()
 
 
+def _antisym_pairs(t):
+    """t - t(i<->j) - t(k<->l) + t(i<->j, k<->l) on the last four axes
+    (i, j, k, l); exactly antisymmetric in (i, j) and in (k, l).  With
+    t = a_ik b_jl it is the Kulkarni-Nomizu product a ^o b."""
+    t = t - t.swapaxes(-4, -3)
+    return t - t.swapaxes(-2, -1)
+
+
 def kulkarni_nomizu(alpha, beta) -> np.ndarray:
     """Kulkarni-Nomizu product of two symmetric matrices:
     (a ^o b)[i,j,k,l] = a_ik b_jl + b_ik a_jl - a_il b_jk - a_jk b_il."""
@@ -65,330 +78,178 @@ def kulkarni_nomizu(alpha, beta) -> np.ndarray:
     b = np.asarray(beta, dtype=float)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("kulkarni_nomizu needs two square matrices of equal size")
-    t1 = np.einsum("ik,jl->ijkl", a, b)
-    t2 = np.einsum("ik,jl->ijkl", b, a)
-    t3 = np.einsum("il,jk->ijkl", a, b)
-    t4 = np.einsum("jk,il->ijkl", a, b)
-    return t1 + t2 - t3 - t4
+    return _antisym_pairs(np.einsum("ik,jl->ijkl", a, b))
 
 
-def _kn_jets(a, b, n, dim):
-    """Kulkarni-Nomizu product on matrices of jets."""
-    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    out[i][j][k][l] = (
-                        a[i][k] * b[j][l]
-                        + b[i][k] * a[j][l]
-                        - a[i][l] * b[j][k]
-                        - a[j][k] * b[i][l]
-                    )
-    return out
+def _dot(spec, a, b):
+    """Product of two first-order jets, contracted by the einsum ``spec``
+    written for the tensor indices only; the partials follow the product
+    rule."""
+    operands, out = spec.split("->")
+    sa, sb = operands.split(",")
+    value = np.einsum(spec, a[0], b[0])
+    partials = np.einsum(f"Z{sa},{sb}->Z{out}", a[1:], b[0]) + np.einsum(
+        f"{sa},Z{sb}->Z{out}", a[0], b[1:]
+    )
+    return np.concatenate([value[None], partials])
 
 
-def _invert_jet_matrix(g, n, dim):
-    """Gauss-Jordan inverse of a matrix of jets, pivoting on constant terms."""
-    a = [[Jet3(g[i][j].space, g[i][j].c.copy()) for j in range(n)] for i in range(n)]
-    inv = [[jet_constant(1.0 if i == j else 0.0, dim) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if a[pivot][col].value == 0.0:
-            raise SingularMetric("metric matrix is singular at the evaluation point")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        piv = a[col][col]
-        for j in range(n):
-            a[col][j] = a[col][j] / piv
-            inv[col][j] = inv[col][j] / piv
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if np.all(f.c == 0.0):
-                continue
-            for j in range(n):
-                a[r][j] = a[r][j] - f * a[col][j]
-                inv[r][j] = inv[r][j] - f * inv[col][j]
-    return inv
-
-
-def _values(jets, shape):
-    out = np.empty(shape)
-    it = np.nditer(out, flags=["multi_index"], op_flags=["writeonly"])
-    for slot in it:
-        node = jets
-        for k in it.multi_index:
-            node = node[k]
-        slot[...] = node.value
+def _metric_partials(g_jets):
+    """d^k g for k = 0..3 from the order-3 metric jets, each indexed
+    [a_1, ..., a_k, i, j]."""
+    space = g_jets[0][0].space
+    n = space.dim
+    d = np.array([[[jet.derivative(a) for a in space.indices] for jet in row] for row in g_jets])
+    out = []
+    for k in range(4):
+        slots = [
+            space.index_of[tuple(np.bincount(axes, minlength=n))]
+            for axes in itertools.product(range(n), repeat=k)
+        ]
+        out.append(np.moveaxis(d[:, :, slots], 2, 0).reshape((n,) * k + (n, n)))
     return out
 
 
 class JetPipeline:
     """One evaluation of every tensor at a single point.
 
-    Jets of derived tensors lose one valid order per differentiation:
-    the metric is exact to order 3, Christoffel symbols to order 2,
-    curvature/Ricci/Schouten/Weyl to order 1, Cotton and the Weyl
-    divergence are plain values.  Nothing below reads past its valid order.
+    The metric jets are exact to order 3, which makes every derived tensor
+    below, through Weyl, exact as a first-order jet ``(1 + n, *shape)``.
+    Each tensor is built on first use and kept.
     """
 
     def __init__(self, metric: MetricDef, point):
         self.metric = metric
         self.point = np.asarray(point, dtype=float)
-        self.n = metric.dim
-        if len(self.point) != self.n:
+        self.n = n = metric.dim
+        if len(self.point) != n:
             raise DimensionError(
-                f"point has {len(self.point)} coordinates, metric dim is {self.n}"
+                f"point has {len(self.point)} coordinates, metric dim is {n}"
             )
         metric.check_point(self.point, COND_LIMIT)
         self.g_jets = metric.eval_jets(self.point)
-        self.ginv_jets = _invert_jet_matrix(self.g_jets, self.n, self.n)
-        self.g = _values(self.g_jets, (self.n, self.n))
-        self.g_inv = _values(self.ginv_jets, (self.n, self.n))
-        self._cache = {}
+        g, dg, ddg, dddg = _metric_partials(self.g_jets)
+        if not all(np.isfinite(d).all() for d in (g, dg, ddg, dddg)):
+            raise DomainError(f"metric derivatives not finite at {self.point.tolist()}")
+        self.g = g
+        self.g_inv = np.linalg.inv(g)
+        self._g = np.concatenate([g[None], dg])
+        self._dg = np.concatenate([dg[None], ddg])  # [z, a, i, j]: d_a g_ij
+        self._ddg = np.concatenate([ddg[None], dddg])  # [z, a, b, i, j]: d_a d_b g_ij
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+    def _raise(self, t):
+        """g^{ab} t_b... on the first tensor index of the jet ``t``.
+
+        The partials are g^-1 (d_z t - (d_z g) g^-1 t), the product rule
+        with d_z(g^-1) = -g^-1 (d_z g) g^-1 regrouped: forming d_z(g^-1)
+        on its own loses digits to cancellation on ill-conditioned metrics.
+        """
+        value = np.einsum("ab,b...->a...", self.g_inv, t[0])
+        rest = t[1:] - np.einsum("zbc,c...->zb...", self._g[1:], value)
+        return np.concatenate([value[None], np.einsum("ab,zb...->za...", self.g_inv, rest)])
 
     # -- Christoffel symbols --------------------------------------------
 
-    def gamma_first_jets(self):
+    @cached_property
+    def _gamma1(self):
         """First-kind symbols Gamma_{k,ij} = (d_i g_kj + d_j g_ki - d_k g_ij)/2."""
+        dg = self._dg
+        return 0.5 * (np.einsum("zikj->zkij", dg) + np.einsum("zjki->zkij", dg) - dg)
 
-        def build():
-            n = self.n
-            dg = [[[self.g_jets[i][j].partial(k) for k in range(n)] for j in range(n)] for i in range(n)]
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        v = (dg[k][j][i] + dg[k][i][j] - dg[i][j][k]) * 0.5
-                        out[k][i][j] = v
-                        out[k][j][i] = v
-            return out
-
-        return self._get("gamma1", build)
-
-    def gamma_jets(self):
-        def build():
-            n = self.n
-            g1 = self.gamma_first_jets()
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        acc = self.ginv_jets[k][0] * g1[0][i][j]
-                        for m in range(1, n):
-                            acc = acc + self.ginv_jets[k][m] * g1[m][i][j]
-                        out[k][i][j] = acc
-                        out[k][j][i] = acc
-            return out
-
-        return self._get("gamma", build)
+    @cached_property
+    def _gamma(self):
+        gam = self._raise(self._gamma1)
+        # exact (i, j) symmetry: einsum need not round mirrored sums alike
+        return 0.5 * (gam + gam.swapaxes(-1, -2))
 
     def gamma(self):
-        return _values(self.gamma_jets(), (self.n,) * 3)
+        return self._gamma[0]
 
     def dgamma(self):
         """First partials d_l Gamma^k_{ij}, indexed [l, k, i, j]."""
-        n = self.n
-        gj = self.gamma_jets()
-        out = np.empty((n, n, n, n))
-        for l in range(n):
-            for k in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        out[l, k, i, j] = gj[k][i][j].partial(l).value
-        return out
+        return self._gamma[1:]
 
     # -- curvature -------------------------------------------------------
 
-    def riemann_jets(self):
-        def build():
-            n = self.n
-            g1 = self.gamma_first_jets()
-            gam = self.gamma_jets()
-            ddg = {}
-
-            def second(a, b, c, d):
-                key = (a, b, c, d) if c <= d else (a, b, d, c)
-                if key not in ddg:
-                    ddg[key] = self.g_jets[key[0]][key[1]].partial(key[2]).partial(key[3])
-                return ddg[key]
-
-            out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for k in range(i + 1, n):
-                    for l in range(n):
-                        for m in range(l + 1, n):
-                            if (l, m) < (i, k):
-                                continue
-                            term = (
-                                second(i, m, k, l)
-                                + second(k, l, i, m)
-                                - second(i, l, k, m)
-                                - second(k, m, i, l)
-                            ) * 0.5
-                            for p in range(n):
-                                term = term + (
-                                    g1[p][k][l] * gam[p][i][m]
-                                    - g1[p][k][m] * gam[p][i][l]
-                                )
-                            out[i][k][l][m] = term
-                            neg = -term
-                            out[k][i][l][m] = neg
-                            out[i][k][m][l] = neg
-                            out[k][i][m][l] = term
-                            if (i, k) != (l, m):
-                                out[l][m][i][k] = term
-                                out[m][l][i][k] = neg
-                                out[l][m][k][i] = neg
-                                out[m][l][k][i] = term
-            zero = jet_constant(0.0, n)
-            for i in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        for m in range(n):
-                            if out[i][k][l][m] is None:
-                                out[i][k][l][m] = zero
-            return out
-
-        return self._get("riemann", build)
+    @cached_property
+    def _riemann(self):
+        # R_iklm = (d_k d_l g_im + d_i d_m g_kl - d_k d_m g_il - d_i d_l g_km)/2
+        #          + Gamma_{p,kl} Gamma^p_im - Gamma_{p,km} Gamma^p_il,
+        # which is the pair antisymmetrization of
+        # (d_k d_l g_im + Gamma_{p,kl} Gamma^p_im)/2, because
+        # Gamma_{p,kl} Gamma^p_im is unchanged by swapping i<->k and l<->m together.
+        quad = _dot("pkl,pim->iklm", self._gamma1, self._gamma)
+        return _antisym_pairs(0.5 * (np.einsum("zklim->ziklm", self._ddg) + quad))
 
     def riemann(self):
-        return _values(self.riemann_jets(), (self.n,) * 4)
+        return self._riemann[0]
 
-    def ricci_jets(self):
-        def build():
-            n = self.n
-            r = self.riemann_jets()
-            out = [[None] * n for _ in range(n)]
-            for k in range(n):
-                for m in range(k, n):
-                    acc = jet_constant(0.0, n)
-                    for a in range(n):
-                        for b in range(n):
-                            acc = acc + self.ginv_jets[a][b] * r[a][k][b][m]
-                    out[k][m] = acc
-                    out[m][k] = acc
-            return out
+    @cached_property
+    def _ricci(self):
+        return np.einsum("zbkbm->zkm", self._raise(self._riemann))
 
-        return self._get("ricci", build)
+    def ricci(self):
+        return self._ricci[0]
 
-    def scalar_jet(self):
-        def build():
-            n = self.n
-            ric = self.ricci_jets()
-            acc = jet_constant(0.0, n)
-            for k in range(n):
-                for m in range(n):
-                    acc = acc + self.ginv_jets[k][m] * ric[k][m]
-            return acc
+    @cached_property
+    def _scalar(self):
+        return np.einsum("zkk->z", self._raise(self._ricci))
 
-        return self._get("scalar", build)
+    def scalar(self):
+        return float(self._scalar[0])
 
-    def schouten_jets(self):
-        def build():
-            n = self.n
-            if n < 3:
-                raise DimensionError("Schouten tensor needs dim >= 3")
-            ric = self.ricci_jets()
-            s = self.scalar_jet()
-            factor = 1.0 / (n - 2)
-            c = 1.0 / (2.0 * (n - 1))
-            out = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    v = (ric[i][j] - s * self.g_jets[i][j] * c) * factor
-                    out[i][j] = v
-                    out[j][i] = v
-            return out
+    @cached_property
+    def _schouten(self):
+        n = self.n
+        if n < 3:
+            raise DimensionError("Schouten tensor needs dim >= 3")
+        sg = _dot(",ij->ij", self._scalar, self._g)
+        return (self._ricci - sg / (2.0 * (n - 1))) / (n - 2)
 
-        return self._get("schouten", build)
+    def schouten(self):
+        return self._schouten[0]
 
-    def weyl_jets(self):
-        def build():
-            n = self.n
-            r = self.riemann_jets()
-            sg = _kn_jets(self.schouten_jets(), self.g_jets, n, n)
-            out = [[[[r[i][j][k][l] - sg[i][j][k][l] for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
-            return out
-
-        return self._get("weyl", build)
+    @cached_property
+    def _weyl(self):
+        return self._riemann - _antisym_pairs(_dot("ik,jl->ijkl", self._schouten, self._g))
 
     def weyl(self):
-        return _values(self.weyl_jets(), (self.n,) * 4)
+        return self._weyl[0]
 
     # -- third-order tensors ----------------------------------------------
 
     def cotton(self):
         """C[i, j, k] = (nabla_i S)[j, k] - (nabla_j S)[i, k] at the point."""
-
-        def build():
-            n = self.n
-            sj = self.schouten_jets()
-            s_val = _values(sj, (n, n))
-            ds = np.empty((n, n, n))  # ds[a, b, c] = d_a S_bc
-            for a in range(n):
-                for b in range(n):
-                    for c in range(b, n):
-                        v = sj[b][c].partial(a).value
-                        ds[a, b, c] = v
-                        ds[a, c, b] = v
-            gam = self.gamma()
-            # (nabla_a S)_bc = d_a S_bc - Gamma^m_ab S_mc - Gamma^m_ac S_bm
-            nas = (
-                ds
-                - np.einsum("mab,mc->abc", gam, s_val)
-                - np.einsum("mac,bm->abc", gam, s_val)
-            )
-            return nas.transpose(0, 1, 2) - nas.transpose(1, 0, 2)
-
-        return self._get("cotton", build)
+        s = self._schouten
+        gam = self.gamma()
+        # (nabla_a S)_bc = d_a S_bc - Gamma^m_ab S_mc - Gamma^m_ac S_bm
+        nas = (
+            s[1:]
+            - np.einsum("mab,mc->abc", gam, s[0])
+            - np.einsum("mac,bm->abc", gam, s[0])
+        )
+        return nas - nas.transpose(1, 0, 2)
 
     def cotton_york(self):
-        def build():
-            if self.n != 3:
-                raise DimensionError("Cotton-York tensor is defined in dimension 3 only")
-            c = self.cotton()
-            sqrtdet = math.sqrt(np.linalg.det(self.g))
-            cy = 0.5 * np.einsum("kli,jm,klm->ij", c, self.g, EPS3) / sqrtdet
-            return cy
-
-        return self._get("cotton_york", build)
+        if self.n != 3:
+            raise DimensionError("Cotton-York tensor is defined in dimension 3 only")
+        sqrtdet = math.sqrt(np.linalg.det(self.g))
+        return 0.5 * np.einsum("kli,jm,klm->ij", self.cotton(), self.g, EPS3) / sqrtdet
 
     def div_weyl(self):
         """(nabla_l W)^l[i, j, k] = g^{la} (nabla_l W)[i, j, a, k]."""
-
-        def build():
-            n = self.n
-            if n < 4:
-                raise DimensionError("Weyl divergence needs dim >= 4")
-            wj = self.weyl_jets()
-            w = _values(wj, (n, n, n, n))
-            dw = np.empty((n, n, n, n, n))  # dw[a, i, j, k, l] = d_a W_ijkl
-            for a in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            for l in range(n):
-                                dw[a, i, j, k, l] = wj[i][j][k][l].partial(a).value
-            gam = self.gamma()
-            nw = (
-                dw
-                - np.einsum("mai,mjkl->aijkl", gam, w)
-                - np.einsum("maj,imkl->aijkl", gam, w)
-                - np.einsum("mak,ijml->aijkl", gam, w)
-                - np.einsum("mal,ijkm->aijkl", gam, w)
-            )
-            return np.einsum("la,lijak->ijk", self.g_inv, nw)
-
-        return self._get("div_weyl", build)
+        if self.n < 4:
+            raise DimensionError("Weyl divergence needs dim >= 4")
+        w = self._weyl
+        gam = self.gamma()
+        nw = (
+            w[1:]
+            - np.einsum("mai,mjkl->aijkl", gam, w[0])
+            - np.einsum("maj,imkl->aijkl", gam, w[0])
+            - np.einsum("mak,ijml->aijkl", gam, w[0])
+            - np.einsum("mal,ijkm->aijkl", gam, w[0])
+        )
+        return np.einsum("la,lijak->ijk", self.g_inv, nw)
 
 
 # -- public operations --------------------------------------------------------
@@ -413,12 +274,7 @@ def riemann_0_4(metric: MetricDef, point) -> np.ndarray:
 
 def ricci_scalar_schouten(metric: MetricDef, point):
     pl = JetPipeline(metric, point)
-    if pl.n < 3:
-        raise DimensionError("Schouten tensor needs dim >= 3")
-    ric = _values(pl.ricci_jets(), (pl.n, pl.n))
-    s = pl.scalar_jet().value
-    sch = _values(pl.schouten_jets(), (pl.n, pl.n))
-    return ric, s, sch
+    return pl.ricci(), pl.scalar(), pl.schouten()
 
 
 def weyl_0_4(metric: MetricDef, point) -> np.ndarray:
@@ -527,9 +383,9 @@ def compute_snapshot(metric: MetricDef, point) -> TensorSnapshot:
         g_inv=pl.g_inv,
         gamma=pl.gamma(),
         riemann=pl.riemann(),
-        ricci=_values(pl.ricci_jets(), (pl.n, pl.n)),
-        scalar=pl.scalar_jet().value,
-        schouten=_values(pl.schouten_jets(), (pl.n, pl.n)),
+        ricci=pl.ricci(),
+        scalar=pl.scalar(),
+        schouten=pl.schouten(),
         weyl04=pl.weyl(),
         cotton=pl.cotton(),
     )
@@ -538,10 +394,6 @@ def compute_snapshot(metric: MetricDef, point) -> TensorSnapshot:
     else:
         snap.div_weyl = pl.div_weyl()
     return snap
-
-
-def _fmt17(x):
-    return float(f"{x:.17g}")
 
 
 def format_json(obj, float_digits=17) -> str:
@@ -579,8 +431,10 @@ def format_json(obj, float_digits=17) -> str:
     return raw_encode(fmt(obj))
 
 
-def snapshot_to_json(snap: TensorSnapshot, float_digits=17) -> str:
-    doc = {
+def snapshot_to_dict(snap: TensorSnapshot) -> dict:
+    """The snapshot's tensors under their output keys; tensors not defined
+    in the snapshot's dimension are None."""
+    return {
         "dim": snap.dim,
         "point": snap.point,
         "g": snap.g,
@@ -594,4 +448,7 @@ def snapshot_to_json(snap: TensorSnapshot, float_digits=17) -> str:
         "cotton_york": snap.cotton_york,
         "div_weyl": snap.div_weyl,
     }
-    return format_json(doc, float_digits)
+
+
+def snapshot_to_json(snap: TensorSnapshot, float_digits=17) -> str:
+    return format_json(snapshot_to_dict(snap), float_digits)

@@ -83,6 +83,28 @@ def test_tensors_math_error_exit_3(tmp_path):
     assert res.exit_code == 3
 
 
+OVERFLOW_G11 = "dim = 3\ng11 = (1+x1^2)^100000000\ng22 = 1\ng33 = 1\n"
+OVERFLOW_ALL = "dim = 3\n" + "".join(f"g{i}{i} = (1+x1^2)^100000000\n" for i in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "text, point",
+    [
+        (OVERFLOW_G11, "0.1,0,0"),  # the metric itself overflows
+        (OVERFLOW_ALL, "0.00264,0,0"),  # g is finite, its third derivatives are not
+    ],
+    ids=["g-overflows", "partials-overflow"],
+)
+@pytest.mark.parametrize("command", ["check", "tensors"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_non_finite_metric_exit_3(tmp_path, text, point, command):
+    f = tmp_path / "overflow.metric"
+    f.write_text(text)
+    res = runner.invoke(main, [command, "--metric", str(f), "--point", point, "--format", "json"])
+    assert res.exit_code == 3
+    assert "nan" not in res.stdout and "inf" not in res.stdout
+
+
 def test_check_nil_exit_10():
     res = invoke("check", "--metric", "nil", "--point", "0,0,0")
     assert res.exit_code == 10

@@ -54,6 +54,18 @@ def test_christoffel_nil_hand_values():
     assert np.abs(g - g.transpose(0, 2, 1)).max() == 0.0
 
 
+def test_dgamma_nil_hand_values():
+    # d_1 of the symbols above: d1 G^1_22 = -1, d1 G^2_12 = 1/2,
+    # d1 G^3_12 = x, d1 G^3_13 = -1/2; the metric depends on x only
+    x = 0.7
+    dg = christoffel(get_entry("nil").metric, (x, 0.0, 0.0)).dgamma
+    want = np.zeros((3, 3, 3))
+    for (k, i, j), v in {(0, 1, 1): -1.0, (1, 0, 1): 0.5, (2, 0, 1): x, (2, 0, 2): -0.5}.items():
+        want[k, i, j] = want[k, j, i] = v
+    assert np.abs(dg[0] - want).max() <= 1e-14
+    assert np.abs(dg[1:]).max() <= 1e-14
+
+
 def test_christoffel_sol_origin_pattern():
     res = christoffel(get_entry("sol").metric, (0.0, 0.0, 0.0))
     g = res.gamma
@@ -263,7 +275,7 @@ def test_div_weyl_conformally_flat_zero():
     assert np.abs(div_weyl(m, np.zeros(4))).max() == 0.0
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_div_weyl_equals_cotton(n, rng):
     for _ in range(3):
         m = random_metric_near_flat(n, rng)
@@ -373,6 +385,14 @@ def test_snapshot_invariants_dim4(rng):
         entry = get_entry(name)
         p = entry.sample_points(rng, 1)[0]
         snap = compute_snapshot(entry.metric, p)
+        snap.check_invariants(rtol=1e-9)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_snapshot_invariants_high_dim(n, rng):
+    for _ in range(2):
+        m = random_metric_near_flat(n, rng)
+        snap = compute_snapshot(m, rng.uniform(-0.2, 0.2, n))
         snap.check_invariants(rtol=1e-9)
 
 
