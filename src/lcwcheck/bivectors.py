@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConstraintViolation, DimensionError, NotOrthogonal, SymmetryViolation
-from .pipeline import _perm_sign, kulkarni_nomizu
+from .pipeline import _check_curvature_symmetries, _perm_sign, kulkarni_nomizu
 
 
 @lru_cache(maxsize=None)
@@ -68,16 +68,6 @@ class CurvatureOperator:
 
     def to_json_dict(self):
         return {"dim": self.dim, "basis": "lex-pairs", "mat": self.mat}
-
-
-def _check_curvature_symmetries(r4, tol):
-    scale = max(np.abs(r4).max(), 1.0)
-    if np.abs(r4 + r4.transpose(1, 0, 2, 3)).max() > tol * scale:
-        raise SymmetryViolation("tensor not antisymmetric in its first index pair")
-    if np.abs(r4 + r4.transpose(0, 1, 3, 2)).max() > tol * scale:
-        raise SymmetryViolation("tensor not antisymmetric in its second index pair")
-    if np.abs(r4 - r4.transpose(2, 3, 0, 1)).max() > tol * scale:
-        raise SymmetryViolation("tensor not symmetric under pair exchange")
 
 
 def orthonormal_frame(g):

@@ -195,8 +195,8 @@ def product_with_line(base: MetricDef, name=None) -> MetricDef:
     comp = [[Num(0.0)] * (n + 1) for _ in range(n + 1)]
     comp[0][0] = Num(1.0)
     for i in range(n):
-        for j in range(n):
-            comp[i + 1][j + 1] = substitute(base.components[i][j], shift)
+        for j in range(i, n):
+            comp[i + 1][j + 1] = comp[j + 1][i + 1] = substitute(base.components[i][j], shift)
     return MetricDef(
         dim=n + 1,
         components=tuple(tuple(row) for row in comp),

@@ -16,6 +16,7 @@ Identical (command, seed) pairs produce byte-identical JSON.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import sys
 
@@ -56,6 +57,23 @@ EXIT_POSITIVITY = 4
 EXIT_FAILS = 10
 EXIT_INCONCLUSIVE = 11
 
+
+class _PositiveFloat(click.FloatRange):
+    """A finite number > 0 (click exits 2 otherwise); a plain range lets
+    NaN through."""
+
+    def __init__(self):
+        super().__init__(min=0.0, min_open=True, max=sys.float_info.max)
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if math.isnan(x):
+            self.fail(f"{value!r} is not a number", param, ctx)
+        return x
+
+
+_POSITIVE = _PositiveFloat()
+
 _VERDICT_EXIT = {"passes_necessary": EXIT_PASSES, "fails_lcw_necessary": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}
 
 
@@ -66,6 +84,8 @@ def _parse_point(text, dim):
         vals = [float(x) for x in text.split(",")]
     except ValueError:
         raise ParseError(f"cannot parse point {text!r}; expected a,b,c")
+    if not np.isfinite(vals).all():
+        raise ParseError(f"point {text!r} has a non-finite coordinate")
     if len(vals) != dim:
         raise ParseError(f"point has {len(vals)} coordinates, metric dim is {dim}")
     return np.array(vals)
@@ -260,9 +280,9 @@ def _algebraic_tensors(entry):
     type=click.Choice(["auto", "eigenflag", "cotton-york"]),
     default="auto",
 )
-@click.option("--tol", type=float, default=None, help="relative tolerance (default 1e-8)")
+@click.option("--tol", type=_POSITIVE, default=None, help="relative tolerance (default 1e-8)")
 @click.option("--seed", type=int, default=0, help="seed for the multi-start search")
-@click.option("--starts", type=int, default=64)
+@click.option("--starts", type=click.IntRange(min=0), default=64)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
 def cmd_check(source, point, which_test, tol, seed, starts, fmt):
     """Decide the necessary condition for a limiting Carleman weight.
@@ -316,7 +336,7 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
     help="'same', 'random', or a JSON file with {'cy': [[..]]} (dim 3) / "
     "{'weyl': [[..]]} (dim 4, lex-pair operator matrix)",
 )
-@click.option("--radius", type=float, default=1.0)
+@click.option("--radius", type=_POSITIVE, default=1.0)
 @click.option("--amplitude", type=float, default=1e-2, help="size of a random target shift")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
@@ -414,7 +434,7 @@ def _emit_perturb(doc, fmt):
 @click.option("--dim", "n", type=int, required=True)
 @click.argument("subcommand", type=click.Choice(["dims", "sample", "phi"]))
 @click.option("--seed", type=int, default=0)
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=_POSITIVE, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
 def cmd_weyl_space(n, subcommand, seed, tol, fmt):
     """Dimension arithmetic and random sampling in the space of algebraic

@@ -14,6 +14,13 @@ a C^3 radial cutoff in the scalar u, identically 1 for u <= u0 and 0 for
 u >= u1, joined by a degree-7 spline.  Its last two arguments must be
 number literals.  Perturbed metrics use it to stay serializable.
 
+Every walk over an expression (variable scans, substitution, printing,
+evaluation) is iterative, so nesting depth is limited by memory, not by the
+Python stack; only the parser recurses, and it reports nesting past the
+recursion limit as a ParseError.  Evaluation makes one pass over the DAG of
+all requested expressions (shared subtrees once) for a whole batch of
+points, either numerically or as order-3 jets.
+
 Metric files are plain text: a `dim = n` header, optional `name = "..."`
 and `chart = "..."` lines, then `g<i><j> = <expression>` entries with
 1-based indices.  `#` starts a comment.  Unspecified off-diagonal entries
@@ -27,19 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError, SingularMetric
-from .jets import (
-    Jet3,
-    jet_constant,
-    jet_cos,
-    jet_cosh,
-    jet_exp,
-    jet_lift,
-    jet_log,
-    jet_sin,
-    jet_sinh,
-    jet_sqrt,
-)
+from .errors import DomainError, ParseError
+from .jets import Jet3, jet_add, jet_apply, jet_inverse, jet_mul, jet_power, jet_space
 
 UNARY_FUNCS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 
@@ -100,89 +96,77 @@ class Call:
 Expr = (Num, Var, Add, Sub, Mul, Div, Pow, Neg, Call)
 
 ZERO = Num(0.0)
-ONE = Num(1.0)
+
+_BINARY = (Add, Sub, Mul, Div)
+
+
+_CHILDREN_DONE = object()  # stack marker: the node below it has its children listed
+
+
+def _walk(roots):
+    """The distinct nodes (by identity) of the DAG under ``roots``, each
+    after all of its children.  Iterative: depth is not limited by the
+    Python stack."""
+    order, seen = [], set()
+    stack = list(roots)[::-1]
+    pop, push, listed, mark = stack.pop, stack.extend, order.append, seen.add
+    while stack:
+        e = pop()
+        if e is _CHILDREN_DONE:
+            listed(pop())
+            continue
+        key = id(e)
+        if key in seen:
+            continue
+        mark(key)
+        t = type(e)
+        if t is Num or t is Var:
+            listed(e)
+        elif t in _BINARY:
+            push((e, _CHILDREN_DONE, e.b, e.a))
+        elif t is Pow:
+            push((e, _CHILDREN_DONE, e.base))
+        elif t is Neg:
+            push((e, _CHILDREN_DONE, e.a))
+        elif t is Call:
+            push((e, _CHILDREN_DONE, *reversed(e.args)))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+    return order
 
 
 def max_var_index(e) -> int:
     """Largest 0-based variable index used, or -1 for constants."""
-    if isinstance(e, Num):
-        return -1
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return max(max_var_index(e.a), max_var_index(e.b))
-    if isinstance(e, Pow):
-        return max_var_index(e.base)
-    if isinstance(e, Neg):
-        return max_var_index(e.a)
-    if isinstance(e, Call):
-        return max((max_var_index(a) for a in e.args), default=-1)
-    raise TypeError(f"not an expression node: {e!r}")
+    return max((n.index for n in _walk([e]) if type(n) is Var), default=-1)
 
 
 def used_vars(e) -> set:
-    if isinstance(e, Num):
-        return set()
-    if isinstance(e, Var):
-        return {e.index}
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return used_vars(e.a) | used_vars(e.b)
-    if isinstance(e, Pow):
-        return used_vars(e.base)
-    if isinstance(e, Neg):
-        return used_vars(e.a)
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= used_vars(a)
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
+    return {n.index for n in _walk([e]) if type(n) is Var}
 
 
 def substitute(e, mapping):
-    """Replace Var(i) by mapping[i] (an Expr) wherever it appears."""
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.index, e)
-    if isinstance(e, Add):
-        return Add(substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Sub):
-        return Sub(substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Div):
-        return Div(substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, mapping), e.exponent)
-    if isinstance(e, Neg):
-        return Neg(substitute(e.a, mapping))
-    if isinstance(e, Call):
-        return Call(e.func, tuple(substitute(a, mapping) for a in e.args))
-    raise TypeError(f"not an expression node: {e!r}")
+    """Replace Var(i) by mapping[i] (an Expr) wherever it appears; shared
+    subtrees stay shared."""
+    new = {}
+    for n in _walk([e]):
+        t = type(n)
+        if t is Var:
+            out = mapping.get(n.index, n)
+        elif t is Num:
+            out = n
+        elif t is Pow:
+            out = Pow(new[id(n.base)], n.exponent)
+        elif t is Neg:
+            out = Neg(new[id(n.a)])
+        elif t is Call:
+            out = Call(n.func, tuple(new[id(a)] for a in n.args))
+        else:
+            out = t(new[id(n.a)], new[id(n.b)])
+        new[id(n)] = out
+    return new[id(e)]
 
 
 # --- evaluation -------------------------------------------------------------
-
-_JET_FUNCS = {
-    "exp": jet_exp,
-    "log": jet_log,
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "sinh": jet_sinh,
-    "cosh": jet_cosh,
-    "sqrt": jet_sqrt,
-}
-
-_NUM_FUNCS = {
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "sqrt": np.sqrt,
-}
 
 
 def _smoothstep_down(t):
@@ -190,123 +174,104 @@ def _smoothstep_down(t):
     return 1.0 - t**4 * (35.0 + t * (-84.0 + t * (70.0 - t * 20.0)))
 
 
-def eval_expr(e, point) -> Jet3:
-    """Jet of the expression at ``point``, exact to order 3.
-
-    Shared subtrees (expression DAGs produced by substitution) are
-    evaluated once per call.
-    """
-    point = np.asarray(point, dtype=float)
-    dim = len(point)
-    lifted = [jet_lift(point, k) for k in range(dim)]
-    return _eval_jet(e, lifted, dim, {})
-
-
-def _eval_jet(e, lifted, dim, memo) -> Jet3:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Num):
-        out = jet_constant(e.value, dim)
-    elif isinstance(e, Var):
-        if e.index >= dim:
-            raise DomainError(f"variable x{e.index + 1} out of range for dim {dim}")
-        out = lifted[e.index]
-    elif isinstance(e, Add):
-        out = _eval_jet(e.a, lifted, dim, memo) + _eval_jet(e.b, lifted, dim, memo)
-    elif isinstance(e, Sub):
-        out = _eval_jet(e.a, lifted, dim, memo) - _eval_jet(e.b, lifted, dim, memo)
-    elif isinstance(e, Mul):
-        out = _eval_jet(e.a, lifted, dim, memo) * _eval_jet(e.b, lifted, dim, memo)
-    elif isinstance(e, Div):
-        out = _eval_jet(e.a, lifted, dim, memo) / _eval_jet(e.b, lifted, dim, memo)
-    elif isinstance(e, Pow):
-        out = _eval_jet(e.base, lifted, dim, memo) ** e.exponent
-    elif isinstance(e, Neg):
-        out = -_eval_jet(e.a, lifted, dim, memo)
-    elif isinstance(e, Call):
-        if e.func == "smoothbump":
-            out = _smoothbump_jet(e, lifted, dim, memo)
-        else:
-            out = _JET_FUNCS[e.func](_eval_jet(e.args[0], lifted, dim, memo))
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    memo[key] = out
+def _jet_array(v, shape):
+    """A jet value as a coefficient array of ``shape`` (constants are floats)."""
+    if not isinstance(v, float):
+        return v
+    out = np.zeros(shape)
+    out[..., 0] = v
     return out
 
 
-def _smoothbump_jet(e, lifted, dim, memo) -> Jet3:
-    u = _eval_jet(e.args[0], lifted, dim, memo)
-    u0 = e.args[1].value
-    u1 = e.args[2].value
-    uc = u.value
-    if uc <= u0:
-        # flat plateau: the C^3 junction makes the order-3 jet constant there
-        return jet_constant(1.0, dim)
-    if uc >= u1:
-        return jet_constant(0.0, dim)
-    t = (u - u0) / (u1 - u0)
-    return 1.0 - t**4 * (35.0 + t * (-84.0 + t * (70.0 - t * 20.0)))
+def _smoothbump_jet(space, u, u0, u1):
+    uc = u[:, 0]
+    out = np.zeros_like(u)
+    # flat plateau: the C^3 junction makes the order-3 jet constant there
+    out[uc <= u0, 0] = 1.0
+    ramp = ~(uc <= u0) & ~(uc >= u1)
+    if ramp.any():
+        out[ramp] = _smoothstep_down(Jet3(space, jet_add(u[ramp], -u0) / (u1 - u0))).c
+    return out
+
+
+def _evaluate(roots, points, jets):
+    """Values of the expressions ``roots`` at the (N, dim) ``points``, in one
+    pass over their shared DAG: arrays (N,) of numbers, or with ``jets``
+    order-3 jets (floats for constants, else coefficient arrays (N, size))."""
+    npts, dim = points.shape
+    if jets:
+        space = jet_space(dim)
+        lifted = space.lift(points)
+    values = {}
+    for e in _walk(roots):
+        t = type(e)
+        if t is Num:
+            v = float(e.value) if jets else np.full(npts, e.value)
+        elif t is Var:
+            if e.index >= dim:
+                raise DomainError(f"variable x{e.index + 1} out of range for dim {dim}")
+            v = lifted[e.index] if jets else points[:, e.index]
+        elif t in _BINARY:
+            a, b = values[id(e.a)], values[id(e.b)]
+            if t is Add:
+                v = jet_add(a, b) if jets else a + b
+            elif t is Sub:
+                v = jet_add(a, -b) if jets else a - b
+            elif t is Mul:
+                v = jet_mul(space, a, b) if jets else a * b
+            elif jets:
+                v = jet_mul(space, a, jet_inverse(space, b))
+            elif np.any(b == 0.0):
+                raise DomainError("division by zero")
+            else:
+                v = a / b
+        elif t is Pow:
+            a = values[id(e.base)]
+            v = jet_power(space, a, e.exponent) if jets else a**e.exponent
+        elif t is Neg:
+            v = -values[id(e.a)]
+        elif e.func == "smoothbump":
+            u, u0, u1 = values[id(e.args[0])], e.args[1].value, e.args[2].value
+            if jets:
+                v = _smoothbump_jet(space, _jet_array(u, lifted.shape[1:]), u0, u1)
+            else:
+                v = _smoothstep_down(np.clip((u - u0) / (u1 - u0), 0.0, 1.0))
+        elif jets:
+            v = jet_apply(space, e.func, values[id(e.args[0])])
+        else:
+            x = values[id(e.args[0])]
+            if e.func in ("log", "sqrt") and np.any(x <= 0.0):
+                raise DomainError(f"{e.func} of nonpositive value")
+            v = getattr(np, e.func)(x)
+        values[id(e)] = v
+    return [values[id(r)] for r in roots]
+
+
+def eval_expr(e, point) -> Jet3:
+    """Jet of the expression at ``point``, exact to order 3."""
+    return Jet3(jet_space(len(point)), eval_expr_many([e], np.asarray(point, dtype=float)[None])[0, 0])
+
+
+def eval_expr_many(exprs, points) -> np.ndarray:
+    """Order-3 jets of every expression at an (N, dim) batch of points, as
+    an array (len(exprs), N, size) of Taylor coefficients."""
+    points = np.asarray(points, dtype=float)
+    shape = (len(points), jet_space(points.shape[1]).size)
+    values = _evaluate(exprs, points, jets=True)
+    return np.array([_jet_array(v, shape) for v in values]).reshape(len(exprs), *shape)
 
 
 def eval_num(e, point) -> float:
     """Plain numeric evaluation (used for grid scans; cheaper than jets)."""
-    out = eval_num_many(e, np.asarray(point, dtype=float)[None, :])
-    return float(out[0])
+    return float(eval_num_many(e, np.asarray(point, dtype=float)[None, :])[0])
 
 
 def eval_num_many(e, points) -> np.ndarray:
     """Vectorized numeric evaluation at an (N, dim) array of points.
 
-    One tree walk for the whole batch; shared subtrees evaluate once.
+    One pass for the whole batch; shared subtrees evaluate once.
     """
-    points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    return _eval_num_many(e, points, n, {})
-
-
-def _eval_num_many(e, points, n, memo):
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Num):
-        out = np.full(n, e.value)
-    elif isinstance(e, Var):
-        if e.index >= points.shape[1]:
-            raise DomainError(f"variable x{e.index + 1} out of range")
-        out = points[:, e.index]
-    elif isinstance(e, Add):
-        out = _eval_num_many(e.a, points, n, memo) + _eval_num_many(e.b, points, n, memo)
-    elif isinstance(e, Sub):
-        out = _eval_num_many(e.a, points, n, memo) - _eval_num_many(e.b, points, n, memo)
-    elif isinstance(e, Mul):
-        out = _eval_num_many(e.a, points, n, memo) * _eval_num_many(e.b, points, n, memo)
-    elif isinstance(e, Div):
-        d = _eval_num_many(e.b, points, n, memo)
-        if np.any(d == 0.0):
-            raise DomainError("division by zero")
-        out = _eval_num_many(e.a, points, n, memo) / d
-    elif isinstance(e, Pow):
-        out = _eval_num_many(e.base, points, n, memo) ** e.exponent
-    elif isinstance(e, Neg):
-        out = -_eval_num_many(e.a, points, n, memo)
-    elif isinstance(e, Call):
-        if e.func == "smoothbump":
-            u = _eval_num_many(e.args[0], points, n, memo)
-            u0, u1 = e.args[1].value, e.args[2].value
-            t = np.clip((u - u0) / (u1 - u0), 0.0, 1.0)
-            out = _smoothstep_down(t)
-        else:
-            x = _eval_num_many(e.args[0], points, n, memo)
-            if e.func in ("log", "sqrt") and np.any(x <= 0.0):
-                raise DomainError(f"{e.func} of nonpositive value")
-            out = _NUM_FUNCS[e.func](x)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    memo[key] = out
-    return out
+    return _evaluate([e], np.asarray(points, dtype=float), jets=False)[0]
 
 
 # --- tokenizer / parser -----------------------------------------------------
@@ -453,7 +418,10 @@ class _Parser:
 def parse_expr(text, line=1) -> object:
     """Parse a single expression string into an Expr tree."""
     parser = _Parser(_tokenize(text, line=line))
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", line, 1) from None
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
@@ -472,43 +440,52 @@ def _fmt_number(x):
     return repr(x)
 
 
-def _print(e):
-    """Return (text, precedence)."""
-    if isinstance(e, Num):
+# operator text, precedence, and how much tighter the right operand binds
+_INFIX = {Add: (" + ", _PREC_ADD, 0), Sub: (" - ", _PREC_ADD, 1), Mul: ("*", _PREC_MUL, 0), Div: ("/", _PREC_MUL, 1)}
+
+
+def _layout(e):
+    """(parts, precedence) of a node: parts are text, or (child, the least
+    precedence the child may print at without parentheses)."""
+    t = type(e)
+    if t is Num:
         if e.value < 0:
-            return f"-{_fmt_number(-e.value)}", _PREC_NEG
-        return _fmt_number(e.value), _PREC_ATOM
-    if isinstance(e, Var):
-        return f"x{e.index + 1}", _PREC_ATOM
-    if isinstance(e, Add):
-        return f"{_wrap(e.a, _PREC_ADD)} + {_wrap(e.b, _PREC_ADD)}", _PREC_ADD
-    if isinstance(e, Sub):
-        return f"{_wrap(e.a, _PREC_ADD)} - {_wrap(e.b, _PREC_ADD + 1)}", _PREC_ADD
-    if isinstance(e, Mul):
-        return f"{_wrap(e.a, _PREC_MUL)}*{_wrap(e.b, _PREC_MUL)}", _PREC_MUL
-    if isinstance(e, Div):
-        return f"{_wrap(e.a, _PREC_MUL)}/{_wrap(e.b, _PREC_MUL + 1)}", _PREC_MUL
-    if isinstance(e, Neg):
+            return [f"-{_fmt_number(-e.value)}"], _PREC_NEG
+        return [_fmt_number(e.value)], _PREC_ATOM
+    if t is Var:
+        return [f"x{e.index + 1}"], _PREC_ATOM
+    if t in _INFIX:
+        op, prec, right = _INFIX[t]
+        return [(e.a, prec), op, (e.b, prec + right)], prec
+    if t is Neg:
         # wrap all non-atoms: the grammar binds '^' outside unary '-', so
         # printing -x1^2 for Neg(Pow(x1, 2)) would reparse differently
-        return f"-{_wrap(e.a, _PREC_ATOM)}", _PREC_NEG
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_POW + 1)}^{e.exponent}", _PREC_POW
-    if isinstance(e, Call):
-        args = ", ".join(_print(a)[0] for a in e.args)
-        return f"{e.func}({args})", _PREC_ATOM
+        return ["-", (e.a, _PREC_ATOM)], _PREC_NEG
+    if t is Pow:
+        return [(e.base, _PREC_POW + 1), f"^{e.exponent}"], _PREC_POW
+    if t is Call:
+        parts = [f"{e.func}("]
+        for k, a in enumerate(e.args):
+            parts += [", "] * (k > 0) + [(a, 0)]
+        return parts + [")"], _PREC_ATOM
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _wrap(e, min_prec):
-    text, prec = _print(e)
-    if prec < min_prec:
-        return f"({text})"
-    return text
-
-
 def expr_to_text(e) -> str:
-    return _print(e)[0]
+    """Text that parses back to ``e``; tokens go onto one list from an
+    explicit stack, so the time is linear in the length of the text."""
+    out = []
+    stack = [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        parts, prec = _layout(item[0])
+        if prec < item[1]:
+            parts = ["(", *parts, ")"]
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
 # --- metric definitions -----------------------------------------------------
@@ -532,84 +509,48 @@ class MetricDef:
 
     def eval_matrix_many(self, points) -> np.ndarray:
         """(N, dim, dim) numeric metric matrices at an (N, dim) batch of
-        points, with subexpressions shared across components evaluated
-        once."""
+        points, in one pass over the components' shared DAG."""
         points = np.asarray(points, dtype=float)
-        npts = points.shape[0]
-        g = np.empty((npts, self.dim, self.dim))
-        memo = {}
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                vals = _eval_num_many(self.components[i][j], points, npts, memo)
-                g[:, i, j] = vals
-                g[:, j, i] = vals
+        pairs = _upper(self.dim)
+        values = _evaluate([self.components[i][j] for i, j in pairs], points, jets=False)
+        g = np.empty((points.shape[0], self.dim, self.dim))
+        for (i, j), v in zip(pairs, values):
+            g[:, i, j] = g[:, j, i] = v
         return g
 
     def eval_jets(self, point):
         """dim x dim list-of-lists of Jet3 (shared upper/lower entries)."""
         point = np.asarray(point, dtype=float)
-        lifted = [jet_lift(point, k) for k in range(self.dim)]
-        memo = {}
+        pairs = _upper(self.dim)
+        coeffs = eval_expr_many([self.components[i][j] for i, j in pairs], point[None])
+        space = jet_space(len(point))
         out = [[None] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                jet = _eval_jet(self.components[i][j], lifted, self.dim, memo)
-                out[i][j] = jet
-                out[j][i] = jet
+        for (i, j), c in zip(pairs, coeffs):
+            out[i][j] = out[j][i] = Jet3(space, c[0])
         return out
 
-    def check_point(self, point, cond_limit=1e12) -> np.ndarray:
-        """Return g(point) after verifying it is usable: finite (else
-        DomainError), SPD and well conditioned (else SingularMetric)."""
-        g = self.eval_matrix(point)
-        if not np.isfinite(g).all():
-            raise DomainError(f"metric not finite at {np.asarray(point).tolist()}")
-        w = np.linalg.eigvalsh(g)
-        if w[0] <= 0.0:
-            raise SingularMetric(
-                f"metric not positive definite at {list(point)} (min eigenvalue {w[0]:g})"
-            )
-        if w[-1] / w[0] > cond_limit:
-            raise SingularMetric(
-                f"metric too ill-conditioned at {list(point)} (cond {w[-1] / w[0]:g})"
-            )
-        return g
+
+def _upper(dim):
+    return [(i, j) for i in range(dim) for j in range(i, dim)]
+
+
+def _same(a, b):
+    """Equal expressions, compared without recursion."""
+    return a is b or expr_to_text(a) == expr_to_text(b)
 
 
 def metric_from_components(components, name="", chart="") -> MetricDef:
     """Build a MetricDef from a square (possibly upper-triangular) list of
     Expr entries; None entries mirror across the diagonal."""
     dim = len(components)
-    full = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            e = components[i][j]
-            if e is not None:
-                full[i][j] = e
-    for i in range(dim):
-        for j in range(dim):
-            if full[i][j] is None and full[j][i] is not None:
-                full[i][j] = full[j][i]
-            elif full[i][j] is None:
-                full[i][j] = ZERO
-    for i in range(dim):
-        for j in range(dim):
-            if full[i][j] != full[j][i]:
-                raise ParseError(f"asymmetric entries g{i+1}{j+1} vs g{j+1}{i+1}")
-    comp = tuple(tuple(row) for row in full)
-    m = MetricDef(dim=dim, components=comp, name=name, chart=chart)
-    _check_var_range(m)
-    return m
-
-
-def _check_var_range(m):
-    for i in range(m.dim):
-        for j in range(m.dim):
-            k = max_var_index(m.components[i][j])
-            if k >= m.dim:
-                raise ParseError(
-                    f"entry g{i+1}{j+1} uses x{k+1} but dim = {m.dim}"
-                )
+    full = [[components[i][j] or components[j][i] or ZERO for j in range(dim)] for i in range(dim)]
+    for i, j in _upper(dim):
+        if not _same(full[i][j], full[j][i]):
+            raise ParseError(f"asymmetric entries g{i+1}{j+1} vs g{j+1}{i+1}")
+        k = max_var_index(full[i][j])
+        if k >= dim:
+            raise ParseError(f"entry g{i+1}{j+1} uses x{k+1} but dim = {dim}")
+    return MetricDef(dim=dim, components=tuple(tuple(row) for row in full), name=name, chart=chart)
 
 
 _HEADER_RE = re.compile(r"^\s*(dim|name|chart|g([1-6])([1-6]))\s*=\s*(.*?)\s*$")
@@ -665,27 +606,11 @@ def parse_metric(text) -> MetricDef:
     if dim is None:
         raise ParseError("missing dim = n header", 1, 1)
 
-    comp = [[None] * dim for _ in range(dim)]
-    for (i, j), expr in entries.items():
-        if comp[i - 1][j - 1] is not None and comp[i - 1][j - 1] != expr:
-            raise ParseError(f"asymmetric explicit entries g{i}{j} vs g{j}{i}")
-        comp[i - 1][j - 1] = expr
-        if comp[j - 1][i - 1] is None:
-            comp[j - 1][i - 1] = expr
-        elif comp[j - 1][i - 1] != expr:
-            raise ParseError(f"asymmetric explicit entries g{i}{j} vs g{j}{i}")
-    for d in range(dim):
-        if comp[d][d] is None:
-            raise ParseError(f"missing diagonal entry g{d+1}{d+1}")
-        for j in range(dim):
-            if comp[d][j] is None:
-                comp[d][j] = ZERO
-    return MetricDef(
-        dim=dim,
-        components=tuple(tuple(row) for row in comp),
-        name=name,
-        chart=chart,
-    )
+    for d in range(1, dim + 1):
+        if (d, d) not in entries:
+            raise ParseError(f"missing diagonal entry g{d}{d}")
+    comp = [[entries.get((i, j)) for j in range(1, dim + 1)] for i in range(1, dim + 1)]
+    return metric_from_components(comp, name=name, chart=chart)
 
 
 def metric_to_text(m: MetricDef) -> str:

@@ -1,6 +1,6 @@
 """Degree-3 truncated multivariate Taylor arithmetic ("jets").
 
-A ``Jet3`` stores the Taylor coefficients (partial derivative divided by the
+A jet stores the Taylor coefficients (partial derivative divided by the
 multi-index factorial) of a smooth function at a point, for every multi-index
 of total degree <= 3 in up to six variables.  Arithmetic is exact truncation:
 products drop all terms of degree > 3, so the coefficients of any expression
@@ -8,12 +8,21 @@ built from +, -, *, /, integer powers and the supported analytic functions
 are the true Taylor coefficients of that expression, up to rounding.
 
 Multi-indices are ordered graded-lexicographically and the full coefficient
-vector is stored densely (C(dim+3, 3) entries).  Jets are immutable after
-construction and safe to share between threads.
+vector is stored densely (C(dim+3, 3) entries).
+
+There is one algebra, on plain values: a value is either a float (a
+constant jet, all higher coefficients zero) or an array ``(..., size)`` of
+coefficients whose leading axes are a batch of points.  Constants stay
+floats, so a constant times a jet is a scaled copy, not a product.  The dsl
+evaluator runs on these values directly; ``Jet3`` wraps one array for a
+single point (its operators accept any batch axes) and calls the same
+functions.  Jets are immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -26,22 +35,6 @@ MIN_DIM = 2
 MAX_DIM = 6
 
 
-def _multi_indices(dim):
-    """All exponent tuples with total degree <= 3, graded-lex order."""
-    out = []
-
-    def rec(prefix, remaining_slots, budget):
-        if remaining_slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining_slots - 1, budget - e)
-
-    rec([], dim, MAX_ORDER)
-    out.sort(key=lambda a: (sum(a), a))
-    return out
-
-
 class JetSpace:
     """Precomputed index tables for one dimension.  Build once, share."""
 
@@ -49,30 +42,45 @@ class JetSpace:
         if not MIN_DIM <= dim <= MAX_DIM:
             raise DomainError(f"jet dimension must be in [{MIN_DIM}, {MAX_DIM}], got {dim}")
         self.dim = dim
-        self.indices = _multi_indices(dim)
+        self.indices = sorted(
+            (a for a in itertools.product(range(MAX_ORDER + 1), repeat=dim) if sum(a) <= MAX_ORDER),
+            key=lambda a: (sum(a), a),
+        )
         self.size = len(self.indices)
         self.index_of = {a: i for i, a in enumerate(self.indices)}
         self.degrees = np.array([sum(a) for a in self.indices])
         self.factorials = np.array(
             [float(math.prod(math.factorial(e) for e in a)) for a in self.indices]
         )
+        # slot of the first-order coefficient of each coordinate x_k
+        self.unit = [self.index_of[tuple(int(k == j) for j in range(dim))] for k in range(dim)]
 
-        mi, mj, mk = [], [], []
-        for i, a in enumerate(self.indices):
-            da = sum(a)
-            for j, b in enumerate(self.indices):
-                if da + sum(b) <= MAX_ORDER:
-                    mi.append(i)
-                    mj.append(j)
-                    mk.append(self.index_of[tuple(x + y for x, y in zip(a, b))])
-        self.mul_i = np.array(mi)
-        self.mul_j = np.array(mj)
-        scatter = np.zeros((len(mk), self.size))
-        scatter[np.arange(len(mk)), mk] = 1.0
-        self._scatter = scatter
+        # every product a_i b_j that lands in slot k, grouped by k
+        pairs = sorted(
+            (self.index_of[tuple(x + y for x, y in zip(a, b))], i, j)
+            for i, a in enumerate(self.indices)
+            for j, b in enumerate(self.indices)
+            if sum(a) + sum(b) <= MAX_ORDER
+        )
+        slot, self.mul_i, self.mul_j = (np.array(col) for col in zip(*pairs))
+        self._starts = np.searchsorted(slot, np.arange(self.size))
 
     def mul(self, a, b):
-        return (a[self.mul_i] * b[self.mul_j]) @ self._scatter
+        """Truncated product of coefficient arrays ``(..., size)``.
+
+        Each slot adds its products in one fixed order (no BLAS), so a
+        point's result has the same bits in any batch."""
+        return np.add.reduceat(a[..., self.mul_i] * b[..., self.mul_j], self._starts, axis=-1)
+
+    def lift(self, points):
+        """Jets ``(dim, ..., size)`` of the coordinate functions at the
+        ``(..., dim)`` points."""
+        points = np.asarray(points, dtype=float)
+        out = np.zeros((self.dim, *points.shape[:-1], self.size))
+        for k in range(self.dim):
+            out[k, ..., 0] = points[..., k]
+            out[k, ..., self.unit[k]] = 1.0
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -80,8 +88,100 @@ def jet_space(dim) -> JetSpace:
     return JetSpace(dim)
 
 
+# -- the algebra on values (float constants or coefficient arrays) -------------
+
+
+def jet_add(a, b):
+    """a + b; a float only shifts the constant term."""
+    if isinstance(a, float) == isinstance(b, float):
+        return a + b
+    if isinstance(a, float):
+        a, b = b, a
+    out = a.copy()
+    out[..., 0] += b
+    return out
+
+
+def jet_mul(space, a, b):
+    """a * b; a float only scales."""
+    if isinstance(a, float) or isinstance(b, float):
+        return a * b
+    return space.mul(a, b)
+
+
+def jet_inverse(space, f):
+    """1/f by truncated series inversion; exact within order 3."""
+    c0 = f if isinstance(f, float) else f[..., :1]
+    if np.any(c0 == 0.0):
+        raise DomainError("division by a jet with zero constant term")
+    if isinstance(f, float):
+        return 1.0 / f
+    u = f / c0
+    u[..., 0] -= 1.0  # nilpotent part of f/c0
+    # 1/(1+u) = 1 - u + u^2 - u^3 exactly at this order
+    inv = jet_add(1.0, jet_mul(space, u, jet_add(-1.0, jet_mul(space, u, jet_add(1.0, -u)))))
+    return inv / c0
+
+
+def jet_power(space, f, exponent):
+    """f**exponent for an integer exponent, by repeated squaring."""
+    if exponent < 0:
+        f, exponent = jet_inverse(space, f), -exponent
+    out = 1.0
+    while exponent:
+        if exponent & 1:
+            out = jet_mul(space, out, f)
+        exponent >>= 1
+        if exponent:
+            f = jet_mul(space, f, f)
+    return out
+
+
+def _sqrt_derivatives(c):
+    r = np.sqrt(c)
+    return r, 0.5 / r, -0.25 / (c * r), 0.375 / (c * c * r)
+
+
+# value and first three derivatives of each analytic function at c
+_DERIVATIVES = {
+    "exp": lambda c: (np.exp(c),) * 4,
+    "log": lambda c: (np.log(c), 1.0 / c, -1.0 / c**2, 2.0 / c**3),
+    "sqrt": _sqrt_derivatives,
+    "sin": lambda c: (np.sin(c), np.cos(c), -np.sin(c), -np.cos(c)),
+    "cos": lambda c: (np.cos(c), -np.sin(c), -np.cos(c), np.sin(c)),
+    "sinh": lambda c: (np.sinh(c), np.cosh(c), np.sinh(c), np.cosh(c)),
+    "cosh": lambda c: (np.cosh(c), np.sinh(c), np.cosh(c), np.sinh(c)),
+}
+
+
+def jet_apply(space, func, f):
+    """func(f) for func in exp log sqrt sin cos sinh cosh: the Taylor
+    series of func at the constant term of f, composed with f."""
+    c = f if isinstance(f, float) else f[..., 0]
+    if func in ("log", "sqrt") and np.any(c <= 0.0):
+        raise DomainError(f"{func} of a jet with nonpositive constant term")
+    f0, d1, d2, d3 = _DERIVATIVES[func](c)
+    if isinstance(f, float):
+        return float(f0)
+    h = f.copy()
+    h[..., 0] = 0.0  # nilpotent part
+    out = h * (d3 / 6.0)[..., None]
+    out[..., 0] += d2 / 2.0
+    out = space.mul(h, out)
+    out[..., 0] += d1
+    out = space.mul(h, out)
+    out[..., 0] += f0
+    return out
+
+
+# -- single-point jets -----------------------------------------------------------
+
+
 class Jet3:
-    """Immutable truncated Taylor value.  Supports +, -, *, /, ** int."""
+    """Immutable truncated Taylor value.  Supports +, -, *, /, ** int.
+
+    ``value``, ``gradient`` and ``derivative`` read a single point; the
+    operators work on a coefficient array with any batch axes."""
 
     __slots__ = ("space", "c")
 
@@ -100,13 +200,7 @@ class Jet3:
 
     def gradient(self):
         """First-order coefficients, equal to the first partials."""
-        n = self.space.dim
-        g = np.empty(n)
-        for k in range(n):
-            e = [0] * n
-            e[k] = 1
-            g[k] = self.c[self.space.index_of[tuple(e)]]
-        return g
+        return self.c[self.space.unit]
 
     def derivative(self, alpha):
         """Partial derivative for multi-index ``alpha`` (coeff * alpha!)."""
@@ -117,16 +211,16 @@ class Jet3:
         if isinstance(other, Jet3):
             if other.space is not self.space:
                 raise DomainError("jets from different spaces cannot be combined")
-            return other
+            return other.c
         if isinstance(other, (int, float)):
-            return jet_constant(float(other), self.space.dim)
+            return float(other)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Jet3(self.space, self.c + other.c)
+        return Jet3(self.space, jet_add(self.c, other))
 
     __radd__ = __add__
 
@@ -134,29 +228,24 @@ class Jet3:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Jet3(self.space, self.c - other.c)
+        return Jet3(self.space, jet_add(self.c, -other))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Jet3(self.space, other.c - self.c)
+        return Jet3(self.space, jet_add(other, -self.c))
 
     def __neg__(self):
         return Jet3(self.space, -self.c)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet3(self.space, self.c * float(other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Jet3(self.space, self.space.mul(self.c, other.c))
+        return Jet3(self.space, jet_mul(self.space, self.c, other))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet3(self.space, self.c * float(other))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
@@ -166,7 +255,7 @@ class Jet3:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self * jet_reciprocal(other)
+        return Jet3(self.space, jet_mul(self.space, self.c, jet_inverse(self.space, other)))
 
     def __rtruediv__(self, other):
         inv = jet_reciprocal(self)
@@ -177,17 +266,8 @@ class Jet3:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             raise DomainError("only integer exponents are supported on jets")
-        if exponent < 0:
-            return jet_reciprocal(self) ** (-exponent)
-        result = jet_constant(1.0, self.space.dim)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        c = jet_power(self.space, self.c, exponent)
+        return jet_constant(c, self.space.dim) if isinstance(c, float) else Jet3(self.space, c)
 
     def __repr__(self):
         return f"Jet3(dim={self.space.dim}, value={self.value!r})"
@@ -207,68 +287,22 @@ def jet_lift(point, var_index) -> Jet3:
     if not 0 <= var_index < dim:
         raise DomainError(f"variable index {var_index} out of range for dim {dim}")
     sp = jet_space(dim)
-    c = np.zeros(sp.size)
-    c[0] = point[var_index]
-    e = [0] * dim
-    e[var_index] = 1
-    c[sp.index_of[tuple(e)]] = 1.0
-    return Jet3(sp, c)
+    return Jet3(sp, sp.lift(point)[var_index])
 
 
 def jet_reciprocal(f: Jet3) -> Jet3:
     """1/f by truncated series inversion; exact within order 3."""
-    c0 = f.value
-    if c0 == 0.0:
-        raise DomainError("division by a jet with zero constant term")
-    u = Jet3(f.space, f.c / c0)
-    u = u - 1.0  # nilpotent part of f/c0
-    # 1/(1+u) = 1 - u + u^2 - u^3 exactly at this order
-    inv = 1.0 + u * (-1.0 + u * (1.0 - u))
-    return Jet3(f.space, inv.c / c0)
+    return Jet3(f.space, jet_inverse(f.space, f.c))
 
 
-def _compose(f: Jet3, f0, d1, d2, d3) -> Jet3:
-    """Apply an analytic function with given derivatives at f.value."""
-    h = Jet3(f.space, f.c.copy())
-    h.c[0] = 0.0  # nilpotent part
-    return f0 + h * (d1 + h * (d2 / 2.0 + h * (d3 / 6.0)))
+def _analytic(func):
+    def apply(f: Jet3) -> Jet3:
+        return Jet3(f.space, jet_apply(f.space, func, f.c))
+
+    apply.__name__ = apply.__qualname__ = f"jet_{func}"
+    return apply
 
 
-def jet_exp(f: Jet3) -> Jet3:
-    e = math.exp(f.value)
-    return _compose(f, e, e, e, e)
-
-
-def jet_log(f: Jet3) -> Jet3:
-    c = f.value
-    if c <= 0.0:
-        raise DomainError("log of a jet with nonpositive constant term")
-    return _compose(f, math.log(c), 1.0 / c, -1.0 / c**2, 2.0 / c**3)
-
-
-def jet_sqrt(f: Jet3) -> Jet3:
-    c = f.value
-    if c <= 0.0:
-        raise DomainError("sqrt of a jet with nonpositive constant term")
-    r = math.sqrt(c)
-    return _compose(f, r, 0.5 / r, -0.25 / (c * r), 0.375 / (c * c * r))
-
-
-def jet_sin(f: Jet3) -> Jet3:
-    s, c = math.sin(f.value), math.cos(f.value)
-    return _compose(f, s, c, -s, -c)
-
-
-def jet_cos(f: Jet3) -> Jet3:
-    s, c = math.sin(f.value), math.cos(f.value)
-    return _compose(f, c, -s, -c, s)
-
-
-def jet_sinh(f: Jet3) -> Jet3:
-    s, c = math.sinh(f.value), math.cosh(f.value)
-    return _compose(f, s, c, s, c)
-
-
-def jet_cosh(f: Jet3) -> Jet3:
-    s, c = math.sinh(f.value), math.cosh(f.value)
-    return _compose(f, c, s, c, s)
+jet_exp, jet_log, jet_sqrt, jet_sin, jet_cos, jet_sinh, jet_cosh = map(
+    _analytic, ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh")
+)

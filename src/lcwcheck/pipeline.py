@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .dsl import Call, MetricDef, Mul, Num
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, SingularMetric, SymmetryViolation
 
 COND_LIMIT = 1e12
 
@@ -61,6 +61,26 @@ def _perm_sign(p):
 
 
 EPS3 = _eps3()
+
+
+def _require_small(x, bound, what):
+    """SymmetryViolation(what) unless max |x| <= bound (NaN fails)."""
+    if not np.abs(x).max() <= bound:
+        raise SymmetryViolation(what)
+
+
+def _check_curvature_symmetries(r4, tol):
+    """Antisymmetry in each index pair and pair exchange symmetry, to
+    ``tol`` relative to max(|r4|, 1)."""
+    bound = tol * max(np.abs(r4).max(), 1.0)
+    _require_small(r4 + r4.transpose(1, 0, 2, 3), bound, "tensor not antisymmetric in its first index pair")
+    _require_small(r4 + r4.transpose(0, 1, 3, 2), bound, "tensor not antisymmetric in its second index pair")
+    _require_small(r4 - r4.transpose(2, 3, 0, 1), bound, "tensor not symmetric under pair exchange")
+
+
+def _check_bianchi(r4, tol):
+    bianchi = r4 + r4.transpose(1, 2, 0, 3) + r4.transpose(2, 0, 1, 3)
+    _require_small(bianchi, tol * max(np.abs(r4).max(), 1.0), "tensor violates the first Bianchi identity")
 
 
 def _antisym_pairs(t):
@@ -94,12 +114,11 @@ def _dot(spec, a, b):
     return np.concatenate([value[None], partials])
 
 
-def _metric_partials(g_jets):
-    """d^k g for k = 0..3 from the order-3 metric jets, each indexed
-    [a_1, ..., a_k, i, j]."""
-    space = g_jets[0][0].space
+def _metric_partials(space, coeffs):
+    """d^k g for k = 0..3 from the order-3 Taylor coefficients (n, n, size)
+    of the metric, each indexed [a_1, ..., a_k, i, j]."""
     n = space.dim
-    d = np.array([[[jet.derivative(a) for a in space.indices] for jet in row] for row in g_jets])
+    d = coeffs * space.factorials
     out = []
     for k in range(4):
         slots = [
@@ -108,6 +127,20 @@ def _metric_partials(g_jets):
         ]
         out.append(np.moveaxis(d[:, :, slots], 2, 0).reshape((n,) * k + (n, n)))
     return out
+
+
+def _check_metric(g, point):
+    """Raise unless g(point) is usable: finite (else DomainError), SPD and
+    well conditioned (else SingularMetric)."""
+    if not np.isfinite(g).all():
+        raise DomainError(f"metric not finite at {point.tolist()}")
+    w = np.linalg.eigvalsh(g)
+    if w[0] <= 0.0:
+        raise SingularMetric(
+            f"metric not positive definite at {point.tolist()} (min eigenvalue {w[0]:g})"
+        )
+    if w[-1] / w[0] > COND_LIMIT:
+        raise SingularMetric(f"metric too ill-conditioned at {point.tolist()} (cond {w[-1] / w[0]:g})")
 
 
 class JetPipeline:
@@ -126,10 +159,11 @@ class JetPipeline:
             raise DimensionError(
                 f"point has {len(self.point)} coordinates, metric dim is {n}"
             )
-        metric.check_point(self.point, COND_LIMIT)
         self.g_jets = metric.eval_jets(self.point)
-        g, dg, ddg, dddg = _metric_partials(self.g_jets)
-        if not all(np.isfinite(d).all() for d in (g, dg, ddg, dddg)):
+        coeffs = np.array([[jet.c for jet in row] for row in self.g_jets])
+        _check_metric(coeffs[..., 0], self.point)
+        g, dg, ddg, dddg = _metric_partials(self.g_jets[0][0].space, coeffs)
+        if not all(np.isfinite(d).all() for d in (dg, ddg, dddg)):
             raise DomainError(f"metric derivatives not finite at {self.point.tolist()}")
         self.g = g
         self.g_inv = np.linalg.inv(g)
@@ -347,29 +381,21 @@ class TensorSnapshot:
     def check_invariants(self, rtol=1e-9):
         """Verify the algebraic identities every snapshot must satisfy.
 
-        Raises AssertionError with a description on the first failure.
+        Raises SymmetryViolation with a description on the first failure.
         """
-        r = self.riemann
-        scale = max(np.abs(r).max(), 1.0)
-        assert np.abs(r + r.transpose(1, 0, 2, 3)).max() <= rtol * scale, "R not antisymmetric in (i,j)"
-        assert np.abs(r + r.transpose(0, 1, 3, 2)).max() <= rtol * scale, "R not antisymmetric in (k,l)"
-        assert np.abs(r - r.transpose(2, 3, 0, 1)).max() <= rtol * scale, "R not pair symmetric"
-        bianchi = r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)
-        assert np.abs(bianchi).max() <= rtol * scale, "first Bianchi identity fails"
+        _check_curvature_symmetries(self.riemann, rtol)
+        _check_bianchi(self.riemann, rtol)
         c = self.cotton
-        cscale = max(np.abs(c).max(), 1.0)
-        assert np.abs(c + c.transpose(1, 0, 2)).max() <= rtol * cscale, "Cotton not antisymmetric"
-        cyc = c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1)
-        assert np.abs(cyc).max() <= rtol * cscale, "Cotton cyclic sum nonzero"
-        tr1 = np.einsum("ij,ijk->k", self.g_inv, c)
-        tr2 = np.einsum("ik,ijk->j", self.g_inv, c)
-        assert np.abs(tr1).max() <= rtol * cscale, "Cotton g^{ij}-trace nonzero"
-        assert np.abs(tr2).max() <= rtol * cscale, "Cotton g^{ik}-trace nonzero"
+        bound = rtol * max(np.abs(c).max(), 1.0)
+        _require_small(c + c.transpose(1, 0, 2), bound, "Cotton not antisymmetric")
+        _require_small(c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1), bound, "Cotton cyclic sum nonzero")
+        _require_small(np.einsum("ij,ijk->k", self.g_inv, c), bound, "Cotton g^{ij}-trace nonzero")
+        _require_small(np.einsum("ik,ijk->j", self.g_inv, c), bound, "Cotton g^{ik}-trace nonzero")
         if self.cotton_york is not None:
             cy = self.cotton_york
-            cyscale = max(np.abs(cy).max(), 1.0)
-            assert np.abs(cy - cy.T).max() <= rtol * cyscale, "Cotton-York not symmetric"
-            assert abs(np.einsum("ij,ij->", self.g_inv, cy)) <= rtol * cyscale, "Cotton-York not traceless"
+            bound = rtol * max(np.abs(cy).max(), 1.0)
+            _require_small(cy - cy.T, bound, "Cotton-York not symmetric")
+            _require_small(np.einsum("ij,ij->", self.g_inv, cy), bound, "Cotton-York not traceless")
 
 
 def compute_snapshot(metric: MetricDef, point) -> TensorSnapshot:

@@ -223,3 +223,33 @@ def test_weyl_space_deterministic():
 def test_check_unknown_source_exit_2():
     res = invoke("check", "--metric", "not_a_thing")
     assert res.exit_code == 2
+
+
+# --- option and point validation (exit 2, nothing on stdout) ------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "--metric", "sol", "--tol=-1"),
+        ("check", "--metric", "sol", "--tol=0"),
+        ("check", "--metric", "sol", "--tol", "nan"),
+        ("check", "--metric", "sol", "--tol", "inf"),
+        ("weyl-space", "--dim", "5", "sample", "--tol=-1"),
+        ("check", "--metric", "sol", "--starts", "-1"),
+        ("tensors", "--metric", "nil", "--point", "0,nan,0", "--format", "json"),
+        ("check", "--metric", "nil", "--point", "inf,0,0"),
+    ],
+)
+def test_invalid_options_exit_2(args):
+    r = invoke(*args)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
+def test_perturb_radius_must_be_positive_and_finite(tmp_path, radius):
+    out = tmp_path / "never.metric"
+    r = invoke("perturb", "--metric", "nil", "--target", "random", "--radius", radius, "--out", str(out))
+    assert r.exit_code == 2
+    assert not out.exists()

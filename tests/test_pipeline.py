@@ -407,3 +407,40 @@ def test_snapshot_json():
     assert np.array(doc["cotton_york"]).shape == (3, 3)
     # 17 significant digits survive the round trip exactly
     assert doc["g"][1][1] == snap.g[1, 1]
+
+
+@pytest.mark.parametrize(
+    "field,index",
+    [("riemann", (0, 1, 0, 1)), ("riemann", (0, 1, 2, 0)), ("cotton", (0, 1, 2)), ("cotton_york", (0, 1))],
+)
+def test_check_invariants_raises_symmetry_violation(field, index):
+    from lcwcheck.errors import SymmetryViolation
+
+    snap = compute_snapshot(get_entry("nil").metric, (0.3, -0.1, 0.2))
+    snap.check_invariants()
+    broken = getattr(snap, field).copy()
+    broken[index] += 1e-3
+    setattr(snap, field, broken)
+    with pytest.raises(SymmetryViolation):
+        snap.check_invariants()
+
+
+def test_check_invariants_is_not_an_assert():
+    # python -O strips assert statements; the checks must still run
+    import subprocess
+    import sys
+
+    code = (
+        "import numpy as np\n"
+        "from lcwcheck.catalog import get_entry\n"
+        "from lcwcheck.errors import SymmetryViolation\n"
+        "from lcwcheck.pipeline import compute_snapshot\n"
+        "snap = compute_snapshot(get_entry('nil').metric, (0.3, -0.1, 0.2))\n"
+        "snap.riemann = snap.riemann + 1e-3\n"
+        "try:\n"
+        "    snap.check_invariants()\n"
+        "except SymmetryViolation:\n"
+        "    print('raised')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised"
