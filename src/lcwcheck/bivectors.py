@@ -104,14 +104,13 @@ def operator_from_0_4(r4, g=None, tol=1e-8) -> CurvatureOperator:
 def operator_to_0_4(op: CurvatureOperator) -> np.ndarray:
     """(0,4) components in the orthonormal frame, extended by symmetry."""
     n = op.dim
+    i, j = np.array(lex_pairs(n)).T
+    a, b, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
     r4 = np.zeros((n, n, n, n))
-    for a, (i, j) in enumerate(lex_pairs(n)):
-        for c, (k, l) in enumerate(lex_pairs(n)):
-            v = op.mat[a, c]
-            r4[i, j, k, l] = v
-            r4[j, i, k, l] = -v
-            r4[i, j, l, k] = -v
-            r4[j, i, l, k] = v
+    r4[a, b, k, l] = op.mat
+    r4[b, a, k, l] = -op.mat
+    r4[a, b, l, k] = -op.mat
+    r4[b, a, l, k] = op.mat
     return r4
 
 

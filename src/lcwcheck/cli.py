@@ -58,12 +58,12 @@ EXIT_FAILS = 10
 EXIT_INCONCLUSIVE = 11
 
 
-class _PositiveFloat(click.FloatRange):
-    """A finite number > 0 (click exits 2 otherwise); a plain range lets
-    NaN through."""
+class _FiniteFloat(click.FloatRange):
+    """A finite number, optionally bounded below (click exits 2 otherwise);
+    a plain range lets NaN through."""
 
-    def __init__(self):
-        super().__init__(min=0.0, min_open=True, max=sys.float_info.max)
+    def __init__(self, min=-sys.float_info.max, min_open=False):
+        super().__init__(min=min, min_open=min_open, max=sys.float_info.max)
 
     def convert(self, value, param, ctx):
         x = super().convert(value, param, ctx)
@@ -72,7 +72,7 @@ class _PositiveFloat(click.FloatRange):
         return x
 
 
-_POSITIVE = _PositiveFloat()
+_POSITIVE = _FiniteFloat(min=0.0, min_open=True)
 
 _VERDICT_EXIT = {"passes_necessary": EXIT_PASSES, "fails_lcw_necessary": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}
 
@@ -337,7 +337,7 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
     "{'weyl': [[..]]} (dim 4, lex-pair operator matrix)",
 )
 @click.option("--radius", type=_POSITIVE, default=1.0)
-@click.option("--amplitude", type=float, default=1e-2, help="size of a random target shift")
+@click.option("--amplitude", type=_FiniteFloat(), default=1e-2, help="size of a random target shift")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")

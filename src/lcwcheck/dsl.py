@@ -29,6 +29,7 @@ default to 0; diagonal entries must be given.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -317,6 +318,15 @@ def _tokenize(text, line=1, col_offset=0):
     return tokens
 
 
+def _number(tok, sign=1.0):
+    """Num of a number literal.  One beyond float range is rejected: it
+    would parse to inf, which no literal prints back."""
+    x = float(tok.text)
+    if not math.isfinite(x):
+        raise ParseError(f"number {tok.text!r} is out of range", tok.line, tok.column)
+    return Num(sign * x)
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -375,7 +385,7 @@ class _Parser:
     def parse_base(self):
         tok = self.next()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return _number(tok)
         if tok.kind == "-":
             return Neg(self.parse_base())
         if tok.kind == "(":
@@ -411,8 +421,7 @@ class _Parser:
         if self.peek().kind == "-":
             self.next()
             sign = -1.0
-        tok = self.expect("num")
-        return Num(sign * float(tok.text))
+        return _number(self.expect("num"), sign)
 
 
 def parse_expr(text, line=1) -> object:

@@ -7,9 +7,17 @@ leaving some v ^ v-perp invariant ("eigenflag" direction).  The residual
     F(v) = || proj_{Lambda^2(v-perp)} o W o proj_{v ^ v-perp} ||_F^2
 
 is a smooth completion-independent function on the unit sphere, zero exactly
-at flag directions; the test minimizes it from many starts.  A verdict of
-False certifies that no LCW exists near the point.  A verdict of True only
-says the necessary condition holds; it never asserts existence.
+at flag directions; the test minimizes it from many starts.  With T the
+(0,4) tensor of W in an orthonormal frame it is the quartic
+
+    F(v) = 1/2 v^T M v - ||J_v||^2,   M[i, j] = T[k,l,i,m] T[k,l,j,m],
+    J_v[k, m] = T(e_k, v, v, e_m) = 1/2 (v (x) v) U,
+    U[(p,i), (k,m)] = T[k,p,i,m] + T[k,i,p,m],
+
+so a batch of starts costs two small matrix products, and M and U give
+the polynomial explicitly.  A verdict of False certifies that no LCW
+exists near the point.  A verdict of True only says the necessary
+condition holds; it never asserts existence.
 
 Dimension 3: the necessary condition is det(CY) = 0 for the Cotton-York
 tensor, tested scale-invariantly, with the degenerate plane recovered from
@@ -27,6 +35,7 @@ from .bivectors import (
     hodge_star_matrix,
     lex_pairs,
     operator_from_0_4,
+    operator_to_0_4,
     orthonormal_frame,
     pm_split,
 )
@@ -105,64 +114,31 @@ _FAIL_NOTE = "necessary condition fails: no limiting Carleman weight exists near
 # -- eigenflag residual and its minimization ----------------------------------
 
 
-def _pair_embedding(n):
-    """P2[a, i, j]: lex-pair basis vector a as an antisymmetric matrix."""
-    pairs = lex_pairs(n)
-    p2 = np.zeros((len(pairs), n, n))
-    for a, (i, j) in enumerate(pairs):
-        p2[a, i, j] = 1.0
-        p2[a, j, i] = -1.0
-    return p2
+def _residual_quartic(w, n):
+    """(M, U) of the residual quartic F(v) = 1/2 v^T M v - ||J_v||^2 (see
+    the module docstring); U is reshaped to (n^2, n^2)."""
+    t = operator_to_0_4(CurvatureOperator(dim=n, mat=w))
+    tm = t.transpose(2, 0, 1, 3).reshape(n, -1)
+    u = t.transpose(1, 2, 0, 3) + t.transpose(2, 1, 0, 3)
+    return tm @ tm.T, u.reshape(n * n, n * n)
 
 
-def _lambda2_projection(v_batch, n):
-    """Q[b]: matrix of the projection of Lambda^2 onto Lambda^2(v-perp)
-    for each unit vector v in the batch (second compound of I - v v^T)."""
-    s = np.eye(n)[None, :, :] - np.einsum("bi,bj->bij", v_batch, v_batch)
-    pairs = lex_pairs(n)
-    ii = np.array([p[0] for p in pairs])
-    jj = np.array([p[1] for p in pairs])
-    q = (
-        s[:, ii[:, None], ii[None, :]] * s[:, jj[:, None], jj[None, :]]
-        - s[:, ii[:, None], jj[None, :]] * s[:, jj[:, None], ii[None, :]]
-    )
-    return q, s
+def _residual_batch_quartic(m, u, v_batch):
+    """F per unit start v and its ambient gradient M v - 2 (J_v U^T) v.
 
-
-class _ResidualContext:
-    """Per-operator constants for the batched residual/gradient evaluation."""
-
-    def __init__(self, w, n):
-        self.n = n
-        self.w = w
-        self.w2 = w @ w
-        self.p2 = _pair_embedding(n)
-
-
-def _residual_batch_ctx(ctx, v_batch):
-    """F(v) = tr(Q W^2) - tr(Q W Q W) per start, plus ambient gradients.
-
-    Fixed-shape matmul/tensordot chain; no per-call contraction planning.
-    """
-    q, s = _lambda2_projection(v_batch, ctx.n)
-    f1 = np.tensordot(q, ctx.w2, axes=([1, 2], [0, 1]))
-    qw = q @ ctx.w
-    f2 = np.einsum("bij,bji->b", qw, qw)
-    f = f1 - f2
-    wqw = np.matmul(np.matmul(ctx.w[None, :, :], q), ctx.w[None, :, :])
-    g = ctx.w2[None, :, :] - 2.0 * wqw
-    # grad F = -2 Y v with Y[i,k] = Gtilde[i,j,k,l] S[j,l]; contract the
-    # pair indices of G through the pair-embedding tensors
-    t = np.tensordot(g, ctx.p2, axes=([1], [0]))  # (b, c, i, j)
-    u = np.matmul(t, s[:, None, :, :])  # (b, c, i, l)
-    y = np.einsum("bcil,ckl->bik", u, ctx.p2)
-    grad = -2.0 * np.einsum("bik,bk->bi", y, v_batch)
+    Off the sphere this gradient differs from that of the projector form
+    tr(Q W^2) - tr(Q W Q W); on the sphere F and the tangential part agree."""
+    b, n = v_batch.shape
+    j = 0.5 * ((v_batch[:, :, None] * v_batch[:, None, :]).reshape(b, -1) @ u)
+    mv = v_batch @ m
+    f = 0.5 * np.einsum("bi,bi->b", mv, v_batch) - np.einsum("bi,bi->b", j, j)
+    dj = (j @ u.T).reshape(b, n, n)
+    grad = mv - 2.0 * np.einsum("bpi,bi->bp", dj, v_batch)
     return f, grad
 
 
 def _residual_batch(w, v_batch):
-    n = int((1 + np.sqrt(1 + 8 * w.shape[0])) / 2)
-    return _residual_batch_ctx(_ResidualContext(w, n), v_batch)
+    return _residual_batch_quartic(*_residual_quartic(w, v_batch.shape[1]), v_batch)
 
 
 def eigenflag_residual(op: CurvatureOperator, v) -> float:
@@ -181,18 +157,13 @@ def eigenflag_residual(op: CurvatureOperator, v) -> float:
 def _eigen_candidate_starts(w, n):
     """Factor (near-)simple eigenvectors of W into plane vectors; these are
     high-quality starting points for the flag search."""
-    vals, vecs = np.linalg.eigh(w)
-    pairs = lex_pairs(n)
-    out = []
-    for col in range(vecs.shape[1]):
-        a = np.zeros((n, n))
-        for idx, (i, j) in enumerate(pairs):
-            a[i, j] = vecs[idx, col]
-            a[j, i] = -vecs[idx, col]
-        u, s, vt = np.linalg.svd(a)
-        out.append(u[:, 0])
-        out.append(u[:, 1])
-    return out
+    _, vecs = np.linalg.eigh(w)
+    i, j = np.array(lex_pairs(n)).T
+    a = np.zeros((vecs.shape[1], n, n))
+    a[:, i, j] = vecs.T
+    a[:, j, i] = -vecs.T
+    u = np.linalg.svd(a)[0]  # (N, n, n); the plane is u[:, :, :2]
+    return u[:, :, :2].transpose(0, 2, 1).reshape(-1, n)
 
 
 def _minimize_residual(w, n, config):
@@ -206,16 +177,15 @@ def _minimize_residual(w, n, config):
     """
     rng = np.random.default_rng(config.seed)
     starts = rng.standard_normal((config.starts, n))
-    extra = _eigen_candidate_starts(w, n)
-    v = np.vstack([starts] + [np.asarray(e)[None, :] for e in extra])
+    v = np.vstack([starts, _eigen_candidate_starts(w, n)])
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
 
     scale = max(np.linalg.norm(w) ** 2, 1e-300)
     accept = config.tol_rel * scale
     band_top = accept * config.inconclusive_factor
-    ctx = _ResidualContext(w, n)
+    m, u = _residual_quartic(w, n)
 
-    f, grad = _residual_batch_ctx(ctx, v)
+    f, grad = _residual_batch_quartic(m, u, v)
     rgrad = grad - np.einsum("bi,bi->b", grad, v)[:, None] * v
     step = np.full(v.shape[0], 0.5 / scale)
     active = np.ones(v.shape[0], dtype=bool)
@@ -249,7 +219,7 @@ def _minimize_residual(w, n, config):
         idx = np.flatnonzero(active)
         trial = v[idx] - step[idx, None] * rgrad[idx]
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        ft, gradt = _residual_batch_ctx(ctx, trial)
+        ft, gradt = _residual_batch_quartic(m, u, trial)
         improved = ft <= f[idx]
         take = idx[improved]
         step[take] *= 1.3

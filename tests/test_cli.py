@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -239,6 +240,8 @@ def test_check_unknown_source_exit_2():
         ("check", "--metric", "sol", "--starts", "-1"),
         ("tensors", "--metric", "nil", "--point", "0,nan,0", "--format", "json"),
         ("check", "--metric", "nil", "--point", "inf,0,0"),
+        ("perturb", "--metric", "nil", "--target", "random", "--amplitude", "nan", "--out", os.devnull),
+        ("perturb", "--metric", "nil", "--target", "random", "--amplitude", "inf", "--out", os.devnull),
     ],
 )
 def test_invalid_options_exit_2(args):
@@ -252,4 +255,16 @@ def test_perturb_radius_must_be_positive_and_finite(tmp_path, radius):
     out = tmp_path / "never.metric"
     r = invoke("perturb", "--metric", "nil", "--target", "random", "--radius", radius, "--out", str(out))
     assert r.exit_code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "tensors", "perturb"])
+def test_out_of_range_literal_exit_2(tmp_path, command):
+    f = tmp_path / "huge.metric"
+    f.write_text("dim = 3\ng11 = 1e400\ng22 = 1\ng33 = 1\n")
+    out = tmp_path / "never.metric"
+    extra = ("--target", "same", "--out", str(out)) if command == "perturb" else ()
+    r = invoke(command, "--metric", str(f), *extra)
+    assert r.exit_code == 2
+    assert r.stdout == ""
     assert not out.exists()

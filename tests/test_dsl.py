@@ -114,6 +114,12 @@ def test_unknown_identifier():
         parse_expr("x7")
 
 
+@pytest.mark.parametrize("text", ["1e400", "x1 + 2*1e400", "-1e309", "smoothbump(x1, 1, 1e400)", "smoothbump(x1, -1e400, 1)"])
+def test_out_of_range_literal_rejected(text):
+    with pytest.raises(ParseError):
+        parse_expr(text)
+
+
 def test_metric_round_trip():
     m = parse_metric(SOL_TEXT)
     text = metric_to_text(m)

@@ -6,6 +6,7 @@ import pytest
 
 from lcwcheck.bivectors import (
     CurvatureOperator,
+    lex_pairs,
     operator_from_0_4,
     phi_map,
     pm_basis_matrix,
@@ -24,6 +25,7 @@ from lcwcheck.obstructions import (
     eigenflag_test,
     plane_from_traceless_degenerate,
 )
+from lcwcheck.obstructions import _residual_batch
 from lcwcheck.pipeline import compute_snapshot
 
 
@@ -83,6 +85,39 @@ def test_residual_completion_independent(rng):
         lhs = eigenflag_residual(rotate_operator(w, rho), rho @ v)
         rhs = eigenflag_residual(w, v)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
+
+
+def _projector_residual(w, v):
+    """F = tr(Q W^2) - tr(Q W Q W), Q the second compound of I - v v^T:
+    the projection of Lambda^2 onto Lambda^2(v-perp)."""
+    s = np.eye(len(v)) - np.outer(v, v)
+    i, j = np.array(lex_pairs(len(v))).T
+    q = s[np.ix_(i, i)] * s[np.ix_(j, j)] - s[np.ix_(i, j)] * s[np.ix_(j, i)]
+    return np.trace(q @ w @ w) - np.trace(q @ w @ q @ w)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_residual_closed_form_matches_projector_form(rng, n):
+    ops = [random_weyl_operator(n, rng) for _ in range(2)]
+    ops += [phi_map(sample_eigenflag_params(n, rng)) for _ in range(2)]
+    for op in ops:
+        w = op.mat
+        scale = np.linalg.norm(w) ** 2
+        v = rng.standard_normal((200, n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        f, grad = _residual_batch(w, v)
+        ref = np.array([_projector_residual(w, x) for x in v])
+        assert np.abs(f - ref).max() <= 1e-12 * scale
+        # the gradient along the sphere (tangent t) against central
+        # differences along great circles
+        h = 1e-5
+        for x, g in zip(v[:10], grad[:10]):
+            t = rng.standard_normal(n)
+            t -= (t @ x) * x
+            t /= np.linalg.norm(t)
+            fd = (_projector_residual(w, np.cos(h) * x + np.sin(h) * t)
+                  - _projector_residual(w, np.cos(h) * x - np.sin(h) * t)) / (2 * h)
+            assert abs(g @ t - fd) <= 1e-8 * scale
 
 
 def test_residual_dim3_rejected():
