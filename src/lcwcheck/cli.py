@@ -2,13 +2,17 @@
 
 Commands: ``catalog``, ``tensors``, ``check``, ``perturb``, ``weyl-space``.
 Metric sources are either a catalog entry name or a path to a metric file
-in the format documented in the dsl module.
+in the format documented in the dsl module.  A catalog name that is also a
+file in the working directory is ambiguous and exits 2; write ``./nil``
+for the file.
 
 Exit codes of ``check`` (and ``weyl-space sample/phi``): 0 when the
 necessary condition for a limiting Carleman weight passes, 10 when it
 fails (no weight exists near the point), 11 when the result is in the
 inconclusive band.  Parse errors exit 2, evaluation/domain errors exit 3,
-positivity failures of ``perturb`` exit 4.
+positivity failures of ``perturb`` exit 4.  A result holding a number that
+is not finite (a ``perturb`` target whose norm overflows, for instance) is
+an evaluation error: exit 3 with nothing on stdout.
 
 Identical (command, seed) pairs produce byte-identical JSON.
 """
@@ -95,6 +99,11 @@ def _load_source(source):
     """Catalog entry name or metric file path -> (entry-or-None, MetricDef-or-None)."""
     path = pathlib.Path(source)
     if path.exists():
+        if path.name == source and source in cat.list_catalog():
+            raise ParseError(
+                f"{source!r} is both a catalog entry and a file here; "
+                f"write ./{source} for the file"
+            )
         return None, parse_metric(path.read_text())
     try:
         entry = cat.get_entry(source)

@@ -7,7 +7,7 @@ Grammar (EBNF)::
     factor := base ('^' integer)?
     base   := number | ident | func '(' expr ')' | '(' expr ')' | '-' base
     func   in  exp log sin cos sinh cosh sqrt smoothbump
-    ident  in  x1 .. x6
+    ident  in  x1 .. x6, or a name bound by a let line (metric files)
 
 ``smoothbump(u, u0, u1)`` is the one extension beyond the unary functions:
 a C^3 radial cutoff in the scalar u, identically 1 for u <= u0 and 0 for
@@ -25,6 +25,16 @@ Metric files are plain text: a `dim = n` header, optional `name = "..."`
 and `chart = "..."` lines, then `g<i><j> = <expression>` entries with
 1-based indices.  `#` starts a comment.  Unspecified off-diagonal entries
 default to 0; diagonal entries must be given.
+
+After the header, ``let NAME = <expression>`` binds a name that later
+expressions (entries and other lets) may use as an identifier.  A name
+must be bound before it is used and only once, and may not be a reserved
+word (``dim``, ``name``, ``chart``, ``let``, a function name, ``x<k>`` or
+``g<ij>``).  Every use of a name is the same expression object, so a
+shared subexpression stays shared: ``metric_to_text`` writes one ``let``
+for each subexpression that the metric reaches more than once and whose
+text is longer than ``LET_MIN_CHARS``, which keeps the files of perturbed
+metrics (whose chart map appears in every entry) small.
 """
 
 from __future__ import annotations
@@ -328,9 +338,11 @@ def _number(tok, sign=1.0):
 
 
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, names):
         self.tokens = tokens
         self.pos = 0
+        self.names = names  # let-bound name -> Expr
+        self.max_var = -1  # largest variable index in the tokens read
 
     def peek(self):
         return self.tokens[self.pos]
@@ -396,7 +408,9 @@ class _Parser:
             name = tok.text
             m = re.fullmatch(r"x([1-6])", name)
             if m:
-                return Var(int(m.group(1)) - 1)
+                index = int(m.group(1)) - 1
+                self.max_var = max(self.max_var, index)
+                return Var(index)
             if name in UNARY_FUNCS:
                 self.expect("(")
                 arg = self.parse_expr()
@@ -411,6 +425,8 @@ class _Parser:
                 u1 = self._const_arg()
                 self.expect(")")
                 return Call(name, (arg, u0, u1))
+            if name in self.names:
+                return self.names[name]
             raise ParseError(f"unknown identifier {name!r}", tok.line, tok.column)
         raise ParseError(
             f"unexpected {tok.text or 'end of expression'!r}", tok.line, tok.column
@@ -424,9 +440,9 @@ class _Parser:
         return _number(self.expect("num"), sign)
 
 
-def parse_expr(text, line=1) -> object:
-    """Parse a single expression string into an Expr tree."""
-    parser = _Parser(_tokenize(text, line=line))
+def _parse(text, line, names):
+    """(Expr, largest variable index written in ``text``, or -1)."""
+    parser = _Parser(_tokenize(text, line=line), names)
     try:
         node = parser.parse_expr()
     except RecursionError:
@@ -434,7 +450,12 @@ def parse_expr(text, line=1) -> object:
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return node
+    return node, parser.max_var
+
+
+def parse_expr(text, line=1) -> object:
+    """Parse a single expression string into an Expr tree."""
+    return _parse(text, line, {})[0]
 
 
 # --- printing ---------------------------------------------------------------
@@ -480,15 +501,20 @@ def _layout(e):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def expr_to_text(e) -> str:
+def expr_to_text(e, names=None) -> str:
     """Text that parses back to ``e``; tokens go onto one list from an
-    explicit stack, so the time is linear in the length of the text."""
+    explicit stack, so the time is linear in the length of the text.
+    Subexpressions below ``e`` whose id is in ``names`` print as that
+    name."""
     out = []
-    stack = [(e, 0)]
+    stack = list(reversed(_layout(e)[0]))
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
+            continue
+        if names and id(item[0]) in names:
+            out.append(names[id(item[0])])
             continue
         parts, prec = _layout(item[0])
         if prec < item[1]:
@@ -556,13 +582,21 @@ def metric_from_components(components, name="", chart="") -> MetricDef:
     for i, j in _upper(dim):
         if not _same(full[i][j], full[j][i]):
             raise ParseError(f"asymmetric entries g{i+1}{j+1} vs g{j+1}{i+1}")
-        k = max_var_index(full[i][j])
-        if k >= dim:
-            raise ParseError(f"entry g{i+1}{j+1} uses x{k+1} but dim = {dim}")
+    # one walk over all entries (they may share subexpressions); the
+    # per-entry walks only name the culprit
+    if any(type(e) is Var and e.index >= dim for e in _walk([full[i][j] for i, j in _upper(dim)])):
+        for i, j in _upper(dim):
+            k = max_var_index(full[i][j])
+            if k >= dim:
+                raise ParseError(f"entry g{i+1}{j+1} uses x{k+1} but dim = {dim}")
     return MetricDef(dim=dim, components=tuple(tuple(row) for row in full), name=name, chart=chart)
 
 
 _HEADER_RE = re.compile(r"^\s*(dim|name|chart|g([1-6])([1-6]))\s*=\s*(.*?)\s*$")
+_LET_RE = re.compile(r"^\s*let\s+([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*?)\s*$")
+_RESERVED_RE = re.compile(r"dim|name|chart|let|smoothbump|x\d+|g\d\d|" + "|".join(UNARY_FUNCS))
+
+LET_MIN_CHARS = 30
 
 
 def parse_metric(text) -> MetricDef:
@@ -571,9 +605,24 @@ def parse_metric(text) -> MetricDef:
     name = ""
     chart = ""
     entries = {}
+    names = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
+            continue
+        m = _LET_RE.match(line)
+        if m is not None:
+            let, rhs = m.groups()
+            if dim is None:
+                raise ParseError("let before the dim = n header", lineno, 1)
+            if _RESERVED_RE.fullmatch(let):
+                raise ParseError(f"{let!r} is reserved and cannot be bound", lineno, 1)
+            if let in names:
+                raise ParseError(f"duplicate let {let!r}", lineno, 1)
+            # a let's own text is checked here, so no walk of the names it uses
+            names[let], k = _parse(rhs, lineno, names)
+            if k >= dim:
+                raise ParseError(f"let {let} uses x{k+1} but dim = {dim}", lineno, 1)
             continue
         m = _HEADER_RE.match(line)
         if m is None:
@@ -605,8 +654,7 @@ def parse_metric(text) -> MetricDef:
             raise ParseError(
                 f"entry g{i}{j} out of range for dim = {dim}", lineno, 1
             )
-        expr = parse_expr(rhs, line=lineno)
-        k = max_var_index(expr)
+        expr, k = _parse(rhs, lineno, names)
         if k >= dim:
             raise ParseError(f"entry g{i}{j} uses x{k+1} but dim = {dim}", lineno, 1)
         if (i, j) in entries:
@@ -622,17 +670,51 @@ def parse_metric(text) -> MetricDef:
     return metric_from_components(comp, name=name, chart=chart)
 
 
+def _let_names(roots):
+    """Names (by node id) for the nodes that the roots reach more than
+    once and whose text, with the names chosen below them, is longer than
+    LET_MIN_CHARS; and those nodes, each after the ones it uses."""
+    order = _walk(roots)
+    layouts = [_layout(e) for e in order]
+    refs = dict.fromkeys(map(id, order), 0)
+    for e in roots:
+        refs[id(e)] += 1
+    for parts, _ in layouts:
+        for part in parts:
+            if not isinstance(part, str):
+                refs[id(part[0])] += 1
+    names, bound, length, prec = {}, [], {}, {}
+    for e, (parts, p) in zip(order, layouts):
+        size = 0
+        for part in parts:
+            if isinstance(part, str):
+                size += len(part)
+            else:
+                child = id(part[0])
+                size += length[child] + 2 * (prec[child] < part[1])
+        key = id(e)
+        if refs[key] > 1 and size > LET_MIN_CHARS and type(e) not in (Num, Var):
+            names[key] = f"s{len(bound) + 1}"
+            bound.append(e)
+            size, p = len(names[key]), _PREC_ATOM
+        length[key], prec[key] = size, p
+    return names, bound
+
+
 def metric_to_text(m: MetricDef) -> str:
-    """Serialize back to the metric file format (parse round-trips)."""
+    """Serialize back to the metric file format (parse round-trips), with
+    a ``let`` for each large shared subexpression."""
     lines = [f"dim = {m.dim}"]
     if m.name:
         lines.append(f'name = "{m.name}"')
     if m.chart:
         lines.append(f'chart = "{m.chart}"')
-    for i in range(m.dim):
-        for j in range(i, m.dim):
-            e = m.components[i][j]
-            if i != j and e == ZERO:
-                continue
-            lines.append(f"g{i+1}{j+1} = {expr_to_text(e)}")
+    entries = [
+        (f"g{i+1}{j+1}", m.components[i][j])
+        for i, j in _upper(m.dim)
+        if i == j or m.components[i][j] != ZERO
+    ]
+    names, bound = _let_names([e for _, e in entries])
+    lines += [f"let {names[id(e)]} = {expr_to_text(e, names)}" for e in bound]
+    lines += [f"{key} = {names.get(id(e)) or expr_to_text(e, names)}" for key, e in entries]
     return "\n".join(lines) + "\n"

@@ -12,6 +12,15 @@ polynomial bump times a C^3 radial cutoff:
   by the linear image 6 L(A) (the 6 = 3! from differentiating the cubic
   three times), which is what the solver inverts.
 
+A metric in the chart is a ``PulledBackMetric``: the base metric, the
+chart map x(y) = p + E y - 1/2 E Ghat(y, y) as the arrays (p, E, Ghat),
+and the bump as its coefficient tensor and cutoff radius.  Its order-3 jets
+at a point y0 are the base jets at x(y0) composed with the jets of x(y)
+(truncated Taylor composition), then J^T g J plus the bump, all in jet
+arithmetic; its values on a grid are the base values at x(Y) combined the
+same way in numpy.  No expression is built on this path: the expression
+form (``components``) is made on first use, for printing the metric.
+
 The bump coefficients live in the 60-dimensional space A indexed by
 (unordered pair {i,j}, unordered triple {k,l,m}); the linear map L onto
 algebraic Cotton tensors has rank 5, so any symmetric traceless
@@ -20,8 +29,11 @@ Cotton-York target is reachable.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,17 +45,19 @@ from .dsl import (
     Num,
     Pow,
     Var,
-    eval_expr_many,
+    _smoothbump_jet,
+    _smoothstep_down,
     substitute,
 )
 from .errors import (
     ConstraintViolation,
     DimensionError,
+    DomainError,
     LinearSolveFailure,
     NotPositiveDefinite,
     SymmetryViolation,
 )
-from .jets import jet_space
+from .jets import Jet3, jet_space
 from .pipeline import EPS3, JetPipeline, _check_bianchi, _check_curvature_symmetries
 
 GRID_RADIAL = 10
@@ -51,42 +65,228 @@ GRID_ANGULAR = 64
 _GRID_SEED = 20240311  # fixed: positivity grids must be reproducible
 
 
-# -- expression helpers --------------------------------------------------------
+# -- polynomials as coefficient tensors ------------------------------------------------
 
 
-def _poly_expr(terms):
-    """Sum of coefficient * monomial terms; terms = [(coeff, (i, j, ...))].
-    Zero coefficients are dropped; returns None if everything vanishes."""
+@lru_cache(maxsize=None)
+def _monomials(n):
+    """Per degree j = 0..3: the jet slots of degree j, the variables of
+    each slot's monomial (j index arrays, sorted) and its multinomial
+    factor j!/alpha!."""
+    sp = jet_space(n)
+    out = []
+    for j in range(4):
+        slots = [s for s, alpha in enumerate(sp.indices) if sum(alpha) == j]
+        variables = [[k for k in range(n) for _ in range(sp.indices[s][k])] for s in slots]
+        idx = tuple(np.array(col) for col in zip(*variables))
+        mult = np.array([math.factorial(j) / sp.factorials[s] for s in slots])
+        out.append((np.array(slots), idx, mult))
+    return out
+
+
+def _poly_taylor(coeffs, points, jets=True):
+    """Order-3 jets (or, without ``jets``, values) at the (N, n) ``points``
+    of the polynomials sum_d c_d(y, ..., y), where ``coeffs[d]`` is None or
+    an array (*lead, n, ..., n) symmetric in its d trailing axes.  Returns
+    (N, *lead, size), or (N, *lead) for values.
+
+    The coefficient of t^alpha (|alpha| = j) in c_d(y + t, ...) is
+    C(d, j) j!/alpha! c_d(alpha, y, ..., y).  Each contraction sums one
+    axis of length n in a fixed order, so a point's bits do not depend on
+    its batch."""
+    points = np.asarray(points, dtype=float)
+    npts, n = points.shape
+    table = _monomials(n)
     out = None
-    for coeff, vars_ in terms:
-        coeff = float(coeff)
-        if coeff == 0.0:
+    for d, c in enumerate(coeffs):
+        if c is None:
             continue
-        mono = None
-        counts = {}
-        for v in vars_:
-            counts[v] = counts.get(v, 0) + 1
-        for v, p in sorted(counts.items()):
-            f = Var(v) if p == 1 else Pow(Var(v), p)
-            mono = f if mono is None else Mul(mono, f)
-        term = Num(coeff) if mono is None else Mul(Num(coeff), mono)
-        out = term if out is None else Add(out, term)
+        t = np.asarray(c, dtype=float)[None]
+        if out is None:
+            lead = t.shape[1 : t.ndim - d]
+            out = np.zeros((npts, *lead, jet_space(n).size) if jets else (npts, *lead))
+        for j in range(d, -1, -1):
+            if j == 0:
+                if jets:
+                    out[..., 0] += t
+                else:
+                    out += t
+            elif jets and j <= 3:
+                slots, idx, mult = table[j]
+                out[..., slots] += math.comb(d, j) * mult * t[(..., *idx)]
+            if j:
+                y = points.reshape(npts, *[1] * (t.ndim - 2), n)
+                acc = t[..., 0] * y[..., 0]
+                for k in range(1, n):
+                    acc += t[..., k] * y[..., k]
+                t = acc
     return out
 
 
-def _radius_sq_expr(n):
-    out = Pow(Var(0), 2)
-    for k in range(1, n):
-        out = Add(out, Pow(Var(k), 2))
+def _poly_expr(coeffs, lead=()):
+    """Expression of the polynomial sum_d c_d[lead](y, ..., y) (see
+    ``_poly_taylor``): one term per monomial, its coefficient times the
+    number of orderings of the monomial's variables, zero terms dropped;
+    None if every term is zero."""
+    out = None
+    for d, c in enumerate(coeffs):
+        if c is None:
+            continue
+        c = np.asarray(c)[lead]
+        for mono in itertools.combinations_with_replacement(range(c.shape[-1] if d else 1), d):
+            counts = {k: mono.count(k) for k in sorted(set(mono))}
+            coeff = float(c[mono]) * math.factorial(d) / math.prod(map(math.factorial, counts.values()))
+            if coeff == 0.0:
+                continue
+            term = None if coeff == 1.0 else Num(coeff)
+            for k, p in counts.items():
+                f = Var(k) if p == 1 else Pow(Var(k), p)
+                term = f if term is None else Mul(term, f)
+            term = Num(coeff) if term is None else term
+            out = term if out is None else Add(out, term)
     return out
 
 
-def _cutoff_expr(n, radius):
-    """phi = 1 for |y| <= radius/2, 0 for |y| >= radius, C^3 junction."""
-    return Call(
-        "smoothbump",
-        (_radius_sq_expr(n), Num((radius / 2.0) ** 2), Num(radius**2)),
-    )
+# -- the metric in a chart ---------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class PulledBackMetric:
+    """(x^* g)(y) + bump(y) phi(|y|^2) for the base metric g and the chart
+    x(y) = p + E y - 1/2 E Ghat(y, y).
+
+    ``bump`` is None or a coefficient tensor (n, n, n, ..., n) symmetric in
+    its first two axes and in its trailing ones: bump_ij(y) =
+    sum bump[i, j, k_1, ..., k_d] y^k_1 ... y^k_d.  The cutoff phi is 1 for
+    |y| <= radius/2 and 0 for |y| >= radius.  Offers what the pipeline,
+    the obstruction tests and the CLI read of a ``MetricDef``."""
+
+    base: MetricDef
+    center: np.ndarray  # p
+    frame: np.ndarray  # E
+    gamma_frame: np.ndarray  # Ghat
+    bump: np.ndarray | None = None
+    radius: float = 1.0
+    name: str = ""
+    chart: str = ""
+    center_jets: list | None = field(default=None, repr=False)  # base.eval_jets(center), if known
+
+    def __post_init__(self):
+        n = self.dim
+        self._upper = np.array([(i, j) for i in range(n) for j in range(i, n)]).T
+        self._pair = np.empty((n, n), dtype=int)  # (i, j) -> index into the upper pairs
+        self._pair[tuple(self._upper)] = self._pair[tuple(self._upper[::-1])] = np.arange(self._upper.shape[1])
+        quad = -0.5 * np.einsum("ia,abc->ibc", self.frame, self.gamma_frame)
+        self._x = [self.center, self.frame, quad]  # x(y)
+        self._jac = [self.frame, 2.0 * quad]  # J[i, a] = dx^i/dy^a
+        self._r2 = [None, None, np.eye(n)]  # |y|^2
+        self._bump = None
+        if self.bump is not None:
+            b = self.bump[tuple(self._upper)]
+            self._bump = [None] * (b.ndim - 1) + [b]
+
+    @property
+    def dim(self):
+        return self.base.dim
+
+    def with_bump(self, coeffs, radius, name):
+        return dataclasses.replace(self, bump=np.asarray(coeffs, dtype=float), radius=radius, name=name)
+
+    def _cutoff_bounds(self):
+        return (self.radius / 2.0) ** 2, self.radius**2
+
+    def _bump_jets(self, points):
+        """Order-3 jets (N, pairs, size) of bump_ij * phi at the points.
+        phi is the constant 1 or 0 off the ramp u0 < |y|^2 < u1, so only
+        ramp points need a product."""
+        sp = jet_space(self.dim)
+        u0, u1 = self._cutoff_bounds()
+        r2 = _poly_taylor(self._r2, points)
+        out = _poly_taylor(self._bump, points)
+        out[r2[:, 0] >= u1] = 0.0
+        ramp = (r2[:, 0] > u0) & (r2[:, 0] < u1)
+        out[ramp] = sp.mul(out[ramp], _smoothbump_jet(sp, r2[ramp], u0, u1)[:, None])
+        return out
+
+    def _pullback(self, g, jac, mul):
+        """(J^T g J)_ab on the upper pairs; ``mul`` multiplies entries."""
+        a, b = self._upper
+        t = mul(g[..., :, :, None, :], jac[..., None, :, :, :]).sum(axis=-3)  # t_ib = g_ij J_jb
+        return mul(jac[..., :, a, :], t[..., :, b, :]).sum(axis=-3)
+
+    def eval_jets(self, point):
+        """dim x dim list-of-lists of Jet3 (shared upper/lower entries)."""
+        y = np.asarray(point, dtype=float)[None]
+        sp = jet_space(self.dim)
+        x = _poly_taylor(self._x, y)[0]
+        if self.center_jets is not None and np.array_equal(x[:, 0], self.center):
+            base = self.center_jets  # the chart origin: every prescription step evaluates there
+        else:
+            base = self.base.eval_jets(x[:, 0])
+        c = np.array([[jet.c for jet in row] for row in base])
+        # g(x(y)) = sum_alpha c_alpha h^alpha with h = x(y) - x(y0)
+        h = x.copy()
+        h[:, 0] = 0.0
+        powers = np.zeros((sp.size, sp.size))
+        powers[0, 0] = 1.0
+        for slots, idx, _ in _monomials(self.dim)[1:]:
+            m = h[idx[0]]
+            for k in idx[1:]:
+                m = sp.mul(m, h[k])
+            powers[slots] = m
+        g = (c[..., None] * powers).sum(axis=-2)
+        out = self._pullback(g, _poly_taylor(self._jac, y)[0], sp.mul)
+        if self._bump is not None:
+            out = out + self._bump_jets(y)[0]
+        jets = [Jet3(sp, row) for row in out]
+        return [[jets[self._pair[i, j]] for j in range(self.dim)] for i in range(self.dim)]
+
+    def eval_matrix(self, point) -> np.ndarray:
+        """Numeric metric matrix at ``point``."""
+        return self.eval_matrix_many(np.asarray(point, dtype=float)[None, :])[0]
+
+    def eval_matrix_many(self, points) -> np.ndarray:
+        """(N, dim, dim) numeric metric matrices at an (N, dim) batch of
+        points."""
+        points = np.asarray(points, dtype=float)
+        g = self.base.eval_matrix_many(_poly_taylor(self._x, points, jets=False))
+        jac = _poly_taylor(self._jac, points, jets=False)
+        out = self._pullback(g[..., None], jac[..., None], np.multiply)[..., 0]
+        if self._bump is not None:
+            u0, u1 = self._cutoff_bounds()
+            r2 = _poly_taylor(self._r2, points, jets=False)
+            phi = _smoothstep_down(np.clip((r2 - u0) / (u1 - u0), 0.0, 1.0))
+            out = out + _poly_taylor(self._bump, points, jets=False) * phi[:, None]
+        return out[:, self._pair]
+
+    @cached_property
+    def components(self):
+        """The same metric as expressions, for printing: x(y) substituted
+        once into each base entry, J^T g J, then the bump."""
+        n = self.dim
+        mapping = {i: _poly_expr(self._x, i) for i in range(n)}
+        jac = [[_poly_expr(self._jac, (i, a)) for a in range(n)] for i in range(n)]
+        zero = Num(0.0)
+        g = {}
+        for i, j in zip(*self._upper):
+            gij = self.base.components[i][j]
+            g[i, j] = g[j, i] = None if gij == zero else substitute(gij, mapping)
+
+        def dot(pairs):
+            acc = None
+            for u, v in pairs:
+                if u is not None and v is not None:
+                    acc = Mul(u, v) if acc is None else Add(acc, Mul(u, v))
+            return acc
+
+        t = [[dot((g[i, j], jac[j][b]) for j in range(n)) for b in range(n)] for i in range(n)]
+        cutoff = Call("smoothbump", (_poly_expr(self._r2), *map(Num, self._cutoff_bounds())))
+        comp = [[None] * n for _ in range(n)]
+        for p, (a, b) in enumerate(zip(*self._upper)):
+            bump = None if self._bump is None else _poly_expr(self._bump, p)
+            e = dot([(jac[i][a], t[i][b]) for i in range(n)] + [(bump, cutoff)])
+            comp[a][b] = comp[b][a] = zero if e is None else e
+        return tuple(tuple(row) for row in comp)
 
 
 # -- normal coordinates --------------------------------------------------------
@@ -97,7 +297,7 @@ class NormalChart:
     """Coordinate change y -> x centered at ``center`` with g(0) = identity
     and Gamma(0) = 0 in the new coordinates."""
 
-    metric: MetricDef
+    metric: PulledBackMetric
     center: np.ndarray
     frame: np.ndarray  # columns: g-orthonormal frame at the center
     gamma_frame: np.ndarray  # frame-transformed Christoffel symbols at center
@@ -107,63 +307,23 @@ class NormalChart:
 def normal_coordinates(metric: MetricDef, point, radius=1.0) -> NormalChart:
     """Build the chart x = p + E y - 1/2 E Ghat(y, y): linear normalization
     of g(p) to the identity plus the quadratic correction cancelling the
-    Christoffel symbols at p."""
+    Christoffel symbols at p (dropped when below 1e-14, so a flat base gets
+    an affine chart)."""
     point = np.asarray(point, dtype=float)
-    n = metric.dim
     pl = JetPipeline(metric, point)
-    g = pl.g
-    L = np.linalg.cholesky(g)
+    L = np.linalg.cholesky(pl.g)
     e = np.linalg.inv(L).T  # E^T g E = I
-    einv = L.T
-    gamma = pl.gamma()
-    ghat = np.einsum("ai,ijk,jb,kc->abc", einv, gamma, e, e)
+    ghat = np.einsum("ai,ijk,jb,kc->abc", L.T, pl.gamma(), e, e)
     flat = bool(np.abs(ghat).max() < 1e-14)
-
-    x_exprs = []
-    for i in range(n):
-        terms = [(point[i], ())]
-        for a in range(n):
-            terms.append((e[i, a], (a,)))
-        if not flat:
-            for b in range(n):
-                for c in range(b, n):
-                    coeff = -sum(e[i, a] * ghat[a, b, c] for a in range(n))
-                    if b != c:
-                        coeff *= 2.0  # both orders of the symmetric sum
-                    terms.append((0.5 * coeff, (b, c)))
-        x_exprs.append(_poly_expr(terms))
-    mapping = dict(enumerate(x_exprs))
-
-    jac = [[None] * n for _ in range(n)]  # J[i][a] = dx^i/dy^a
-    for i in range(n):
-        for a in range(n):
-            terms = [(e[i, a], ())]
-            if not flat:
-                for b in range(n):
-                    coeff = -sum(e[i, c] * ghat[c, a, b] for c in range(n))
-                    terms.append((coeff, (b,)))
-            jac[i][a] = _poly_expr(terms)
-
-    comp = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            acc = None
-            for i in range(n):
-                for j in range(n):
-                    gij = metric.components[i][j]
-                    if gij == Num(0.0) or jac[i][a] is None or jac[j][b] is None:
-                        continue
-                    term = Mul(Mul(jac[i][a], jac[j][b]), substitute(gij, mapping))
-                    acc = term if acc is None else Add(acc, term)
-            comp[a][b] = acc if acc is not None else Num(0.0)
-            comp[b][a] = comp[a][b]
-    name = f"{metric.name}:normal" if metric.name else "normal-chart"
-    chart_note = f"normal coordinates centered at {point.tolist()}"
-    new_metric = MetricDef(
-        dim=n,
-        components=tuple(tuple(row) for row in comp),
-        name=name,
-        chart=chart_note,
+    new_metric = PulledBackMetric(
+        base=metric,
+        center=point,
+        frame=e,
+        gamma_frame=np.zeros_like(ghat) if flat else ghat,
+        radius=radius,
+        name=f"{metric.name}:normal" if metric.name else "normal-chart",
+        chart=f"normal coordinates centered at {point.tolist()}",
+        center_jets=pl.g_jets,
     )
     return NormalChart(
         metric=new_metric, center=point, frame=e, gamma_frame=ghat, radius=radius
@@ -181,7 +341,7 @@ def _grid_points(n, radius):
     return np.concatenate([r * dirs for r in radii])
 
 
-def _check_positivity(metric: MetricDef, points):
+def _check_positivity(metric, points):
     g = metric.eval_matrix_many(points)
     w = np.linalg.eigvalsh(g)
     worst = int(np.argmin(w[:, 0]))
@@ -192,36 +352,28 @@ def _check_positivity(metric: MetricDef, points):
         )
 
 
-def _ck_norm(bump_exprs, points, n, order, stride=12):
+def _ck_norm(metric: PulledBackMetric, points, order, stride=12):
     """sup over a grid subsample of sum_{|alpha| <= order} |d^alpha(bump)|
     using exact jet derivatives, from one batched evaluation."""
-    sp = jet_space(n)
+    sp = jet_space(metric.dim)
     weights = np.where(sp.degrees <= order, sp.factorials, 0.0)
-    jets = eval_expr_many([e for e in bump_exprs if e is not None], points[::stride])
+    jets = metric._bump_jets(points[::stride])
     return float(np.abs(jets * weights).sum(axis=-1).max(initial=0.0))
 
 
-def _add_bump(chart_metric: MetricDef, bump_polys, cutoff):
-    n = chart_metric.dim
-    comp = [list(row) for row in chart_metric.components]
-    for i in range(n):
-        for j in range(i, n):
-            poly = bump_polys[i][j]
-            if poly is None:
-                continue
-            comp[i][j] = Add(comp[i][j], Mul(poly, cutoff))
-            comp[j][i] = comp[i][j]
-    return MetricDef(
-        dim=n,
-        components=tuple(tuple(row) for row in comp),
-        name=f"{chart_metric.name}:bumped",
-        chart=chart_metric.chart,
-    )
+def _finite_norms(target, shift):
+    """||target|| and ||shift||, refusing overflow: an infinite norm would
+    read as an unchanged metric (inf <= 1e-13 * inf)."""
+    with np.errstate(over="ignore"):
+        norms = float(np.linalg.norm(target)), float(np.linalg.norm(shift))
+    if not np.isfinite(norms).all():
+        raise DomainError("target tensor is too large: its norm is not a finite number")
+    return norms
 
 
 @dataclass
 class PerturbResult:
-    metric: MetricDef
+    metric: PulledBackMetric
     chart: NormalChart
     target_error: float  # achieved-vs-target, relative
     norm_ratio: float  # ||g' - g||_{C^k} / ||shift||, measured on the grid
@@ -259,55 +411,35 @@ def prescribe_curvature(cp: CurvaturePrescription) -> PerturbResult:
     _check_curvature_symmetries(r0, 1e-9)
     _check_bianchi(r0, 1e-9)
     chart = normal_coordinates(cp.base, cp.point, cp.radius)
-    base_snapshot = JetPipeline(chart.metric, np.zeros(n))
-    r_here = base_snapshot.riemann()
-    rstar = r0 - r_here
-    shift = float(np.linalg.norm(rstar))
     origin = np.zeros(n)
-    if shift <= 1e-13 * max(np.linalg.norm(r0), 1.0):
+    r_here = JetPipeline(chart.metric, origin).riemann()
+    rstar = r0 - r_here
+    r0_norm, shift = _finite_norms(r0, rstar)
+    if shift <= 1e-13 * max(r0_norm, 1.0):
         return PerturbResult(
             metric=chart.metric,
             chart=chart,
-            target_error=float(np.linalg.norm(r_here - r0) / max(np.linalg.norm(r0), 1.0)),
+            target_error=shift / max(r0_norm, 1.0),
             norm_ratio=0.0,
             shift_norm=shift,
             unchanged=True,
             evaluation_point=origin,
         )
 
-    bump_polys = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            terms = []
-            for h in range(n):
-                for k in range(h, n):
-                    if h == k:
-                        c = -(1.0 / 3.0) * rstar[i, h, j, k]
-                    else:
-                        c = -(1.0 / 3.0) * (rstar[i, h, j, k] + rstar[i, k, j, h])
-                    terms.append((c, (h, k)))
-            bump_polys[i][j] = _poly_expr(terms)
-    cutoff = _cutoff_expr(n, cp.radius)
-    bumped = _add_bump(chart.metric, bump_polys, cutoff)
-
+    # bump_ij(y) = -1/3 sum_{h,k} R*_ihjk y^h y^k, symmetrized in (h, k)
+    quad = -(1.0 / 3.0) * rstar.transpose(0, 2, 1, 3)
+    bumped = chart.metric.with_bump(
+        0.5 * (quad + quad.swapaxes(2, 3)), cp.radius, f"{chart.metric.name}:bumped"
+    )
     grid = _grid_points(n, cp.radius)
     _check_positivity(bumped, grid)
     achieved = JetPipeline(bumped, origin).riemann()
-    target_error = float(
-        np.linalg.norm(achieved - r0) / max(np.linalg.norm(r0), 1e-30)
-    )
-    bump_exprs = [
-        Mul(bump_polys[i][j], cutoff)
-        for i in range(n)
-        for j in range(i, n)
-        if bump_polys[i][j] is not None
-    ]
-    c2 = _ck_norm(bump_exprs, grid, n, order=2)
+    target_error = float(np.linalg.norm(achieved - r0) / max(r0_norm, 1e-30))
     return PerturbResult(
         metric=bumped,
         chart=chart,
         target_error=target_error,
-        norm_ratio=c2 / shift,
+        norm_ratio=_ck_norm(bumped, grid, order=2) / shift,
         shift_norm=shift,
         unchanged=False,
         evaluation_point=origin,
@@ -333,16 +465,16 @@ def a_index(i, j, k, l, m):
     return _PAIRS_IJ.index(pij) * len(_TRIPLES) + _TRIPLES.index(tkl)
 
 
+# a_index of every entry of the full (3, 3, 3, 3, 3) tensor, and the
+# first entry (in C order) of each of the 60 coefficients
+_A_INDEX = np.array([a_index(*t) for t in itertools.product(range(3), repeat=5)]).reshape((3,) * 5)
+_A_FIRST = np.unique(_A_INDEX.reshape(-1), return_index=True)[1]
+
+
 def a_full(avec):
-    """Expand the 60-vector into the fully symmetric A[i,j,k,l,m] lookup."""
-    af = np.empty((3, 3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    for m in range(3):
-                        af[i, j, k, l, m] = avec[a_index(i, j, k, l, m)]
-    return af
+    """Expand the 60-vector into the fully symmetric A[i,j,k,l,m] lookup
+    (trailing axes of ``avec`` carry over)."""
+    return np.asarray(avec, dtype=float)[_A_INDEX]
 
 
 def _coerce_a(a):
@@ -350,27 +482,30 @@ def _coerce_a(a):
     if a.shape == (A_SPACE_DIM,):
         return a
     if a.shape == (3, 3, 3, 3, 3):
-        avec = np.empty(A_SPACE_DIM)
-        seen = np.zeros(A_SPACE_DIM, dtype=bool)
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for l in range(3):
-                        for m in range(3):
-                            q = a_index(i, j, k, l, m)
-                            if seen[q]:
-                                if abs(avec[q] - a[i, j, k, l, m]) > 1e-12 * max(
-                                    1.0, np.abs(a).max()
-                                ):
-                                    raise SymmetryViolation(
-                                        "coefficient tensor is not symmetric under "
-                                        "i<->j and permutations of (k,l,m)"
-                                    )
-                            else:
-                                avec[q] = a[i, j, k, l, m]
-                                seen[q] = True
+        avec = a.reshape(-1)[_A_FIRST]
+        if np.abs(a - avec[_A_INDEX]).max() > 1e-12 * max(1.0, np.abs(a).max()):
+            raise SymmetryViolation(
+                "coefficient tensor is not symmetric under "
+                "i<->j and permutations of (k,l,m)"
+            )
         return avec
     raise DimensionError("coefficients must be a 60-vector or a (3,3,3,3,3) array")
+
+
+def _cotton_of_full(af):
+    """L(A) of fully expanded coefficients af[i, j, k, l, m, ...]; trailing
+    axes carry over."""
+    tr1 = np.einsum("kikic...->c...", af) - np.einsum("kkiic...->c...", af)
+    out = 0.5 * (
+        np.einsum("kakcb...->cab...", af)
+        - np.einsum("kckab...->cab...", af)
+        - np.einsum("abkkc...->cab...", af)
+        + np.einsum("cbkka...->cab...", af)
+    )
+    eye = np.eye(3)
+    out -= 0.25 * np.einsum("ab,c...->cab...", eye, tr1)
+    out += 0.25 * np.einsum("cb,a...->cab...", eye, tr1)
+    return out
 
 
 def cotton_L_map(a) -> np.ndarray:
@@ -383,51 +518,18 @@ def cotton_L_map(a) -> np.ndarray:
     The output always satisfies the four Cotton identities with the
     identity metric.
     """
-    avec = _coerce_a(a)
-    af = a_full(avec)
-    out = np.zeros((3, 3, 3))
-    tr1 = np.zeros(3)  # sum_{k,i} (A_ki^{kin} - A_kk^{iin})
-    for nn in range(3):
-        tr1[nn] = sum(
-            af[k, i, k, i, nn] - af[k, k, i, i, nn]
-            for k in range(3)
-            for i in range(3)
-        )
-    for nn in range(3):
-        for aa in range(3):
-            for bb in range(3):
-                s = sum(
-                    af[k, aa, k, nn, bb]
-                    - af[k, nn, k, aa, bb]
-                    - af[aa, bb, k, k, nn]
-                    + af[nn, bb, k, k, aa]
-                    for k in range(3)
-                )
-                v = 0.5 * s
-                if aa == bb:
-                    v -= 0.25 * tr1[nn]
-                if nn == bb:
-                    v += 0.25 * tr1[aa]
-                out[nn, aa, bb] = v
-    return out
-
-
-def _l_matrix():
-    cols = []
-    for q in range(A_SPACE_DIM):
-        e = np.zeros(A_SPACE_DIM)
-        e[q] = 1.0
-        cols.append(cotton_L_map(e).reshape(-1))
-    return np.array(cols).T  # 27 x 60
+    return _cotton_of_full(a_full(_coerce_a(a)))
 
 
 _L_MATRIX_CACHE = None
 
 
 def l_matrix():
+    """L as a 27 x 60 matrix: the images of the 60 unit coefficient
+    vectors, all at once."""
     global _L_MATRIX_CACHE
     if _L_MATRIX_CACHE is None:
-        _L_MATRIX_CACHE = _l_matrix()
+        _L_MATRIX_CACHE = _cotton_of_full(a_full(np.eye(A_SPACE_DIM))).reshape(27, A_SPACE_DIM)
     return _L_MATRIX_CACHE
 
 
@@ -471,8 +573,8 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
     pl = JetPipeline(chart.metric, origin)
     c_target = cy_to_cotton(cy0)
     dc = c_target - pl.cotton()
-    shift = float(np.linalg.norm(cy0 - pl.cotton_york()))
-    if shift <= 1e-13 * max(np.linalg.norm(cy0), 1.0):
+    cy_norm, shift = _finite_norms(cy0, cy0 - pl.cotton_york())
+    if shift <= 1e-13 * max(cy_norm, 1.0):
         return PerturbResult(
             metric=chart.metric,
             chart=chart,
@@ -495,36 +597,16 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
         )
     cp.coefficients = avec
 
-    af = a_full(avec)
-    bump_polys = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            terms = []
-            for k, l, m in _TRIPLES:
-                count = len(set(itertools.permutations((k, l, m))))
-                terms.append((af[i, j, k, l, m] * count, (k, l, m)))
-            bump_polys[i][j] = _poly_expr(terms)
-    cutoff = _cutoff_expr(3, cp.radius)
-    bumped = _add_bump(chart.metric, bump_polys, cutoff)
-
+    bumped = chart.metric.with_bump(a_full(avec), cp.radius, f"{chart.metric.name}:bumped")
     grid = _grid_points(3, cp.radius)
     _check_positivity(bumped, grid)
     achieved = JetPipeline(bumped, origin).cotton_york()
-    target_error = float(
-        np.linalg.norm(achieved - cy0) / max(np.linalg.norm(cy0), 1e-30)
-    )
-    bump_exprs = [
-        Mul(bump_polys[i][j], cutoff)
-        for i in range(3)
-        for j in range(i, 3)
-        if bump_polys[i][j] is not None
-    ]
-    c3 = _ck_norm(bump_exprs, grid, 3, order=3)
+    target_error = float(np.linalg.norm(achieved - cy0) / max(cy_norm, 1e-30))
     return PerturbResult(
         metric=bumped,
         chart=chart,
         target_error=target_error,
-        norm_ratio=c3 / shift,
+        norm_ratio=_ck_norm(bumped, grid, order=3) / shift,
         shift_norm=shift,
         unchanged=False,
         evaluation_point=origin,

@@ -423,12 +423,13 @@ def compute_snapshot(metric: MetricDef, point) -> TensorSnapshot:
 
 
 def format_json(obj, float_digits=17) -> str:
-    """Deterministic JSON with fixed-significant-digit floats."""
+    """Deterministic JSON with fixed-significant-digit floats.  A float
+    that is not finite raises DomainError: JSON has no literal for it."""
 
     def fmt(x):
-        if isinstance(x, float):
-            return _RawFloat(f"{x:.{float_digits}g}")
-        if isinstance(x, (np.floating,)):
+        if isinstance(x, (float, np.floating)):
+            if not math.isfinite(x):
+                raise DomainError(f"result has a non-finite number ({float(x)}); nothing is printed")
             return _RawFloat(f"{float(x):.{float_digits}g}")
         if isinstance(x, (np.integer,)):
             return int(x)

@@ -268,3 +268,92 @@ def test_out_of_range_literal_exit_2(tmp_path, command):
     assert r.exit_code == 2
     assert r.stdout == ""
     assert not out.exists()
+
+
+# --- strict JSON or nothing ------------------------------------------------------------
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "metric, amplitude",
+    [("nil", "1e170"), ("sol", "1e160"), ("product4_nil", "1e160"), ("product4_nil", "1e170")],
+)
+def test_perturb_overflowing_target_exit_3(tmp_path, metric, amplitude):
+    """A finite amplitude whose target norm overflows used to print a false
+    "unchanged" with bare inf/nan; now it is an evaluation error."""
+    out = tmp_path / "never.metric"
+    r = invoke("perturb", "--metric", metric, "--target", "random", "--amplitude", amplitude, "--out", str(out))
+    assert r.exit_code == 3
+    assert r.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metric, amplitude", [("nil", "1e100"), ("product4_nil", "1e100"), ("nil", "1e-3")])
+def test_perturb_large_or_small_target_prints_strict_json_or_nothing(tmp_path, metric, amplitude):
+    out = tmp_path / "out.metric"
+    r = invoke("perturb", "--metric", metric, "--target", "random", "--amplitude", amplitude, "--out", str(out))
+    assert r.exit_code in (0, 4)
+    if r.exit_code == 0:
+        assert strict_json(r.stdout)["unchanged"] is False
+    else:
+        assert r.stdout == ""
+
+
+def test_format_json_refuses_non_finite_numbers():
+    from lcwcheck.errors import DomainError
+    from lcwcheck.pipeline import format_json
+
+    assert strict_json(format_json({"a": [1.5, np.float64(2.0)]})) == {"a": [1.5, 2.0]}
+    for bad in (float("nan"), float("inf"), np.float64("-inf")):
+        with pytest.raises(DomainError):
+            format_json({"a": [0.0, bad]})
+
+
+def test_catalog_name_shadowed_by_a_file_exit_2(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nil").write_text("dim = 3\ng11 = 1\ng22 = 1\ng33 = 1\n")
+    r = invoke("check", "--metric", "nil")
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "./nil" in r.stderr
+    assert invoke("check", "--metric", "./nil").exit_code == 0  # the flat file passes
+    assert invoke("check", "--metric", "sl2r").exit_code == 10  # names without a file still work
+
+
+@pytest.mark.parametrize("dim, max_bytes", [(4, None), (6, 50_000)])
+def test_perturb_out_file_round_trips(tmp_path, monkeypatch, dim, max_bytes):
+    """The written file (with let bindings) parses back to the jets of the
+    metric the command computed."""
+    import lcwcheck.cli as cli
+    from lcwcheck.catalog import random_metric_near_flat
+    from lcwcheck.dsl import metric_to_text, parse_metric
+
+    src = tmp_path / "base.metric"
+    src.write_text(metric_to_text(random_metric_near_flat(dim, np.random.default_rng(dim), amplitude=0.03)))
+    results = []
+
+    def recording(cp):
+        results.append(cli_prescribe(cp))
+        return results[-1]
+
+    cli_prescribe = cli.prescribe_curvature
+    monkeypatch.setattr(cli, "prescribe_curvature", recording)
+    out = tmp_path / "bumped.metric"
+    point = ",".join(["0.05"] * dim)
+    r = invoke("perturb", "--metric", str(src), "--point", point, "--target", "random", "--seed", "2", "--out", str(out))
+    assert r.exit_code == 0
+    assert strict_json(r.stdout)["unchanged"] is False
+    if max_bytes is not None:
+        assert out.stat().st_size < max_bytes
+    back = parse_metric(out.read_text())
+    metric = results[0].metric
+    for y in (np.zeros(dim), np.full(dim, 0.3)):
+        got = np.array([[j.c for j in row] for row in back.eval_jets(y)])
+        want = np.array([[j.c for j in row] for row in metric.eval_jets(y)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

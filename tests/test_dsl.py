@@ -190,3 +190,60 @@ def test_smoothbump_round_trip_and_junctions():
     left = eval_expr(e, (inner - 1e-12, 0.0))
     right = eval_expr(e, (inner + 1e-12, 0.0))
     assert np.abs(left.c - right.c).max() <= 1e-9
+
+
+# --- let bindings -------------------------------------------------------------
+
+
+LET_TEXT = """dim = 2
+let s1 = exp(x1) + sin(x2)*x1
+let s2 = s1*s1 + 1
+g11 = s2
+g22 = s2 + s1
+"""
+
+
+def test_let_names_share_one_expression():
+    m = parse_metric(LET_TEXT)
+    s2 = m.components[0][0]
+    assert m.components[1][1].a is s2
+    assert s2.a.a is s2.a.b is m.components[1][1].b
+    p = (0.3, -0.7)
+    s1 = np.exp(0.3) + np.sin(-0.7) * 0.3
+    assert eval_num(m.components[1][1], p) == pytest.approx(s1 * s1 + 1 + s1, rel=1e-15)
+
+
+def test_let_sharing_survives_a_round_trip():
+    shared = parse_expr("exp(x1)*sin(x2) + x1^2*x2^3 + cos(x1 + x2)")
+    m = parse_metric("dim = 2\ng11 = 1\ng22 = 1\n")
+    m = type(m)(dim=2, components=((Add(shared, Num(1.0)), shared), (shared, Mul(shared, shared))))
+    text = metric_to_text(m)
+    assert text.count("let ") == 1 and text.count("exp(") == 1
+    back = parse_metric(text)
+    assert back.components == m.components
+    assert back.components[0][0].a is back.components[0][1] is back.components[1][1].a
+    assert metric_to_text(back) == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dim = 2\nlet x1 = 2\ng11 = 1\ng22 = 1\n",  # reserved: a variable
+        "dim = 2\nlet exp = 2\ng11 = 1\ng22 = 1\n",  # reserved: a function
+        "dim = 2\nlet g12 = 2\ng11 = 1\ng22 = 1\n",  # reserved: an entry
+        "dim = 2\nlet dim = 2\ng11 = 1\ng22 = 1\n",
+        "dim = 2\nlet a = 2\nlet a = 3\ng11 = a\ng22 = 1\n",  # duplicate
+        "dim = 2\ng11 = a\nlet a = 2\ng22 = 1\n",  # used before it is bound
+        "dim = 2\nlet a = b\nlet b = 2\ng11 = a\ng22 = 1\n",
+        "dim = 2\nlet a = x3\ng11 = 1\ng22 = 1\n",  # variable out of range
+        "let a = 2\ndim = 2\ng11 = a\ng22 = 1\n",  # before the header
+    ],
+)
+def test_bad_let_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_metric(text)
+
+
+def test_files_without_sharing_print_no_let():
+    text = "dim = 2\ng11 = exp(x1)*sin(x2) + x1^2*x2^3 + cos(x1 + x2) + 1\ng22 = 1 + x1^2*x2^2*exp(x1 + x2)\n"
+    assert metric_to_text(parse_metric(text)) == text

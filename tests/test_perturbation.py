@@ -291,3 +291,75 @@ def test_c2_ratio_bounded_over_targets(rng):
         ratios.append(res.norm_ratio)
     assert max(ratios) <= 100.0
     assert max(ratios) / min(ratios) <= 50.0  # one constant per base metric
+
+
+# --- the pulled-back metric against its own expression form -------------------------
+
+
+def _prescribed(n, rng):
+    """A normal chart of a random near-flat base and a bumped metric on it."""
+    base = random_metric_near_flat(n, rng, amplitude=0.03)
+    point = rng.uniform(-0.1, 0.1, n)
+    chart = normal_coordinates(base, point)
+    if n == 3:
+        cy0 = compute_snapshot(chart.metric, np.zeros(3)).cotton_york + np.diag([1.0, 1.0, -2.0]) * 1e-2
+        res = prescribe_cotton_york(CottonPrescription(base=base, point=point, target_cy=cy0))
+    else:
+        r0 = compute_snapshot(chart.metric, np.zeros(n)).riemann
+        r0 = r0 + 1e-2 * operator_to_0_4(random_weyl_operator(n, rng))
+        res = prescribe_curvature(CurvaturePrescription(base=base, point=point, target_r4=r0))
+    return chart.metric, res.metric
+
+
+def _jet_array(metric, y):
+    return np.array([[jet.c for jet in row] for row in metric.eval_jets(y)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pulled_back_metric_matches_its_components(n, rng):
+    """Jets (composed base jets, J^T g J, numeric bump) and grid values
+    agree with the expression DAG of the same metric."""
+    from lcwcheck.dsl import MetricDef
+
+    for metric in _prescribed(n, rng):
+        dag = MetricDef(dim=n, components=metric.components)
+        # the origin, a point on the cutoff's ramp, one outside the bump, one inside
+        for y in (np.zeros(n), np.full(n, 0.4), np.full(n, 0.7), rng.uniform(-0.25, 0.25, n)):
+            got, want = _jet_array(metric, y), _jet_array(dag, y)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        grid = rng.uniform(-0.8, 0.8, (40, n))
+        got, want = metric.eval_matrix_many(grid), dag.eval_matrix_many(grid)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_pulled_back_values_do_not_depend_on_the_batch(rng):
+    _, metric = _prescribed(4, rng)
+    grid = rng.uniform(-0.8, 0.8, (25, 4))
+    batch = metric.eval_matrix_many(grid)
+    for k, y in enumerate(grid):
+        assert np.array_equal(batch[k], metric.eval_matrix(y))
+        assert np.array_equal(batch[k], batch[k].T)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_pulled_back_metric_file_round_trip(n, rng):
+    from lcwcheck.dsl import metric_to_text
+
+    _, metric = _prescribed(n, rng)
+    text = metric_to_text(metric)
+    back = parse_metric(text)
+    for y in [np.zeros(n), rng.uniform(-0.6, 0.6, n)]:
+        got, want = _jet_array(back, y), _jet_array(metric, y)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("amplitude", [1e160, 1e170])
+def test_overflowing_targets_are_refused(amplitude):
+    from lcwcheck.errors import DomainError
+
+    cy0 = np.diag([1.0, 1.0, -2.0]) * amplitude
+    with pytest.raises(DomainError):
+        prescribe_cotton_york(CottonPrescription(base=FLAT3, point=np.zeros(3), target_cy=cy0))
+    r0 = kulkarni_nomizu(np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4)) * amplitude
+    with pytest.raises(DomainError):
+        prescribe_curvature(CurvaturePrescription(base=FLAT4, point=np.zeros(4), target_r4=r0))
