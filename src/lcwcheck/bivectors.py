@@ -41,6 +41,19 @@ def pair_index(n):
     return {p: a for a, p in enumerate(lex_pairs(n))}
 
 
+@lru_cache(maxsize=None)
+def _pair_grid(n):
+    """Index arrays (i, j, k, l), each broadcasting to (m, m): row a holds
+    lex pair (i, j), column c holds lex pair (k, l)."""
+    i, j = np.array(lex_pairs(n), dtype=int).reshape(-1, 2).T
+    return i[:, None], j[:, None], i[None, :], j[None, :]
+
+
+def _lex_pair_matrix(r4):
+    """mat[(ij),(kl)] = r4[i, j, k, l] over lex pairs, as one gather."""
+    return r4[_pair_grid(r4.shape[0])]
+
+
 def bivector_dim(n):
     return n * (n - 1) // 2
 
@@ -82,7 +95,9 @@ def operator_from_0_4(r4, g=None, tol=1e-8) -> CurvatureOperator:
 
     The frame is orthonormalized against ``g`` first (identity when g is
     omitted), so the operator acts on bivectors of an orthonormal basis:
-    mat[(ij),(kl)] = R(e_i, e_j, e_k, e_l).
+    mat[(ij),(kl)] = R(e_i, e_j, e_k, e_l).  The frame change is four
+    single-index contractions, O(n^5) in all, and the lex-pair matrix is
+    read off with one gather.
     """
     r4 = np.asarray(r4, dtype=float)
     n = r4.shape[0]
@@ -91,21 +106,16 @@ def operator_from_0_4(r4, g=None, tol=1e-8) -> CurvatureOperator:
     _check_curvature_symmetries(r4, tol)
     if g is not None:
         e = orthonormal_frame(g)
-        r4 = np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, e, e, e, e)
-    pairs = lex_pairs(n)
-    m = len(pairs)
-    mat = np.empty((m, m))
-    for a, (i, j) in enumerate(pairs):
-        for c, (k, l) in enumerate(pairs):
-            mat[a, c] = r4[i, j, k, l]
-    return CurvatureOperator(dim=n, mat=mat)
+        # each pass contracts the leading index and appends the frame index
+        for _ in range(4):
+            r4 = np.tensordot(r4, e, ([0], [0]))
+    return CurvatureOperator(dim=n, mat=_lex_pair_matrix(r4))
 
 
 def operator_to_0_4(op: CurvatureOperator) -> np.ndarray:
     """(0,4) components in the orthonormal frame, extended by symmetry."""
     n = op.dim
-    i, j = np.array(lex_pairs(n)).T
-    a, b, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
+    a, b, k, l = _pair_grid(n)
     r4 = np.zeros((n, n, n, n))
     r4[a, b, k, l] = op.mat
     r4[b, a, k, l] = -op.mat
@@ -214,15 +224,8 @@ def bianchi_project(op: CurvatureOperator) -> CurvatureOperator:
     4-forms and annihilates every Riemann tensor."""
     r4 = operator_to_0_4(op)
     b4 = (r4 + r4.transpose(1, 2, 0, 3) + r4.transpose(2, 0, 1, 3)) / 3.0
-    n = op.dim
-    pairs = lex_pairs(n)
-    m = len(pairs)
-    mat = np.empty((m, m))
-    for a, (i, j) in enumerate(pairs):
-        for c, (k, l) in enumerate(pairs):
-            mat[a, c] = b4[i, j, k, l]
-    mat = 0.5 * (mat + mat.T)
-    return CurvatureOperator(dim=n, mat=mat)
+    mat = _lex_pair_matrix(b4)
+    return CurvatureOperator(dim=op.dim, mat=0.5 * (mat + mat.T))
 
 
 def ricci_contract(op: CurvatureOperator) -> np.ndarray:
@@ -248,28 +251,15 @@ def sym_matrix_basis(m):
 
 
 def sym_vec(mat):
-    m = mat.shape[0]
-    out = []
-    for i in range(m):
-        out.append(mat[i, i])
-    r2 = np.sqrt(2.0)
-    for i in range(m):
-        for j in range(i + 1, m):
-            out.append(mat[i, j] * r2)
-    return np.array(out)
+    """Diagonal, then sqrt(2) times the upper triangle row by row."""
+    i, j = np.triu_indices(mat.shape[0], 1)
+    return np.concatenate([np.diag(mat), mat[i, j] * np.sqrt(2.0)])
 
 
 def sym_unvec(v, m):
-    out = np.zeros((m, m))
-    k = 0
-    for i in range(m):
-        out[i, i] = v[k]
-        k += 1
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(m):
-        for j in range(i + 1, m):
-            out[i, j] = out[j, i] = v[k] * s
-            k += 1
+    i, j = np.triu_indices(m, 1)
+    out = np.diag(np.asarray(v[:m], dtype=float))
+    out[i, j] = out[j, i] = v[m:] * (1.0 / np.sqrt(2.0))
     return out
 
 
@@ -339,14 +329,8 @@ def random_weyl_operator(n, rng) -> CurvatureOperator:
 def induced_rotation(rho, n=None):
     """B(rho) on bivectors: B(rho)(v ^ w) = rho(v) ^ rho(w)."""
     rho = np.asarray(rho, dtype=float)
-    n = rho.shape[0] if n is None else n
-    pairs = lex_pairs(n)
-    m = len(pairs)
-    b = np.empty((m, m))
-    for c, (k, l) in enumerate(pairs):
-        for a, (i, j) in enumerate(pairs):
-            b[a, c] = rho[i, k] * rho[j, l] - rho[i, l] * rho[j, k]
-    return b
+    i, j, k, l = _pair_grid(rho.shape[0] if n is None else n)
+    return rho[i, k] * rho[j, l] - rho[i, l] * rho[j, k]
 
 
 def rotate_operator(op: CurvatureOperator, rho) -> CurvatureOperator:

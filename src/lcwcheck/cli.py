@@ -104,7 +104,11 @@ def _load_source(source):
                 f"{source!r} is both a catalog entry and a file here; "
                 f"write ./{source} for the file"
             )
-        return None, parse_metric(path.read_text())
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read metric file {source!r}: {exc}")
+        return None, parse_metric(text)
     try:
         entry = cat.get_entry(source)
     except UnknownEntry:

@@ -36,7 +36,13 @@ MAX_DIM = 6
 
 
 class JetSpace:
-    """Precomputed index tables for one dimension.  Build once, share."""
+    """Precomputed index tables for one dimension.  Build once, share.
+
+    The multi-indices in slot order (``indices``, ``index_of``, ``degrees``,
+    ``factorials``); ``unit``; the derivative slot tables ``partial_slots[k]``,
+    k = 0..3, of shape (dim,)*k with [a_1, ..., a_k] the slot of
+    d_{a_1} ... d_{a_k}; and the product table of ``mul``.
+    """
 
     def __init__(self, dim):
         if not MIN_DIM <= dim <= MAX_DIM:
@@ -54,6 +60,11 @@ class JetSpace:
         )
         # slot of the first-order coefficient of each coordinate x_k
         self.unit = [self.index_of[tuple(int(k == j) for j in range(dim))] for k in range(dim)]
+        self.partial_slots = [
+            np.array([self.index_of[tuple(map(axes.count, range(dim)))] for axes in
+                      itertools.product(range(dim), repeat=k)]).reshape((dim,) * k)
+            for k in range(MAX_ORDER + 1)
+        ]
 
         # every product a_i b_j that lands in slot k, grouped by k
         pairs = sorted(

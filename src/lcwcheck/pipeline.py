@@ -116,17 +116,10 @@ def _dot(spec, a, b):
 
 def _metric_partials(space, coeffs):
     """d^k g for k = 0..3 from the order-3 Taylor coefficients (n, n, size)
-    of the metric, each indexed [a_1, ..., a_k, i, j]."""
-    n = space.dim
+    of the metric, each indexed [a_1, ..., a_k, i, j]: one gather per order
+    through the jet space's ``partial_slots``."""
     d = coeffs * space.factorials
-    out = []
-    for k in range(4):
-        slots = [
-            space.index_of[tuple(np.bincount(axes, minlength=n))]
-            for axes in itertools.product(range(n), repeat=k)
-        ]
-        out.append(np.moveaxis(d[:, :, slots], 2, 0).reshape((n,) * k + (n, n)))
-    return out
+    return [np.moveaxis(d[:, :, slots], (0, 1), (-2, -1)) for slots in space.partial_slots]
 
 
 def _check_metric(g, point):

@@ -26,6 +26,7 @@ from lcwcheck.bivectors import (
     rotate_operator,
     sample_eigenflag_params,
     sym_matrix_basis,
+    sym_unvec,
     sym_vec,
     weyl_space_basis,
 )
@@ -81,6 +82,68 @@ def test_operator_round_trip(rng):
     r4 = operator_to_0_4(op)
     back = operator_from_0_4(r4)
     assert np.abs(back.mat - op.mat).max() <= 1e-13
+
+
+def _operator_reference(r4, g=None):
+    """The frame change as one 5-operand einsum, then the pair loop."""
+    n = r4.shape[0]
+    if g is not None:
+        e = np.linalg.inv(np.linalg.cholesky(g)).T
+        r4 = np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, e, e, e, e)
+    pairs = lex_pairs(n)
+    mat = np.empty((len(pairs), len(pairs)))
+    for a, (i, j) in enumerate(pairs):
+        for c, (k, l) in enumerate(pairs):
+            mat[a, c] = r4[i, j, k, l]
+    return mat
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("with_g", [False, True])
+def test_operator_matches_einsum_reference(n, with_g, rng):
+    h = rng.standard_normal((n, n))
+    r4 = kulkarni_nomizu(h + h.T, np.eye(n) + 0.1 * np.diag(rng.standard_normal(n)))
+    if n >= 4:
+        r4 = r4 + operator_to_0_4(random_weyl_operator(n, rng))
+    g = None
+    if with_g:
+        a = rng.standard_normal((n, n))
+        g = np.eye(n) + 0.3 * a @ a.T  # random SPD, not orthonormal
+    ref = _operator_reference(r4, g)
+    got = operator_from_0_4(r4, g=g).mat
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(r4).max()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pair_gathers_match_loops(n, rng):
+    # bianchi_project and induced_rotation against their pair loops, bit for bit
+    s = rng.standard_normal((n * (n - 1) // 2,) * 2)
+    op = CurvatureOperator(dim=n, mat=s + s.T)
+    r4 = operator_to_0_4(op)
+    b4 = (r4 + r4.transpose(1, 2, 0, 3) + r4.transpose(2, 0, 1, 3)) / 3.0
+    loop = _operator_reference(b4)
+    assert np.array_equal(bianchi_project(op).mat, CurvatureOperator(dim=n, mat=0.5 * (loop + loop.T)).mat)
+    rho = _random_rotation(n, rng)
+    pairs = lex_pairs(n)
+    b = np.empty((len(pairs), len(pairs)))
+    for c, (k, l) in enumerate(pairs):
+        for a, (i, j) in enumerate(pairs):
+            b[a, c] = rho[i, k] * rho[j, l] - rho[i, l] * rho[j, k]
+    assert np.array_equal(induced_rotation(rho), b)
+
+
+def test_sym_vec_unvec_match_loops(rng):
+    m = 6
+    s = rng.standard_normal((m, m))
+    s = s + s.T
+    upper = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    ref = [s[i, i] for i in range(m)] + [s[i, j] * np.sqrt(2.0) for i, j in upper]
+    assert np.array_equal(sym_vec(s), np.array(ref))
+    v = rng.standard_normal(m * (m + 1) // 2)
+    ref = np.diag(v[:m])
+    for k, (i, j) in enumerate(upper):
+        ref[i, j] = ref[j, i] = v[m + k] * (1.0 / np.sqrt(2.0))
+    assert np.array_equal(sym_unvec(v, m), ref)
 
 
 def test_operator_gram_schmidt_frame(rng):

@@ -357,3 +357,17 @@ def test_perturb_out_file_round_trips(tmp_path, monkeypatch, dim, max_bytes):
         got = np.array([[j.c for j in row] for row in back.eval_jets(y)])
         want = np.array([[j.c for j in row] for row in metric.eval_jets(y)])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_unreadable_metric_file_exit_2(tmp_path, kind):
+    # reading the file fails: a ParseError naming the path, not a traceback
+    path = tmp_path / "in.metric"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"dim = 3\ng11 = \xff\n")
+    r = invoke("check", "--metric", str(path))
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert str(path) in r.stderr and "Traceback" not in r.stderr

@@ -1,6 +1,7 @@
 """Tensor pipeline against hand-computed values, catalog closed forms, and
 structural identities (Bianchi, divergence, conformal laws)."""
 
+import itertools
 import json
 import math
 
@@ -10,8 +11,10 @@ import pytest
 from lcwcheck.catalog import get_entry, nil_expected_tensors, random_metric_near_flat, random_polynomial
 from lcwcheck.dsl import Num, parse_expr, parse_metric
 from lcwcheck.errors import DimensionError, SingularMetric
+from lcwcheck.jets import jet_space
 from lcwcheck.pipeline import (
     ConformalFactor,
+    _metric_partials,
     christoffel,
     compute_snapshot,
     conformal_rescale,
@@ -444,3 +447,18 @@ def test_check_invariants_is_not_an_assert():
     )
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "raised"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_metric_partials_match_per_call_slots(n, rng):
+    # the jet space's slot tables give the same gathers as slot lists built per call
+    space = jet_space(n)
+    coeffs = rng.standard_normal((n, n, space.size))
+    d = coeffs * space.factorials
+    for k, got in enumerate(_metric_partials(space, coeffs)):
+        slots = [
+            space.index_of[tuple(np.bincount(axes, minlength=n))]
+            for axes in itertools.product(range(n), repeat=k)
+        ]
+        ref = np.moveaxis(d[:, :, slots], 2, 0).reshape((n,) * k + (n, n))
+        assert np.array_equal(got, ref)
