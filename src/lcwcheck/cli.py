@@ -294,8 +294,8 @@ def _algebraic_tensors(entry):
     default="auto",
 )
 @click.option("--tol", type=_POSITIVE, default=None, help="relative tolerance (default 1e-8)")
-@click.option("--seed", type=int, default=0, help="seed for the multi-start search")
-@click.option("--starts", type=click.IntRange(min=0), default=64)
+@click.option("--seed", type=click.IntRange(min=0), default=0, help="seed for the multi-start search")
+@click.option("--starts", type=click.IntRange(min=0, max=100_000), default=64)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
 def cmd_check(source, point, which_test, tol, seed, starts, fmt):
     """Decide the necessary condition for a limiting Carleman weight.
@@ -351,7 +351,7 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
 )
 @click.option("--radius", type=_POSITIVE, default=1.0)
 @click.option("--amplitude", type=_FiniteFloat(), default=1e-2, help="size of a random target shift")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
 def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
@@ -446,7 +446,7 @@ def _emit_perturb(doc, fmt):
 @main.command("weyl-space")
 @click.option("--dim", "n", type=int, required=True)
 @click.argument("subcommand", type=click.Choice(["dims", "sample", "phi"]))
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--tol", type=_POSITIVE, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
 def cmd_weyl_space(n, subcommand, seed, tol, fmt):

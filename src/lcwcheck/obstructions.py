@@ -8,16 +8,15 @@ leaving some v ^ v-perp invariant ("eigenflag" direction).  The residual
 
 is a smooth completion-independent function on the unit sphere, zero exactly
 at flag directions; the test minimizes it from many starts.  With T the
-(0,4) tensor of W in an orthonormal frame it is the quartic
-
-    F(v) = 1/2 v^T M v - ||J_v||^2,   M[i, j] = T[k,l,i,m] T[k,l,j,m],
-    J_v[k, m] = T(e_k, v, v, e_m) = 1/2 (v (x) v) U,
-    U[(p,i), (k,m)] = T[k,p,i,m] + T[k,i,p,m],
-
-so a batch of starts costs two small matrix products, and M and U give
-the polynomial explicitly.  A verdict of False certifies that no LCW
-exists near the point.  A verdict of True only says the necessary
-condition holds; it never asserts existence.
+(0,4) tensor of W in an orthonormal frame, M[i, j] = T[k,l,i,m] T[k,l,j,m]
+and J_v[k, m] = T(e_k, v, v, e_m), it is the quartic 1/2 (v^T M v)(v^T v)
+- ||J_v||^2.  Fully symmetrized, that is one symmetric 4-tensor C, a
+quadratic form on Sym^2(R^n): F(v) = C(v, v, v, v), with gradient
+4 C(v, v, v, .) and Hessian 12 C(v, v, ., .).  A batch of starts costs one
+GEMM, and while every start is active a descent step moves the whole
+batch at once.  A verdict of False certifies that no LCW exists near the
+point.  A verdict of True only says the necessary condition holds; it never
+asserts existence.
 
 Dimension 3: the necessary condition is det(CY) = 0 for the Cotton-York
 tensor, tested scale-invariantly, with the degenerate plane recovered from
@@ -26,7 +25,9 @@ the eigendecomposition when the test passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,31 +115,39 @@ _FAIL_NOTE = "necessary condition fails: no limiting Carleman weight exists near
 # -- eigenflag residual and its minimization ----------------------------------
 
 
-def _residual_quartic(w, n):
-    """(M, U) of the residual quartic F(v) = 1/2 v^T M v - ||J_v||^2 (see
-    the module docstring); U is reshaped to (n^2, n^2)."""
+@lru_cache(maxsize=None)
+def _sym2_pairs(n):
+    """The pairs a <= b, and each one's count of orderings over 24."""
+    a, b = np.triu_indices(n)
+    return a, b, ((2.0 - (a == b)) / 24.0)[:, None]
+
+
+def _residual_form(w, n):
+    """(R, a, b): row (a, b), a <= b, of R is C[a, b, :, :] flattened, times
+    the count of orderings of (a, b), so F(v) = sum R v_a v_b v_c v_d."""
     t = operator_to_0_4(CurvatureOperator(dim=n, mat=w))
-    tm = t.transpose(2, 0, 1, 3).reshape(n, -1)
-    u = t.transpose(1, 2, 0, 3) + t.transpose(2, 1, 0, 3)
-    return tm @ tm.T, u.reshape(n * n, n * n)
+    u = t.transpose(1, 2, 0, 3).reshape(n * n, n * n)  # u[(p, i), (k, m)] = T[k, p, i, m]
+    k = (u @ u.T).reshape(n, n, n, n)  # ||J_v||^2 = K(v, v, v, v)
+    md = np.multiply.outer(np.einsum("lilj->ij", k), np.eye(n))  # M (x) I
+    # s is invariant under the pair swaps (01)(23), (02)(13), so its sum over
+    # S_4, 24 C, is 4 times its sum over S_3 on the first three axes
+    s = md + md.transpose(2, 3, 0, 1) - 4.0 * k
+    s = s + s.swapaxes(0, 1)
+    s = s + s.swapaxes(0, 2) + s.swapaxes(1, 2)
+    a, b, mult = _sym2_pairs(n)
+    return s[a, b].reshape(len(a), n * n) * mult, a, b
 
 
-def _residual_batch_quartic(m, u, v_batch):
-    """F per unit start v and its ambient gradient M v - 2 (J_v U^T) v.
-
-    Off the sphere this gradient differs from that of the projector form
-    tr(Q W^2) - tr(Q W Q W); on the sphere F and the tangential part agree."""
-    b, n = v_batch.shape
-    j = 0.5 * ((v_batch[:, :, None] * v_batch[:, None, :]).reshape(b, -1) @ u)
-    mv = v_batch @ m
-    f = 0.5 * np.einsum("bi,bi->b", mv, v_batch) - np.einsum("bi,bi->b", j, j)
-    dj = (j @ u.T).reshape(b, n, n)
-    grad = mv - 2.0 * np.einsum("bpi,bi->bp", dj, v_batch)
-    return f, grad
+def _residual_eval(form, v_batch):
+    """F per row v and its ambient gradient 4 C(v, v, v, .)."""
+    c, a, b = form
+    cvv = ((v_batch[:, a] * v_batch[:, b]) @ c).reshape(v_batch.shape + (-1,))
+    cvvv = np.einsum("bcd,bc->bd", cvv, v_batch)
+    return np.einsum("bd,bd->b", cvvv, v_batch), 4.0 * cvvv
 
 
 def _residual_batch(w, v_batch):
-    return _residual_batch_quartic(*_residual_quartic(w, v_batch.shape[1]), v_batch)
+    return _residual_eval(_residual_form(w, v_batch.shape[1]), v_batch)
 
 
 def eigenflag_residual(op: CurvatureOperator, v) -> float:
@@ -154,10 +163,9 @@ def eigenflag_residual(op: CurvatureOperator, v) -> float:
     return max(float(f[0]), 0.0)  # cancellation can leave a tiny negative
 
 
-def _eigen_candidate_starts(w, n):
-    """Factor (near-)simple eigenvectors of W into plane vectors; these are
-    high-quality starting points for the flag search."""
-    _, vecs = np.linalg.eigh(w)
+def _eigen_candidate_starts(vecs, n):
+    """Factor (near-)simple eigenvectors of W (columns of ``vecs``) into
+    plane vectors; these are high-quality starting points for the flag search."""
     i, j = np.array(lex_pairs(n)).T
     a = np.zeros((vecs.shape[1], n, n))
     a[:, i, j] = vecs.T
@@ -166,7 +174,7 @@ def _eigen_candidate_starts(w, n):
     return u[:, :, :2].transpose(0, 2, 1).reshape(-1, n)
 
 
-def _minimize_residual(w, n, config):
+def _minimize_residual(w, n, config, vecs):
     """Multi-start projected gradient descent on the sphere.
 
     Returns (best residual, best v, iterations used, converged flag).
@@ -177,16 +185,21 @@ def _minimize_residual(w, n, config):
     """
     rng = np.random.default_rng(config.seed)
     starts = rng.standard_normal((config.starts, n))
-    v = np.vstack([starts, _eigen_candidate_starts(w, n)])
+    v = np.vstack([starts, _eigen_candidate_starts(vecs, n)])
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
 
-    scale = max(np.linalg.norm(w) ** 2, 1e-300)
+    mantissa, e = math.frexp(np.linalg.norm(w))  # search W / 2^e: exact, no underflow
+    scale = mantissa**2
     accept = config.tol_rel * scale
     band_top = accept * config.inconclusive_factor
-    m, u = _residual_quartic(w, n)
+    gtol_sq = (config.grad_tol * scale) ** 2
+    form = _residual_form(w * math.ldexp(1.0, -e), n)
 
-    f, grad = _residual_batch_quartic(m, u, v)
-    rgrad = grad - np.einsum("bi,bi->b", grad, v)[:, None] * v
+    def evaluate(x):  # F and its gradient along the sphere (v . grad F = 4 F)
+        fx, grad = _residual_eval(form, x)
+        return fx, grad - 4.0 * fx[:, None] * x
+
+    f, rgrad = evaluate(v)
     step = np.full(v.shape[0], 0.5 / scale)
     active = np.ones(v.shape[0], dtype=bool)
     it = 0
@@ -194,8 +207,7 @@ def _minimize_residual(w, n, config):
     stall = 0
     while it < config.max_iter and active.any():
         it += 1
-        gn = np.linalg.norm(rgrad, axis=1)
-        active &= gn > config.grad_tol * scale
+        active &= np.einsum("bi,bi->b", rgrad, rgrad) > gtol_sq
         active &= step > 1e-18 / scale
         if not active.any():
             break
@@ -216,23 +228,18 @@ def _minimize_residual(w, n, config):
                 best_hist = fmin
             if stall >= 30 and it >= 60:
                 break
-        idx = np.flatnonzero(active)
+        idx = slice(None) if active.all() else np.flatnonzero(active)  # whole batch, or gather
         trial = v[idx] - step[idx, None] * rgrad[idx]
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        ft, gradt = _residual_batch_quartic(m, u, trial)
+        ft, rgt = evaluate(trial)
         improved = ft <= f[idx]
-        take = idx[improved]
-        step[take] *= 1.3
-        step[idx[~improved]] *= 0.4
-        v[take] = trial[improved]
-        f[take] = ft[improved]
-        grad[take] = gradt[improved]
-        rgrad[take] = grad[take] - np.einsum(
-            "bi,bi->b", grad[take], v[take]
-        )[:, None] * v[take]
+        step[idx] *= np.where(improved, 1.3, 0.4)
+        v[idx] = np.where(improved[:, None], trial, v[idx])
+        f[idx] = np.where(improved, ft, f[idx])
+        rgrad[idx] = np.where(improved[:, None], rgt, rgrad[idx])
     best = int(np.argmin(f))
-    gn = np.linalg.norm(rgrad[best])
-    return max(float(f[best]), 0.0), v[best].copy(), it, bool(gn <= config.grad_tol * scale)
+    converged = bool(rgrad[best] @ rgrad[best] <= gtol_sq)
+    return max(math.ldexp(float(f[best]), 2 * e), 0.0), v[best].copy(), it, converged
 
 
 def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = None) -> ObstructionReport:
@@ -257,7 +264,8 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
         "grad_tol": config.grad_tol,
         "inconclusive_factor": config.inconclusive_factor,
     }
-    eigen_data = {"eigenvalues": np.linalg.eigvalsh(w)}
+    vals, vecs = np.linalg.eigh(w)
+    eigen_data = {"eigenvalues": vals}
     if wnorm == 0.0:
         return ObstructionReport(
             dim=op.dim,
@@ -293,7 +301,7 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
                 ),
             )
 
-    fmin, vbest, iters, converged = _minimize_residual(w, op.dim, config)
+    fmin, vbest, iters, converged = _minimize_residual(w, op.dim, config, vecs)
     rel = fmin / wnorm**2
     threshold = config.tol_rel
     if rel <= threshold:
@@ -307,7 +315,7 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
         )
     else:
         verdict = False
-        note = f"minimum residual {fmin:.3e} over {config.starts} starts. " + _FAIL_NOTE
+        note = f"minimum residual {fmin:.3e} over {config.starts + 2 * len(vecs)} starts. " + _FAIL_NOTE
     return ObstructionReport(
         dim=op.dim,
         test="eigenflag",

@@ -193,7 +193,7 @@ class PulledBackMetric:
         return dataclasses.replace(self, bump=np.asarray(coeffs, dtype=float), radius=radius, name=name)
 
     def _cutoff_bounds(self):
-        return (self.radius / 2.0) ** 2, self.radius**2
+        return (0.5 * self.radius) * (0.5 * self.radius), self.radius * self.radius  # inf, not OverflowError
 
     def _bump_jets(self, points):
         """Order-3 jets (N, pairs, size) of bump_ij * phi at the points.
@@ -343,6 +343,8 @@ def _grid_points(n, radius):
 
 def _check_positivity(metric, points):
     g = metric.eval_matrix_many(points)
+    if not np.isfinite(g).all():
+        raise DomainError("perturbed metric is not finite on the positivity grid; shrink the radius")
     w = np.linalg.eigvalsh(g)
     worst = int(np.argmin(w[:, 0]))
     if w[worst, 0] <= 0.0:

@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lcwcheck.catalog import random_metric_near_flat, random_polynomial
+
+# Under CI every hypothesis test draws the same examples on every run, so a
+# fuzz failure there reproduces instead of coming and going.
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -242,11 +242,34 @@ def test_check_unknown_source_exit_2():
         ("check", "--metric", "nil", "--point", "inf,0,0"),
         ("perturb", "--metric", "nil", "--target", "random", "--amplitude", "nan", "--out", os.devnull),
         ("perturb", "--metric", "nil", "--target", "random", "--amplitude", "inf", "--out", os.devnull),
+        ("check", "--metric", "product4_nil", "--seed", "-1"),
+        ("perturb", "--metric", "nil", "--target", "random", "--seed", "-1", "--out", os.devnull),
+        ("weyl-space", "--dim", "5", "sample", "--seed", "-1"),
+        ("check", "--metric", "sol", "--starts", "100001"),
     ],
 )
 def test_invalid_options_exit_2(args):
     r = invoke(*args)
     assert r.exit_code == 2
+    assert r.stdout == ""
+
+
+def test_fail_note_counts_random_and_eigenvector_starts(tmp_path):
+    # --starts random starts plus n(n-1) from the eigenvectors: 0 + 20 in dim 5
+    from lcwcheck.catalog import random_metric_near_flat
+    from lcwcheck.dsl import metric_to_text
+
+    src = tmp_path / "d5.metric"
+    src.write_text(metric_to_text(random_metric_near_flat(5, np.random.default_rng(5))))
+    r = invoke("check", "--metric", str(src), "--starts", "0")
+    assert r.exit_code == 10
+    assert "over 20 starts" in strict_json(r.stdout)["note"]
+
+
+def test_huge_perturb_radius_exit_3():
+    # the bump overflows on the positivity grid: an evaluation error, not a traceback
+    r = invoke("perturb", "--metric", "nil", "--target", "random", "--radius", "1e300", "--out", os.devnull)
+    assert r.exit_code == 3
     assert r.stdout == ""
 
 

@@ -14,7 +14,7 @@ from lcwcheck.bivectors import (
     rotate_operator,
     sample_eigenflag_params,
 )
-from lcwcheck.catalog import cp2_curvature, get_entry
+from lcwcheck.catalog import cp2_curvature, get_entry, random_metric_near_flat
 from lcwcheck.errors import DimensionError, PreconditionViolation
 from lcwcheck.obstructions import (
     ObstructionConfig,
@@ -25,8 +25,8 @@ from lcwcheck.obstructions import (
     eigenflag_test,
     plane_from_traceless_degenerate,
 )
-from lcwcheck.obstructions import _residual_batch
-from lcwcheck.pipeline import compute_snapshot
+from lcwcheck.obstructions import _minimize_residual, _residual_batch, _residual_form
+from lcwcheck.pipeline import JetPipeline, compute_snapshot
 
 
 def _random_rotation(n, rng):
@@ -118,6 +118,167 @@ def test_residual_closed_form_matches_projector_form(rng, n):
             fd = (_projector_residual(w, np.cos(h) * x + np.sin(h) * t)
                   - _projector_residual(w, np.cos(h) * x - np.sin(h) * t)) / (2 * h)
             assert abs(g @ t - fd) <= 1e-8 * scale
+
+
+def test_residual_form_gradient_and_hessian(rng):
+    """The form's ambient gradient 4 C(v, v, v, .) and Hessian
+    12 C(v, v, ., .) against central differences of the projector form
+    along great circles: d/dh F = grad . t and d^2/dh^2 F = t^T H t - v . grad
+    at h = 0 for a unit tangent t.  Along v, grad . v = 4 F (Euler)."""
+    for n in (4, 5, 6):
+        for op in (random_weyl_operator(n, rng), phi_map(sample_eigenflag_params(n, rng))):
+            w = op.mat
+            scale = np.linalg.norm(w) ** 2
+            c, a, b = _residual_form(w, n)
+            v = rng.standard_normal((5, n))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            f, grad = _residual_batch(w, v)
+            for x, fx, g in zip(v, f, grad):
+                hess = 12.0 * ((x[a] * x[b]) @ c).reshape(n, n)
+                assert np.abs(hess - hess.T).max() <= 1e-13 * scale
+                assert abs(g @ x - 4.0 * fx) <= 1e-13 * scale
+                t = rng.standard_normal(n)
+                t -= (t @ x) * x
+                t /= np.linalg.norm(t)
+                fp, f0, fm = (_projector_residual(w, np.cos(h) * x + np.sin(h) * t) for h in (1e-4, 0.0, -1e-4))
+                assert abs(g @ t - (fp - fm) / 2e-4) <= 1e-7 * scale
+                assert abs(t @ hess @ t - g @ x - (fp - 2.0 * f0 + fm) / 1e-8) <= 1e-5 * scale
+
+
+# The search as it stood with the two-GEMM quartic F = 1/2 v^T M v - ||J_v||^2
+# and gathered steps; the Sym^2 form must reproduce its verdicts, its "fails"
+# minima and its iteration counts.
+
+
+def _ref_quartic(w, n):
+    from lcwcheck.bivectors import operator_to_0_4
+
+    t = operator_to_0_4(CurvatureOperator(dim=n, mat=w))
+    tm = t.transpose(2, 0, 1, 3).reshape(n, -1)
+    u = t.transpose(1, 2, 0, 3) + t.transpose(2, 1, 0, 3)
+    return tm @ tm.T, u.reshape(n * n, n * n)
+
+
+def _ref_batch_quartic(m, u, v_batch):
+    b, n = v_batch.shape
+    j = 0.5 * ((v_batch[:, :, None] * v_batch[:, None, :]).reshape(b, -1) @ u)
+    mv = v_batch @ m
+    f = 0.5 * np.einsum("bi,bi->b", mv, v_batch) - np.einsum("bi,bi->b", j, j)
+    dj = (j @ u.T).reshape(b, n, n)
+    grad = mv - 2.0 * np.einsum("bpi,bi->bp", dj, v_batch)
+    return f, grad
+
+
+def _ref_eigen_candidate_starts(w, n):
+    _, vecs = np.linalg.eigh(w)
+    i, j = np.array(lex_pairs(n)).T
+    a = np.zeros((vecs.shape[1], n, n))
+    a[:, i, j] = vecs.T
+    a[:, j, i] = -vecs.T
+    u = np.linalg.svd(a)[0]
+    return u[:, :, :2].transpose(0, 2, 1).reshape(-1, n)
+
+
+def _ref_minimize_residual(w, n, config):
+    rng = np.random.default_rng(config.seed)
+    starts = rng.standard_normal((config.starts, n))
+    v = np.vstack([starts, _ref_eigen_candidate_starts(w, n)])
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    scale = max(np.linalg.norm(w) ** 2, 1e-300)
+    accept = config.tol_rel * scale
+    band_top = accept * config.inconclusive_factor
+    m, u = _ref_quartic(w, n)
+    f, grad = _ref_batch_quartic(m, u, v)
+    rgrad = grad - np.einsum("bi,bi->b", grad, v)[:, None] * v
+    step = np.full(v.shape[0], 0.5 / scale)
+    active = np.ones(v.shape[0], dtype=bool)
+    it = 0
+    best_hist = float(f.min())
+    stall = 0
+    while it < config.max_iter and active.any():
+        it += 1
+        gn = np.linalg.norm(rgrad, axis=1)
+        active &= gn > config.grad_tol * scale
+        active &= step > 1e-18 / scale
+        if not active.any():
+            break
+        fmin = float(f.min())
+        if fmin <= 0.3 * accept:
+            keep = np.zeros_like(active)
+            keep[int(np.argmin(f))] = True
+            active &= keep
+            if fmin <= 1e-6 * accept:
+                break
+        elif fmin > 100.0 * band_top:
+            if best_hist - fmin <= 1e-4 * best_hist:
+                stall += 1
+            else:
+                stall = 0
+                best_hist = fmin
+            if stall >= 30 and it >= 60:
+                break
+        idx = np.flatnonzero(active)
+        trial = v[idx] - step[idx, None] * rgrad[idx]
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        ft, gradt = _ref_batch_quartic(m, u, trial)
+        improved = ft <= f[idx]
+        take = idx[improved]
+        step[take] *= 1.3
+        step[idx[~improved]] *= 0.4
+        v[take] = trial[improved]
+        f[take] = ft[improved]
+        grad[take] = gradt[improved]
+        rgrad[take] = grad[take] - np.einsum("bi,bi->b", grad[take], v[take])[:, None] * v[take]
+    best = int(np.argmin(f))
+    gn = np.linalg.norm(rgrad[best])
+    return max(float(f[best]), 0.0), v[best].copy(), it, bool(gn <= config.grad_tol * scale)
+
+
+def _near_flat_weyl(n, rng):
+    pl = JetPipeline(random_metric_near_flat(n, rng), rng.uniform(-0.2, 0.2, n))
+    return operator_from_0_4(pl.weyl(), g=pl.g)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_minimize_residual_matches_reference_search(rng, n):
+    config = ObstructionConfig()
+    ops = [random_weyl_operator(n, rng) for _ in range(3)]
+    ops += [phi_map(sample_eigenflag_params(n, rng)) for _ in range(3)]
+    ops += [_near_flat_weyl(n, rng) for _ in range(3)]
+    fails = 0
+    for i, op in enumerate(ops):
+        w = op.mat
+        scale = np.linalg.norm(w) ** 2
+        config.seed = i
+        ref = _ref_minimize_residual(w.copy(), n, config)
+        new = _minimize_residual(w.copy(), n, config, np.linalg.eigh(w)[1])
+        band = config.tol_rel * scale
+        assert (new[0] <= band) == (ref[0] <= band)
+        assert (new[0] <= config.inconclusive_factor * band) == (ref[0] <= config.inconclusive_factor * band)
+        if ref[0] > config.inconclusive_factor * band:
+            fails += 1
+            assert abs(new[0] - ref[0]) <= 1e-14 * scale
+            assert new[2] == ref[2]
+    assert fails >= 6  # random and near-flat operators have no flag
+
+
+def test_eigenflag_search_is_scale_free(rng):
+    """W and 2^-300 W (norm about 1e-90, squared gradient norms far below
+    the smallest float) take the same search: same verdict and iterations,
+    residual scaled by 2^-600."""
+    for op in (random_weyl_operator(5, rng), phi_map(sample_eigenflag_params(5, rng))):
+        tiny = CurvatureOperator(dim=5, mat=np.ldexp(op.mat, -300))
+        a, b = eigenflag_test(op), eigenflag_test(tiny)
+        assert a.verdict == b.verdict
+        assert a.note.split("(")[-1] == b.note.split("(")[-1]  # iterations, converged
+        assert abs(np.ldexp(a.residual, -600) - b.residual) <= 1e-12 * np.linalg.norm(tiny.mat) ** 2
+
+
+def test_eigenflag_fail_note_counts_every_start(rng):
+    for n, starts in ((5, 0), (5, 64), (6, 64)):
+        report = eigenflag_test(random_weyl_operator(n, rng), ObstructionConfig(starts=starts))
+        assert report.verdict is False
+        assert f"over {starts + n * (n - 1)} starts" in report.note
 
 
 def test_residual_dim3_rejected():
