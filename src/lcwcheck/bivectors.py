@@ -112,16 +112,24 @@ def operator_from_0_4(r4, g=None, tol=1e-8) -> CurvatureOperator:
     return CurvatureOperator(dim=n, mat=_lex_pair_matrix(r4))
 
 
+@lru_cache(maxsize=None)
+def _0_4_gather(n):
+    """Index table (n, n, n, n) into [mat.ravel(), -mat.ravel(), 0]: the
+    entry of each (0,4) component, or the 0 past both where i = j or
+    k = l."""
+    m = bivector_dim(n)
+    table = np.full((n, n, n, n), 2 * m * m)
+    a, b, k, l = _pair_grid(n)
+    at = np.arange(m * m).reshape(m, m)
+    table[a, b, k, l] = table[b, a, l, k] = at
+    table[b, a, k, l] = table[a, b, l, k] = at + m * m
+    return table
+
+
 def operator_to_0_4(op: CurvatureOperator) -> np.ndarray:
     """(0,4) components in the orthonormal frame, extended by symmetry."""
-    n = op.dim
-    a, b, k, l = _pair_grid(n)
-    r4 = np.zeros((n, n, n, n))
-    r4[a, b, k, l] = op.mat
-    r4[b, a, k, l] = -op.mat
-    r4[a, b, l, k] = -op.mat
-    r4[b, a, l, k] = op.mat
-    return r4
+    flat = op.mat.ravel()
+    return np.concatenate([flat, -flat, [0.0]])[_0_4_gather(op.dim)]
 
 
 def hodge_star_matrix(g=None, orientation=1, dim=None):

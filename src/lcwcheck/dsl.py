@@ -15,11 +15,30 @@ u >= u1, joined by a degree-7 spline.  Its last two arguments must be
 number literals.  Perturbed metrics use it to stay serializable.
 
 Every walk over an expression (variable scans, substitution, printing,
-evaluation) is iterative, so nesting depth is limited by memory, not by the
-Python stack; only the parser recurses, and it reports nesting past the
-recursion limit as a ParseError.  Evaluation makes one pass over the DAG of
-all requested expressions (shared subtrees once) for a whole batch of
-points, either numerically or as order-3 jets.
+compilation) is iterative, so nesting depth is limited by memory, not by
+the Python stack; only the parser recurses, and it reports nesting past
+the recursion limit as a ParseError.
+
+Evaluation compiles the DAG of the requested expressions (shared subtrees
+once) into a program, then runs it on a batch of points, either as numbers
+or as order-3 jets.  Compiling folds every constant subtree (in each mode
+the way that mode computes it: in jets a constant a / b is a * (1 / b)),
+gives each coordinate x_k one buffer slot, and groups the other nodes by
+depth and by operation.  A run makes one numpy call per group over a
+(nodes, points[, coefficients]) buffer: one jet product for every jet x jet
+product of a depth, one coordinate product (``JetSpace.mul_coordinate``)
+for every product by a bare x_k, one ``jet_apply`` per function, and so
+on.  A ``MetricDef`` compiles its entries on first evaluation and keeps
+the program on the instance, outside the fields, for every later call;
+a ``PulledBackMetric`` evaluates through its base's program.  The program
+holds integer index arrays and the folded constants, no expression nodes.
+
+The bits are those of evaluating the nodes one by one: each node runs the
+same floating-point operations on the same operands, only many nodes at
+a time, and a jet product sums each slot in a fixed order whatever the
+batch.  A constant operand enters as the node-by-node evaluation had it:
+a float in jets, which shifts or scales, and in numbers a value combined
+elementwise, as a full array of it would be.
 
 Metric files are plain text: a `dim = n` header, optional `name = "..."`
 and `chart = "..."` lines, then `g<i><j> = <expression>` entries with
@@ -42,11 +61,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .jets import Jet3, jet_add, jet_apply, jet_inverse, jet_mul, jet_power, jet_space
+from .jets import Jet3, jet_add, jet_apply, jet_inverse, jet_power, jet_space
 
 UNARY_FUNCS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 
@@ -185,16 +205,8 @@ def _smoothstep_down(t):
     return 1.0 - t**4 * (35.0 + t * (-84.0 + t * (70.0 - t * 20.0)))
 
 
-def _jet_array(v, shape):
-    """A jet value as a coefficient array of ``shape`` (constants are floats)."""
-    if not isinstance(v, float):
-        return v
-    out = np.zeros(shape)
-    out[..., 0] = v
-    return out
-
-
 def _smoothbump_jet(space, u, u0, u1):
+    """smoothbump of the jets ``u`` (N, size)."""
     uc = u[:, 0]
     out = np.zeros_like(u)
     # flat plateau: the C^3 junction makes the order-3 jet constant there
@@ -205,57 +217,250 @@ def _smoothbump_jet(space, u, u0, u1):
     return out
 
 
-def _evaluate(roots, points, jets):
-    """Values of the expressions ``roots`` at the (N, dim) ``points``, in one
-    pass over their shared DAG: arrays (N,) of numbers, or with ``jets``
-    order-3 jets (floats for constants, else coefficient arrays (N, size))."""
-    npts, dim = points.shape
+# operations of a compiled program: "s" operands are buffer slots, "c" ones
+# constants (stored as ~index), "x" ones the slots of coordinates
+(
+    _ADD,  # s + s
+    _SUB,  # s - s
+    _ADDC,  # s + c
+    _CSUB,  # c - s
+    _NEG,  # -s
+    _SCALE,  # s * c
+    _DIVC,  # s / c
+    _MUL,  # s * s
+    _COORD,  # s * x
+    _DIV,  # s / s
+    _CDIV,  # c / s
+    _POW,  # s ^ param
+    _CALL,  # UNARY_FUNCS[param](s)
+    _BUMP,  # smoothbump(s, c[param], c[param + 1])
+    _LIFT,  # c, as a slot
+) = range(15)
+
+
+def _fold(e, args, jets):
+    """Value of the constant node ``e`` from its children's values
+    ``args``, as evaluation in that mode computes it.  Constants are floats
+    in both: +, -, * and negation round alike on floats and on arrays; in
+    numbers the rest runs on a one-element array, as on a batch."""
+    t, a = type(e), args[0]
+    if t is Add:
+        return a + args[1]
+    if t is Sub:
+        return a - args[1]
+    if t is Mul:
+        return a * args[1]
+    if t is Neg:
+        return -a
     if jets:
-        space = jet_space(dim)
-        lifted = space.lift(points)
-    values = {}
-    for e in _walk(roots):
-        t = type(e)
-        if t is Num:
-            v = float(e.value) if jets else np.full(npts, e.value)
-        elif t is Var:
-            if e.index >= dim:
-                raise DomainError(f"variable x{e.index + 1} out of range for dim {dim}")
-            v = lifted[e.index] if jets else points[:, e.index]
-        elif t in _BINARY:
-            a, b = values[id(e.a)], values[id(e.b)]
-            if t is Add:
-                v = jet_add(a, b) if jets else a + b
-            elif t is Sub:
-                v = jet_add(a, -b) if jets else a - b
-            elif t is Mul:
-                v = jet_mul(space, a, b) if jets else a * b
-            elif jets:
-                v = jet_mul(space, a, jet_inverse(space, b))
-            elif np.any(b == 0.0):
-                raise DomainError("division by zero")
+        if t is Div:
+            return a * jet_inverse(None, args[1])
+        return jet_power(None, a, e.exponent) if t is Pow else jet_apply(None, e.func, a)
+    if t is Div:
+        if args[1] == 0.0:
+            raise DomainError("division by zero")
+        return a / args[1]
+    if t is Pow:
+        return float((np.array([a]) ** e.exponent)[0])
+    if e.func in ("log", "sqrt") and a <= 0.0:
+        raise DomainError(f"{e.func} of nonpositive value")
+    return float(getattr(np, e.func)(np.array([a]))[0])
+
+
+class _Program:
+    """The expressions ``roots`` compiled for evaluation at batches of
+    points, in jets or in numbers (see the module docstring).
+
+    The buffer holds the coordinates ``vars`` in its first slots, then
+    one slot per node computed at run time.  ``table`` has one row (op,
+    param, lo, hi) per group of nodes of one depth and one operation,
+    which write slots lo..hi-1 from operands ``a[lo:hi]`` and ``b[lo:hi]``
+    (slots, or constants as ~index, by operation).  ``consts`` holds each
+    constant operand as (jet value, numeric value), ``errors`` the
+    DomainError message, if any, that folding the constants raised in
+    each mode, and ``roots`` the slot of each root.  ``width`` is the
+    least point width that covers ``vars``."""
+
+    __slots__ = ("vars", "width", "table", "a", "b", "consts", "roots", "errors")
+
+    def __init__(self, roots):
+        slot, folded, var_slot = {}, {}, {}  # by id: slot, (jet, numeric) value; by index: slot
+        levels, groups = [], {}  # per provisional slot; (level, op, param) -> (slots, a, b)
+        consts, bounds, errors = [], {}, [None, None]
+
+        def emit(op, param, a, b, level):
+            levels.append(level)
+            group = groups.get((level, op, param))
+            if group is None:
+                group = groups[level, op, param] = ([], [], [])
+            group[0].append(len(levels) - 1)
+            group[1].append(a)
+            group[2].append(b)
+            return len(levels) - 1
+
+        def const(pair):
+            consts.append(pair)
+            return -len(consts)  # ~index
+
+        def fold(e, children):
+            pair = []
+            for mode, jets in enumerate((True, False)):
+                try:
+                    pair.append(_fold(e, [folded[c][mode] for c in children], jets))
+                except DomainError as exc:  # raised when this mode runs
+                    errors[mode] = errors[mode] or str(exc)
+                    pair.append(math.nan)
+            folded[id(e)] = tuple(pair)
+
+        for e in _walk(roots):
+            t, key = type(e), id(e)
+            if t is Num:
+                folded[key] = (float(e.value),) * 2
+            elif t is Var:
+                if e.index not in var_slot:
+                    var_slot[e.index] = len(levels)
+                    levels.append(0)
+                slot[key] = var_slot[e.index]
+            elif t in _BINARY:
+                a, b = id(e.a), id(e.b)
+                if a in folded and b in folded:
+                    fold(e, [a, b])
+                elif a in folded:
+                    sb = slot[b]
+                    left = _ADDC if t is Add else _CSUB if t is Sub else _SCALE if t is Mul else _CDIV
+                    slot[key] = emit(left, 0, sb, const(folded[a]), levels[sb] + 1)
+                elif b in folded:
+                    sa, c = slot[a], folded[b]
+                    if t is Sub:
+                        t, c = Add, (-c[0], -c[1])  # a - c as a + (-c): the same bits
+                    right = _ADDC if t is Add else _SCALE if t is Mul else _DIVC
+                    slot[key] = emit(right, 0, sa, const(c), levels[sa] + 1)
+                else:
+                    sa, sb = slot[a], slot[b]
+                    if t is Mul and type(e.b) is Var:
+                        slot[key] = emit(_COORD, 0, sa, sb, levels[sa] + 1)
+                    elif t is Mul and type(e.a) is Var:
+                        slot[key] = emit(_COORD, 0, sb, sa, levels[sb] + 1)
+                    else:
+                        op = _ADD if t is Add else _SUB if t is Sub else _MUL if t is Mul else _DIV
+                        slot[key] = emit(op, 0, sa, sb, max(levels[sa], levels[sb]) + 1)
+            elif t is Call and e.func == "smoothbump":
+                # never folded: evaluation makes its jet an array, as it
+                # does for every node that depends on the point
+                u = id(e.args[0])
+                u = emit(_LIFT, 0, const(folded[u]), 0, 0) if u in folded else slot[u]
+                bound = (float(e.args[1].value), float(e.args[2].value))
+                if bound not in bounds:  # c[param], c[param + 1]
+                    bounds[bound] = len(consts)
+                    consts += [(bound[0],) * 2, (bound[1],) * 2]
+                slot[key] = emit(_BUMP, bounds[bound], u, 0, levels[u] + 1)
             else:
-                v = a / b
-        elif t is Pow:
-            a = values[id(e.base)]
-            v = jet_power(space, a, e.exponent) if jets else a**e.exponent
-        elif t is Neg:
-            v = -values[id(e.a)]
-        elif e.func == "smoothbump":
-            u, u0, u1 = values[id(e.args[0])], e.args[1].value, e.args[2].value
-            if jets:
-                v = _smoothbump_jet(space, _jet_array(u, lifted.shape[1:]), u0, u1)
-            else:
-                v = _smoothstep_down(np.clip((u - u0) / (u1 - u0), 0.0, 1.0))
-        elif jets:
-            v = jet_apply(space, e.func, values[id(e.args[0])])
-        else:
-            x = values[id(e.args[0])]
-            if e.func in ("log", "sqrt") and np.any(x <= 0.0):
-                raise DomainError(f"{e.func} of nonpositive value")
-            v = getattr(np, e.func)(x)
-        values[id(e)] = v
-    return [values[id(r)] for r in roots]
+                a = id(e.base if t is Pow else e.a if t is Neg else e.args[0])
+                if t is Pow and e.exponent == 0:
+                    folded[key] = (1.0, 1.0)  # x^0 is the constant 1 in both modes
+                elif a in folded:
+                    fold(e, [a])
+                else:
+                    op, param = (_POW, e.exponent) if t is Pow else (_NEG, 0) if t is Neg else (_CALL, UNARY_FUNCS.index(e.func))
+                    slot[key] = emit(op, param, slot[a], 0, levels[slot[a]] + 1)
+        root_slots = [emit(_LIFT, 0, const(folded[id(r)]), 0, 0) if id(r) in folded else slot[id(r)] for r in roots]
+
+        # lay out: the coordinates, then each group's slots, by level
+        outs, table = list(var_slot.values()), []
+        first, second = [0] * len(outs), [0] * len(outs)
+        for key in sorted(groups):
+            group = groups[key]
+            table.append((key[1], key[2], len(outs), len(outs) + len(group[0])))
+            outs += group[0]
+            first += group[1]
+            second += group[2]
+        final = np.empty(len(outs) + len(consts), dtype=np.int32)  # provisional slot -> slot
+        final[outs] = np.arange(len(outs))
+        final[len(outs) :] = np.arange(-len(consts), 0)  # a constant's ~index is kept
+        operands = final[first + second + root_slots]
+        n = len(outs)
+        self.a, self.b, self.roots = operands[:n], operands[n : 2 * n], operands[2 * n :]
+        self.table = np.array(table, dtype=np.int64).reshape(-1, 4)
+        self.vars = np.array(list(var_slot), dtype=np.int64)
+        self.width = max(var_slot, default=-1) + 1
+        self.consts = np.array(consts, dtype=float).reshape(-1, 2)
+        self.errors = tuple(errors)
+
+    def run(self, points, jets):
+        """Values of the roots at the (N, width) ``points``: jets
+        (roots, N, size) or numbers (roots, N)."""
+        npts, width = points.shape
+        if jets:
+            space = jet_space(width)
+        if self.width > width:
+            raise DomainError(f"variable x{self.width} out of range for dim {width}")
+        if self.errors[not jets]:
+            raise DomainError(self.errors[not jets])
+        c = self.consts[:, 0 if jets else 1]
+        buf = np.empty((len(self.a), npts, space.size) if jets else (len(self.a), npts))
+        buf[: len(self.vars)] = space.lift(points)[self.vars] if jets else points.T[self.vars]
+        column = (-1,) + (1,) * (buf.ndim - 1)  # a constant per row of a group
+        for op, param, lo, hi in self.table.tolist():
+            out, a, b = buf[lo:hi], self.a[lo:hi], self.b[lo:hi]
+            if op == _LIFT:
+                if jets:
+                    out[...] = 0.0
+                    out[..., 0] = c[~a][:, None]
+                else:
+                    out[...] = c[~a][:, None]
+                continue
+            u = buf[a]
+            if op == _ADD:
+                np.add(u, buf[b], out=out)
+            elif op == _SUB:
+                np.subtract(u, buf[b], out=out)
+            elif op == _ADDC or op == _CSUB:
+                if jets:  # the constant shifts the constant term only
+                    np.negative(u, out=out) if op == _CSUB else np.copyto(out, u)
+                    out[..., 0] += c[~b][:, None]
+                elif op == _ADDC:
+                    np.add(u, c[~b].reshape(column), out=out)
+                else:
+                    np.subtract(c[~b].reshape(column), u, out=out)
+            elif op == _NEG:
+                np.negative(u, out=out)
+            elif op == _SCALE:
+                np.multiply(u, c[~b].reshape(column), out=out)
+            elif op == _DIVC:
+                v = c[~b].reshape(column)
+                if np.any(v == 0.0):
+                    raise DomainError("division by a jet with zero constant term" if jets else "division by zero")
+                np.multiply(u, 1.0 / v, out=out) if jets else np.divide(u, v, out=out)
+            elif op == _COORD and jets:
+                out[...] = space.mul_coordinate(u, self.vars[b], buf[b, :, 0])
+            elif op == _MUL or op == _COORD:
+                out[...] = space.mul(u, buf[b]) if jets else u * buf[b]
+            elif op == _DIV or op == _CDIV:
+                num, v = (u, buf[b]) if op == _DIV else (c[~b].reshape(column), u)
+                if jets:
+                    inv = jet_inverse(space, v)
+                    out[...] = space.mul(num, inv) if op == _DIV else num * inv
+                elif np.any(v == 0.0):
+                    raise DomainError("division by zero")
+                else:
+                    np.divide(num, v, out=out)
+            elif op == _POW:
+                out[...] = jet_power(space, u, param) if jets else u**param
+            elif op == _CALL:
+                func = UNARY_FUNCS[param]
+                if jets:
+                    out[...] = jet_apply(space, func, u)
+                elif func in ("log", "sqrt") and np.any(u <= 0.0):
+                    raise DomainError(f"{func} of nonpositive value")
+                else:
+                    getattr(np, func)(u, out=out)
+            else:  # _BUMP
+                u0, u1 = float(c[param]), float(c[param + 1])
+                if jets:
+                    out[...] = _smoothbump_jet(space, u.reshape(-1, space.size), u0, u1).reshape(u.shape)
+                else:
+                    out[...] = _smoothstep_down(np.clip((u - u0) / (u1 - u0), 0.0, 1.0))
+        return buf[self.roots]
 
 
 def eval_expr(e, point) -> Jet3:
@@ -266,10 +471,7 @@ def eval_expr(e, point) -> Jet3:
 def eval_expr_many(exprs, points) -> np.ndarray:
     """Order-3 jets of every expression at an (N, dim) batch of points, as
     an array (len(exprs), N, size) of Taylor coefficients."""
-    points = np.asarray(points, dtype=float)
-    shape = (len(points), jet_space(points.shape[1]).size)
-    values = _evaluate(exprs, points, jets=True)
-    return np.array([_jet_array(v, shape) for v in values]).reshape(len(exprs), *shape)
+    return _Program(exprs).run(np.asarray(points, dtype=float), jets=True)
 
 
 def eval_num(e, point) -> float:
@@ -278,11 +480,8 @@ def eval_num(e, point) -> float:
 
 
 def eval_num_many(e, points) -> np.ndarray:
-    """Vectorized numeric evaluation at an (N, dim) array of points.
-
-    One pass for the whole batch; shared subtrees evaluate once.
-    """
-    return _evaluate([e], np.asarray(points, dtype=float), jets=False)[0]
+    """Vectorized numeric evaluation at an (N, dim) array of points."""
+    return _Program([e]).run(np.asarray(points, dtype=float), jets=False)[0]
 
 
 # --- tokenizer / parser -----------------------------------------------------
@@ -542,31 +741,40 @@ class MetricDef:
         """Numeric metric matrix at ``point``."""
         return self.eval_matrix_many(np.asarray(point, dtype=float)[None, :])[0]
 
+    @cached_property
+    def _program(self):
+        """The upper entries compiled once; kept on the instance, outside
+        the fields, so ``==``, ``hash`` and ``repr`` do not see it."""
+        return _Program([self.components[i][j] for i, j in _upper(self.dim)])
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_program"}
+
     def eval_matrix_many(self, points) -> np.ndarray:
         """(N, dim, dim) numeric metric matrices at an (N, dim) batch of
-        points, in one pass over the components' shared DAG."""
-        points = np.asarray(points, dtype=float)
-        pairs = _upper(self.dim)
-        values = _evaluate([self.components[i][j] for i, j in pairs], points, jets=False)
-        g = np.empty((points.shape[0], self.dim, self.dim))
-        for (i, j), v in zip(pairs, values):
-            g[:, i, j] = g[:, j, i] = v
-        return g
+        points."""
+        values = self._program.run(np.asarray(points, dtype=float), jets=False)
+        return values.T[:, _pair_index(self.dim)]
 
     def eval_jets(self, point):
         """dim x dim list-of-lists of Jet3 (shared upper/lower entries)."""
         point = np.asarray(point, dtype=float)
-        pairs = _upper(self.dim)
-        coeffs = eval_expr_many([self.components[i][j] for i, j in pairs], point[None])
         space = jet_space(len(point))
-        out = [[None] * self.dim for _ in range(self.dim)]
-        for (i, j), c in zip(pairs, coeffs):
-            out[i][j] = out[j][i] = Jet3(space, c[0])
-        return out
+        jets = [Jet3(space, c[0]) for c in self._program.run(point[None], jets=True)]
+        return [[jets[p] for p in row] for row in _pair_index(self.dim).tolist()]
 
 
 def _upper(dim):
     return [(i, j) for i in range(dim) for j in range(i, dim)]
+
+
+@lru_cache(maxsize=None)
+def _pair_index(dim):
+    """(dim, dim) array: the position of (i, j) among the upper pairs."""
+    out = np.empty((dim, dim), dtype=int)
+    for p, (i, j) in enumerate(_upper(dim)):
+        out[i, j] = out[j, i] = p
+    return out
 
 
 def _same(a, b):

@@ -41,7 +41,7 @@ from .bivectors import (
     pm_split,
 )
 from .dsl import MetricDef
-from .errors import DimensionError, PreconditionViolation
+from .errors import DimensionError, DomainError, PreconditionViolation
 from .pipeline import JetPipeline, compute_snapshot, format_json
 
 
@@ -256,7 +256,11 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
         raise DimensionError("eigenflag test needs dim >= 4")
     config = config or ObstructionConfig()
     w = op.mat
-    wnorm = float(np.linalg.norm(w))
+    with np.errstate(over="ignore"):
+        wnorm = float(np.linalg.norm(w))
+    if not math.isfinite(wnorm * wnorm):
+        # the verdict compares the residual with tol_rel * ||W||^2
+        raise DomainError("Weyl operator too large: its squared norm is not a finite number")
     tolerances = {
         "tol_rel": config.tol_rel,
         "starts": config.starts,

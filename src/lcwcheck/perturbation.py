@@ -45,6 +45,7 @@ from .dsl import (
     Num,
     Pow,
     Var,
+    _pair_index,
     _smoothbump_jet,
     _smoothstep_down,
     substitute,
@@ -93,33 +94,36 @@ def _poly_taylor(coeffs, points, jets=True):
     The coefficient of t^alpha (|alpha| = j) in c_d(y + t, ...) is
     C(d, j) j!/alpha! c_d(alpha, y, ..., y).  Each contraction sums one
     axis of length n in a fixed order, so a point's bits do not depend on
-    its batch."""
+    its batch.
+
+    Overflow gives inf or nan quietly: callers check finiteness."""
     points = np.asarray(points, dtype=float)
     npts, n = points.shape
     table = _monomials(n)
     out = None
-    for d, c in enumerate(coeffs):
-        if c is None:
-            continue
-        t = np.asarray(c, dtype=float)[None]
-        if out is None:
-            lead = t.shape[1 : t.ndim - d]
-            out = np.zeros((npts, *lead, jet_space(n).size) if jets else (npts, *lead))
-        for j in range(d, -1, -1):
-            if j == 0:
-                if jets:
-                    out[..., 0] += t
-                else:
-                    out += t
-            elif jets and j <= 3:
-                slots, idx, mult = table[j]
-                out[..., slots] += math.comb(d, j) * mult * t[(..., *idx)]
-            if j:
-                y = points.reshape(npts, *[1] * (t.ndim - 2), n)
-                acc = t[..., 0] * y[..., 0]
-                for k in range(1, n):
-                    acc += t[..., k] * y[..., k]
-                t = acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d, c in enumerate(coeffs):
+            if c is None:
+                continue
+            t = np.asarray(c, dtype=float)[None]
+            if out is None:
+                lead = t.shape[1 : t.ndim - d]
+                out = np.zeros((npts, *lead, jet_space(n).size) if jets else (npts, *lead))
+            for j in range(d, -1, -1):
+                if j == 0:
+                    if jets:
+                        out[..., 0] += t
+                    else:
+                        out += t
+                elif jets and j <= 3:
+                    slots, idx, mult = table[j]
+                    out[..., slots] += math.comb(d, j) * mult * t[(..., *idx)]
+                if j:
+                    y = points.reshape(npts, *[1] * (t.ndim - 2), n)
+                    acc = t[..., 0] * y[..., 0]
+                    for k in range(1, n):
+                        acc += t[..., k] * y[..., k]
+                    t = acc
     return out
 
 
@@ -174,8 +178,7 @@ class PulledBackMetric:
     def __post_init__(self):
         n = self.dim
         self._upper = np.array([(i, j) for i in range(n) for j in range(i, n)]).T
-        self._pair = np.empty((n, n), dtype=int)  # (i, j) -> index into the upper pairs
-        self._pair[tuple(self._upper)] = self._pair[tuple(self._upper[::-1])] = np.arange(self._upper.shape[1])
+        self._pair = _pair_index(n)  # (i, j) -> index into the upper pairs
         quad = -0.5 * np.einsum("ia,abc->ibc", self.frame, self.gamma_frame)
         self._x = [self.center, self.frame, quad]  # x(y)
         self._jac = [self.frame, 2.0 * quad]  # J[i, a] = dx^i/dy^a
@@ -209,10 +212,12 @@ class PulledBackMetric:
         return out
 
     def _pullback(self, g, jac, mul):
-        """(J^T g J)_ab on the upper pairs; ``mul`` multiplies entries."""
+        """(J^T g J)_ab on the upper pairs; ``mul`` multiplies entries.
+        Overflow gives inf or nan quietly: callers check finiteness."""
         a, b = self._upper
-        t = mul(g[..., :, :, None, :], jac[..., None, :, :, :]).sum(axis=-3)  # t_ib = g_ij J_jb
-        return mul(jac[..., :, a, :], t[..., :, b, :]).sum(axis=-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = mul(g[..., :, :, None, :], jac[..., None, :, :, :]).sum(axis=-3)  # t_ib = g_ij J_jb
+            return mul(jac[..., :, a, :], t[..., :, b, :]).sum(axis=-3)
 
     def eval_jets(self, point):
         """dim x dim list-of-lists of Jet3 (shared upper/lower entries)."""
@@ -247,16 +252,18 @@ class PulledBackMetric:
 
     def eval_matrix_many(self, points) -> np.ndarray:
         """(N, dim, dim) numeric metric matrices at an (N, dim) batch of
-        points."""
+        points.  Overflow gives inf or nan quietly: the positivity check
+        refuses a metric that is not finite."""
         points = np.asarray(points, dtype=float)
-        g = self.base.eval_matrix_many(_poly_taylor(self._x, points, jets=False))
-        jac = _poly_taylor(self._jac, points, jets=False)
-        out = self._pullback(g[..., None], jac[..., None], np.multiply)[..., 0]
-        if self._bump is not None:
-            u0, u1 = self._cutoff_bounds()
-            r2 = _poly_taylor(self._r2, points, jets=False)
-            phi = _smoothstep_down(np.clip((r2 - u0) / (u1 - u0), 0.0, 1.0))
-            out = out + _poly_taylor(self._bump, points, jets=False) * phi[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.base.eval_matrix_many(_poly_taylor(self._x, points, jets=False))
+            jac = _poly_taylor(self._jac, points, jets=False)
+            out = self._pullback(g[..., None], jac[..., None], np.multiply)[..., 0]
+            if self._bump is not None:
+                u0, u1 = self._cutoff_bounds()
+                r2 = _poly_taylor(self._r2, points, jets=False)
+                phi = _smoothstep_down(np.clip((r2 - u0) / (u1 - u0), 0.0, 1.0))
+                out = out + _poly_taylor(self._bump, points, jets=False) * phi[:, None]
         return out[:, self._pair]
 
     @cached_property
@@ -591,12 +598,13 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
     avec, residuals, rank, _ = np.linalg.lstsq(6.0 * lmat, dc.reshape(-1), rcond=None)
     if rank < 5:
         raise LinearSolveFailure(f"Cotton prescription matrix has rank {rank} < 5")
-    err = np.linalg.norm(6.0 * lmat @ avec - dc.reshape(-1))
-    if err > 1e-9 * max(1.0, np.linalg.norm(dc)):
-        raise LinearSolveFailure(
-            f"Cotton shift not reachable (residual {err:g}); "
-            "the target is not an algebraic Cotton tensor"
-        )
+    with np.errstate(over="ignore"):  # a huge target's norms overflow; positivity then refuses it
+        err = np.linalg.norm(6.0 * lmat @ avec - dc.reshape(-1))
+        if err > 1e-9 * max(1.0, np.linalg.norm(dc)):
+            raise LinearSolveFailure(
+                f"Cotton shift not reachable (residual {err:g}); "
+                "the target is not an algebraic Cotton tensor"
+            )
     cp.coefficients = avec
 
     bumped = chart.metric.with_bump(a_full(avec), cp.radius, f"{chart.metric.name}:bumped")

@@ -30,6 +30,7 @@ from lcwcheck.bivectors import (
     sym_vec,
     weyl_space_basis,
 )
+from lcwcheck.bivectors import _pair_grid
 from lcwcheck.catalog import cp2_curvature
 from lcwcheck.errors import (
     ConstraintViolation,
@@ -130,6 +131,21 @@ def test_pair_gathers_match_loops(n, rng):
         for a, (i, j) in enumerate(pairs):
             b[a, c] = rho[i, k] * rho[j, l] - rho[i, l] * rho[j, k]
     assert np.array_equal(induced_rotation(rho), b)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_operator_to_0_4_matches_the_scatter_version(n, rng):
+    a, b, k, l = _pair_grid(n)
+    for _ in range(5):
+        s = rng.standard_normal((n * (n - 1) // 2,) * 2)
+        s[0, 1] = -0.0
+        op = CurvatureOperator(dim=n, mat=s + s.T)
+        r4 = np.zeros((n, n, n, n))
+        r4[a, b, k, l] = op.mat
+        r4[b, a, k, l] = -op.mat
+        r4[a, b, l, k] = -op.mat
+        r4[b, a, l, k] = op.mat
+        assert np.array_equal(operator_to_0_4(op).view(np.int64), r4.view(np.int64))
 
 
 def test_sym_vec_unvec_match_loops(rng):

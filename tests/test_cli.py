@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,40 @@ def test_huge_perturb_radius_exit_3():
     r = invoke("perturb", "--metric", "nil", "--target", "random", "--radius", "1e300", "--out", os.devnull)
     assert r.exit_code == 3
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "metric, option, value, code",
+    [
+        ("nil", "--radius", "1e200", 3),
+        ("product4_nil", "--radius", "1e200", 3),
+        ("nil", "--amplitude", "1e120", 4),
+        ("product4_nil", "--amplitude", "1e120", 4),
+        ("nil", "--amplitude", "1e154", 4),
+    ],
+)
+def test_huge_perturb_options_exit_without_warnings(metric, option, value, code):
+    # overflow on the positivity grid (or in the Cotton residual) is checked
+    # right after it happens, so numpy has nothing to warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = invoke("perturb", "--metric", metric, "--target", "random", option, value, "--out", os.devnull)
+    assert r.exit_code == code
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_check_weyl_operator_beyond_squared_float_range_exit_3(tmp_path, dim):
+    # |W| above about 1e154: the residual band tol * |W|^2 is not a number
+    src = tmp_path / "huge.metric"
+    entries = ["g11 = 1 + 1e170*x2^2", "g22 = 1 + 1e170*x3*x1"] + [f"g{k}{k} = 1" for k in range(3, dim + 1)]
+    src.write_text(f"dim = {dim}\n" + "\n".join(entries) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = invoke("check", "--metric", str(src), "--point", ",".join(["0"] * dim))
+    assert r.exit_code == 3
+    assert r.stdout == ""
+    assert "Weyl operator too large" in r.stderr
 
 
 @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])

@@ -15,7 +15,7 @@ from lcwcheck.bivectors import (
     sample_eigenflag_params,
 )
 from lcwcheck.catalog import cp2_curvature, get_entry, random_metric_near_flat
-from lcwcheck.errors import DimensionError, PreconditionViolation
+from lcwcheck.errors import DimensionError, DomainError, PreconditionViolation
 from lcwcheck.obstructions import (
     ObstructionConfig,
     auto_test,
@@ -272,6 +272,18 @@ def test_eigenflag_search_is_scale_free(rng):
         assert a.verdict == b.verdict
         assert a.note.split("(")[-1] == b.note.split("(")[-1]  # iterations, converged
         assert abs(np.ldexp(a.residual, -600) - b.residual) <= 1e-12 * np.linalg.norm(tiny.mat) ** 2
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_eigenflag_refuses_an_operator_whose_squared_norm_overflows(n, rng):
+    """A planted flag times 1e160 used to come out "fails" with a nan
+    residual; in dim 4 the spectral precheck is refused the same way."""
+    for op in (phi_map(sample_eigenflag_params(n, rng)), random_weyl_operator(n, rng)):
+        huge = CurvatureOperator(dim=n, mat=op.mat * 1e160)
+        for config in (ObstructionConfig(), ObstructionConfig(spectral_precheck=False)):
+            with pytest.raises(DomainError, match="too large"):
+                eigenflag_test(huge, config)
+        assert eigenflag_test(CurvatureOperator(dim=n, mat=op.mat * 1e150)).verdict == eigenflag_test(op).verdict
 
 
 def test_eigenflag_fail_note_counts_every_start(rng):
