@@ -748,6 +748,7 @@ class MetricDef:
         return _Program([self.components[i][j] for i, j in _upper(self.dim)])
 
     def __getstate__(self):
+        """The fields only: a copy compiles its own program when used."""
         return {k: v for k, v in self.__dict__.items() if k != "_program"}
 
     def eval_matrix_many(self, points) -> np.ndarray:

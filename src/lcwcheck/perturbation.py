@@ -85,6 +85,7 @@ def _monomials(n):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan; callers check finiteness
 def _poly_taylor(coeffs, points, jets=True):
     """Order-3 jets (or, without ``jets``, values) at the (N, n) ``points``
     of the polynomials sum_d c_d(y, ..., y), where ``coeffs[d]`` is None or
@@ -94,36 +95,33 @@ def _poly_taylor(coeffs, points, jets=True):
     The coefficient of t^alpha (|alpha| = j) in c_d(y + t, ...) is
     C(d, j) j!/alpha! c_d(alpha, y, ..., y).  Each contraction sums one
     axis of length n in a fixed order, so a point's bits do not depend on
-    its batch.
-
-    Overflow gives inf or nan quietly: callers check finiteness."""
+    its batch."""
     points = np.asarray(points, dtype=float)
     npts, n = points.shape
     table = _monomials(n)
     out = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for d, c in enumerate(coeffs):
-            if c is None:
-                continue
-            t = np.asarray(c, dtype=float)[None]
-            if out is None:
-                lead = t.shape[1 : t.ndim - d]
-                out = np.zeros((npts, *lead, jet_space(n).size) if jets else (npts, *lead))
-            for j in range(d, -1, -1):
-                if j == 0:
-                    if jets:
-                        out[..., 0] += t
-                    else:
-                        out += t
-                elif jets and j <= 3:
-                    slots, idx, mult = table[j]
-                    out[..., slots] += math.comb(d, j) * mult * t[(..., *idx)]
-                if j:
-                    y = points.reshape(npts, *[1] * (t.ndim - 2), n)
-                    acc = t[..., 0] * y[..., 0]
-                    for k in range(1, n):
-                        acc += t[..., k] * y[..., k]
-                    t = acc
+    for d, c in enumerate(coeffs):
+        if c is None:
+            continue
+        t = np.asarray(c, dtype=float)[None]
+        if out is None:
+            lead = t.shape[1 : t.ndim - d]
+            out = np.zeros((npts, *lead, jet_space(n).size) if jets else (npts, *lead))
+        for j in range(d, -1, -1):
+            if j == 0:
+                if jets:
+                    out[..., 0] += t
+                else:
+                    out += t
+            elif jets and j <= 3:
+                slots, idx, mult = table[j]
+                out[..., slots] += math.comb(d, j) * mult * t[(..., *idx)]
+            if j:
+                y = points.reshape(npts, *[1] * (t.ndim - 2), n)
+                acc = t[..., 0] * y[..., 0]
+                for k in range(1, n):
+                    acc += t[..., k] * y[..., k]
+                t = acc
     return out
 
 
@@ -211,13 +209,12 @@ class PulledBackMetric:
         out[ramp] = sp.mul(out[ramp], _smoothbump_jet(sp, r2[ramp], u0, u1)[:, None])
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan; callers check finiteness
     def _pullback(self, g, jac, mul):
-        """(J^T g J)_ab on the upper pairs; ``mul`` multiplies entries.
-        Overflow gives inf or nan quietly: callers check finiteness."""
+        """(J^T g J)_ab on the upper pairs; ``mul`` multiplies entries."""
         a, b = self._upper
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = mul(g[..., :, :, None, :], jac[..., None, :, :, :]).sum(axis=-3)  # t_ib = g_ij J_jb
-            return mul(jac[..., :, a, :], t[..., :, b, :]).sum(axis=-3)
+        t = mul(g[..., :, :, None, :], jac[..., None, :, :, :]).sum(axis=-3)  # t_ib = g_ij J_jb
+        return mul(jac[..., :, a, :], t[..., :, b, :]).sum(axis=-3)
 
     def eval_jets(self, point):
         """dim x dim list-of-lists of Jet3 (shared upper/lower entries)."""
@@ -250,20 +247,19 @@ class PulledBackMetric:
         """Numeric metric matrix at ``point``."""
         return self.eval_matrix_many(np.asarray(point, dtype=float)[None, :])[0]
 
+    @np.errstate(over="ignore", invalid="ignore")  # the positivity check refuses a metric that is not finite
     def eval_matrix_many(self, points) -> np.ndarray:
         """(N, dim, dim) numeric metric matrices at an (N, dim) batch of
-        points.  Overflow gives inf or nan quietly: the positivity check
-        refuses a metric that is not finite."""
+        points."""
         points = np.asarray(points, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = self.base.eval_matrix_many(_poly_taylor(self._x, points, jets=False))
-            jac = _poly_taylor(self._jac, points, jets=False)
-            out = self._pullback(g[..., None], jac[..., None], np.multiply)[..., 0]
-            if self._bump is not None:
-                u0, u1 = self._cutoff_bounds()
-                r2 = _poly_taylor(self._r2, points, jets=False)
-                phi = _smoothstep_down(np.clip((r2 - u0) / (u1 - u0), 0.0, 1.0))
-                out = out + _poly_taylor(self._bump, points, jets=False) * phi[:, None]
+        g = self.base.eval_matrix_many(_poly_taylor(self._x, points, jets=False))
+        jac = _poly_taylor(self._jac, points, jets=False)
+        out = self._pullback(g[..., None], jac[..., None], np.multiply)[..., 0]
+        if self._bump is not None:
+            u0, u1 = self._cutoff_bounds()
+            r2 = _poly_taylor(self._r2, points, jets=False)
+            phi = _smoothstep_down(np.clip((r2 - u0) / (u1 - u0), 0.0, 1.0))
+            out = out + _poly_taylor(self._bump, points, jets=False) * phi[:, None]
         return out[:, self._pair]
 
     @cached_property
@@ -600,11 +596,12 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
         raise LinearSolveFailure(f"Cotton prescription matrix has rank {rank} < 5")
     with np.errstate(over="ignore"):  # a huge target's norms overflow; positivity then refuses it
         err = np.linalg.norm(6.0 * lmat @ avec - dc.reshape(-1))
-        if err > 1e-9 * max(1.0, np.linalg.norm(dc)):
-            raise LinearSolveFailure(
-                f"Cotton shift not reachable (residual {err:g}); "
-                "the target is not an algebraic Cotton tensor"
-            )
+        dc_norm = np.linalg.norm(dc)
+    if err > 1e-9 * max(1.0, dc_norm):
+        raise LinearSolveFailure(
+            f"Cotton shift not reachable (residual {err:g}); "
+            "the target is not an algebraic Cotton tensor"
+        )
     cp.coefficients = avec
 
     bumped = chart.metric.with_bump(a_full(avec), cp.radius, f"{chart.metric.name}:bumped")
