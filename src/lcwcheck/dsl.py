@@ -25,13 +25,17 @@ or as order-3 jets.  Compiling folds every constant subtree (in each mode
 the way that mode computes it: in jets a constant a / b is a * (1 / b)),
 gives each coordinate x_k one buffer slot, and groups the other nodes by
 depth and by operation.  A run makes one numpy call per group over a
-(nodes, points[, coefficients]) buffer: one jet product for every jet x jet
-product of a depth, one coordinate product (``JetSpace.mul_coordinate``)
-for every product by a bare x_k, one ``jet_apply`` per function, and so
-on.  A ``MetricDef`` compiles its entries on first evaluation and keeps
-the program on the instance, outside the fields, for every later call;
-a ``PulledBackMetric`` evaluates through its base's program.  The program
-holds integer index arrays and the folded constants, no expression nodes.
+(nodes, points[, coefficients]) buffer: one ``JetSpace.mul`` for every
+product of two jets of a depth (a bare x_k is a jet too), one
+``jet_apply`` per function, and so on.  A group reads its operands through
+a slice where their slots are contiguous (always so for a group of one
+node, as in a long chain of sums) and through an int32 index array
+otherwise; its constant operands are columns cut once, at compile time.
+A ``MetricDef`` compiles its entries on first evaluation and keeps the
+program on the instance, outside the fields, for every later call; a
+``PulledBackMetric`` evaluates through its base's program.  The program
+holds, per group, its operation and these index arrays and constant
+columns, no expression nodes.
 
 The bits are those of evaluating the nodes one by one: each node runs the
 same floating-point operations on the same operands, only many nodes at
@@ -218,7 +222,7 @@ def _smoothbump_jet(space, u, u0, u1):
 
 
 # operations of a compiled program: "s" operands are buffer slots, "c" ones
-# constants (stored as ~index), "x" ones the slots of coordinates
+# constants
 (
     _ADD,  # s + s
     _SUB,  # s - s
@@ -228,14 +232,21 @@ def _smoothbump_jet(space, u, u0, u1):
     _SCALE,  # s * c
     _DIVC,  # s / c
     _MUL,  # s * s
-    _COORD,  # s * x
     _DIV,  # s / s
     _CDIV,  # c / s
     _POW,  # s ^ param
-    _CALL,  # UNARY_FUNCS[param](s)
-    _BUMP,  # smoothbump(s, c[param], c[param + 1])
+    _CALL,  # param(s), param in UNARY_FUNCS
+    _BUMP,  # smoothbump(s, *param)
     _LIFT,  # c, as a slot
-) = range(15)
+) = range(14)
+_NOPS = _LIFT + 1
+
+_SLOT_PAIRS = (_ADD, _SUB, _MUL, _DIV)  # two slot operands
+_SLOT_PAIR = dict(zip(_BINARY, _SLOT_PAIRS))
+_LEFT_CONST = {Add: _ADDC, Sub: _CSUB, Mul: _SCALE, Div: _CDIV}
+_RIGHT_CONST = {Add: _ADDC, Mul: _SCALE, Div: _DIVC}
+_CONST_OPS = (_ADDC, _CSUB, _SCALE, _DIVC, _CDIV, _LIFT)  # a constant operand
+_JET_CUBE = (_SCALE, _DIVC, _CDIV)  # whose constant scales every jet coefficient
 
 
 def _fold(e, args, jets):
@@ -272,118 +283,160 @@ class _Program:
     points, in jets or in numbers (see the module docstring).
 
     The buffer holds the coordinates ``vars`` in its first slots, then
-    one slot per node computed at run time.  ``table`` has one row (op,
-    param, lo, hi) per group of nodes of one depth and one operation,
-    which write slots lo..hi-1 from operands ``a[lo:hi]`` and ``b[lo:hi]``
-    (slots, or constants as ~index, by operation).  ``consts`` holds each
-    constant operand as (jet value, numeric value), ``errors`` the
-    DomainError message, if any, that folding the constants raised in
-    each mode, and ``roots`` the slot of each root.  ``width`` is the
-    least point width that covers ``vars``."""
+    one slot per node computed at run time.  ``steps`` has a row (op,
+    param, lo, hi, a, b, c) per group of nodes of one depth and one
+    operation: the group writes slots lo..hi-1 from the slots ``a`` and
+    ``b`` (the first of hi - lo contiguous slots, or an int32 index
+    array); ``c`` holds its constant operands as one column per mode
+    (jets, numbers), shaped to broadcast, or None in a mode where a
+    division by one of them raises.  ``errors`` holds the DomainError
+    message, if any, that folding the constants raised in each mode,
+    ``roots`` the slot of each root and ``width`` the least point width
+    that covers ``vars``."""
 
-    __slots__ = ("vars", "width", "table", "a", "b", "consts", "roots", "errors")
+    __slots__ = ("vars", "width", "size", "steps", "roots", "errors")
 
     def __init__(self, roots):
-        slot, folded, var_slot = {}, {}, {}  # by id: slot, (jet, numeric) value; by index: slot
-        levels, groups = [], {}  # per provisional slot; (level, op, param) -> (slots, a, b)
-        consts, bounds, errors = [], {}, [None, None]
+        # by node id: its slot (an int) or, for a constant, its folded
+        # (jet, numeric) value (a tuple); by coordinate index: its slot
+        value, var_slot = {}, {}
+        # per provisional slot: depth (-1 for a coordinate), kind (the op,
+        # or for an op with a parameter its index in ``params`` past the
+        # ops; a coordinate's own index) and operands (slots, or constants
+        # as ~index)
+        levels, kinds, first, second = [], [], [], []
+        kind_of, params = {}, []  # (op, param) -> kind; kind - _NOPS -> (op, param)
+        consts, errors = [], [None, None]
 
-        def emit(op, param, a, b, level):
-            levels.append(level)
-            group = groups.get((level, op, param))
-            if group is None:
-                group = groups[level, op, param] = ([], [], [])
-            group[0].append(len(levels) - 1)
-            group[1].append(a)
-            group[2].append(b)
-            return len(levels) - 1
-
-        def const(pair):
-            consts.append(pair)
-            return -len(consts)  # ~index
-
-        def fold(e, children):
+        def fold(e, args):
             pair = []
             for mode, jets in enumerate((True, False)):
                 try:
-                    pair.append(_fold(e, [folded[c][mode] for c in children], jets))
+                    pair.append(_fold(e, [x[mode] for x in args], jets))
                 except DomainError as exc:  # raised when this mode runs
                     errors[mode] = errors[mode] or str(exc)
                     pair.append(math.nan)
-            folded[id(e)] = tuple(pair)
+            return tuple(pair)
+
+        def lift(pair):  # a constant as a slot, for a root or a smoothbump
+            consts.append(pair)
+            levels.append(0)
+            kinds.append(_LIFT)
+            first.append(0)
+            second.append(-len(consts))
+            return len(levels) - 1
 
         for e in _walk(roots):
-            t, key = type(e), id(e)
+            t = type(e)
             if t is Num:
-                folded[key] = (float(e.value),) * 2
-            elif t is Var:
+                value[id(e)] = (float(e.value),) * 2
+                continue
+            if t is Var:
                 if e.index not in var_slot:
                     var_slot[e.index] = len(levels)
-                    levels.append(0)
-                slot[key] = var_slot[e.index]
-            elif t in _BINARY:
-                a, b = id(e.a), id(e.b)
-                if a in folded and b in folded:
-                    fold(e, [a, b])
-                elif a in folded:
-                    sb = slot[b]
-                    left = _ADDC if t is Add else _CSUB if t is Sub else _SCALE if t is Mul else _CDIV
-                    slot[key] = emit(left, 0, sb, const(folded[a]), levels[sb] + 1)
-                elif b in folded:
-                    sa, c = slot[a], folded[b]
+                    levels.append(-1)
+                    kinds.append(e.index)
+                    first.append(0)
+                    second.append(0)
+                value[id(e)] = var_slot[e.index]
+                continue
+            if t in _BINARY:
+                a, b = value[id(e.a)], value[id(e.b)]
+                if type(a) is tuple:
+                    if type(b) is tuple:
+                        value[id(e)] = fold(e, (a, b))
+                        continue
+                    consts.append(a)
+                    kind, a, b, level = _LEFT_CONST[t], b, -len(consts), levels[b] + 1
+                elif type(b) is tuple:
                     if t is Sub:
-                        t, c = Add, (-c[0], -c[1])  # a - c as a + (-c): the same bits
-                    right = _ADDC if t is Add else _SCALE if t is Mul else _DIVC
-                    slot[key] = emit(right, 0, sa, const(c), levels[sa] + 1)
+                        t, b = Add, (-b[0], -b[1])  # a - c as a + (-c): the same bits
+                    consts.append(b)
+                    kind, b, level = _RIGHT_CONST[t], -len(consts), levels[a] + 1
                 else:
-                    sa, sb = slot[a], slot[b]
-                    if t is Mul and type(e.b) is Var:
-                        slot[key] = emit(_COORD, 0, sa, sb, levels[sa] + 1)
-                    elif t is Mul and type(e.a) is Var:
-                        slot[key] = emit(_COORD, 0, sb, sa, levels[sb] + 1)
-                    else:
-                        op = _ADD if t is Add else _SUB if t is Sub else _MUL if t is Mul else _DIV
-                        slot[key] = emit(op, 0, sa, sb, max(levels[sa], levels[sb]) + 1)
-            elif t is Call and e.func == "smoothbump":
-                # never folded: evaluation makes its jet an array, as it
-                # does for every node that depends on the point
-                u = id(e.args[0])
-                u = emit(_LIFT, 0, const(folded[u]), 0, 0) if u in folded else slot[u]
-                bound = (float(e.args[1].value), float(e.args[2].value))
-                if bound not in bounds:  # c[param], c[param + 1]
-                    bounds[bound] = len(consts)
-                    consts += [(bound[0],) * 2, (bound[1],) * 2]
-                slot[key] = emit(_BUMP, bounds[bound], u, 0, levels[u] + 1)
+                    kind, level = _SLOT_PAIR[t], max(levels[a], levels[b]) + 1
             else:
-                a = id(e.base if t is Pow else e.a if t is Neg else e.args[0])
-                if t is Pow and e.exponent == 0:
-                    folded[key] = (1.0, 1.0)  # x^0 is the constant 1 in both modes
-                elif a in folded:
-                    fold(e, [a])
+                if t is Call and e.func == "smoothbump":
+                    # never folded: evaluation makes its jet an array, as
+                    # it does for every node that depends on the point
+                    a = value[id(e.args[0])]
+                    op, param = _BUMP, (float(e.args[1].value), float(e.args[2].value))
+                    if type(a) is tuple:
+                        a = lift(a)
                 else:
-                    op, param = (_POW, e.exponent) if t is Pow else (_NEG, 0) if t is Neg else (_CALL, UNARY_FUNCS.index(e.func))
-                    slot[key] = emit(op, param, slot[a], 0, levels[slot[a]] + 1)
-        root_slots = [emit(_LIFT, 0, const(folded[id(r)]), 0, 0) if id(r) in folded else slot[id(r)] for r in roots]
+                    a = value[id(e.base if t is Pow else e.a if t is Neg else e.args[0])]
+                    if t is Pow and e.exponent == 0:
+                        value[id(e)] = (1.0, 1.0)  # x^0 is the constant 1 in both modes
+                        continue
+                    if type(a) is tuple:
+                        value[id(e)] = fold(e, (a,))
+                        continue
+                    op, param = (_POW, e.exponent) if t is Pow else (_NEG, None) if t is Neg else (_CALL, e.func)
+                kind, b, level = op, 0, levels[a] + 1
+                if param is not None:
+                    kind = kind_of.get((op, param))
+                    if kind is None:
+                        kind = kind_of[op, param] = _NOPS + len(params)
+                        params.append((op, param))
+            value[id(e)] = len(levels)
+            levels.append(level)
+            kinds.append(kind)
+            first.append(a)
+            second.append(b)
+        root_slots = [lift(v) if type(v) is tuple else v for v in (value[id(r)] for r in roots)]
 
-        # lay out: the coordinates, then each group's slots, by level
-        outs, table = list(var_slot.values()), []
-        first, second = [0] * len(outs), [0] * len(outs)
-        for key in sorted(groups):
-            group = groups[key]
-            table.append((key[1], key[2], len(outs), len(outs) + len(group[0])))
-            outs += group[0]
-            first += group[1]
-            second += group[2]
-        final = np.empty(len(outs) + len(consts), dtype=np.int32)  # provisional slot -> slot
-        final[outs] = np.arange(len(outs))
-        final[len(outs) :] = np.arange(-len(consts), 0)  # a constant's ~index is kept
-        operands = final[first + second + root_slots]
-        n = len(outs)
-        self.a, self.b, self.roots = operands[:n], operands[n : 2 * n], operands[2 * n :]
-        self.table = np.array(table, dtype=np.int64).reshape(-1, 4)
-        self.vars = np.array(list(var_slot), dtype=np.int64)
+        # lay out: the coordinates by index, then the groups by depth
+        n, nv = len(levels), len(var_slot)
+        span = _NOPS + len(params) + max(var_slot, default=0) + 1
+        keys = [level * span + kind for level, kind in zip(levels, kinds)]  # below 0 for coordinates
+        order = sorted(range(n), key=keys.__getitem__)
+        final = [0] * n + list(range(-len(consts), 0))  # provisional slot -> slot; a constant's ~index is kept
+        for new, old in enumerate(order):
+            final[old] = new
+        keys = [keys[i] for i in order]
+        a, b = [final[first[i]] for i in order], [final[second[i]] for i in order]
+        starts = [lo for lo in range(nv, n) if lo == nv or keys[lo] != keys[lo - 1]]
+        arrays = {}  # a, b as int32 arrays, made when a group needs one
+        if consts:  # the constant operands (b < 0), in slot order, per mode
+            jet_column, num_column = np.array(consts, dtype=float)[[~x for x in b if x < 0]].T[:, :, None]
+            jet_cube = jet_column[..., None]  # for an op that scales every coefficient
+
+        def operand(x, lo, hi):
+            """Slots x[lo:hi]: the first one where they are contiguous."""
+            if hi - lo == 1 or x[lo:hi] == list(range(x[lo], x[lo] + hi - lo)):
+                return x[lo]
+            if id(x) not in arrays:
+                arrays[id(x)] = np.array(x, dtype=np.int32)
+            return arrays[id(x)][lo:hi]
+
+        # one column per field (a group is a row): ints and arrays, which
+        # the garbage collector does not track, even for a long chain
+        steps = ops, fparams, los, his, fa, fb, fc = [], [], [], [], [], [], []
+        at = 0
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            kind = keys[lo] % span
+            op, param = params[kind - _NOPS] if kind >= _NOPS else (kind, None)
+            c = None
+            if op in _CONST_OPS:
+                jet = (jet_cube if op in _JET_CUBE else jet_column)[at : at + hi - lo]
+                num = num_column[at : at + hi - lo]
+                at += hi - lo
+                if op == _DIVC:  # a jet run multiplies by the reciprocal
+                    jet = None if np.any(jet == 0.0) else 1.0 / jet
+                    num = None if np.any(num == 0.0) else num
+                c = (jet, num)
+            ops.append(op)
+            fparams.append(param)
+            los.append(lo)
+            his.append(hi)
+            fa.append(None if op == _LIFT else operand(a, lo, hi))
+            fb.append(operand(b, lo, hi) if op in _SLOT_PAIRS else None)
+            fc.append(c)
+        self.steps = steps
+        self.size = n
+        self.roots = np.array([final[r] for r in root_slots], dtype=np.intp)
+        self.vars = np.array(sorted(var_slot), dtype=np.intp)
         self.width = max(var_slot, default=-1) + 1
-        self.consts = np.array(consts, dtype=float).reshape(-1, 2)
         self.errors = tuple(errors)
 
     def run(self, points, jets):
@@ -396,47 +449,57 @@ class _Program:
             raise DomainError(f"variable x{self.width} out of range for dim {width}")
         if self.errors[not jets]:
             raise DomainError(self.errors[not jets])
-        c = self.consts[:, 0 if jets else 1]
-        buf = np.empty((len(self.a), npts, space.size) if jets else (len(self.a), npts))
-        buf[: len(self.vars)] = space.lift(points)[self.vars] if jets else points.T[self.vars]
-        column = (-1,) + (1,) * (buf.ndim - 1)  # a constant per row of a group
-        for op, param, lo, hi in self.table.tolist():
-            out, a, b = buf[lo:hi], self.a[lo:hi], self.b[lo:hi]
+        nv = len(self.vars)
+        if jets:
+            buf = np.empty((self.size, npts, space.size))
+            buf[:nv] = 0.0
+            buf[:nv, :, 0] = points.T[self.vars]
+            buf[np.arange(nv), :, space.unit[self.vars]] = 1.0
+        else:
+            buf = np.empty((self.size, npts))
+            buf[:nv] = points.T[self.vars]
+        mode = 0 if jets else 1
+        for op, param, lo, hi, a, b, c in zip(*self.steps):
+            out = buf[lo:hi]
+            if c is not None:
+                c = c[mode]
             if op == _LIFT:
                 if jets:
                     out[...] = 0.0
-                    out[..., 0] = c[~a][:, None]
+                    out[..., 0] = c
                 else:
-                    out[...] = c[~a][:, None]
+                    out[...] = c
                 continue
-            u = buf[a]
+            u = buf[a : a + hi - lo] if type(a) is int else buf[a]
+            if b is not None:
+                v = buf[b : b + hi - lo] if type(b) is int else buf[b]
             if op == _ADD:
-                np.add(u, buf[b], out=out)
+                np.add(u, v, out=out)
             elif op == _SUB:
-                np.subtract(u, buf[b], out=out)
+                np.subtract(u, v, out=out)
             elif op == _ADDC or op == _CSUB:
                 if jets:  # the constant shifts the constant term only
                     np.negative(u, out=out) if op == _CSUB else np.copyto(out, u)
-                    out[..., 0] += c[~b][:, None]
+                    out[..., 0] += c
                 elif op == _ADDC:
-                    np.add(u, c[~b].reshape(column), out=out)
+                    np.add(u, c, out=out)
                 else:
-                    np.subtract(c[~b].reshape(column), u, out=out)
+                    np.subtract(c, u, out=out)
             elif op == _NEG:
                 np.negative(u, out=out)
             elif op == _SCALE:
-                np.multiply(u, c[~b].reshape(column), out=out)
+                np.multiply(u, c, out=out)
             elif op == _DIVC:
-                v = c[~b].reshape(column)
-                if np.any(v == 0.0):
+                if c is None:
                     raise DomainError("division by a jet with zero constant term" if jets else "division by zero")
-                np.multiply(u, 1.0 / v, out=out) if jets else np.divide(u, v, out=out)
-            elif op == _COORD and jets:
-                out[...] = space.mul_coordinate(u, self.vars[b], buf[b, :, 0])
-            elif op == _MUL or op == _COORD:
-                out[...] = space.mul(u, buf[b]) if jets else u * buf[b]
+                np.multiply(u, c, out=out) if jets else np.divide(u, c, out=out)
+            elif op == _MUL:
+                if jets:
+                    out[...] = space.mul(u, v)
+                else:
+                    np.multiply(u, v, out=out)
             elif op == _DIV or op == _CDIV:
-                num, v = (u, buf[b]) if op == _DIV else (c[~b].reshape(column), u)
+                num, v = (u, v) if op == _DIV else (c, u)
                 if jets:
                     inv = jet_inverse(space, v)
                     out[...] = space.mul(num, inv) if op == _DIV else num * inv
@@ -447,15 +510,14 @@ class _Program:
             elif op == _POW:
                 out[...] = jet_power(space, u, param) if jets else u**param
             elif op == _CALL:
-                func = UNARY_FUNCS[param]
                 if jets:
-                    out[...] = jet_apply(space, func, u)
-                elif func in ("log", "sqrt") and np.any(u <= 0.0):
-                    raise DomainError(f"{func} of nonpositive value")
+                    out[...] = jet_apply(space, param, u)
+                elif param in ("log", "sqrt") and np.any(u <= 0.0):
+                    raise DomainError(f"{param} of nonpositive value")
                 else:
-                    getattr(np, func)(u, out=out)
+                    getattr(np, param)(u, out=out)
             else:  # _BUMP
-                u0, u1 = float(c[param]), float(c[param + 1])
+                u0, u1 = param
                 if jets:
                     out[...] = _smoothbump_jet(space, u.reshape(-1, space.size), u0, u1).reshape(u.shape)
                 else:

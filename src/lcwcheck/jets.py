@@ -18,16 +18,6 @@ programs run on these values directly; ``Jet3`` wraps one array for a
 single point (its operators accept any batch axes) and calls the same
 functions.  Jets are immutable after construction and safe to share
 between threads.
-
-A product by a coordinate function x_k, the commonest product in
-polynomial metrics, has its own kernel, ``JetSpace.mul_coordinate``: the
-jet of x_k has only two nonzero coefficients, so f * x_k is
-x_k f + shift_k(f), where shift_k moves each coefficient up by e_k
-(index tables built once per space).  It gives the bits of ``mul``: each
-output slot of ``mul`` has the same two nonzero products, added in the
-other order (IEEE addition is commutative), plus products f[i] * 0 that
-can only decide the sign of a zero result, which the kernel works out
-from the signs of f below the slot.
 """
 
 from __future__ import annotations
@@ -86,56 +76,12 @@ class JetSpace:
         slot, self.mul_i, self.mul_j = (np.array(col) for col in zip(*pairs))
         self._starts = np.searchsorted(slot, np.arange(self.size))
 
-        # f * x_k: the slots s with s_k >= 1 (row k) gain f at s - e_k
-        below = [[self.index_of[a[:k] + (a[k] - 1,) + a[k + 1 :]] if a[k] else None for k in range(dim)]
-                 for a in self.indices]
-        self.coord_dst = np.array([[s for s in range(self.size) if below[s][k] is not None] for k in range(dim)])
-        self.coord_src = np.array([[below[s][k] for s in self.coord_dst[k]] for k in range(dim)])
-        # slots come in degree order; for degrees 2 and 3, the slots one
-        # step below each (padded by repetition), counted from the first
-        # slot of the degree before
-        first = np.searchsorted(self.degrees, np.arange(MAX_ORDER + 2))
-        self._steps = [
-            np.array([([t - first[d - 1] for t in below[s] if t is not None] * d)[:d] for s in range(first[d], first[d + 1])])
-            for d in (2, 3)
-        ]
-
     def mul(self, a, b):
         """Truncated product of coefficient arrays ``(..., size)``.
 
         Each slot adds its products in one fixed order (no BLAS), so a
         point's result has the same bits in any batch."""
         return np.add.reduceat(a[..., self.mul_i] * b[..., self.mul_j], self._starts, axis=-1)
-
-    def mul_coordinate(self, f, k, x):
-        """Truncated product f * x_k of coefficient arrays f (m, ..., size)
-        with the jets of coordinate functions: row r by x_{k[r]}, whose
-        values are x (m, ...).  Bit for bit equal to ``mul`` by the lifted
-        coordinate, for finite f.
-
-        The jet of x_k has two nonzero coefficients, x_k and a 1 at
-        unit[k], so slot s of the product is x_k f[s] + f[s - e_k] (the
-        second term where s_k >= 1); ``mul`` adds the two in the other
-        order, which gives the same bits.  It also adds f[i] * 0 for every
-        other slot i below s, which can only change the sign of a zero
-        result: that is -0 only if every f[i] below s is negative or -0,
-        found here degree by degree from the slots one step below."""
-        out = f * x[..., None]
-        lead = out.shape[:-1]
-        base = np.arange(0, out.size, self.size).reshape(*lead, 1)
-        rows = (len(k), *[1] * (len(lead) - 1), -1)
-        flat = out.reshape(-1)
-        flat[base + self.coord_dst[k].reshape(rows)] += f.reshape(-1)[base + self.coord_src[k].reshape(rows)]
-        # all_below[s - 1]: every f[i], i below s, is negative or -0
-        neg = np.signbit(f).reshape(-1, self.size).T
-        n, steps = self.dim, self._steps
-        all_below = np.empty((self.size - 1, neg.shape[1]), dtype=bool)
-        all_below[:n] = neg[0]
-        second, third = all_below[n : n + len(steps[0])], all_below[n + len(steps[0]) :]
-        np.all((neg[1 : n + 1] & neg[0])[steps[0]], axis=1, out=second)
-        np.all((neg[n + 1 : n + 1 + len(second)] & second)[steps[1]], axis=1, out=third)
-        out[..., 1:] += np.where(all_below.T, -0.0, 0.0).reshape(*lead, -1)
-        return out
 
     def lift(self, points):
         """Jets ``(dim, ..., size)`` of the coordinate functions at the
