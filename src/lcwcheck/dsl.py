@@ -27,15 +27,15 @@ gives each coordinate x_k one buffer slot, and groups the other nodes by
 depth and by operation.  A run makes one numpy call per group over a
 (nodes, points[, coefficients]) buffer: one ``JetSpace.mul`` for every
 product of two jets of a depth (a bare x_k is a jet too), one
-``jet_apply`` per function, and so on.  A group reads its operands through
-a slice where their slots are contiguous (always so for a group of one
-node, as in a long chain of sums) and through an int32 index array
-otherwise; its constant operands are columns cut once, at compile time.
-A ``MetricDef`` compiles its entries on first evaluation and keeps the
-program on the instance, outside the fields, for every later call; a
-``PulledBackMetric`` evaluates through its base's program.  The program
-holds, per group, its operation and these index arrays and constant
-columns, no expression nodes.
+``jet_apply`` per function, and so on.  A group reads its operands as a
+slice of the buffer where their slots are contiguous (always so for a
+group of one node, as in a long chain of sums), else through an int32
+array of operand slots; its constant operands are a slice of constant
+columns built at compile time.  A ``MetricDef`` compiles its entries on
+first evaluation and keeps the program on the instance, outside the
+fields, for every later call; a ``PulledBackMetric`` evaluates through its
+base's program.  The program holds a few ints per group, the operand and
+constant arrays, and no expression nodes.
 
 The bits are those of evaluating the nodes one by one: each node runs the
 same floating-point operations on the same operands, only many nodes at
@@ -283,18 +283,20 @@ class _Program:
     points, in jets or in numbers (see the module docstring).
 
     The buffer holds the coordinates ``vars`` in its first slots, then
-    one slot per node computed at run time.  ``steps`` has a row (op,
-    param, lo, hi, a, b, c) per group of nodes of one depth and one
-    operation: the group writes slots lo..hi-1 from the slots ``a`` and
-    ``b`` (the first of hi - lo contiguous slots, or an int32 index
-    array); ``c`` holds its constant operands as one column per mode
-    (jets, numbers), shaped to broadcast, or None in a mode where a
-    division by one of them raises.  ``errors`` holds the DomainError
-    message, if any, that folding the constants raised in each mode,
+    one slot per node computed at run time, ``size`` in all.  ``steps``
+    has a row (op, param, lo, hi, a, b, c) per group of nodes of one
+    depth and one operation: the group writes slots lo..hi-1 from its
+    operands ``a`` and ``b``, each the first of hi - lo contiguous slots
+    or -1, where the group reads them through ``gather`` (the int32
+    operand slots of every slot) at lo..hi-1; its constant operands are
+    ``consts`` from row ``c`` on (jets as a column and as a cube, numbers
+    as a column; a jet divisor is held as its reciprocal).  ``errors``
+    holds the DomainError message, if any, that every run in a mode
+    raises (from folding a constant or from a zero constant divisor),
     ``roots`` the slot of each root and ``width`` the least point width
     that covers ``vars``."""
 
-    __slots__ = ("vars", "width", "size", "steps", "roots", "errors")
+    __slots__ = ("vars", "width", "size", "steps", "gather", "consts", "roots", "errors")
 
     def __init__(self, roots):
         # by node id: its slot (an int) or, for a constant, its folded
@@ -351,6 +353,11 @@ class _Program:
                 elif type(b) is tuple:
                     if t is Sub:
                         t, b = Add, (-b[0], -b[1])  # a - c as a + (-c): the same bits
+                    elif t is Div:  # a jet run multiplies by the reciprocal
+                        for mode, message in enumerate(("division by a jet with zero constant term", "division by zero")):
+                            if b[mode] == 0.0:  # every run in that mode divides by it
+                                errors[mode] = errors[mode] or message
+                        b = (1.0 / b[0] if b[0] != 0.0 else math.nan, b[1])
                     consts.append(b)
                     kind, b, level = _RIGHT_CONST[t], -len(consts), levels[a] + 1
                 else:
@@ -396,43 +403,36 @@ class _Program:
         keys = [keys[i] for i in order]
         a, b = [final[first[i]] for i in order], [final[second[i]] for i in order]
         starts = [lo for lo in range(nv, n) if lo == nv or keys[lo] != keys[lo - 1]]
-        arrays = {}  # a, b as int32 arrays, made when a group needs one
-        if consts:  # the constant operands (b < 0), in slot order, per mode
-            jet_column, num_column = np.array(consts, dtype=float)[[~x for x in b if x < 0]].T[:, :, None]
-            jet_cube = jet_column[..., None]  # for an op that scales every coefficient
+        # the constant operands (b < 0) in slot order: jets (as a column and
+        # as a cube, for an op that scales every coefficient) and numbers
+        column = np.array(consts, dtype=float)[[~x for x in b if x < 0]].T.reshape(2, -1, 1)
+        self.consts = (column[0], column[0][..., None], column[1])
 
         def operand(x, lo, hi):
-            """Slots x[lo:hi]: the first one where they are contiguous."""
+            """The first of the slots x[lo:hi] where they are contiguous,
+            else -1: the group gathers them."""
             if hi - lo == 1 or x[lo:hi] == list(range(x[lo], x[lo] + hi - lo)):
                 return x[lo]
-            if id(x) not in arrays:
-                arrays[id(x)] = np.array(x, dtype=np.int32)
-            return arrays[id(x)][lo:hi]
+            return -1
 
-        # one column per field (a group is a row): ints and arrays, which
-        # the garbage collector does not track, even for a long chain
+        # one column per field (a group is a row) and no array views: small
+        # to keep, and nothing the garbage collector tracks, even for a long chain
         steps = ops, fparams, los, his, fa, fb, fc = [], [], [], [], [], [], []
         at = 0
         for lo, hi in zip(starts, [*starts[1:], n]):
             kind = keys[lo] % span
             op, param = params[kind - _NOPS] if kind >= _NOPS else (kind, None)
-            c = None
-            if op in _CONST_OPS:
-                jet = (jet_cube if op in _JET_CUBE else jet_column)[at : at + hi - lo]
-                num = num_column[at : at + hi - lo]
-                at += hi - lo
-                if op == _DIVC:  # a jet run multiplies by the reciprocal
-                    jet = None if np.any(jet == 0.0) else 1.0 / jet
-                    num = None if np.any(num == 0.0) else num
-                c = (jet, num)
             ops.append(op)
             fparams.append(param)
             los.append(lo)
             his.append(hi)
             fa.append(None if op == _LIFT else operand(a, lo, hi))
             fb.append(operand(b, lo, hi) if op in _SLOT_PAIRS else None)
-            fc.append(c)
+            fc.append(at if op in _CONST_OPS else None)
+            if op in _CONST_OPS:
+                at += hi - lo
         self.steps = steps
+        self.gather = [np.array(x, dtype=np.int32) for x in (a, b)] if -1 in fa or -1 in fb else None
         self.size = n
         self.roots = np.array([final[r] for r in root_slots], dtype=np.intp)
         self.vars = np.array(sorted(var_slot), dtype=np.intp)
@@ -458,11 +458,12 @@ class _Program:
         else:
             buf = np.empty((self.size, npts))
             buf[:nv] = points.T[self.vars]
-        mode = 0 if jets else 1
+        consts = self.consts if jets else (self.consts[2],) * 2
+        gather_a, gather_b = self.gather or (None, None)
         for op, param, lo, hi, a, b, c in zip(*self.steps):
             out = buf[lo:hi]
             if c is not None:
-                c = c[mode]
+                c = consts[op in _JET_CUBE][c : c + hi - lo]
             if op == _LIFT:
                 if jets:
                     out[...] = 0.0
@@ -470,9 +471,9 @@ class _Program:
                 else:
                     out[...] = c
                 continue
-            u = buf[a : a + hi - lo] if type(a) is int else buf[a]
+            u = buf[a : a + hi - lo] if a >= 0 else buf[gather_a[lo:hi]]
             if b is not None:
-                v = buf[b : b + hi - lo] if type(b) is int else buf[b]
+                v = buf[b : b + hi - lo] if b >= 0 else buf[gather_b[lo:hi]]
             if op == _ADD:
                 np.add(u, v, out=out)
             elif op == _SUB:
@@ -490,8 +491,6 @@ class _Program:
             elif op == _SCALE:
                 np.multiply(u, c, out=out)
             elif op == _DIVC:
-                if c is None:
-                    raise DomainError("division by a jet with zero constant term" if jets else "division by zero")
                 np.multiply(u, c, out=out) if jets else np.divide(u, c, out=out)
             elif op == _MUL:
                 if jets:

@@ -250,6 +250,8 @@ def test_random_dags_match_the_reference(roots, seed):
         ("x2 / (x1 - 0.3)", (0.3, 0.1), False),
         ("1 / (2 - 2)", (0.3, 0.1), True),
         ("1 / (2 - 2) + x1", (0.3, 0.1), False),
+        ("x1 / (2 - 2)", (0.3, 0.1), True),
+        ("x1 / (2 - 2)", (0.3, 0.1), False),
         ("log(x1 - 1)", (0.3, 0.1), True),
         ("log(x1 - 1)", (0.3, 0.1), False),
         ("sqrt(-x2)", (0.3, 0.1), True),
