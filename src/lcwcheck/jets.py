@@ -88,8 +88,9 @@ class JetSpace:
         ``(..., dim)`` points."""
         points = np.asarray(points, dtype=float)
         out = np.zeros((self.dim, *points.shape[:-1], self.size))
-        out[..., 0] = np.moveaxis(points, -1, 0)
-        out[np.arange(self.dim), ..., self.unit] = 1.0
+        for k in range(self.dim):
+            out[k, ..., 0] = points[..., k]
+            out[k, ..., self.unit[k]] = 1.0
         return out
 
 
