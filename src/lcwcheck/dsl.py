@@ -303,11 +303,11 @@ class _Program:
         # (jet, numeric) value (a tuple); by coordinate index: its slot
         value, var_slot = {}, {}
         # per provisional slot: depth (-1 for a coordinate), kind (the op,
-        # or for an op with a parameter its index in ``params`` past the
+        # or for an op with a parameter its index in ``pairs`` past the
         # ops; a coordinate's own index) and operands (slots, or constants
         # as ~index)
         levels, kinds, first, second = [], [], [], []
-        kind_of, params = {}, []  # (op, param) -> kind; kind - _NOPS -> (op, param)
+        kind_of, pairs = {}, []  # (op, param) -> kind; kind - _NOPS -> (op, param)
         consts, errors = [], [None, None]
 
         def fold(e, args):
@@ -383,8 +383,8 @@ class _Program:
                 if param is not None:
                     kind = kind_of.get((op, param))
                     if kind is None:
-                        kind = kind_of[op, param] = _NOPS + len(params)
-                        params.append((op, param))
+                        kind = kind_of[op, param] = _NOPS + len(pairs)
+                        pairs.append((op, param))
             value[id(e)] = len(levels)
             levels.append(level)
             kinds.append(kind)
@@ -394,7 +394,7 @@ class _Program:
 
         # lay out: the coordinates by index, then the groups by depth
         n, nv = len(levels), len(var_slot)
-        span = _NOPS + len(params) + max(var_slot, default=0) + 1
+        span = _NOPS + len(pairs) + max(var_slot, default=0) + 1
         keys = [level * span + kind for level, kind in zip(levels, kinds)]  # below 0 for coordinates
         order = sorted(range(n), key=keys.__getitem__)
         final = [0] * n + list(range(-len(consts), 0))  # provisional slot -> slot; a constant's ~index is kept
@@ -405,8 +405,8 @@ class _Program:
         starts = [lo for lo in range(nv, n) if lo == nv or keys[lo] != keys[lo - 1]]
         # the constant operands (b < 0) in slot order: jets (as a column and
         # as a cube, for an op that scales every coefficient) and numbers
-        column = np.array(consts, dtype=float)[[~x for x in b if x < 0]].T.reshape(2, -1, 1)
-        self.consts = (column[0], column[0][..., None], column[1])
+        column = np.array([consts[~x] for x in b if x < 0], dtype=float).reshape(-1, 2)
+        self.consts = (column[:, :1], column[:, :1, None], column[:, 1:])
 
         def operand(x, lo, hi):
             """The first of the slots x[lo:hi] where they are contiguous,
@@ -417,22 +417,22 @@ class _Program:
 
         # one column per field (a group is a row) and no array views: small
         # to keep, and nothing the garbage collector tracks, even for a long chain
-        steps = ops, fparams, los, his, fa, fb, fc = [], [], [], [], [], [], []
+        steps = ops, params, los, his, a_col, b_col, c_col = [], [], [], [], [], [], []
         at = 0
         for lo, hi in zip(starts, [*starts[1:], n]):
             kind = keys[lo] % span
-            op, param = params[kind - _NOPS] if kind >= _NOPS else (kind, None)
+            op, param = pairs[kind - _NOPS] if kind >= _NOPS else (kind, None)
             ops.append(op)
-            fparams.append(param)
+            params.append(param)
             los.append(lo)
             his.append(hi)
-            fa.append(None if op == _LIFT else operand(a, lo, hi))
-            fb.append(operand(b, lo, hi) if op in _SLOT_PAIRS else None)
-            fc.append(at if op in _CONST_OPS else None)
+            a_col.append(None if op == _LIFT else operand(a, lo, hi))
+            b_col.append(operand(b, lo, hi) if op in _SLOT_PAIRS else None)
+            c_col.append(at if op in _CONST_OPS else None)
             if op in _CONST_OPS:
                 at += hi - lo
         self.steps = steps
-        self.gather = [np.array(x, dtype=np.int32) for x in (a, b)] if -1 in fa or -1 in fb else None
+        self.gather = [np.array(x, dtype=np.int32) for x in (a, b)] if -1 in a_col or -1 in b_col else None
         self.size = n
         self.roots = np.array([final[r] for r in root_slots], dtype=np.intp)
         self.vars = np.array(sorted(var_slot), dtype=np.intp)
