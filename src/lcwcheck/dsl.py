@@ -447,7 +447,7 @@ class _Program:
             space = jet_space(width)
         if self.width > width:
             raise DomainError(f"variable x{self.width} out of range for dim {width}")
-        if self.errors[not jets]:
+        if self.errors[not jets] and (jets or npts):  # numbers at no points check no value
             raise DomainError(self.errors[not jets])
         nv = len(self.vars)
         if jets:

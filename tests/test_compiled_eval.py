@@ -290,6 +290,13 @@ def test_check_on_an_exponent_past_int64_reports_a_verdict(tmp_path):
     assert json.loads(r.stdout)["verdict"] == "passes_necessary"
 
 
+@pytest.mark.parametrize("text", ["x1 / (2 - 2)", "1 / (2 - 2) + x1", "log(0) * x1", "sqrt(-1) + x1", "x2 / (x1 - x1)"])
+def test_numbers_at_no_points_raise_nothing(text):
+    e = parse_expr(text)
+    points = np.zeros((0, 2))
+    assert same_bits(eval_num_many(e, points), reference_numbers([e], points)[0])
+
+
 def test_a_point_batch_of_the_wrong_width_raises_domain_error():
     m = parse_metric("dim = 3\ng11 = 1 + x3^2\ng22 = 1\ng33 = 1\n")
     with pytest.raises(DomainError):
