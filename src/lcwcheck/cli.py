@@ -319,7 +319,7 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
 
                 report = cotton_york_test(metric, p, config)
             else:
-                pl = JetPipeline(metric, p)
+                pl = JetPipeline(metric, p, order=2)
                 report = eigenflag_test(operator_from_0_4(pl.weyl(), g=pl.g), config)
         if fmt == "json":
             click.echo(report.to_json())
@@ -383,7 +383,7 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
             )
             return
 
-        chart0 = normal_coordinates(metric, p, radius)
+        chart0 = normal_coordinates(metric, p, radius, order=3 if n == 3 else 2)
         if n == 3:
             cy_here = JetPipeline(chart0.metric, np.zeros(3)).cotton_york()
             if target == "random":
@@ -400,7 +400,7 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
         else:
             from .bivectors import CurvatureOperator, operator_to_0_4
 
-            pl0 = JetPipeline(chart0.metric, np.zeros(n))
+            pl0 = JetPipeline(chart0.metric, np.zeros(n), order=2)
             r_here = pl0.riemann()
             if target == "random":
                 # random Weyl shift on top of the current curvature

@@ -21,7 +21,8 @@ the recursion limit as a ParseError.
 
 Evaluation compiles the DAG of the requested expressions (shared subtrees
 once) into a program, then runs it on a batch of points, either as numbers
-or as order-3 jets.  Compiling folds every constant subtree (in each mode
+or as jets of a given order (3 unless the caller asks for less; the program
+does not depend on it).  Compiling folds every constant subtree (in each mode
 the way that mode computes it: in jets a constant a / b is a * (1 / b)),
 gives each coordinate x_k one buffer slot, and groups the other nodes by
 depth and by operation.  A run makes one numpy call per group over a
@@ -439,12 +440,12 @@ class _Program:
         self.width = max(var_slot, default=-1) + 1
         self.errors = tuple(errors)
 
-    def run(self, points, jets):
+    def run(self, points, jets, order=3):
         """Values of the roots at the (N, width) ``points``: jets
-        (roots, N, size) or numbers (roots, N)."""
+        (roots, N, size) of ``order`` or numbers (roots, N)."""
         npts, width = points.shape
         if jets:
-            space = jet_space(width)
+            space = jet_space(width, order)
         if self.width > width:
             raise DomainError(f"variable x{self.width} out of range for dim {width}")
         if self.errors[not jets] and (jets or npts):  # numbers at no points check no value
@@ -818,11 +819,12 @@ class MetricDef:
         values = self._program.run(np.asarray(points, dtype=float), jets=False)
         return values.T[:, _pair_index(self.dim)]
 
-    def eval_jets(self, point):
-        """dim x dim list-of-lists of Jet3 (shared upper/lower entries)."""
+    def eval_jets(self, point, order=3):
+        """dim x dim list-of-lists of Jet3 of ``order`` (shared upper/lower
+        entries)."""
         point = np.asarray(point, dtype=float)
-        space = jet_space(len(point))
-        jets = [Jet3(space, c[0]) for c in self._program.run(point[None], jets=True)]
+        space = jet_space(len(point), order)
+        jets = [Jet3(space, c[0]) for c in self._program.run(point[None], jets=True, order=order)]
         return [[jets[p] for p in row] for row in _pair_index(self.dim).tolist()]
 
 

@@ -1,14 +1,19 @@
-"""Degree-3 truncated multivariate Taylor arithmetic ("jets").
+"""Truncated multivariate Taylor arithmetic ("jets") of order at most 3.
 
 A jet stores the Taylor coefficients (partial derivative divided by the
 multi-index factorial) of a smooth function at a point, for every multi-index
-of total degree <= 3 in up to six variables.  Arithmetic is exact truncation:
-products drop all terms of degree > 3, so the coefficients of any expression
-built from +, -, *, /, integer powers and the supported analytic functions
-are the true Taylor coefficients of that expression, up to rounding.
+of total degree <= order in up to six variables; the order, 1 to 3,
+belongs to the ``JetSpace``.  Arithmetic is exact truncation: products drop
+all terms of degree > order, so the coefficients of any expression built
+from +, -, *, /, integer powers and the supported analytic functions are the
+true Taylor coefficients of that expression, up to rounding.
 
 Multi-indices are ordered graded-lexicographically and the full coefficient
-vector is stored densely (C(dim+3, 3) entries).
+vector is stored densely (C(dim+order, order) entries).  The slots of a
+lower order are therefore a prefix of those of a higher one, and a
+truncated product forms each low slot from low slots only, in the same
+order: the same expression evaluated at order 2 has the bits of the first
+C(dim+2, 2) coefficients of its order-3 jet.
 
 There is one algebra, on plain values: a value is either a float (a
 constant jet, all higher coefficients zero) or an array ``(..., size)`` of
@@ -36,20 +41,23 @@ MAX_DIM = 6
 
 
 class JetSpace:
-    """Precomputed index tables for one dimension.  Build once, share.
+    """Precomputed index tables for one dimension and order.  Build once,
+    share.
 
     The multi-indices in slot order (``indices``, ``index_of``, ``degrees``,
     ``factorials``); ``unit``; the derivative slot tables ``partial_slots[k]``,
-    k = 0..3, of shape (dim,)*k with [a_1, ..., a_k] the slot of
+    k = 0..order, of shape (dim,)*k with [a_1, ..., a_k] the slot of
     d_{a_1} ... d_{a_k}; and the product table of ``mul``.
     """
 
-    def __init__(self, dim):
+    def __init__(self, dim, order=MAX_ORDER):
         if not MIN_DIM <= dim <= MAX_DIM:
             raise DomainError(f"jet dimension must be in [{MIN_DIM}, {MAX_DIM}], got {dim}")
-        self.dim = dim
+        if not 1 <= order <= MAX_ORDER:
+            raise DomainError(f"jet order must be in [1, {MAX_ORDER}], got {order}")
+        self.dim, self.order = dim, order
         self.indices = sorted(
-            (a for a in itertools.product(range(MAX_ORDER + 1), repeat=dim) if sum(a) <= MAX_ORDER),
+            (a for a in itertools.product(range(order + 1), repeat=dim) if sum(a) <= order),
             key=lambda a: (sum(a), a),
         )
         self.size = len(self.indices)
@@ -63,7 +71,7 @@ class JetSpace:
         self.partial_slots = [
             np.array([self.index_of[tuple(map(axes.count, range(dim)))] for axes in
                       itertools.product(range(dim), repeat=k)]).reshape((dim,) * k)
-            for k in range(MAX_ORDER + 1)
+            for k in range(order + 1)
         ]
 
         # every product a_i b_j that lands in slot k, grouped by k
@@ -71,7 +79,7 @@ class JetSpace:
             (self.index_of[tuple(x + y for x, y in zip(a, b))], i, j)
             for i, a in enumerate(self.indices)
             for j, b in enumerate(self.indices)
-            if sum(a) + sum(b) <= MAX_ORDER
+            if sum(a) + sum(b) <= order
         )
         slot, self.mul_i, self.mul_j = (np.array(col) for col in zip(*pairs))
         self._starts = np.searchsorted(slot, np.arange(self.size))
@@ -94,9 +102,12 @@ class JetSpace:
         return out
 
 
-@lru_cache(maxsize=None)
-def jet_space(dim) -> JetSpace:
-    return JetSpace(dim)
+def jet_space(dim, order=MAX_ORDER) -> JetSpace:
+    """The one shared space of ``dim`` variables at ``order``."""
+    return _jet_space(dim, order)
+
+
+_jet_space = lru_cache(maxsize=None)(JetSpace)
 
 
 # -- the algebra on values (float constants or coefficient arrays) -------------
@@ -121,7 +132,7 @@ def jet_mul(space, a, b):
 
 
 def jet_inverse(space, f):
-    """1/f by truncated series inversion; exact within order 3."""
+    """1/f by truncated series inversion; exact within the space's order."""
     c0 = f if isinstance(f, float) else f[..., :1]
     if np.any(c0 == 0.0):
         raise DomainError("division by a jet with zero constant term")
@@ -129,7 +140,7 @@ def jet_inverse(space, f):
         return 1.0 / f
     u = f / c0
     u[..., 0] -= 1.0  # nilpotent part of f/c0
-    # 1/(1+u) = 1 - u + u^2 - u^3 exactly at this order
+    # 1/(1+u) = 1 - u + u^2 - u^3 exactly at every order <= 3
     inv = jet_add(1.0, jet_mul(space, u, jet_add(-1.0, jet_mul(space, u, jet_add(1.0, -u)))))
     return inv / c0
 
@@ -302,7 +313,7 @@ def jet_lift(point, var_index) -> Jet3:
 
 
 def jet_reciprocal(f: Jet3) -> Jet3:
-    """1/f by truncated series inversion; exact within order 3."""
+    """1/f by truncated series inversion; exact within the space's order."""
     return Jet3(f.space, jet_inverse(f.space, f.c))
 
 

@@ -503,11 +503,12 @@ def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None 
 
 def auto_test(metric: MetricDef, point, config: ObstructionConfig | None = None) -> ObstructionReport:
     """Dimension dispatch: Cotton-York determinant in dim 3, Weyl eigenflag
-    in dim >= 4."""
+    in dim >= 4, where the Weyl tensor at the point reads only the metric's
+    2-jet."""
     config = config or ObstructionConfig()
     if metric.dim == 3:
         return cotton_york_test(metric, point, config)
     if metric.dim >= 4:
-        pl = JetPipeline(metric, point)
+        pl = JetPipeline(metric, point, order=2)
         return eigenflag_test(operator_from_0_4(pl.weyl(), g=pl.g), config)
     raise DimensionError("obstruction tests need dim >= 3")

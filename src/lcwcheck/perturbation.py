@@ -14,11 +14,11 @@ polynomial bump times a C^3 radial cutoff:
 
 A metric in the chart is a ``PulledBackMetric``: the base metric, the
 chart map x(y) = p + E y - 1/2 E Ghat(y, y) as the arrays (p, E, Ghat),
-and the bump as its coefficient tensor and cutoff radius.  Its order-3 jets
-at a point y0 are the base jets at x(y0) composed with the jets of x(y)
-(truncated Taylor composition), then J^T g J plus the bump, all in jet
-arithmetic; its values on a grid are the base values at x(Y) combined the
-same way in numpy.  No expression is built on this path: the expression
+and the bump as its coefficient tensor and cutoff radius.  Its jets at a
+point y0 (order 3, or 2 for a curvature prescription) are the base jets at
+x(y0) composed with the jets of x(y) (truncated Taylor composition), then
+J^T g J plus the bump, all in jet arithmetic; its values on a grid are the
+base values at x(Y) combined the same way in numpy.  No expression is built on this path: the expression
 form (``components``) is made on first use, for printing the metric.
 
 The bump coefficients live in the 60-dimensional space A indexed by
@@ -86,8 +86,8 @@ def _monomials(n):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan; callers check finiteness
-def _poly_taylor(coeffs, points, jets=True):
-    """Order-3 jets (or, without ``jets``, values) at the (N, n) ``points``
+def _poly_taylor(coeffs, points, jets=True, order=3):
+    """Jets of ``order`` (or, without ``jets``, values) at the (N, n) ``points``
     of the polynomials sum_d c_d(y, ..., y), where ``coeffs[d]`` is None or
     an array (*lead, n, ..., n) symmetric in its d trailing axes.  Returns
     (N, *lead, size), or (N, *lead) for values.
@@ -106,14 +106,14 @@ def _poly_taylor(coeffs, points, jets=True):
         t = np.asarray(c, dtype=float)[None]
         if out is None:
             lead = t.shape[1 : t.ndim - d]
-            out = np.zeros((npts, *lead, jet_space(n).size) if jets else (npts, *lead))
+            out = np.zeros((npts, *lead, jet_space(n, order).size) if jets else (npts, *lead))
         for j in range(d, -1, -1):
             if j == 0:
                 if jets:
                     out[..., 0] += t
                 else:
                     out += t
-            elif jets and j <= 3:
+            elif jets and j <= order:
                 slots, idx, mult = table[j]
                 out[..., slots] += math.comb(d, j) * mult * t[(..., *idx)]
             if j:
@@ -196,14 +196,14 @@ class PulledBackMetric:
     def _cutoff_bounds(self):
         return (0.5 * self.radius) * (0.5 * self.radius), self.radius * self.radius  # inf, not OverflowError
 
-    def _bump_jets(self, points):
-        """Order-3 jets (N, pairs, size) of bump_ij * phi at the points.
+    def _bump_jets(self, points, order=3):
+        """Jets (N, pairs, size) of ``order`` of bump_ij * phi at the points.
         phi is the constant 1 or 0 off the ramp u0 < |y|^2 < u1, so only
         ramp points need a product."""
-        sp = jet_space(self.dim)
+        sp = jet_space(self.dim, order)
         u0, u1 = self._cutoff_bounds()
-        r2 = _poly_taylor(self._r2, points)
-        out = _poly_taylor(self._bump, points)
+        r2 = _poly_taylor(self._r2, points, order=order)
+        out = _poly_taylor(self._bump, points, order=order)
         out[r2[:, 0] >= u1] = 0.0
         ramp = (r2[:, 0] > u0) & (r2[:, 0] < u1)
         out[ramp] = sp.mul(out[ramp], _smoothbump_jet(sp, r2[ramp], u0, u1)[:, None])
@@ -216,30 +216,32 @@ class PulledBackMetric:
         t = mul(g[..., :, :, None, :], jac[..., None, :, :, :]).sum(axis=-3)  # t_ib = g_ij J_jb
         return mul(jac[..., :, a, :], t[..., :, b, :]).sum(axis=-3)
 
-    def eval_jets(self, point):
-        """dim x dim list-of-lists of Jet3 (shared upper/lower entries)."""
+    def eval_jets(self, point, order=3):
+        """dim x dim list-of-lists of Jet3 of ``order`` (shared upper/lower
+        entries)."""
         y = np.asarray(point, dtype=float)[None]
-        sp = jet_space(self.dim)
-        x = _poly_taylor(self._x, y)[0]
-        if self.center_jets is not None and np.array_equal(x[:, 0], self.center):
-            base = self.center_jets  # the chart origin: every prescription step evaluates there
-        else:
-            base = self.base.eval_jets(x[:, 0])
-        c = np.array([[jet.c for jet in row] for row in base])
+        sp = jet_space(self.dim, order)
+        x = _poly_taylor(self._x, y, order=order)[0]
+        base = self.center_jets
+        # the chart origin, where every prescription step evaluates: the
+        # kept jets serve any order up to theirs, truncated to its prefix
+        if base is None or base[0][0].space.order < order or not np.array_equal(x[:, 0], self.center):
+            base = self.base.eval_jets(x[:, 0], order)
+        c = np.array([[jet.c[: sp.size] for jet in row] for row in base])
         # g(x(y)) = sum_alpha c_alpha h^alpha with h = x(y) - x(y0)
         h = x.copy()
         h[:, 0] = 0.0
         powers = np.zeros((sp.size, sp.size))
         powers[0, 0] = 1.0
-        for slots, idx, _ in _monomials(self.dim)[1:]:
+        for slots, idx, _ in _monomials(self.dim)[1 : order + 1]:
             m = h[idx[0]]
             for k in idx[1:]:
                 m = sp.mul(m, h[k])
             powers[slots] = m
         g = (c[..., None] * powers).sum(axis=-2)
-        out = self._pullback(g, _poly_taylor(self._jac, y)[0], sp.mul)
+        out = self._pullback(g, _poly_taylor(self._jac, y, order=order)[0], sp.mul)
         if self._bump is not None:
-            out = out + self._bump_jets(y)[0]
+            out = out + self._bump_jets(y, order)[0]
         jets = [Jet3(sp, row) for row in out]
         return [[jets[self._pair[i, j]] for j in range(self.dim)] for i in range(self.dim)]
 
@@ -307,13 +309,14 @@ class NormalChart:
     radius: float
 
 
-def normal_coordinates(metric: MetricDef, point, radius=1.0) -> NormalChart:
+def normal_coordinates(metric: MetricDef, point, radius=1.0, order=3) -> NormalChart:
     """Build the chart x = p + E y - 1/2 E Ghat(y, y): linear normalization
     of g(p) to the identity plus the quadratic correction cancelling the
     Christoffel symbols at p (dropped when below 1e-14, so a flat base gets
-    an affine chart)."""
+    an affine chart).  The chart keeps the base jets at p of ``order``, the
+    highest order its users evaluate at the origin."""
     point = np.asarray(point, dtype=float)
-    pl = JetPipeline(metric, point)
+    pl = JetPipeline(metric, point, order)
     L = np.linalg.cholesky(pl.g)
     e = np.linalg.inv(L).T  # E^T g E = I
     ghat = np.einsum("ai,ijk,jb,kc->abc", L.T, pl.gamma(), e, e)
@@ -415,9 +418,9 @@ def prescribe_curvature(cp: CurvaturePrescription) -> PerturbResult:
         raise DimensionError("target curvature has the wrong shape")
     _check_curvature_symmetries(r0, 1e-9)
     _check_bianchi(r0, 1e-9)
-    chart = normal_coordinates(cp.base, cp.point, cp.radius)
+    chart = normal_coordinates(cp.base, cp.point, cp.radius, order=2)
     origin = np.zeros(n)
-    r_here = JetPipeline(chart.metric, origin).riemann()
+    r_here = JetPipeline(chart.metric, origin, order=2).riemann()
     rstar = r0 - r_here
     r0_norm, shift = _finite_norms(r0, rstar)
     if shift <= 1e-13 * max(r0_norm, 1.0):
@@ -438,7 +441,7 @@ def prescribe_curvature(cp: CurvaturePrescription) -> PerturbResult:
     )
     grid = _grid_points(n, cp.radius)
     _check_positivity(bumped, grid)
-    achieved = JetPipeline(bumped, origin).riemann()
+    achieved = JetPipeline(bumped, origin, order=2).riemann()
     target_error = float(np.linalg.norm(achieved - r0) / max(r0_norm, 1e-30))
     return PerturbResult(
         metric=bumped,

@@ -1,13 +1,16 @@
 """Pointwise curvature tensors of a coordinate metric.
 
-The metric enters as order-3 jets of its components, evaluated once by the
-dsl.  Every derived tensor (inverse metric, Christoffel symbols, curvature,
-Ricci, scalar, Schouten, Weyl) is then a first-order jet: one ndarray of
-shape ``(1 + n, *tensor_shape)`` whose slice 0 is the value at the point and
-whose slice ``1 + a`` is the partial d_a.  That is the only order the
-obstructions read; Cotton and the Weyl divergence take the partials of
-Schouten and Weyl from slices 1..n.  All derivatives are exact (no finite
-differencing anywhere).
+The metric enters as jets of its components, evaluated once by the dsl, of
+the order the consumer reads.  At order 3 every derived tensor (inverse
+metric, Christoffel symbols, curvature, Ricci, scalar, Schouten, Weyl) is a
+first-order jet: one ndarray of shape ``(1 + n, *tensor_shape)`` whose slice
+0 is the value at the point and whose slice ``1 + a`` is the partial d_a;
+Cotton and the Weyl divergence take the partials of Schouten and Weyl from
+slices 1..n.  At order 2 (the 2-jet of the metric, all that curvature and
+Weyl at the point depend on) each tensor is its value alone, shape
+``(1, *tensor_shape)``, through the same code; its values have the bits of
+the order-3 ones.  All derivatives are exact (no finite differencing
+anywhere).
 
 Conventions, fixed once and used everywhere:
 
@@ -108,6 +111,8 @@ def _dot(spec, a, b):
     operands, out = spec.split("->")
     sa, sb = operands.split(",")
     value = np.einsum(spec, a[0], b[0])
+    if len(a) == 1:  # values only
+        return value[None]
     partials = np.einsum(f"Z{sa},{sb}->Z{out}", a[1:], b[0]) + np.einsum(
         f"{sa},Z{sb}->Z{out}", a[0], b[1:]
     )
@@ -115,8 +120,8 @@ def _dot(spec, a, b):
 
 
 def _metric_partials(space, coeffs):
-    """d^k g for k = 0..3 from the order-3 Taylor coefficients (n, n, size)
-    of the metric, each indexed [a_1, ..., a_k, i, j]: one gather per order
+    """d^k g for k = 0..order from the Taylor coefficients (n, n, size) of
+    the metric, each indexed [a_1, ..., a_k, i, j]: one gather per order
     through the jet space's ``partial_slots``."""
     d = coeffs * space.factorials
     return [np.moveaxis(d[:, :, slots], (0, 1), (-2, -1)) for slots in space.partial_slots]
@@ -139,30 +144,39 @@ def _check_metric(g, point):
 class JetPipeline:
     """One evaluation of every tensor at a single point.
 
-    The metric jets are exact to order 3, which makes every derived tensor
-    below, through Weyl, exact as a first-order jet ``(1 + n, *shape)``.
-    Each tensor is built on first use and kept.
+    With the metric jets exact to ``order`` 3, every derived tensor below,
+    through Weyl, is exact as a first-order jet ``(1 + n, *shape)``; with
+    order 2, as a value ``(1, *shape)``, and the tensors that read first
+    partials (``dgamma``, ``cotton``, ``cotton_york``, ``div_weyl``) refuse.
+    Only the partials up to ``order`` must be finite.  Each tensor is built
+    on first use and kept.
     """
 
-    def __init__(self, metric: MetricDef, point):
+    def __init__(self, metric: MetricDef, point, order=3):
         self.metric = metric
         self.point = np.asarray(point, dtype=float)
         self.n = n = metric.dim
+        self.order = order
         if len(self.point) != n:
             raise DimensionError(
                 f"point has {len(self.point)} coordinates, metric dim is {n}"
             )
-        self.g_jets = metric.eval_jets(self.point)
+        self.g_jets = metric.eval_jets(self.point, order)
         coeffs = np.array([[jet.c for jet in row] for row in self.g_jets])
         _check_metric(coeffs[..., 0], self.point)
-        g, dg, ddg, dddg = _metric_partials(self.g_jets[0][0].space, coeffs)
-        if not all(np.isfinite(d).all() for d in (dg, ddg, dddg)):
+        d = _metric_partials(self.g_jets[0][0].space, coeffs)
+        if not all(np.isfinite(dk).all() for dk in d[1:]):
             raise DomainError(f"metric derivatives not finite at {self.point.tolist()}")
-        self.g = g
-        self.g_inv = np.linalg.inv(g)
-        self._g = np.concatenate([g[None], dg])
-        self._dg = np.concatenate([dg[None], ddg])  # [z, a, i, j]: d_a g_ij
-        self._ddg = np.concatenate([ddg[None], dddg])  # [z, a, b, i, j]: d_a d_b g_ij
+        self.g = d[0]
+        self.g_inv = np.linalg.inv(self.g)
+        # g, d_a g_ij [z, a, i, j] and d_a d_b g_ij [z, a, b, i, j] as jets
+        self._g, self._dg, self._ddg = (np.concatenate([d[k][None], *d[k + 1 : k + order - 1]]) for k in range(3))
+
+    def _partials(self, t, what):
+        """Slices 1..n of the jet ``t``, which an order-2 pipeline lacks."""
+        if self.order < 3:
+            raise ValueError(f"{what} reads first partials: it needs an order-3 pipeline")
+        return t[1:]
 
     def _raise(self, t):
         """g^{ab} t_b... on the first tensor index of the jet ``t``.
@@ -172,6 +186,8 @@ class JetPipeline:
         on its own loses digits to cancellation on ill-conditioned metrics.
         """
         value = np.einsum("ab,b...->a...", self.g_inv, t[0])
+        if len(t) == 1:  # values only
+            return value[None]
         rest = t[1:] - np.einsum("zbc,c...->zb...", self._g[1:], value)
         return np.concatenate([value[None], np.einsum("ab,zb...->za...", self.g_inv, rest)])
 
@@ -194,7 +210,7 @@ class JetPipeline:
 
     def dgamma(self):
         """First partials d_l Gamma^k_{ij}, indexed [l, k, i, j]."""
-        return self._gamma[1:]
+        return self._partials(self._gamma, "dgamma")
 
     # -- curvature -------------------------------------------------------
 
@@ -251,7 +267,7 @@ class JetPipeline:
         gam = self.gamma()
         # (nabla_a S)_bc = d_a S_bc - Gamma^m_ab S_mc - Gamma^m_ac S_bm
         nas = (
-            s[1:]
+            self._partials(s, "cotton")
             - np.einsum("mab,mc->abc", gam, s[0])
             - np.einsum("mac,bm->abc", gam, s[0])
         )
@@ -270,7 +286,7 @@ class JetPipeline:
         w = self._weyl
         gam = self.gamma()
         nw = (
-            w[1:]
+            self._partials(w, "div_weyl")
             - np.einsum("mai,mjkl->aijkl", gam, w[0])
             - np.einsum("maj,imkl->aijkl", gam, w[0])
             - np.einsum("mak,ijml->aijkl", gam, w[0])

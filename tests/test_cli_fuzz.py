@@ -44,7 +44,7 @@ def junk():
 def option(valid, invalid=None):
     """Unset, valid (three times as likely) or junk, so that most runs
     reach the computation."""
-    return st.one_of(st.none(), valid, valid, valid, invalid or junk())
+    return st.one_of(st.none(), valid, valid, valid, junk() if invalid is None else invalid)
 
 
 def floats(lo, hi):
@@ -54,7 +54,7 @@ def floats(lo, hi):
 SEEDS = option(st.integers(0, 2**64).map(str))
 # each start is a row of the search batch: valid counts stay small, and
 # junk that click would read as a count above 200 is left out
-STARTS = option(st.integers(0, 200).map(str), junk().filter(lambda t: not (t.strip().isdigit() and int(t) > 200)))
+STARTS = option(st.integers(0, 200).map(str), junk().filter(lambda t: not (t.strip().isdecimal() and int(t) > 200)))
 TOLS = option(floats(1e-300, 1.0))
 
 

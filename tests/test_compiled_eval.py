@@ -239,6 +239,22 @@ def test_random_dags_match_the_reference(roots, seed):
             assert same_bits(np.where(np.isnan(got), 0.0, got), np.where(np.isnan(want), 0.0, want))
 
 
+@settings(max_examples=100, deadline=None)
+@given(roots=dags(), seed=st.integers(0, 2**16))
+def test_random_dags_at_order_2_are_the_order_3_prefix(roots, seed):
+    """One program run at order 2 gives the first C(dim+2, 2) coefficients
+    of its order-3 run, bit for bit, or raises the same error."""
+    points = np.random.default_rng(seed).uniform(-1.2, 1.2, (4, 3))
+    program = dsl._Program(roots)
+    low, high = (_outcome(lambda: program.run(points, jets=True, order=order)) for order in (2, 3))
+    if isinstance(high, type):
+        assert low is high
+    else:
+        high = high[..., : jet_space(3, 2).size]
+        assert np.array_equal(np.isnan(low), np.isnan(high))
+        assert same_bits(np.where(np.isnan(low), 0.0, low), np.where(np.isnan(high), 0.0, high))
+
+
 # --- error paths -------------------------------------------------------------------
 
 
