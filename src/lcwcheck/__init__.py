@@ -54,7 +54,6 @@ from .errors import (
     SymmetryViolation,
     UnknownEntry,
 )
-from .jets import Jet3, jet_constant, jet_lift
 from .obstructions import (
     ObstructionConfig,
     ObstructionReport,
@@ -76,20 +75,12 @@ from .perturbation import (
     prescribe_curvature,
 )
 from .pipeline import (
-    ChristoffelResult,
     ConformalFactor,
     TensorSnapshot,
-    christoffel,
     compute_snapshot,
     conformal_rescale,
-    cotton,
-    cotton_york,
-    div_weyl,
     kulkarni_nomizu,
-    ricci_scalar_schouten,
-    riemann_0_4,
     snapshot_to_json,
-    weyl_0_4,
 )
 
 __version__ = "0.1.0"

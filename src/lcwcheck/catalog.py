@@ -33,6 +33,7 @@ from .dsl import (
     used_vars,
 )
 from .errors import DimensionError, UnknownEntry
+from .jets import jet_space
 
 
 @dataclass
@@ -174,12 +175,13 @@ def r_cross_surface_cy(f, point) -> np.ndarray:
     if isinstance(f, str):
         f = parse_expr(f)
     jet = eval_expr(f, np.asarray(point, dtype=float))
-    d2 = jet.derivative((0, 1, 0))
-    d3 = jet.derivative((0, 0, 1))
-    lap = jet.derivative((0, 2, 0)) + jet.derivative((0, 0, 2))
-    d2lap = jet.derivative((0, 3, 0)) + jet.derivative((0, 1, 2))
-    d3lap = jet.derivative((0, 0, 3)) + jet.derivative((0, 2, 1))
-    emf = np.exp(-jet.value)
+    d = jet_space(3).derivative
+    d2 = d(jet, (0, 1, 0))
+    d3 = d(jet, (0, 0, 1))
+    lap = d(jet, (0, 2, 0)) + d(jet, (0, 0, 2))
+    d2lap = d(jet, (0, 3, 0)) + d(jet, (0, 1, 2))
+    d3lap = d(jet, (0, 0, 3)) + d(jet, (0, 2, 1))
+    emf = np.exp(-jet[0])
     cy = np.zeros((3, 3))
     cy[0, 1] = cy[1, 0] = -0.25 * (lap * d3 - d3lap) * emf
     cy[0, 2] = cy[2, 0] = 0.25 * (lap * d2 - d2lap) * emf

@@ -45,6 +45,13 @@ batch.  A constant operand enters as the node-by-node evaluation had it:
 a float in jets, which shifts or scales, and in numbers a value combined
 elementwise, as a full array of it would be.
 
+An expression with two evaluation errors (say a log of a negative constant
+and a division by a jet that vanishes at the point) raises one
+DomainError, in fold-then-depth order, not walk order: an error from
+folding a constant or from a zero constant divisor first, else the first
+failing group by depth.  The message may name the other error than a
+node-by-node walk would; the exit code is the same.
+
 Metric files are plain text: a `dim = n` header, optional `name = "..."`
 and `chart = "..."` lines, then `g<i><j> = <expression>` entries with
 1-based indices.  `#` starts a comment.  Unspecified off-diagonal entries
@@ -71,7 +78,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .jets import Jet3, jet_add, jet_apply, jet_inverse, jet_power, jet_space
+from .jets import jet_add, jet_apply, jet_inverse, jet_mul, jet_power, jet_space
 
 UNARY_FUNCS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 
@@ -218,7 +225,12 @@ def _smoothbump_jet(space, u, u0, u1):
     out[uc <= u0, 0] = 1.0
     ramp = ~(uc <= u0) & ~(uc >= u1)
     if ramp.any():
-        out[ramp] = _smoothstep_down(Jet3(space, jet_add(u[ramp], -u0) / (u1 - u0))).c
+        # _smoothstep_down on jets, operation by operation in its order
+        t = jet_add(u[ramp], -u0) / (u1 - u0)
+        poly = jet_add(70.0, -(t * 20.0))
+        poly = jet_add(jet_mul(space, t, poly), -84.0)
+        poly = jet_add(jet_mul(space, t, poly), 35.0)
+        out[ramp] = jet_add(1.0, -jet_mul(space, jet_power(space, t, 4), poly))
     return out
 
 
@@ -299,6 +311,7 @@ class _Program:
 
     __slots__ = ("vars", "width", "size", "steps", "gather", "consts", "roots", "errors")
 
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a fold may overflow; the run gives inf or nan
     def __init__(self, roots):
         # by node id: its slot (an int) or, for a constant, its folded
         # (jet, numeric) value (a tuple); by coordinate index: its slot
@@ -440,6 +453,7 @@ class _Program:
         self.width = max(var_slot, default=-1) + 1
         self.errors = tuple(errors)
 
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # inf or nan; every caller checks finiteness
     def run(self, points, jets, order=3):
         """Values of the roots at the (N, width) ``points``: jets
         (roots, N, size) of ``order`` or numbers (roots, N)."""
@@ -525,9 +539,10 @@ class _Program:
         return buf[self.roots]
 
 
-def eval_expr(e, point) -> Jet3:
-    """Jet of the expression at ``point``, exact to order 3."""
-    return Jet3(jet_space(len(point)), eval_expr_many([e], np.asarray(point, dtype=float)[None])[0, 0])
+def eval_expr(e, point) -> np.ndarray:
+    """Order-3 jet of the expression at ``point``: its (size,) Taylor
+    coefficients in the slot order of ``jet_space(len(point))``."""
+    return eval_expr_many([e], np.asarray(point, dtype=float)[None])[0, 0]
 
 
 def eval_expr_many(exprs, points) -> np.ndarray:
@@ -820,12 +835,10 @@ class MetricDef:
         return values.T[:, _pair_index(self.dim)]
 
     def eval_jets(self, point, order=3):
-        """dim x dim list-of-lists of Jet3 of ``order`` (shared upper/lower
-        entries)."""
-        point = np.asarray(point, dtype=float)
-        space = jet_space(len(point), order)
-        jets = [Jet3(space, c[0]) for c in self._program.run(point[None], jets=True, order=order)]
-        return [[jets[p] for p in row] for row in _pair_index(self.dim).tolist()]
+        """(dim, dim, size) Taylor coefficients of ``order`` of the entries
+        at ``point``."""
+        jets = self._program.run(np.asarray(point, dtype=float)[None], jets=True, order=order)
+        return jets[_pair_index(self.dim), 0]
 
 
 def _upper(dim):

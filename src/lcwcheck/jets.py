@@ -19,10 +19,9 @@ There is one algebra, on plain values: a value is either a float (a
 constant jet, all higher coefficients zero) or an array ``(..., size)`` of
 coefficients whose leading axes are a batch of points.  Constants stay
 floats, so a constant times a jet is a scaled copy, not a product.  The dsl
-programs run on these values directly; ``Jet3`` wraps one array for a
-single point (its operators accept any batch axes) and calls the same
-functions.  Jets are immutable after construction and safe to share
-between threads.
+programs, the metric jets ``(n, n, size)`` and the pipeline all use these
+values directly.  No function writes into its arguments, so jets are safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -90,6 +89,12 @@ class JetSpace:
         Each slot adds its products in one fixed order (no BLAS), so a
         point's result has the same bits in any batch."""
         return np.add.reduceat(a[..., self.mul_i] * b[..., self.mul_j], self._starts, axis=-1)
+
+    def derivative(self, coeffs, alpha):
+        """Partial derivative for the multi-index ``alpha`` (coefficient
+        times alpha!) from the coefficients ``(..., size)``."""
+        i = self.index_of[tuple(alpha)]
+        return coeffs[..., i] * self.factorials[i]
 
     def lift(self, points):
         """Jets ``(dim, ..., size)`` of the coordinate functions at the
@@ -194,137 +199,3 @@ def jet_apply(space, func, f):
     out = space.mul(h, out)
     out[..., 0] += f0
     return out
-
-
-# -- single-point jets -----------------------------------------------------------
-
-
-class Jet3:
-    """Immutable truncated Taylor value.  Supports +, -, *, /, ** int.
-
-    ``value``, ``gradient`` and ``derivative`` read a single point; the
-    operators work on a coefficient array with any batch axes."""
-
-    __slots__ = ("space", "c")
-
-    def __init__(self, space, coeffs):
-        self.space = space
-        self.c = coeffs
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    @property
-    def value(self):
-        """Constant term: the function value at the base point."""
-        return float(self.c[0])
-
-    def gradient(self):
-        """First-order coefficients, equal to the first partials."""
-        return self.c[self.space.unit]
-
-    def derivative(self, alpha):
-        """Partial derivative for multi-index ``alpha`` (coeff * alpha!)."""
-        i = self.space.index_of[tuple(alpha)]
-        return float(self.c[i] * self.space.factorials[i])
-
-    def _coerce(self, other):
-        if isinstance(other, Jet3):
-            if other.space is not self.space:
-                raise DomainError("jets from different spaces cannot be combined")
-            return other.c
-        if isinstance(other, (int, float)):
-            return float(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet3(self.space, jet_add(self.c, other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet3(self.space, jet_add(self.c, -other))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet3(self.space, jet_add(other, -self.c))
-
-    def __neg__(self):
-        return Jet3(self.space, -self.c)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet3(self.space, jet_mul(self.space, self.c, other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise DomainError("division by zero")
-            return Jet3(self.space, self.c / float(other))
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet3(self.space, jet_mul(self.space, self.c, jet_inverse(self.space, other)))
-
-    def __rtruediv__(self, other):
-        inv = jet_reciprocal(self)
-        if isinstance(other, (int, float)):
-            return inv * float(other)
-        return NotImplemented
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise DomainError("only integer exponents are supported on jets")
-        c = jet_power(self.space, self.c, exponent)
-        return jet_constant(c, self.space.dim) if isinstance(c, float) else Jet3(self.space, c)
-
-    def __repr__(self):
-        return f"Jet3(dim={self.space.dim}, value={self.value!r})"
-
-
-def jet_constant(value, dim) -> Jet3:
-    sp = jet_space(dim)
-    c = np.zeros(sp.size)
-    c[0] = value
-    return Jet3(sp, c)
-
-
-def jet_lift(point, var_index) -> Jet3:
-    """Jet of the coordinate function x_{var_index} at ``point`` (0-based)."""
-    point = np.asarray(point, dtype=float)
-    dim = len(point)
-    if not 0 <= var_index < dim:
-        raise DomainError(f"variable index {var_index} out of range for dim {dim}")
-    sp = jet_space(dim)
-    return Jet3(sp, sp.lift(point)[var_index])
-
-
-def jet_reciprocal(f: Jet3) -> Jet3:
-    """1/f by truncated series inversion; exact within the space's order."""
-    return Jet3(f.space, jet_inverse(f.space, f.c))
-
-
-def _analytic(func):
-    def apply(f: Jet3) -> Jet3:
-        return Jet3(f.space, jet_apply(f.space, func, f.c))
-
-    apply.__name__ = apply.__qualname__ = f"jet_{func}"
-    return apply
-
-
-jet_exp, jet_log, jet_sqrt, jet_sin, jet_cos, jet_sinh, jet_cosh = map(
-    _analytic, ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh")
-)

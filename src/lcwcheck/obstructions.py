@@ -101,8 +101,8 @@ class ObstructionReport:
             "note": self.note,
         }
 
-    def to_json(self, float_digits=17):
-        return format_json(self.to_json_dict(), float_digits)
+    def to_json(self):
+        return format_json(self.to_json_dict())
 
 
 _PASS_NOTE = (

@@ -58,7 +58,7 @@ from .errors import (
     NotPositiveDefinite,
     SymmetryViolation,
 )
-from .jets import Jet3, jet_space
+from .jets import jet_space
 from .pipeline import EPS3, JetPipeline, _check_bianchi, _check_curvature_symmetries
 
 GRID_RADIAL = 10
@@ -171,7 +171,7 @@ class PulledBackMetric:
     radius: float = 1.0
     name: str = ""
     chart: str = ""
-    center_jets: list | None = field(default=None, repr=False)  # base.eval_jets(center), if known
+    center_jets: np.ndarray | None = field(default=None, repr=False)  # base.eval_jets(center), if known
 
     def __post_init__(self):
         n = self.dim
@@ -217,17 +217,17 @@ class PulledBackMetric:
         return mul(jac[..., :, a, :], t[..., :, b, :]).sum(axis=-3)
 
     def eval_jets(self, point, order=3):
-        """dim x dim list-of-lists of Jet3 of ``order`` (shared upper/lower
-        entries)."""
+        """(dim, dim, size) Taylor coefficients of ``order`` of the entries
+        at ``point``."""
         y = np.asarray(point, dtype=float)[None]
         sp = jet_space(self.dim, order)
         x = _poly_taylor(self._x, y, order=order)[0]
         base = self.center_jets
         # the chart origin, where every prescription step evaluates: the
         # kept jets serve any order up to theirs, truncated to its prefix
-        if base is None or base[0][0].space.order < order or not np.array_equal(x[:, 0], self.center):
+        if base is None or base.shape[-1] < sp.size or not np.array_equal(x[:, 0], self.center):
             base = self.base.eval_jets(x[:, 0], order)
-        c = np.array([[jet.c[: sp.size] for jet in row] for row in base])
+        c = base[..., : sp.size]
         # g(x(y)) = sum_alpha c_alpha h^alpha with h = x(y) - x(y0)
         h = x.copy()
         h[:, 0] = 0.0
@@ -242,8 +242,7 @@ class PulledBackMetric:
         out = self._pullback(g, _poly_taylor(self._jac, y, order=order)[0], sp.mul)
         if self._bump is not None:
             out = out + self._bump_jets(y, order)[0]
-        jets = [Jet3(sp, row) for row in out]
-        return [[jets[self._pair[i, j]] for j in range(self.dim)] for i in range(self.dim)]
+        return out[self._pair]
 
     def eval_matrix(self, point) -> np.ndarray:
         """Numeric metric matrix at ``point``."""

@@ -42,6 +42,7 @@ import numpy as np
 
 from .dsl import Call, MetricDef, Mul, Num
 from .errors import DimensionError, DomainError, SingularMetric, SymmetryViolation
+from .jets import jet_space
 
 COND_LIMIT = 1e12
 
@@ -119,6 +120,7 @@ def _dot(spec, a, b):
     return np.concatenate([value[None], partials])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the caller checks finiteness
 def _metric_partials(space, coeffs):
     """d^k g for k = 0..order from the Taylor coefficients (n, n, size) of
     the metric, each indexed [a_1, ..., a_k, i, j]: one gather per order
@@ -148,8 +150,9 @@ class JetPipeline:
     through Weyl, is exact as a first-order jet ``(1 + n, *shape)``; with
     order 2, as a value ``(1, *shape)``, and the tensors that read first
     partials (``dgamma``, ``cotton``, ``cotton_york``, ``div_weyl``) refuse.
-    Only the partials up to ``order`` must be finite.  Each tensor is built
-    on first use and kept.
+    Only the partials up to ``order`` must be finite.  ``g_jets`` holds the
+    metric's ``(n, n, size)`` Taylor coefficients.  Each tensor is built on
+    first use and kept.
     """
 
     def __init__(self, metric: MetricDef, point, order=3):
@@ -162,9 +165,8 @@ class JetPipeline:
                 f"point has {len(self.point)} coordinates, metric dim is {n}"
             )
         self.g_jets = metric.eval_jets(self.point, order)
-        coeffs = np.array([[jet.c for jet in row] for row in self.g_jets])
-        _check_metric(coeffs[..., 0], self.point)
-        d = _metric_partials(self.g_jets[0][0].space, coeffs)
+        _check_metric(self.g_jets[..., 0], self.point)
+        d = _metric_partials(jet_space(n, order), self.g_jets)
         if not all(np.isfinite(dk).all() for dk in d[1:]):
             raise DomainError(f"metric derivatives not finite at {self.point.tolist()}")
         self.g = d[0]
@@ -298,50 +300,6 @@ class JetPipeline:
 # -- public operations --------------------------------------------------------
 
 
-@dataclass
-class ChristoffelResult:
-    """Gamma^k_{ij} at the point plus its first partials d_l Gamma^k_{ij}."""
-
-    gamma: np.ndarray  # [k, i, j]
-    dgamma: np.ndarray  # [l, k, i, j]
-
-
-def christoffel(metric: MetricDef, point) -> ChristoffelResult:
-    pl = JetPipeline(metric, point)
-    return ChristoffelResult(gamma=pl.gamma(), dgamma=pl.dgamma())
-
-
-def riemann_0_4(metric: MetricDef, point) -> np.ndarray:
-    return JetPipeline(metric, point).riemann()
-
-
-def ricci_scalar_schouten(metric: MetricDef, point):
-    pl = JetPipeline(metric, point)
-    return pl.ricci(), pl.scalar(), pl.schouten()
-
-
-def weyl_0_4(metric: MetricDef, point) -> np.ndarray:
-    pl = JetPipeline(metric, point)
-    if pl.n < 3:
-        raise DimensionError("Weyl decomposition needs dim >= 3")
-    return pl.weyl()
-
-
-def cotton(metric: MetricDef, point) -> np.ndarray:
-    pl = JetPipeline(metric, point)
-    if pl.n < 3:
-        raise DimensionError("Cotton tensor needs dim >= 3")
-    return pl.cotton()
-
-
-def cotton_york(metric: MetricDef, point) -> np.ndarray:
-    return JetPipeline(metric, point).cotton_york()
-
-
-def div_weyl(metric: MetricDef, point) -> np.ndarray:
-    return JetPipeline(metric, point).div_weyl()
-
-
 @dataclass(frozen=True)
 class ConformalFactor:
     """Exponent f in the rescaling g -> e^{2f} g."""
@@ -431,40 +389,42 @@ def compute_snapshot(metric: MetricDef, point) -> TensorSnapshot:
     return snap
 
 
-def format_json(obj, float_digits=17) -> str:
-    """Deterministic JSON with fixed-significant-digit floats.  A float
-    that is not finite raises DomainError: JSON has no literal for it."""
+def format_json(obj) -> str:
+    """Deterministic JSON in one pass, floats with 17 significant digits
+    (which read back to the same double).  A float that is not finite
+    raises DomainError: JSON has no literal for it."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind != "f" or obj.ndim == 0:
+            return format_json(obj.tolist())
+        finite = np.isfinite(obj)
+        if not finite.all():
+            _refuse(obj[~finite][0])
+        return _float_rows(obj.tolist(), obj.ndim)
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            _refuse(obj)
+        return _FLOAT17(float(obj))
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {format_json(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(format_json, obj)) + "]"
+    return json.dumps(obj)
 
-    def fmt(x):
-        if isinstance(x, (float, np.floating)):
-            if not math.isfinite(x):
-                raise DomainError(f"result has a non-finite number ({float(x)}); nothing is printed")
-            return _RawFloat(f"{float(x):.{float_digits}g}")
-        if isinstance(x, (np.integer,)):
-            return int(x)
-        if isinstance(x, np.ndarray):
-            return fmt(x.tolist())
-        if isinstance(x, dict):
-            return {k: fmt(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [fmt(v) for v in x]
-        return x
 
-    class _RawFloat:
-        def __init__(self, text):
-            self.text = text
+_FLOAT17 = "{:.17g}".format
 
-    def raw_encode(x):
-        if isinstance(x, _RawFloat):
-            return x.text
-        if isinstance(x, dict):
-            items = ", ".join(f"{json.dumps(k)}: {raw_encode(v)}" for k, v in x.items())
-            return "{" + items + "}"
-        if isinstance(x, list):
-            return "[" + ", ".join(raw_encode(v) for v in x) + "]"
-        return json.dumps(x)
 
-    return raw_encode(fmt(obj))
+def _float_rows(rows, depth):
+    """JSON of the nested lists of finite floats ``rows``, ``depth`` deep."""
+    if depth == 1:
+        return "[" + ", ".join(map(_FLOAT17, rows)) + "]"
+    return "[" + ", ".join(_float_rows(r, depth - 1) for r in rows) + "]"
+
+
+def _refuse(x):
+    raise DomainError(f"result has a non-finite number ({float(x)}); nothing is printed")
 
 
 def snapshot_to_dict(snap: TensorSnapshot) -> dict:
@@ -486,5 +446,5 @@ def snapshot_to_dict(snap: TensorSnapshot) -> dict:
     }
 
 
-def snapshot_to_json(snap: TensorSnapshot, float_digits=17) -> str:
-    return format_json(snapshot_to_dict(snap), float_digits)
+def snapshot_to_json(snap: TensorSnapshot) -> str:
+    return format_json(snapshot_to_dict(snap))

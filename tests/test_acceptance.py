@@ -191,6 +191,7 @@ def test_acceptance_05_divergence_identity():
 
 def test_acceptance_06_conformal_laws():
     from lcwcheck.dsl import eval_expr
+    from lcwcheck.jets import jet_space
 
     rng = np.random.default_rng(106)
     for _ in range(10):
@@ -201,11 +202,11 @@ def test_acceptance_06_conformal_laws():
         s0 = compute_snapshot(m, p)
         s1 = compute_snapshot(mt, p)
         fj = eval_expr(f, p)
-        e2f = math.exp(2.0 * fj.value)
+        e2f = math.exp(2.0 * fj[0])
         wscale = max(np.abs(s0.weyl04).max(), 1e-30)
         assert np.abs(s1.weyl13() - s0.weyl13()).max() <= 1e-7 * wscale
         assert np.abs(s1.weyl04 - e2f * s0.weyl04).max() <= 1e-7 * wscale
-        grad_up = s0.g_inv @ fj.gradient()
+        grad_up = s0.g_inv @ fj[jet_space(4).unit]
         want = s0.cotton - np.einsum("ijkl,l->ijk", s0.weyl04, grad_up)
         cscale = max(np.abs(s0.cotton).max(), 1e-30)
         assert np.abs(s1.cotton - want).max() <= 1e-7 * cscale

@@ -94,17 +94,34 @@ OVERFLOW_ALL = "dim = 3\n" + "".join(f"g{i}{i} = (1+x1^2)^100000000\n" for i in 
     [
         (OVERFLOW_G11, "0.1,0,0"),  # the metric itself overflows
         (OVERFLOW_ALL, "0.00264,0,0"),  # g is finite, its third derivatives are not
+        ("dim = 3\ng11 = (1e200)^2 + x1\ng22 = 1\ng33 = 1\n", "0.1,0,0"),  # a constant folds to inf
+        ("dim = 3\ng11 = exp(1000 + x1)\ng22 = 1\ng33 = 1\n", "0,0,0"),  # exp of the jet overflows
+        ("dim = 3\ng11 = 1 + 1e200*x1*1e200*x2\ng22 = 1\ng33 = 1\n", "0.1,0.1,0"),  # scale and product overflow
+        ("dim = 3\ng11 = 1 + sqrt(1e-320 + x1^2)\ng22 = 1\ng33 = 1\n", "0,0,0"),  # sqrt's derivatives divide by 0
     ],
-    ids=["g-overflows", "partials-overflow"],
+    ids=["g-overflows", "partials-overflow", "fold-overflows", "exp-overflows", "product-overflows", "sqrt-underflows"],
 )
 @pytest.mark.parametrize("command", ["check", "tensors"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_metric_exit_3(tmp_path, text, point, command):
+    """Exit 3 with the error line alone on stderr: no numpy warning first."""
     f = tmp_path / "overflow.metric"
     f.write_text(text)
     res = runner.invoke(main, [command, "--metric", str(f), "--point", point, "--format", "json"])
     assert res.exit_code == 3
     assert "nan" not in res.stdout and "inf" not in res.stdout
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_folding_a_constant_prints_no_warning_from_its_unused_derivatives(tmp_path):
+    """Folding sqrt of a subnormal constant divides by zero in its unused
+    derivatives; the verdict still comes with nothing on stderr."""
+    f = tmp_path / "tiny.metric"
+    f.write_text("dim = 3\ng11 = 1 + sqrt(1e-310)*x1\ng22 = 1\ng33 = 1\n")
+    res = runner.invoke(main, ["check", "--metric", str(f), "--point", "0,0.1,0"])
+    assert res.exit_code == 0
+    assert res.stderr == ""
 
 
 def test_check_nil_exit_10():
@@ -368,7 +385,7 @@ def test_format_json_refuses_non_finite_numbers():
     from lcwcheck.pipeline import format_json
 
     assert strict_json(format_json({"a": [1.5, np.float64(2.0)]})) == {"a": [1.5, 2.0]}
-    for bad in (float("nan"), float("inf"), np.float64("-inf")):
+    for bad in (float("nan"), float("inf"), np.float64("-inf"), np.array([[0.0, 1.0], [2.0, np.nan]]), np.array([[np.inf]])):
         with pytest.raises(DomainError):
             format_json({"a": [0.0, bad]})
 
@@ -412,8 +429,7 @@ def test_perturb_out_file_round_trips(tmp_path, monkeypatch, dim, max_bytes):
     back = parse_metric(out.read_text())
     metric = results[0].metric
     for y in (np.zeros(dim), np.full(dim, 0.3)):
-        got = np.array([[j.c for j in row] for row in back.eval_jets(y)])
-        want = np.array([[j.c for j in row] for row in metric.eval_jets(y)])
+        got, want = back.eval_jets(y), metric.eval_jets(y)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 

@@ -33,7 +33,7 @@ from lcwcheck.dsl import (
     parse_metric,
 )
 from lcwcheck.errors import DomainError
-from lcwcheck.jets import Jet3, jet_add, jet_apply, jet_inverse, jet_mul, jet_power, jet_space
+from lcwcheck.jets import jet_add, jet_apply, jet_inverse, jet_mul, jet_power, jet_space
 
 # --- the reference: one Python step per node ----------------------------------
 
@@ -42,6 +42,15 @@ _BINARY = (Add, Sub, Mul, Div)
 
 def _smoothstep_down(t):
     return 1.0 - t**4 * (35.0 + t * (-84.0 + t * (70.0 - t * 20.0)))
+
+
+def _smoothstep_down_jet(space, t):
+    """_smoothstep_down on jets, one value-algebra call per operation, in
+    the order Python evaluates the polynomial."""
+    inner = jet_add(70.0, -(t * 20.0))
+    inner = jet_add(jet_mul(space, t, inner), -84.0)
+    inner = jet_add(jet_mul(space, t, inner), 35.0)
+    return jet_add(1.0, -jet_mul(space, jet_power(space, t, 4), inner))
 
 
 def _jet_array(v, shape):
@@ -58,7 +67,7 @@ def _smoothbump_jet(space, u, u0, u1):
     out[uc <= u0, 0] = 1.0
     ramp = ~(uc <= u0) & ~(uc >= u1)
     if ramp.any():
-        out[ramp] = _smoothstep_down(Jet3(space, jet_add(u[ramp], -u0) / (u1 - u0))).c
+        out[ramp] = _smoothstep_down_jet(space, jet_add(u[ramp], -u0) / (u1 - u0))
     return out
 
 
@@ -138,7 +147,7 @@ def assert_metric_same(metric, points):
     want_jets, want_num = reference_jets(entries(metric), points), reference_numbers(entries(metric), points)
     for k, p in enumerate(points):
         got = metric.eval_jets(p)
-        upper = [got[i][j].c for i in range(metric.dim) for j in range(i, metric.dim)]
+        upper = [got[i, j] for i in range(metric.dim) for j in range(i, metric.dim)]
         assert same_bits(upper, want_jets[:, k])
     g = metric.eval_matrix_many(points)
     iu = np.triu_indices(metric.dim)

@@ -189,7 +189,7 @@ def test_smoothbump_round_trip_and_junctions():
     inner = np.sqrt(0.25)
     left = eval_expr(e, (inner - 1e-12, 0.0))
     right = eval_expr(e, (inner + 1e-12, 0.0))
-    assert np.abs(left.c - right.c).max() <= 1e-9
+    assert np.abs(left - right).max() <= 1e-9
 
 
 # --- let bindings -------------------------------------------------------------

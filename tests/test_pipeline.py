@@ -8,24 +8,19 @@ import math
 import numpy as np
 import pytest
 
-from lcwcheck.catalog import get_entry, nil_expected_tensors, random_metric_near_flat, random_polynomial
+from lcwcheck.catalog import get_entry, list_catalog, nil_expected_tensors, random_metric_near_flat, random_polynomial
 from lcwcheck.dsl import Num, parse_expr, parse_metric
 from lcwcheck.errors import DimensionError, SingularMetric
 from lcwcheck.jets import jet_space
 from lcwcheck.pipeline import (
     ConformalFactor,
+    JetPipeline,
     _metric_partials,
-    christoffel,
     compute_snapshot,
     conformal_rescale,
-    cotton,
-    cotton_york,
-    div_weyl,
     kulkarni_nomizu,
-    riemann_0_4,
-    ricci_scalar_schouten,
+    snapshot_to_dict,
     snapshot_to_json,
-    weyl_0_4,
 )
 
 FLAT3 = parse_metric("dim = 3\ng11 = 1\ng22 = 1\ng33 = 1\n")
@@ -36,9 +31,9 @@ FLAT4 = parse_metric("dim = 4\ng11 = 1\ng22 = 1\ng33 = 1\ng44 = 1\n")
 
 
 def test_christoffel_flat():
-    res = christoffel(FLAT3, (0.3, -0.2, 1.0))
-    assert np.abs(res.gamma).max() == 0.0
-    assert np.abs(res.dgamma).max() == 0.0
+    pl = JetPipeline(FLAT3, (0.3, -0.2, 1.0))
+    assert np.abs(pl.gamma()).max() == 0.0
+    assert np.abs(pl.dgamma()).max() == 0.0
 
 
 def test_christoffel_nil_hand_values():
@@ -46,8 +41,7 @@ def test_christoffel_nil_hand_values():
     # G^1_22 = -x, G^1_23 = 1/2, G^2_12 = x/2, G^2_13 = -1/2,
     # G^3_12 = (x^2-1)/2, G^3_13 = -x/2
     x = 0.7
-    res = christoffel(get_entry("nil").metric, (x, 0.0, 0.0))
-    g = res.gamma
+    g = JetPipeline(get_entry("nil").metric, (x, 0.0, 0.0)).gamma()
     assert g[0, 1, 1] == pytest.approx(-x, abs=1e-14)
     assert g[0, 1, 2] == pytest.approx(0.5, abs=1e-14)
     assert g[1, 0, 1] == pytest.approx(x / 2, abs=1e-14)
@@ -61,7 +55,7 @@ def test_dgamma_nil_hand_values():
     # d_1 of the symbols above: d1 G^1_22 = -1, d1 G^2_12 = 1/2,
     # d1 G^3_12 = x, d1 G^3_13 = -1/2; the metric depends on x only
     x = 0.7
-    dg = christoffel(get_entry("nil").metric, (x, 0.0, 0.0)).dgamma
+    dg = JetPipeline(get_entry("nil").metric, (x, 0.0, 0.0)).dgamma()
     want = np.zeros((3, 3, 3))
     for (k, i, j), v in {(0, 1, 1): -1.0, (1, 0, 1): 0.5, (2, 0, 1): x, (2, 0, 2): -0.5}.items():
         want[k, i, j] = want[k, j, i] = v
@@ -70,8 +64,7 @@ def test_dgamma_nil_hand_values():
 
 
 def test_christoffel_sol_origin_pattern():
-    res = christoffel(get_entry("sol").metric, (0.0, 0.0, 0.0))
-    g = res.gamma
+    g = JetPipeline(get_entry("sol").metric, (0.0, 0.0, 0.0)).gamma()
     assert g[0, 0, 2] == pytest.approx(1.0, abs=1e-14)
     assert g[1, 1, 2] == pytest.approx(-1.0, abs=1e-14)
     assert g[2, 0, 0] == pytest.approx(-1.0, abs=1e-14)
@@ -81,14 +74,14 @@ def test_christoffel_sol_origin_pattern():
 def test_singular_metric_rejected():
     degenerate = parse_metric("dim = 3\ng11 = x1\ng22 = 1\ng33 = 1\n")
     with pytest.raises(SingularMetric):
-        christoffel(degenerate, (0.0, 0.0, 0.0))
+        JetPipeline(degenerate, (0.0, 0.0, 0.0))
 
 
 # --- Riemann tensor -------------------------------------------------------------
 
 
 def test_riemann_flat():
-    assert np.abs(riemann_0_4(FLAT4, (0.2, 0.1, -0.3, 0.5))).max() == 0.0
+    assert np.abs(JetPipeline(FLAT4, (0.2, 0.1, -0.3, 0.5)).riemann()).max() == 0.0
 
 
 def test_riemann_sphere_factor_sectional():
@@ -123,7 +116,8 @@ def test_nil_ricci_scalar_schouten():
     rng = np.random.default_rng(1)
     for _ in range(3):
         p = rng.uniform(-1, 1, 3)
-        ric, s, sch = ricci_scalar_schouten(m, p)
+        pl = JetPipeline(m, p)
+        ric, s, sch = pl.ricci(), pl.scalar(), pl.schouten()
         want = nil_expected_tensors(p)
         assert np.abs(ric - want["ricci"]).max() <= 1e-12
         assert s == pytest.approx(-0.5, abs=1e-12)
@@ -135,7 +129,8 @@ def test_sl2r_ricci_components():
 
     m = get_entry("sl2r").metric
     p = (0.4, 0.3, -0.6)
-    ric, s, sch = ricci_scalar_schouten(m, p)
+    pl = JetPipeline(m, p)
+    ric, s, sch = pl.ricci(), pl.scalar(), pl.schouten()
     want = sl2r_full_tensors(p)
     assert np.abs(ric - want["ricci"]).max() <= 1e-10
     assert s == pytest.approx(-2.0, abs=1e-10)
@@ -145,7 +140,7 @@ def test_sl2r_ricci_components():
 def test_dim2_rejected():
     m2 = parse_metric("dim = 2\ng11 = 1\ng22 = 1\n")
     with pytest.raises(DimensionError):
-        ricci_scalar_schouten(m2, (0.0, 0.0))
+        JetPipeline(m2, (0.0, 0.0)).schouten()
 
 
 # --- Kulkarni-Nomizu product -----------------------------------------------------
@@ -199,7 +194,7 @@ def test_weyl_vanishes_in_dim3():
     for name in ("nil", "sl2r", "sol"):
         m = get_entry(name).metric
         p = rng.uniform(-0.5, 0.5, 3)
-        w = weyl_0_4(m, p)
+        w = JetPipeline(m, p).weyl()
         assert np.abs(w).max() <= 1e-9
 
 
@@ -213,8 +208,8 @@ def test_weyl_conformally_flat_dim4():
         for j in range(i, 4):
             comp[i][j] = scale if i == j else Num(0.0)
     m = metric_from_components(comp)
-    w = weyl_0_4(m, (0.2, -0.1, 0.3, 0.4))
-    r = riemann_0_4(m, (0.2, -0.1, 0.3, 0.4))
+    pl = JetPipeline(m, (0.2, -0.1, 0.3, 0.4))
+    w, r = pl.weyl(), pl.riemann()
     assert np.abs(w).max() <= 1e-10 * max(1.0, np.abs(r).max())
 
 
@@ -222,12 +217,12 @@ def test_weyl_conformally_flat_dim4():
 
 
 def test_cotton_flat_zero():
-    assert np.abs(cotton(FLAT3, (0.1, 0.2, 0.3))).max() == 0.0
+    assert np.abs(JetPipeline(FLAT3, (0.1, 0.2, 0.3)).cotton()).max() == 0.0
 
 
 def test_cotton_sphere_chart_zero():
     m = get_entry("sphere3").metric
-    c = cotton(m, (0.1, -0.2, 0.3))
+    c = JetPipeline(m, (0.1, -0.2, 0.3)).cotton()
     assert np.abs(c).max() <= 1e-12
 
 
@@ -236,14 +231,14 @@ def test_nil_cotton_york_table():
     rng = np.random.default_rng(5)
     for _ in range(3):
         p = rng.uniform(-1, 1, 3)
-        cy = cotton_york(m, p)
+        cy = JetPipeline(m, p).cotton_york()
         want = nil_expected_tensors(p)["cotton_york"]
         assert np.abs(cy - want).max() <= 1e-12
         assert np.linalg.det(cy) == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_sl2r_cotton_york_origin():
-    cy = cotton_york(get_entry("sl2r").metric, (0.9, 0.0, 0.0))
+    cy = JetPipeline(get_entry("sl2r").metric, (0.9, 0.0, 0.0)).cotton_york()
     want = np.array([[0.0, 0.0, -2.0], [0.0, -4.0, 0.0], [-2.0, 0.0, 4.0]])
     assert np.abs(cy - want).max() <= 1e-10
     assert np.linalg.det(cy) == pytest.approx(16.0, rel=1e-12)
@@ -257,7 +252,7 @@ def test_r_cross_surface_cy_formula():
     rng = np.random.default_rng(2)
     for _ in range(4):
         p = rng.uniform(-0.8, 0.8, 3)
-        cy = cotton_york(m, p)
+        cy = JetPipeline(m, p).cotton_york()
         want = r_cross_surface_cy(f, p)
         scale = max(np.abs(want).max(), 1.0)
         assert np.abs(cy - want).max() <= 1e-10 * scale
@@ -267,7 +262,7 @@ def test_r_cross_surface_cy_formula():
 
 def test_cotton_york_dim4_rejected():
     with pytest.raises(DimensionError):
-        cotton_york(FLAT4, np.zeros(4))
+        JetPipeline(FLAT4, np.zeros(4)).cotton_york()
 
 
 # --- divergence identity ---------------------------------------------------------
@@ -275,7 +270,7 @@ def test_cotton_york_dim4_rejected():
 
 def test_div_weyl_conformally_flat_zero():
     m = random_metric_near_flat(4, np.random.default_rng(8), amplitude=0.0)
-    assert np.abs(div_weyl(m, np.zeros(4))).max() == 0.0
+    assert np.abs(JetPipeline(m, np.zeros(4)).div_weyl()).max() == 0.0
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -298,7 +293,7 @@ def test_div_weyl_product_metric(rng):
 
 def test_div_weyl_dim3_rejected():
     with pytest.raises(DimensionError):
-        div_weyl(FLAT3, np.zeros(3))
+        JetPipeline(FLAT3, np.zeros(3)).div_weyl()
 
 
 # --- conformal transformation laws ------------------------------------------------
@@ -321,7 +316,7 @@ def test_conformal_weyl_laws(rng):
         p = rng.uniform(-0.2, 0.2, 4)
         s0 = compute_snapshot(m, p)
         s1 = compute_snapshot(mt, p)
-        e2f = math.exp(2.0 * eval_expr(f, p).value)
+        e2f = math.exp(2.0 * eval_expr(f, p)[0])
         scale = max(np.abs(s0.weyl04).max(), 1e-30)
         assert np.abs(s1.weyl04 - e2f * s0.weyl04).max() <= 1e-7 * scale
         assert np.abs(s1.weyl13() - s0.weyl13()).max() <= 1e-7 * scale
@@ -337,7 +332,7 @@ def test_conformal_cotton_law(rng):
         p = rng.uniform(-0.2, 0.2, 4)
         s0 = compute_snapshot(m, p)
         s1 = compute_snapshot(mt, p)
-        gradf = eval_expr(f, p).gradient()
+        gradf = eval_expr(f, p)[jet_space(4).unit]
         grad_up = s0.g_inv @ gradf
         want = s0.cotton - np.einsum("ijkl,l->ijk", s0.weyl04, grad_up)
         scale = max(np.abs(s0.cotton).max(), 1e-30)
@@ -353,11 +348,11 @@ def test_cy_determinant_scaling():
     for name, expect_zero in (("sol", True), ("nil", False)):
         m = get_entry(name).metric
         p = (0.2, -0.1, 0.3)
-        cy1 = cotton_york(m, p)
+        cy1 = JetPipeline(m, p).cotton_york()
         for lam in (0.5, 2.0, 10.0):
             half_log = 0.5 * math.log(lam)
             m2 = conformal_rescale(m, ConformalFactor(Num(half_log)))
-            cy2 = cotton_york(m2, p)
+            cy2 = JetPipeline(m2, p).cotton_york()
             d1, d2 = np.linalg.det(cy1), np.linalg.det(cy2)
             if expect_zero:
                 assert abs(d2) <= 1e-10 * max(np.linalg.norm(cy2) ** 3, 1e-30)
@@ -408,6 +403,33 @@ def test_snapshot_json():
     assert np.array(doc["riemann"]).shape == (3, 3, 3, 3)
     assert doc["div_weyl"] is None
     assert np.array(doc["cotton_york"]).shape == (3, 3)
+
+
+def test_snapshot_json_gives_back_every_float_of_every_catalog_metric_bit_for_bit(rng):
+    """Strict parsing of the text (integers as floats, so "-0" keeps its
+    sign) returns each tensor of the snapshot with the same bits."""
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    checked = 0
+    for name in list_catalog():
+        entry = get_entry(name)
+        if entry.metric is None or entry.dim < 3:
+            continue
+        for p in entry.sample_points(rng, 2):
+            snap = compute_snapshot(entry.metric, p)
+            doc = json.loads(snapshot_to_json(snap), parse_constant=reject, parse_int=float)
+            for key, value in snapshot_to_dict(snap).items():
+                if value is None:
+                    assert doc[key] is None
+                    continue
+                want = np.ascontiguousarray(value, dtype=float)
+                got = np.ascontiguousarray(doc[key], dtype=float)
+                assert got.shape == want.shape, (name, key)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, key)
+            checked += 1
+    assert checked >= 20
     # 17 significant digits survive the round trip exactly
     assert doc["g"][1][1] == snap.g[1, 1]
 
