@@ -29,19 +29,22 @@ import numpy as np
 
 from . import catalog as cat
 from .bivectors import (
+    CurvatureOperator,
+    bianchi_project,
     dimension_report,
     operator_from_0_4,
+    operator_to_0_4,
     phi_map,
     random_weyl_operator,
+    ricci_contract,
     sample_eigenflag_params,
 )
 from .dsl import metric_to_text, parse_metric
 from .errors import (
-    DomainError,
+    ConstraintViolation,
     LcwError,
     NotPositiveDefinite,
     ParseError,
-    SingularMetric,
     UnknownEntry,
 )
 from .obstructions import ObstructionConfig, auto_test, eigenflag_test
@@ -118,6 +121,27 @@ def _load_source(source):
     return entry, entry.metric
 
 
+def _load_target(target, n):
+    """The ``cy`` matrix (dim 3) or the ``weyl`` operator (lex pairs) of a
+    ``--target`` file: a ParseError if the file cannot be read as one, a
+    ConstraintViolation if the operator is not a Weyl operator."""
+    key = "cy" if n == 3 else "weyl"
+    try:
+        mat = np.array(json.loads(pathlib.Path(target).read_text())[key])
+    except (OSError, UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:  # ValueError: not JSON, or ragged
+        raise ParseError(f"--target {target!r} is not 'same', 'random' or a JSON file with a {key!r} array ({exc!r})")
+    if mat.dtype.kind not in "iuf" or not np.isfinite(mat).all():
+        raise ParseError(f"the {key!r} entry of {target!r} is not an array of finite numbers")
+    if n == 3:
+        return mat.astype(float)
+    op = CurvatureOperator(dim=n, mat=mat)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge operator's norms overflow; the prescription refuses it
+        off = max(np.linalg.norm(ricci_contract(op)), np.linalg.norm(bianchi_project(op).mat))
+        if off > 1e-10 * max(op.norm(), 1.0):
+            raise ConstraintViolation("the weyl target is not a Weyl operator: its Ricci contraction or Bianchi part is not 0")
+    return op
+
+
 def _echo_json(doc):
     click.echo(format_json(doc))
 
@@ -150,22 +174,14 @@ class _Fail(Exception):
 def _run(fn):
     try:
         fn()
-    except ParseError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_PARSE)
-    except (DomainError, SingularMetric) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_MATH)
-    except NotPositiveDefinite as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_POSITIVITY)
     except _Fail as e:
         if e.message:
             click.echo(e.message, err=True)
         sys.exit(e.code)
     except LcwError as e:
         click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_MATH)
+        code = EXIT_PARSE if isinstance(e, ParseError) else EXIT_MATH
+        sys.exit(EXIT_POSITIVITY if isinstance(e, NotPositiveDefinite) else code)
 
 
 @click.group()
@@ -257,8 +273,6 @@ def cmd_tensors(source, point, which, fmt):
 
 
 def _algebraic_tensors(entry):
-    from .bivectors import ricci_contract
-
     data = entry.algebraic
     op = operator_from_0_4(data.r4, g=data.g)
     ric = ricci_contract(op)
@@ -383,34 +397,26 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
             )
             return
 
+        wanted = None if target == "random" else _load_target(target, n)
         chart0 = normal_coordinates(metric, p, radius, order=3 if n == 3 else 2)
         if n == 3:
-            cy_here = JetPipeline(chart0.metric, np.zeros(3)).cotton_york()
-            if target == "random":
+            if wanted is None:
+                cy_here = JetPipeline(chart0.metric, np.zeros(3)).cotton_york()
                 d = rng.standard_normal((3, 3))
                 d = (d + d.T) / 2.0
                 d -= np.trace(d) / 3.0 * np.eye(3)
-                cy0 = cy_here + amplitude * d / np.linalg.norm(d)
-            else:
-                doc = json.loads(pathlib.Path(target).read_text())
-                cy0 = np.array(doc["cy"], dtype=float)
+                wanted = cy_here + amplitude * d / np.linalg.norm(d)
             res = prescribe_cotton_york(
-                CottonPrescription(base=metric, point=p, target_cy=cy0, radius=radius)
+                CottonPrescription(base=metric, point=p, target_cy=wanted, radius=radius)
             )
         else:
-            from .bivectors import CurvatureOperator, operator_to_0_4
-
             pl0 = JetPipeline(chart0.metric, np.zeros(n), order=2)
             r_here = pl0.riemann()
-            if target == "random":
+            if wanted is None:
                 # random Weyl shift on top of the current curvature
-                wshift = random_weyl_operator(n, rng)
-                r0 = r_here + amplitude * operator_to_0_4(wshift)
+                r0 = r_here + amplitude * operator_to_0_4(random_weyl_operator(n, rng))
             else:
-                doc = json.loads(pathlib.Path(target).read_text())
-                wmat = np.array(doc["weyl"], dtype=float)
-                wtarget = operator_to_0_4(CurvatureOperator(dim=n, mat=wmat))
-                r0 = r_here - pl0.weyl() + wtarget
+                r0 = r_here - pl0.weyl() + operator_to_0_4(wanted)
             res = prescribe_curvature(
                 CurvaturePrescription(base=metric, point=p, target_r4=r0, radius=radius)
             )

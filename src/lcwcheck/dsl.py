@@ -20,13 +20,13 @@ the Python stack; only the parser recurses, and it reports nesting past
 the recursion limit as a ParseError.
 
 Evaluation compiles the DAG of the requested expressions (shared subtrees
-once) into a program, then runs it on a batch of points, either as numbers
-or as jets of a given order (3 unless the caller asks for less; the program
-does not depend on it).  Compiling folds every constant subtree (in each mode
-the way that mode computes it: in jets a constant a / b is a * (1 / b)),
+once) into a program, then runs it on a batch of points as jets of a given
+order, 0 to 3 (the program does not depend on it): an order-0 jet is the
+value, so numbers are order-0 jets.  Compiling folds every constant
+subtree the way a jet run computes it (a constant a / b is a * (1 / b)),
 gives each coordinate x_k one buffer slot, and groups the other nodes by
 depth and by operation.  A run makes one numpy call per group over a
-(nodes, points[, coefficients]) buffer: one ``JetSpace.mul`` for every
+(nodes, points, coefficients) buffer: one ``JetSpace.mul`` for every
 product of two jets of a depth (a bare x_k is a jet too), one
 ``jet_apply`` per function, and so on.  A group reads its operands as a
 slice of the buffer where their slots are contiguous (always so for a
@@ -42,8 +42,7 @@ The bits are those of evaluating the nodes one by one: each node runs the
 same floating-point operations on the same operands, only many nodes at
 a time, and a jet product sums each slot in a fixed order whatever the
 batch.  A constant operand enters as the node-by-node evaluation had it:
-a float in jets, which shifts or scales, and in numbers a value combined
-elementwise, as a full array of it would be.
+a float, which shifts or scales.
 
 An expression with two evaluation errors (say a log of a negative constant
 and a division by a jet that vanishes at the point) raises one
@@ -212,11 +211,6 @@ def substitute(e, mapping):
 # --- evaluation -------------------------------------------------------------
 
 
-def _smoothstep_down(t):
-    """Degree-7 step: 1 at t=0, 0 at t=1, zero 1st-3rd derivatives at both."""
-    return 1.0 - t**4 * (35.0 + t * (-84.0 + t * (70.0 - t * 20.0)))
-
-
 def _smoothbump_jet(space, u, u0, u1):
     """smoothbump of the jets ``u`` (N, size)."""
     uc = u[:, 0]
@@ -225,7 +219,8 @@ def _smoothbump_jet(space, u, u0, u1):
     out[uc <= u0, 0] = 1.0
     ramp = ~(uc <= u0) & ~(uc >= u1)
     if ramp.any():
-        # _smoothstep_down on jets, operation by operation in its order
+        # the degree-7 step 1 - t^4 (35 + t (-84 + t (70 - 20 t))), which is
+        # 1 at t = 0, 0 at t = 1 and has zero 1st-3rd derivatives at both
         t = jet_add(u[ramp], -u0) / (u1 - u0)
         poly = jet_add(70.0, -(t * 20.0))
         poly = jet_add(jet_mul(space, t, poly), -84.0)
@@ -242,8 +237,7 @@ def _smoothbump_jet(space, u, u0, u1):
     _ADDC,  # s + c
     _CSUB,  # c - s
     _NEG,  # -s
-    _SCALE,  # s * c
-    _DIVC,  # s / c
+    _SCALE,  # s * c, and s / c as s * (1 / c)
     _MUL,  # s * s
     _DIV,  # s / s
     _CDIV,  # c / s
@@ -251,22 +245,20 @@ def _smoothbump_jet(space, u, u0, u1):
     _CALL,  # param(s), param in UNARY_FUNCS
     _BUMP,  # smoothbump(s, *param)
     _LIFT,  # c, as a slot
-) = range(14)
+) = range(13)
 _NOPS = _LIFT + 1
 
 _SLOT_PAIRS = (_ADD, _SUB, _MUL, _DIV)  # two slot operands
 _SLOT_PAIR = dict(zip(_BINARY, _SLOT_PAIRS))
 _LEFT_CONST = {Add: _ADDC, Sub: _CSUB, Mul: _SCALE, Div: _CDIV}
-_RIGHT_CONST = {Add: _ADDC, Mul: _SCALE, Div: _DIVC}
-_CONST_OPS = (_ADDC, _CSUB, _SCALE, _DIVC, _CDIV, _LIFT)  # a constant operand
-_JET_CUBE = (_SCALE, _DIVC, _CDIV)  # whose constant scales every jet coefficient
+_RIGHT_CONST = {Add: _ADDC, Mul: _SCALE, Div: _SCALE}
+_CONST_OPS = (_ADDC, _CSUB, _SCALE, _CDIV, _LIFT)  # a constant operand
+_JET_CUBE = (_SCALE, _CDIV)  # whose constant scales every jet coefficient
 
 
-def _fold(e, args, jets):
-    """Value of the constant node ``e`` from its children's values
-    ``args``, as evaluation in that mode computes it.  Constants are floats
-    in both: +, -, * and negation round alike on floats and on arrays; in
-    numbers the rest runs on a one-element array, as on a batch."""
+def _fold(e, args):
+    """Value (a float) of the constant node ``e`` from its children's
+    values ``args``, as a jet run computes it."""
     t, a = type(e), args[0]
     if t is Add:
         return a + args[1]
@@ -276,24 +268,14 @@ def _fold(e, args, jets):
         return a * args[1]
     if t is Neg:
         return -a
-    if jets:
-        if t is Div:
-            return a * jet_inverse(None, args[1])
-        return jet_power(None, a, e.exponent) if t is Pow else jet_apply(None, e.func, a)
     if t is Div:
-        if args[1] == 0.0:
-            raise DomainError("division by zero")
-        return a / args[1]
-    if t is Pow:
-        return float((np.array([a]) ** e.exponent)[0])
-    if e.func in ("log", "sqrt") and a <= 0.0:
-        raise DomainError(f"{e.func} of nonpositive value")
-    return float(getattr(np, e.func)(np.array([a]))[0])
+        return a * jet_inverse(None, args[1])
+    return jet_power(None, a, e.exponent) if t is Pow else jet_apply(None, e.func, a)
 
 
 class _Program:
     """The expressions ``roots`` compiled for evaluation at batches of
-    points, in jets or in numbers (see the module docstring).
+    points, as jets of any order (see the module docstring).
 
     The buffer holds the coordinates ``vars`` in its first slots, then
     one slot per node computed at run time, ``size`` in all.  ``steps``
@@ -302,19 +284,18 @@ class _Program:
     operands ``a`` and ``b``, each the first of hi - lo contiguous slots
     or -1, where the group reads them through ``gather`` (the int32
     operand slots of every slot) at lo..hi-1; its constant operands are
-    ``consts`` from row ``c`` on (jets as a column and as a cube, numbers
-    as a column; a jet divisor is held as its reciprocal).  ``errors``
-    holds the DomainError message, if any, that every run in a mode
-    raises (from folding a constant or from a zero constant divisor),
-    ``roots`` the slot of each root and ``width`` the least point width
-    that covers ``vars``."""
+    ``consts`` from row ``c`` on (as a column and as a cube; a divisor is
+    held as its reciprocal).  ``error`` holds the DomainError message, if
+    any, that every run raises (from folding a constant or from a zero
+    constant divisor), ``roots`` the slot of each root and ``width`` the
+    least point width that covers ``vars``."""
 
-    __slots__ = ("vars", "width", "size", "steps", "gather", "consts", "roots", "errors")
+    __slots__ = ("vars", "width", "size", "steps", "gather", "consts", "roots", "error")
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a fold may overflow; the run gives inf or nan
     def __init__(self, roots):
         # by node id: its slot (an int) or, for a constant, its folded
-        # (jet, numeric) value (a tuple); by coordinate index: its slot
+        # value (a float); by coordinate index: its slot
         value, var_slot = {}, {}
         # per provisional slot: depth (-1 for a coordinate), kind (the op,
         # or for an op with a parameter its index in ``pairs`` past the
@@ -322,20 +303,17 @@ class _Program:
         # as ~index)
         levels, kinds, first, second = [], [], [], []
         kind_of, pairs = {}, []  # (op, param) -> kind; kind - _NOPS -> (op, param)
-        consts, errors = [], [None, None]
+        consts, errors = [], []
 
         def fold(e, args):
-            pair = []
-            for mode, jets in enumerate((True, False)):
-                try:
-                    pair.append(_fold(e, [x[mode] for x in args], jets))
-                except DomainError as exc:  # raised when this mode runs
-                    errors[mode] = errors[mode] or str(exc)
-                    pair.append(math.nan)
-            return tuple(pair)
+            try:
+                return _fold(e, args)
+            except DomainError as exc:  # raised when the program runs
+                errors.append(str(exc))
+                return math.nan
 
-        def lift(pair):  # a constant as a slot, for a root or a smoothbump
-            consts.append(pair)
+        def lift(c):  # a constant as a slot, for a root or a smoothbump
+            consts.append(c)
             levels.append(0)
             kinds.append(_LIFT)
             first.append(0)
@@ -345,7 +323,7 @@ class _Program:
         for e in _walk(roots):
             t = type(e)
             if t is Num:
-                value[id(e)] = (float(e.value),) * 2
+                value[id(e)] = float(e.value)
                 continue
             if t is Var:
                 if e.index not in var_slot:
@@ -358,20 +336,19 @@ class _Program:
                 continue
             if t in _BINARY:
                 a, b = value[id(e.a)], value[id(e.b)]
-                if type(a) is tuple:
-                    if type(b) is tuple:
+                if isinstance(a, float):
+                    if isinstance(b, float):
                         value[id(e)] = fold(e, (a, b))
                         continue
                     consts.append(a)
                     kind, a, b, level = _LEFT_CONST[t], b, -len(consts), levels[b] + 1
-                elif type(b) is tuple:
+                elif isinstance(b, float):
                     if t is Sub:
-                        t, b = Add, (-b[0], -b[1])  # a - c as a + (-c): the same bits
-                    elif t is Div:  # a jet run multiplies by the reciprocal
-                        for mode, message in enumerate(("division by a jet with zero constant term", "division by zero")):
-                            if b[mode] == 0.0:  # every run in that mode divides by it
-                                errors[mode] = errors[mode] or message
-                        b = (1.0 / b[0] if b[0] != 0.0 else math.nan, b[1])
+                        t, b = Add, -b  # a - c as a + (-c): the same bits
+                    elif t is Div:  # a run multiplies by the reciprocal
+                        if b == 0.0:  # every run divides by it
+                            errors.append("division by a jet with zero constant term")
+                        b = 1.0 / b if b != 0.0 else math.nan
                     consts.append(b)
                     kind, b, level = _RIGHT_CONST[t], -len(consts), levels[a] + 1
                 else:
@@ -382,14 +359,14 @@ class _Program:
                     # it does for every node that depends on the point
                     a = value[id(e.args[0])]
                     op, param = _BUMP, (float(e.args[1].value), float(e.args[2].value))
-                    if type(a) is tuple:
+                    if isinstance(a, float):
                         a = lift(a)
                 else:
                     a = value[id(e.base if t is Pow else e.a if t is Neg else e.args[0])]
                     if t is Pow and e.exponent == 0:
-                        value[id(e)] = (1.0, 1.0)  # x^0 is the constant 1 in both modes
+                        value[id(e)] = 1.0  # x^0 is the constant 1
                         continue
-                    if type(a) is tuple:
+                    if isinstance(a, float):
                         value[id(e)] = fold(e, (a,))
                         continue
                     op, param = (_POW, e.exponent) if t is Pow else (_NEG, None) if t is Neg else (_CALL, e.func)
@@ -404,7 +381,7 @@ class _Program:
             kinds.append(kind)
             first.append(a)
             second.append(b)
-        root_slots = [lift(v) if type(v) is tuple else v for v in (value[id(r)] for r in roots)]
+        root_slots = [lift(v) if isinstance(v, float) else v for v in (value[id(r)] for r in roots)]
 
         # lay out: the coordinates by index, then the groups by depth
         n, nv = len(levels), len(var_slot)
@@ -417,10 +394,10 @@ class _Program:
         keys = [keys[i] for i in order]
         a, b = [final[first[i]] for i in order], [final[second[i]] for i in order]
         starts = [lo for lo in range(nv, n) if lo == nv or keys[lo] != keys[lo - 1]]
-        # the constant operands (b < 0) in slot order: jets (as a column and
-        # as a cube, for an op that scales every coefficient) and numbers
-        column = np.array([consts[~x] for x in b if x < 0], dtype=float).reshape(-1, 2)
-        self.consts = (column[:, :1], column[:, :1, None], column[:, 1:])
+        # the constant operands (b < 0) in slot order, as a column and as a
+        # cube (for an op that scales every coefficient)
+        column = np.array([consts[~x] for x in b if x < 0], dtype=float).reshape(-1, 1)
+        self.consts = (column, column[..., None])
 
         def operand(x, lo, hi):
             """The first of the slots x[lo:hi] where they are contiguous,
@@ -451,40 +428,30 @@ class _Program:
         self.roots = np.array([final[r] for r in root_slots], dtype=np.intp)
         self.vars = np.array(sorted(var_slot), dtype=np.intp)
         self.width = max(var_slot, default=-1) + 1
-        self.errors = tuple(errors)
+        self.error = errors[0] if errors else None
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # inf or nan; every caller checks finiteness
-    def run(self, points, jets, order=3):
-        """Values of the roots at the (N, width) ``points``: jets
-        (roots, N, size) of ``order`` or numbers (roots, N)."""
+    def run(self, points, order=3):
+        """Jets (roots, N, size) of ``order`` of the roots at the (N, width)
+        ``points``; at order 0, size is 1 and the jets are the values."""
         npts, width = points.shape
-        if jets:
-            space = jet_space(width, order)
+        space = jet_space(width, order)
         if self.width > width:
             raise DomainError(f"variable x{self.width} out of range for dim {width}")
-        if self.errors[not jets] and (jets or npts):  # numbers at no points check no value
-            raise DomainError(self.errors[not jets])
+        if self.error:
+            raise DomainError(self.error)
         nv = len(self.vars)
-        if jets:
-            buf = np.empty((self.size, npts, space.size))
-            buf[:nv] = 0.0
-            buf[:nv, :, 0] = points.T[self.vars]
-            buf[np.arange(nv), :, space.unit[self.vars]] = 1.0
-        else:
-            buf = np.empty((self.size, npts))
-            buf[:nv] = points.T[self.vars]
-        consts = self.consts if jets else (self.consts[2],) * 2
+        buf = np.empty((self.size, npts, space.size))
+        buf[:nv] = space.coordinates[self.vars, None]
+        buf[:nv, :, 0] = points.T[self.vars]
         gather_a, gather_b = self.gather or (None, None)
         for op, param, lo, hi, a, b, c in zip(*self.steps):
             out = buf[lo:hi]
             if c is not None:
-                c = consts[op in _JET_CUBE][c : c + hi - lo]
+                c = self.consts[op in _JET_CUBE][c : c + hi - lo]
             if op == _LIFT:
-                if jets:
-                    out[...] = 0.0
-                    out[..., 0] = c
-                else:
-                    out[...] = c
+                out[...] = 0.0
+                out[..., 0] = c
                 continue
             u = buf[a : a + hi - lo] if a >= 0 else buf[gather_a[lo:hi]]
             if b is not None:
@@ -493,49 +460,25 @@ class _Program:
                 np.add(u, v, out=out)
             elif op == _SUB:
                 np.subtract(u, v, out=out)
-            elif op == _ADDC or op == _CSUB:
-                if jets:  # the constant shifts the constant term only
-                    np.negative(u, out=out) if op == _CSUB else np.copyto(out, u)
-                    out[..., 0] += c
-                elif op == _ADDC:
-                    np.add(u, c, out=out)
-                else:
-                    np.subtract(c, u, out=out)
+            elif op == _ADDC or op == _CSUB:  # the constant shifts the constant term only
+                np.negative(u, out=out) if op == _CSUB else np.copyto(out, u)
+                out[..., 0] += c
             elif op == _NEG:
                 np.negative(u, out=out)
             elif op == _SCALE:
                 np.multiply(u, c, out=out)
-            elif op == _DIVC:
-                np.multiply(u, c, out=out) if jets else np.divide(u, c, out=out)
             elif op == _MUL:
-                if jets:
-                    out[...] = space.mul(u, v)
-                else:
-                    np.multiply(u, v, out=out)
-            elif op == _DIV or op == _CDIV:
-                num, v = (u, v) if op == _DIV else (c, u)
-                if jets:
-                    inv = jet_inverse(space, v)
-                    out[...] = space.mul(num, inv) if op == _DIV else num * inv
-                elif np.any(v == 0.0):
-                    raise DomainError("division by zero")
-                else:
-                    np.divide(num, v, out=out)
+                out[...] = space.mul(u, v)
+            elif op == _DIV:
+                out[...] = space.mul(u, jet_inverse(space, v))
+            elif op == _CDIV:
+                out[...] = c * jet_inverse(space, u)
             elif op == _POW:
-                out[...] = jet_power(space, u, param) if jets else u**param
+                out[...] = jet_power(space, u, param)
             elif op == _CALL:
-                if jets:
-                    out[...] = jet_apply(space, param, u)
-                elif param in ("log", "sqrt") and np.any(u <= 0.0):
-                    raise DomainError(f"{param} of nonpositive value")
-                else:
-                    getattr(np, param)(u, out=out)
+                out[...] = jet_apply(space, param, u)
             else:  # _BUMP
-                u0, u1 = param
-                if jets:
-                    out[...] = _smoothbump_jet(space, u.reshape(-1, space.size), u0, u1).reshape(u.shape)
-                else:
-                    out[...] = _smoothstep_down(np.clip((u - u0) / (u1 - u0), 0.0, 1.0))
+                out[...] = _smoothbump_jet(space, u.reshape(-1, space.size), *param).reshape(u.shape)
         return buf[self.roots]
 
 
@@ -548,17 +491,18 @@ def eval_expr(e, point) -> np.ndarray:
 def eval_expr_many(exprs, points) -> np.ndarray:
     """Order-3 jets of every expression at an (N, dim) batch of points, as
     an array (len(exprs), N, size) of Taylor coefficients."""
-    return _Program(exprs).run(np.asarray(points, dtype=float), jets=True)
+    return _Program(exprs).run(np.asarray(points, dtype=float))
 
 
 def eval_num(e, point) -> float:
-    """Plain numeric evaluation (used for grid scans; cheaper than jets)."""
+    """Value of the expression at ``point``."""
     return float(eval_num_many(e, np.asarray(point, dtype=float)[None, :])[0])
 
 
 def eval_num_many(e, points) -> np.ndarray:
-    """Vectorized numeric evaluation at an (N, dim) array of points."""
-    return _Program([e]).run(np.asarray(points, dtype=float), jets=False)[0]
+    """Values (N,) of the expression at an (N, dim) batch of points: its
+    order-0 jets."""
+    return _Program([e]).run(np.asarray(points, dtype=float), 0)[0, :, 0]
 
 
 # --- tokenizer / parser -----------------------------------------------------
@@ -815,7 +759,7 @@ class MetricDef:
         return self.components[i][j]
 
     def eval_matrix(self, point) -> np.ndarray:
-        """Numeric metric matrix at ``point``."""
+        """Metric matrix at ``point``."""
         return self.eval_matrix_many(np.asarray(point, dtype=float)[None, :])[0]
 
     @cached_property
@@ -829,15 +773,15 @@ class MetricDef:
         return {k: v for k, v in self.__dict__.items() if k != "_program"}
 
     def eval_matrix_many(self, points) -> np.ndarray:
-        """(N, dim, dim) numeric metric matrices at an (N, dim) batch of
-        points."""
-        values = self._program.run(np.asarray(points, dtype=float), jets=False)
+        """(N, dim, dim) metric matrices at an (N, dim) batch of points,
+        from the order-0 jets of the entries."""
+        values = self._program.run(np.asarray(points, dtype=float), 0)[..., 0]
         return values.T[:, _pair_index(self.dim)]
 
     def eval_jets(self, point, order=3):
         """(dim, dim, size) Taylor coefficients of ``order`` of the entries
         at ``point``."""
-        jets = self._program.run(np.asarray(point, dtype=float)[None], jets=True, order=order)
+        jets = self._program.run(np.asarray(point, dtype=float)[None], order)
         return jets[_pair_index(self.dim), 0]
 
 

@@ -2,11 +2,14 @@
 
 A jet stores the Taylor coefficients (partial derivative divided by the
 multi-index factorial) of a smooth function at a point, for every multi-index
-of total degree <= order in up to six variables; the order, 1 to 3,
-belongs to the ``JetSpace``.  Arithmetic is exact truncation: products drop
-all terms of degree > order, so the coefficients of any expression built
-from +, -, *, /, integer powers and the supported analytic functions are the
-true Taylor coefficients of that expression, up to rounding.
+of total degree <= order in up to six variables; the order, 0 to 3,
+belongs to the ``JetSpace``.  An order-0 jet is the value alone: its
+product is the plain product and a function of it is the function's value,
+so a batch of numbers is evaluated as a batch of order-0 jets.  Arithmetic
+is exact truncation: products drop all terms of degree > order, so the
+coefficients of any expression built from +, -, *, /, integer powers and
+the supported analytic functions are the true Taylor coefficients of that
+expression, up to rounding.
 
 Multi-indices are ordered graded-lexicographically and the full coefficient
 vector is stored densely (C(dim+order, order) entries).  The slots of a
@@ -35,7 +38,7 @@ import numpy as np
 from .errors import DomainError
 
 MAX_ORDER = 3
-MIN_DIM = 2
+MIN_DIM = 1
 MAX_DIM = 6
 
 
@@ -44,16 +47,18 @@ class JetSpace:
     share.
 
     The multi-indices in slot order (``indices``, ``index_of``, ``degrees``,
-    ``factorials``); ``unit``; the derivative slot tables ``partial_slots[k]``,
-    k = 0..order, of shape (dim,)*k with [a_1, ..., a_k] the slot of
-    d_{a_1} ... d_{a_k}; and the product table of ``mul``.
+    ``factorials``); ``coordinates``, the (dim, size) first-order parts of
+    the coordinate functions' jets, with ``unit`` their slots (none at
+    order 0); the derivative slot tables ``partial_slots[k]``, k = 0..order,
+    of shape (dim,)*k with [a_1, ..., a_k] the slot of d_{a_1} ... d_{a_k};
+    and the product table of ``mul``.
     """
 
     def __init__(self, dim, order=MAX_ORDER):
         if not MIN_DIM <= dim <= MAX_DIM:
             raise DomainError(f"jet dimension must be in [{MIN_DIM}, {MAX_DIM}], got {dim}")
-        if not 1 <= order <= MAX_ORDER:
-            raise DomainError(f"jet order must be in [1, {MAX_ORDER}], got {order}")
+        if not 0 <= order <= MAX_ORDER:
+            raise DomainError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
         self.dim, self.order = dim, order
         self.indices = sorted(
             (a for a in itertools.product(range(order + 1), repeat=dim) if sum(a) <= order),
@@ -65,8 +70,8 @@ class JetSpace:
         self.factorials = np.array(
             [float(math.prod(math.factorial(e) for e in a)) for a in self.indices]
         )
-        # slot of the first-order coefficient of each coordinate x_k
-        self.unit = np.array([self.index_of[tuple(int(k == j) for j in range(dim))] for k in range(dim)])
+        self.coordinates = np.array([[float(sum(a) == a[k] == 1) for a in self.indices] for k in range(dim)])
+        self.unit = self.coordinates.nonzero()[1]
         self.partial_slots = [
             np.array([self.index_of[tuple(map(axes.count, range(dim)))] for axes in
                       itertools.product(range(dim), repeat=k)]).reshape((dim,) * k)
@@ -87,7 +92,10 @@ class JetSpace:
         """Truncated product of coefficient arrays ``(..., size)``.
 
         Each slot adds its products in one fixed order (no BLAS), so a
-        point's result has the same bits in any batch."""
+        point's result has the same bits in any batch.  At order 0 this is
+        the plain product."""
+        if self.order == 0:
+            return a * b
         return np.add.reduceat(a[..., self.mul_i] * b[..., self.mul_j], self._starts, axis=-1)
 
     def derivative(self, coeffs, alpha):
@@ -95,16 +103,6 @@ class JetSpace:
         times alpha!) from the coefficients ``(..., size)``."""
         i = self.index_of[tuple(alpha)]
         return coeffs[..., i] * self.factorials[i]
-
-    def lift(self, points):
-        """Jets ``(dim, ..., size)`` of the coordinate functions at the
-        ``(..., dim)`` points."""
-        points = np.asarray(points, dtype=float)
-        out = np.zeros((self.dim, *points.shape[:-1], self.size))
-        for k in range(self.dim):
-            out[k, ..., 0] = points[..., k]
-            out[k, ..., self.unit[k]] = 1.0
-        return out
 
 
 def jet_space(dim, order=MAX_ORDER) -> JetSpace:
@@ -183,13 +181,15 @@ _DERIVATIVES = {
 
 def jet_apply(space, func, f):
     """func(f) for func in exp log sqrt sin cos sinh cosh: the Taylor
-    series of func at the constant term of f, composed with f."""
+    series of func at the constant term of f, composed with f.  A constant
+    or an order-0 jet takes the function's value alone."""
     c = f if isinstance(f, float) else f[..., 0]
     if func in ("log", "sqrt") and np.any(c <= 0.0):
         raise DomainError(f"{func} of a jet with nonpositive constant term")
+    if isinstance(f, float) or space.order == 0:  # the value alone
+        value = getattr(np, func)(f)
+        return float(value) if isinstance(f, float) else value
     f0, d1, d2, d3 = _DERIVATIVES[func](c)
-    if isinstance(f, float):
-        return float(f0)
     h = f.copy()
     h[..., 0] = 0.0  # nilpotent part
     out = h * (d3 / 6.0)[..., None]
@@ -197,5 +197,7 @@ def jet_apply(space, func, f):
     out = space.mul(h, out)
     out[..., 0] += d1
     out = space.mul(h, out)
-    out[..., 0] += f0
+    # the value is f0 alone: the zero constant term of h times an infinite
+    # derivative would make it nan
+    out[..., 0] = f0
     return out

@@ -18,8 +18,9 @@ and the bump as its coefficient tensor and cutoff radius.  Its jets at a
 point y0 (order 3, or 2 for a curvature prescription) are the base jets at
 x(y0) composed with the jets of x(y) (truncated Taylor composition), then
 J^T g J plus the bump, all in jet arithmetic; its values on a grid are the
-base values at x(Y) combined the same way in numpy.  No expression is built on this path: the expression
-form (``components``) is made on first use, for printing the metric.
+order-0 jets, the base values at x(Y) combined the same way.  No
+expression is built on this path: the expression form (``components``) is
+made on first use, for printing the metric.
 
 The bump coefficients live in the 60-dimensional space A indexed by
 (unordered pair {i,j}, unordered triple {k,l,m}); the linear map L onto
@@ -47,7 +48,6 @@ from .dsl import (
     Var,
     _pair_index,
     _smoothbump_jet,
-    _smoothstep_down,
     substitute,
 )
 from .errors import (
@@ -86,11 +86,10 @@ def _monomials(n):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan; callers check finiteness
-def _poly_taylor(coeffs, points, jets=True, order=3):
-    """Jets of ``order`` (or, without ``jets``, values) at the (N, n) ``points``
-    of the polynomials sum_d c_d(y, ..., y), where ``coeffs[d]`` is None or
-    an array (*lead, n, ..., n) symmetric in its d trailing axes.  Returns
-    (N, *lead, size), or (N, *lead) for values.
+def _poly_taylor(coeffs, points, order=3):
+    """Jets (N, *lead, size) of ``order`` at the (N, n) ``points`` of the
+    polynomials sum_d c_d(y, ..., y), where ``coeffs[d]`` is None or an
+    array (*lead, n, ..., n) symmetric in its d trailing axes.
 
     The coefficient of t^alpha (|alpha| = j) in c_d(y + t, ...) is
     C(d, j) j!/alpha! c_d(alpha, y, ..., y).  Each contraction sums one
@@ -106,14 +105,11 @@ def _poly_taylor(coeffs, points, jets=True, order=3):
         t = np.asarray(c, dtype=float)[None]
         if out is None:
             lead = t.shape[1 : t.ndim - d]
-            out = np.zeros((npts, *lead, jet_space(n, order).size) if jets else (npts, *lead))
+            out = np.zeros((npts, *lead, jet_space(n, order).size))
         for j in range(d, -1, -1):
             if j == 0:
-                if jets:
-                    out[..., 0] += t
-                else:
-                    out += t
-            elif jets and j <= order:
+                out[..., 0] += t
+            elif j <= order:
                 slots, idx, mult = table[j]
                 out[..., slots] += math.comb(d, j) * mult * t[(..., *idx)]
             if j:
@@ -245,23 +241,19 @@ class PulledBackMetric:
         return out[self._pair]
 
     def eval_matrix(self, point) -> np.ndarray:
-        """Numeric metric matrix at ``point``."""
+        """Metric matrix at ``point``."""
         return self.eval_matrix_many(np.asarray(point, dtype=float)[None, :])[0]
 
     @np.errstate(over="ignore", invalid="ignore")  # the positivity check refuses a metric that is not finite
     def eval_matrix_many(self, points) -> np.ndarray:
-        """(N, dim, dim) numeric metric matrices at an (N, dim) batch of
-        points."""
+        """(N, dim, dim) metric matrices at an (N, dim) batch of points,
+        from order-0 jets."""
         points = np.asarray(points, dtype=float)
-        g = self.base.eval_matrix_many(_poly_taylor(self._x, points, jets=False))
-        jac = _poly_taylor(self._jac, points, jets=False)
-        out = self._pullback(g[..., None], jac[..., None], np.multiply)[..., 0]
+        g = self.base.eval_matrix_many(_poly_taylor(self._x, points, order=0)[..., 0])
+        out = self._pullback(g[..., None], _poly_taylor(self._jac, points, order=0), np.multiply)
         if self._bump is not None:
-            u0, u1 = self._cutoff_bounds()
-            r2 = _poly_taylor(self._r2, points, jets=False)
-            phi = _smoothstep_down(np.clip((r2 - u0) / (u1 - u0), 0.0, 1.0))
-            out = out + _poly_taylor(self._bump, points, jets=False) * phi[:, None]
-        return out[:, self._pair]
+            out = out + self._bump_jets(points, order=0)
+        return out[:, self._pair, 0]
 
     @cached_property
     def components(self):

@@ -149,10 +149,10 @@ class JetPipeline:
     With the metric jets exact to ``order`` 3, every derived tensor below,
     through Weyl, is exact as a first-order jet ``(1 + n, *shape)``; with
     order 2, as a value ``(1, *shape)``, and the tensors that read first
-    partials (``dgamma``, ``cotton``, ``cotton_york``, ``div_weyl``) refuse.
-    Only the partials up to ``order`` must be finite.  ``g_jets`` holds the
-    metric's ``(n, n, size)`` Taylor coefficients.  Each tensor is built on
-    first use and kept.
+    partials (``dgamma``, ``cotton``, ``cotton_york``, ``div_weyl``) refuse;
+    any other order is a DomainError.  Only the partials up to ``order``
+    must be finite.  ``g_jets`` holds the metric's ``(n, n, size)`` Taylor
+    coefficients.  Each tensor is built on first use and kept.
     """
 
     def __init__(self, metric: MetricDef, point, order=3):
@@ -160,6 +160,8 @@ class JetPipeline:
         self.point = np.asarray(point, dtype=float)
         self.n = n = metric.dim
         self.order = order
+        if order not in (2, 3):
+            raise DomainError(f"a pipeline runs at order 2 or 3, got {order}")
         if len(self.point) != n:
             raise DimensionError(
                 f"point has {len(self.point)} coordinates, metric dim is {n}"

@@ -89,28 +89,37 @@ OVERFLOW_G11 = "dim = 3\ng11 = (1+x1^2)^100000000\ng22 = 1\ng33 = 1\n"
 OVERFLOW_ALL = "dim = 3\n" + "".join(f"g{i}{i} = (1+x1^2)^100000000\n" for i in (1, 2, 3))
 
 
+NOT_FINITE, DERIVATIVES_NOT_FINITE = "error: metric not finite", "error: metric derivatives not finite"
+
+
 @pytest.mark.parametrize(
-    "text, point",
+    "text, point, message",
     [
-        (OVERFLOW_G11, "0.1,0,0"),  # the metric itself overflows
-        (OVERFLOW_ALL, "0.00264,0,0"),  # g is finite, its third derivatives are not
-        ("dim = 3\ng11 = (1e200)^2 + x1\ng22 = 1\ng33 = 1\n", "0.1,0,0"),  # a constant folds to inf
-        ("dim = 3\ng11 = exp(1000 + x1)\ng22 = 1\ng33 = 1\n", "0,0,0"),  # exp of the jet overflows
-        ("dim = 3\ng11 = 1 + 1e200*x1*1e200*x2\ng22 = 1\ng33 = 1\n", "0.1,0.1,0"),  # scale and product overflow
-        ("dim = 3\ng11 = 1 + sqrt(1e-320 + x1^2)\ng22 = 1\ng33 = 1\n", "0,0,0"),  # sqrt's derivatives divide by 0
+        (OVERFLOW_G11, "0.1,0,0", NOT_FINITE),  # the metric itself overflows
+        (OVERFLOW_ALL, "0.00264,0,0", DERIVATIVES_NOT_FINITE),  # g is finite, its third derivatives are not
+        ("dim = 3\ng11 = (1e200)^2 + x1\ng22 = 1\ng33 = 1\n", "0.1,0,0", NOT_FINITE),  # a constant folds to inf
+        ("dim = 3\ng11 = exp(1000 + x1)\ng22 = 1\ng33 = 1\n", "0,0,0", NOT_FINITE),  # exp of the jet overflows
+        ("dim = 3\ng11 = 1 + 1e200*x1*1e200*x2\ng22 = 1\ng33 = 1\n", "0.1,0.1,0", NOT_FINITE),  # scale and product overflow
+        # sqrt's derivatives divide by 0; the value g11 = 1 is finite
+        ("dim = 3\ng11 = 1 + sqrt(1e-320 + x1^2)\ng22 = 1\ng33 = 1\n", "0,0,0", DERIVATIVES_NOT_FINITE),
+        ("dim = 3\ng11 = 1 + sqrt(1e-320 + x1^2)\ng22 = 1\ng33 = 1\n", "0,0.1,0", DERIVATIVES_NOT_FINITE),
     ],
-    ids=["g-overflows", "partials-overflow", "fold-overflows", "exp-overflows", "product-overflows", "sqrt-underflows"],
+    ids=[
+        "g-overflows", "partials-overflow", "fold-overflows", "exp-overflows", "product-overflows", "sqrt-underflows",
+        "sqrt-underflows-off-axis",
+    ],
 )
 @pytest.mark.parametrize("command", ["check", "tensors"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_non_finite_metric_exit_3(tmp_path, text, point, command):
-    """Exit 3 with the error line alone on stderr: no numpy warning first."""
+def test_non_finite_metric_exit_3(tmp_path, text, point, message, command):
+    """Exit 3 with the error line alone on stderr: no numpy warning first.
+    A finite value with derivatives that are not is named as such."""
     f = tmp_path / "overflow.metric"
     f.write_text(text)
     res = runner.invoke(main, [command, "--metric", str(f), "--point", point, "--format", "json"])
     assert res.exit_code == 3
     assert "nan" not in res.stdout and "inf" not in res.stdout
-    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert res.stderr.startswith(message + " at ") and res.stderr.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -207,6 +216,68 @@ def test_perturb_positivity_exit_4(tmp_path):
         "--target", "random", "--amplitude", "80.0", "--out", str(out),
     )
     assert r.exit_code == 4
+
+
+TARGET_METRICS = [("sol", "0.1,0.1,0.1"), ("product4_nil", "0.1,0.1,0.1,0.1")]
+
+
+@pytest.mark.parametrize("metric, point", TARGET_METRICS, ids=["cy", "weyl"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # no such file
+        '{"wrong": 1}',
+        "not json",
+        "[1, 2]",
+        '{"cy": [[1, 2], [3]], "weyl": [[1, 2], [3]]}',
+        '{"cy": [[1e999, 0, 0]], "weyl": [[NaN]]}',
+        '{"cy": [["a", 0, 0]], "weyl": [[null]]}',
+        "randm",  # a misspelt word, not a file
+    ],
+    ids=["missing", "wrong-key", "not-json", "not-an-object", "ragged", "not-finite", "not-numbers", "randm"],
+)
+def test_perturb_target_that_cannot_be_read_exit_2(tmp_path, monkeypatch, metric, point, content):
+    monkeypatch.chdir(tmp_path)
+    target = "randm" if content == "randm" else "target.json"
+    if content not in (None, "randm"):
+        pathlib.Path(target).write_text(content)
+    r = runner.invoke(main, ["perturb", "--metric", metric, "--point", point, "--target", target, "--out", "out.metric"])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == "" and r.stderr.startswith("error: ") and "Traceback" not in r.output
+    assert not pathlib.Path("out.metric").exists()
+
+
+@pytest.mark.parametrize("kind", ["identity", "volume-form"])
+def test_perturb_weyl_target_that_is_not_a_weyl_operator_exit_3(tmp_path, kind):
+    """The identity is a curvature operator with a Ricci contraction; the
+    volume form's operator (the Hodge star) is a 4-form, with a Bianchi
+    part.  Neither is a Weyl operator, so neither is a target."""
+    from lcwcheck.bivectors import hodge_star_matrix
+
+    mat = np.eye(6) if kind == "identity" else hodge_star_matrix(dim=4)
+    target, out = tmp_path / "target.json", tmp_path / "out.metric"
+    target.write_text(json.dumps({"weyl": mat.tolist()}))
+    r = runner.invoke(
+        main, ["perturb", "--metric", "product4_nil", "--point", "0.1,0.1,0.1,0.1", "--target", str(target), "--out", str(out)]
+    )
+    assert r.exit_code == 3, r.output
+    assert r.stdout == "" and "not a Weyl operator" in r.stderr
+    assert not out.exists()
+
+
+def test_perturb_target_files_are_reached(tmp_path):
+    """A Weyl operator in dim 4 and a symmetric traceless Cotton-York
+    matrix in dim 3 are met to the prescription's accuracy."""
+    from lcwcheck.bivectors import random_weyl_operator
+
+    weyl = 0.01 * random_weyl_operator(4, np.random.default_rng(3)).mat
+    cy = 0.01 * np.array([[1.0, 2.0, 0.5], [2.0, -3.0, 1.0], [0.5, 1.0, 2.0]])
+    for (metric, point), doc in zip(TARGET_METRICS, ({"cy": cy.tolist()}, {"weyl": weyl.tolist()})):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(doc))
+        r = invoke("perturb", "--metric", metric, "--point", point, "--target", str(target), "--out", str(tmp_path / "out.metric"))
+        assert r.exit_code == 0, r.output
+        assert json.loads(r.stdout)["target_error"] <= 1e-8
 
 
 def test_weyl_space_dims():

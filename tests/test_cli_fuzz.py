@@ -1,15 +1,20 @@
-"""Fuzz of the numeric CLI options against the exit-code contract: every
-run ends in a documented exit code (0/2/3/4/10/11) and prints no traceback;
-a verdict or result on stdout (exit 0, 10 or 11) is strict JSON, and an
-error (exit 2, 3 or 4) leaves stdout empty."""
+"""Fuzz of the numeric CLI options and of ``perturb --target`` files
+against the exit-code contract: every run ends in a documented exit code
+(0/2/3/4/10/11) and prints no traceback; a verdict or result on stdout
+(exit 0, 10 or 11) is strict JSON, and an error (exit 2, 3 or 4) leaves
+stdout empty."""
 
 import json
 import os
+import tempfile
+
+import numpy as np
 
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lcwcheck.bivectors import random_weyl_operator
 from lcwcheck.cli import main
 
 EXIT_CODES = {0, 2, 3, 4, 10, 11}
@@ -112,3 +117,74 @@ def test_perturb_numeric_options_keep_the_contract(case):
 @example(dim="5", sub="sample", seed="-1", tol=None)
 def test_weyl_space_numeric_options_keep_the_contract(dim, sub, seed, tol):
     assert_contract(_args(["weyl-space", "--dim", dim, sub], ("seed", "tol"), (seed, tol)))
+
+
+# --- perturb --target files ------------------------------------------------------
+
+SCALES = st.sampled_from([0.01, 1e-3, 0.0, 1.0, 1e3, 1e150, 1e300])
+SHIFTS = st.sampled_from([0.0, 0.0, 1e-12, 1e-3, 1.0])  # off the Weyl operators, or off traceless
+
+
+def _weyl(seed, scale, shift):
+    """A random Weyl operator in dim 4 times ``scale``, plus ``shift``
+    times the identity (a curvature operator with a Ricci contraction)."""
+    return (scale * random_weyl_operator(4, np.random.default_rng(seed)).mat + shift * np.eye(6)).tolist()
+
+
+def _cy(seed, scale, shift):
+    """A random symmetric traceless 3x3 matrix times ``scale``, plus
+    ``shift`` times the identity."""
+    d = np.random.default_rng(seed).standard_normal((3, 3))
+    d = d + d.T
+    return (scale * (d - np.trace(d) / 3.0 * np.eye(3)) + shift * np.eye(3)).tolist()
+
+
+CELLS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([1e308, -1e308, 1e-320]),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+)
+
+
+def _matrices(m):
+    """m x m lists of numbers or junk, or ragged lists of them."""
+    regular = st.lists(st.lists(CELLS, min_size=m, max_size=m), min_size=m, max_size=m)
+    return st.one_of(regular, st.lists(st.lists(CELLS, max_size=m + 1), max_size=m + 1))
+
+
+TARGET_KINDS = [("sol", "cy", _cy, 3), ("product4_nil", "weyl", _weyl, 6)]
+JUNK_FILES = st.one_of(
+    st.sampled_from(["", "not json", "[1, 2]", "null", '{"cy": ', '{"weyl": Infinity}']),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def target_files(draw):
+    """(metric, target file text): mostly a document with the metric's key
+    over a tensor of its kind, on or off the targets; else a wrong key, a
+    ragged, junk or wrong-size matrix, or text that is not such a document."""
+    metric, key, tensor, m = draw(st.sampled_from(TARGET_KINDS))
+    tensors = st.builds(tensor, st.integers(0, 2**16), SCALES, SHIFTS)
+    value = draw(tensors if draw(st.booleans()) else st.one_of(_matrices(m), _matrices(9 - m), CELLS))
+    other = "cy" if key == "weyl" else "weyl"
+    doc = json.dumps({draw(st.sampled_from([key, key, key, other, "other"])): value})
+    return metric, doc if draw(st.sampled_from([True, True, False])) else draw(JUNK_FILES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=target_files())
+@example(case=("product4_nil", json.dumps({"weyl": np.eye(6).tolist()})))
+@example(case=("product4_nil", '{"weyl": [[1, 2], [3]]}'))
+@example(case=("sol", '{"cy": [[1e308, 0, 0], [0, -1e308, 0], [0, 0, 0]]}'))
+def test_perturb_target_files_keep_the_contract(case):
+    metric, content = case
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "target.json")
+        with open(target, "w") as f:
+            f.write(content)
+        assert_contract(["perturb", "--metric", metric, "--target", target, "--out", os.devnull])

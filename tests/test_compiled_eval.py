@@ -1,7 +1,8 @@
 """The compiled expression program against the node-at-a-time evaluator it
-replaced, kept here as the reference: jets and numbers must be equal
-(``np.array_equal``) on catalog, random and perturbed metrics and on random
-DAGs, and the error paths must raise the same DomainError."""
+replaced, kept here as the reference: order-3 jets and values (order-0
+jets) must be equal (``np.array_equal``) on catalog, random and perturbed
+metrics and on random DAGs, and the error paths must raise the same
+DomainError."""
 
 import json
 import pickle
@@ -40,13 +41,9 @@ from lcwcheck.jets import jet_add, jet_apply, jet_inverse, jet_mul, jet_power, j
 _BINARY = (Add, Sub, Mul, Div)
 
 
-def _smoothstep_down(t):
-    return 1.0 - t**4 * (35.0 + t * (-84.0 + t * (70.0 - t * 20.0)))
-
-
 def _smoothstep_down_jet(space, t):
-    """_smoothstep_down on jets, one value-algebra call per operation, in
-    the order Python evaluates the polynomial."""
+    """1 - t^4 (35 + t (-84 + t (70 - 20 t))) on jets, one value-algebra
+    call per operation, in the order Python evaluates the polynomial."""
     inner = jet_add(70.0, -(t * 20.0))
     inner = jet_add(jet_mul(space, t, inner), -84.0)
     inner = jet_add(jet_mul(space, t, inner), 35.0)
@@ -71,65 +68,56 @@ def _smoothbump_jet(space, u, u0, u1):
     return out
 
 
-def reference_evaluate(roots, points, jets):
-    """Values of ``roots`` at the (N, dim) ``points``: arrays (N,), or with
-    ``jets`` order-3 jets (floats for constants, else arrays (N, size))."""
+def reference_evaluate(roots, points, order=3):
+    """Jets of ``order`` of ``roots`` at the (N, dim) ``points``: floats
+    for constants, else arrays (N, size)."""
     npts, dim = points.shape
-    if jets:
-        space = jet_space(dim)
-        lifted = space.lift(points)
+    space = jet_space(dim, order)
+    # x_k at the points: the value, and 1 in the slot of its first derivative
+    lifted = np.zeros((dim, npts, space.size))
+    lifted[..., 0] = points.T
+    for k, slot in enumerate(space.unit):
+        lifted[k, :, slot] = 1.0
     values = {}
     for e in _walk(roots):
         t = type(e)
         if t is Num:
-            v = float(e.value) if jets else np.full(npts, e.value)
+            v = float(e.value)
         elif t is Var:
             if e.index >= dim:
                 raise DomainError(f"variable x{e.index + 1} out of range for dim {dim}")
-            v = lifted[e.index] if jets else points[:, e.index]
+            v = lifted[e.index]
         elif t in _BINARY:
             a, b = values[id(e.a)], values[id(e.b)]
             if t is Add:
-                v = jet_add(a, b) if jets else a + b
+                v = jet_add(a, b)
             elif t is Sub:
-                v = jet_add(a, -b) if jets else a - b
+                v = jet_add(a, -b)
             elif t is Mul:
-                v = jet_mul(space, a, b) if jets else a * b
-            elif jets:
-                v = jet_mul(space, a, jet_inverse(space, b))
-            elif np.any(b == 0.0):
-                raise DomainError("division by zero")
+                v = jet_mul(space, a, b)
             else:
-                v = a / b
+                v = jet_mul(space, a, jet_inverse(space, b))
         elif t is Pow:
-            a = values[id(e.base)]
-            v = jet_power(space, a, e.exponent) if jets else a**e.exponent
+            v = jet_power(space, values[id(e.base)], e.exponent)
         elif t is Neg:
             v = -values[id(e.a)]
         elif e.func == "smoothbump":
             u, u0, u1 = values[id(e.args[0])], e.args[1].value, e.args[2].value
-            if jets:
-                v = _smoothbump_jet(space, _jet_array(u, lifted.shape[1:]), u0, u1)
-            else:
-                v = _smoothstep_down(np.clip((u - u0) / (u1 - u0), 0.0, 1.0))
-        elif jets:
-            v = jet_apply(space, e.func, values[id(e.args[0])])
+            v = _smoothbump_jet(space, _jet_array(u, lifted.shape[1:]), u0, u1)
         else:
-            x = values[id(e.args[0])]
-            if e.func in ("log", "sqrt") and np.any(x <= 0.0):
-                raise DomainError(f"{e.func} of nonpositive value")
-            v = getattr(np, e.func)(x)
+            v = jet_apply(space, e.func, values[id(e.args[0])])
         values[id(e)] = v
     return [values[id(r)] for r in roots]
 
 
-def reference_jets(exprs, points):
-    shape = (len(points), jet_space(points.shape[1]).size)
-    return np.array([_jet_array(v, shape) for v in reference_evaluate(exprs, points, jets=True)])
+def reference_jets(exprs, points, order=3):
+    shape = (len(points), jet_space(points.shape[1], order).size)
+    return np.array([_jet_array(v, shape) for v in reference_evaluate(exprs, points, order)])
 
 
 def reference_numbers(exprs, points):
-    return np.array([np.broadcast_to(v, len(points)) for v in reference_evaluate(exprs, points, jets=False)])
+    """The values (len(exprs), N): slot 0 of the order-0 jets."""
+    return reference_jets(exprs, points, 0)[..., 0]
 
 
 def entries(metric):
@@ -237,9 +225,9 @@ def _outcome(fn):
 @given(roots=dags(), seed=st.integers(0, 2**16))
 def test_random_dags_match_the_reference(roots, seed):
     points = np.random.default_rng(seed).uniform(-1.2, 1.2, (4, 3))
-    for jets in (True, False):
-        ref = reference_jets if jets else reference_numbers
-        run = eval_expr_many if jets else (lambda es, p: np.array([eval_num_many(e, p) for e in es]))
+    for derivatives in (True, False):
+        ref = reference_jets if derivatives else reference_numbers
+        run = eval_expr_many if derivatives else (lambda es, p: np.array([eval_num_many(e, p) for e in es]))
         want, got = _outcome(lambda: ref(roots, points)), _outcome(lambda: run(roots, points))
         if isinstance(want, type):
             assert got is want
@@ -251,24 +239,27 @@ def test_random_dags_match_the_reference(roots, seed):
 @settings(max_examples=100, deadline=None)
 @given(roots=dags(), seed=st.integers(0, 2**16))
 def test_random_dags_at_order_2_are_the_order_3_prefix(roots, seed):
-    """One program run at order 2 gives the first C(dim+2, 2) coefficients
-    of its order-3 run, bit for bit, or raises the same error."""
+    """One program run at order 2, 1 or 0 gives the first C(dim+order,
+    order) coefficients of its order-3 run, bit for bit, or raises the same
+    error: a value is the constant term of the order-3 jet."""
     points = np.random.default_rng(seed).uniform(-1.2, 1.2, (4, 3))
     program = dsl._Program(roots)
-    low, high = (_outcome(lambda: program.run(points, jets=True, order=order)) for order in (2, 3))
-    if isinstance(high, type):
-        assert low is high
-    else:
-        high = high[..., : jet_space(3, 2).size]
-        assert np.array_equal(np.isnan(low), np.isnan(high))
-        assert same_bits(np.where(np.isnan(low), 0.0, low), np.where(np.isnan(high), 0.0, high))
+    high = _outcome(lambda: program.run(points, 3))
+    for order in (2, 1, 0):
+        low = _outcome(lambda: program.run(points, order))
+        if isinstance(high, type):
+            assert low is high
+        else:
+            prefix = high[..., : jet_space(3, order).size]
+            assert np.array_equal(np.isnan(low), np.isnan(prefix))
+            assert same_bits(np.where(np.isnan(low), 0.0, low), np.where(np.isnan(prefix), 0.0, prefix))
 
 
 # --- error paths -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "text, point, jets",
+    "text, point, derivatives",
     [
         ("1 / (x1 - x1)", (0.3, 0.1), True),
         ("x2 / (x1 - 0.3)", (0.3, 0.1), True),
@@ -287,13 +278,14 @@ def test_random_dags_at_order_2_are_the_order_3_prefix(roots, seed):
         ("x1 * x3", (0.3, 0.1), False),
     ],
 )
-def test_error_paths_raise_the_same_domain_error(text, point, jets):
+def test_error_paths_raise_the_same_domain_error(text, point, derivatives):
+    """Order-3 jets with ``derivatives``, else values (order-0 jets)."""
     e = parse_expr(text)
     points = np.asarray([point], dtype=float)
     with pytest.raises(DomainError) as want:
-        reference_evaluate([e], points, jets)
+        reference_evaluate([e], points, 3 if derivatives else 0)
     with pytest.raises(DomainError) as got:
-        eval_expr_many([e], points) if jets else eval_num_many(e, points)
+        eval_expr_many([e], points) if derivatives else eval_num_many(e, points)
     assert str(got.value) == str(want.value)
 
 
@@ -316,10 +308,16 @@ def test_check_on_an_exponent_past_int64_reports_a_verdict(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["x1 / (2 - 2)", "1 / (2 - 2) + x1", "log(0) * x1", "sqrt(-1) + x1", "x2 / (x1 - x1)"])
-def test_numbers_at_no_points_raise_nothing(text):
+def test_numbers_at_no_points_raise_what_every_run_raises(text):
+    """A run at no points raises the error of a folded constant or of a
+    zero constant divisor, as at any batch size, and no error that only a
+    value at a point would give."""
     e = parse_expr(text)
     points = np.zeros((0, 2))
-    assert same_bits(eval_num_many(e, points), reference_numbers([e], points)[0])
+    want = _outcome(lambda: reference_numbers([e], points)[0])
+    got = _outcome(lambda: eval_num_many(e, points))
+    assert got is want if isinstance(want, type) else same_bits(got, want)
+    assert (want is DomainError) == (text != "x2 / (x1 - x1)")
 
 
 def test_a_point_batch_of_the_wrong_width_raises_domain_error():

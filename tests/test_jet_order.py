@@ -66,14 +66,15 @@ def prescribed(n, rng, order=3):
 def test_lower_order_tables_are_the_prefix_of_order_3(dim):
     full = jet_space(dim)
     assert full is jet_space(dim, 3)
-    for order in (1, 2):
+    for order in (0, 1, 2):
         sp = jet_space(dim, order)
         assert sp.order == order and sp.size == math.comb(dim + order, order)
         assert sp.indices == full.indices[: sp.size]
         assert len(sp.partial_slots) == order + 1
         for k in range(order + 1):
             assert np.array_equal(sp.partial_slots[k], full.partial_slots[k])
-    for order in (0, 4):
+        assert np.array_equal(sp.coordinates, full.coordinates[:, : sp.size])
+    for order in (-1, 4):
         with pytest.raises(DomainError):
             jet_space(dim, order)
 
@@ -171,6 +172,13 @@ def test_an_order_2_pipeline_refuses_the_tensors_that_read_partials(rng):
     pl3 = JetPipeline(catalog.random_metric_near_flat(3, rng), np.zeros(3), order=2)
     with pytest.raises(ValueError, match="order-3"):
         pl3.cotton_york()
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_a_pipeline_refuses_an_order_it_cannot_serve(order):
+    """The pipeline reads second partials, and order 3 is the highest."""
+    with pytest.raises(DomainError, match="order 2 or 3"):
+        JetPipeline(catalog.get_entry("product4_nil").metric, [0.0] * 4, order=order)
 
 
 def test_an_order_2_chart_never_serves_order_3_jets_from_its_order_2_center_jets(rng):
