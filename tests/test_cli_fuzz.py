@@ -185,6 +185,6 @@ def test_perturb_target_files_keep_the_contract(case):
     metric, content = case
     with tempfile.TemporaryDirectory() as tmp:
         target = os.path.join(tmp, "target.json")
-        with open(target, "w") as f:
+        with open(target, "w", encoding="utf-8") as f:
             f.write(content)
         assert_contract(["perturb", "--metric", metric, "--target", target, "--out", os.devnull])
