@@ -67,7 +67,6 @@ from .obstructions import (
 from .perturbation import (
     CottonPrescription,
     CurvaturePrescription,
-    NormalChart,
     PerturbResult,
     cotton_L_map,
     normal_coordinates,

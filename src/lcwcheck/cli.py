@@ -47,7 +47,7 @@ from .errors import (
     ParseError,
     UnknownEntry,
 )
-from .obstructions import ObstructionConfig, auto_test, eigenflag_test
+from .obstructions import ObstructionConfig, auto_test, cotton_york_test, eigenflag_test
 from .perturbation import (
     CottonPrescription,
     CurvaturePrescription,
@@ -55,7 +55,7 @@ from .perturbation import (
     prescribe_cotton_york,
     prescribe_curvature,
 )
-from .pipeline import JetPipeline, compute_snapshot, format_json, snapshot_to_dict
+from .pipeline import JetPipeline, compute_snapshot, format_json, kulkarni_nomizu, snapshot_to_dict
 
 EXIT_PASSES = 0
 EXIT_PARSE = 2
@@ -165,19 +165,9 @@ def _echo_matrix(name, mat):
         click.echo(f"  frobenius norm = {norm:.6g}")
 
 
-class _Fail(Exception):
-    def __init__(self, code, message):
-        self.code = code
-        self.message = message
-
-
 def _run(fn):
     try:
         fn()
-    except _Fail as e:
-        if e.message:
-            click.echo(e.message, err=True)
-        sys.exit(e.code)
     except LcwError as e:
         click.echo(f"error: {e}", err=True)
         code = EXIT_PARSE if isinstance(e, ParseError) else EXIT_MATH
@@ -198,10 +188,8 @@ def cmd_catalog(fmt, show_all):
 
     def go():
         rows = []
-        for name in cat.list_catalog(include_optional=show_all or True):
+        for name in cat.list_catalog(include_optional=show_all):
             e = cat.get_entry(name)
-            if e.optional and not show_all:
-                continue
             rows.append(
                 {
                     "name": e.name,
@@ -279,8 +267,6 @@ def _algebraic_tensors(entry):
     scalar = float(np.trace(ric))
     n = data.dim
     schouten = (ric - scalar / (2 * (n - 1)) * np.eye(n)) / (n - 2)
-    from .pipeline import kulkarni_nomizu
-
     weyl = data.r4 - kulkarni_nomizu(schouten, np.eye(n))
     return {
         "dim": n,
@@ -329,8 +315,6 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
             if which_test == "auto":
                 report = auto_test(metric, p, config)
             elif which_test == "cotton-york":
-                from .obstructions import cotton_york_test
-
                 report = cotton_york_test(metric, p, config)
             else:
                 pl = JetPipeline(metric, p, order=2)
@@ -349,7 +333,7 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
                     "witness   : " + ", ".join(f"{v:.6g}" for v in report.witness)
                 )
             click.echo(f"note      : {report.note}")
-        raise _Fail(_VERDICT_EXIT[report.verdict_string], "")
+        sys.exit(_VERDICT_EXIT[report.verdict_string])
 
     _run(go)
 
@@ -401,7 +385,7 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
         chart0 = normal_coordinates(metric, p, radius, order=3 if n == 3 else 2)
         if n == 3:
             if wanted is None:
-                cy_here = JetPipeline(chart0.metric, np.zeros(3)).cotton_york()
+                cy_here = JetPipeline(chart0, np.zeros(3)).cotton_york()
                 d = rng.standard_normal((3, 3))
                 d = (d + d.T) / 2.0
                 d -= np.trace(d) / 3.0 * np.eye(3)
@@ -410,7 +394,7 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
                 CottonPrescription(base=metric, point=p, target_cy=wanted, radius=radius)
             )
         else:
-            pl0 = JetPipeline(chart0.metric, np.zeros(n), order=2)
+            pl0 = JetPipeline(chart0, np.zeros(n), order=2)
             r_here = pl0.riemann()
             if wanted is None:
                 # random Weyl shift on top of the current curvature
@@ -498,7 +482,7 @@ def cmd_weyl_space(n, subcommand, seed, tol, fmt):
             _echo_json(doc)
         else:
             click.echo(f"verdict: {doc['report']['verdict']}")
-        raise _Fail(_VERDICT_EXIT[report.verdict_string], "")
+        sys.exit(_VERDICT_EXIT[report.verdict_string])
 
     _run(go)
 

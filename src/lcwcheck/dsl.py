@@ -772,17 +772,20 @@ class MetricDef:
         """The fields only: a copy compiles its own program when used."""
         return {k: v for k, v in self.__dict__.items() if k != "_program"}
 
+    def _jets(self, points, order):
+        """Jets (N, dim, dim, size) of ``order`` of the entries at the (N,
+        dim) ``points``; at order 0 they are the values."""
+        return self._program.run(points, order).transpose(1, 0, 2)[:, _pair_index(self.dim)]
+
     def eval_matrix_many(self, points) -> np.ndarray:
         """(N, dim, dim) metric matrices at an (N, dim) batch of points,
         from the order-0 jets of the entries."""
-        values = self._program.run(np.asarray(points, dtype=float), 0)[..., 0]
-        return values.T[:, _pair_index(self.dim)]
+        return self._jets(np.asarray(points, dtype=float), 0)[..., 0]
 
     def eval_jets(self, point, order=3):
         """(dim, dim, size) Taylor coefficients of ``order`` of the entries
         at ``point``."""
-        jets = self._program.run(np.asarray(point, dtype=float)[None], order)
-        return jets[_pair_index(self.dim), 0]
+        return self._jets(np.asarray(point, dtype=float)[None], order)[0]
 
 
 def _upper(dim):

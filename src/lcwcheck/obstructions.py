@@ -45,17 +45,20 @@ from .errors import DimensionError, DomainError, PreconditionViolation
 from .pipeline import JetPipeline, compute_snapshot, format_json
 
 
+GRAD_TOL = 1e-12  # a start stops once its gradient is below this times the scale
+INCONCLUSIVE_FACTOR = 10.0  # width of the inconclusive band above the tolerance
+CY_ABS_FLOOR = 1e-9  # a Cotton-York norm below this passes as conformally flat
+
+
 @dataclass
 class ObstructionConfig:
-    """Tunable tolerances; every report echoes the values it used."""
+    """Tunable tolerances; every report echoes the values it used, and
+    those of the module constants above."""
 
     tol_rel: float = 1e-8
     starts: int = 64
     seed: int = 0
-    grad_tol: float = 1e-12
     max_iter: int = 400
-    inconclusive_factor: float = 10.0
-    cy_abs_floor: float = 1e-9
     spectral_precheck: bool = True
 
 
@@ -191,8 +194,8 @@ def _minimize_residual(w, n, config, vecs):
     mantissa, e = math.frexp(np.linalg.norm(w))  # search W / 2^e: exact, no underflow
     scale = mantissa**2
     accept = config.tol_rel * scale
-    band_top = accept * config.inconclusive_factor
-    gtol_sq = (config.grad_tol * scale) ** 2
+    band_top = accept * INCONCLUSIVE_FACTOR
+    gtol_sq = (GRAD_TOL * scale) ** 2
     form = _residual_form(w * math.ldexp(1.0, -e), n)
 
     def evaluate(x):  # F and its gradient along the sphere (v . grad F = 4 F)
@@ -247,7 +250,7 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
 
     Multi-start minimization of the residual over the unit sphere; verdict
     True iff the minimum is below tol_rel * ||W||^2, with an inconclusive
-    band one factor of ``inconclusive_factor`` wide above that.  In dim 4 a
+    band one factor of ``INCONCLUSIVE_FACTOR`` wide above that.  In dim 4 a
     spectral pre-check (the self-dual and anti-self-dual blocks of a
     flag-invariant operator are isospectral) certifies most negatives
     without optimization.
@@ -265,8 +268,8 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
         "tol_rel": config.tol_rel,
         "starts": config.starts,
         "seed": config.seed,
-        "grad_tol": config.grad_tol,
-        "inconclusive_factor": config.inconclusive_factor,
+        "grad_tol": GRAD_TOL,
+        "inconclusive_factor": INCONCLUSIVE_FACTOR,
     }
     vals, vecs = np.linalg.eigh(w)
     eigen_data = {"eigenvalues": vals}
@@ -286,7 +289,7 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
         sp = np.sort(np.linalg.eigvalsh(split.wplus))
         sm = np.sort(np.linalg.eigvalsh(split.wminus))
         mismatch = float(np.abs(sp - sm).max())
-        spectral_tol = np.sqrt(config.tol_rel * config.inconclusive_factor) * wnorm
+        spectral_tol = np.sqrt(config.tol_rel * INCONCLUSIVE_FACTOR) * wnorm
         tolerances["spectral_tol"] = spectral_tol
         eigen_data["plus_spectrum"] = sp
         eigen_data["minus_spectrum"] = sm
@@ -311,11 +314,11 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
     if rel <= threshold:
         verdict = True
         note = f"minimum residual {fmin:.3e} <= {threshold:.1e} * ||W||^2. " + _PASS_NOTE
-    elif rel <= threshold * config.inconclusive_factor:
+    elif rel <= threshold * INCONCLUSIVE_FACTOR:
         verdict = None
         note = (
             f"minimum residual {fmin:.3e} lies within a factor "
-            f"{config.inconclusive_factor:g} of the tolerance; inconclusive"
+            f"{INCONCLUSIVE_FACTOR:g} of the tolerance; inconclusive"
         )
     else:
         verdict = False
@@ -439,10 +442,10 @@ def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None 
     det_frame = float(np.linalg.det(a))
     tolerances = {
         "tol_rel": config.tol_rel,
-        "cy_abs_floor": config.cy_abs_floor,
-        "inconclusive_factor": config.inconclusive_factor,
+        "cy_abs_floor": CY_ABS_FLOOR,
+        "inconclusive_factor": INCONCLUSIVE_FACTOR,
     }
-    if norm <= config.cy_abs_floor:
+    if norm <= CY_ABS_FLOOR:
         return ObstructionReport(
             dim=3,
             test="cotton-york",
@@ -462,7 +465,7 @@ def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None 
     tolerances["det_ratio"] = ratio
     if ratio <= config.tol_rel:
         plane_f, normal_f = plane_from_traceless_degenerate(
-            a, tol=config.tol_rel * config.inconclusive_factor
+            a, tol=config.tol_rel * INCONCLUSIVE_FACTOR
         )
         plane = plane_f @ e.T  # rows are coordinate vectors of the plane basis
         normal = e @ normal_f
@@ -477,7 +480,7 @@ def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None 
             tolerances=tolerances,
             note=f"|det CY| / ||CY||^3 = {ratio:.3e} <= {config.tol_rel:.1e}. " + _PASS_NOTE,
         )
-    if ratio <= config.tol_rel * config.inconclusive_factor:
+    if ratio <= config.tol_rel * INCONCLUSIVE_FACTOR:
         return ObstructionReport(
             dim=3,
             test="cotton-york",
@@ -487,7 +490,7 @@ def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None 
             tolerances=tolerances,
             note=(
                 f"|det CY| / ||CY||^3 = {ratio:.3e} lies within a factor "
-                f"{config.inconclusive_factor:g} of the tolerance; inconclusive"
+                f"{INCONCLUSIVE_FACTOR:g} of the tolerance; inconclusive"
             ),
         )
     return ObstructionReport(

@@ -12,15 +12,18 @@ polynomial bump times a C^3 radial cutoff:
   by the linear image 6 L(A) (the 6 = 3! from differentiating the cubic
   three times), which is what the solver inverts.
 
-A metric in the chart is a ``PulledBackMetric``: the base metric, the
-chart map x(y) = p + E y - 1/2 E Ghat(y, y) as the arrays (p, E, Ghat),
-and the bump as its coefficient tensor and cutoff radius.  Its jets at a
-point y0 (order 3, or 2 for a curvature prescription) are the base jets at
-x(y0) composed with the jets of x(y) (truncated Taylor composition), then
-J^T g J plus the bump, all in jet arithmetic; its values on a grid are the
-order-0 jets, the base values at x(Y) combined the same way.  No
-expression is built on this path: the expression form (``components``) is
-made on first use, for printing the metric.
+The chart is a ``PulledBackMetric``: the base metric, the chart map
+x(y) = p + E y - 1/2 E Ghat(y, y) as the arrays (p, E, Ghat), and the bump
+as its coefficient tensor and cutoff radius; ``normal_coordinates`` returns
+it without a bump.  One batched composition gives its jets at points y0
+(order 3, or 2 for a curvature prescription): the base jets at x(y0)
+composed with the jets of x(y) (truncated Taylor composition), then J^T g J
+plus the bump, all in jet arithmetic.  Jets at a point are its one-point
+case and values on a grid its order-0 case.  No expression is built on
+this path: the expression form (``components``) is made on first use, for
+printing the metric.  Both prescriptions run the same steps (measure at
+the origin, bump, check positivity on a grid, measure again); they differ
+only in the tensor they measure and the bump coefficients.
 
 The bump coefficients live in the 60-dimensional space A indexed by
 (unordered pair {i,j}, unordered triple {k,l,m}); the linear map L onto
@@ -156,8 +159,8 @@ class PulledBackMetric:
     ``bump`` is None or a coefficient tensor (n, n, n, ..., n) symmetric in
     its first two axes and in its trailing ones: bump_ij(y) =
     sum bump[i, j, k_1, ..., k_d] y^k_1 ... y^k_d.  The cutoff phi is 1 for
-    |y| <= radius/2 and 0 for |y| >= radius.  Offers what the pipeline,
-    the obstruction tests and the CLI read of a ``MetricDef``."""
+    |y| <= radius/2 and 0 for |y| >= radius.  The base is a ``MetricDef``
+    or another ``PulledBackMetric``."""
 
     base: MetricDef
     center: np.ndarray  # p
@@ -206,54 +209,55 @@ class PulledBackMetric:
         return out
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan; callers check finiteness
-    def _pullback(self, g, jac, mul):
-        """(J^T g J)_ab on the upper pairs; ``mul`` multiplies entries."""
+    def _jets(self, points, order):
+        """Jets (N, dim, dim, size) of ``order`` of the entries at the (N,
+        dim) ``points``; at order 0 they are the values."""
+        npts, n = points.shape
+        sp = jet_space(n, order)
+        x = _poly_taylor(self._x, points, order=order)
+        base = self.center_jets
+        # a one-point call at the chart origin, where every prescription step
+        # evaluates: the kept jets serve any order up to theirs, truncated
+        # to its prefix
+        at_center = npts == 1 and np.array_equal(x[0, :, 0], self.center)
+        if at_center and base is not None and base.shape[-1] >= sp.size:
+            base = base[None]
+        else:
+            base = self.base._jets(x[..., 0], order)
+        c = base[..., : sp.size]
+        # g(x(y)) = sum_alpha c_alpha h^alpha with h = x(y) - x(y0)
+        h = x.copy()
+        h[..., 0] = 0.0
+        powers = np.zeros((npts, sp.size, sp.size))
+        powers[:, 0, 0] = 1.0
+        for slots, idx, _ in _monomials(n)[1 : order + 1]:
+            m = h[:, idx[0]]
+            for k in idx[1:]:
+                m = sp.mul(m, h[:, k])
+            powers[:, slots] = m
+        g = (c[..., None] * powers[:, None, None]).sum(axis=-2)
+        # (J^T g J)_ab on the upper pairs
+        jac = _poly_taylor(self._jac, points, order=order)
         a, b = self._upper
-        t = mul(g[..., :, :, None, :], jac[..., None, :, :, :]).sum(axis=-3)  # t_ib = g_ij J_jb
-        return mul(jac[..., :, a, :], t[..., :, b, :]).sum(axis=-3)
+        t = sp.mul(g[..., None, :], jac[:, None]).sum(axis=-3)  # t_ib = g_ij J_jb
+        out = sp.mul(jac[:, :, a], t[:, :, b]).sum(axis=-3)
+        if self._bump is not None:
+            out = out + self._bump_jets(points, order)
+        return out[:, self._pair]
 
     def eval_jets(self, point, order=3):
         """(dim, dim, size) Taylor coefficients of ``order`` of the entries
         at ``point``."""
-        y = np.asarray(point, dtype=float)[None]
-        sp = jet_space(self.dim, order)
-        x = _poly_taylor(self._x, y, order=order)[0]
-        base = self.center_jets
-        # the chart origin, where every prescription step evaluates: the
-        # kept jets serve any order up to theirs, truncated to its prefix
-        if base is None or base.shape[-1] < sp.size or not np.array_equal(x[:, 0], self.center):
-            base = self.base.eval_jets(x[:, 0], order)
-        c = base[..., : sp.size]
-        # g(x(y)) = sum_alpha c_alpha h^alpha with h = x(y) - x(y0)
-        h = x.copy()
-        h[:, 0] = 0.0
-        powers = np.zeros((sp.size, sp.size))
-        powers[0, 0] = 1.0
-        for slots, idx, _ in _monomials(self.dim)[1 : order + 1]:
-            m = h[idx[0]]
-            for k in idx[1:]:
-                m = sp.mul(m, h[k])
-            powers[slots] = m
-        g = (c[..., None] * powers).sum(axis=-2)
-        out = self._pullback(g, _poly_taylor(self._jac, y, order=order)[0], sp.mul)
-        if self._bump is not None:
-            out = out + self._bump_jets(y, order)[0]
-        return out[self._pair]
+        return self._jets(np.asarray(point, dtype=float)[None], order)[0]
 
     def eval_matrix(self, point) -> np.ndarray:
         """Metric matrix at ``point``."""
         return self.eval_matrix_many(np.asarray(point, dtype=float)[None, :])[0]
 
-    @np.errstate(over="ignore", invalid="ignore")  # the positivity check refuses a metric that is not finite
     def eval_matrix_many(self, points) -> np.ndarray:
         """(N, dim, dim) metric matrices at an (N, dim) batch of points,
         from order-0 jets."""
-        points = np.asarray(points, dtype=float)
-        g = self.base.eval_matrix_many(_poly_taylor(self._x, points, order=0)[..., 0])
-        out = self._pullback(g[..., None], _poly_taylor(self._jac, points, order=0), np.multiply)
-        if self._bump is not None:
-            out = out + self._bump_jets(points, order=0)
-        return out[:, self._pair, 0]
+        return self._jets(np.asarray(points, dtype=float), 0)[..., 0]
 
     @cached_property
     def components(self):
@@ -288,42 +292,27 @@ class PulledBackMetric:
 # -- normal coordinates --------------------------------------------------------
 
 
-@dataclass
-class NormalChart:
-    """Coordinate change y -> x centered at ``center`` with g(0) = identity
-    and Gamma(0) = 0 in the new coordinates."""
-
-    metric: PulledBackMetric
-    center: np.ndarray
-    frame: np.ndarray  # columns: g-orthonormal frame at the center
-    gamma_frame: np.ndarray  # frame-transformed Christoffel symbols at center
-    radius: float
-
-
-def normal_coordinates(metric: MetricDef, point, radius=1.0, order=3) -> NormalChart:
-    """Build the chart x = p + E y - 1/2 E Ghat(y, y): linear normalization
-    of g(p) to the identity plus the quadratic correction cancelling the
-    Christoffel symbols at p (dropped when below 1e-14, so a flat base gets
-    an affine chart).  The chart keeps the base jets at p of ``order``, the
-    highest order its users evaluate at the origin."""
+def normal_coordinates(metric: MetricDef, point, radius=1.0, order=3) -> PulledBackMetric:
+    """The metric in the chart x = p + E y - 1/2 E Ghat(y, y): linear
+    normalization of g(p) to the identity plus the quadratic correction
+    cancelling the Christoffel symbols at p (dropped when below 1e-14, so a
+    flat base gets an affine chart), hence g(0) = identity and Gamma(0) = 0.
+    The chart keeps the base jets at p of ``order``, the highest order its
+    users evaluate at the origin, and ``radius`` for the bump."""
     point = np.asarray(point, dtype=float)
     pl = JetPipeline(metric, point, order)
     L = np.linalg.cholesky(pl.g)
     e = np.linalg.inv(L).T  # E^T g E = I
     ghat = np.einsum("ai,ijk,jb,kc->abc", L.T, pl.gamma(), e, e)
-    flat = bool(np.abs(ghat).max() < 1e-14)
-    new_metric = PulledBackMetric(
+    return PulledBackMetric(
         base=metric,
         center=point,
         frame=e,
-        gamma_frame=np.zeros_like(ghat) if flat else ghat,
+        gamma_frame=np.zeros_like(ghat) if np.abs(ghat).max() < 1e-14 else ghat,
         radius=radius,
         name=f"{metric.name}:normal" if metric.name else "normal-chart",
         chart=f"normal coordinates centered at {point.tolist()}",
         center_jets=pl.g_jets,
-    )
-    return NormalChart(
-        metric=new_metric, center=point, frame=e, gamma_frame=ghat, radius=radius
     )
 
 
@@ -373,12 +362,30 @@ def _finite_norms(target, shift):
 @dataclass
 class PerturbResult:
     metric: PulledBackMetric
-    chart: NormalChart
     target_error: float  # achieved-vs-target, relative
     norm_ratio: float  # ||g' - g||_{C^k} / ||shift||, measured on the grid
     shift_norm: float
     unchanged: bool
     evaluation_point: np.ndarray  # where to test the output metric (origin)
+
+
+def _prescribe(chart, order, measure, target, bump_of) -> PerturbResult:
+    """The steps both prescriptions share: ``measure`` (a tensor of an
+    order-``order`` pipeline) at the chart origin; the chart itself if it
+    already has the target, else the chart plus the bump coefficients
+    ``bump_of(pipeline)``, refused unless positive on the grid, then
+    measured again."""
+    origin = np.zeros(chart.dim)
+    pl = JetPipeline(chart, origin, order)
+    target_norm, shift = _finite_norms(target, target - measure(pl))
+    if shift <= 1e-13 * max(target_norm, 1.0):
+        return PerturbResult(chart, shift / max(target_norm, 1.0), 0.0, shift, True, origin)
+    bumped = chart.with_bump(bump_of(pl), chart.radius, f"{chart.name}:bumped")
+    grid = _grid_points(chart.dim, chart.radius)
+    _check_positivity(bumped, grid)
+    achieved = measure(JetPipeline(bumped, origin, order))
+    target_error = float(np.linalg.norm(achieved - target) / max(target_norm, 1e-30))
+    return PerturbResult(bumped, target_error, _ck_norm(bumped, grid, order) / shift, shift, False, origin)
 
 
 # -- curvature prescription (dim >= 4 path, works in dim 3 too) ----------------
@@ -409,40 +416,14 @@ def prescribe_curvature(cp: CurvaturePrescription) -> PerturbResult:
         raise DimensionError("target curvature has the wrong shape")
     _check_curvature_symmetries(r0, 1e-9)
     _check_bianchi(r0, 1e-9)
-    chart = normal_coordinates(cp.base, cp.point, cp.radius, order=2)
-    origin = np.zeros(n)
-    r_here = JetPipeline(chart.metric, origin, order=2).riemann()
-    rstar = r0 - r_here
-    r0_norm, shift = _finite_norms(r0, rstar)
-    if shift <= 1e-13 * max(r0_norm, 1.0):
-        return PerturbResult(
-            metric=chart.metric,
-            chart=chart,
-            target_error=shift / max(r0_norm, 1.0),
-            norm_ratio=0.0,
-            shift_norm=shift,
-            unchanged=True,
-            evaluation_point=origin,
-        )
 
-    # bump_ij(y) = -1/3 sum_{h,k} R*_ihjk y^h y^k, symmetrized in (h, k)
-    quad = -(1.0 / 3.0) * rstar.transpose(0, 2, 1, 3)
-    bumped = chart.metric.with_bump(
-        0.5 * (quad + quad.swapaxes(2, 3)), cp.radius, f"{chart.metric.name}:bumped"
-    )
-    grid = _grid_points(n, cp.radius)
-    _check_positivity(bumped, grid)
-    achieved = JetPipeline(bumped, origin, order=2).riemann()
-    target_error = float(np.linalg.norm(achieved - r0) / max(r0_norm, 1e-30))
-    return PerturbResult(
-        metric=bumped,
-        chart=chart,
-        target_error=target_error,
-        norm_ratio=_ck_norm(bumped, grid, order=2) / shift,
-        shift_norm=shift,
-        unchanged=False,
-        evaluation_point=origin,
-    )
+    def bump_of(pl):
+        # bump_ij(y) = -1/3 sum_{h,k} R*_ihjk y^h y^k, symmetrized in (h, k)
+        quad = -(1.0 / 3.0) * (r0 - pl.riemann()).transpose(0, 2, 1, 3)
+        return 0.5 * (quad + quad.swapaxes(2, 3))
+
+    chart = normal_coordinates(cp.base, cp.point, cp.radius, order=2)
+    return _prescribe(chart, 2, JetPipeline.riemann, r0, bump_of)
 
 
 # -- Cotton-York prescription (dim 3) ------------------------------------------
@@ -567,48 +548,22 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
     if abs(np.trace(cy0)) > 1e-10 * scale:
         raise ConstraintViolation("target Cotton-York tensor must be traceless")
 
+    def bump_of(pl):
+        dc = (cy_to_cotton(cy0) - pl.cotton()).reshape(-1)
+        lmat = 6.0 * l_matrix()
+        avec, _, rank, _ = np.linalg.lstsq(lmat, dc, rcond=None)
+        if rank < 5:
+            raise LinearSolveFailure(f"Cotton prescription matrix has rank {rank} < 5")
+        with np.errstate(over="ignore"):  # a huge target's norms overflow; positivity then refuses it
+            err = np.linalg.norm(lmat @ avec - dc)
+            dc_norm = np.linalg.norm(dc)
+        if err > 1e-9 * max(1.0, dc_norm):
+            raise LinearSolveFailure(
+                f"Cotton shift not reachable (residual {err:g}); "
+                "the target is not an algebraic Cotton tensor"
+            )
+        cp.coefficients = avec
+        return a_full(avec)
+
     chart = normal_coordinates(cp.base, cp.point, cp.radius)
-    origin = np.zeros(3)
-    pl = JetPipeline(chart.metric, origin)
-    c_target = cy_to_cotton(cy0)
-    dc = c_target - pl.cotton()
-    cy_norm, shift = _finite_norms(cy0, cy0 - pl.cotton_york())
-    if shift <= 1e-13 * max(cy_norm, 1.0):
-        return PerturbResult(
-            metric=chart.metric,
-            chart=chart,
-            target_error=shift,
-            norm_ratio=0.0,
-            shift_norm=shift,
-            unchanged=True,
-            evaluation_point=origin,
-        )
-
-    lmat = l_matrix()
-    avec, residuals, rank, _ = np.linalg.lstsq(6.0 * lmat, dc.reshape(-1), rcond=None)
-    if rank < 5:
-        raise LinearSolveFailure(f"Cotton prescription matrix has rank {rank} < 5")
-    with np.errstate(over="ignore"):  # a huge target's norms overflow; positivity then refuses it
-        err = np.linalg.norm(6.0 * lmat @ avec - dc.reshape(-1))
-        dc_norm = np.linalg.norm(dc)
-    if err > 1e-9 * max(1.0, dc_norm):
-        raise LinearSolveFailure(
-            f"Cotton shift not reachable (residual {err:g}); "
-            "the target is not an algebraic Cotton tensor"
-        )
-    cp.coefficients = avec
-
-    bumped = chart.metric.with_bump(a_full(avec), cp.radius, f"{chart.metric.name}:bumped")
-    grid = _grid_points(3, cp.radius)
-    _check_positivity(bumped, grid)
-    achieved = JetPipeline(bumped, origin).cotton_york()
-    target_error = float(np.linalg.norm(achieved - cy0) / max(cy_norm, 1e-30))
-    return PerturbResult(
-        metric=bumped,
-        chart=chart,
-        target_error=target_error,
-        norm_ratio=_ck_norm(bumped, grid, order=3) / shift,
-        shift_norm=shift,
-        unchanged=False,
-        evaluation_point=origin,
-    )
+    return _prescribe(chart, 3, JetPipeline.cotton_york, cy0, bump_of)

@@ -277,7 +277,7 @@ def test_acceptance_09_curvature_prescription():
         ratios = []
         for _ in range(per_base):
             chart = normal_coordinates(base, point)
-            snap_r = compute_snapshot(chart.metric, np.zeros(4)).riemann
+            snap_r = compute_snapshot(chart, np.zeros(4)).riemann
             h = rng.standard_normal((4, 4))
             h = (h + h.T) / 2
             r0 = snap_r + kulkarni_nomizu(h, np.eye(4)) * 10.0 ** rng.uniform(-4, -2)
@@ -323,7 +323,7 @@ def test_acceptance_10_cotton_prescription():
     for base in bases:
         point = rng.uniform(-0.1, 0.1, 3)
         chart = normal_coordinates(base, point)
-        cy_here = compute_snapshot(chart.metric, np.zeros(3)).cotton_york
+        cy_here = compute_snapshot(chart, np.zeros(3)).cotton_york
         for _ in range(10):
             d = rng.standard_normal((3, 3))
             d = (d + d.T) / 2

@@ -55,7 +55,7 @@ def prescribed(n, rng, order=3):
     base = catalog.random_metric_near_flat(n, rng, amplitude=0.03)
     point = rng.uniform(-0.1, 0.1, n)
     chart = normal_coordinates(base, point, order=order)
-    r0 = JetPipeline(chart.metric, np.zeros(n)).riemann() + 1e-2 * operator_to_0_4(random_weyl_operator(n, rng))
+    r0 = JetPipeline(chart, np.zeros(n)).riemann() + 1e-2 * operator_to_0_4(random_weyl_operator(n, rng))
     return chart, prescribe_curvature(CurvaturePrescription(base=base, point=point, target_r4=r0))
 
 
@@ -116,7 +116,7 @@ def test_chart_metrics_at_order_2_are_the_order_3_prefix(n, rng):
     ramp included."""
     for order in (2, 3):
         chart, res = prescribed(n, rng, order)
-        for metric in (chart.metric, res.metric):
+        for metric in (chart, res.metric):
             assert_order_2_is_prefix(metric, [np.zeros(n), np.full(n, 0.4), rng.uniform(-0.25, 0.25, n)])
 
 
@@ -155,9 +155,9 @@ def test_prescribe_curvature_reads_the_riemann_tensor_of_order_3_pipelines(rng):
     origin = res.evaluation_point
     r0 = JetPipeline(res.metric, origin).riemann()
     assert same_bits(JetPipeline(res.metric, origin, order=2).riemann(), r0)
-    chart3 = normal_coordinates(res.chart.metric.base, res.chart.center, res.chart.radius)
-    r_here = JetPipeline(chart3.metric, origin).riemann()
-    assert same_bits(JetPipeline(res.chart.metric, origin, order=2).riemann(), r_here)
+    chart2, chart3 = (normal_coordinates(res.metric.base, res.metric.center, res.metric.radius, order=k) for k in (2, 3))
+    r_here = JetPipeline(chart3, origin).riemann()
+    assert same_bits(JetPipeline(chart2, origin, order=2).riemann(), r_here)
 
 
 # --- what an order-2 pipeline refuses or does not serve -----------------------------
@@ -185,13 +185,13 @@ def test_an_order_2_chart_never_serves_order_3_jets_from_its_order_2_center_jets
     base = catalog.random_metric_near_flat(4, rng)
     point = rng.uniform(-0.1, 0.1, 4)
     chart2, chart3 = normal_coordinates(base, point, order=2), normal_coordinates(base, point)
-    assert chart2.metric.center_jets.shape[-1] == jet_space(4, 2).size
+    assert chart2.center_jets.shape[-1] == jet_space(4, 2).size
     origin = np.zeros(4)
-    want = coefficients(chart3.metric, origin, 3)
+    want = coefficients(chart3, origin, 3)
     assert want.shape[-1] == jet_space(4).size
-    assert same_bits(coefficients(chart2.metric, origin, 3), want)
+    assert same_bits(coefficients(chart2, origin, 3), want)
     bump = np.zeros((4, 4, 4, 4))
-    bumped2, bumped3 = (chart.metric.with_bump(bump, 1.0, "bumped") for chart in (chart2, chart3))
+    bumped2, bumped3 = (chart.with_bump(bump, 1.0, "bumped") for chart in (chart2, chart3))
     assert same_bits(coefficients(bumped2, origin, 3), coefficients(bumped3, origin, 3))
 
 

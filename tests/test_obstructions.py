@@ -17,6 +17,8 @@ from lcwcheck.bivectors import (
 from lcwcheck.catalog import cp2_curvature, get_entry, random_metric_near_flat
 from lcwcheck.errors import DimensionError, DomainError, PreconditionViolation
 from lcwcheck.obstructions import (
+    GRAD_TOL,
+    INCONCLUSIVE_FACTOR,
     ObstructionConfig,
     auto_test,
     classify_simplicity,
@@ -186,7 +188,7 @@ def _ref_minimize_residual(w, n, config):
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
     scale = max(np.linalg.norm(w) ** 2, 1e-300)
     accept = config.tol_rel * scale
-    band_top = accept * config.inconclusive_factor
+    band_top = accept * INCONCLUSIVE_FACTOR
     m, u = _ref_quartic(w, n)
     f, grad = _ref_batch_quartic(m, u, v)
     rgrad = grad - np.einsum("bi,bi->b", grad, v)[:, None] * v
@@ -198,7 +200,7 @@ def _ref_minimize_residual(w, n, config):
     while it < config.max_iter and active.any():
         it += 1
         gn = np.linalg.norm(rgrad, axis=1)
-        active &= gn > config.grad_tol * scale
+        active &= gn > GRAD_TOL * scale
         active &= step > 1e-18 / scale
         if not active.any():
             break
@@ -231,7 +233,7 @@ def _ref_minimize_residual(w, n, config):
         rgrad[take] = grad[take] - np.einsum("bi,bi->b", grad[take], v[take])[:, None] * v[take]
     best = int(np.argmin(f))
     gn = np.linalg.norm(rgrad[best])
-    return max(float(f[best]), 0.0), v[best].copy(), it, bool(gn <= config.grad_tol * scale)
+    return max(float(f[best]), 0.0), v[best].copy(), it, bool(gn <= GRAD_TOL * scale)
 
 
 def _near_flat_weyl(n, rng):
@@ -254,8 +256,8 @@ def test_minimize_residual_matches_reference_search(rng, n):
         new = _minimize_residual(w.copy(), n, config, np.linalg.eigh(w)[1])
         band = config.tol_rel * scale
         assert (new[0] <= band) == (ref[0] <= band)
-        assert (new[0] <= config.inconclusive_factor * band) == (ref[0] <= config.inconclusive_factor * band)
-        if ref[0] > config.inconclusive_factor * band:
+        assert (new[0] <= INCONCLUSIVE_FACTOR * band) == (ref[0] <= INCONCLUSIVE_FACTOR * band)
+        if ref[0] > INCONCLUSIVE_FACTOR * band:
             fails += 1
             assert abs(new[0] - ref[0]) <= 1e-14 * scale
             assert new[2] == ref[2]

@@ -36,24 +36,29 @@ FLAT4 = parse_metric("dim = 4\ng11 = 1\ng22 = 1\ng33 = 1\ng44 = 1\n")
 
 def test_normal_coordinates_flat_affine():
     chart = normal_coordinates(FLAT3, (0.5, -0.2, 1.0))
-    pl = JetPipeline(chart.metric, np.zeros(3))
+    pl = JetPipeline(chart, np.zeros(3))
     assert np.abs(pl.g - np.eye(3)).max() <= 1e-14
     assert np.abs(pl.gamma()).max() <= 1e-14
     # flat base: purely affine change, so the metric is exactly constant
     p = np.array([0.3, 0.7, -0.4])
-    assert np.abs(chart.metric.eval_matrix(p) - np.eye(3)).max() <= 1e-12
+    assert np.abs(chart.eval_matrix(p) - np.eye(3)).max() <= 1e-12
 
 
 def test_normal_coordinates_nil():
+    """Centered at a point of nil, and again at a point of that chart: a
+    chart's base may itself be a chart."""
     chart = normal_coordinates(get_entry("nil").metric, (0.4, 0.1, -0.2))
-    pl = JetPipeline(chart.metric, np.zeros(3))
-    assert np.abs(pl.g - np.eye(3)).max() <= 1e-9
-    assert np.abs(pl.gamma()).max() <= 1e-9
+    for metric in (chart, normal_coordinates(chart, (0.05, 0.0, 0.1))):
+        pl = JetPipeline(metric, np.zeros(3))
+        assert np.abs(pl.g - np.eye(3)).max() <= 1e-9
+        assert np.abs(pl.gamma()).max() <= 1e-9
+        # off the origin the base is evaluated, not the kept center jets
+        assert np.abs(metric.eval_matrix(np.full(3, 0.01)) - np.eye(3)).max() <= 1e-3
 
 
 def test_normal_coordinates_sphere_chart():
     chart = normal_coordinates(get_entry("sphere3").metric, (0.2, -0.1, 0.3))
-    pl = JetPipeline(chart.metric, np.zeros(3))
+    pl = JetPipeline(chart, np.zeros(3))
     assert np.abs(pl.g - np.eye(3)).max() <= 1e-9
     # vanishing Christoffel symbols mean vanishing first metric derivatives
     sp = jet_space(3)
@@ -67,7 +72,7 @@ def test_normal_coordinates_sphere_chart():
 
 def test_prescribe_curvature_identity():
     chart = normal_coordinates(FLAT4, np.zeros(4))
-    r_here = JetPipeline(chart.metric, np.zeros(4)).riemann()
+    r_here = JetPipeline(chart, np.zeros(4)).riemann()
     res = prescribe_curvature(
         CurvaturePrescription(base=FLAT4, point=np.zeros(4), target_r4=r_here)
     )
@@ -116,7 +121,7 @@ def test_prescribe_curvature_flags_density_step(rng):
     rep0 = auto_test(entry.metric, p, ObstructionConfig())
     assert rep0.verdict is True
     chart = normal_coordinates(entry.metric, p)
-    snap = compute_snapshot(chart.metric, np.zeros(4))
+    snap = compute_snapshot(chart, np.zeros(4))
     wshift = random_weyl_operator(4, rng)
     r0 = snap.riemann + 2e-2 * operator_to_0_4(wshift)
     res = prescribe_curvature(
@@ -218,6 +223,19 @@ def test_prescribe_cy_identity():
     assert res.unchanged is True
 
 
+def test_prescribe_cy_unchanged_reports_a_relative_error():
+    """A target within rounding of the chart's own Cotton-York tensor
+    leaves the metric unchanged, and its error is the shift relative to
+    the target, as for a curvature prescription."""
+    base = get_entry("sl2r").metric
+    cy_here = JetPipeline(normal_coordinates(base, np.zeros(3)), np.zeros(3)).cotton_york()
+    target = cy_here * (1 + 4e-15)
+    res = prescribe_cotton_york(CottonPrescription(base=base, point=np.zeros(3), target_cy=target))
+    assert res.unchanged is True
+    assert np.linalg.norm(target) > 1.0
+    assert res.target_error == res.shift_norm / np.linalg.norm(target) < 1e-14
+
+
 def test_prescribe_cy_flat_diag_target():
     cy0 = np.diag([1.0, 1.0, -2.0]) * 1e-3
     cp = CottonPrescription(base=FLAT3, point=np.zeros(3), target_cy=cy0)
@@ -240,7 +258,7 @@ def test_prescribe_cy_sol_density_step():
     p = np.array([0.1, 0.2, 0.3])
     assert auto_test(sol, p).verdict is True
     chart = normal_coordinates(sol, p)
-    cy_here = compute_snapshot(chart.metric, np.zeros(3)).cotton_york
+    cy_here = compute_snapshot(chart, np.zeros(3)).cotton_york
     target = cy_here + 1e-2 * np.diag([1.0, 1.0, -2.0])
     res = prescribe_cotton_york(
         CottonPrescription(base=sol, point=p, target_cy=target)
@@ -304,13 +322,13 @@ def _prescribed(n, rng):
     point = rng.uniform(-0.1, 0.1, n)
     chart = normal_coordinates(base, point)
     if n == 3:
-        cy0 = compute_snapshot(chart.metric, np.zeros(3)).cotton_york + np.diag([1.0, 1.0, -2.0]) * 1e-2
+        cy0 = compute_snapshot(chart, np.zeros(3)).cotton_york + np.diag([1.0, 1.0, -2.0]) * 1e-2
         res = prescribe_cotton_york(CottonPrescription(base=base, point=point, target_cy=cy0))
     else:
-        r0 = compute_snapshot(chart.metric, np.zeros(n)).riemann
+        r0 = compute_snapshot(chart, np.zeros(n)).riemann
         r0 = r0 + 1e-2 * operator_to_0_4(random_weyl_operator(n, rng))
         res = prescribe_curvature(CurvaturePrescription(base=base, point=point, target_r4=r0))
-    return chart.metric, res.metric
+    return chart, res.metric
 
 
 def _jet_array(metric, y):
@@ -335,12 +353,15 @@ def test_pulled_back_metric_matches_its_components(n, rng):
 
 
 def test_pulled_back_values_do_not_depend_on_the_batch(rng):
+    """Grid values and order-3 jets, off the origin and across the
+    cutoff's ramp: row k of a batch has the bits of point k alone."""
     _, metric = _prescribed(4, rng)
     grid = rng.uniform(-0.8, 0.8, (25, 4))
-    batch = metric.eval_matrix_many(grid)
+    batch, jets = metric.eval_matrix_many(grid), metric._jets(grid, 3)
     for k, y in enumerate(grid):
         assert np.array_equal(batch[k], metric.eval_matrix(y))
         assert np.array_equal(batch[k], batch[k].T)
+        assert np.array_equal(jets[k], metric.eval_jets(y))
 
 
 @pytest.mark.parametrize("n", [4, 6])
