@@ -19,11 +19,13 @@ it without a bump.  One batched composition gives its jets at points y0
 (order 3, or 2 for a curvature prescription): the base jets at x(y0)
 composed with the jets of x(y) (truncated Taylor composition), then J^T g J
 plus the bump, all in jet arithmetic.  Jets at a point are its one-point
-case and values on a grid its order-0 case.  No expression is built on
-this path: the expression form (``components``) is made on first use, for
-printing the metric.  Both prescriptions run the same steps (measure at
-the origin, bump, check positivity on a grid, measure again); they differ
-only in the tensor they measure and the bump coefficients.
+case and values on a grid its order-0 case; a chart keeps its own origin
+jets, composed once, and ``with_bump`` adds the bump's.  No expression is
+built on this path: the expression form (``components``) is made on first
+use, for printing the metric.  Both prescriptions run the same steps
+(measure at the origin, bump, check positivity on a grid by one batched
+Cholesky, measure again); they differ only in the tensor they measure and
+the bump coefficients.
 
 The bump coefficients live in the 60-dimensional space A indexed by
 (unordered pair {i,j}, unordered triple {k,l,m}); the linear map L onto
@@ -160,7 +162,8 @@ class PulledBackMetric:
     its first two axes and in its trailing ones: bump_ij(y) =
     sum bump[i, j, k_1, ..., k_d] y^k_1 ... y^k_d.  The cutoff phi is 1 for
     |y| <= radius/2 and 0 for |y| >= radius.  The base is a ``MetricDef``
-    or another ``PulledBackMetric``."""
+    or another ``PulledBackMetric``.  ``origin_jets`` are its own jets at
+    y = 0, if known, of the order their size gives."""
 
     base: MetricDef
     center: np.ndarray  # p
@@ -170,7 +173,7 @@ class PulledBackMetric:
     radius: float = 1.0
     name: str = ""
     chart: str = ""
-    center_jets: np.ndarray | None = field(default=None, repr=False)  # base.eval_jets(center), if known
+    origin_jets: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.dim
@@ -190,7 +193,13 @@ class PulledBackMetric:
         return self.base.dim
 
     def with_bump(self, coeffs, radius, name):
-        return dataclasses.replace(self, bump=np.asarray(coeffs, dtype=float), radius=radius, name=name)
+        """This bump in place of the metric's own: kept origin jets of an
+        unbumped metric plus the bump's, as ``_jets`` adds them."""
+        out = dataclasses.replace(self, bump=np.asarray(coeffs, dtype=float), radius=radius, name=name, origin_jets=None)
+        if self.bump is None and self.origin_jets is not None:
+            order = int(jet_space(self.dim).degrees[self.origin_jets.shape[-1] - 1])
+            out.origin_jets = self.origin_jets + out._bump_jets(np.zeros((1, self.dim)), order)[0, self._pair]
+        return out
 
     def _cutoff_bounds(self):
         return (0.5 * self.radius) * (0.5 * self.radius), self.radius * self.radius  # inf, not OverflowError
@@ -208,23 +217,22 @@ class PulledBackMetric:
         out[ramp] = sp.mul(out[ramp], _smoothbump_jet(sp, r2[ramp], u0, u1)[:, None])
         return out
 
-    @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan; callers check finiteness
     def _jets(self, points, order):
         """Jets (N, dim, dim, size) of ``order`` of the entries at the (N,
-        dim) ``points``; at order 0 they are the values."""
+        dim) ``points``; at order 0 they are the values.  At the origin
+        alone, the prefix of kept origin jets that reach ``order``."""
+        kept, size = self.origin_jets, jet_space(self.dim, order).size
+        if len(points) == 1 and kept is not None and kept.shape[-1] >= size and not points.any():
+            return kept[None, ..., :size].copy()
+        return self._compose(points, order)
+
+    @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan; callers check finiteness
+    def _compose(self, points, order, base=None):
+        """``_jets`` composed from the base's jets at x(points), ``base``."""
         npts, n = points.shape
         sp = jet_space(n, order)
         x = _poly_taylor(self._x, points, order=order)
-        base = self.center_jets
-        # a one-point call at the chart origin, where every prescription step
-        # evaluates: the kept jets serve any order up to theirs, truncated
-        # to its prefix
-        at_center = npts == 1 and np.array_equal(x[0, :, 0], self.center)
-        if at_center and base is not None and base.shape[-1] >= sp.size:
-            base = base[None]
-        else:
-            base = self.base._jets(x[..., 0], order)
-        c = base[..., : sp.size]
+        c = (self.base._jets(x[..., 0], order) if base is None else base)[..., : sp.size]
         # g(x(y)) = sum_alpha c_alpha h^alpha with h = x(y) - x(y0)
         h = x.copy()
         h[..., 0] = 0.0
@@ -297,14 +305,15 @@ def normal_coordinates(metric: MetricDef, point, radius=1.0, order=3) -> PulledB
     normalization of g(p) to the identity plus the quadratic correction
     cancelling the Christoffel symbols at p (dropped when below 1e-14, so a
     flat base gets an affine chart), hence g(0) = identity and Gamma(0) = 0.
-    The chart keeps the base jets at p of ``order``, the highest order its
-    users evaluate at the origin, and ``radius`` for the bump."""
+    The chart keeps ``radius`` for the bump and its own jets at the origin
+    of ``order``, the highest its users read there, composed once from the
+    base jets at p that built the chart."""
     point = np.asarray(point, dtype=float)
     pl = JetPipeline(metric, point, order)
     L = np.linalg.cholesky(pl.g)
     e = np.linalg.inv(L).T  # E^T g E = I
     ghat = np.einsum("ai,ijk,jb,kc->abc", L.T, pl.gamma(), e, e)
-    return PulledBackMetric(
+    chart = PulledBackMetric(
         base=metric,
         center=point,
         frame=e,
@@ -312,32 +321,47 @@ def normal_coordinates(metric: MetricDef, point, radius=1.0, order=3) -> PulledB
         radius=radius,
         name=f"{metric.name}:normal" if metric.name else "normal-chart",
         chart=f"normal coordinates centered at {point.tolist()}",
-        center_jets=pl.g_jets,
     )
+    chart.origin_jets = chart._compose(np.zeros((1, metric.dim)), order, pl.g_jets[None])[0]
+    return chart
 
 
 # -- shared bump machinery -----------------------------------------------------
 
 
-def _grid_points(n, radius):
-    rng = np.random.default_rng(_GRID_SEED)
-    dirs = rng.standard_normal((GRID_ANGULAR, n))
+@lru_cache(maxsize=None)
+def _grid_directions(n):
+    dirs = np.random.default_rng(_GRID_SEED).standard_normal((GRID_ANGULAR, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs.setflags(write=False)  # shared by every grid in dim n
+    return dirs
+
+
+def _grid_points(n, radius):
     radii = np.linspace(radius / GRID_RADIAL, radius, GRID_RADIAL)
-    return np.concatenate([r * dirs for r in radii])
+    return np.concatenate([r * _grid_directions(n) for r in radii])
 
 
 def _check_positivity(metric, points):
+    """One batched Cholesky decides: it completes on matrices within a
+    backward error of order n eps ||g|| of positive definite ones (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10), the
+    level at which eigvalsh's smallest eigenvalue is accurate.  Only on a
+    failure does eigvalsh run: its smallest eigenvalue decides and names
+    the point."""
     g = metric.eval_matrix_many(points)
     if not np.isfinite(g).all():
         raise DomainError("perturbed metric is not finite on the positivity grid; shrink the radius")
-    w = np.linalg.eigvalsh(g)
-    worst = int(np.argmin(w[:, 0]))
-    if w[worst, 0] <= 0.0:
-        raise NotPositiveDefinite(
-            f"perturbed metric loses positivity at {points[worst].tolist()} "
-            f"(min eigenvalue {w[worst, 0]:g}); shrink the target or the radius"
-        )
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(g)[:, 0]
+        worst = int(np.argmin(w))
+        if w[worst] <= 0.0:
+            raise NotPositiveDefinite(
+                f"perturbed metric loses positivity at {points[worst].tolist()} "
+                f"(min eigenvalue {w[worst]:g}); shrink the target or the radius"
+            ) from None
 
 
 def _ck_norm(metric: PulledBackMetric, points, order, stride=12):
@@ -501,16 +525,11 @@ def cotton_L_map(a) -> np.ndarray:
     return _cotton_of_full(a_full(_coerce_a(a)))
 
 
-_L_MATRIX_CACHE = None
-
-
+@lru_cache(maxsize=None)
 def l_matrix():
     """L as a 27 x 60 matrix: the images of the 60 unit coefficient
     vectors, all at once."""
-    global _L_MATRIX_CACHE
-    if _L_MATRIX_CACHE is None:
-        _L_MATRIX_CACHE = _cotton_of_full(a_full(np.eye(A_SPACE_DIM))).reshape(27, A_SPACE_DIM)
-    return _L_MATRIX_CACHE
+    return _cotton_of_full(a_full(np.eye(A_SPACE_DIM))).reshape(27, A_SPACE_DIM)
 
 
 def cy_to_cotton(cy) -> np.ndarray:

@@ -185,7 +185,7 @@ def test_an_order_2_chart_never_serves_order_3_jets_from_its_order_2_center_jets
     base = catalog.random_metric_near_flat(4, rng)
     point = rng.uniform(-0.1, 0.1, 4)
     chart2, chart3 = normal_coordinates(base, point, order=2), normal_coordinates(base, point)
-    assert chart2.center_jets.shape[-1] == jet_space(4, 2).size
+    assert chart2.origin_jets.shape[-1] == jet_space(4, 2).size
     origin = np.zeros(4)
     want = coefficients(chart3, origin, 3)
     assert want.shape[-1] == jet_space(4).size

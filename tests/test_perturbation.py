@@ -1,13 +1,17 @@
 """Normal coordinates, prescription bumps, the Cotton coefficient map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lcwcheck.bivectors import operator_from_0_4, operator_to_0_4, random_weyl_operator
 from lcwcheck.catalog import get_entry, random_metric_near_flat
 from lcwcheck.dsl import parse_metric
+from lcwcheck import perturbation
 from lcwcheck.errors import (
     ConstraintViolation,
+    DomainError,
     NotPositiveDefinite,
     SymmetryViolation,
 )
@@ -17,6 +21,9 @@ from lcwcheck.perturbation import (
     A_SPACE_DIM,
     CottonPrescription,
     CurvaturePrescription,
+    PulledBackMetric,
+    _check_positivity,
+    _grid_points,
     a_index,
     cotton_L_map,
     cy_to_cotton,
@@ -386,3 +393,109 @@ def test_overflowing_targets_are_refused(amplitude):
     r0 = kulkarni_nomizu(np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4)) * amplitude
     with pytest.raises(DomainError):
         prescribe_curvature(CurvaturePrescription(base=FLAT4, point=np.zeros(4), target_r4=r0))
+
+
+# --- kept origin jets, the composition count, the positivity decision --------------
+
+
+def _same_bits(a, b):
+    """Equal arrays, down to the sign of every zero."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _fresh(metric):
+    """The same metric without kept origin jets: every call composes."""
+    return dataclasses.replace(metric, origin_jets=None)
+
+
+def _prescription(kind, base, point, rng):
+    """A chart at ``point`` and a small prescribed shift of its curvature
+    (``curv``) or Cotton-York tensor (``cy``, dim 3) there."""
+    n = base.dim
+    snap = compute_snapshot(normal_coordinates(base, point), np.zeros(n))
+    if kind == "cy":
+        cy0 = snap.cotton_york + np.diag([1.0, 1.0, -2.0]) * 1e-2
+        return lambda: prescribe_cotton_york(CottonPrescription(base=base, point=point, target_cy=cy0))
+    h = rng.standard_normal((n, n))
+    r0 = snap.riemann + 1e-2 * kulkarni_nomizu(h + h.T, np.eye(n))
+    return lambda: prescribe_curvature(CurvaturePrescription(base=base, point=point, target_r4=r0))
+
+
+@pytest.mark.parametrize("kind,n", [("curv", 3), ("curv", 4), ("curv", 5), ("curv", 6), ("cy", 3)])
+def test_kept_origin_jets_have_the_bits_of_a_fresh_composition(kind, n, rng):
+    """The chart's and the result's jets at the origin, at every order up
+    to the kept one, equal those composed afresh; past it the metric
+    composes; a second bump keeps no jets of the first."""
+    base = random_metric_near_flat(n, rng, amplitude=0.03)
+    point = rng.uniform(-0.1, 0.1, n)
+    kept_order = 3 if kind == "cy" else 2
+    chart = normal_coordinates(base, point, order=kept_order)
+    res = _prescription(kind, base, point, rng)()
+    assert not res.unchanged
+    rebumped = res.metric.with_bump(2.0 * res.metric.bump, res.metric.radius, "rebumped")
+    direct = chart.with_bump(rebumped.bump, rebumped.radius, "direct")
+    origin = np.zeros(n)
+    for metric in (chart, res.metric, direct):
+        assert metric.origin_jets.shape[-1] == jet_space(n, kept_order).size
+        for order in range(4):
+            assert _same_bits(metric.eval_jets(origin, order), _fresh(metric).eval_jets(origin, order))
+    for order in range(4):
+        assert _same_bits(rebumped.eval_jets(origin, order), direct.eval_jets(origin, order))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_prescription_and_its_test_compose_the_chart_at_one_point_once(n, rng, monkeypatch):
+    """The chart's origin jets are composed once, in ``normal_coordinates``;
+    the prescription's measurements and ``auto_test`` of the result read
+    them."""
+    if n == 3:
+        run = _prescription("cy", get_entry("nil").metric, np.array([0.1, 0.2, -0.1]), rng)
+    else:
+        run = _prescription("curv", random_metric_near_flat(4, rng, amplitude=0.03), np.zeros(4), rng)
+    compose, calls = PulledBackMetric._compose, []
+
+    def counted(self, points, order, base=None):
+        if len(points) == 1:
+            calls.append(order)
+        return compose(self, points, order, base)
+
+    monkeypatch.setattr(PulledBackMetric, "_compose", counted)
+    res = run()
+    auto_test(res.metric, res.evaluation_point, ObstructionConfig())
+    assert calls == [3 if n == 3 else 2]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lost_positivity_names_the_point_and_eigenvalue_of_an_eigvalsh_reference(n, monkeypatch):
+    checked = []
+
+    def check(metric, points):
+        checked.append((metric, points))
+        return _check_positivity(metric, points)
+
+    monkeypatch.setattr(perturbation, "_check_positivity", check)
+    with pytest.raises(NotPositiveDefinite) as err:
+        if n == 3:
+            cy0 = np.diag([1.0, 1.0, -2.0]) * 200.0
+            prescribe_cotton_york(CottonPrescription(base=FLAT3, point=np.zeros(3), target_cy=cy0))
+        else:
+            r0 = kulkarni_nomizu(np.eye(4), np.eye(4)) * 50.0
+            prescribe_curvature(CurvaturePrescription(base=FLAT4, point=np.zeros(4), target_r4=r0))
+    (metric, points), = checked
+    assert _same_bits(points, _grid_points(n, 1.0))
+    w = np.linalg.eigvalsh(metric.eval_matrix_many(points))[:, 0]
+    worst = int(np.argmin(w))
+    assert w[worst] <= 0.0
+    assert f"at {points[worst].tolist()} (min eigenvalue {w[worst]:g})" in str(err.value)
+
+
+def test_a_non_finite_grid_is_refused_before_any_factorisation(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a non-finite grid reached a factorisation")
+
+    chart = normal_coordinates(FLAT3, np.zeros(3))
+    huge = chart.with_bump(np.full((3,) * 5, 1e308), 1.0, "huge")
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    with pytest.raises(DomainError, match="not finite on the positivity grid"):
+        _check_positivity(huge, _grid_points(3, 1.0))
