@@ -42,6 +42,7 @@ from .bivectors import (
 from .dsl import metric_to_text, parse_metric
 from .errors import (
     ConstraintViolation,
+    DimensionError,
     LcwError,
     NotPositiveDefinite,
     ParseError,
@@ -312,13 +313,12 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
             report = eigenflag_test(operator_from_0_4(_algebraic_tensors(entry)["weyl"]), config)
         else:
             p = _parse_point(point, metric.dim)
-            if which_test == "auto":
-                report = auto_test(metric, p, config)
-            elif which_test == "cotton-york":
+            if which_test == "eigenflag" and metric.dim < 4:
+                raise DimensionError("eigenflag test needs dim >= 4")
+            if which_test == "cotton-york":
                 report = cotton_york_test(metric, p, config)
             else:
-                pl = JetPipeline(metric, p, order=2)
-                report = eigenflag_test(operator_from_0_4(pl.weyl(), g=pl.g), config)
+                report = auto_test(metric, p, config)
         if fmt == "json":
             click.echo(report.to_json())
         else:
@@ -389,7 +389,7 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
                 d = rng.standard_normal((3, 3))
                 d = (d + d.T) / 2.0
                 d -= np.trace(d) / 3.0 * np.eye(3)
-                wanted = cy_here + amplitude * d / np.linalg.norm(d)
+                wanted = cy_here + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
             res = prescribe_cotton_york(
                 CottonPrescription(base=metric, point=p, target_cy=wanted, radius=radius)
             )

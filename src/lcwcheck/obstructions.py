@@ -46,20 +46,21 @@ from .pipeline import JetPipeline, compute_snapshot, format_json
 
 
 GRAD_TOL = 1e-12  # a start stops once its gradient is below this times the scale
+MAX_ITER = 400  # descent steps of the eigenflag search at most
 INCONCLUSIVE_FACTOR = 10.0  # width of the inconclusive band above the tolerance
 CY_ABS_FLOOR = 1e-9  # a Cotton-York norm below this passes as conformally flat
 
 
 @dataclass
 class ObstructionConfig:
-    """Tunable tolerances; every report echoes the values it used, and
-    those of the module constants above."""
+    """Tolerance and search settings; every field is echoed in the
+    ``tolerances`` of each report whose test reads it, with the module
+    constants above that the test uses (the note gives the iterations,
+    which MAX_ITER caps)."""
 
     tol_rel: float = 1e-8
     starts: int = 64
     seed: int = 0
-    max_iter: int = 400
-    spectral_precheck: bool = True
 
 
 @dataclass
@@ -113,6 +114,18 @@ _PASS_NOTE = (
     "Carleman weight exists"
 )
 _FAIL_NOTE = "necessary condition fails: no limiting Carleman weight exists near this point"
+_BAND_NOTE = f" lies within a factor {INCONCLUSIVE_FACTOR:g} of the tolerance; inconclusive"
+
+
+def _band(ratio, tol):
+    """The verdict of a scale-free measured ratio: True (passes) at most
+    ``tol``, None (inconclusive) up to INCONCLUSIVE_FACTOR times ``tol``,
+    False (fails) otherwise."""
+    if ratio <= tol:
+        return True
+    if ratio <= tol * INCONCLUSIVE_FACTOR:
+        return None
+    return False
 
 
 # -- eigenflag residual and its minimization ----------------------------------
@@ -208,7 +221,7 @@ def _minimize_residual(w, n, config, vecs):
     it = 0
     best_hist = float(f.min())
     stall = 0
-    while it < config.max_iter and active.any():
+    while it < MAX_ITER and active.any():
         it += 1
         active &= np.einsum("bi,bi->b", rgrad, rgrad) > gtol_sq
         active &= step > 1e-18 / scale
@@ -248,9 +261,8 @@ def _minimize_residual(w, n, config, vecs):
 def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = None) -> ObstructionReport:
     """Decide whether the Weyl operator admits a flag direction.
 
-    Multi-start minimization of the residual over the unit sphere; verdict
-    True iff the minimum is below tol_rel * ||W||^2, with an inconclusive
-    band one factor of ``INCONCLUSIVE_FACTOR`` wide above that.  In dim 4 a
+    Multi-start minimization of the residual over the unit sphere; the
+    verdict is the ``_band`` of the minimum over ||W||^2.  In dim 4 a
     spectral pre-check (the self-dual and anti-self-dual blocks of a
     flag-invariant operator are isospectral) certifies most negatives
     without optimization.
@@ -264,75 +276,45 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
     if not math.isfinite(wnorm * wnorm):
         # the verdict compares the residual with tol_rel * ||W||^2
         raise DomainError("Weyl operator too large: its squared norm is not a finite number")
-    tolerances = {
-        "tol_rel": config.tol_rel,
-        "starts": config.starts,
-        "seed": config.seed,
-        "grad_tol": GRAD_TOL,
-        "inconclusive_factor": INCONCLUSIVE_FACTOR,
-    }
     vals, vecs = np.linalg.eigh(w)
-    eigen_data = {"eigenvalues": vals}
+    report = ObstructionReport(
+        dim=op.dim, test="eigenflag", verdict=True, residual=0.0, eigen_data={"eigenvalues": vals},
+        tolerances={"tol_rel": config.tol_rel, "starts": config.starts, "seed": config.seed,
+                    "grad_tol": GRAD_TOL, "inconclusive_factor": INCONCLUSIVE_FACTOR},
+    )
     if wnorm == 0.0:
-        return ObstructionReport(
-            dim=op.dim,
-            test="eigenflag",
-            verdict=True,
-            residual=0.0,
-            eigen_data=eigen_data,
-            tolerances=tolerances,
-            note="Weyl operator vanishes; every direction is invariant. " + _PASS_NOTE,
-        )
+        report.note = "Weyl operator vanishes; every direction is invariant. " + _PASS_NOTE
+        return report
 
-    if op.dim == 4 and config.spectral_precheck:
+    if op.dim == 4:
         split = pm_split(op)
         sp = np.sort(np.linalg.eigvalsh(split.wplus))
         sm = np.sort(np.linalg.eigvalsh(split.wminus))
         mismatch = float(np.abs(sp - sm).max())
         spectral_tol = np.sqrt(config.tol_rel * INCONCLUSIVE_FACTOR) * wnorm
-        tolerances["spectral_tol"] = spectral_tol
-        eigen_data["plus_spectrum"] = sp
-        eigen_data["minus_spectrum"] = sm
+        report.tolerances["spectral_tol"] = spectral_tol
+        report.eigen_data["plus_spectrum"] = sp
+        report.eigen_data["minus_spectrum"] = sm
         if mismatch > spectral_tol:
-            return ObstructionReport(
-                dim=4,
-                test="eigenflag",
-                verdict=False,
-                residual=None,
-                eigen_data=eigen_data,
-                tolerances=tolerances,
-                note=(
-                    "self-dual and anti-self-dual spectra differ by "
-                    f"{mismatch:.3e} > {spectral_tol:.3e}; a flag-invariant "
-                    "operator must have isospectral blocks. " + _FAIL_NOTE
-                ),
+            report.verdict, report.residual = False, None
+            report.note = (
+                "self-dual and anti-self-dual spectra differ by "
+                f"{mismatch:.3e} > {spectral_tol:.3e}; a flag-invariant "
+                "operator must have isospectral blocks. " + _FAIL_NOTE
             )
+            return report
 
     fmin, vbest, iters, converged = _minimize_residual(w, op.dim, config, vecs)
-    rel = fmin / wnorm**2
-    threshold = config.tol_rel
-    if rel <= threshold:
-        verdict = True
-        note = f"minimum residual {fmin:.3e} <= {threshold:.1e} * ||W||^2. " + _PASS_NOTE
-    elif rel <= threshold * INCONCLUSIVE_FACTOR:
-        verdict = None
-        note = (
-            f"minimum residual {fmin:.3e} lies within a factor "
-            f"{INCONCLUSIVE_FACTOR:g} of the tolerance; inconclusive"
-        )
-    else:
-        verdict = False
-        note = f"minimum residual {fmin:.3e} over {config.starts + 2 * len(vecs)} starts. " + _FAIL_NOTE
-    return ObstructionReport(
-        dim=op.dim,
-        test="eigenflag",
-        verdict=verdict,
-        witness=vbest if verdict is True else None,
-        residual=fmin,
-        eigen_data=eigen_data,
-        tolerances=tolerances,
-        note=note + f" ({iters} iterations, converged={converged})",
-    )
+    report.residual = fmin
+    report.verdict = _band(fmin / wnorm**2, config.tol_rel)
+    if report.verdict:
+        report.witness = vbest
+    report.note = f"minimum residual {fmin:.3e}" + {
+        True: f" <= {config.tol_rel:.1e} * ||W||^2. " + _PASS_NOTE,
+        None: _BAND_NOTE,
+        False: f" over {config.starts + 2 * len(vecs)} starts. " + _FAIL_NOTE,
+    }[report.verdict] + f" ({iters} iterations, converged={converged})"
+    return report
 
 
 # -- simplicity classification (dim 4) ----------------------------------------
@@ -426,10 +408,11 @@ def plane_from_traceless_degenerate(a, tol=1e-8):
 
 def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None = None) -> ObstructionReport:
     """Dimension-3 necessary condition: det(CY) = 0, decided on the
-    g-orthonormal frame components with the scale-invariant ratio
-    |det| / ||CY||^3.  A vanishing CY (conformally flat point) passes via an
-    absolute floor.  When the test passes with CY != 0 the degenerate plane
-    and its normal are reported, the normal acting as witness."""
+    g-orthonormal frame components by the ``_band`` of the scale-invariant
+    ratio |det| / ||CY||^3.  A vanishing CY (conformally flat point) passes
+    via an absolute floor.  When the test passes with CY != 0 the
+    degenerate plane and its normal are reported, the normal acting as
+    witness."""
     config = config or ObstructionConfig()
     if metric.dim != 3:
         raise DimensionError("Cotton-York test needs dim 3")
@@ -438,70 +421,37 @@ def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None 
     e = orthonormal_frame(snap.g)
     a = e.T @ cy @ e
     norm = float(np.linalg.norm(a))
-    det_coord = float(np.linalg.det(cy))
     det_frame = float(np.linalg.det(a))
-    tolerances = {
-        "tol_rel": config.tol_rel,
-        "cy_abs_floor": CY_ABS_FLOOR,
-        "inconclusive_factor": INCONCLUSIVE_FACTOR,
-    }
+    report = ObstructionReport(
+        dim=3, test="cotton-york", verdict=True, det_cy=float(np.linalg.det(cy)), residual=abs(det_frame),
+        tolerances={"tol_rel": config.tol_rel, "cy_abs_floor": CY_ABS_FLOOR, "inconclusive_factor": INCONCLUSIVE_FACTOR},
+    )
     if norm <= CY_ABS_FLOOR:
-        return ObstructionReport(
-            dim=3,
-            test="cotton-york",
-            verdict=True,
-            det_cy=det_coord,
-            residual=0.0,
-            plane=np.vstack([e[:, 0], e[:, 1]]),
-            witness=e[:, 2] / np.linalg.norm(e[:, 2]),
-            tolerances=tolerances,
-            note=(
-                f"Cotton-York norm {norm:.2e} below the absolute floor; "
-                "the point is conformally flat at tolerance and any plane is "
-                "admissible. " + _PASS_NOTE
-            ),
+        report.residual = 0.0
+        report.plane = np.vstack([e[:, 0], e[:, 1]])
+        report.witness = e[:, 2] / np.linalg.norm(e[:, 2])
+        report.note = (
+            f"Cotton-York norm {norm:.2e} below the absolute floor; "
+            "the point is conformally flat at tolerance and any plane is "
+            "admissible. " + _PASS_NOTE
         )
+        return report
     ratio = abs(det_frame) / norm**3
-    tolerances["det_ratio"] = ratio
-    if ratio <= config.tol_rel:
+    report.tolerances["det_ratio"] = ratio
+    report.verdict = _band(ratio, config.tol_rel)
+    if report.verdict:
         plane_f, normal_f = plane_from_traceless_degenerate(
             a, tol=config.tol_rel * INCONCLUSIVE_FACTOR
         )
-        plane = plane_f @ e.T  # rows are coordinate vectors of the plane basis
+        report.plane = plane_f @ e.T  # rows are coordinate vectors of the plane basis
         normal = e @ normal_f
-        return ObstructionReport(
-            dim=3,
-            test="cotton-york",
-            verdict=True,
-            det_cy=det_coord,
-            residual=float(abs(det_frame)),
-            plane=plane,
-            witness=normal / np.linalg.norm(normal),
-            tolerances=tolerances,
-            note=f"|det CY| / ||CY||^3 = {ratio:.3e} <= {config.tol_rel:.1e}. " + _PASS_NOTE,
-        )
-    if ratio <= config.tol_rel * INCONCLUSIVE_FACTOR:
-        return ObstructionReport(
-            dim=3,
-            test="cotton-york",
-            verdict=None,
-            det_cy=det_coord,
-            residual=float(abs(det_frame)),
-            tolerances=tolerances,
-            note=(
-                f"|det CY| / ||CY||^3 = {ratio:.3e} lies within a factor "
-                f"{INCONCLUSIVE_FACTOR:g} of the tolerance; inconclusive"
-            ),
-        )
-    return ObstructionReport(
-        dim=3,
-        test="cotton-york",
-        verdict=False,
-        det_cy=det_coord,
-        residual=float(abs(det_frame)),
-        tolerances=tolerances,
-        note=f"|det CY| / ||CY||^3 = {ratio:.3e}. " + _FAIL_NOTE,
-    )
+        report.witness = normal / np.linalg.norm(normal)
+    report.note = f"|det CY| / ||CY||^3 = {ratio:.3e}" + {
+        True: f" <= {config.tol_rel:.1e}. " + _PASS_NOTE,
+        None: _BAND_NOTE,
+        False: ". " + _FAIL_NOTE,
+    }[report.verdict]
+    return report
 
 
 def auto_test(metric: MetricDef, point, config: ObstructionConfig | None = None) -> ObstructionReport:

@@ -68,6 +68,7 @@ from .pipeline import EPS3, JetPipeline, _check_bianchi, _check_curvature_symmet
 
 GRID_RADIAL = 10
 GRID_ANGULAR = 64
+CK_STRIDE = 12  # the C^k norm samples every CK_STRIDE-th positivity grid point
 _GRID_SEED = 20240311  # fixed: positivity grids must be reproducible
 
 
@@ -364,13 +365,12 @@ def _check_positivity(metric, points):
             ) from None
 
 
-def _ck_norm(metric: PulledBackMetric, points, order, stride=12):
-    """sup over a grid subsample of sum_{|alpha| <= order} |d^alpha(bump)|
-    using exact jet derivatives, from one batched evaluation."""
-    sp = jet_space(metric.dim)
-    weights = np.where(sp.degrees <= order, sp.factorials, 0.0)
-    jets = metric._bump_jets(points[::stride])
-    return float(np.abs(jets * weights).sum(axis=-1).max(initial=0.0))
+def _ck_norm(metric: PulledBackMetric, points, order):
+    """sup over every CK_STRIDE-th grid point of sum_{|alpha| <= order}
+    |d^alpha(bump)| using exact jet derivatives, from one batched
+    evaluation of jets of ``order``."""
+    jets = metric._bump_jets(points[::CK_STRIDE], order)
+    return float(np.abs(jets * jet_space(metric.dim, order).factorials).sum(axis=-1).max(initial=0.0))
 
 
 def _finite_norms(target, shift):
@@ -545,7 +545,6 @@ class CottonPrescription:
     point: np.ndarray
     target_cy: np.ndarray  # symmetric traceless 3x3 in the chart frame
     radius: float = 1.0
-    coefficients: np.ndarray | None = None  # filled by the solver
 
 
 def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
@@ -581,7 +580,6 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
                 f"Cotton shift not reachable (residual {err:g}); "
                 "the target is not an algebraic Cotton tensor"
             )
-        cp.coefficients = avec
         return a_full(avec)
 
     chart = normal_coordinates(cp.base, cp.point, cp.radius)

@@ -157,6 +157,29 @@ def test_check_json_fields():
     assert "tolerances" in doc and "note" in doc
 
 
+@pytest.mark.parametrize(
+    "tol, code, verdict", [("0.1", 0, "passes_necessary"), ("0.01", 11, "inconclusive"), ("0.005", 10, "fails_lcw_necessary")]
+)
+def test_check_exit_code_follows_the_band(tol, code, verdict):
+    """sl2r's |det CY| / ||CY||^3 is 0.0632 at the origin: it passes at
+    --tol 0.1, lies in the inconclusive band (within a factor 10 above the
+    tolerance) at 0.01 and fails at 0.005."""
+    res = invoke("check", "--metric", "sl2r", "--tol", tol)
+    doc = json.loads(res.output)
+    assert doc["tolerances"]["det_ratio"] == pytest.approx(0.0632, abs=1e-4)
+    assert (res.exit_code, doc["verdict"]) == (code, verdict)
+
+
+@pytest.mark.parametrize("text", ["dim = 2\ng11 = 1\ng22 = 1\n", "dim = 3\ng11 = 1\ng22 = 1\ng33 = 1\n"])
+def test_check_eigenflag_below_dim_4_exit_3(tmp_path, text):
+    f = tmp_path / "low.metric"
+    f.write_text(text)
+    res = runner.invoke(main, ["check", "--metric", str(f), "--test", "eigenflag"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "error: eigenflag test needs dim >= 4\n"
+
+
 def test_check_deterministic_output():
     a = invoke("check", "--metric", "product4_nil", "--point", "0.1,0.2,0.3,0.4", "--seed", "7")
     b = invoke("check", "--metric", "product4_nil", "--point", "0.1,0.2,0.3,0.4", "--seed", "7")

@@ -106,6 +106,8 @@ def test_check_numeric_options_keep_the_contract(case):
 @given(case=with_options([("nil", 3), ("product4_nil", 4)], SEEDS, option(floats(-10.0, 10.0)), option(floats(1e-3, 10.0)), "point"))
 @example(case=("nil", "-1", None, None, None))
 @example(case=("nil", None, None, "6.3e51", None))
+@example(case=("nil", "100000", "1.169959471020082e+308", None, None))
+@example(case=("sol", "2", "1.5e308", None, None))
 def test_perturb_numeric_options_keep_the_contract(case):
     name, *values = case
     command = ["perturb", "--metric", name, "--target", "random", "--out", os.devnull]

@@ -19,6 +19,7 @@ from lcwcheck.errors import DimensionError, DomainError, PreconditionViolation
 from lcwcheck.obstructions import (
     GRAD_TOL,
     INCONCLUSIVE_FACTOR,
+    MAX_ITER,
     ObstructionConfig,
     auto_test,
     classify_simplicity,
@@ -197,7 +198,7 @@ def _ref_minimize_residual(w, n, config):
     it = 0
     best_hist = float(f.min())
     stall = 0
-    while it < config.max_iter and active.any():
+    while it < MAX_ITER and active.any():
         it += 1
         gn = np.linalg.norm(rgrad, axis=1)
         active &= gn > GRAD_TOL * scale
@@ -279,12 +280,11 @@ def test_eigenflag_search_is_scale_free(rng):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_eigenflag_refuses_an_operator_whose_squared_norm_overflows(n, rng):
     """A planted flag times 1e160 used to come out "fails" with a nan
-    residual; in dim 4 the spectral precheck is refused the same way."""
+    residual; the norm check comes before the dim-4 spectral precheck."""
     for op in (phi_map(sample_eigenflag_params(n, rng)), random_weyl_operator(n, rng)):
         huge = CurvatureOperator(dim=n, mat=op.mat * 1e160)
-        for config in (ObstructionConfig(), ObstructionConfig(spectral_precheck=False)):
-            with pytest.raises(DomainError, match="too large"):
-                eigenflag_test(huge, config)
+        with pytest.raises(DomainError, match="too large"):
+            eigenflag_test(huge)
         assert eigenflag_test(CurvatureOperator(dim=n, mat=op.mat * 1e150)).verdict == eigenflag_test(op).verdict
 
 
@@ -328,11 +328,46 @@ def test_eigenflag_cp2_false():
 
 
 def test_eigenflag_cp2_false_without_precheck():
-    report = eigenflag_test(
-        _cp2_weyl(), ObstructionConfig(spectral_precheck=False)
-    )
-    assert report.verdict is False
-    assert report.residual > 0.1 * np.linalg.norm(_cp2_weyl().mat) ** 2
+    """The spectral precheck decides CP^2; the search alone, which the
+    precheck skips, finds no flag direction either."""
+    w = _cp2_weyl().mat
+    assert eigenflag_test(_cp2_weyl(), ObstructionConfig()).verdict is False
+    fmin = _minimize_residual(w, 4, ObstructionConfig(), np.linalg.eigh(w)[1])[0]
+    assert fmin > 0.1 * np.linalg.norm(w) ** 2
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_eigenflag_verdict_is_the_band_of_its_own_residual(rng, n):
+    """Near-flag operators (a phi_map image plus 1e-3 noise) over a ladder
+    of tolerances: each verdict is the band of the report's residual over
+    ||W||^2, passes at most tol_rel, inconclusive within INCONCLUSIVE_FACTOR
+    above it, fails beyond, and each note and witness is that band's."""
+    seen = []
+    for i in range(3):
+        w = phi_map(sample_eigenflag_params(n, rng)).mat
+        op = CurvatureOperator(dim=n, mat=w + 1e-3 * np.linalg.norm(w) * random_weyl_operator(n, rng).mat)
+        for tol in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+            rep = eigenflag_test(op, ObstructionConfig(tol_rel=tol, seed=i))
+            seen.append(rep.verdict)
+            if rep.residual is None:  # the dim-4 spectral precheck decided
+                assert n == 4 and rep.verdict is False and rep.witness is None
+                assert rep.note.startswith("self-dual and anti-self-dual spectra differ by")
+                mismatch = np.abs(rep.eigen_data["plus_spectrum"] - rep.eigen_data["minus_spectrum"]).max()
+                assert mismatch > rep.tolerances["spectral_tol"]
+                continue
+            rel = rep.residual / np.linalg.norm(op.mat) ** 2
+            assert rep.note.startswith(f"minimum residual {rep.residual:.3e}")
+            assert rep.note.endswith(")") and " iterations, converged=" in rep.note
+            if rel <= tol:
+                assert rep.verdict is True and rep.witness is not None
+                assert f" <= {tol:.1e} * ||W||^2. necessary condition holds; this does NOT" in rep.note
+            elif rel <= INCONCLUSIVE_FACTOR * tol:
+                assert rep.verdict is None and rep.witness is None
+                assert f" lies within a factor {INCONCLUSIVE_FACTOR:g} of the tolerance; inconclusive (" in rep.note
+            else:
+                assert rep.verdict is False and rep.witness is None
+                assert " starts. necessary condition fails: no limiting Carleman weight exists" in rep.note
+    assert None in seen and True in seen and False in seen
 
 
 def test_eigenflag_distinct_eigenvalues_false(rng):

@@ -1,6 +1,7 @@
 """Normal coordinates, prescription bumps, the Cotton coefficient map."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from lcwcheck.perturbation import (
     PulledBackMetric,
     _check_positivity,
     _grid_points,
+    a_full,
     a_index,
     cotton_L_map,
     cy_to_cotton,
@@ -245,10 +247,14 @@ def test_prescribe_cy_unchanged_reports_a_relative_error():
 
 def test_prescribe_cy_flat_diag_target():
     cy0 = np.diag([1.0, 1.0, -2.0]) * 1e-3
-    cp = CottonPrescription(base=FLAT3, point=np.zeros(3), target_cy=cy0)
-    res = prescribe_cotton_york(cp)
+    res = prescribe_cotton_york(CottonPrescription(base=FLAT3, point=np.zeros(3), target_cy=cy0))
     assert res.target_error <= 1e-6
-    assert cp.coefficients is not None and cp.coefficients.shape == (60,)
+    bump = res.metric.bump
+    assert bump.shape == (3,) * 5
+    avec = np.zeros(A_SPACE_DIM)
+    for t in itertools.product(range(3), repeat=5):
+        avec[a_index(*t)] = bump[t]
+    assert np.array_equal(bump, a_full(avec))  # the expansion of its 60-vector
     achieved = compute_snapshot(res.metric, res.evaluation_point).cotton_york
     assert np.abs(achieved - cy0).max() <= 1e-6 * max(np.abs(cy0).max(), 1.0)
 
