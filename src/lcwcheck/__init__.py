@@ -29,7 +29,6 @@ from .bivectors import (
     weyl_space_basis,
 )
 from .catalog import (
-    AlgebraicPointData,
     CatalogEntry,
     expected_truth,
     get_entry,

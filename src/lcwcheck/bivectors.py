@@ -449,6 +449,8 @@ def phi_map(params: EigenflagParams, tol=1e-9) -> CurvatureOperator:
 def sample_eigenflag_params(n, rng, lambda_scale=1.0, w2_extra_scale=1.0) -> EigenflagParams:
     """Random valid parameters: Haar-ish rotation, centered eigenvalues,
     w2 = particular solution + random element of the lower Weyl space."""
+    if not 4 <= n <= 6:
+        raise DimensionError("eigenflag parametrization needs 4 <= n <= 6")
     a = rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
     q = q @ np.diag(np.sign(np.diag(r)))

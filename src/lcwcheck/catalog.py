@@ -2,12 +2,13 @@
 
 The eight three-dimensional model geometries, a product family R x Sigma
 with a configurable conformal factor on the surface, the complex projective
-plane (as algebraic curvature data at a point, plus an optional affine
-chart), and dimension-4 products euclidean-line x (3d entry).
+plane in an affine chart, and dimension-4 products euclidean-line x (3d
+entry).
 
-Each entry carries a chart domain within which random evaluation points are
-well conditioned, and an ``expected`` record of independently computed
-values the tensor pipeline must reproduce.
+Every entry is a coordinate metric.  Each carries a chart domain within
+which random evaluation points are well conditioned, and an ``expected``
+record of independently computed values the tensor pipeline must
+reproduce.
 """
 
 from __future__ import annotations
@@ -37,25 +38,12 @@ from .jets import jet_space
 
 
 @dataclass
-class AlgebraicPointData:
-    """Curvature data at a single point, with no chart: a (0,4) tensor in
-    an orthonormal frame."""
-
-    dim: int
-    r4: np.ndarray
-    g: np.ndarray
-
-
-@dataclass
 class CatalogEntry:
     name: str
     dim: int
-    metric: MetricDef | None = None
-    algebraic: AlgebraicPointData | None = None
-    sample_box: tuple = ()  # per-coordinate (lo, hi) for random points
+    metric: MetricDef
+    sample_box: tuple  # per-coordinate (lo, hi) for random points
     expected: dict = field(default_factory=dict)
-    optional: bool = False
-    note: str = ""
 
     def sample_points(self, rng, count):
         lo = np.array([b[0] for b in self.sample_box])
@@ -286,8 +274,8 @@ def sl2r_full_tensors(point) -> dict:
     return {"ricci": ric, "scalar": -2.0, "schouten": schouten, "cotton_york": cy}
 
 
-def cp2_curvature() -> AlgebraicPointData:
-    """Curvature tensor of the Fubini-Study metric at a point, in an
+def cp2_curvature() -> np.ndarray:
+    """Curvature (0,4) tensor of the Fubini-Study metric at a point, in an
     orthonormal frame adapted to the complex structure (e2 = J e1,
     e4 = J e3): sectional curvatures 4 on complex lines, 1 on totally real
     planes, mixed components R(e1,e2,e3,e4) = 2, R(e1,e3,e2,e4) = 1,
@@ -310,13 +298,14 @@ def cp2_curvature() -> AlgebraicPointData:
     put(1, 2, 3, 4, 2.0)
     put(1, 3, 2, 4, 1.0)
     put(1, 4, 2, 3, -1.0)
-    return AlgebraicPointData(dim=4, r4=r4, g=np.eye(4))
+    return r4
 
 
 def cp2_chart_metric() -> MetricDef:
     """Affine chart of the Fubini-Study metric (holomorphic sectional
-    curvature 4), realified with z1 = x1 + i x2, z2 = x3 + i x4.  Included
-    as an optional cross-check of the algebraic entry."""
+    curvature 4), realified with z1 = x1 + i x2, z2 = x3 + i x4.  At the
+    origin the coordinate frame is orthonormal and adapted to the complex
+    structure, so the Riemann tensor there is the ``cp2_curvature`` table."""
     from .dsl import Div
 
     z1sq = Add(Pow(Var(0), 2), Pow(Var(1), 2))
@@ -525,24 +514,6 @@ def _build_registry():
                     "has the two-component closed form"
                 ),
             },
-            note="factory entry; use r_cross_surface(f) for other conformal factors",
-        )
-    )
-    add(
-        CatalogEntry(
-            name="cp2_algebraic",
-            dim=4,
-            algebraic=cp2_curvature(),
-            expected={
-                "lcw": "none",
-                "operator_eigenvalues": [6.0, 0.0, 0.0, 2.0, 2.0, 2.0],
-                "wplus_diag": [4.0, -2.0, -2.0],
-                "wminus_zero": True,
-                "einstein": True,
-                "scalar": 24.0,
-                "eigenflag": False,
-                "provenance": "curvature component table of the Fubini-Study metric",
-            },
         )
     )
     add(
@@ -551,16 +522,20 @@ def _build_registry():
             dim=4,
             metric=cp2_chart_metric(),
             sample_box=((-0.3, 0.3),) * 4,
-            optional=True,
             expected={
                 "lcw": "none",
+                "operator_eigenvalues": [6.0, 0.0, 0.0, 2.0, 2.0, 2.0],
+                "wplus_diag": [4.0, -2.0, -2.0],
+                "wminus_zero": True,
+                "einstein": True,
+                "scalar": 24.0,
                 "eigenflag": False,
                 "provenance": (
                     "affine-chart realification of the Fubini-Study metric; "
-                    "cross-checked against the algebraic entry at the origin"
+                    "at the origin its curvature is the component table "
+                    "cp2_curvature()"
                 ),
             },
-            note="optional chart entry behind the algebraic one",
         )
     )
     sol = entries["sol"].metric
@@ -633,9 +608,8 @@ THURSTON_NAMES = (
 )
 
 
-def list_catalog(include_optional=True):
-    names = [n for n, e in _registry().items() if include_optional or not e.optional]
-    return names
+def list_catalog():
+    return list(_registry())
 
 
 def get_entry(name) -> CatalogEntry:

@@ -32,7 +32,6 @@ from .bivectors import (
     CurvatureOperator,
     bianchi_project,
     dimension_report,
-    operator_from_0_4,
     operator_to_0_4,
     phi_map,
     random_weyl_operator,
@@ -56,7 +55,7 @@ from .perturbation import (
     prescribe_cotton_york,
     prescribe_curvature,
 )
-from .pipeline import JetPipeline, compute_snapshot, format_json, kulkarni_nomizu, snapshot_to_dict
+from .pipeline import JetPipeline, compute_snapshot, format_json, snapshot_to_dict
 
 EXIT_PASSES = 0
 EXIT_PARSE = 2
@@ -67,7 +66,7 @@ EXIT_INCONCLUSIVE = 11
 
 
 class _FiniteFloat(click.FloatRange):
-    """A finite number, optionally bounded below (click exits 2 otherwise);
+    """A finite number, with a lower bound if one is given (click exits 2 otherwise);
     a plain range lets NaN through."""
 
     def __init__(self, min=-sys.float_info.max, min_open=False):
@@ -100,7 +99,7 @@ def _parse_point(text, dim):
 
 
 def _load_source(source):
-    """Catalog entry name or metric file path -> (entry-or-None, MetricDef-or-None)."""
+    """Catalog entry name or metric file path -> MetricDef."""
     path = pathlib.Path(source)
     if path.exists():
         if path.name == source and source in cat.list_catalog():
@@ -112,14 +111,13 @@ def _load_source(source):
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read metric file {source!r}: {exc}")
-        return None, parse_metric(text)
+        return parse_metric(text)
     try:
-        entry = cat.get_entry(source)
+        return cat.get_entry(source).metric
     except UnknownEntry:
         raise ParseError(
             f"{source!r} is neither a readable file nor a catalog entry"
         )
-    return entry, entry.metric
 
 
 def _load_target(target, n):
@@ -183,29 +181,20 @@ def main():
 
 @main.command("catalog")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
-@click.option("--all", "show_all", is_flag=True, help="include optional entries")
-def cmd_catalog(fmt, show_all):
+def cmd_catalog(fmt):
     """List built-in geometries."""
 
     def go():
         rows = []
-        for name in cat.list_catalog(include_optional=show_all):
+        for name in cat.list_catalog():
             e = cat.get_entry(name)
-            rows.append(
-                {
-                    "name": e.name,
-                    "dim": e.dim,
-                    "kind": "metric" if e.metric is not None else "algebraic",
-                    "lcw": e.expected.get("lcw", "unknown"),
-                    "optional": e.optional,
-                }
-            )
+            rows.append({"name": e.name, "dim": e.dim, "lcw": e.expected["lcw"]})
         if fmt == "json":
             _echo_json(rows)
         else:
-            click.echo(f"{'name':<18} {'dim':<4} {'kind':<10} lcw")
+            click.echo(f"{'name':<18} {'dim':<4} lcw")
             for r in rows:
-                click.echo(f"{r['name']:<18} {r['dim']:<4} {r['kind']:<10} {r['lcw']}")
+                click.echo(f"{r['name']:<18} {r['dim']:<4} {r['lcw']}")
 
     _run(go)
 
@@ -233,22 +222,18 @@ def cmd_tensors(source, point, which, fmt):
     """Evaluate curvature tensors of a metric at a point."""
 
     def go():
-        entry, metric = _load_source(source)
+        metric = _load_source(source)
         wanted = [w.strip() for w in which.split(",") if w.strip()] or list(_TENSOR_KEYS)
         for w in wanted:
             if w not in _TENSOR_KEYS:
                 raise ParseError(f"unknown tensor {w!r}; choose from {', '.join(_TENSOR_KEYS)}")
-        if metric is None:
-            doc = _algebraic_tensors(entry)
-        else:
-            doc = snapshot_to_dict(compute_snapshot(metric, _parse_point(point, metric.dim)))
+        doc = snapshot_to_dict(compute_snapshot(metric, _parse_point(point, metric.dim)))
         out = {k: v for k, v in doc.items() if k in ("dim", "point") or k in wanted}
         if fmt == "json":
             _echo_json(out)
         else:
             click.echo(f"dim = {out['dim']}")
-            if "point" in out and out["point"] is not None:
-                click.echo("point = " + ", ".join(f"{v:.6g}" for v in out["point"]))
+            click.echo("point = " + ", ".join(f"{v:.6g}" for v in out["point"]))
             for k in wanted:
                 v = out.get(k)
                 if v is None:
@@ -259,30 +244,6 @@ def cmd_tensors(source, point, which, fmt):
                     _echo_matrix(k, v)
 
     _run(go)
-
-
-def _algebraic_tensors(entry):
-    data = entry.algebraic
-    op = operator_from_0_4(data.r4, g=data.g)
-    ric = ricci_contract(op)
-    scalar = float(np.trace(ric))
-    n = data.dim
-    schouten = (ric - scalar / (2 * (n - 1)) * np.eye(n)) / (n - 2)
-    weyl = data.r4 - kulkarni_nomizu(schouten, np.eye(n))
-    return {
-        "dim": n,
-        "point": None,
-        "g": data.g,
-        "gamma": None,
-        "riemann": data.r4,
-        "ricci": ric,
-        "scalar": scalar,
-        "schouten": schouten,
-        "weyl": weyl,
-        "cotton": None,
-        "cotton_york": None,
-        "div_weyl": None,
-    }
 
 
 @main.command("check")
@@ -308,17 +269,14 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
         config = ObstructionConfig(seed=seed, starts=starts)
         if tol is not None:
             config.tol_rel = tol
-        entry, metric = _load_source(source)
-        if metric is None:
-            report = eigenflag_test(operator_from_0_4(_algebraic_tensors(entry)["weyl"]), config)
+        metric = _load_source(source)
+        p = _parse_point(point, metric.dim)
+        if which_test == "eigenflag" and metric.dim < 4:
+            raise DimensionError("eigenflag test needs dim >= 4")
+        if which_test == "cotton-york":
+            report = cotton_york_test(metric, p, config)
         else:
-            p = _parse_point(point, metric.dim)
-            if which_test == "eigenflag" and metric.dim < 4:
-                raise DimensionError("eigenflag test needs dim >= 4")
-            if which_test == "cotton-york":
-                report = cotton_york_test(metric, p, config)
-            else:
-                report = auto_test(metric, p, config)
+            report = auto_test(metric, p, config)
         if fmt == "json":
             click.echo(report.to_json())
         else:
@@ -359,9 +317,7 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
     the point; evaluate it at the origin."""
 
     def go():
-        entry, metric = _load_source(source)
-        if metric is None:
-            raise ParseError("perturb needs a coordinate metric, not an algebraic entry")
+        metric = _load_source(source)
         p = _parse_point(point, metric.dim)
         n = metric.dim
         rng = np.random.default_rng(seed)

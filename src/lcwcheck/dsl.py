@@ -51,8 +51,8 @@ folding a constant or from a zero constant divisor first, else the first
 failing group by depth.  The message may name the other error than a
 node-by-node walk would; the exit code is the same.
 
-Metric files are plain text: a `dim = n` header, optional `name = "..."`
-and `chart = "..."` lines, then `g<i><j> = <expression>` entries with
+Metric files are plain text: a `dim = n` header, `name = "..."` and
+`chart = "..."` lines if wanted, then `g<i><j> = <expression>` entries with
 1-based indices.  `#` starts a comment.  Unspecified off-diagonal entries
 default to 0; diagonal entries must be given.
 

@@ -31,8 +31,10 @@ from lcwcheck.bivectors import (
     weyl_space_basis,
 )
 from lcwcheck.catalog import (
+    THURSTON_NAMES,
     cp2_curvature,
     get_entry,
+    list_catalog,
     nil_expected_tensors,
     r_cross_surface,
     r_cross_surface_cy,
@@ -127,31 +129,25 @@ def test_acceptance_02_sl2r_ground_truth():
 
 def test_acceptance_03_thurston_verdicts():
     rng = np.random.default_rng(103)
-    expected_exit = {
-        "nil": 10,
-        "sl2r": 10,
-        "euclidean3": 0,
-        "sphere3": 0,
-        "hyperbolic3": 0,
-        "s2xr": 0,
-        "h2xr": 0,
-        "sol": 0,
-    }
-    for name, want in expected_exit.items():
+    expected_exit = {"exists": 0, "none": 10}
+    names = list_catalog()
+    assert set(THURSTON_NAMES) <= set(names)
+    for name in names:
         entry = get_entry(name)
+        want = expected_exit[entry.expected["lcw"]]
         for p in entry.sample_points(rng, 5):
             point = ",".join(f"{c:.6f}" for c in p)
             res = runner.invoke(main, ["check", "--metric", name, "--point", point])
             assert res.exit_code == want, (name, point, res.exit_code, res.output)
-    _report(3, "all eight model geometries give the expected exit codes at 5 points each")
+    _report(3, f"all {len(names)} catalog entries, the eight model geometries among them, "
+               "give the expected exit codes at 5 points each")
 
 
 # -- 4. the projective-plane operator ------------------------------------------------
 
 
 def test_acceptance_04_cp2():
-    data = cp2_curvature()
-    op = operator_from_0_4(data.r4, g=data.g)
+    op = operator_from_0_4(cp2_curvature())
     u = pm_basis_matrix()
     diag = u.T @ op.mat @ u
     assert np.allclose(np.diag(diag), [6, 0, 0, 2, 2, 2], atol=1e-10)

@@ -63,8 +63,7 @@ def test_operator_zero():
 
 
 def test_operator_cp2_eigenvalues():
-    data = cp2_curvature()
-    op = operator_from_0_4(data.r4, g=data.g)
+    op = operator_from_0_4(cp2_curvature())
     u = pm_basis_matrix()
     diag = u.T @ op.mat @ u
     assert np.allclose(np.diag(diag), [6, 0, 0, 2, 2, 2], atol=1e-12)
@@ -199,7 +198,7 @@ def test_hodge_dim5_rejected():
 
 
 def test_pm_split_cp2():
-    op = operator_from_0_4(cp2_curvature().r4)
+    op = operator_from_0_4(cp2_curvature())
     sp = pm_split(op)
     assert np.allclose(sp.wplus, np.diag([4.0, -2.0, -2.0]), atol=1e-12)
     assert np.abs(sp.wminus).max() <= 1e-12

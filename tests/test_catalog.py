@@ -24,7 +24,7 @@ def test_catalog_contains_thurston_and_extensions():
     names = list_catalog()
     for name in THURSTON_NAMES:
         assert name in names
-    for extra in ("r_cross_surface", "cp2_algebraic", "product4_sol", "product4_nil", "product4_sphere3"):
+    for extra in ("r_cross_surface", "cp2_chart", "product4_sol", "product4_nil", "product4_sphere3"):
         assert extra in names
     assert len(THURSTON_NAMES) == 8
 
@@ -98,26 +98,27 @@ def test_homogeneity_det_cy(rng):
         assert np.abs(dets - dets[0]).max() <= 1e-8 * max(1.0, abs(dets[0]))
 
 
-def test_cp2_algebraic_entry():
+def test_cp2_expected_record():
+    """The cp2_chart record at the origin holds the values of the
+    curvature table cp2_curvature()."""
     from lcwcheck.bivectors import operator_from_0_4, pm_basis_matrix, ricci_contract
 
-    data = cp2_curvature()
-    op = operator_from_0_4(data.r4, g=data.g)
+    op = operator_from_0_4(cp2_curvature())
     u = pm_basis_matrix()
     eig = np.diag(u.T @ op.mat @ u)
     assert np.allclose(sorted(eig), sorted([6, 0, 0, 2, 2, 2]), atol=1e-12)
     ric = ricci_contract(op)
     assert np.abs(ric - 6 * np.eye(4)).max() <= 1e-12  # Einstein
-    truth = expected_truth("cp2_algebraic")
+    truth = expected_truth("cp2_chart")
+    assert np.allclose(sorted(eig), sorted(truth["operator_eigenvalues"]), atol=1e-12)
     assert truth["eigenflag"] is False
     assert truth["scalar"] == 24.0
 
 
 def test_cp2_chart_cross_check():
     entry = get_entry("cp2_chart")
-    assert entry.optional is True
     snap = compute_snapshot(entry.metric, np.zeros(4))
-    assert np.abs(snap.riemann - cp2_curvature().r4).max() <= 1e-10
+    assert np.abs(snap.riemann - cp2_curvature()).max() <= 1e-10
 
 
 def test_r_cross_surface_rejects_x1():

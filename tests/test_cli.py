@@ -21,8 +21,9 @@ def invoke(*args):
 def test_catalog_listing():
     res = invoke("catalog")
     assert res.exit_code == 0
-    for name in ("nil", "sl2r", "sol", "cp2_algebraic"):
+    for name in ("nil", "sl2r", "sol", "cp2_chart"):
         assert name in res.output
+    assert res.output.split("\n")[0].split() == ["name", "dim", "lcw"]
 
 
 def test_catalog_json():
@@ -30,6 +31,7 @@ def test_catalog_json():
     doc = json.loads(res.output)
     names = {row["name"] for row in doc}
     assert "nil" in names and "h2xr" in names
+    assert all(set(row) == {"name", "dim", "lcw"} for row in doc)
 
 
 def test_tensors_nil_table():
@@ -144,8 +146,18 @@ def test_check_h2xr_exit_0():
 
 
 def test_check_cp2_exit_10():
-    res = invoke("check", "--metric", "cp2_algebraic")
+    res = invoke("check", "--metric", "cp2_chart")
     assert res.exit_code == 10
+    spectra = json.loads(res.output)["eigen_data"]
+    assert np.abs(np.array(spectra["plus_spectrum"]) - [-2.0, -2.0, 4.0]).max() <= 1e-12
+    assert np.abs(np.array(spectra["minus_spectrum"])).max() <= 1e-12
+
+
+def test_check_cp2_cotton_york_exit_3():
+    res = invoke("check", "--metric", "cp2_chart", "--test", "cotton-york")
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "error: Cotton-York test needs dim 3\n"
 
 
 def test_check_json_fields():
@@ -327,6 +339,14 @@ def test_weyl_space_sample_false():
     assert doc["report"]["verdict"] == "fails_lcw_necessary"
 
 
+@pytest.mark.parametrize("dim", ["-1", "0", "3", "7"])
+def test_weyl_space_phi_outside_dims_4_to_6_exit_3(dim):
+    r = invoke("weyl-space", f"--dim={dim}", "phi")
+    assert r.exit_code == 3
+    assert r.stdout == ""
+    assert r.stderr == "error: eigenflag parametrization needs 4 <= n <= 6\n"
+
+
 def test_weyl_space_deterministic():
     a = invoke("weyl-space", "--dim", "5", "sample", "--seed", "11")
     b = invoke("weyl-space", "--dim", "5", "sample", "--seed", "11")
@@ -358,6 +378,8 @@ def test_check_unknown_source_exit_2():
         ("perturb", "--metric", "nil", "--target", "random", "--seed", "-1", "--out", os.devnull),
         ("weyl-space", "--dim", "5", "sample", "--seed", "-1"),
         ("check", "--metric", "sol", "--starts", "100001"),
+        ("check", "--metric", "cp2_chart", "--point", "0.1,0.2,0.3"),
+        ("check", "--metric", "cp2_algebraic"),  # the deleted curvature-table entry is unknown
     ],
 )
 def test_invalid_options_exit_2(args):

@@ -91,7 +91,7 @@ def _args(command, names, values):
     return args
 
 
-CHECK_METRICS = [("nil", 3), ("sol", 3), ("product4_nil", 4), ("product4_sphere3", 4), ("cp2_algebraic", 4)]
+CHECK_METRICS = [("nil", 3), ("sol", 3), ("product4_nil", 4), ("product4_sphere3", 4), ("cp2_chart", 4)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -115,7 +115,7 @@ def test_perturb_numeric_options_keep_the_contract(case):
 
 
 @settings(max_examples=80, deadline=None)
-@given(dim=st.sampled_from(["4", "5", "6"]), sub=st.sampled_from(["sample", "phi"]), seed=SEEDS, tol=TOLS)
+@given(dim=st.integers(-1, 8).map(str), sub=st.sampled_from(["sample", "phi"]), seed=SEEDS, tol=TOLS)
 @example(dim="5", sub="sample", seed="-1", tol=None)
 def test_weyl_space_numeric_options_keep_the_contract(dim, sub, seed, tol):
     assert_contract(_args(["weyl-space", "--dim", dim, sub], ("seed", "tol"), (seed, tol)))

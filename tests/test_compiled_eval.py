@@ -146,7 +146,7 @@ def assert_metric_same(metric, points):
 # --- metrics ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", [n for n in catalog.list_catalog() if catalog.get_entry(n).metric is not None])
+@pytest.mark.parametrize("name", catalog.list_catalog())
 def test_catalog_metrics_match_the_reference(name):
     entry = catalog.get_entry(name)
     points = entry.sample_points(np.random.default_rng(5), 6)

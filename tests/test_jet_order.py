@@ -82,7 +82,7 @@ def test_lower_order_tables_are_the_prefix_of_order_3(dim):
 # --- order 2 is the prefix of order 3 -----------------------------------------------
 
 
-@pytest.mark.parametrize("name", [n for n in catalog.list_catalog() if catalog.get_entry(n).metric is not None])
+@pytest.mark.parametrize("name", catalog.list_catalog())
 def test_catalog_metrics_at_order_2_are_the_order_3_prefix(name):
     entry = catalog.get_entry(name)
     assert_order_2_is_prefix(entry.metric, entry.sample_points(np.random.default_rng(5), 4))
