@@ -48,13 +48,7 @@ from .errors import (
     UnknownEntry,
 )
 from .obstructions import ObstructionConfig, auto_test, cotton_york_test, eigenflag_test
-from .perturbation import (
-    CottonPrescription,
-    CurvaturePrescription,
-    normal_coordinates,
-    prescribe_cotton_york,
-    prescribe_curvature,
-)
+from .perturbation import normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
 from .pipeline import JetPipeline, compute_snapshot, format_json, snapshot_to_dict
 
 EXIT_PASSES = 0
@@ -325,42 +319,28 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
         if target == "same":
             # identity prescription: the metric itself already has the
             # requested tensors, so the output is the input
-            _write_metric(metric, out_path)
-            _emit_perturb(
-                {
-                    "unchanged": True,
-                    "target_error": 0.0,
-                    "evaluation_point": p,
-                    "out": str(out_path),
-                },
-                fmt,
-            )
+            pathlib.Path(out_path).write_text(metric_to_text(metric))
+            _emit_perturb({"unchanged": True, "target_error": 0.0, "evaluation_point": p, "out": str(out_path)}, fmt)
             return
 
         wanted = None if target == "random" else _load_target(target, n)
-        chart0 = normal_coordinates(metric, p, radius, order=3 if n == 3 else 2)
+        order = 3 if n == 3 else 2
+        pl = JetPipeline(normal_coordinates(metric, p, radius, order), np.zeros(n), order)
         if n == 3:
             if wanted is None:
-                cy_here = JetPipeline(chart0, np.zeros(3)).cotton_york()
                 d = rng.standard_normal((3, 3))
                 d = (d + d.T) / 2.0
                 d -= np.trace(d) / 3.0 * np.eye(3)
-                wanted = cy_here + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
-            res = prescribe_cotton_york(
-                CottonPrescription(base=metric, point=p, target_cy=wanted, radius=radius)
-            )
+                wanted = pl.cotton_york() + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
+            res = prescribe_cotton_york_in(pl, wanted)
         else:
-            pl0 = JetPipeline(chart0, np.zeros(n), order=2)
-            r_here = pl0.riemann()
             if wanted is None:
                 # random Weyl shift on top of the current curvature
-                r0 = r_here + amplitude * operator_to_0_4(random_weyl_operator(n, rng))
+                r0 = pl.riemann() + amplitude * operator_to_0_4(random_weyl_operator(n, rng))
             else:
-                r0 = r_here - pl0.weyl() + operator_to_0_4(wanted)
-            res = prescribe_curvature(
-                CurvaturePrescription(base=metric, point=p, target_r4=r0, radius=radius)
-            )
-        _write_metric(res.metric, out_path)
+                r0 = pl.riemann() - pl.weyl() + operator_to_0_4(wanted)
+            res = prescribe_curvature_in(pl, r0)
+        pathlib.Path(out_path).write_text(metric_to_text(res.metric))
         result_doc = {
             "unchanged": res.unchanged,
             "target_error": res.target_error,
@@ -373,10 +353,6 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
         _emit_perturb(result_doc, fmt)
 
     _run(go)
-
-
-def _write_metric(metric, out_path):
-    pathlib.Path(out_path).write_text(metric_to_text(metric))
 
 
 def _emit_perturb(doc, fmt):

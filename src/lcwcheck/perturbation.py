@@ -18,14 +18,16 @@ as its coefficient tensor and cutoff radius; ``normal_coordinates`` returns
 it without a bump.  One batched composition gives its jets at points y0
 (order 3, or 2 for a curvature prescription): the base jets at x(y0)
 composed with the jets of x(y) (truncated Taylor composition), then J^T g J
-plus the bump, all in jet arithmetic.  Jets at a point are its one-point
-case and values on a grid its order-0 case; a chart keeps its own origin
-jets, composed once, and ``with_bump`` adds the bump's.  No expression is
-built on this path: the expression form (``components``) is made on first
-use, for printing the metric.  Both prescriptions run the same steps
-(measure at the origin, bump, check positivity on a grid by one batched
-Cholesky, measure again); they differ only in the tensor they measure and
-the bump coefficients.
+plus the bump, all in jet arithmetic; values at any points are its order-0
+case.  A chart keeps its own origin jets, composed once, and ``with_bump``
+adds the bump's.  No expression is built on this path: the expression form
+(``components``) is made on first use, for printing the metric.  Both
+prescriptions run the same steps (measure at the origin, bump, check
+positivity, measure again); they differ only in the tensor they measure and
+the bump coefficients.  Positivity is decided by one batched Cholesky on 10
+radii times 64 fixed directions: x(y), J(y) and the bump are homogeneous by
+parts, so they are evaluated at the 64 directions and scaled by powers of
+the radius, and only the base metric runs at all 640 points.
 
 The bump coefficients live in the 60-dimensional space A indexed by
 (unordered pair {i,j}, unordered triple {k,l,m}); the linear map L onto
@@ -268,6 +270,24 @@ class PulledBackMetric:
         from order-0 jets."""
         return self._jets(np.asarray(points, dtype=float), 0)[..., 0]
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan; callers check finiteness
+    def grid_matrices(self, radii, directions) -> np.ndarray:
+        """(R * A, dim, dim) matrices at each of the R ``radii`` times each of
+        the A unit ``directions``, radius-major.  x(y), J(y) and the bump are
+        sums of homogeneous parts, evaluated at the directions and scaled by
+        powers of r, the cutoff at the radii; only the base metric and J^T g J
+        (a BLAS matmul, as no output is written from it) run at every point."""
+        n, r = self.dim, radii[:, None, None]
+        ku = (directions @ self._jac[1].reshape(n * n, n).T).reshape(-1, n, n)  # 2 quad(., u)
+        x = self.center + r * (directions @ self.frame.T) + (r * r) * (0.5 * ku @ directions[..., None])[..., 0]
+        jac = (self.frame + r[..., None] * ku).reshape(-1, n, n)
+        out = (jac.swapaxes(1, 2) @ self.base._jets(x.reshape(-1, n), 0)[..., 0] @ jac)[(slice(None), *self._upper)]
+        if self._bump is not None:
+            phi = _smoothbump_jet(jet_space(n, 0), (radii * radii)[:, None], *self._cutoff_bounds())[:, 0]
+            bump = _poly_taylor(self._bump, directions, order=0)[..., 0]
+            out += ((radii ** (len(self._bump) - 1) * phi)[:, None, None] * bump).reshape(len(out), -1)
+        return out[:, self._pair]
+
     @cached_property
     def components(self):
         """The same metric as expressions, for printing: x(y) substituted
@@ -338,19 +358,24 @@ def _grid_directions(n):
     return dirs
 
 
+def _grid(n, radius):
+    """The positivity grid's GRID_RADIAL radii up to ``radius`` and its directions."""
+    return np.linspace(radius / GRID_RADIAL, radius, GRID_RADIAL), _grid_directions(n)
+
+
 def _grid_points(n, radius):
-    radii = np.linspace(radius / GRID_RADIAL, radius, GRID_RADIAL)
-    return np.concatenate([r * _grid_directions(n) for r in radii])
+    radii, directions = _grid(n, radius)
+    return (radii[:, None, None] * directions).reshape(-1, n)
 
 
 def _check_positivity(metric, points):
-    """One batched Cholesky decides: it completes on matrices within a
-    backward error of order n eps ||g|| of positive definite ones (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10), the
-    level at which eigvalsh's smallest eigenvalue is accurate.  Only on a
-    failure does eigvalsh run: its smallest eigenvalue decides and names
-    the point."""
-    g = metric.eval_matrix_many(points)
+    """On ``points`` = ``_grid_points(dim, metric.radius)``, one batched
+    Cholesky decides: it completes on matrices within a backward error of
+    order n eps ||g|| of positive definite ones (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 10), the level at which
+    eigvalsh's smallest eigenvalue is accurate.  Only on a failure does
+    eigvalsh run: its smallest eigenvalue decides and names the point."""
+    g = metric.grid_matrices(*_grid(metric.dim, metric.radius))
     if not np.isfinite(g).all():
         raise DomainError("perturbed metric is not finite on the positivity grid; shrink the radius")
     try:
@@ -393,14 +418,13 @@ class PerturbResult:
     evaluation_point: np.ndarray  # where to test the output metric (origin)
 
 
-def _prescribe(chart, order, measure, target, bump_of) -> PerturbResult:
-    """The steps both prescriptions share: ``measure`` (a tensor of an
-    order-``order`` pipeline) at the chart origin; the chart itself if it
+def _prescribe(pl, measure, target, bump_of) -> PerturbResult:
+    """The steps both prescriptions share: ``measure`` (a tensor of a
+    pipeline) by ``pl`` at the origin of its chart; the chart itself if it
     already has the target, else the chart plus the bump coefficients
-    ``bump_of(pipeline)``, refused unless positive on the grid, then
-    measured again."""
-    origin = np.zeros(chart.dim)
-    pl = JetPipeline(chart, origin, order)
+    ``bump_of(pl)``, refused unless positive on the grid, then measured
+    again."""
+    chart, order, origin = pl.metric, pl.order, pl.point
     target_norm, shift = _finite_norms(target, target - measure(pl))
     if shift <= 1e-13 * max(target_norm, 1.0):
         return PerturbResult(chart, shift / max(target_norm, 1.0), 0.0, shift, True, origin)
@@ -434,8 +458,14 @@ def prescribe_curvature(cp: CurvaturePrescription) -> PerturbResult:
     R* exactly, matching the classical normal-coordinate expansion
     g_ij = delta_ij - 1/3 R_ihjk x^h x^k + O(|x|^3).
     """
-    n = cp.base.dim
-    r0 = np.asarray(cp.target_r4, dtype=float)
+    chart = normal_coordinates(cp.base, cp.point, cp.radius, order=2)
+    return prescribe_curvature_in(JetPipeline(chart, np.zeros(chart.dim), 2), cp.target_r4)
+
+
+def prescribe_curvature_in(pl, target_r4) -> PerturbResult:
+    """``prescribe_curvature`` on the chart with order-2 origin pipeline ``pl``."""
+    n = pl.n
+    r0 = np.asarray(target_r4, dtype=float)
     if r0.shape != (n, n, n, n):
         raise DimensionError("target curvature has the wrong shape")
     _check_curvature_symmetries(r0, 1e-9)
@@ -446,8 +476,7 @@ def prescribe_curvature(cp: CurvaturePrescription) -> PerturbResult:
         quad = -(1.0 / 3.0) * (r0 - pl.riemann()).transpose(0, 2, 1, 3)
         return 0.5 * (quad + quad.swapaxes(2, 3))
 
-    chart = normal_coordinates(cp.base, cp.point, cp.radius, order=2)
-    return _prescribe(chart, 2, JetPipeline.riemann, r0, bump_of)
+    return _prescribe(pl, JetPipeline.riemann, r0, bump_of)
 
 
 # -- Cotton-York prescription (dim 3) ------------------------------------------
@@ -555,9 +584,15 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
     third derivatives of the cubic bump carry the 3! factor), then applies
     the cubic bump with the C^3 cutoff.
     """
-    if cp.base.dim != 3:
+    chart = normal_coordinates(cp.base, cp.point, cp.radius)
+    return prescribe_cotton_york_in(JetPipeline(chart, np.zeros(chart.dim)), cp.target_cy)
+
+
+def prescribe_cotton_york_in(pl, target_cy) -> PerturbResult:
+    """``prescribe_cotton_york`` on the chart with order-3 origin pipeline ``pl``."""
+    if pl.n != 3:
         raise DimensionError("Cotton-York prescription needs dim 3")
-    cy0 = np.asarray(cp.target_cy, dtype=float)
+    cy0 = np.asarray(target_cy, dtype=float)
     if cy0.shape != (3, 3):
         raise DimensionError("target must be a 3x3 matrix")
     scale = max(np.abs(cy0).max(), 1.0)
@@ -582,5 +617,4 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
             )
         return a_full(avec)
 
-    chart = normal_coordinates(cp.base, cp.point, cp.radius)
-    return _prescribe(chart, 3, JetPipeline.cotton_york, cy0, bump_of)
+    return _prescribe(pl, JetPipeline.cotton_york, cy0, bump_of)

@@ -315,6 +315,35 @@ def test_perturb_target_files_are_reached(tmp_path):
         assert json.loads(r.stdout)["target_error"] <= 1e-8
 
 
+@pytest.mark.parametrize("metric", ["nil", "product4_nil"])
+def test_perturb_builds_one_chart_and_three_pipelines(tmp_path, monkeypatch, metric):
+    """One normal chart per command: its pipeline at the base point, the
+    one at its origin (read for the current tensor and by the
+    prescription), and the one measuring the bumped metric."""
+    import lcwcheck.cli as cli
+    from lcwcheck import perturbation
+    from lcwcheck.pipeline import JetPipeline
+
+    charts, pipelines = [], []
+    chart_of, init = perturbation.normal_coordinates, JetPipeline.__init__
+
+    def counted_chart(*args, **kwargs):
+        charts.append(args)
+        return chart_of(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        pipelines.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "normal_coordinates", counted_chart)
+    monkeypatch.setattr(perturbation, "normal_coordinates", counted_chart)
+    monkeypatch.setattr(JetPipeline, "__init__", counted_init)
+    r = invoke("perturb", "--metric", metric, "--target", "random", "--out", str(tmp_path / "out.metric"))
+    assert r.exit_code == 0
+    assert strict_json(r.stdout)["unchanged"] is False
+    assert (len(charts), len(pipelines)) == (1, 3)
+
+
 def test_weyl_space_dims():
     r = invoke("weyl-space", "--dim", "4", "dims")
     doc = json.loads(r.output)
@@ -529,12 +558,12 @@ def test_perturb_out_file_round_trips(tmp_path, monkeypatch, dim, max_bytes):
     src.write_text(metric_to_text(random_metric_near_flat(dim, np.random.default_rng(dim), amplitude=0.03)))
     results = []
 
-    def recording(cp):
-        results.append(cli_prescribe(cp))
+    def recording(pl, target_r4):
+        results.append(cli_prescribe(pl, target_r4))
         return results[-1]
 
-    cli_prescribe = cli.prescribe_curvature
-    monkeypatch.setattr(cli, "prescribe_curvature", recording)
+    cli_prescribe = cli.prescribe_curvature_in
+    monkeypatch.setattr(cli, "prescribe_curvature_in", recording)
     out = tmp_path / "bumped.metric"
     point = ",".join(["0.05"] * dim)
     r = invoke("perturb", "--metric", str(src), "--point", point, "--target", "random", "--seed", "2", "--out", str(out))

@@ -24,6 +24,7 @@ from lcwcheck.perturbation import (
     CurvaturePrescription,
     PulledBackMetric,
     _check_positivity,
+    _grid,
     _grid_points,
     a_full,
     a_index,
@@ -473,13 +474,22 @@ def test_a_prescription_and_its_test_compose_the_chart_at_one_point_once(n, rng,
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_lost_positivity_names_the_point_and_eigenvalue_of_an_eigvalsh_reference(n, monkeypatch):
-    checked = []
+    """The reference eigenvalues are those of the matrices the check
+    factorised: in dim 4 the isotropic target gives many grid points the
+    same smallest eigenvalue, so the worst of them is decided by the last
+    bits of the matrices."""
+    checked, factorised, cholesky = [], [], np.linalg.cholesky
 
     def check(metric, points):
         checked.append((metric, points))
         return _check_positivity(metric, points)
 
+    def recorded(g):
+        factorised.append(g)
+        return cholesky(g)
+
     monkeypatch.setattr(perturbation, "_check_positivity", check)
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
     with pytest.raises(NotPositiveDefinite) as err:
         if n == 3:
             cy0 = np.diag([1.0, 1.0, -2.0]) * 200.0
@@ -487,9 +497,11 @@ def test_lost_positivity_names_the_point_and_eigenvalue_of_an_eigvalsh_reference
         else:
             r0 = kulkarni_nomizu(np.eye(4), np.eye(4)) * 50.0
             prescribe_curvature(CurvaturePrescription(base=FLAT4, point=np.zeros(4), target_r4=r0))
-    (metric, points), = checked
+    (_, points), = checked
     assert _same_bits(points, _grid_points(n, 1.0))
-    w = np.linalg.eigvalsh(metric.eval_matrix_many(points))[:, 0]
+    (g,) = [m for m in factorised if m.ndim == 3]  # the chart's own Cholesky is of one matrix
+    assert g.shape == (len(points), n, n)
+    w = np.linalg.eigvalsh(g)[:, 0]
     worst = int(np.argmin(w))
     assert w[worst] <= 0.0
     assert f"at {points[worst].tolist()} (min eigenvalue {w[worst]:g})" in str(err.value)
@@ -505,3 +517,40 @@ def test_a_non_finite_grid_is_refused_before_any_factorisation(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     with pytest.raises(DomainError, match="not finite on the positivity grid"):
         _check_positivity(huge, _grid_points(3, 1.0))
+
+
+def _symmetric_bump(rng, n, degree, scale):
+    """Bump coefficients (n, n, n, ..., n) symmetric in the first two axes
+    and in the ``degree`` trailing ones."""
+    c = rng.standard_normal((n, n) + (n,) * degree)
+    c = sum(c.transpose(0, 1, *(2 + np.array(p))) for p in itertools.permutations(range(degree)))
+    return scale * (c + c.swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.3])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_grid_matrices_equal_the_general_evaluator_at_the_grid_points(n, radius, rng):
+    """The positivity grid's matrices, from the chart's homogeneous parts
+    at the directions scaled by the radii, equal ``eval_matrix_many`` at
+    the same points: for a chart with a curved base (nonzero Ghat), its
+    quadratic and cubic bumps, and a chart whose base is a chart, with and
+    without a bump.  The grid reaches radius 1, so with a bump of radius
+    ``radius`` it has points on the plateau, the ramp and (at 0.3) outside
+    the bump."""
+    base = get_entry("nil").metric if n == 3 else random_metric_near_flat(n, rng, amplitude=0.03)
+    chart = normal_coordinates(base, rng.uniform(-0.1, 0.1, n), radius)
+    assert np.abs(chart.gamma_frame).max() > 0.0
+    metrics = [chart, normal_coordinates(chart, rng.uniform(-0.1, 0.1, n), radius)]
+    metrics += [chart.with_bump(_symmetric_bump(rng, n, d, 1e-3), radius, "bumped") for d in (2, 3)]
+    metrics.append(metrics[1].with_bump(_symmetric_bump(rng, n, 2, 1e-3), radius, "bumped chart of a chart"))
+    radii, directions = _grid(n, 1.0)
+    points = _grid_points(n, 1.0)
+    assert _same_bits(points, (radii[:, None, None] * directions).reshape(-1, n))
+    r2 = (points * points).sum(axis=1)
+    u0, u1 = (0.5 * radius) ** 2, radius**2
+    assert (r2 < u0).any() and ((u0 < r2) & (r2 < u1)).any() and (radius == 1.0 or (r2 > u1).any())
+    for metric in metrics:
+        want = metric.eval_matrix_many(points)
+        got = metric.grid_matrices(radii, directions)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
