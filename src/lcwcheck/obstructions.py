@@ -1,22 +1,16 @@
 """Decision procedures for the algebraic obstructions to limiting Carleman
 weights.
 
-Dimension >= 4: a metric that admits an LCW near p has a Weyl operator
-leaving some v ^ v-perp invariant ("eigenflag" direction).  The residual
-
-    F(v) = || proj_{Lambda^2(v-perp)} o W o proj_{v ^ v-perp} ||_F^2
-
-is a smooth completion-independent function on the unit sphere, zero exactly
-at flag directions; the test minimizes it from many starts.  With T the
-(0,4) tensor of W in an orthonormal frame, M[i, j] = T[k,l,i,m] T[k,l,j,m]
-and J_v[k, m] = T(e_k, v, v, e_m), it is the quartic 1/2 (v^T M v)(v^T v)
-- ||J_v||^2.  Fully symmetrized, that is one symmetric 4-tensor C, a
-quadratic form on Sym^2(R^n): F(v) = C(v, v, v, v), with gradient
-4 C(v, v, v, .) and Hessian 12 C(v, v, ., .).  A batch of starts costs one
-GEMM, and while every start is active a descent step moves the whole
-batch at once.  A verdict of False certifies that no LCW exists near the
-point.  A verdict of True only says the necessary condition holds; it never
-asserts existence.
+Dimension >= 4: a metric with an LCW near p has a Weyl operator leaving
+some v ^ v-perp invariant ("eigenflag" direction), where the residual
+F(v) = || proj_{Lambda^2(v-perp)} o W o proj_{v ^ v-perp} ||_F^2 = C(v, v,
+v, v) = z^T Q0 z (z_ab = v_a v_b) vanishes; a multi-start descent looks for
+a witness of a pass.  A verdict of False certifies that no LCW exists near
+the point: it comes only from a proof of min F above the band, the dim-4
+spectral precheck or a sum-of-squares certificate (Shor's relaxation,
+Parrilo / Lasserre form: Q0 + sum t_i L_i - gamma D >= 0 with z^T L_i z = 0
+and z^T D z = ||v||^4 proves F >= gamma).  A verdict of True only says the
+necessary condition holds; it never asserts existence.
 
 Dimension 3: the necessary condition is det(CY) = 0 for the Cotton-York
 tensor, tested scale-invariantly, with the degenerate plane recovered from
@@ -26,7 +20,7 @@ the eigendecomposition when the test passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -47,16 +41,20 @@ from .pipeline import JetPipeline, compute_snapshot, format_json
 
 GRAD_TOL = 1e-12  # a start stops once its gradient is below this times the scale
 MAX_ITER = 400  # descent steps of the eigenflag search at most
+PLATEAU_WINDOW = 6  # the search hands over to the certificate once its minimum
+PLATEAU_RATIO = 0.5  # is above this fraction of its value this many steps ago
+SOS_STEPS = 40  # Newton steps of the sum-of-squares certificate at most
 INCONCLUSIVE_FACTOR = 10.0  # width of the inconclusive band above the tolerance
 CY_ABS_FLOOR = 1e-9  # a Cotton-York norm below this passes as conformally flat
+_U = 1.001 * 2.0**-53  # unit roundoff, rounded up: k _U bounds gamma_k = k u / (1 - k u), k < 1e12
 
 
 @dataclass
 class ObstructionConfig:
     """Tolerance and search settings; every field is echoed in the
-    ``tolerances`` of each report whose test reads it, with the module
-    constants above that the test uses (the note gives the iterations,
-    which MAX_ITER caps)."""
+    ``tolerances`` of each report whose test reads it, with the tolerance
+    constants above that the test uses (the note gives the iterations and
+    Newton steps, which MAX_ITER and SOS_STEPS cap)."""
 
     tol_rel: float = 1e-8
     starts: int = 64
@@ -69,7 +67,7 @@ class ObstructionReport:
 
     ``verdict`` True means the necessary condition holds (NOT an existence
     claim); False certifies non-existence of an LCW near the point; None is
-    the inconclusive band around the tolerance.
+    the inconclusive band.  An eigenflag False carries ``certificate`` and ``lower_bound`` <= min F.
     """
 
     dim: int
@@ -77,33 +75,22 @@ class ObstructionReport:
     verdict: bool | None
     witness: np.ndarray | None = None
     residual: float | None = None
+    lower_bound: float | None = None
+    certificate: str | None = None
     det_cy: float | None = None
-    eigen_data: dict | None = None
     plane: np.ndarray | None = None
+    eigen_data: dict | None = None
     tolerances: dict = field(default_factory=dict)
     note: str = ""
 
     @property
     def verdict_string(self):
-        if self.verdict is True:
-            return "passes_necessary"
-        if self.verdict is False:
-            return "fails_lcw_necessary"
-        return "inconclusive"
+        return {True: "passes_necessary", False: "fails_lcw_necessary"}.get(self.verdict, "inconclusive")
 
     def to_json_dict(self):
-        return {
-            "dim": self.dim,
-            "test": self.test,
-            "verdict": self.verdict_string,
-            "witness": self.witness,
-            "residual": self.residual,
-            "det_cy": self.det_cy,
-            "plane": self.plane,
-            "eigen_data": self.eigen_data,
-            "tolerances": self.tolerances,
-            "note": self.note,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["verdict"] = self.verdict_string
+        return doc
 
     def to_json(self):
         return format_json(self.to_json_dict())
@@ -190,15 +177,111 @@ def _eigen_candidate_starts(vecs, n):
     return u[:, :, :2].transpose(0, 2, 1).reshape(-1, n)
 
 
-def _minimize_residual(w, n, config, vecs):
-    """Multi-start projected gradient descent on the sphere.
+# -- sum-of-squares certificate -----------------------------------------------
 
-    Returns (best residual, best v, iterations used, converged flag).
-    Deterministic for a fixed seed: ties break on the lowest start index.
-    Exits early once the running minimum is decisively below the acceptance
-    level (after polishing the winning start) or once every start has
-    stalled far above the inconclusive band.
-    """
+
+@lru_cache(maxsize=None)
+def _syzygies(n):
+    """(rows, cols, coef), each (p, 4): L_i = sum_k coef[i, k] e_rows e_cols^T.
+    Gram entry P = (i, j), i <= j, carries a quartic monomial with weight
+    w = 1 (i = j) or 2; L = w0 E(P) - w E(P0), P0 its monomial's first entry."""
+    a, b, _ = _sym2_pairs(n)
+    i, j = np.triu_indices(len(a))
+    code = np.sort(np.stack([a[i], b[i], a[j], b[j]]), axis=0).T @ n ** np.arange(4)
+    order = np.argsort(code, kind="stable")
+    new = np.r_[True, np.diff(code[order]) != 0]  # each monomial's first entry
+    rest, first = order[~new], order[np.maximum.accumulate(np.where(new, np.arange(len(i)), 0))][~new]
+    ip, jp, i0, j0 = i[rest], j[rest], i[first], j[first]
+    w0, wp = 2.0 - (i0 == j0), 2.0 - (ip == jp)
+    coef = np.stack([w0, w0 * (ip != jp), -wp, -wp * (i0 != j0)], axis=1)
+    return np.stack([ip, jp, i0, j0], axis=1), np.stack([jp, ip, j0, i0], axis=1), coef
+
+
+def _rounding_allowance(n, wsq):
+    """A bound on |z^T Q0 z - F(v)|, ||v|| = 1, for Q0 rounded from W, ||W||^2 = wsq:
+    each entry sums products of T's entries (||T||^2 = 4 wsq) of absolute sum
+    <= 6 ||T||^2 in n^2 + n + 8 roundings, and |z^T E z| <= s max|E|."""
+    return 24.0 * (n * (n + 1) // 2) * (n * n + n + 8) * _U * wsq
+
+
+def _cholesky(m):
+    """The Cholesky factor of m, or None if the factorisation fails."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _sos_bound(form, n, target, wsq):
+    """(bound, Newton steps): a proved lower bound on min F over the sphere
+    (None if the proof fails).  Maximizes gamma subject to Q0 + sum t_i L_i
+    - gamma D >= 0 by a long-step barrier method on (t, gamma), with the
+    Hessian tr(X L_i X L_j) gathered from X L_j X, an exact line search and
+    tau x30 once centred.  It stops once lambda_min(Q(t)) against D exceeds
+    ``target``, once the gap (s + sqrt(s)) / tau rules that out, or after
+    SOS_STEPS steps; that candidate is proved by a Cholesky factorisation,
+    less the rounding of Q0 and of Q(t)."""
+    c, a, b = form
+    rows, cols, coef = _syzygies(n)
+    s, p = len(a), len(rows)
+    d = 2.0 - (a == b)
+    q0 = c.reshape(s, n, n)[:, a, b] * d
+    q0 = 0.5 * (q0 + q0.T)
+    dd, dh, flat = np.diag(d), 1.0 / np.sqrt(d), (rows * s + cols).ravel()
+    # X L_j X is symmetric: tr(L_i X L_j X) reads each mirrored pair once
+    upper, weight = (rows[:, ::2], cols[:, ::2]), coef[:, ::2] + coef[:, 1::2]
+    q0_norm, allowance = float(np.linalg.norm(q0)), _rounding_allowance(n, wsq)
+
+    def lift(t):  # sum t_i L_i
+        return np.bincount(flat, (coef * t[:, None]).ravel(), s * s).reshape(s, s)
+
+    t, q, h, gam, tau, steps = np.zeros(p), q0, np.empty((p + 1, p + 1)), None, None, 0
+    while True:
+        lam = float(np.linalg.eigvalsh(q * dh[:, None] * dh)[0])
+        if gam is None:  # the start: t = 0, strictly inside
+            gam = lam - 0.05 * max(abs(lam), 1e-3 * q0_norm)
+            refuted = (chol := _cholesky(q0 - gam * dd)) is None
+        beta = lam - 8.0 * (s + 2) * _U * (np.abs(np.diag(q)).sum() + abs(lam) * d.sum())
+        bound = beta - allowance - (p + 1) * _U * (q0_norm + 4.0 * np.abs(t).sum())
+        if bound > target or refuted or steps == SOS_STEPS:
+            # a Cholesky of Q(t) - beta D - c I, c twice Rump's backward error bound (BIT 46, 2006)
+            m = q - beta * dd
+            m[np.diag_indices(s)] -= 2.0 * (s + 1) * _U * np.abs(np.diag(m)).sum()
+            return (None if _cholesky(m) is None else bound), steps
+        steps += 1
+        li = np.linalg.inv(chol)
+        x = li.T @ li
+        xd = x * d
+        tau = tau or float(np.trace(xd))  # the start is centred in gamma
+        for k in (slice(j, min(j + 32, p)) for j in range(0, p, 32)):  # X L_j X, in chunks of 32 j
+            tj = (x.take(rows[k], axis=0) * coef[k, :, None]).transpose(0, 2, 1) @ x.take(cols[k], axis=0)
+            h[k, :p] = np.einsum("jik,ik->ji", tj[(slice(None),) + upper], weight)
+        h[:p, p] = h[p, :p] = -np.einsum("ik,ik->i", (xd @ x)[upper], weight)
+        h[p, p] = np.einsum("ab,ba->", xd, xd)
+        g = np.r_[-np.einsum("ik,ik->i", x[upper], weight), np.trace(xd) - tau]
+        dx = -np.linalg.solve(h, g)
+        decrement = math.sqrt(max(-float(g @ dx), 0.0))
+        mu = np.linalg.eigvalsh(li @ (lift(dx[:p]) - dx[p] * dd) @ li.T)
+        amax = -1.0 / mu[0] if mu[0] < 0 else np.inf
+        alpha = min(1.0, 0.5 * amax)
+        for _ in range(6):  # Newton on -tau alpha dgamma - sum log(1 + alpha mu)
+            r = mu / (1.0 + alpha * mu)
+            alpha = min(max(alpha + (tau * dx[p] + r.sum()) / (r @ r), 0.5 * alpha), 0.5 * (alpha + amax))
+        t, gam = t + alpha * dx[:p], gam + alpha * dx[p]
+        q = q0 + lift(t)
+        chol = _cholesky(q - gam * dd)  # None: S lost definiteness by rounding, so stop
+        centred = decrement < 0.25 or alpha >= 0.99
+        refuted = chol is None or centred and gam + (s + math.sqrt(s)) / tau <= target
+        tau *= 30.0 if centred else 1.0
+
+
+def _minimize_residual(w, n, config, vecs):
+    """Multi-start projected gradient descent on the sphere, for a witness:
+    (best residual, best v, iterations, converged flag, bound proved above the
+    band top or None, Newton steps of the certificate), deterministic for a
+    fixed seed.  Stops at the first minimum <= the acceptance level; at its first
+    plateau above the band top (above PLATEAU_RATIO of the minimum PLATEAU_WINDOW
+    steps before), or at its end, runs ``_sos_bound`` once, and stops if proved."""
     rng = np.random.default_rng(config.seed)
     starts = rng.standard_normal((config.starts, n))
     v = np.vstack([starts, _eigen_candidate_starts(vecs, n)])
@@ -218,32 +301,24 @@ def _minimize_residual(w, n, config, vecs):
     f, rgrad = evaluate(v)
     step = np.full(v.shape[0], 0.5 / scale)
     active = np.ones(v.shape[0], dtype=bool)
-    it = 0
-    best_hist = float(f.min())
-    stall = 0
-    while it < MAX_ITER and active.any():
-        it += 1
+    history = [float(f.min())]  # the minimum after each step
+    bound, newton, plateau = None, 0, False
+    while True:
+        it, fmin = len(history) - 1, history[-1]
         active &= np.einsum("bi,bi->b", rgrad, rgrad) > gtol_sq
         active &= step > 1e-18 / scale
-        if not active.any():
+        done = it == MAX_ITER or not active.any()
+        if fmin <= accept:
             break
-        fmin = float(f.min())
-        if fmin <= 0.3 * accept:
-            # verdict already determined; polish only the current winner
-            keep = np.zeros_like(active)
-            keep[int(np.argmin(f))] = True
-            active &= keep
-            if fmin <= 1e-6 * accept:
+        if not plateau and fmin > band_top and (done or it >= PLATEAU_WINDOW
+                                                and fmin > PLATEAU_RATIO * history[-1 - PLATEAU_WINDOW]):
+            plateau = True
+            bound, newton = _sos_bound(form, n, band_top, 1.0)  # ||W / 2^e|| < 1
+            if bound is not None and bound > band_top:
                 break
-        elif fmin > 100.0 * band_top:
-            # far from the decision band: stop once progress stalls
-            if best_hist - fmin <= 1e-4 * best_hist:
-                stall += 1
-            else:
-                stall = 0
-                best_hist = fmin
-            if stall >= 30 and it >= 60:
-                break
+            bound = None
+        if done:
+            break
         idx = slice(None) if active.all() else np.flatnonzero(active)  # whole batch, or gather
         trial = v[idx] - step[idx, None] * rgrad[idx]
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
@@ -253,19 +328,26 @@ def _minimize_residual(w, n, config, vecs):
         v[idx] = np.where(improved[:, None], trial, v[idx])
         f[idx] = np.where(improved, ft, f[idx])
         rgrad[idx] = np.where(improved[:, None], rgt, rgrad[idx])
+        history.append(float(f.min()))
     best = int(np.argmin(f))
     converged = bool(rgrad[best] @ rgrad[best] <= gtol_sq)
-    return max(math.ldexp(float(f[best]), 2 * e), 0.0), v[best].copy(), it, converged
+    if bound is not None:
+        bound = math.ldexp(bound, 2 * e)
+    return max(math.ldexp(float(f[best]), 2 * e), 0.0), v[best].copy(), it, converged, bound, newton
 
 
 def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = None) -> ObstructionReport:
-    """Decide whether the Weyl operator admits a flag direction.
+    """The ``_band`` of the search minimum over ||W||^2, where a "fails"
+    needs a proof of min F above the band top (else it is inconclusive).
 
-    Multi-start minimization of the residual over the unit sphere; the
-    verdict is the ``_band`` of the minimum over ||W||^2.  In dim 4 a
-    spectral pre-check (the self-dual and anti-self-dual blocks of a
-    flag-invariant operator are isospectral) certifies most negatives
-    without optimization.
+    The dim-4 precheck: in the basis (e_i of v ^ v-perp, *e_i of
+    Lambda^2(v-perp)), W commutes with *, so W = [[A, B], [B, A]] with B
+    symmetric, F(v) = ||B||_F^2 and W+- = A +- B.  W+- are traceless, so
+    tr B = 0 and ||B||_2 <= sqrt(2/3) ||B||_F.  By Weyl's inequality
+    |lambda_k(W+) - lambda_k(W-)| <= 2 ||B||_2 <= sqrt(8/3) sqrt(F(v)) for
+    every v.  So a mismatch of the sorted spectra (less 64 eps ||W|| for
+    rounding) above sqrt(8/3 INCONCLUSIVE_FACTOR tol_rel) ||W|| proves
+    min F above the band top, with lower bound 3/8 mismatch^2.
     """
     if op.dim < 4:
         raise DimensionError("eigenflag test needs dim >= 4")
@@ -290,13 +372,15 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
         split = pm_split(op)
         sp = np.sort(np.linalg.eigvalsh(split.wplus))
         sm = np.sort(np.linalg.eigvalsh(split.wminus))
-        mismatch = float(np.abs(sp - sm).max())
-        spectral_tol = np.sqrt(config.tol_rel * INCONCLUSIVE_FACTOR) * wnorm
+        # rounding moves the mismatch of an exact flag operator by < 5 eps ||W||
+        mismatch = float(np.abs(sp - sm).max()) - 64.0 * _U * wnorm
+        spectral_tol = math.sqrt(8.0 / 3.0 * INCONCLUSIVE_FACTOR * config.tol_rel) * wnorm
         report.tolerances["spectral_tol"] = spectral_tol
         report.eigen_data["plus_spectrum"] = sp
         report.eigen_data["minus_spectrum"] = sm
         if mismatch > spectral_tol:
             report.verdict, report.residual = False, None
+            report.certificate, report.lower_bound = "spectral", 0.375 * mismatch**2
             report.note = (
                 "self-dual and anti-self-dual spectra differ by "
                 f"{mismatch:.3e} > {spectral_tol:.3e}; a flag-invariant "
@@ -304,16 +388,23 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
             )
             return report
 
-    fmin, vbest, iters, converged = _minimize_residual(w, op.dim, config, vecs)
+    fmin, vbest, iters, converged, bound, newton = _minimize_residual(w, op.dim, config, vecs)
     report.residual = fmin
     report.verdict = _band(fmin / wnorm**2, config.tol_rel)
+    band_top, starts = INCONCLUSIVE_FACTOR * config.tol_rel, config.starts + 2 * len(vecs)
     if report.verdict:
         report.witness = vbest
-    report.note = f"minimum residual {fmin:.3e}" + {
-        True: f" <= {config.tol_rel:.1e} * ||W||^2. " + _PASS_NOTE,
-        None: _BAND_NOTE,
-        False: f" over {config.starts + 2 * len(vecs)} starts. " + _FAIL_NOTE,
-    }[report.verdict] + f" ({iters} iterations, converged={converged})"
+    if report.verdict is not False:
+        tail = f" <= {config.tol_rel:.1e} * ||W||^2. " + _PASS_NOTE if report.verdict else _BAND_NOTE
+    elif bound is None:  # a loose bound costs the verdict; it never gives a wrong "fails"
+        report.verdict = None
+        tail = (f" over {starts} starts lies above {band_top:.1e} * ||W||^2, but no "
+                "sum-of-squares certificate was found; inconclusive")
+    else:
+        report.certificate, report.lower_bound = "sos", bound
+        tail = (f" (sum-of-squares lower bound {bound:.3e} > {band_top:.1e} * ||W||^2, "
+                f"{newton} Newton steps) over {starts} starts. " + _FAIL_NOTE)
+    report.note = f"minimum residual {fmin:.3e}" + tail + f" ({iters} iterations, converged={converged})"
     return report
 
 

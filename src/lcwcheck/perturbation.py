@@ -390,6 +390,7 @@ def _check_positivity(metric, points):
             ) from None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a tiny radius overflows the cutoff's jets; the CLI refuses inf
 def _ck_norm(metric: PulledBackMetric, points, order):
     """sup over every CK_STRIDE-th grid point of sum_{|alpha| <= order}
     |d^alpha(bump)| using exact jet derivatives, from one batched

@@ -108,6 +108,7 @@ def test_check_numeric_options_keep_the_contract(case):
 @example(case=("nil", None, None, "6.3e51", None))
 @example(case=("nil", "100000", "1.169959471020082e+308", None, None))
 @example(case=("sol", "2", "1.5e308", None, None))
+@example(case=("nil", None, None, "4.25879500690793e-124", None))
 def test_perturb_numeric_options_keep_the_contract(case):
     name, *values = case
     command = ["perturb", "--metric", name, "--target", "random", "--out", os.devnull]

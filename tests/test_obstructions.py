@@ -10,16 +10,20 @@ from lcwcheck.bivectors import (
     operator_from_0_4,
     phi_map,
     pm_basis_matrix,
+    pm_split,
     random_weyl_operator,
     rotate_operator,
     sample_eigenflag_params,
 )
-from lcwcheck.catalog import cp2_curvature, get_entry, random_metric_near_flat
+from lcwcheck import obstructions
+from lcwcheck.catalog import cp2_curvature, get_entry, product_with_line, random_metric_near_flat
 from lcwcheck.errors import DimensionError, DomainError, PreconditionViolation
 from lcwcheck.obstructions import (
     GRAD_TOL,
     INCONCLUSIVE_FACTOR,
     MAX_ITER,
+    PLATEAU_RATIO,
+    PLATEAU_WINDOW,
     ObstructionConfig,
     auto_test,
     classify_simplicity,
@@ -28,7 +32,13 @@ from lcwcheck.obstructions import (
     eigenflag_test,
     plane_from_traceless_degenerate,
 )
-from lcwcheck.obstructions import _minimize_residual, _residual_batch, _residual_form
+from lcwcheck.obstructions import (
+    _minimize_residual,
+    _residual_batch,
+    _residual_form,
+    _rounding_allowance,
+    _sos_bound,
+)
 from lcwcheck.pipeline import JetPipeline, compute_snapshot
 
 
@@ -195,31 +205,23 @@ def _ref_minimize_residual(w, n, config):
     rgrad = grad - np.einsum("bi,bi->b", grad, v)[:, None] * v
     step = np.full(v.shape[0], 0.5 / scale)
     active = np.ones(v.shape[0], dtype=bool)
-    it = 0
-    best_hist = float(f.min())
-    stall = 0
-    while it < MAX_ITER and active.any():
-        it += 1
+    history = [float(f.min())]
+    plateau = False
+    while True:
+        it, fmin = len(history) - 1, history[-1]
+        if fmin <= accept:
+            break
+        if (not plateau and fmin > band_top and it >= PLATEAU_WINDOW
+                and fmin > PLATEAU_RATIO * history[-1 - PLATEAU_WINDOW]):
+            plateau = True
+            bound = _sos_bound(_residual_form(w, n), n, band_top, scale)[0]
+            if bound is not None and bound > band_top:
+                break
         gn = np.linalg.norm(rgrad, axis=1)
         active &= gn > GRAD_TOL * scale
         active &= step > 1e-18 / scale
-        if not active.any():
+        if it == MAX_ITER or not active.any():
             break
-        fmin = float(f.min())
-        if fmin <= 0.3 * accept:
-            keep = np.zeros_like(active)
-            keep[int(np.argmin(f))] = True
-            active &= keep
-            if fmin <= 1e-6 * accept:
-                break
-        elif fmin > 100.0 * band_top:
-            if best_hist - fmin <= 1e-4 * best_hist:
-                stall += 1
-            else:
-                stall = 0
-                best_hist = fmin
-            if stall >= 30 and it >= 60:
-                break
         idx = np.flatnonzero(active)
         trial = v[idx] - step[idx, None] * rgrad[idx]
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
@@ -232,6 +234,7 @@ def _ref_minimize_residual(w, n, config):
         f[take] = ft[improved]
         grad[take] = gradt[improved]
         rgrad[take] = grad[take] - np.einsum("bi,bi->b", grad[take], v[take])[:, None] * v[take]
+        history.append(float(f.min()))
     best = int(np.argmin(f))
     gn = np.linalg.norm(rgrad[best])
     return max(float(f[best]), 0.0), v[best].copy(), it, bool(gn <= GRAD_TOL * scale)
@@ -268,13 +271,14 @@ def test_minimize_residual_matches_reference_search(rng, n):
 def test_eigenflag_search_is_scale_free(rng):
     """W and 2^-300 W (norm about 1e-90, squared gradient norms far below
     the smallest float) take the same search: same verdict and iterations,
-    residual scaled by 2^-600."""
+    residual and lower bound scaled by 2^-600."""
     for op in (random_weyl_operator(5, rng), phi_map(sample_eigenflag_params(5, rng))):
         tiny = CurvatureOperator(dim=5, mat=np.ldexp(op.mat, -300))
         a, b = eigenflag_test(op), eigenflag_test(tiny)
         assert a.verdict == b.verdict
         assert a.note.split("(")[-1] == b.note.split("(")[-1]  # iterations, converged
         assert abs(np.ldexp(a.residual, -600) - b.residual) <= 1e-12 * np.linalg.norm(tiny.mat) ** 2
+        assert (a.lower_bound, b.lower_bound) == (None, None) or np.ldexp(a.lower_bound, -600) == b.lower_bound
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -354,6 +358,8 @@ def test_eigenflag_verdict_is_the_band_of_its_own_residual(rng, n):
                 assert rep.note.startswith("self-dual and anti-self-dual spectra differ by")
                 mismatch = np.abs(rep.eigen_data["plus_spectrum"] - rep.eigen_data["minus_spectrum"]).max()
                 assert mismatch > rep.tolerances["spectral_tol"]
+                assert rep.certificate == "spectral"
+                assert INCONCLUSIVE_FACTOR * tol < rep.lower_bound / np.linalg.norm(op.mat) ** 2
                 continue
             rel = rep.residual / np.linalg.norm(op.mat) ** 2
             assert rep.note.startswith(f"minimum residual {rep.residual:.3e}")
@@ -367,6 +373,9 @@ def test_eigenflag_verdict_is_the_band_of_its_own_residual(rng, n):
             else:
                 assert rep.verdict is False and rep.witness is None
                 assert " starts. necessary condition fails: no limiting Carleman weight exists" in rep.note
+                assert rep.certificate in ("spectral", "sos")
+                assert INCONCLUSIVE_FACTOR * tol < rep.lower_bound / np.linalg.norm(op.mat) ** 2
+                assert rep.lower_bound <= rep.residual
     assert None in seen and True in seen and False in seen
 
 
@@ -414,6 +423,152 @@ def test_eigenflag_equivariance_of_verdict(rng):
     r1 = eigenflag_test(w, ObstructionConfig())
     r2 = eigenflag_test(rotate_operator(w, rho), ObstructionConfig())
     assert r1.verdict == r2.verdict
+
+
+def _spectral_mismatch(op):
+    split = pm_split(op)
+    return np.abs(np.sort(np.linalg.eigvalsh(split.wplus)) - np.sort(np.linalg.eigvalsh(split.wminus))).max()
+
+
+def test_dim4_precheck_fails_only_above_the_band_top():
+    """Dim-4 phi_map images plus relative noise 10^U(-5.5, -3) at tol 1e-8:
+    every precheck "fails" has its search minimum above the band top, and
+    the operators between the old threshold sqrt(10 tol) ||W|| and the new
+    one sqrt(8/3 10 tol) ||W|| go to the search instead."""
+    rng = np.random.default_rng(2026)
+    tol = 1e-8
+    config = ObstructionConfig(tol_rel=tol)
+    prechecked = between = 0
+    for _ in range(300):
+        w = phi_map(sample_eigenflag_params(4, rng)).mat
+        noise = 10.0 ** rng.uniform(-5.5, -3.0)
+        op = CurvatureOperator(dim=4, mat=w + noise * np.linalg.norm(w) * random_weyl_operator(4, rng).mat)
+        wsq = np.linalg.norm(op.mat) ** 2
+        mismatch = _spectral_mismatch(op)
+        if mismatch <= np.sqrt(INCONCLUSIVE_FACTOR * tol * wsq):
+            continue
+        rep = eigenflag_test(op, config)
+        if mismatch <= np.sqrt(8.0 / 3.0 * INCONCLUSIVE_FACTOR * tol * wsq):
+            between += 1
+            assert rep.certificate != "spectral" and rep.residual is not None
+            continue
+        prechecked += 1
+        assert rep.verdict is False and rep.certificate == "spectral"
+        fmin = _minimize_residual(op.mat, 4, config, np.linalg.eigh(op.mat)[1])[0]
+        assert INCONCLUSIVE_FACTOR * tol * wsq < rep.lower_bound <= min(0.375 * mismatch**2, fmin)
+    assert prechecked >= 1 and between >= 1
+
+
+# --- sum-of-squares certificate -----------------------------------------------------
+
+
+def _scaled_form(w, n):
+    """The form of W / 2^e, as the search builds it, and its ||W / 2^e||^2."""
+    e = np.frexp(np.linalg.norm(w))[1]
+    ws = np.ldexp(w, -e)
+    return _residual_form(ws, n), np.linalg.norm(ws) ** 2
+
+
+def _near_flag(n, rng, noise):
+    w = phi_map(sample_eigenflag_params(n, rng)).mat
+    return w + noise * np.linalg.norm(w) * random_weyl_operator(n, rng).mat
+
+
+def _search_min(form, n, w):
+    """The search's minimum of the scaled form, with no witness accepted."""
+    v = _minimize_residual(w, n, ObstructionConfig(tol_rel=1e-15), np.linalg.eigh(w)[1])[1]
+    return _residual_batch(np.ldexp(w, -np.frexp(np.linalg.norm(w))[1]), v[None, :])[0][0]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sos_bound_certifies_random_and_near_flag_operators(rng, n):
+    """Each operator's bound is proved above half its search minimum, and
+    never above the minimum itself."""
+    ws = [random_weyl_operator(n, rng).mat for _ in range(2)] + [_near_flat_weyl(n, rng).mat]
+    ws += [_near_flag(n, rng, noise) for noise in (1e-2, 1e-2, 1e-3, 1e-3)]
+    for w in ws:
+        form, wsq = _scaled_form(w, n)
+        fmin = _search_min(form, n, w)
+        bound, steps = _sos_bound(form, n, 0.5 * fmin, wsq)
+        assert bound is not None and 0.5 * fmin < bound <= fmin
+        assert 1 <= steps <= 20
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sos_bound_holds_at_sampled_unit_vectors(rng, n):
+    """Run until it can prove no more than the search minimum, the bound
+    lies below F at 10^4 random unit vectors and at the search's witness,
+    and within 1e-2 of the minimum."""
+    for w in (random_weyl_operator(n, rng).mat, _near_flat_weyl(n, rng).mat, _near_flag(n, rng, 1e-2)):
+        form, wsq = _scaled_form(w, n)
+        fmin = _search_min(form, n, w)
+        bound, _ = _sos_bound(form, n, fmin, wsq)
+        v = rng.standard_normal((10_000, n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        f, _ = _residual_batch(np.ldexp(w, -np.frexp(np.linalg.norm(w))[1]), v)
+        assert bound <= fmin and bound <= f.min()
+        assert bound >= 0.99 * fmin
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sos_bound_never_certifies_a_planted_flag(rng, n):
+    """No bound above 0 for exact phi_map images, and at a tolerance below
+    the rounding floor of F (tol 1e-30) the verdict is never "fails"."""
+    for i in range(3):
+        op = phi_map(sample_eigenflag_params(n, rng))
+        form, wsq = _scaled_form(op.mat, n)
+        bound, _ = _sos_bound(form, n, 0.0, wsq)
+        assert bound is None or bound <= 0.0
+        rep = eigenflag_test(op, ObstructionConfig(tol_rel=1e-30, seed=i))
+        assert rep.verdict is not False and rep.certificate is None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sos_bound_covers_the_rounding_of_the_form(rng, n):
+    """A planted flag whose form is raised by 0.9 times the rounding
+    allowance, F + eps ||v||^4, is not certified above 0: the proof must
+    not count on rounding of that size in the form's favour."""
+    for _ in range(2):
+        w = phi_map(sample_eigenflag_params(n, rng)).mat
+        (c, a, b), wsq = _scaled_form(w, n)
+        c = c.copy()
+        c[np.ix_(np.flatnonzero(a == b), np.arange(n) * (n + 1))] += 0.9 * _rounding_allowance(n, wsq)
+        bound, _ = _sos_bound((c, a, b), n, 0.0, wsq)
+        assert bound is None or bound <= 0.0
+
+
+def test_sos_bound_runs_only_where_the_search_finds_no_witness(rng, monkeypatch):
+    """Products with a line and exact phi_map images accept at the search
+    and never reach the certificate; a random metric reaches it once."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return _sos_bound(*args)
+
+    monkeypatch.setattr(obstructions, "_sos_bound", counting)
+    for n in (4, 5, 6):
+        for _ in range(2):
+            metric = product_with_line(random_metric_near_flat(n - 1, rng))
+            assert auto_test(metric, rng.uniform(-0.2, 0.2, n)).verdict is True
+            assert eigenflag_test(phi_map(sample_eigenflag_params(n, rng))).verdict is True
+    assert calls == []
+    rep = auto_test(random_metric_near_flat(5, rng), rng.uniform(-0.2, 0.2, 5))
+    assert rep.verdict is False and rep.certificate == "sos" and calls == [5]
+
+
+def test_a_loose_bound_gives_inconclusive_not_fails():
+    """A dim-6 near-flag operator whose residual is not a sum of squares
+    (the relaxation's optimum is about -5e-5 ||W||^2, the minimum 1.3e-7
+    ||W||^2): the search minimum lies above the band top, but with no
+    certificate the verdict is inconclusive."""
+    rng = np.random.default_rng(7)
+    for _ in range(9):
+        w = _near_flag(6, rng, 1e-3)
+    rep = eigenflag_test(CurvatureOperator(dim=6, mat=w), ObstructionConfig(tol_rel=1e-9))
+    assert rep.residual > INCONCLUSIVE_FACTOR * 1e-9 * np.linalg.norm(w) ** 2
+    assert rep.verdict is None and rep.certificate is None and rep.lower_bound is None
+    assert "no sum-of-squares certificate was found; inconclusive" in rep.note
 
 
 # --- simplicity classification ---------------------------------------------------
