@@ -49,7 +49,7 @@ from .errors import (
 )
 from .obstructions import ObstructionConfig, auto_test, cotton_york_test, eigenflag_test
 from .perturbation import normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
-from .pipeline import JetPipeline, compute_snapshot, format_json, snapshot_to_dict
+from .pipeline import TENSOR_FIELDS, JetPipeline, compute_snapshot, format_json, snapshot_to_dict
 
 EXIT_PASSES = 0
 EXIT_PARSE = 2
@@ -193,20 +193,6 @@ def cmd_catalog(fmt):
     _run(go)
 
 
-_TENSOR_KEYS = (
-    "g",
-    "gamma",
-    "riemann",
-    "ricci",
-    "scalar",
-    "schouten",
-    "weyl",
-    "cotton",
-    "cotton_york",
-    "div_weyl",
-)
-
-
 @main.command("tensors")
 @click.option("--metric", "source", required=True, help="catalog name or metric file")
 @click.option("--point", default="", help="evaluation point a,b,c (default: origin)")
@@ -217,10 +203,10 @@ def cmd_tensors(source, point, which, fmt):
 
     def go():
         metric = _load_source(source)
-        wanted = [w.strip() for w in which.split(",") if w.strip()] or list(_TENSOR_KEYS)
+        wanted = [w.strip() for w in which.split(",") if w.strip()] or list(TENSOR_FIELDS)
         for w in wanted:
-            if w not in _TENSOR_KEYS:
-                raise ParseError(f"unknown tensor {w!r}; choose from {', '.join(_TENSOR_KEYS)}")
+            if w not in TENSOR_FIELDS:
+                raise ParseError(f"unknown tensor {w!r}; choose from {', '.join(TENSOR_FIELDS)}")
         doc = snapshot_to_dict(compute_snapshot(metric, _parse_point(point, metric.dim)))
         out = {k: v for k, v in doc.items() if k in ("dim", "point") or k in wanted}
         if fmt == "json":

@@ -12,7 +12,7 @@ Grammar (EBNF)::
 ``smoothbump(u, u0, u1)`` is the one extension beyond the unary functions:
 a C^3 radial cutoff in the scalar u, identically 1 for u <= u0 and 0 for
 u >= u1, joined by a degree-7 spline.  Its last two arguments must be
-number literals.  Perturbed metrics use it to stay serializable.
+number literals with u0 < u1.  Perturbed metrics use it to stay serializable.
 
 Every walk over an expression (variable scans, substitution, printing,
 compilation) is iterative, so nesting depth is limited by memory, not by
@@ -644,6 +644,8 @@ class _Parser:
                 self.expect(",")
                 u1 = self._const_arg()
                 self.expect(")")
+                if not u0.value < u1.value:
+                    raise ParseError(f"smoothbump needs u0 < u1, got {u0.value:g} and {u1.value:g}", tok.line, tok.column)
                 return Call(name, (arg, u0, u1))
             if name in self.names:
                 return self.names[name]

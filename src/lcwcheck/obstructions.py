@@ -4,13 +4,15 @@ weights.
 Dimension >= 4: a metric with an LCW near p has a Weyl operator leaving
 some v ^ v-perp invariant ("eigenflag" direction), where the residual
 F(v) = || proj_{Lambda^2(v-perp)} o W o proj_{v ^ v-perp} ||_F^2 = C(v, v,
-v, v) = z^T Q0 z (z_ab = v_a v_b) vanishes; a multi-start descent looks for
-a witness of a pass.  A verdict of False certifies that no LCW exists near
-the point: it comes only from a proof of min F above the band, the dim-4
-spectral precheck or a sum-of-squares certificate (Shor's relaxation,
-Parrilo / Lasserre form: Q0 + sum t_i L_i - gamma D >= 0 with z^T L_i z = 0
-and z^T D z = ||v||^4 proves F >= gamma).  A verdict of True only says the
-necessary condition holds; it never asserts existence.
+v, v) = z^T Q0 z (z_ab = v_a v_b) vanishes.  The verdict has two stages:
+a multi-start descent looks only for a witness of a pass, and where its
+minimum says "fails", a certificate runs once after it.  A verdict of False
+certifies that no LCW exists near the point: it comes only from a proof of
+min F above the band, the dim-4 spectral precheck or a sum-of-squares
+certificate (Shor's relaxation, Parrilo / Lasserre form: Q0 + sum t_i L_i -
+gamma D >= 0 with z^T L_i z = 0 and z^T D z = ||v||^4 proves F >= gamma).
+A verdict of True only says the necessary condition holds; it never asserts
+existence.
 
 Dimension 3: the necessary condition is det(CY) = 0 for the Cotton-York
 tensor, tested scale-invariantly, with the degenerate plane recovered from
@@ -41,8 +43,8 @@ from .pipeline import JetPipeline, compute_snapshot, format_json
 
 GRAD_TOL = 1e-12  # a start stops once its gradient is below this times the scale
 MAX_ITER = 400  # descent steps of the eigenflag search at most
-PLATEAU_WINDOW = 6  # the search hands over to the certificate once its minimum
-PLATEAU_RATIO = 0.5  # is above this fraction of its value this many steps ago
+PLATEAU_WINDOW = 6  # the search stops once its minimum is above
+PLATEAU_RATIO = 0.5  # this fraction of its value this many steps ago
 SOS_STEPS = 40  # Newton steps of the sum-of-squares certificate at most
 INCONCLUSIVE_FACTOR = 10.0  # width of the inconclusive band above the tolerance
 CY_ABS_FLOOR = 1e-9  # a Cotton-York norm below this passes as conformally flat
@@ -53,8 +55,10 @@ _U = 1.001 * 2.0**-53  # unit roundoff, rounded up: k _U bounds gamma_k = k u / 
 class ObstructionConfig:
     """Tolerance and search settings; every field is echoed in the
     ``tolerances`` of each report whose test reads it, with the tolerance
-    constants above that the test uses (the note gives the iterations and
-    Newton steps, which MAX_ITER and SOS_STEPS cap)."""
+    constants above that the test uses.  The note gives the search's
+    iterations (MAX_ITER caps them) and, for a certified "fails", the
+    Newton steps of the certificate that ran after the search (SOS_STEPS
+    caps them)."""
 
     tol_rel: float = 1e-8
     starts: int = 64
@@ -275,24 +279,20 @@ def _sos_bound(form, n, target, wsq):
         tau *= 30.0 if centred else 1.0
 
 
-def _minimize_residual(w, n, config, vecs):
-    """Multi-start projected gradient descent on the sphere, for a witness:
-    (best residual, best v, iterations, converged flag, bound proved above the
-    band top or None, Newton steps of the certificate), deterministic for a
-    fixed seed.  Stops at the first minimum <= the acceptance level; at its first
-    plateau above the band top (above PLATEAU_RATIO of the minimum PLATEAU_WINDOW
-    steps before), or at its end, runs ``_sos_bound`` once, and stops if proved."""
+def _minimize_residual(form, n, scale, config, vecs):
+    """Multi-start projected gradient descent on the sphere, for a witness of
+    a pass: (best residual, best v, iterations, converged flag) of ``form``,
+    the residual of an operator with ||W||^2 = ``scale``, deterministic for a
+    fixed seed.  Stops at the first minimum <= tol_rel * scale, at its first
+    plateau (the minimum above PLATEAU_RATIO of its value PLATEAU_WINDOW steps
+    before), at MAX_ITER or once no start is active.  It proves nothing: the
+    certificate of a "fails" runs after it, in ``eigenflag_test``."""
     rng = np.random.default_rng(config.seed)
     starts = rng.standard_normal((config.starts, n))
     v = np.vstack([starts, _eigen_candidate_starts(vecs, n)])
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
-
-    mantissa, e = math.frexp(np.linalg.norm(w))  # search W / 2^e: exact, no underflow
-    scale = mantissa**2
     accept = config.tol_rel * scale
-    band_top = accept * INCONCLUSIVE_FACTOR
     gtol_sq = (GRAD_TOL * scale) ** 2
-    form = _residual_form(w * math.ldexp(1.0, -e), n)
 
     def evaluate(x):  # F and its gradient along the sphere (v . grad F = 4 F)
         fx, grad = _residual_eval(form, x)
@@ -302,22 +302,12 @@ def _minimize_residual(w, n, config, vecs):
     step = np.full(v.shape[0], 0.5 / scale)
     active = np.ones(v.shape[0], dtype=bool)
     history = [float(f.min())]  # the minimum after each step
-    bound, newton, plateau = None, 0, False
     while True:
         it, fmin = len(history) - 1, history[-1]
         active &= np.einsum("bi,bi->b", rgrad, rgrad) > gtol_sq
         active &= step > 1e-18 / scale
-        done = it == MAX_ITER or not active.any()
-        if fmin <= accept:
-            break
-        if not plateau and fmin > band_top and (done or it >= PLATEAU_WINDOW
-                                                and fmin > PLATEAU_RATIO * history[-1 - PLATEAU_WINDOW]):
-            plateau = True
-            bound, newton = _sos_bound(form, n, band_top, 1.0)  # ||W / 2^e|| < 1
-            if bound is not None and bound > band_top:
-                break
-            bound = None
-        if done:
+        if (fmin <= accept or it == MAX_ITER or not active.any()
+                or it >= PLATEAU_WINDOW and fmin > PLATEAU_RATIO * history[-1 - PLATEAU_WINDOW]):
             break
         idx = slice(None) if active.all() else np.flatnonzero(active)  # whole batch, or gather
         trial = v[idx] - step[idx, None] * rgrad[idx]
@@ -330,15 +320,14 @@ def _minimize_residual(w, n, config, vecs):
         rgrad[idx] = np.where(improved[:, None], rgt, rgrad[idx])
         history.append(float(f.min()))
     best = int(np.argmin(f))
-    converged = bool(rgrad[best] @ rgrad[best] <= gtol_sq)
-    if bound is not None:
-        bound = math.ldexp(bound, 2 * e)
-    return max(math.ldexp(float(f[best]), 2 * e), 0.0), v[best].copy(), it, converged, bound, newton
+    return float(f[best]), v[best].copy(), it, bool(rgrad[best] @ rgrad[best] <= gtol_sq)
 
 
 def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = None) -> ObstructionReport:
     """The ``_band`` of the search minimum over ||W||^2, where a "fails"
-    needs a proof of min F above the band top (else it is inconclusive).
+    needs a proof of min F above the band top (else it is inconclusive):
+    the search looks only for a witness, and ``_sos_bound`` runs once after
+    it, on the same residual form, when the band says "fails".
 
     The dim-4 precheck: in the basis (e_i of v ^ v-perp, *e_i of
     Lambda^2(v-perp)), W commutes with *, so W = [[A, B], [B, A]] with B
@@ -388,22 +377,28 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
             )
             return report
 
-    fmin, vbest, iters, converged, bound, newton = _minimize_residual(w, op.dim, config, vecs)
-    report.residual = fmin
+    mantissa, e = math.frexp(wnorm)  # W / 2^e: exact, no underflow, and ||W / 2^e|| < 1
+    scale = mantissa**2
+    form = _residual_form(w * math.ldexp(1.0, -e), op.dim)
+    f, vbest, iters, converged = _minimize_residual(form, op.dim, scale, config, vecs)
+    report.residual = fmin = max(math.ldexp(f, 2 * e), 0.0)
     report.verdict = _band(fmin / wnorm**2, config.tol_rel)
     band_top, starts = INCONCLUSIVE_FACTOR * config.tol_rel, config.starts + 2 * len(vecs)
     if report.verdict:
         report.witness = vbest
     if report.verdict is not False:
         tail = f" <= {config.tol_rel:.1e} * ||W||^2. " + _PASS_NOTE if report.verdict else _BAND_NOTE
-    elif bound is None:  # a loose bound costs the verdict; it never gives a wrong "fails"
-        report.verdict = None
-        tail = (f" over {starts} starts lies above {band_top:.1e} * ||W||^2, but no "
-                "sum-of-squares certificate was found; inconclusive")
     else:
-        report.certificate, report.lower_bound = "sos", bound
-        tail = (f" (sum-of-squares lower bound {bound:.3e} > {band_top:.1e} * ||W||^2, "
-                f"{newton} Newton steps) over {starts} starts. " + _FAIL_NOTE)
+        top = config.tol_rel * scale * INCONCLUSIVE_FACTOR  # the band top of W / 2^e
+        bound, newton = _sos_bound(form, op.dim, top, 1.0)  # ||W / 2^e|| < 1
+        if bound is None or bound <= top:  # a loose bound costs the verdict; it never gives a wrong "fails"
+            report.verdict = None
+            tail = (f" over {starts} starts lies above {band_top:.1e} * ||W||^2, but no "
+                    "sum-of-squares certificate was found; inconclusive")
+        else:
+            report.certificate, report.lower_bound = "sos", math.ldexp(bound, 2 * e)
+            tail = (f" (sum-of-squares lower bound {report.lower_bound:.3e} > {band_top:.1e} * ||W||^2, "
+                    f"{newton} Newton steps) over {starts} starts. " + _FAIL_NOTE)
     report.note = f"minimum residual {fmin:.3e}" + tail + f" ({iters} iterations, converged={converged})"
     return report
 

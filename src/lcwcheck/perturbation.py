@@ -205,7 +205,12 @@ class PulledBackMetric:
         return out
 
     def _cutoff_bounds(self):
-        return (0.5 * self.radius) * (0.5 * self.radius), self.radius * self.radius  # inf, not OverflowError
+        """(u0, u1) = ((r/2)^2, r^2) of the cutoff radius r, refused unless
+        0 < u0 < u1 < inf: a square that underflows to 0 leaves no bump."""
+        u0, u1 = (0.5 * self.radius) * (0.5 * self.radius), self.radius * self.radius
+        if not 0.0 < u0 < u1 < math.inf:
+            raise DomainError(f"bump radius {self.radius:g} out of range: (r/2)^2 and r^2 must be positive and finite")
+        return u0, u1
 
     def _bump_jets(self, points, order=3):
         """Jets (N, pairs, size) of ``order`` of bump_ij * phi at the points.
@@ -390,13 +395,16 @@ def _check_positivity(metric, points):
             ) from None
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a tiny radius overflows the cutoff's jets; the CLI refuses inf
+@np.errstate(over="ignore", invalid="ignore")  # a tiny radius overflows the cutoff's jets; refused below
 def _ck_norm(metric: PulledBackMetric, points, order):
     """sup over every CK_STRIDE-th grid point of sum_{|alpha| <= order}
     |d^alpha(bump)| using exact jet derivatives, from one batched
-    evaluation of jets of ``order``."""
+    evaluation of jets of ``order``; a DomainError if it is not finite."""
     jets = metric._bump_jets(points[::CK_STRIDE], order)
-    return float(np.abs(jets * jet_space(metric.dim, order).factorials).sum(axis=-1).max(initial=0.0))
+    norm = float(np.abs(jets * jet_space(metric.dim, order).factorials).sum(axis=-1).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise DomainError("the bump's C^k norm is not a finite number; enlarge the radius")
+    return norm
 
 
 def _finite_norms(target, shift):

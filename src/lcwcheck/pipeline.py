@@ -429,23 +429,18 @@ def _refuse(x):
     raise DomainError(f"result has a non-finite number ({float(x)}); nothing is printed")
 
 
+# the output key of each tensor of a snapshot, in output order, and its field
+TENSOR_FIELDS = {
+    "g": "g", "gamma": "gamma", "riemann": "riemann", "ricci": "ricci", "scalar": "scalar",
+    "schouten": "schouten", "weyl": "weyl04", "cotton": "cotton", "cotton_york": "cotton_york",
+    "div_weyl": "div_weyl",
+}
+
+
 def snapshot_to_dict(snap: TensorSnapshot) -> dict:
-    """The snapshot's tensors under their output keys; tensors not defined
-    in the snapshot's dimension are None."""
-    return {
-        "dim": snap.dim,
-        "point": snap.point,
-        "g": snap.g,
-        "gamma": snap.gamma,
-        "riemann": snap.riemann,
-        "ricci": snap.ricci,
-        "scalar": snap.scalar,
-        "schouten": snap.schouten,
-        "weyl": snap.weyl04,
-        "cotton": snap.cotton,
-        "cotton_york": snap.cotton_york,
-        "div_weyl": snap.div_weyl,
-    }
+    """The snapshot's dim, point and tensors under their output keys;
+    tensors not defined in the snapshot's dimension are None."""
+    return {"dim": snap.dim, "point": snap.point, **{k: getattr(snap, f) for k, f in TENSOR_FIELDS.items()}}
 
 
 def snapshot_to_json(snap: TensorSnapshot) -> str:

@@ -44,7 +44,7 @@ from lcwcheck.catalog import (
 )
 from lcwcheck.cli import main
 from lcwcheck.dsl import parse_metric
-from lcwcheck.obstructions import ObstructionConfig, _minimize_residual, eigenflag_test
+from lcwcheck.obstructions import ObstructionConfig, _minimize_residual, _residual_form, eigenflag_test
 from lcwcheck.perturbation import (
     CottonPrescription,
     CurvaturePrescription,
@@ -161,7 +161,8 @@ def test_acceptance_04_cp2():
     ]) @ u.T)
     config = ObstructionConfig(starts=64)
     assert eigenflag_test(wop, config).verdict is False  # by the spectral precheck
-    fmin = _minimize_residual(wop.mat, 4, config, np.linalg.eigh(wop.mat)[1])[0]  # the search alone
+    form = _residual_form(wop.mat, 4)
+    fmin = _minimize_residual(form, 4, np.linalg.norm(wop.mat) ** 2, config, np.linalg.eigh(wop.mat)[1])[0]  # the search alone
     assert fmin > 0.1 * np.linalg.norm(wop.mat) ** 2
     _report(4, "curvature operator eigenvalues (6,0,0,2,2,2); W+ = diag(4,-2,-2); "
                f"no flag direction (min residual {fmin:.3f} > 2.4)")

@@ -430,7 +430,7 @@ def test_fail_note_counts_random_and_eigenvector_starts(tmp_path):
 
 
 def test_huge_perturb_radius_exit_3():
-    # the bump overflows on the positivity grid: an evaluation error, not a traceback
+    # the radius squared overflows: an evaluation error, not a traceback
     r = invoke("perturb", "--metric", "nil", "--target", "random", "--radius", "1e300", "--out", os.devnull)
     assert r.exit_code == 3
     assert r.stdout == ""
@@ -487,6 +487,39 @@ def test_out_of_range_literal_exit_2(tmp_path, command):
     r = invoke(command, "--metric", str(f), *extra)
     assert r.exit_code == 2
     assert r.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "tensors", "perturb"])
+def test_smoothbump_without_u0_below_u1_exit_2(tmp_path, command):
+    f = tmp_path / "jump.metric"
+    f.write_text("dim = 3\ng11 = 1 + smoothbump(x1^2, 1, 0)\ng22 = 1\ng33 = 1\n")
+    out = tmp_path / "never.metric"
+    extra = ("--target", "random", "--out", str(out)) if command == "perturb" else ()
+    r = invoke(command, "--metric", str(f), *extra)
+    assert r.exit_code == 2
+    assert r.stdout == "" and "u0 < u1" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metric", ["nil", "product4_nil"])
+@pytest.mark.parametrize("radius", ["1e-200", "1e-300"])
+def test_perturb_radius_whose_square_underflows_exit_3(tmp_path, metric, radius):
+    """(r/2)^2 and r^2 underflow to 0, so the bump would be 0 everywhere:
+    it used to exit 0 with "unchanged": false and write smoothbump(..., 0, 0)."""
+    out = tmp_path / "never.metric"
+    r = invoke("perturb", "--metric", metric, "--target", "random", "--radius", radius, "--out", str(out))
+    assert r.exit_code == 3
+    assert r.stdout == "" and "bump radius" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["1e-110", "1e-155", "1e-160"])
+def test_perturb_radius_whose_ck_norm_overflows_exit_3_before_writing(tmp_path, radius):
+    out = tmp_path / "never.metric"
+    r = invoke("perturb", "--metric", "nil", "--target", "random", "--radius", radius, "--out", str(out))
+    assert r.exit_code == 3
+    assert r.stdout == "" and "C^k norm" in r.stderr
     assert not out.exists()
 
 

@@ -120,6 +120,13 @@ def test_out_of_range_literal_rejected(text):
         parse_expr(text)
 
 
+@pytest.mark.parametrize("text", ["smoothbump(x1^2, 1, 0)", "smoothbump(x1, 0.5, 0.5)", "smoothbump(x1, -0, 0)"])
+def test_smoothbump_without_u0_below_u1_rejected(text):
+    """u0 >= u1 has no ramp: it would evaluate as a jump whose derivatives read 0."""
+    with pytest.raises(ParseError, match="u0 < u1"):
+        parse_expr(text)
+
+
 def test_metric_round_trip():
     m = parse_metric(SOL_TEXT)
     text = metric_to_text(m)

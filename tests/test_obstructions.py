@@ -33,6 +33,7 @@ from lcwcheck.obstructions import (
     plane_from_traceless_degenerate,
 )
 from lcwcheck.obstructions import (
+    _BAND_NOTE,
     _minimize_residual,
     _residual_batch,
     _residual_form,
@@ -199,24 +200,18 @@ def _ref_minimize_residual(w, n, config):
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
     scale = max(np.linalg.norm(w) ** 2, 1e-300)
     accept = config.tol_rel * scale
-    band_top = accept * INCONCLUSIVE_FACTOR
     m, u = _ref_quartic(w, n)
     f, grad = _ref_batch_quartic(m, u, v)
     rgrad = grad - np.einsum("bi,bi->b", grad, v)[:, None] * v
     step = np.full(v.shape[0], 0.5 / scale)
     active = np.ones(v.shape[0], dtype=bool)
     history = [float(f.min())]
-    plateau = False
     while True:
         it, fmin = len(history) - 1, history[-1]
         if fmin <= accept:
             break
-        if (not plateau and fmin > band_top and it >= PLATEAU_WINDOW
-                and fmin > PLATEAU_RATIO * history[-1 - PLATEAU_WINDOW]):
-            plateau = True
-            bound = _sos_bound(_residual_form(w, n), n, band_top, scale)[0]
-            if bound is not None and bound > band_top:
-                break
+        if it >= PLATEAU_WINDOW and fmin > PLATEAU_RATIO * history[-1 - PLATEAU_WINDOW]:
+            break
         gn = np.linalg.norm(rgrad, axis=1)
         active &= gn > GRAD_TOL * scale
         active &= step > 1e-18 / scale
@@ -240,6 +235,11 @@ def _ref_minimize_residual(w, n, config):
     return max(float(f[best]), 0.0), v[best].copy(), it, bool(gn <= GRAD_TOL * scale)
 
 
+def _search(w, n, config):
+    """The search alone on W: (minimum, witness, iterations, converged)."""
+    return _minimize_residual(_residual_form(w, n), n, np.linalg.norm(w) ** 2, config, np.linalg.eigh(w)[1])
+
+
 def _near_flat_weyl(n, rng):
     pl = JetPipeline(random_metric_near_flat(n, rng), rng.uniform(-0.2, 0.2, n))
     return operator_from_0_4(pl.weyl(), g=pl.g)
@@ -257,7 +257,7 @@ def test_minimize_residual_matches_reference_search(rng, n):
         scale = np.linalg.norm(w) ** 2
         config.seed = i
         ref = _ref_minimize_residual(w.copy(), n, config)
-        new = _minimize_residual(w.copy(), n, config, np.linalg.eigh(w)[1])
+        new = _search(w.copy(), n, config)
         band = config.tol_rel * scale
         assert (new[0] <= band) == (ref[0] <= band)
         assert (new[0] <= INCONCLUSIVE_FACTOR * band) == (ref[0] <= INCONCLUSIVE_FACTOR * band)
@@ -336,7 +336,7 @@ def test_eigenflag_cp2_false_without_precheck():
     precheck skips, finds no flag direction either."""
     w = _cp2_weyl().mat
     assert eigenflag_test(_cp2_weyl(), ObstructionConfig()).verdict is False
-    fmin = _minimize_residual(w, 4, ObstructionConfig(), np.linalg.eigh(w)[1])[0]
+    fmin = _search(w, 4, ObstructionConfig())[0]
     assert fmin > 0.1 * np.linalg.norm(w) ** 2
 
 
@@ -454,7 +454,7 @@ def test_dim4_precheck_fails_only_above_the_band_top():
             continue
         prechecked += 1
         assert rep.verdict is False and rep.certificate == "spectral"
-        fmin = _minimize_residual(op.mat, 4, config, np.linalg.eigh(op.mat)[1])[0]
+        fmin = _search(op.mat, 4, config)[0]
         assert INCONCLUSIVE_FACTOR * tol * wsq < rep.lower_bound <= min(0.375 * mismatch**2, fmin)
     assert prechecked >= 1 and between >= 1
 
@@ -476,7 +476,7 @@ def _near_flag(n, rng, noise):
 
 def _search_min(form, n, w):
     """The search's minimum of the scaled form, with no witness accepted."""
-    v = _minimize_residual(w, n, ObstructionConfig(tol_rel=1e-15), np.linalg.eigh(w)[1])[1]
+    v = _search(w, n, ObstructionConfig(tol_rel=1e-15))[1]
     return _residual_batch(np.ldexp(w, -np.frexp(np.linalg.norm(w))[1]), v[None, :])[0][0]
 
 
@@ -537,9 +537,8 @@ def test_sos_bound_covers_the_rounding_of_the_form(rng, n):
         assert bound is None or bound <= 0.0
 
 
-def test_sos_bound_runs_only_where_the_search_finds_no_witness(rng, monkeypatch):
-    """Products with a line and exact phi_map images accept at the search
-    and never reach the certificate; a random metric reaches it once."""
+def _count_sos_calls(monkeypatch):
+    """The dimension of each later call to ``_sos_bound``, in order."""
     calls = []
 
     def counting(*args):
@@ -547,6 +546,13 @@ def test_sos_bound_runs_only_where_the_search_finds_no_witness(rng, monkeypatch)
         return _sos_bound(*args)
 
     monkeypatch.setattr(obstructions, "_sos_bound", counting)
+    return calls
+
+
+def test_sos_bound_runs_only_where_the_search_finds_no_witness(rng, monkeypatch):
+    """Products with a line and exact phi_map images accept at the search
+    and never reach the certificate; a random metric reaches it once."""
+    calls = _count_sos_calls(monkeypatch)
     for n in (4, 5, 6):
         for _ in range(2):
             metric = product_with_line(random_metric_near_flat(n - 1, rng))
@@ -557,11 +563,17 @@ def test_sos_bound_runs_only_where_the_search_finds_no_witness(rng, monkeypatch)
     assert rep.verdict is False and rep.certificate == "sos" and calls == [5]
 
 
-def test_a_loose_bound_gives_inconclusive_not_fails():
+def _iterations(rep):
+    return int(rep.note.split("(")[-1].split()[0])
+
+
+def test_a_loose_bound_gives_inconclusive_not_fails(monkeypatch):
     """A dim-6 near-flag operator whose residual is not a sum of squares
     (the relaxation's optimum is about -5e-5 ||W||^2, the minimum 1.3e-7
     ||W||^2): the search minimum lies above the band top, but with no
-    certificate the verdict is inconclusive."""
+    certificate the verdict is inconclusive.  The certificate runs once,
+    after a search that stopped at its plateau, not at MAX_ITER."""
+    calls = _count_sos_calls(monkeypatch)
     rng = np.random.default_rng(7)
     for _ in range(9):
         w = _near_flag(6, rng, 1e-3)
@@ -569,6 +581,39 @@ def test_a_loose_bound_gives_inconclusive_not_fails():
     assert rep.residual > INCONCLUSIVE_FACTOR * 1e-9 * np.linalg.norm(w) ** 2
     assert rep.verdict is None and rep.certificate is None and rep.lower_bound is None
     assert "no sum-of-squares certificate was found; inconclusive" in rep.note
+    assert calls == [6] and _iterations(rep) < MAX_ITER
+
+
+def test_search_stops_at_a_plateau_inside_the_band(monkeypatch):
+    """A random dim-6 operator at tol 0.02 has its search minimum inside the
+    band: the search stops at its first plateau, well before MAX_ITER, and
+    the certificate never runs."""
+    calls = _count_sos_calls(monkeypatch)
+    rep = eigenflag_test(random_weyl_operator(6, np.random.default_rng(1)), ObstructionConfig(tol_rel=0.02))
+    assert rep.verdict is None and rep.note.endswith(_BAND_NOTE + f" ({_iterations(rep)} iterations, converged=False)")
+    assert _iterations(rep) <= 4 * PLATEAU_WINDOW < MAX_ITER
+    assert calls == []
+
+
+def test_sos_bound_runs_once_and_only_on_a_fails_band(rng, monkeypatch):
+    """Over random and near-flag operators and a ladder of tolerances, the
+    certificate runs once for each report whose residual / ||W||^2 bands as
+    "fails" and never for a band of True or None."""
+    calls = _count_sos_calls(monkeypatch)
+    bands = set()
+    for n in (4, 5, 6):
+        ops = [random_weyl_operator(n, rng).mat, _near_flag(n, rng, 1e-3), _near_flag(n, rng, 1e-4)]
+        for w in ops:
+            for tol in (1e-9, 1e-7, 1e-5, 1e-3, 2e-2):
+                before = len(calls)
+                rep = eigenflag_test(CurvatureOperator(dim=n, mat=w), ObstructionConfig(tol_rel=tol))
+                if rep.certificate == "spectral":
+                    continue
+                band = obstructions._band(rep.residual / np.linalg.norm(w) ** 2, tol)
+                bands.add(band)
+                assert len(calls) - before == (band is False)
+                assert (rep.certificate == "sos") == (rep.verdict is False)
+    assert bands == {True, None, False}
 
 
 # --- simplicity classification ---------------------------------------------------
