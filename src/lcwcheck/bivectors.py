@@ -132,7 +132,7 @@ def operator_to_0_4(op: CurvatureOperator) -> np.ndarray:
     return np.concatenate([flat, -flat, [0.0]])[_0_4_gather(op.dim)]
 
 
-def hodge_star_matrix(g=None, orientation=1, dim=None):
+def hodge_star_matrix(g=None, dim=None):
     """Hodge star on bivectors.
 
     dim 4: the involution on Lambda^2 in an oriented orthonormal frame
@@ -155,7 +155,7 @@ def hodge_star_matrix(g=None, orientation=1, dim=None):
             rest = [x for x in range(4) if x not in (i, j)]
             k, l = rest
             sign = _perm_sign((i, j, k, l))
-            star[pair_index(4)[(k, l)], a] = sign * orientation
+            star[pair_index(4)[(k, l)], a] = sign
         return star
     # dim 3 coordinate formula
     if g is None:
@@ -167,9 +167,7 @@ def hodge_star_matrix(g=None, orientation=1, dim=None):
     star = np.zeros((3, 3))
     for a, (i, j) in enumerate(pairs):
         for k in range(3):
-            star[a, k] = orientation * sum(
-                g[l, k] * EPS3[i, j, l] for l in range(3)
-            ) / sqrtdet
+            star[a, k] = sum(g[l, k] * EPS3[i, j, l] for l in range(3)) / sqrtdet
     return star
 
 
@@ -243,19 +241,9 @@ def ricci_contract(op: CurvatureOperator) -> np.ndarray:
 
 
 def sym_matrix_basis(m):
-    """Frobenius-orthonormal basis of symmetric m x m matrices."""
-    out = []
-    for i in range(m):
-        e = np.zeros((m, m))
-        e[i, i] = 1.0
-        out.append(e)
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = np.zeros((m, m))
-            e[i, j] = e[j, i] = s
-            out.append(e)
-    return out
+    """Frobenius-orthonormal basis of symmetric m x m matrices, in the
+    order of ``sym_vec``."""
+    return [sym_unvec(e, m) for e in np.eye(m * (m + 1) // 2)]
 
 
 def sym_vec(mat):
@@ -446,7 +434,7 @@ def phi_map(params: EigenflagParams, tol=1e-9) -> CurvatureOperator:
     return CurvatureOperator(dim=n, mat=b @ core @ b.T)
 
 
-def sample_eigenflag_params(n, rng, lambda_scale=1.0, w2_extra_scale=1.0) -> EigenflagParams:
+def sample_eigenflag_params(n, rng) -> EigenflagParams:
     """Random valid parameters: Haar-ish rotation, centered eigenvalues,
     w2 = particular solution + random element of the lower Weyl space."""
     if not 4 <= n <= 6:
@@ -456,12 +444,12 @@ def sample_eigenflag_params(n, rng, lambda_scale=1.0, w2_extra_scale=1.0) -> Eig
     q = q @ np.diag(np.sign(np.diag(r)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    lam = rng.standard_normal(n - 1) * lambda_scale
+    lam = rng.standard_normal(n - 1)
     lam -= lam.mean()
     w2 = ricci_target_operator(lam, n)
     lower = weyl_space_basis(n - 1)
     if lower:
-        c = rng.standard_normal(len(lower)) * w2_extra_scale
+        c = rng.standard_normal(len(lower))
         w2 = w2 + sum(ci * b.mat for ci, b in zip(c, lower))
     return EigenflagParams(rotation=q, lambdas=lam, w2=w2)
 

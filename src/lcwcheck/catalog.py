@@ -5,10 +5,10 @@ with a configurable conformal factor on the surface, the complex projective
 plane in an affine chart, and dimension-4 products euclidean-line x (3d
 entry).
 
-Every entry is a coordinate metric.  Each carries a chart domain within
-which random evaluation points are well conditioned, and an ``expected``
-record of independently computed values the tensor pipeline must
-reproduce.
+Every entry is a coordinate metric, whose name and dim are the entry's.
+Each carries a chart domain within which random evaluation points are
+well conditioned, and an ``expected`` record of independently computed
+values the tensor pipeline must reproduce.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .dsl import (
     MetricDef,
     Mul,
     Num,
-    Pow,
-    Sub,
     Var,
     eval_expr,
     metric_from_components,
@@ -39,11 +37,17 @@ from .jets import jet_space
 
 @dataclass
 class CatalogEntry:
-    name: str
-    dim: int
     metric: MetricDef
     sample_box: tuple  # per-coordinate (lo, hi) for random points
     expected: dict = field(default_factory=dict)
+
+    @property
+    def name(self) -> str:
+        return self.metric.name
+
+    @property
+    def dim(self) -> int:
+        return self.metric.dim
 
     def sample_points(self, rng, count):
         lo = np.array([b[0] for b in self.sample_box])
@@ -126,6 +130,33 @@ chart = "line times hyperbolic plane in the disc model; keep x2^2+x3^2 < 0.5"
 g11 = 1
 g22 = 4/(1 - x2^2 - x3^2)^2
 g33 = 4/(1 - x2^2 - x3^2)^2
+"""
+
+
+# Fubini-Study metric (holomorphic sectional curvature 4) in an affine chart,
+# realified with z1 = x1 + i x2, z2 = x3 + i x4.  At the origin the
+# coordinate frame is orthonormal and adapted to the complex structure, so
+# the Riemann tensor there is the ``cp2_curvature`` table.
+_CP2_TEXT = """
+dim = 4
+name = "cp2_chart"
+chart = "affine chart; real coordinates of (z1, z2)"
+let z1 = x1^2 + x2^2
+let z2 = x3^2 + x4^2
+let rho = 1 + (z1 + z2)
+let rho2 = rho^2
+let r11 = (rho - z1)/rho2
+let r22 = (rho - z2)/rho2
+let r12 = -1*(x1*x3 + x2*x4)/rho2
+let i12 = -1*(x1*x4 - x2*x3)/rho2
+g11 = r11
+g13 = r12
+g14 = i12
+g22 = r11
+g23 = -1*i12
+g24 = r12
+g33 = r22
+g44 = r22
 """
 
 
@@ -301,33 +332,6 @@ def cp2_curvature() -> np.ndarray:
     return r4
 
 
-def cp2_chart_metric() -> MetricDef:
-    """Affine chart of the Fubini-Study metric (holomorphic sectional
-    curvature 4), realified with z1 = x1 + i x2, z2 = x3 + i x4.  At the
-    origin the coordinate frame is orthonormal and adapted to the complex
-    structure, so the Riemann tensor there is the ``cp2_curvature`` table."""
-    from .dsl import Div
-
-    z1sq = Add(Pow(Var(0), 2), Pow(Var(1), 2))
-    z2sq = Add(Pow(Var(2), 2), Pow(Var(3), 2))
-    rho = Add(Num(1.0), Add(z1sq, z2sq))
-    rho2 = Pow(rho, 2)
-    r11 = Div(Sub(rho, z1sq), rho2)
-    r22 = Div(Sub(rho, z2sq), rho2)
-    r12 = Div(Mul(Num(-1.0), Add(Mul(Var(0), Var(2)), Mul(Var(1), Var(3)))), rho2)
-    i12 = Div(Mul(Num(-1.0), Sub(Mul(Var(0), Var(3)), Mul(Var(1), Var(2)))), rho2)
-    neg_i12 = Mul(Num(-1.0), i12)
-    comp = [
-        [r11, Num(0.0), r12, i12],
-        [None, r11, neg_i12, r12],
-        [None, None, r22, Num(0.0)],
-        [None, None, None, r22],
-    ]
-    return metric_from_components(
-        comp, name="cp2_chart", chart="affine chart; real coordinates of (z1, z2)"
-    )
-
-
 # -- random metric factories (shared by tests and the CLI sampler) --------------
 
 
@@ -358,119 +362,43 @@ DEFAULT_SURFACE_FACTOR = "sin(x2)*cosh(2*x3)"
 
 
 def _build_registry():
-    entries = {}
-
-    def add(entry):
-        entries[entry.name] = entry
-
     box3 = ((-1.0, 1.0),) * 3
-    add(
+    flat = {"lcw": "exists", "conformally_flat": True, "det_cy": 0.0}
+    surface = "constant surface curvature makes the Cotton-York tensor vanish"
+    entries = [
         CatalogEntry(
-            name="euclidean3",
-            dim=3,
-            metric=parse_metric(_EUCLIDEAN3_TEXT),
-            sample_box=box3,
-            expected={
-                "lcw": "exists",
-                "conformally_flat": True,
-                "det_cy": 0.0,
-                "cy_zero": True,
-                "provenance": "flat metric; every curvature tensor vanishes",
-            },
-        )
-    )
-    add(
+            parse_metric(_EUCLIDEAN3_TEXT), box3,
+            {**flat, "provenance": "flat metric; every curvature tensor vanishes"},
+        ),
         CatalogEntry(
-            name="sphere3",
-            dim=3,
-            metric=parse_metric(_SPHERE3_TEXT),
-            sample_box=((-0.4, 0.4),) * 3,
-            expected={
-                "lcw": "exists",
-                "conformally_flat": True,
-                "det_cy": 0.0,
-                "cy_zero": True,
-                "sectional": 1.0,
-                "provenance": "round sphere in a conformally flat chart",
-            },
-        )
-    )
-    add(
+            parse_metric(_SPHERE3_TEXT), ((-0.4, 0.4),) * 3,
+            {**flat, "sectional": 1.0, "provenance": "round sphere in a conformally flat chart"},
+        ),
         CatalogEntry(
-            name="hyperbolic3",
-            dim=3,
-            metric=parse_metric(_HYPERBOLIC3_TEXT),
-            sample_box=((-0.35, 0.35),) * 3,
-            expected={
-                "lcw": "exists",
-                "conformally_flat": True,
-                "det_cy": 0.0,
-                "cy_zero": True,
-                "sectional": -1.0,
-                "provenance": "hyperbolic space in the ball model",
-            },
-        )
-    )
-    add(
+            parse_metric(_HYPERBOLIC3_TEXT), ((-0.35, 0.35),) * 3,
+            {**flat, "sectional": -1.0, "provenance": "hyperbolic space in the ball model"},
+        ),
+        CatalogEntry(parse_metric(_S2XR_TEXT), ((-1.0, 1.0), (-0.5, 0.5), (-0.5, 0.5)), {**flat, "provenance": surface}),
+        CatalogEntry(parse_metric(_H2XR_TEXT), ((-1.0, 1.0), (-0.35, 0.35), (-0.35, 0.35)), {**flat, "provenance": surface}),
         CatalogEntry(
-            name="s2xr",
-            dim=3,
-            metric=parse_metric(_S2XR_TEXT),
-            sample_box=((-1.0, 1.0), (-0.5, 0.5), (-0.5, 0.5)),
-            expected={
-                "lcw": "exists",
-                "conformally_flat": True,
-                "det_cy": 0.0,
-                "cy_zero": True,
-                "provenance": "constant surface curvature makes the Cotton-York tensor vanish",
-            },
-        )
-    )
-    add(
-        CatalogEntry(
-            name="h2xr",
-            dim=3,
-            metric=parse_metric(_H2XR_TEXT),
-            sample_box=((-1.0, 1.0), (-0.35, 0.35), (-0.35, 0.35)),
-            expected={
-                "lcw": "exists",
-                "conformally_flat": True,
-                "det_cy": 0.0,
-                "cy_zero": True,
-                "provenance": "constant surface curvature makes the Cotton-York tensor vanish",
-            },
-        )
-    )
-    add(
-        CatalogEntry(
-            name="sol",
-            dim=3,
-            metric=parse_metric(_SOL_TEXT),
-            sample_box=box3,
-            expected={
+            parse_metric(_SOL_TEXT), box3,
+            {
                 "lcw": "exists",
                 "conformally_flat": False,
                 "det_cy": 0.0,
-                "cy_zero": False,
                 "provenance": (
                     "the rescaling by exp(-2 x3) splits off the first "
                     "coordinate, so a weight exists; the Cotton-York tensor "
                     "is nonzero with zero determinant"
                 ),
             },
-        )
-    )
-    add(
+        ),
         CatalogEntry(
-            name="nil",
-            dim=3,
-            metric=parse_metric(_NIL_TEXT),
-            sample_box=box3,
-            expected={
+            parse_metric(_NIL_TEXT), box3,
+            {
                 "lcw": "none",
                 "conformally_flat": False,
                 "det_cy": -0.25,
-                "cy_zero": False,
                 "tensors": nil_expected_tensors,
                 "provenance": (
                     "closed-form tensors of the left-invariant metric; the "
@@ -478,34 +406,21 @@ def _build_registry():
                     "eigenvalues of the displayed matrix)"
                 ),
             },
-        )
-    )
-    add(
+        ),
         CatalogEntry(
-            name="sl2r",
-            dim=3,
-            metric=parse_metric(_SL2R_TEXT),
-            sample_box=((-1.0, 1.0), (-1.5, 1.5), (-1.5, 1.5)),
-            expected={
+            parse_metric(_SL2R_TEXT), ((-1.0, 1.0), (-1.5, 1.5), (-1.5, 1.5)),
+            {
                 "lcw": "none",
                 "conformally_flat": False,
-                "cy_zero": False,
-                "cy_at_origin": np.array(
-                    [[0.0, 0.0, -2.0], [0.0, -4.0, 0.0], [-2.0, 0.0, 4.0]]
-                ),
+                "cy_at_origin": np.array([[0.0, 0.0, -2.0], [0.0, -4.0, 0.0], [-2.0, 0.0, 4.0]]),
                 "det_cy_at_origin": 16.0,
                 "tensors": sl2r_full_tensors,
                 "provenance": "closed-form tensors of the left-invariant metric",
             },
-        )
-    )
-    add(
+        ),
         CatalogEntry(
-            name="r_cross_surface",
-            dim=3,
-            metric=r_cross_surface(DEFAULT_SURFACE_FACTOR),
-            sample_box=((-1.0, 1.0), (-0.8, 0.8), (-0.8, 0.8)),
-            expected={
+            r_cross_surface(DEFAULT_SURFACE_FACTOR), ((-1.0, 1.0), (-0.8, 0.8), (-0.8, 0.8)),
+            {
                 "lcw": "exists",
                 "surface_factor": DEFAULT_SURFACE_FACTOR,
                 "cy_closed_form": True,
@@ -514,15 +429,10 @@ def _build_registry():
                     "has the two-component closed form"
                 ),
             },
-        )
-    )
-    add(
+        ),
         CatalogEntry(
-            name="cp2_chart",
-            dim=4,
-            metric=cp2_chart_metric(),
-            sample_box=((-0.3, 0.3),) * 4,
-            expected={
+            parse_metric(_CP2_TEXT), ((-0.3, 0.3),) * 4,
+            {
                 "lcw": "none",
                 "operator_eigenvalues": [6.0, 0.0, 0.0, 2.0, 2.0, 2.0],
                 "wplus_diag": [4.0, -2.0, -2.0],
@@ -536,53 +446,21 @@ def _build_registry():
                     "cp2_curvature()"
                 ),
             },
-        )
-    )
-    sol = entries["sol"].metric
-    nil = entries["nil"].metric
-    sphere3 = entries["sphere3"].metric
-    add(
-        CatalogEntry(
-            name="product4_sol",
-            dim=4,
-            metric=product_with_line(sol, "product4_sol"),
-            sample_box=((-1.0, 1.0),) + box3,
-            expected={
+        ),
+    ]
+    entries = {e.name: e for e in entries}
+    for base in ("sol", "nil", "sphere3"):
+        entry = entries[base]
+        entries["product4_" + base] = CatalogEntry(
+            product_with_line(entry.metric, "product4_" + base),
+            ((-1.0, 1.0),) + entry.sample_box,
+            {
                 "lcw": "exists",
                 "eigenflag": True,
                 "witness": [1.0, 0.0, 0.0, 0.0],
                 "provenance": "product metric; the line direction is parallel",
             },
         )
-    )
-    add(
-        CatalogEntry(
-            name="product4_nil",
-            dim=4,
-            metric=product_with_line(nil, "product4_nil"),
-            sample_box=((-1.0, 1.0),) + box3,
-            expected={
-                "lcw": "exists",
-                "eigenflag": True,
-                "witness": [1.0, 0.0, 0.0, 0.0],
-                "provenance": "product metric; the line direction is parallel",
-            },
-        )
-    )
-    add(
-        CatalogEntry(
-            name="product4_sphere3",
-            dim=4,
-            metric=product_with_line(sphere3, "product4_sphere3"),
-            sample_box=((-1.0, 1.0),) + ((-0.4, 0.4),) * 3,
-            expected={
-                "lcw": "exists",
-                "eigenflag": True,
-                "witness": [1.0, 0.0, 0.0, 0.0],
-                "provenance": "product metric; the line direction is parallel",
-            },
-        )
-    )
     return entries
 
 

@@ -154,7 +154,8 @@ def _echo_matrix(name, mat):
     else:
         flat_header = " x ".join(str(s) for s in mat.shape)
         click.echo(f"  ({flat_header} array; use --format json for full output)")
-        norm = float(np.linalg.norm(mat))
+        with np.errstate(over="ignore"):  # inf past the float range
+            norm = float(np.linalg.norm(mat))
         click.echo(f"  frobenius norm = {norm:.6g}")
 
 
@@ -209,8 +210,9 @@ def cmd_tensors(source, point, which, fmt):
                 raise ParseError(f"unknown tensor {w!r}; choose from {', '.join(TENSOR_FIELDS)}")
         doc = snapshot_to_dict(compute_snapshot(metric, _parse_point(point, metric.dim)))
         out = {k: v for k, v in doc.items() if k in ("dim", "point") or k in wanted}
+        text = format_json(out)  # refuses a number that is not finite, in either format
         if fmt == "json":
-            _echo_json(out)
+            click.echo(text)
         else:
             click.echo(f"dim = {out['dim']}")
             click.echo("point = " + ", ".join(f"{v:.6g}" for v in out["point"]))
@@ -257,8 +259,9 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
             report = cotton_york_test(metric, p, config)
         else:
             report = auto_test(metric, p, config)
+        text = report.to_json()  # refuses a number that is not finite, in either format
         if fmt == "json":
-            click.echo(report.to_json())
+            click.echo(text)
         else:
             click.echo(f"test      : {report.test}")
             click.echo(f"verdict   : {report.verdict_string}")

@@ -108,6 +108,22 @@ _FAIL_NOTE = "necessary condition fails: no limiting Carleman weight exists near
 _BAND_NOTE = f" lies within a factor {INCONCLUSIVE_FACTOR:g} of the tolerance; inconclusive"
 
 
+def _pow2_scaled(a):
+    """(a / 2^k, k) with max|a / 2^k| in [0.5, 1): exact for every entry
+    that stays in the normal range, and the norms of the scaled array
+    neither overflow nor underflow."""
+    k = math.frexp(float(np.abs(a).max()))[1]
+    return np.ldexp(a, -k), k
+
+
+def _cube_safe(a):
+    """``a``, or a / 2^k once ||a||^3 could overflow (max|a| past 2^300),
+    for the scale-free determinant ratio and plane of a 3x3 matrix.  Not
+    always a / 2^k: np.linalg.det of the scaled matrix rounds differently."""
+    scaled, k = _pow2_scaled(a)
+    return a if k <= 300 else scaled
+
+
 def _band(ratio, tol):
     """The verdict of a scale-free measured ratio: True (passes) at most
     ``tol``, None (inconclusive) up to INCONCLUSIVE_FACTOR times ``tol``,
@@ -342,8 +358,9 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
         raise DimensionError("eigenflag test needs dim >= 4")
     config = config or ObstructionConfig()
     w = op.mat
+    scaled, k = _pow2_scaled(w)  # norm squares the entries: near 1e-160 they underflow
     with np.errstate(over="ignore"):
-        wnorm = float(np.linalg.norm(w))
+        wnorm = float(np.ldexp(np.linalg.norm(scaled), k))
     if not math.isfinite(wnorm * wnorm):
         # the verdict compares the residual with tol_rel * ||W||^2
         raise DomainError("Weyl operator too large: its squared norm is not a finite number")
@@ -379,10 +396,10 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
 
     mantissa, e = math.frexp(wnorm)  # W / 2^e: exact, no underflow, and ||W / 2^e|| < 1
     scale = mantissa**2
-    form = _residual_form(w * math.ldexp(1.0, -e), op.dim)
+    form = _residual_form(np.ldexp(w, -e), op.dim)
     f, vbest, iters, converged = _minimize_residual(form, op.dim, scale, config, vecs)
-    report.residual = fmin = max(math.ldexp(f, 2 * e), 0.0)
-    report.verdict = _band(fmin / wnorm**2, config.tol_rel)
+    report.residual = fmin = max(math.ldexp(f, 2 * e), 0.0)  # 0 below the float range
+    report.verdict = _band(max(f, 0.0) / scale, config.tol_rel)
     band_top, starts = INCONCLUSIVE_FACTOR * config.tol_rel, config.starts + 2 * len(vecs)
     if report.verdict:
         report.witness = vbest
@@ -467,11 +484,13 @@ def plane_from_traceless_degenerate(a, tol=1e-8):
 
     Eigenvalues are (lam, -lam, 0); the plane is spanned by the sum of the
     two opposite-eigenvalue directions and the kernel direction, the normal
-    is their difference.
+    is their difference.  Past 2^300 (where the tolerances are relative)
+    the matrix is tested and decomposed as a / 2^k.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3):
         raise DimensionError("expected a 3x3 matrix")
+    a = _cube_safe(a)
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
         return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([0.0, 0.0, 1.0])
@@ -506,10 +525,13 @@ def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None 
     cy = snap.cotton_york
     e = orthonormal_frame(snap.g)
     a = e.T @ cy @ e
-    norm = float(np.linalg.norm(a))
-    det_frame = float(np.linalg.det(a))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range, refused below
+        norm = float(np.linalg.norm(a))
+        det_cy, det_frame = float(np.linalg.det(cy)), float(np.linalg.det(a))
+    if not (math.isfinite(det_cy) and math.isfinite(det_frame)):
+        raise DomainError("Cotton-York tensor too large: its determinant is not a finite number")
     report = ObstructionReport(
-        dim=3, test="cotton-york", verdict=True, det_cy=float(np.linalg.det(cy)), residual=abs(det_frame),
+        dim=3, test="cotton-york", verdict=True, det_cy=det_cy, residual=abs(det_frame),
         tolerances={"tol_rel": config.tol_rel, "cy_abs_floor": CY_ABS_FLOOR, "inconclusive_factor": INCONCLUSIVE_FACTOR},
     )
     if norm <= CY_ABS_FLOOR:
@@ -522,7 +544,8 @@ def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None 
             "admissible. " + _PASS_NOTE
         )
         return report
-    ratio = abs(det_frame) / norm**3
+    b = _cube_safe(a)
+    ratio = abs(float(np.linalg.det(b))) / float(np.linalg.norm(b)) ** 3
     report.tolerances["det_ratio"] = ratio
     report.verdict = _band(ratio, config.tol_rel)
     if report.verdict:
@@ -549,5 +572,9 @@ def auto_test(metric: MetricDef, point, config: ObstructionConfig | None = None)
         return cotton_york_test(metric, point, config)
     if metric.dim >= 4:
         pl = JetPipeline(metric, point, order=2)
-        return eigenflag_test(operator_from_0_4(pl.weyl(), g=pl.g), config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = pl.weyl()
+        if not np.isfinite(w).all():
+            raise DomainError(f"Weyl tensor not finite at {pl.point.tolist()}")
+        return eigenflag_test(operator_from_0_4(w, g=pl.g), config)
     raise DimensionError("obstruction tests need dim >= 3")

@@ -134,13 +134,13 @@ def _check_metric(g, point):
     well conditioned (else SingularMetric)."""
     if not np.isfinite(g).all():
         raise DomainError(f"metric not finite at {point.tolist()}")
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= 0.0:
+    lo, hi = (float(x) for x in np.linalg.eigvalsh(g)[[0, -1]])  # Python floats: hi / lo overflows to inf, no warning
+    if lo <= 0.0:
         raise SingularMetric(
-            f"metric not positive definite at {point.tolist()} (min eigenvalue {w[0]:g})"
+            f"metric not positive definite at {point.tolist()} (min eigenvalue {lo:g})"
         )
-    if w[-1] / w[0] > COND_LIMIT:
-        raise SingularMetric(f"metric too ill-conditioned at {point.tolist()} (cond {w[-1] / w[0]:g})")
+    if hi / lo > COND_LIMIT:
+        raise SingularMetric(f"metric too ill-conditioned at {point.tolist()} (cond {hi / lo:g})")
 
 
 class JetPipeline:
@@ -367,6 +367,7 @@ class TensorSnapshot:
             _require_small(np.einsum("ij,ij->", self.g_inv, cy), bound, "Cotton-York not traceless")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a tensor past the float range is inf or nan; every caller checks finiteness
 def compute_snapshot(metric: MetricDef, point) -> TensorSnapshot:
     pl = JetPipeline(metric, point)
     if pl.n < 3:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lcwcheck.bivectors import operator_from_0_4, pm_split
 from lcwcheck.catalog import (
     DEFAULT_SURFACE_FACTOR,
     THURSTON_NAMES,
@@ -17,6 +18,7 @@ from lcwcheck.catalog import (
 )
 from lcwcheck.dsl import metric_to_text, parse_metric
 from lcwcheck.errors import DimensionError, UnknownEntry
+from lcwcheck.obstructions import ObstructionConfig, auto_test, eigenflag_residual, eigenflag_test
 from lcwcheck.pipeline import compute_snapshot
 
 
@@ -155,3 +157,73 @@ def test_entries_export_as_metric_files():
         text = metric_to_text(m)
         again = parse_metric(text)
         assert again.components == m.components
+
+
+# --- every stored expectation, checked against the pipeline --------------------
+
+
+def _close(got, want, tol=1e-8):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return bool(got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= tol * max(np.abs(want).max(initial=0.0), 1.0))
+
+
+def _operator(snap, r4):
+    """The curvature operator of ``r4`` in the snapshot's orthonormal frame."""
+    return operator_from_0_4(r4, g=snap.g)
+
+
+def _constant_curvature(snap, k):
+    g = snap.g
+    return k * (np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g))
+
+
+def _closed_form(oracle, p, snap):
+    want = oracle(p)
+    return all(_close(getattr(snap, key), want[key], 1e-7) for key in ("ricci", "scalar", "schouten", "cotton_york"))
+
+
+def _witness_residual(snap, v):
+    """Flag residual of the coordinate vector v over ||W||^2, in the frame
+    (its frame components are L^T v for g = L L^T)."""
+    op = _operator(snap, snap.weyl04)
+    c = np.linalg.cholesky(snap.g).T @ np.asarray(v, dtype=float)
+    return eigenflag_residual(op, c / np.linalg.norm(c)) / max(op.norm() ** 2, 1e-300)
+
+
+# key -> check(entry, stored value, point, snapshot at the point): True when
+# the pipeline reproduces the value there
+EXPECTATION_CHECKS = {
+    "lcw": lambda e, want, p, s: auto_test(e.metric, p).verdict is {"exists": True, "none": False}[want],
+    "conformally_flat": lambda e, want, p, s: bool(np.abs(s.cotton_york).max() <= 1e-9) is want,
+    "det_cy": lambda e, want, p, s: abs(np.linalg.det(s.cotton_york) - want) <= 1e-8 * max(abs(want), 1.0),
+    "sectional": lambda e, want, p, s: _close(s.riemann, _constant_curvature(s, want)),
+    "tensors": lambda e, want, p, s: _closed_form(want, p, s),
+    "cy_at_origin": lambda e, want, p, s: _close(s.cotton_york, want),
+    "det_cy_at_origin": lambda e, want, p, s: abs(np.linalg.det(s.cotton_york) - want) <= 1e-8 * abs(want),
+    "surface_factor": lambda e, want, p, s: e.metric.components == r_cross_surface(want).components,
+    "cy_closed_form": lambda e, want, p, s: _close(s.cotton_york, r_cross_surface_cy(e.expected["surface_factor"], p), 1e-7) is want,
+    "operator_eigenvalues": lambda e, want, p, s: _close(np.linalg.eigvalsh(_operator(s, s.riemann).mat), sorted(want)),
+    "wplus_diag": lambda e, want, p, s: _close(np.linalg.eigvalsh(pm_split(_operator(s, s.weyl04)).wplus), sorted(want)),
+    "wminus_zero": lambda e, want, p, s: bool(np.abs(pm_split(_operator(s, s.weyl04)).wminus).max() <= 1e-8) is want,
+    "einstein": lambda e, want, p, s: _close(s.ricci, s.scalar / e.dim * s.g) is want,
+    "scalar": lambda e, want, p, s: abs(s.scalar - want) <= 1e-8 * abs(want),
+    "eigenflag": lambda e, want, p, s: eigenflag_test(_operator(s, s.weyl04), ObstructionConfig()).verdict is want,
+    "witness": lambda e, want, p, s: _witness_residual(s, want) <= 1e-12,
+    "provenance": lambda e, want, p, s: isinstance(want, str) and want != "",
+}
+AT_ORIGIN = {"cy_at_origin", "det_cy_at_origin"}  # keys that hold at the origin only
+
+
+@pytest.mark.parametrize("name", list_catalog())
+def test_every_stored_expectation_holds(name, rng):
+    """Each key of the entry's record holds at the origin and at four sample
+    points; a key without a check fails."""
+    entry = get_entry(name)
+    unchecked = set(entry.expected) - set(EXPECTATION_CHECKS)
+    assert not unchecked, f"{name}: no check for {sorted(unchecked)}"
+    failed = []
+    for k, p in enumerate([np.zeros(entry.dim)] + entry.sample_points(rng, 4)):
+        snap = compute_snapshot(entry.metric, p)
+        failed += [(key, k) for key, want in entry.expected.items()
+                   if (k == 0 or key not in AT_ORIGIN) and not EXPECTATION_CHECKS[key](entry, want, p, snap)]
+    assert not failed, f"{name}: (key, point) pairs that fail: {failed}"

@@ -470,6 +470,64 @@ def test_check_weyl_operator_beyond_squared_float_range_exit_3(tmp_path, dim):
     assert "Weyl operator too large" in r.stderr
 
 
+def _tiny_weyl_metric(c):
+    """A dim-4 metric whose quadratic terms, and so its Weyl tensor, scale with c."""
+    return (
+        f"dim = 4\ng11 = 1 + {c}*(x2^2 - 3*x3*x4 + 2*x2*x3)\ng22 = 1 + {c}*(x1^2 + x3*x4 - 2*x1*x4)\n"
+        f"g33 = 1 + {c}*(3*x1*x2 - x4^2 + x1*x4)\ng44 = 1 + {c}*(x2*x3 + 2*x1^2 - x1*x3)\n"
+        f"g12 = {c}*(x3^2 + x1*x4 - 2*x2*x4)\n"
+    )
+
+
+@pytest.mark.parametrize("c", ["1e-2", "1e-200"])
+@pytest.mark.filterwarnings("error")
+def test_check_tiny_weyl_tensor_fails_like_a_large_one(tmp_path, c):
+    """With c = 1e-200, ||W|| underflowed to 0 and the check passed (exit 0)."""
+    f = tmp_path / "tiny.metric"
+    f.write_text(_tiny_weyl_metric(c))
+    r = invoke("check", "--metric", str(f))
+    assert r.exit_code == 10
+    doc = json.loads(r.stdout)
+    assert doc["certificate"] == "spectral" and doc["lower_bound"] >= 0.0
+
+
+HUGE_CY = {
+    # sol with x3 scaled by 1e35: ||CY|| about 2.8e105, det CY = 0
+    "scaled-sol": ("dim = 3\ng11 = exp(2e35*x3)\ng22 = exp(-2e35*x3)\ng33 = 1\n", 0),
+    # CY about 1.5e105 of rank 2 at the origin: det CY = 0
+    "rank-2": ("dim = 3\ng11 = 1\ng22 = 1 + 1e105*x1^3 + x3^2*x1\ng33 = 1\n", 0),
+    # CY about 1.5e105 of full rank: det CY is past the float range
+    "det-overflows": ("dim = 3\ng11 = 1 + 1e105*x2^3\ng22 = 1 + 1e105*x3^3\ng33 = 1 + 1e105*x1^3\n", 3),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_CY)
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.filterwarnings("error")
+def test_check_huge_cotton_york_tensor_exits_without_a_traceback(tmp_path, case, fmt):
+    """||CY||^3 raised OverflowError (exit 1) on all three."""
+    text, code = HUGE_CY[case]
+    f = tmp_path / "huge.metric"
+    f.write_text(text)
+    r = invoke("check", "--metric", str(f), "--format", fmt)
+    assert r.exit_code == code
+    if code == 3:
+        assert r.stdout == "" and r.stderr == "error: Cotton-York tensor too large: its determinant is not a finite number\n"
+    else:
+        assert "passes_necessary" in r.stdout and r.stderr == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.filterwarnings("error")
+def test_tensors_not_finite_exit_3_in_either_format(tmp_path, fmt):
+    """g11 = 1 + 1e105 x1: the Cotton tensor is nan; the table printed it."""
+    f = tmp_path / "huge.metric"
+    f.write_text("dim = 3\ng11 = 1 + 1e105*x1\ng22 = 1\ng33 = 1\n")
+    r = invoke("tensors", "--metric", str(f), "--format", fmt)
+    assert r.exit_code == 3
+    assert r.stdout == "" and r.stderr.startswith("error: result has a non-finite number")
+
+
 @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
 def test_perturb_radius_must_be_positive_and_finite(tmp_path, radius):
     out = tmp_path / "never.metric"

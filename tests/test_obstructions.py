@@ -40,6 +40,7 @@ from lcwcheck.obstructions import (
     _rounding_allowance,
     _sos_bound,
 )
+from lcwcheck.dsl import parse_metric
 from lcwcheck.pipeline import JetPipeline, compute_snapshot
 
 
@@ -279,6 +280,23 @@ def test_eigenflag_search_is_scale_free(rng):
         assert a.note.split("(")[-1] == b.note.split("(")[-1]  # iterations, converged
         assert abs(np.ldexp(a.residual, -600) - b.residual) <= 1e-12 * np.linalg.norm(tiny.mat) ** 2
         assert (a.lower_bound, b.lower_bound) == (None, None) or np.ldexp(a.lower_bound, -600) == b.lower_bound
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_eigenflag_on_a_tiny_operator_keeps_its_verdict(n):
+    """Entries near 1e-200 used to underflow ||W|| to 0, so a certified
+    "fails" read "Weyl operator vanishes" and passed.  A residual or lower
+    bound below the float range is 0."""
+    rng = np.random.default_rng(0)
+    for op in (random_weyl_operator(n, rng), phi_map(sample_eigenflag_params(n, rng))):
+        a = eigenflag_test(op)
+        for scale in (1e-160, 1e-200, 1e-300):
+            b = eigenflag_test(CurvatureOperator(dim=n, mat=op.mat * scale))
+            assert (b.verdict, b.certificate) == (a.verdict, a.certificate), (n, scale)
+            assert "vanishes" not in b.note
+            assert b.residual is None or 0.0 <= b.residual <= max(a.residual * scale, 1e-300)
+    tiny = eigenflag_test(CurvatureOperator(dim=5, mat=random_weyl_operator(5, np.random.default_rng(0)).mat * 1e-200))
+    assert (tiny.verdict, tiny.certificate, tiny.lower_bound) == (False, "sos", 0.0)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -716,6 +734,36 @@ def test_cotton_york_rescale_invariance():
             assert (rep.verdict is True) == want, (name, lam)
 
 
+SCALED_SOL = "dim = 3\ng11 = exp(2e35*x3)\ng22 = exp(-2e35*x3)\ng33 = 1\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cotton_york_test_on_a_tensor_past_the_cube_range():
+    """sol with x3 scaled by 1e35 has ||CY|| about 2.8e105, so ||CY||^3 is
+    past the float range (it raised OverflowError); its ratio and plane come
+    from CY / 2^k, and it passes like sol, with sol's plane."""
+    sol = cotton_york_test(get_entry("sol").metric, np.zeros(3))
+    big = cotton_york_test(parse_metric(SCALED_SOL), np.zeros(3))
+    assert big.verdict is True and big.tolerances["det_ratio"] == 0.0
+    assert np.abs(big.plane - sol.plane).max() <= 1e-15 and np.abs(big.witness - sol.witness).max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_cotton_york_test_refuses_a_determinant_past_the_float_range():
+    huge = parse_metric("dim = 3\ng11 = 1 + 1e105*x2^3\ng22 = 1 + 1e105*x3^3\ng33 = 1 + 1e105*x1^3\n")
+    with pytest.raises(DomainError, match="Cotton-York tensor too large"):
+        cotton_york_test(huge, np.zeros(3))
+
+
+@pytest.mark.filterwarnings("error")
+def test_auto_test_refuses_a_weyl_tensor_past_the_float_range():
+    """g44 = 1 + 1e300 x1: its Christoffel products overflow, and inf - inf
+    warned before the operator was refused."""
+    m = parse_metric("dim = 4\ng11 = 1\ng22 = 1\ng33 = 1\ng44 = 1 + 1e300*x1\n")
+    with pytest.raises(DomainError, match="Weyl tensor not finite"):
+        auto_test(m, np.zeros(4))
+
+
 def test_cotton_york_dim4_rejected():
     entry = get_entry("product4_sol")
     with pytest.raises(DimensionError):
@@ -755,6 +803,19 @@ def test_plane_diag_example():
     assert abs(normal @ a @ normal) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_plane_of_a_matrix_past_the_cube_range():
+    """||a||^3 past the float range raised OverflowError; above 2^300 the
+    matrix is tested as a / 2^k, so it keeps the plane and the refusals."""
+    a = np.diag([1.0, -1.0, 0.0])
+    plane, normal = plane_from_traceless_degenerate(a)
+    for scale in (1e103, 1e300):
+        big = plane_from_traceless_degenerate(scale * a)
+        assert np.array_equal(big[0], plane) and np.array_equal(big[1], normal)
+        with pytest.raises(PreconditionViolation):
+            plane_from_traceless_degenerate(scale * (a + np.eye(3)))
+
+
 def test_plane_precondition_violation():
     with pytest.raises(PreconditionViolation):
         plane_from_traceless_degenerate(np.diag([1.0, 1.0, -2.0]) + np.eye(3))
@@ -780,8 +841,6 @@ def test_auto_product4_sphere3(rng):
 
 
 def test_auto_dim2_rejected():
-    from lcwcheck.dsl import parse_metric
-
     m = parse_metric("dim = 2\ng11 = 1\ng22 = 1\n")
     with pytest.raises(DimensionError):
         auto_test(m, np.zeros(2))
