@@ -15,12 +15,9 @@ from .bivectors import (
     PMSplit,
     bianchi_project,
     dimension_report,
-    discriminant_check,
-    hodge_star_matrix,
     operator_from_0_4,
     operator_to_0_4,
     phi_map,
-    pm_reassemble,
     pm_split,
     random_weyl_operator,
     ricci_contract,
@@ -30,7 +27,6 @@ from .bivectors import (
 )
 from .catalog import (
     CatalogEntry,
-    expected_truth,
     get_entry,
     list_catalog,
     r_cross_surface,
@@ -57,7 +53,6 @@ from .obstructions import (
     ObstructionConfig,
     ObstructionReport,
     auto_test,
-    classify_simplicity,
     cotton_york_test,
     eigenflag_residual,
     eigenflag_test,
@@ -67,13 +62,11 @@ from .perturbation import (
     CottonPrescription,
     CurvaturePrescription,
     PerturbResult,
-    cotton_L_map,
     normal_coordinates,
     prescribe_cotton_york,
     prescribe_curvature,
 )
 from .pipeline import (
-    ConformalFactor,
     TensorSnapshot,
     compute_snapshot,
     conformal_rescale,

@@ -132,42 +132,15 @@ def operator_to_0_4(op: CurvatureOperator) -> np.ndarray:
     return np.concatenate([flat, -flat, [0.0]])[_0_4_gather(op.dim)]
 
 
-def hodge_star_matrix(g=None, dim=None):
-    """Hodge star on bivectors.
-
-    dim 4: the involution on Lambda^2 in an oriented orthonormal frame
-    (matrix in the lex-pairs basis; its square is the identity).
-    dim 3: the map Lambda^2 -> Lambda^1 in coordinates,
-    star(dx^i ^ dx^j) = sum_k g_{lk} eps(i,j,l)/sqrt(det g) dx^k,
-    returned as a 3 x 3 matrix with rows indexed by lex pairs.
-    """
-    if g is not None:
-        g = np.asarray(g, dtype=float)
-        if dim is None:
-            dim = g.shape[0]
-    if dim not in (3, 4):
-        raise DimensionError("Hodge star implemented for dims 3 and 4 only")
-    if dim == 4:
-        pairs = lex_pairs(4)
-        m = len(pairs)
-        star = np.zeros((m, m))
-        for a, (i, j) in enumerate(pairs):
-            rest = [x for x in range(4) if x not in (i, j)]
-            k, l = rest
-            sign = _perm_sign((i, j, k, l))
-            star[pair_index(4)[(k, l)], a] = sign
-        return star
-    # dim 3 coordinate formula
-    if g is None:
-        g = np.eye(3)
-    from .pipeline import EPS3
-
-    sqrtdet = np.sqrt(np.linalg.det(g))
-    pairs = lex_pairs(3)
-    star = np.zeros((3, 3))
+def hodge_star_matrix():
+    """Hodge star on the bivectors of dim 4: the involution on Lambda^2 in
+    an oriented orthonormal frame (matrix in the lex-pairs basis; its
+    square is the identity)."""
+    pairs = lex_pairs(4)
+    star = np.zeros((len(pairs), len(pairs)))
     for a, (i, j) in enumerate(pairs):
-        for k in range(3):
-            star[a, k] = sum(g[l, k] * EPS3[i, j, l] for l in range(3)) / sqrtdet
+        k, l = [x for x in range(4) if x not in (i, j)]
+        star[pair_index(4)[(k, l)], a] = _perm_sign((i, j, k, l))
     return star
 
 
@@ -212,16 +185,6 @@ def pm_split(op: CurvatureOperator) -> PMSplit:
         z=b[:3, 3:],
         scalar_part=scalar_part,
     )
-
-
-def pm_reassemble(split: PMSplit) -> CurvatureOperator:
-    u = pm_basis_matrix()
-    b = np.zeros((6, 6))
-    b[:3, :3] = split.wplus + split.scalar_part * np.eye(3)
-    b[3:, 3:] = split.wminus + split.scalar_part * np.eye(3)
-    b[:3, 3:] = split.z
-    b[3:, :3] = split.z.T
-    return CurvatureOperator(dim=4, mat=u @ b @ u.T)
 
 
 def bianchi_project(op: CurvatureOperator) -> CurvatureOperator:
@@ -337,18 +300,6 @@ def rotate_operator(op: CurvatureOperator, rho) -> CurvatureOperator:
         raise NotOrthogonal("rotation matrix is not orthogonal")
     b = induced_rotation(rho, op.dim)
     return CurvatureOperator(dim=op.dim, mat=b @ op.mat @ b.T)
-
-
-def discriminant_check(op: CurvatureOperator) -> float:
-    """Discriminant of the characteristic polynomial of the operator:
-    product of squared eigenvalue differences; zero iff some eigenvalue
-    repeats."""
-    w = np.linalg.eigvalsh(op.mat)
-    out = 1.0
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            out *= (w[i] - w[j]) ** 2
-    return float(out)
 
 
 # -- eigenflag parametrization ------------------------------------------------

@@ -497,9 +497,3 @@ def get_entry(name) -> CatalogEntry:
         raise UnknownEntry(
             f"unknown catalog entry {name!r}; available: {', '.join(list_catalog())}"
         ) from None
-
-
-def expected_truth(name) -> dict:
-    """Stored ground-truth record for an entry (UnknownEntry if absent)."""
-    entry = get_entry(name)
-    return dict(entry.expected)

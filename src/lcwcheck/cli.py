@@ -312,6 +312,8 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
             _emit_perturb({"unchanged": True, "target_error": 0.0, "evaluation_point": p, "out": str(out_path)}, fmt)
             return
 
+        if n < 3:
+            raise DimensionError("perturb needs dim >= 3")
         wanted = None if target == "random" else _load_target(target, n)
         order = 3 if n == 3 else 2
         pl = JetPipeline(normal_coordinates(metric, p, radius, order), np.zeros(n), order)

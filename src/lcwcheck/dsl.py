@@ -494,17 +494,6 @@ def eval_expr_many(exprs, points) -> np.ndarray:
     return _Program(exprs).run(np.asarray(points, dtype=float))
 
 
-def eval_num(e, point) -> float:
-    """Value of the expression at ``point``."""
-    return float(eval_num_many(e, np.asarray(point, dtype=float)[None, :])[0])
-
-
-def eval_num_many(e, points) -> np.ndarray:
-    """Values (N,) of the expression at an (N, dim) batch of points: its
-    order-0 jets."""
-    return _Program([e]).run(np.asarray(points, dtype=float), 0)[0, :, 0]
-
-
 # --- tokenizer / parser -----------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -756,9 +745,6 @@ class MetricDef:
     components: tuple  # tuple of tuples of Expr, symmetric
     name: str = ""
     chart: str = ""
-
-    def component(self, i, j):
-        return self.components[i][j]
 
     def eval_matrix(self, point) -> np.ndarray:
         """Metric matrix at ``point``."""

@@ -29,7 +29,6 @@ import numpy as np
 
 from .bivectors import (
     CurvatureOperator,
-    hodge_star_matrix,
     lex_pairs,
     operator_from_0_4,
     operator_to_0_4,
@@ -418,60 +417,6 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
                     f"{newton} Newton steps) over {starts} starts. " + _FAIL_NOTE)
     report.note = f"minimum residual {fmin:.3e}" + tail + f" ({iters} iterations, converged={converged})"
     return report
-
-
-# -- simplicity classification (dim 4) ----------------------------------------
-
-
-@dataclass
-class SimplicityRecord:
-    eigenvalue: float
-    multiplicity: int
-    simple: bool | None  # None for degenerate eigenspaces
-    contains_simple: bool
-    wedge_square_range: tuple
-
-
-def classify_simplicity(op: CurvatureOperator, tol=1e-8):
-    """Per eigenvector of a dim-4 operator, decide whether it is simple
-    (omega ^ omega = 0, the Pluecker condition).  Degenerate eigenspaces
-    report whether they contain a simple direction, which follows from the
-    sign range of omega ^ omega on the eigenspace."""
-    if op.dim != 4:
-        raise DimensionError("simplicity classification needs dim 4")
-    vals, vecs = np.linalg.eigh(op.mat)
-    # omega ^ omega = 2 q(omega) vol with q = <omega, star omega>/2
-    qform = hodge_star_matrix(dim=4) / 2.0
-    scale = max(np.abs(vals).max(), 1.0)
-    groups = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[start] > tol * scale * 10:
-            groups.append((start, i))
-            start = i
-    out = []
-    for a, b in groups:
-        sub = vecs[:, a:b]
-        qsub = sub.T @ qform @ sub
-        mu = np.linalg.eigvalsh(qsub)
-        lo, hi = float(mu[0]), float(mu[-1])
-        mult = b - a
-        if mult == 1:
-            simple = bool(abs(lo) <= tol)
-            contains = simple
-        else:
-            simple = None
-            contains = bool(lo <= tol and hi >= -tol)
-        out.append(
-            SimplicityRecord(
-                eigenvalue=float(vals[a:b].mean()),
-                multiplicity=mult,
-                simple=simple,
-                contains_simple=contains,
-                wedge_square_range=(lo, hi),
-            )
-        )
-    return out
 
 
 # -- dimension 3: Cotton-York determinant test --------------------------------

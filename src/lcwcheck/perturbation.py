@@ -507,31 +507,14 @@ def a_index(i, j, k, l, m):
     return _PAIRS_IJ.index(pij) * len(_TRIPLES) + _TRIPLES.index(tkl)
 
 
-# a_index of every entry of the full (3, 3, 3, 3, 3) tensor, and the
-# first entry (in C order) of each of the 60 coefficients
+# a_index of every entry of the full (3, 3, 3, 3, 3) tensor
 _A_INDEX = np.array([a_index(*t) for t in itertools.product(range(3), repeat=5)]).reshape((3,) * 5)
-_A_FIRST = np.unique(_A_INDEX.reshape(-1), return_index=True)[1]
 
 
 def a_full(avec):
     """Expand the 60-vector into the fully symmetric A[i,j,k,l,m] lookup
     (trailing axes of ``avec`` carry over)."""
     return np.asarray(avec, dtype=float)[_A_INDEX]
-
-
-def _coerce_a(a):
-    a = np.asarray(a, dtype=float)
-    if a.shape == (A_SPACE_DIM,):
-        return a
-    if a.shape == (3, 3, 3, 3, 3):
-        avec = a.reshape(-1)[_A_FIRST]
-        if np.abs(a - avec[_A_INDEX]).max() > 1e-12 * max(1.0, np.abs(a).max()):
-            raise SymmetryViolation(
-                "coefficient tensor is not symmetric under "
-                "i<->j and permutations of (k,l,m)"
-            )
-        return avec
-    raise DimensionError("coefficients must be a 60-vector or a (3,3,3,3,3) array")
 
 
 def _cotton_of_full(af):
@@ -550,23 +533,17 @@ def _cotton_of_full(af):
     return out
 
 
-def cotton_L_map(a) -> np.ndarray:
-    """Linear map from bump coefficients to algebraic Cotton tensors:
+@lru_cache(maxsize=None)
+def l_matrix():
+    """The linear map L from bump coefficients to algebraic Cotton tensors,
 
     L(A)[n,a,b] = 1/2 (A_ka^{knb} - A_kn^{kab} - A_ab^{kkn} + A_nb^{kka})
                 - 1/4 (A_ki^{kin} - A_kk^{iin}) delta_ab
-                + 1/4 (A_ki^{kia} - A_kk^{iia}) delta_nb.
+                + 1/4 (A_ki^{kia} - A_kk^{iia}) delta_nb,
 
-    The output always satisfies the four Cotton identities with the
-    identity metric.
-    """
-    return _cotton_of_full(a_full(_coerce_a(a)))
-
-
-@lru_cache(maxsize=None)
-def l_matrix():
-    """L as a 27 x 60 matrix: the images of the 60 unit coefficient
-    vectors, all at once."""
+    as a 27 x 60 matrix: the images of the 60 unit coefficient vectors, all
+    at once.  Every image satisfies the four Cotton identities with the
+    identity metric."""
     return _cotton_of_full(a_full(np.eye(A_SPACE_DIM))).reshape(27, A_SPACE_DIM)
 
 

@@ -302,17 +302,10 @@ class JetPipeline:
 # -- public operations --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConformalFactor:
-    """Exponent f in the rescaling g -> e^{2f} g."""
-
-    f: object  # Expr
-
-
 def conformal_rescale(metric: MetricDef, factor) -> MetricDef:
-    """New MetricDef with components e^{2f} g_ij."""
-    f = factor.f if isinstance(factor, ConformalFactor) else factor
-    scale = Call("exp", (Mul(Num(2.0), f),))
+    """New MetricDef with components e^{2f} g_ij, where the expression
+    ``factor`` is the exponent f."""
+    scale = Call("exp", (Mul(Num(2.0), factor),))
     comp = tuple(
         tuple(Mul(scale, metric.components[i][j]) for j in range(metric.dim))
         for i in range(metric.dim)
@@ -341,11 +334,6 @@ class TensorSnapshot:
     cotton: np.ndarray
     cotton_york: np.ndarray | None = None  # dim 3 only
     div_weyl: np.ndarray | None = None  # dim >= 4 only
-
-    def weyl13(self) -> np.ndarray:
-        """(1,3) Weyl tensor W^a_{jkl} = g^{am} W_{mjkl} (conformally
-        invariant)."""
-        return np.einsum("am,mjkl->ajkl", self.g_inv, self.weyl04)
 
     def check_invariants(self, rtol=1e-9):
         """Verify the algebraic identities every snapshot must satisfy.

@@ -9,7 +9,6 @@ from lcwcheck.bivectors import (
     EigenflagParams,
     bianchi_project,
     dimension_report,
-    discriminant_check,
     hodge_star_matrix,
     induced_rotation,
     lex_pairs,
@@ -18,7 +17,6 @@ from lcwcheck.bivectors import (
     pair_index,
     phi_map,
     pm_basis_matrix,
-    pm_reassemble,
     pm_split,
     random_weyl_operator,
     ricci_contract,
@@ -173,25 +171,15 @@ def test_operator_gram_schmidt_frame(rng):
 
 
 def test_hodge_dim4_examples():
-    star = hodge_star_matrix(dim=4)
+    star = hodge_star_matrix()
     pi = pair_index(4)
     e12 = np.zeros(6)
     e12[pi[(0, 1)]] = 1.0
     assert np.allclose(star @ e12, np.eye(6)[pi[(2, 3)]])
     assert np.abs(star @ star - np.eye(6)).max() == 0.0
-
-
-def test_hodge_dim3_euclidean():
-    star = hodge_star_matrix(np.eye(3))
-    pi = pair_index(3)
-    # star(dx1 ^ dx2) = dx3
-    assert np.allclose(star[pi[(0, 1)]], [0, 0, 1])
-    assert np.allclose(star[pi[(0, 2)]], [0, -1, 0])
-
-
-def test_hodge_dim5_rejected():
-    with pytest.raises(DimensionError):
-        hodge_star_matrix(dim=5)
+    # the self-dual and anti-self-dual bases are its +1 and -1 eigenvectors
+    u = pm_basis_matrix()
+    assert np.array_equal(star @ u, u * [1, 1, 1, -1, -1, -1])
 
 
 # --- plus/minus splitting ----------------------------------------------------------
@@ -225,12 +213,22 @@ def test_pm_split_random_weyl(rng):
 def test_pm_reassemble_round_trip(rng):
     mat = rng.standard_normal((6, 6))
     op = CurvatureOperator(dim=4, mat=(mat + mat.T) / 2)
-    sp = pm_split(op)
     # reassembly is exact for algebraic curvature operators; project first
-    opc = bianchi_project(op)
-    opc = CurvatureOperator(dim=4, mat=op.mat - opc.mat)
-    back = pm_reassemble(pm_split(opc))
-    assert np.abs(back.mat - opc.mat).max() <= 1e-12
+    opc = CurvatureOperator(dim=4, mat=op.mat - bianchi_project(op).mat)
+    sp = pm_split(opc)
+    b = np.block([[sp.wplus, sp.z], [sp.z.T, sp.wminus]]) + sp.scalar_part * np.eye(6)
+    u = pm_basis_matrix()
+    assert np.abs(u @ b @ u.T - opc.mat).max() <= 1e-12
+
+
+def test_pm_split_phi_images_are_isospectral(rng):
+    # W+ and W- of a dim-4 flag-invariant operator have one spectrum, so
+    # every eigenvalue of the operator repeats
+    for _ in range(5):
+        sp = pm_split(phi_map(sample_eigenflag_params(4, rng)))
+        scale = max(np.abs(sp.wplus).max(), np.abs(sp.wminus).max())
+        gap = np.linalg.eigvalsh(sp.wplus) - np.linalg.eigvalsh(sp.wminus)
+        assert np.abs(gap).max() <= 1e-12 * scale
 
 
 # --- Bianchi projector and Ricci contraction -----------------------------------------
@@ -246,7 +244,7 @@ def test_bianchi_annihilates_curvature():
 
 
 def test_bianchi_fixes_four_form():
-    star = hodge_star_matrix(dim=4)  # the 4-form generator as an operator
+    star = hodge_star_matrix()  # the 4-form generator as an operator
     op = CurvatureOperator(dim=4, mat=star)
     assert np.abs(bianchi_project(op).mat - star).max() <= 1e-13
 
@@ -429,33 +427,6 @@ def test_rotate_rejects_non_orthogonal(rng):
     op = random_weyl_operator(4, rng)
     with pytest.raises(NotOrthogonal):
         rotate_operator(op, np.eye(4) * 1.01)
-
-
-# --- discriminant ------------------------------------------------------------------------
-
-
-def test_discriminant_distinct():
-    op = CurvatureOperator(dim=4, mat=np.diag([1.0, 2, 3, 4, 5, 6]))
-    assert discriminant_check(op) > 0.0
-
-
-def test_discriminant_cp2_zero():
-    # eigenvalues (4, -2, -2, 0, 0, 0) of the Weyl part repeat
-    u = pm_basis_matrix()
-    b = np.zeros((6, 6))
-    b[:3, :3] = np.diag([4.0, -2.0, -2.0])
-    op = CurvatureOperator(dim=4, mat=u @ b @ u.T)
-    assert discriminant_check(op) == pytest.approx(0.0, abs=1e-20)
-
-
-def test_discriminant_phi_images_dim4(rng):
-    # each eigenvalue of a dim-4 flag-invariant operator appears in both
-    # blocks, so the discriminant vanishes
-    for _ in range(5):
-        params = sample_eigenflag_params(4, rng)
-        w = phi_map(params)
-        scale = np.abs(np.linalg.eigvalsh(w.mat)).max() ** 2 or 1.0
-        assert abs(discriminant_check(w)) <= 1e-10 * scale**15
 
 
 # --- dimension arithmetic -----------------------------------------------------------------

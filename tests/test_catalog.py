@@ -8,7 +8,6 @@ from lcwcheck.catalog import (
     DEFAULT_SURFACE_FACTOR,
     THURSTON_NAMES,
     cp2_curvature,
-    expected_truth,
     get_entry,
     list_catalog,
     nil_expected_tensors,
@@ -33,7 +32,7 @@ def test_catalog_contains_thurston_and_extensions():
 
 def test_unknown_entry():
     with pytest.raises(UnknownEntry):
-        expected_truth("klein_bottle")
+        get_entry("klein_bottle")
 
 
 def test_sol_entry_stores_expected_metric():
@@ -58,14 +57,14 @@ def test_sl2r_entry_coefficients():
 
 
 def test_expected_truth_records():
-    assert expected_truth("nil")["lcw"] == "none"
-    assert expected_truth("nil")["det_cy"] == pytest.approx(-0.25)
-    assert expected_truth("sl2r")["lcw"] == "none"
-    assert expected_truth("sl2r")["det_cy_at_origin"] == 16.0
-    assert expected_truth("sphere3")["lcw"] == "exists"
-    assert expected_truth("sphere3")["conformally_flat"] is True
-    assert expected_truth("sol")["det_cy"] == 0.0
-    assert isinstance(expected_truth("nil")["provenance"], str)
+    assert get_entry("nil").expected["lcw"] == "none"
+    assert get_entry("nil").expected["det_cy"] == pytest.approx(-0.25)
+    assert get_entry("sl2r").expected["lcw"] == "none"
+    assert get_entry("sl2r").expected["det_cy_at_origin"] == 16.0
+    assert get_entry("sphere3").expected["lcw"] == "exists"
+    assert get_entry("sphere3").expected["conformally_flat"] is True
+    assert get_entry("sol").expected["det_cy"] == 0.0
+    assert isinstance(get_entry("nil").expected["provenance"], str)
 
 
 def test_pipeline_reproduces_stored_tensors(rng):
@@ -111,7 +110,7 @@ def test_cp2_expected_record():
     assert np.allclose(sorted(eig), sorted([6, 0, 0, 2, 2, 2]), atol=1e-12)
     ric = ricci_contract(op)
     assert np.abs(ric - 6 * np.eye(4)).max() <= 1e-12  # Einstein
-    truth = expected_truth("cp2_chart")
+    truth = get_entry("cp2_chart").expected
     assert np.allclose(sorted(eig), sorted(truth["operator_eigenvalues"]), atol=1e-12)
     assert truth["eigenflag"] is False
     assert truth["scalar"] == 24.0

@@ -253,7 +253,26 @@ def test_perturb_positivity_exit_4(tmp_path):
     assert r.exit_code == 4
 
 
-TARGET_METRICS = [("sol", "0.1,0.1,0.1"), ("product4_nil", "0.1,0.1,0.1,0.1")]
+@pytest.mark.parametrize("target", ["random", "file", "same"])
+def test_perturb_below_dim_3_exits_3_unless_the_target_is_same(tmp_path, target):
+    """A dim-2 metric has no Weyl or Cotton-York tensor to prescribe: a
+    random or file target exits 3 with one error line, and 'same' still
+    copies the metric."""
+    src, out = tmp_path / "flat2.metric", tmp_path / "out.metric"
+    src.write_text("dim = 2\ng11 = 1 + x2^2\ng22 = 1\n")
+    if target == "file":
+        target = str(tmp_path / "target.json")
+        pathlib.Path(target).write_text('{"weyl": [[0.0]]}')
+    r = runner.invoke(main, ["perturb", "--metric", str(src), "--target", target, "--out", str(out)])
+    if target == "same":
+        assert r.exit_code == 0 and out.exists()
+    else:
+        assert r.exit_code == 3
+        assert r.stdout == "" and r.stderr == "error: perturb needs dim >= 3\n"
+        assert not out.exists()
+
+
+TARGET_METRICS =[("sol", "0.1,0.1,0.1"), ("product4_nil", "0.1,0.1,0.1,0.1")]
 
 
 @pytest.mark.parametrize("metric, point", TARGET_METRICS, ids=["cy", "weyl"])
@@ -289,7 +308,7 @@ def test_perturb_weyl_target_that_is_not_a_weyl_operator_exit_3(tmp_path, kind):
     part.  Neither is a Weyl operator, so neither is a target."""
     from lcwcheck.bivectors import hodge_star_matrix
 
-    mat = np.eye(6) if kind == "identity" else hodge_star_matrix(dim=4)
+    mat = np.eye(6) if kind == "identity" else hodge_star_matrix()
     target, out = tmp_path / "target.json", tmp_path / "out.metric"
     target.write_text(json.dumps({"weyl": mat.tolist()}))
     r = runner.invoke(

@@ -2,7 +2,8 @@
 metric text against the exit-code contract: every run ends in a
 documented exit code (0/2/3/4/10/11), prints no traceback and raises no
 Python warning; a verdict or result on stdout (exit 0, 10 or 11) is
-strict JSON, and an error (exit 2, 3 or 4) leaves stdout empty."""
+strict JSON, or in the table format is not empty, and an error (exit 2,
+3 or 4) leaves stdout empty."""
 
 import json
 import os
@@ -28,14 +29,17 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-def assert_contract(args):
+def assert_contract(args, fmt="json"):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning becomes an exception: exit 1
         r = runner.invoke(main, args)
     assert r.exit_code in EXIT_CODES, (args, r.exit_code, r.exception)
     assert "Traceback" not in r.output and "Warning" not in r.stderr, args
     if r.exit_code in (0, 10, 11):  # a verdict or a result
-        json.loads(r.stdout, parse_constant=_reject_constant)
+        if fmt == "json":
+            json.loads(r.stdout, parse_constant=_reject_constant)
+        else:
+            assert r.stdout.strip(), args
     else:
         assert r.stdout == "", args
 
@@ -258,17 +262,20 @@ def _right_points(dim):
 
 
 def metric_cases(*rest):
-    """(text, point, *rest): no point (the origin) or a point of the
-    metric's dimension (the numeric options fuzz the others)."""
-    return metric_texts().flatmap(lambda m: st.tuples(st.just(m[1]), st.one_of(st.none(), _right_points(m[0])), *rest))
+    """(text, point, format, *rest): no point (the origin) or a point of
+    the metric's dimension (the numeric options fuzz the others), and one
+    output format of the two."""
+    return metric_texts().flatmap(
+        lambda m: st.tuples(st.just(m[1]), st.one_of(st.none(), _right_points(m[0])), st.sampled_from(["json", "table"]), *rest)
+    )
 
 
-def _contract_on_metric_file(command, text, *options):
+def _contract_on_metric_file(command, text, fmt, *options):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.metric")
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
-        assert_contract([command, "--metric", path, "--format", "json", *options])
+        assert_contract([command, "--metric", path, "--format", fmt, *options], fmt)
 
 
 # A Weyl tensor near 1e-200 (it read as vanishing: exit 0) and Cotton-York
@@ -292,23 +299,23 @@ RIEMANN_NOT_FINITE = "dim = 4\ng11 = exp(x1)\ng12 = x1\ng13 = x1\ng14 = x1\ng22 
 
 @settings(max_examples=120, deadline=None)
 @given(case=metric_cases(st.sampled_from(["auto"] * 8 + ["eigenflag", "cotton-york"])))
-@example(case=(TINY_WEYL, None, "auto"))
-@example(case=(SCALED_SOL, None, "auto"))
-@example(case=(HUGE_CY_RANK_2, None, "cotton-york"))
-@example(case=(HUGE_CY_DET, None, "auto"))
-@example(case=(HUGE_CY_NORM, None, "auto"))
-@example(case=(WEYL_NOT_FINITE, None, "auto"))
-@example(case=(CONDITION_OVERFLOWS, "0.0,3.3345295263929984e-167,0.0,0.0", "auto"))
+@example(case=(TINY_WEYL, None, "json", "auto"))
+@example(case=(SCALED_SOL, None, "json", "auto"))
+@example(case=(HUGE_CY_RANK_2, None, "json", "cotton-york"))
+@example(case=(HUGE_CY_DET, None, "json", "auto"))
+@example(case=(HUGE_CY_NORM, None, "json", "auto"))
+@example(case=(WEYL_NOT_FINITE, None, "json", "auto"))
+@example(case=(CONDITION_OVERFLOWS, "0.0,3.3345295263929984e-167,0.0,0.0", "json", "auto"))
 def test_check_on_metric_text_keeps_the_contract(case):
-    text, point, test = case
-    _contract_on_metric_file("check", text, "--test", test, *_option("point", point))
+    text, point, fmt, test = case
+    _contract_on_metric_file("check", text, fmt, "--test", test, *_option("point", point))
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=metric_cases())
-@example(case=(SCALED_SOL, None))
-@example(case=(HUGE_CY_DET, None))
-@example(case=(RIEMANN_NOT_FINITE, None))
+@example(case=(SCALED_SOL, None, "json"))
+@example(case=(HUGE_CY_DET, None, "json"))
+@example(case=(RIEMANN_NOT_FINITE, None, "json"))
 def test_tensors_on_metric_text_keeps_the_contract(case):
-    text, point = case
-    _contract_on_metric_file("tensors", text, *_option("point", point))
+    text, point, fmt = case
+    _contract_on_metric_file("tensors", text, fmt, *_option("point", point))

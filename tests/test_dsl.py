@@ -15,14 +15,20 @@ from lcwcheck.dsl import (
     Pow,
     Sub,
     Var,
+    _Program,
     eval_expr,
-    eval_num,
     expr_to_text,
     metric_to_text,
     parse_expr,
     parse_metric,
 )
 from lcwcheck.errors import ParseError
+
+
+def _value(e, point):
+    """The value of ``e`` at ``point``: its order-0 jet, the evaluation the
+    positivity grid runs."""
+    return _Program([e]).run(np.array([point], dtype=float), 0)[0, 0, 0]
 
 SOL_TEXT = """
 dim = 3
@@ -139,15 +145,15 @@ def test_grammar_precedence():
     # '-' binds inside '^' per the grammar: -x1^2 is (-x1)^2
     e = parse_expr("-x1^2")
     assert e == Pow(Neg(Var(0)), 2)
-    assert eval_num(e, (3.0,)) == 9.0
-    assert eval_num(parse_expr("-(x1^2)"), (3.0,)) == -9.0
-    assert eval_num(parse_expr("2 + 3 * 4"), (0.0,)) == 14.0
-    assert eval_num(parse_expr("2 * 3 ^ 2"), (0.0,)) == 18.0
-    assert eval_num(parse_expr("8 / 4 / 2"), (0.0,)) == 1.0
+    assert _value(e, (3.0,)) == 9.0
+    assert _value(parse_expr("-(x1^2)"), (3.0,)) == -9.0
+    assert _value(parse_expr("2 + 3 * 4"), (0.0,)) == 14.0
+    assert _value(parse_expr("2 * 3 ^ 2"), (0.0,)) == 18.0
+    assert _value(parse_expr("8 / 4 / 2"), (0.0,)) == 1.0
 
 
 def test_negative_exponent():
-    assert eval_num(parse_expr("x1^-2"), (2.0,)) == 0.25
+    assert _value(parse_expr("x1^-2"), (2.0,)) == 0.25
 
 
 # --- random expression trees for the printer round trip ------------------------
@@ -188,9 +194,9 @@ def test_smoothbump_round_trip_and_junctions():
     e = parse_expr("smoothbump(x1^2 + x2^2, 0.25, 1)")
     assert parse_expr(expr_to_text(e)) == e
     # plateau, decay region, outside
-    assert eval_num(e, (0.1, 0.0)) == 1.0
-    assert eval_num(e, (2.0, 0.0)) == 0.0
-    mid = eval_num(e, (0.7, 0.0))
+    assert _value(e, (0.1, 0.0)) == 1.0
+    assert _value(e, (2.0, 0.0)) == 0.0
+    mid = _value(e, (0.7, 0.0))
     assert 0.0 < mid < 1.0
     # order-3 jets agree across the inner junction (C^3 matching)
     inner = np.sqrt(0.25)
@@ -217,7 +223,7 @@ def test_let_names_share_one_expression():
     assert s2.a.a is s2.a.b is m.components[1][1].b
     p = (0.3, -0.7)
     s1 = np.exp(0.3) + np.sin(-0.7) * 0.3
-    assert eval_num(m.components[1][1], p) == pytest.approx(s1 * s1 + 1 + s1, rel=1e-15)
+    assert _value(m.components[1][1], p) == pytest.approx(s1 * s1 + 1 + s1, rel=1e-15)
 
 
 def test_let_sharing_survives_a_round_trip():

@@ -9,10 +9,9 @@ from click.testing import CliRunner
 
 from lcwcheck.cli import main
 from lcwcheck.dsl import (
+    _Program,
     eval_expr,
     eval_expr_many,
-    eval_num,
-    eval_num_many,
     expr_to_text,
     max_var_index,
     parse_expr,
@@ -45,7 +44,7 @@ def test_sum_of_1e5_nodes_parses_evaluates_and_round_trips():
     text = "1" + " + x1" * (terms - 1)
     e = parse_expr(text)
     assert max_var_index(e) == 0 and used_vars(e) == {0}
-    assert eval_num(e, (0.5, 0.25)) == 1 + 0.5 * (terms - 1)
+    assert _Program([e]).run(np.array([[0.5, 0.25]]), 0)[0, 0, 0] == 1 + 0.5 * (terms - 1)
     jet = eval_expr(e, (0.5, 0.25))
     assert jet[0] == 1 + 0.5 * (terms - 1)
     assert np.array_equal(jet[jet_space(2).unit], [terms - 1, 0.0])
@@ -55,7 +54,7 @@ def test_sum_of_1e5_nodes_parses_evaluates_and_round_trips():
     # substitution stays iterative too: x1 -> x2 everywhere
     moved = substitute(e, {0: Var(1)})
     assert used_vars(moved) == {1}
-    assert eval_num(moved, (0.25, 0.5)) == 1 + 0.5 * (terms - 1)
+    assert _Program([moved]).run(np.array([[0.25, 0.5]]), 0)[0, 0, 0] == 1 + 0.5 * (terms - 1)
 
 
 @pytest.mark.parametrize("text", ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1"])
@@ -101,7 +100,9 @@ def test_batched_jets_equal_single_point_jets_bit_for_bit(dim):
     for k, e in enumerate(exprs):
         for b, p in enumerate(points):
             assert np.array_equal(batched[k, b], eval_expr(e, p)), (BATCH_EXPRS[k], p)
-        assert np.array_equal(eval_num_many(e, points), [eval_num(e, p) for p in points])
+        program = _Program([e])
+        values = program.run(points, 0)[0, :, 0]
+        assert np.array_equal(values, [program.run(p[None], 0)[0, 0, 0] for p in points])
 
 
 # --- the CLI on a metric with a 3000-term entry ---------------------------------

@@ -1,11 +1,12 @@
-"""Obstruction decision procedures: eigenflag residual and test, simplicity
-classification, Cotton-York determinant test, degenerate-plane recovery."""
+"""Obstruction decision procedures: eigenflag residual and test, simple
+eigenbivectors, Cotton-York determinant test, degenerate-plane recovery."""
 
 import numpy as np
 import pytest
 
 from lcwcheck.bivectors import (
     CurvatureOperator,
+    hodge_star_matrix,
     lex_pairs,
     operator_from_0_4,
     phi_map,
@@ -26,7 +27,6 @@ from lcwcheck.obstructions import (
     PLATEAU_WINDOW,
     ObstructionConfig,
     auto_test,
-    classify_simplicity,
     cotton_york_test,
     eigenflag_residual,
     eigenflag_test,
@@ -634,51 +634,55 @@ def test_sos_bound_runs_once_and_only_on_a_fails_band(rng, monkeypatch):
     assert bands == {True, None, False}
 
 
-# --- simplicity classification ---------------------------------------------------
+# --- simple eigenbivectors -------------------------------------------------------
+# A dim-4 bivector w is simple (w = a ^ b) iff w ^ w = 0, the Pluecker
+# condition, and w ^ w = 2 q(w) vol with q(w) = <w, *w> / 2.
+
+
+def _pluecker_ranges(op):
+    """(eigenvalue, multiplicity, min q, max q) over the unit sphere of each
+    eigenspace of a dim-4 operator: an eigenspace holds a simple bivector
+    iff its range of q contains 0."""
+    vals, vecs = np.linalg.eigh(op.mat)
+    tol = 1e-7 * max(np.abs(vals).max(), 1.0)
+    groups = sorted({tuple(np.flatnonzero(np.abs(vals - v) <= tol)) for v in vals})
+    q = hodge_star_matrix() / 2.0
+    out = []
+    for group in groups:
+        sub = vecs[:, list(group)]
+        mu = np.linalg.eigvalsh(sub.T @ q @ sub)
+        out.append((vals[group[0]], len(group), mu[0], mu[-1]))
+    return out
 
 
 def test_simplicity_plain_bivectors():
-    # operator with eigenvector e1^e2 (simple) and e1^e2 + e3^e4 patterns
+    # an operator with eigenvector e1^e2 (simple), eigenvalue 3
     m = np.zeros((6, 6))
-    m[0, 0] = 3.0  # e1^e2 eigenvector, eigenvalue 3
-    op = CurvatureOperator(dim=4, mat=m)
-    recs = classify_simplicity(op)
-    big = [r for r in recs if abs(r.eigenvalue - 3.0) < 1e-9]
-    assert len(big) == 1 and big[0].simple is True
+    m[0, 0] = 3.0
+    lam, mult, lo, hi = _pluecker_ranges(CurvatureOperator(dim=4, mat=m))[-1]
+    assert (lam, mult) == (3.0, 1) and abs(lo) <= 1e-12 and abs(hi) <= 1e-12
 
     u = pm_basis_matrix()
     b = np.zeros((6, 6))
     b[0, 0] = 2.0  # phi_1 = e1^e2 + e3^e4, self-dual: not simple
-    op2 = CurvatureOperator(dim=4, mat=u @ b @ u.T)
-    recs2 = classify_simplicity(op2)
-    big2 = [r for r in recs2 if abs(r.eigenvalue - 2.0) < 1e-9]
-    assert len(big2) == 1 and big2[0].simple is False
+    lam, mult, lo, hi = _pluecker_ranges(CurvatureOperator(dim=4, mat=u @ b @ u.T))[-1]
+    assert lam == pytest.approx(2.0) and mult == 1
+    assert lo == pytest.approx(0.5) and hi == pytest.approx(0.5)
 
 
 def test_simplicity_cp2_all_nonsimple():
-    recs = classify_simplicity(_cp2_weyl())
-    for r in recs:
-        if r.multiplicity == 1:
-            assert r.simple is False
-        else:
-            assert r.contains_simple is False
+    # no eigenspace holds a simple bivector: q keeps one sign on each
+    for _, _, lo, hi in _pluecker_ranges(_cp2_weyl()):
+        assert lo > 1e-8 or hi < -1e-8
 
 
 def test_simplicity_phi_images(rng):
     # flag-invariant operators have at least n-1 = 3 independent simple
-    # eigenbivectors: every eigenvalue group must contain simple directions
+    # eigenbivectors: the eigenspaces that hold a simple direction span
+    # at least 3 dimensions
     for _ in range(5):
-        params = sample_eigenflag_params(4, rng)
-        recs = classify_simplicity(phi_map(params))
-        n_simple_capacity = sum(
-            r.multiplicity for r in recs if r.contains_simple
-        )
-        assert n_simple_capacity >= 3
-
-
-def test_simplicity_dim5_rejected(rng):
-    with pytest.raises(DimensionError):
-        classify_simplicity(random_weyl_operator(5, rng))
+        ranges = _pluecker_ranges(phi_map(sample_eigenflag_params(4, rng)))
+        assert sum(mult for _, mult, lo, hi in ranges if lo <= 1e-8 and hi >= -1e-8) >= 3
 
 
 # --- Cotton-York test -------------------------------------------------------------
@@ -721,7 +725,7 @@ def test_cotton_york_sol_plane_conditions(rng):
 
 def test_cotton_york_rescale_invariance():
     from lcwcheck.dsl import Num
-    from lcwcheck.pipeline import ConformalFactor, conformal_rescale
+    from lcwcheck.pipeline import conformal_rescale
 
     import math
 
@@ -729,7 +733,7 @@ def test_cotton_york_rescale_invariance():
         m = get_entry(name).metric
         p = (0.2, 0.1, -0.3)
         for lam in (0.5, 2.0):
-            m2 = conformal_rescale(m, ConformalFactor(Num(0.5 * math.log(lam))))
+            m2 = conformal_rescale(m, Num(0.5 * math.log(lam)))
             rep = cotton_york_test(m2, p)
             assert (rep.verdict is True) == want, (name, lam)
 

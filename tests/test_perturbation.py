@@ -28,7 +28,6 @@ from lcwcheck.perturbation import (
     _grid_points,
     a_full,
     a_index,
-    cotton_L_map,
     cy_to_cotton,
     l_matrix,
     normal_coordinates,
@@ -162,7 +161,7 @@ def test_quadratic_bump_degree_bookkeeping(rng):
 
 
 def test_l_map_zero():
-    assert np.abs(cotton_L_map(np.zeros(A_SPACE_DIM))).max() == 0.0
+    assert np.abs(l_matrix() @ np.zeros(A_SPACE_DIM)).max() == 0.0
 
 
 def test_l_map_rank_five():
@@ -185,25 +184,19 @@ def test_l_map_listed_basis_images_independent():
     for i, j, klm in listed:
         e = np.zeros(A_SPACE_DIM)
         e[a_index(i - 1, j - 1, *(x - 1 for x in klm))] = 1.0
-        rows.append(cotton_L_map(e).reshape(-1))
+        rows.append(l_matrix() @ e)
     assert np.linalg.matrix_rank(np.array(rows), tol=1e-10) == 5
 
 
 def test_l_map_output_satisfies_cotton_symmetries(rng):
     for _ in range(5):
-        c = cotton_L_map(rng.standard_normal(A_SPACE_DIM))
+        c = (l_matrix() @ rng.standard_normal(A_SPACE_DIM)).reshape(3, 3, 3)
         scale = max(np.abs(c).max(), 1.0)
         assert np.abs(c + c.transpose(1, 0, 2)).max() <= 1e-13 * scale
         cyc = c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1)
         assert np.abs(cyc).max() <= 1e-13 * scale
         assert np.abs(np.einsum("iik->k", c)).max() <= 1e-13 * scale
         assert np.abs(np.einsum("iji->j", c)).max() <= 1e-13 * scale
-
-
-def test_l_map_full_tensor_input_symmetry_check(rng):
-    bad = rng.standard_normal((3, 3, 3, 3, 3))
-    with pytest.raises(SymmetryViolation):
-        cotton_L_map(bad)
 
 
 def test_a_space_dimension():
