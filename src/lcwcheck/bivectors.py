@@ -106,9 +106,10 @@ def operator_from_0_4(r4, g=None, tol=1e-8) -> CurvatureOperator:
     _check_curvature_symmetries(r4, tol)
     if g is not None:
         e = orthonormal_frame(g)
-        # each pass contracts the leading index and appends the frame index
+        # each pass contracts the leading index and appends the frame index:
+        # np.tensordot(r4, e, ([0], [0]))'s own product, without its set-up
         for _ in range(4):
-            r4 = np.tensordot(r4, e, ([0], [0]))
+            r4 = np.dot(r4.transpose(1, 2, 3, 0).reshape(-1, n), e).reshape(n, n, n, n)
     return CurvatureOperator(dim=n, mat=_lex_pair_matrix(r4))
 
 

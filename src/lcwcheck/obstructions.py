@@ -29,9 +29,9 @@ import numpy as np
 
 from .bivectors import (
     CurvatureOperator,
-    lex_pairs,
+    _0_4_gather,
+    _pair_grid,
     operator_from_0_4,
-    operator_to_0_4,
     orthonormal_frame,
     pm_split,
 )
@@ -147,7 +147,7 @@ def _sym2_pairs(n):
 def _residual_form(w, n):
     """(R, a, b): row (a, b), a <= b, of R is C[a, b, :, :] flattened, times
     the count of orderings of (a, b), so F(v) = sum R v_a v_b v_c v_d."""
-    t = operator_to_0_4(CurvatureOperator(dim=n, mat=w))
+    t = np.concatenate([w.ravel(), -w.ravel(), [0.0]])[_0_4_gather(n)]  # T of the symmetric w
     u = t.transpose(1, 2, 0, 3).reshape(n * n, n * n)  # u[(p, i), (k, m)] = T[k, p, i, m]
     k = (u @ u.T).reshape(n, n, n, n)  # ||J_v||^2 = K(v, v, v, v)
     md = np.multiply.outer(np.einsum("lilj->ij", k), np.eye(n))  # M (x) I
@@ -188,10 +188,10 @@ def eigenflag_residual(op: CurvatureOperator, v) -> float:
 def _eigen_candidate_starts(vecs, n):
     """Factor (near-)simple eigenvectors of W (columns of ``vecs``) into
     plane vectors; these are high-quality starting points for the flag search."""
-    i, j = np.array(lex_pairs(n)).T
+    i, j = _pair_grid(n)[:2]  # the lex pairs as (m, 1) index columns
     a = np.zeros((vecs.shape[1], n, n))
-    a[:, i, j] = vecs.T
-    a[:, j, i] = -vecs.T
+    a[:, i, j] = vecs.T[..., None]
+    a[:, j, i] = -vecs.T[..., None]
     u = np.linalg.svd(a)[0]  # (N, n, n); the plane is u[:, :, :2]
     return u[:, :, :2].transpose(0, 2, 1).reshape(-1, n)
 
@@ -294,18 +294,29 @@ def _sos_bound(form, n, target, wsq):
         tau *= 30.0 if centred else 1.0
 
 
+@lru_cache(maxsize=8)  # check --starts allows 100 000 starts, 4.8 MB in dim 6
+def _unit_starts(seed, starts, n):
+    """The seeded random unit starts of the search, shared read-only."""
+    v = np.random.default_rng(seed).standard_normal((starts, n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v.setflags(write=False)
+    return v
+
+
 def _minimize_residual(form, n, scale, config, vecs):
     """Multi-start projected gradient descent on the sphere, for a witness of
     a pass: (best residual, best v, iterations, converged flag) of ``form``,
     the residual of an operator with ||W||^2 = ``scale``, deterministic for a
-    fixed seed.  Stops at the first minimum <= tol_rel * scale, at its first
-    plateau (the minimum above PLATEAU_RATIO of its value PLATEAU_WINDOW steps
-    before), at MAX_ITER or once no start is active.  It proves nothing: the
-    certificate of a "fails" runs after it, in ``eigenflag_test``."""
-    rng = np.random.default_rng(config.seed)
-    starts = rng.standard_normal((config.starts, n))
-    v = np.vstack([starts, _eigen_candidate_starts(vecs, n)])
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    fixed seed: the random starts are drawn once per (seed, starts, n) and
+    shared read-only (``_unit_starts``).  Stops at the first minimum <=
+    tol_rel * scale, at its first plateau (the minimum above PLATEAU_RATIO of
+    its value PLATEAU_WINDOW steps before) or at MAX_ITER, all tested before
+    any per-start bookkeeping (a start that meets acceptance returns at once),
+    else once no start is active.  It proves nothing: the certificate of a
+    "fails" runs after it, in ``eigenflag_test``."""
+    cand = _eigen_candidate_starts(vecs, n)
+    cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+    v = np.vstack([_unit_starts(config.seed, config.starts, n), cand])
     accept = config.tol_rel * scale
     gtol_sq = (GRAD_TOL * scale) ** 2
 
@@ -319,10 +330,12 @@ def _minimize_residual(form, n, scale, config, vecs):
     history = [float(f.min())]  # the minimum after each step
     while True:
         it, fmin = len(history) - 1, history[-1]
+        if (fmin <= accept or it == MAX_ITER
+                or it >= PLATEAU_WINDOW and fmin > PLATEAU_RATIO * history[-1 - PLATEAU_WINDOW]):
+            break
         active &= np.einsum("bi,bi->b", rgrad, rgrad) > gtol_sq
         active &= step > 1e-18 / scale
-        if (fmin <= accept or it == MAX_ITER or not active.any()
-                or it >= PLATEAU_WINDOW and fmin > PLATEAU_RATIO * history[-1 - PLATEAU_WINDOW]):
+        if not active.any():
             break
         idx = slice(None) if active.all() else np.flatnonzero(active)  # whole batch, or gather
         trial = v[idx] - step[idx, None] * rgrad[idx]

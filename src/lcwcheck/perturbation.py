@@ -102,10 +102,12 @@ def _poly_taylor(coeffs, points, order=3):
     The coefficient of t^alpha (|alpha| = j) in c_d(y + t, ...) is
     C(d, j) j!/alpha! c_d(alpha, y, ..., y).  Each contraction sums one
     axis of length n in a fixed order, so a point's bits do not depend on
-    its batch."""
+    its batch.  At the one point y = 0 only j = d is not zero: each c_d is
+    gathered into its slots, and no zero is summed (same bits if finite)."""
     points = np.asarray(points, dtype=float)
     npts, n = points.shape
     table = _monomials(n)
+    origin = npts == 1 and not points.any()
     out = None
     for d, c in enumerate(coeffs):
         if c is None:
@@ -120,12 +122,13 @@ def _poly_taylor(coeffs, points, order=3):
             elif j <= order:
                 slots, idx, mult = table[j]
                 out[..., slots] += math.comb(d, j) * mult * t[(..., *idx)]
-            if j:
-                y = points.reshape(npts, *[1] * (t.ndim - 2), n)
-                acc = t[..., 0] * y[..., 0]
-                for k in range(1, n):
-                    acc += t[..., k] * y[..., k]
-                t = acc
+            if origin or j == 0:
+                break
+            y = points.reshape(npts, *[1] * (t.ndim - 2), n)
+            acc = t[..., 0] * y[..., 0]
+            for k in range(1, n):
+                acc += t[..., k] * y[..., k]
+            t = acc
     return out
 
 
@@ -200,8 +203,10 @@ class PulledBackMetric:
         unbumped metric plus the bump's, as ``_jets`` adds them."""
         out = dataclasses.replace(self, bump=np.asarray(coeffs, dtype=float), radius=radius, name=name, origin_jets=None)
         if self.bump is None and self.origin_jets is not None:
+            out._cutoff_bounds()  # refuses a radius out of range; at y = 0 the cutoff is 1
             order = int(jet_space(self.dim).degrees[self.origin_jets.shape[-1] - 1])
-            out.origin_jets = self.origin_jets + out._bump_jets(np.zeros((1, self.dim)), order)[0, self._pair]
+            bump = _poly_taylor(out._bump, np.zeros((1, self.dim)), order)[0, self._pair]
+            out.origin_jets = self.origin_jets + bump
         return out
 
     def _cutoff_bounds(self):

@@ -126,7 +126,7 @@ def _metric_partials(space, coeffs):
     the metric, each indexed [a_1, ..., a_k, i, j]: one gather per order
     through the jet space's ``partial_slots``."""
     d = coeffs * space.factorials
-    return [np.moveaxis(d[:, :, slots], (0, 1), (-2, -1)) for slots in space.partial_slots]
+    return [d[:, :, slots].transpose(*range(2, slots.ndim + 2), 0, 1) for slots in space.partial_slots]
 
 
 def _check_metric(g, point):

@@ -7,7 +7,6 @@ pinned matrix itself (whose determinant is -1/4 identically); the matrix is
 the stronger, self-consistent oracle and is asserted at 1e-9.
 """
 
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from lcwcheck.bivectors import (
     bianchi_project,
     dimension_report,
     operator_from_0_4,
-    operator_to_0_4,
     phi_map,
     pm_basis_matrix,
     pm_split,

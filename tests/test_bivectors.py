@@ -28,7 +28,7 @@ from lcwcheck.bivectors import (
     sym_vec,
     weyl_space_basis,
 )
-from lcwcheck.bivectors import _pair_grid
+from lcwcheck.bivectors import _lex_pair_matrix, _pair_grid, orthonormal_frame
 from lcwcheck.catalog import cp2_curvature
 from lcwcheck.errors import (
     ConstraintViolation,
@@ -110,6 +110,11 @@ def test_operator_matches_einsum_reference(n, with_g, rng):
     ref = _operator_reference(r4, g)
     got = operator_from_0_4(r4, g=g).mat
     assert np.abs(got - ref).max() <= 1e-15 * np.abs(r4).max()
+    if with_g:  # the frame change has the bits of np.tensordot's
+        t = r4
+        for _ in range(4):
+            t = np.tensordot(t, orthonormal_frame(g), ([0], [0]))
+        assert got.tobytes() == CurvatureOperator(dim=n, mat=_lex_pair_matrix(t)).mat.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

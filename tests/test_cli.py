@@ -197,6 +197,10 @@ def test_check_deterministic_output():
     b = invoke("check", "--metric", "product4_nil", "--point", "0.1,0.2,0.3,0.4", "--seed", "7")
     assert a.output == b.output
     assert a.exit_code == b.exit_code == 0
+    # in JSON too, where the second run reads the eigenflag search's cached starts
+    a, b = (invoke("check", "--metric", "product4_nil", "--starts", "100", "--format", "json") for _ in range(2))
+    assert a.stdout == b.stdout
+    assert a.exit_code == b.exit_code == 0
 
 
 def test_perturb_identity_byte_stable(tmp_path):
@@ -399,6 +403,9 @@ def test_weyl_space_deterministic():
     a = invoke("weyl-space", "--dim", "5", "sample", "--seed", "11")
     b = invoke("weyl-space", "--dim", "5", "sample", "--seed", "11")
     assert a.output == b.output
+    a, b = (invoke("weyl-space", "--dim", "6", "sample", "--seed", "1", "--format", "json") for _ in range(2))
+    assert a.stdout == b.stdout
+    assert a.exit_code == b.exit_code == 10
 
 
 def test_check_unknown_source_exit_2():

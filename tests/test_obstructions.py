@@ -17,7 +17,7 @@ from lcwcheck.bivectors import (
     sample_eigenflag_params,
 )
 from lcwcheck import obstructions
-from lcwcheck.catalog import cp2_curvature, get_entry, product_with_line, random_metric_near_flat
+from lcwcheck.catalog import get_entry, product_with_line, random_metric_near_flat
 from lcwcheck.errors import DimensionError, DomainError, PreconditionViolation
 from lcwcheck.obstructions import (
     GRAD_TOL,
@@ -39,6 +39,7 @@ from lcwcheck.obstructions import (
     _residual_form,
     _rounding_allowance,
     _sos_bound,
+    _unit_starts,
 )
 from lcwcheck.dsl import parse_metric
 from lcwcheck.pipeline import JetPipeline, compute_snapshot
@@ -315,6 +316,65 @@ def test_eigenflag_fail_note_counts_every_start(rng):
         report = eigenflag_test(random_weyl_operator(n, rng), ObstructionConfig(starts=starts))
         assert report.verdict is False
         assert f"over {starts + n * (n - 1)} starts" in report.note
+
+
+def test_unit_starts_are_the_seeded_draw_shared_read_only():
+    """The cached starts are a fresh draw normalised row by row, bit for
+    bit, whatever was cached before; a write raises; the cache keeps its
+    bound."""
+    maxsize = _unit_starts.cache_info().maxsize
+    assert maxsize is not None
+    for seed, starts, n in ((0, 64, 4), (0, 64, 5), (7, 64, 6), (3, 1000, 6), (0, 0, 5)):
+        v = _unit_starts(seed, starts, n)
+        ref = np.random.default_rng(seed).standard_normal((starts, n))
+        ref = ref / np.linalg.norm(ref, axis=1, keepdims=True)
+        assert v.shape == ref.shape and v.tobytes() == ref.tobytes()
+        if starts:
+            with pytest.raises(ValueError):
+                v[0, 0] = 1.0
+    for seed in range(maxsize + 3):
+        _unit_starts(seed, 64, 5)
+        assert _unit_starts.cache_info().currsize <= maxsize
+    assert _unit_starts(0, 64, 5).tobytes() == _unit_starts.__wrapped__(0, 64, 5).tobytes()
+
+
+def test_eigenflag_report_does_not_depend_on_earlier_calls(rng):
+    """One operator's report is the same before and after searches with
+    other seeds, start counts and dims, which fill and evict the cache of
+    starts."""
+    ops = [phi_map(sample_eigenflag_params(5, rng)), random_weyl_operator(6, rng)]
+    before = [eigenflag_test(op).to_json() for op in ops]
+    for seed in range(_unit_starts.cache_info().maxsize + 2):
+        for n in (4, 5, 6):
+            eigenflag_test(random_weyl_operator(n, rng), ObstructionConfig(seed=seed, starts=16 + seed))
+    assert [eigenflag_test(op).to_json() for op in ops] == before
+
+
+def _ref_residual_form(w, n):
+    """``_residual_form`` as it stood with the (0,4) tensor of a rebuilt
+    CurvatureOperator."""
+    from lcwcheck.bivectors import operator_to_0_4
+
+    t = operator_to_0_4(CurvatureOperator(dim=n, mat=w))
+    u = t.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+    k = (u @ u.T).reshape(n, n, n, n)
+    md = np.multiply.outer(np.einsum("lilj->ij", k), np.eye(n))
+    s = md + md.transpose(2, 3, 0, 1) - 4.0 * k
+    s = s + s.swapaxes(0, 1)
+    s = s + s.swapaxes(0, 2) + s.swapaxes(1, 2)
+    a, b = np.triu_indices(n)
+    return s[a, b].reshape(len(a), n * n) * ((2.0 - (a == b)) / 24.0)[:, None]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_residual_form_gathers_the_0_4_tensor_bit_for_bit(rng, n):
+    ops = [random_weyl_operator(n, rng), phi_map(sample_eigenflag_params(n, rng)), _near_flat_weyl(n, rng)]
+    for op in ops:
+        for w in (op.mat, np.ldexp(op.mat, -300), op.mat * 1e-3):
+            w = CurvatureOperator(dim=n, mat=w).mat
+            assert _residual_form(w, n)[0].tobytes() == _ref_residual_form(w, n).tobytes()
+        vecs = np.linalg.eigh(op.mat)[1]
+        assert obstructions._eigen_candidate_starts(vecs, n).tobytes() == _ref_eigen_candidate_starts(op.mat, n).tobytes()
 
 
 def test_residual_dim3_rejected():

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lcwcheck.bivectors import operator_from_0_4, operator_to_0_4, random_weyl_operator
+from lcwcheck.bivectors import operator_to_0_4, random_weyl_operator
 from lcwcheck.catalog import get_entry, random_metric_near_flat
 from lcwcheck.dsl import parse_metric
 from lcwcheck import perturbation
@@ -441,6 +441,19 @@ def test_kept_origin_jets_have_the_bits_of_a_fresh_composition(kind, n, rng):
             assert _same_bits(metric.eval_jets(origin, order), _fresh(metric).eval_jets(origin, order))
     for order in range(4):
         assert _same_bits(rebumped.eval_jets(origin, order), direct.eval_jets(origin, order))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_origin_jets_by_gather_have_the_bits_of_the_summed_taylor_terms(n, rng):
+    """At the one point y = 0 the chart map, its Jacobian and a bump are
+    their coefficients gathered into the jet slots: the bits of the
+    general path, which a batch of two zero points takes."""
+    chart = normal_coordinates(random_metric_near_flat(n, rng, amplitude=0.03), rng.uniform(-0.1, 0.1, n))
+    bumps = [[None] * d + [rng.standard_normal((n, n) + (n,) * d)] for d in (2, 3)]
+    for coeffs in (chart._x, chart._jac, [None, None, np.eye(n)], *bumps):
+        for order in range(4):
+            one, two = (perturbation._poly_taylor(coeffs, np.zeros((k, n)), order) for k in (1, 2))
+            assert _same_bits(one[0], two[0]), (len(coeffs), order)
 
 
 @pytest.mark.parametrize("n", [3, 4])
