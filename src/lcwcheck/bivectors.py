@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConstraintViolation, DimensionError, NotOrthogonal, SymmetryViolation
+from .errors import ConstraintViolation, DimensionError, DomainError, NotOrthogonal, SingularMetric, SymmetryViolation
 from .pipeline import _check_curvature_symmetries, _perm_sign, kulkarni_nomizu
 
 
@@ -84,17 +84,25 @@ class CurvatureOperator:
 
 
 def orthonormal_frame(g):
-    """Columns form a g-orthonormal frame (Gram-Schmidt via Cholesky)."""
+    """Columns form a g-orthonormal frame (Gram-Schmidt via Cholesky).  A g
+    that is not finite is a DomainError, one that is not positive definite
+    a SingularMetric, as for the metric of a pipeline."""
     g = np.asarray(g, dtype=float)
-    L = np.linalg.cholesky(g)
+    if not np.isfinite(g).all():
+        raise DomainError("metric not finite")
+    try:
+        L = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise SingularMetric("metric not positive definite") from None
     return np.linalg.inv(L).T
 
 
-def operator_from_0_4(r4, g=None, tol=1e-8) -> CurvatureOperator:
+def operator_from_0_4(r4, g=None) -> CurvatureOperator:
     """Curvature operator of a (0,4) tensor with curvature symmetries.
 
-    The frame is orthonormalized against ``g`` first (identity when g is
-    omitted), so the operator acts on bivectors of an orthonormal basis:
+    The symmetries are checked to 1e-8 relative.  The frame is
+    orthonormalized against ``g`` first (identity when g is omitted), so
+    the operator acts on bivectors of an orthonormal basis:
     mat[(ij),(kl)] = R(e_i, e_j, e_k, e_l).  The frame change is four
     single-index contractions, O(n^5) in all, and the lex-pair matrix is
     read off with one gather.
@@ -103,7 +111,7 @@ def operator_from_0_4(r4, g=None, tol=1e-8) -> CurvatureOperator:
     n = r4.shape[0]
     if r4.shape != (n, n, n, n):
         raise DimensionError("expected an (n,n,n,n) array")
-    _check_curvature_symmetries(r4, tol)
+    _check_curvature_symmetries(r4, 1e-8)
     if g is not None:
         e = orthonormal_frame(g)
         # each pass contracts the leading index and appends the frame index:
@@ -286,10 +294,10 @@ def random_weyl_operator(n, rng) -> CurvatureOperator:
     return CurvatureOperator(dim=n, mat=mat)
 
 
-def induced_rotation(rho, n=None):
+def induced_rotation(rho):
     """B(rho) on bivectors: B(rho)(v ^ w) = rho(v) ^ rho(w)."""
     rho = np.asarray(rho, dtype=float)
-    i, j, k, l = _pair_grid(rho.shape[0] if n is None else n)
+    i, j, k, l = _pair_grid(rho.shape[0])
     return rho[i, k] * rho[j, l] - rho[i, l] * rho[j, k]
 
 
@@ -299,7 +307,7 @@ def rotate_operator(op: CurvatureOperator, rho) -> CurvatureOperator:
         raise DimensionError("rotation has the wrong shape")
     if np.abs(rho.T @ rho - np.eye(op.dim)).max() > 1e-10:
         raise NotOrthogonal("rotation matrix is not orthogonal")
-    b = induced_rotation(rho, op.dim)
+    b = induced_rotation(rho)
     return CurvatureOperator(dim=op.dim, mat=b @ op.mat @ b.T)
 
 
@@ -347,12 +355,13 @@ def ricci_target_operator(lambdas, n):
     return operator_from_0_4(r4).mat
 
 
-def phi_map(params: EigenflagParams, tol=1e-9) -> CurvatureOperator:
+def phi_map(params: EigenflagParams) -> CurvatureOperator:
     """Assemble the flag-invariant Weyl operator
     B(rho) (diag(lambda) + [0 ... 0, W2]) B(rho)^T.
 
     The result satisfies b = 0 and r = 0 and is invariant on
-    v ^ v-perp for v = rho(e1).
+    v ^ v-perp for v = rho(e1).  The constraints on the parameters are
+    checked to 1e-9 times their largest entry (at least 1).
     """
     n = params.dim
     if not 4 <= n <= 6:
@@ -361,8 +370,8 @@ def phi_map(params: EigenflagParams, tol=1e-9) -> CurvatureOperator:
     lam = np.asarray(params.lambdas, dtype=float)
     if lam.shape != (n - 1,):
         raise ConstraintViolation(f"need {n-1} eigenvalues, got {lam.shape}")
-    scale = max(np.abs(lam).max(), np.abs(params.w2).max(), 1.0)
-    if abs(lam.sum()) > tol * scale:
+    bound = 1e-9 * max(np.abs(lam).max(), np.abs(params.w2).max(), 1.0)
+    if abs(lam.sum()) > bound:
         raise ConstraintViolation(f"eigenvalues must sum to zero (sum = {lam.sum():g})")
     if np.abs(rho.T @ rho - np.eye(n)).max() > 1e-12:
         raise ConstraintViolation("rotation is not orthogonal to 1e-12")
@@ -375,14 +384,14 @@ def phi_map(params: EigenflagParams, tol=1e-9) -> CurvatureOperator:
     core_op = CurvatureOperator(dim=n, mat=core)
     # the Ricci constraint on w2 makes the assembled operator a Weyl tensor
     rc = ricci_contract(core_op)
-    if np.abs(rc).max() > tol * scale:
+    if np.abs(rc).max() > bound:
         raise ConstraintViolation(
             f"w2 violates its Ricci constraint (|r| = {np.abs(rc).max():g})"
         )
     bc = bianchi_project(core_op)
-    if np.abs(bc.mat).max() > tol * scale:
+    if np.abs(bc.mat).max() > bound:
         raise ConstraintViolation("w2 is not an algebraic curvature operator (b != 0)")
-    b = induced_rotation(rho, n)
+    b = induced_rotation(rho)
     return CurvatureOperator(dim=n, mat=b @ core @ b.T)
 
 

@@ -335,26 +335,27 @@ def cp2_curvature() -> np.ndarray:
 # -- random metric factories (shared by tests and the CLI sampler) --------------
 
 
-def random_polynomial(dim, rng, amplitude=0.05, degree=3, terms=6):
-    """Random polynomial expression of bounded degree and small amplitude."""
+def random_polynomial(dim, rng, amplitude=0.05):
+    """Random polynomial expression: 6 monomials of degree 1 to 3 with
+    normal coefficients times ``amplitude``."""
     out = None
-    for _ in range(terms):
+    for _ in range(6):
         c = amplitude * rng.standard_normal()
         mono = Num(c)
-        for _ in range(int(rng.integers(1, degree + 1))):
+        for _ in range(int(rng.integers(1, 4))):
             mono = Mul(mono, Var(int(rng.integers(0, dim))))
         out = mono if out is None else Add(out, mono)
     return out
 
 
-def random_metric_near_flat(dim, rng, amplitude=0.05, degree=3) -> MetricDef:
+def random_metric_near_flat(dim, rng, amplitude=0.05) -> MetricDef:
     """Identity plus small random polynomial perturbations; positive
     definite near the origin."""
     comp = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
             base = Num(1.0) if i == j else Num(0.0)
-            comp[i][j] = Add(base, random_polynomial(dim, rng, amplitude, degree))
+            comp[i][j] = Add(base, random_polynomial(dim, rng, amplitude))
     return metric_from_components(comp, name="random_near_flat")
 
 

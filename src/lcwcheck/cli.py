@@ -135,10 +135,6 @@ def _load_target(target, n):
     return op
 
 
-def _echo_json(doc):
-    click.echo(format_json(doc))
-
-
 def _fmt_table_value(x):
     if isinstance(x, float):
         return f"{x:.6g}"
@@ -159,16 +155,20 @@ def _echo_matrix(name, mat):
         click.echo(f"  frobenius norm = {norm:.6g}")
 
 
-def _run(fn):
-    try:
-        fn()
-    except LcwError as e:
-        click.echo(f"error: {e}", err=True)
-        code = EXIT_PARSE if isinstance(e, ParseError) else EXIT_MATH
-        sys.exit(EXIT_POSITIVITY if isinstance(e, NotPositiveDefinite) else code)
+class _Group(click.Group):
+    """The commands' one error boundary: an LcwError is one line on stderr
+    and exit 2 (parse), 4 (positivity) or 3 (any other)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except LcwError as e:
+            click.echo(f"error: {e}", err=True)
+            code = EXIT_PARSE if isinstance(e, ParseError) else EXIT_MATH
+            sys.exit(EXIT_POSITIVITY if isinstance(e, NotPositiveDefinite) else code)
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Curvature tensors and limiting-Carleman-weight obstructions for
     coordinate metrics."""
@@ -178,20 +178,16 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
 def cmd_catalog(fmt):
     """List built-in geometries."""
-
-    def go():
-        rows = []
-        for name in cat.list_catalog():
-            e = cat.get_entry(name)
-            rows.append({"name": e.name, "dim": e.dim, "lcw": e.expected["lcw"]})
-        if fmt == "json":
-            _echo_json(rows)
-        else:
-            click.echo(f"{'name':<18} {'dim':<4} lcw")
-            for r in rows:
-                click.echo(f"{r['name']:<18} {r['dim']:<4} {r['lcw']}")
-
-    _run(go)
+    rows = []
+    for name in cat.list_catalog():
+        e = cat.get_entry(name)
+        rows.append({"name": e.name, "dim": e.dim, "lcw": e.expected["lcw"]})
+    if fmt == "json":
+        click.echo(format_json(rows))
+    else:
+        click.echo(f"{'name':<18} {'dim':<4} lcw")
+        for r in rows:
+            click.echo(f"{r['name']:<18} {r['dim']:<4} {r['lcw']}")
 
 
 @main.command("tensors")
@@ -201,31 +197,27 @@ def cmd_catalog(fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
 def cmd_tensors(source, point, which, fmt):
     """Evaluate curvature tensors of a metric at a point."""
-
-    def go():
-        metric = _load_source(source)
-        wanted = [w.strip() for w in which.split(",") if w.strip()] or list(TENSOR_FIELDS)
-        for w in wanted:
-            if w not in TENSOR_FIELDS:
-                raise ParseError(f"unknown tensor {w!r}; choose from {', '.join(TENSOR_FIELDS)}")
-        doc = snapshot_to_dict(compute_snapshot(metric, _parse_point(point, metric.dim)))
-        out = {k: v for k, v in doc.items() if k in ("dim", "point") or k in wanted}
-        text = format_json(out)  # refuses a number that is not finite, in either format
-        if fmt == "json":
-            click.echo(text)
-        else:
-            click.echo(f"dim = {out['dim']}")
-            click.echo("point = " + ", ".join(f"{v:.6g}" for v in out["point"]))
-            for k in wanted:
-                v = out.get(k)
-                if v is None:
-                    click.echo(f"{k}: (not defined in this dimension)")
-                elif np.isscalar(v):
-                    click.echo(f"{k} = {_fmt_table_value(float(v))}")
-                else:
-                    _echo_matrix(k, v)
-
-    _run(go)
+    metric = _load_source(source)
+    wanted = [w.strip() for w in which.split(",") if w.strip()] or list(TENSOR_FIELDS)
+    for w in wanted:
+        if w not in TENSOR_FIELDS:
+            raise ParseError(f"unknown tensor {w!r}; choose from {', '.join(TENSOR_FIELDS)}")
+    doc = snapshot_to_dict(compute_snapshot(metric, _parse_point(point, metric.dim)))
+    out = {k: v for k, v in doc.items() if k in ("dim", "point") or k in wanted}
+    text = format_json(out)  # refuses a number that is not finite, in either format
+    if fmt == "json":
+        click.echo(text)
+    else:
+        click.echo(f"dim = {out['dim']}")
+        click.echo("point = " + ", ".join(f"{v:.6g}" for v in out["point"]))
+        for k in wanted:
+            v = out.get(k)
+            if v is None:
+                click.echo(f"{k}: (not defined in this dimension)")
+            elif np.isscalar(v):
+                click.echo(f"{k} = {_fmt_table_value(float(v))}")
+            else:
+                _echo_matrix(k, v)
 
 
 @main.command("check")
@@ -237,7 +229,7 @@ def cmd_tensors(source, point, which, fmt):
     type=click.Choice(["auto", "eigenflag", "cotton-york"]),
     default="auto",
 )
-@click.option("--tol", type=_POSITIVE, default=None, help="relative tolerance (default 1e-8)")
+@click.option("--tol", type=_POSITIVE, default=ObstructionConfig.tol_rel, help="relative tolerance (default 1e-8)")
 @click.option("--seed", type=click.IntRange(min=0), default=0, help="seed for the multi-start search")
 @click.option("--starts", type=click.IntRange(min=0, max=100_000), default=64)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
@@ -246,37 +238,28 @@ def cmd_check(source, point, which_test, tol, seed, starts, fmt):
 
     Exit code 0: passes (no obstruction found); 10: fails (no LCW exists
     near the point); 11: inconclusive."""
-
-    def go():
-        config = ObstructionConfig(seed=seed, starts=starts)
-        if tol is not None:
-            config.tol_rel = tol
-        metric = _load_source(source)
-        p = _parse_point(point, metric.dim)
-        if which_test == "eigenflag" and metric.dim < 4:
-            raise DimensionError("eigenflag test needs dim >= 4")
-        if which_test == "cotton-york":
-            report = cotton_york_test(metric, p, config)
-        else:
-            report = auto_test(metric, p, config)
-        text = report.to_json()  # refuses a number that is not finite, in either format
-        if fmt == "json":
-            click.echo(text)
-        else:
-            click.echo(f"test      : {report.test}")
-            click.echo(f"verdict   : {report.verdict_string}")
-            if report.residual is not None:
-                click.echo(f"residual  : {report.residual:.6g}")
-            if report.det_cy is not None:
-                click.echo(f"det CY    : {report.det_cy:.6g}")
-            if report.witness is not None:
-                click.echo(
-                    "witness   : " + ", ".join(f"{v:.6g}" for v in report.witness)
-                )
-            click.echo(f"note      : {report.note}")
-        sys.exit(_VERDICT_EXIT[report.verdict_string])
-
-    _run(go)
+    metric = _load_source(source)
+    p = _parse_point(point, metric.dim)
+    if which_test == "eigenflag" and metric.dim < 4:
+        raise DimensionError("eigenflag test needs dim >= 4")
+    test = cotton_york_test if which_test == "cotton-york" else auto_test
+    report = test(metric, p, ObstructionConfig(tol_rel=tol, starts=starts, seed=seed))
+    text = report.to_json()  # refuses a number that is not finite, in either format
+    if fmt == "json":
+        click.echo(text)
+    else:
+        click.echo(f"test      : {report.test}")
+        click.echo(f"verdict   : {report.verdict_string}")
+        if report.residual is not None:
+            click.echo(f"residual  : {report.residual:.6g}")
+        if report.det_cy is not None:
+            click.echo(f"det CY    : {report.det_cy:.6g}")
+        if report.witness is not None:
+            click.echo(
+                "witness   : " + ", ".join(f"{v:.6g}" for v in report.witness)
+            )
+        click.echo(f"note      : {report.note}")
+    sys.exit(_VERDICT_EXIT[report.verdict_string])
 
 
 @main.command("perturb")
@@ -298,57 +281,53 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
     (dim 3) at the point takes a prescribed value; writes the new metric
     file.  The output metric is expressed in normal coordinates centered at
     the point; evaluate it at the origin."""
+    metric = _load_source(source)
+    p = _parse_point(point, metric.dim)
+    n = metric.dim
+    rng = np.random.default_rng(seed)
 
-    def go():
-        metric = _load_source(source)
-        p = _parse_point(point, metric.dim)
-        n = metric.dim
-        rng = np.random.default_rng(seed)
+    if target == "same":
+        # identity prescription: the metric itself already has the
+        # requested tensors, so the output is the input
+        pathlib.Path(out_path).write_text(metric_to_text(metric))
+        _emit_perturb({"unchanged": True, "target_error": 0.0, "evaluation_point": p, "out": str(out_path)}, fmt)
+        return
 
-        if target == "same":
-            # identity prescription: the metric itself already has the
-            # requested tensors, so the output is the input
-            pathlib.Path(out_path).write_text(metric_to_text(metric))
-            _emit_perturb({"unchanged": True, "target_error": 0.0, "evaluation_point": p, "out": str(out_path)}, fmt)
-            return
-
-        if n < 3:
-            raise DimensionError("perturb needs dim >= 3")
-        wanted = None if target == "random" else _load_target(target, n)
-        order = 3 if n == 3 else 2
-        pl = JetPipeline(normal_coordinates(metric, p, radius, order), np.zeros(n), order)
-        if n == 3:
-            if wanted is None:
-                d = rng.standard_normal((3, 3))
-                d = (d + d.T) / 2.0
-                d -= np.trace(d) / 3.0 * np.eye(3)
-                wanted = pl.cotton_york() + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
-            res = prescribe_cotton_york_in(pl, wanted)
+    if n < 3:
+        raise DimensionError("perturb needs dim >= 3")
+    wanted = None if target == "random" else _load_target(target, n)
+    order = 3 if n == 3 else 2
+    pl = JetPipeline(normal_coordinates(metric, p, radius, order), np.zeros(n), order)
+    if n == 3:
+        if wanted is None:
+            d = rng.standard_normal((3, 3))
+            d = (d + d.T) / 2.0
+            d -= np.trace(d) / 3.0 * np.eye(3)
+            wanted = pl.cotton_york() + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
+        res = prescribe_cotton_york_in(pl, wanted)
+    else:
+        if wanted is None:
+            # random Weyl shift on top of the current curvature
+            r0 = pl.riemann() + amplitude * operator_to_0_4(random_weyl_operator(n, rng))
         else:
-            if wanted is None:
-                # random Weyl shift on top of the current curvature
-                r0 = pl.riemann() + amplitude * operator_to_0_4(random_weyl_operator(n, rng))
-            else:
-                r0 = pl.riemann() - pl.weyl() + operator_to_0_4(wanted)
-            res = prescribe_curvature_in(pl, r0)
-        pathlib.Path(out_path).write_text(metric_to_text(res.metric))
-        result_doc = {
-            "unchanged": res.unchanged,
-            "target_error": res.target_error,
-            "shift_norm": res.shift_norm,
-            "ck_norm_ratio": res.norm_ratio,
-            "evaluation_point": res.evaluation_point,
-            "out": str(out_path),
-            "note": "output metric uses normal coordinates centered at the bump point",
-        }
-        _emit_perturb(result_doc, fmt)
-
-    _run(go)
+            r0 = pl.riemann() - pl.weyl() + operator_to_0_4(wanted)
+        res = prescribe_curvature_in(pl, r0)
+    pathlib.Path(out_path).write_text(metric_to_text(res.metric))
+    result_doc = {
+        "unchanged": res.unchanged,
+        "target_error": res.target_error,
+        "shift_norm": res.shift_norm,
+        "ck_norm_ratio": res.norm_ratio,
+        "evaluation_point": res.evaluation_point,
+        "out": str(out_path),
+        "note": "output metric uses normal coordinates centered at the bump point",
+    }
+    _emit_perturb(result_doc, fmt)
 
 
 def _emit_perturb(doc, fmt):
     if fmt == "json":
-        _echo_json(doc)
+        click.echo(format_json(doc))
     else:
         for k, v in doc.items():
             if isinstance(v, np.ndarray):
@@ -360,54 +339,35 @@ def _emit_perturb(doc, fmt):
 @click.option("--dim", "n", type=int, required=True)
 @click.argument("subcommand", type=click.Choice(["dims", "sample", "phi"]))
 @click.option("--seed", type=click.IntRange(min=0), default=0)
-@click.option("--tol", type=_POSITIVE, default=None)
+@click.option("--tol", type=_POSITIVE, default=ObstructionConfig.tol_rel)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
 def cmd_weyl_space(n, subcommand, seed, tol, fmt):
     """Dimension arithmetic and random sampling in the space of algebraic
     Weyl operators."""
-
-    def go():
-        config = ObstructionConfig(seed=seed)
-        if tol is not None:
-            config.tol_rel = tol
-        if subcommand == "dims":
-            doc = dimension_report(n)
-            if fmt == "json":
-                _echo_json(doc)
-            else:
-                for k, v in doc.items():
-                    click.echo(f"{k}: {_fmt_table_value(v)}")
-            return
-        rng = np.random.default_rng(seed)
-        if subcommand == "sample":
-            op = random_weyl_operator(n, rng)
-            report = eigenflag_test(op, config)
-            doc = {
-                "dim": n,
-                "kind": "random-weyl-sphere-sample",
-                "seed": seed,
-                "operator": op.to_json_dict(),
-                "report": report.to_json_dict(),
-            }
-        else:
-            params = sample_eigenflag_params(n, rng)
-            op = phi_map(params)
-            report = eigenflag_test(op, config)
-            doc = {
-                "dim": n,
-                "kind": "flag-parametrization-sample",
-                "seed": seed,
-                "witness_direction": params.rotation[:, 0],
-                "operator": op.to_json_dict(),
-                "report": report.to_json_dict(),
-            }
+    if subcommand == "dims":
+        doc = dimension_report(n)
         if fmt == "json":
-            _echo_json(doc)
+            click.echo(format_json(doc))
         else:
-            click.echo(f"verdict: {doc['report']['verdict']}")
-        sys.exit(_VERDICT_EXIT[report.verdict_string])
-
-    _run(go)
+            for k, v in doc.items():
+                click.echo(f"{k}: {_fmt_table_value(v)}")
+        return
+    kind = {"sample": "random-weyl-sphere-sample", "phi": "flag-parametrization-sample"}[subcommand]
+    doc = {"dim": n, "kind": kind, "seed": seed}
+    rng = np.random.default_rng(seed)
+    if subcommand == "sample":
+        op = random_weyl_operator(n, rng)
+    else:
+        params = sample_eigenflag_params(n, rng)
+        op = phi_map(params)
+        doc["witness_direction"] = params.rotation[:, 0]
+    report = eigenflag_test(op, ObstructionConfig(tol_rel=tol, seed=seed))
+    doc.update(operator=op.to_json_dict(), report=report.to_json_dict())
+    if fmt == "json":
+        click.echo(format_json(doc))
+    else:
+        click.echo(f"verdict: {report.verdict_string}")
+    sys.exit(_VERDICT_EXIT[report.verdict_string])
 
 
 if __name__ == "__main__":

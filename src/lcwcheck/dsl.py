@@ -513,7 +513,7 @@ class _Token:
         self.column = column
 
 
-def _tokenize(text, line=1, col_offset=0):
+def _tokenize(text, line):
     tokens = []
     pos = 0
     while pos < len(text):
@@ -523,17 +523,17 @@ def _tokenize(text, line=1, col_offset=0):
             if not rest:
                 break
             raise ParseError(
-                f"unexpected character {rest[0]!r}", line, pos + 1 + col_offset
+                f"unexpected character {rest[0]!r}", line, pos + 1
             )
         pos = m.end()
-        col = m.start(m.lastgroup) + 1 + col_offset
+        col = m.start(m.lastgroup) + 1
         if m.lastgroup == "num":
             tokens.append(_Token("num", m.group("num"), line, col))
         elif m.lastgroup == "ident":
             tokens.append(_Token("ident", m.group("ident"), line, col))
         else:
             tokens.append(_Token(m.group("op"), m.group("op"), line, col))
-    tokens.append(_Token("end", "", line, len(text) + 1 + col_offset))
+    tokens.append(_Token("end", "", line, len(text) + 1))
     return tokens
 
 
@@ -653,7 +653,7 @@ class _Parser:
 
 def _parse(text, line, names):
     """(Expr, largest variable index written in ``text``, or -1)."""
-    parser = _Parser(_tokenize(text, line=line), names)
+    parser = _Parser(_tokenize(text, line), names)
     try:
         node = parser.parse_expr()
     except RecursionError:
@@ -664,9 +664,9 @@ def _parse(text, line, names):
     return node, parser.max_var
 
 
-def parse_expr(text, line=1) -> object:
+def parse_expr(text) -> object:
     """Parse a single expression string into an Expr tree."""
-    return _parse(text, line, {})[0]
+    return _parse(text, 1, {})[0]
 
 
 # --- printing ---------------------------------------------------------------
@@ -745,10 +745,6 @@ class MetricDef:
     components: tuple  # tuple of tuples of Expr, symmetric
     name: str = ""
     chart: str = ""
-
-    def eval_matrix(self, point) -> np.ndarray:
-        """Metric matrix at ``point``."""
-        return self.eval_matrix_many(np.asarray(point, dtype=float)[None, :])[0]
 
     @cached_property
     def _program(self):

@@ -40,7 +40,7 @@ from .errors import DimensionError, DomainError, PreconditionViolation
 from .pipeline import JetPipeline, compute_snapshot, format_json
 
 
-GRAD_TOL = 1e-12  # a start stops once its gradient is below this times the scale
+GRAD_TOL = 1e-12  # the search has converged once its best gradient is below this times the scale
 MAX_ITER = 400  # descent steps of the eigenflag search at most
 PLATEAU_WINDOW = 6  # the search stops once its minimum is above
 PLATEAU_RATIO = 0.5  # this fraction of its value this many steps ago
@@ -308,17 +308,15 @@ def _minimize_residual(form, n, scale, config, vecs):
     a pass: (best residual, best v, iterations, converged flag) of ``form``,
     the residual of an operator with ||W||^2 = ``scale``, deterministic for a
     fixed seed: the random starts are drawn once per (seed, starts, n) and
-    shared read-only (``_unit_starts``).  Stops at the first minimum <=
-    tol_rel * scale, at its first plateau (the minimum above PLATEAU_RATIO of
-    its value PLATEAU_WINDOW steps before) or at MAX_ITER, all tested before
-    any per-start bookkeeping (a start that meets acceptance returns at once),
-    else once no start is active.  It proves nothing: the certificate of a
-    "fails" runs after it, in ``eigenflag_test``."""
+    shared read-only (``_unit_starts``).  Every step moves the whole batch.
+    Stops at the first minimum <= tol_rel * scale, at its first plateau (the
+    minimum above PLATEAU_RATIO of its value PLATEAU_WINDOW steps before) or
+    at MAX_ITER.  It proves nothing: the certificate of a "fails" runs after
+    it, in ``eigenflag_test``."""
     cand = _eigen_candidate_starts(vecs, n)
     cand /= np.linalg.norm(cand, axis=1, keepdims=True)
     v = np.vstack([_unit_starts(config.seed, config.starts, n), cand])
     accept = config.tol_rel * scale
-    gtol_sq = (GRAD_TOL * scale) ** 2
 
     def evaluate(x):  # F and its gradient along the sphere (v . grad F = 4 F)
         fx, grad = _residual_eval(form, x)
@@ -326,29 +324,23 @@ def _minimize_residual(form, n, scale, config, vecs):
 
     f, rgrad = evaluate(v)
     step = np.full(v.shape[0], 0.5 / scale)
-    active = np.ones(v.shape[0], dtype=bool)
     history = [float(f.min())]  # the minimum after each step
     while True:
         it, fmin = len(history) - 1, history[-1]
         if (fmin <= accept or it == MAX_ITER
                 or it >= PLATEAU_WINDOW and fmin > PLATEAU_RATIO * history[-1 - PLATEAU_WINDOW]):
             break
-        active &= np.einsum("bi,bi->b", rgrad, rgrad) > gtol_sq
-        active &= step > 1e-18 / scale
-        if not active.any():
-            break
-        idx = slice(None) if active.all() else np.flatnonzero(active)  # whole batch, or gather
-        trial = v[idx] - step[idx, None] * rgrad[idx]
+        trial = v - step[:, None] * rgrad
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
         ft, rgt = evaluate(trial)
-        improved = ft <= f[idx]
-        step[idx] *= np.where(improved, 1.3, 0.4)
-        v[idx] = np.where(improved[:, None], trial, v[idx])
-        f[idx] = np.where(improved, ft, f[idx])
-        rgrad[idx] = np.where(improved[:, None], rgt, rgrad[idx])
+        improved = ft <= f
+        step *= np.where(improved, 1.3, 0.4)
+        v = np.where(improved[:, None], trial, v)
+        f = np.where(improved, ft, f)
+        rgrad = np.where(improved[:, None], rgt, rgrad)
         history.append(float(f.min()))
     best = int(np.argmin(f))
-    return float(f[best]), v[best].copy(), it, bool(rgrad[best] @ rgrad[best] <= gtol_sq)
+    return float(f[best]), v[best].copy(), it, bool(rgrad[best] @ rgrad[best] <= (GRAD_TOL * scale) ** 2)
 
 
 def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = None) -> ObstructionReport:

@@ -198,10 +198,11 @@ class PulledBackMetric:
     def dim(self):
         return self.base.dim
 
-    def with_bump(self, coeffs, radius, name):
-        """This bump in place of the metric's own: kept origin jets of an
-        unbumped metric plus the bump's, as ``_jets`` adds them."""
-        out = dataclasses.replace(self, bump=np.asarray(coeffs, dtype=float), radius=radius, name=name, origin_jets=None)
+    def with_bump(self, coeffs):
+        """This bump in place of the metric's own, named ``<name>:bumped``:
+        kept origin jets of an unbumped metric plus the bump's, as ``_jets``
+        adds them."""
+        out = dataclasses.replace(self, bump=np.asarray(coeffs, dtype=float), name=f"{self.name}:bumped", origin_jets=None)
         if self.bump is None and self.origin_jets is not None:
             out._cutoff_bounds()  # refuses a radius out of range; at y = 0 the cutoff is 1
             order = int(jet_space(self.dim).degrees[self.origin_jets.shape[-1] - 1])
@@ -270,10 +271,6 @@ class PulledBackMetric:
         """(dim, dim, size) Taylor coefficients of ``order`` of the entries
         at ``point``."""
         return self._jets(np.asarray(point, dtype=float)[None], order)[0]
-
-    def eval_matrix(self, point) -> np.ndarray:
-        """Metric matrix at ``point``."""
-        return self.eval_matrix_many(np.asarray(point, dtype=float)[None, :])[0]
 
     def eval_matrix_many(self, points) -> np.ndarray:
         """(N, dim, dim) metric matrices at an (N, dim) batch of points,
@@ -442,7 +439,7 @@ def _prescribe(pl, measure, target, bump_of) -> PerturbResult:
     target_norm, shift = _finite_norms(target, target - measure(pl))
     if shift <= 1e-13 * max(target_norm, 1.0):
         return PerturbResult(chart, shift / max(target_norm, 1.0), 0.0, shift, True, origin)
-    bumped = chart.with_bump(bump_of(pl), chart.radius, f"{chart.name}:bumped")
+    bumped = chart.with_bump(bump_of(pl))
     grid = _grid_points(chart.dim, chart.radius)
     _check_positivity(bumped, grid)
     achieved = measure(JetPipeline(bumped, origin, order))

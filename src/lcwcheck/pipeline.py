@@ -149,7 +149,7 @@ class JetPipeline:
     With the metric jets exact to ``order`` 3, every derived tensor below,
     through Weyl, is exact as a first-order jet ``(1 + n, *shape)``; with
     order 2, as a value ``(1, *shape)``, and the tensors that read first
-    partials (``dgamma``, ``cotton``, ``cotton_york``, ``div_weyl``) refuse;
+    partials (``cotton``, ``cotton_york``, ``div_weyl``) refuse;
     any other order is a DomainError.  Only the partials up to ``order``
     must be finite.  ``g_jets`` holds the metric's ``(n, n, size)`` Taylor
     coefficients.  Each tensor is built on first use and kept.
@@ -212,10 +212,6 @@ class JetPipeline:
     def gamma(self):
         return self._gamma[0]
 
-    def dgamma(self):
-        """First partials d_l Gamma^k_{ij}, indexed [l, k, i, j]."""
-        return self._partials(self._gamma, "dgamma")
-
     # -- curvature -------------------------------------------------------
 
     @cached_property
@@ -265,7 +261,8 @@ class JetPipeline:
 
     # -- third-order tensors ----------------------------------------------
 
-    def cotton(self):
+    @cached_property
+    def _cotton(self):
         """C[i, j, k] = (nabla_i S)[j, k] - (nabla_j S)[i, k] at the point."""
         s = self._schouten
         gam = self.gamma()
@@ -277,13 +274,21 @@ class JetPipeline:
         )
         return nas - nas.transpose(1, 0, 2)
 
-    def cotton_york(self):
+    def cotton(self):
+        return self._cotton
+
+    @cached_property
+    def _cotton_york(self):
         if self.n != 3:
             raise DimensionError("Cotton-York tensor is defined in dimension 3 only")
         sqrtdet = math.sqrt(np.linalg.det(self.g))
-        return 0.5 * np.einsum("kli,jm,klm->ij", self.cotton(), self.g, EPS3) / sqrtdet
+        return 0.5 * np.einsum("kli,jm,klm->ij", self._cotton, self.g, EPS3) / sqrtdet
 
-    def div_weyl(self):
+    def cotton_york(self):
+        return self._cotton_york
+
+    @cached_property
+    def _div_weyl(self):
         """(nabla_l W)^l[i, j, k] = g^{la} (nabla_l W)[i, j, a, k]."""
         if self.n < 4:
             raise DimensionError("Weyl divergence needs dim >= 4")
@@ -297,6 +302,9 @@ class JetPipeline:
             - np.einsum("mal,ijkm->aijkl", gam, w[0])
         )
         return np.einsum("la,lijak->ijk", self.g_inv, nw)
+
+    def div_weyl(self):
+        return self._div_weyl
 
 
 # -- public operations --------------------------------------------------------
@@ -335,22 +343,23 @@ class TensorSnapshot:
     cotton_york: np.ndarray | None = None  # dim 3 only
     div_weyl: np.ndarray | None = None  # dim >= 4 only
 
-    def check_invariants(self, rtol=1e-9):
-        """Verify the algebraic identities every snapshot must satisfy.
+    def check_invariants(self):
+        """Verify the algebraic identities every snapshot must satisfy, to
+        1e-9 relative.
 
         Raises SymmetryViolation with a description on the first failure.
         """
-        _check_curvature_symmetries(self.riemann, rtol)
-        _check_bianchi(self.riemann, rtol)
+        _check_curvature_symmetries(self.riemann, 1e-9)
+        _check_bianchi(self.riemann, 1e-9)
         c = self.cotton
-        bound = rtol * max(np.abs(c).max(), 1.0)
+        bound = 1e-9 * max(np.abs(c).max(), 1.0)
         _require_small(c + c.transpose(1, 0, 2), bound, "Cotton not antisymmetric")
         _require_small(c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1), bound, "Cotton cyclic sum nonzero")
         _require_small(np.einsum("ij,ijk->k", self.g_inv, c), bound, "Cotton g^{ij}-trace nonzero")
         _require_small(np.einsum("ik,ijk->j", self.g_inv, c), bound, "Cotton g^{ik}-trace nonzero")
         if self.cotton_york is not None:
             cy = self.cotton_york
-            bound = rtol * max(np.abs(cy).max(), 1.0)
+            bound = 1e-9 * max(np.abs(cy).max(), 1.0)
             _require_small(cy - cy.T, bound, "Cotton-York not symmetric")
             _require_small(np.einsum("ij,ij->", self.g_inv, cy), bound, "Cotton-York not traceless")
 

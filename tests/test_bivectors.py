@@ -33,7 +33,9 @@ from lcwcheck.catalog import cp2_curvature
 from lcwcheck.errors import (
     ConstraintViolation,
     DimensionError,
+    DomainError,
     NotOrthogonal,
+    SingularMetric,
     SymmetryViolation,
 )
 from lcwcheck.pipeline import kulkarni_nomizu
@@ -460,3 +462,19 @@ def test_dimension_report_n5():
 def test_dimension_report_range():
     with pytest.raises(DimensionError):
         dimension_report(3)
+
+
+def test_operator_from_0_4_refuses_a_metric_that_is_not_positive_definite():
+    """As a pipeline's metric: a SingularMetric, not numpy's LinAlgError."""
+    r4 = kulkarni_nomizu(np.eye(4), np.eye(4))
+    with pytest.raises(SingularMetric, match="not positive definite"):
+        operator_from_0_4(r4, g=np.diag([1.0, 1.0, 1.0, -1.0]))
+
+
+def test_operator_from_0_4_refuses_a_metric_that_is_not_finite():
+    """As a pipeline's metric: a DomainError, not an operator of NaNs."""
+    r4 = kulkarni_nomizu(np.eye(4), np.eye(4))
+    g = np.eye(4)
+    g[1, 1] = np.nan
+    with pytest.raises(DomainError, match="not finite"):
+        operator_from_0_4(r4, g=g)

@@ -38,7 +38,7 @@ def test_unknown_entry():
 def test_sol_entry_stores_expected_metric():
     m = get_entry("sol").metric
     z = 0.7
-    g = m.eval_matrix((0.1, -0.5, z))
+    g = m.eval_matrix_many([(0.1, -0.5, z)])[0]
     assert g[0, 0] == pytest.approx(np.exp(2 * z), rel=1e-15)
     assert g[1, 1] == pytest.approx(np.exp(-2 * z), rel=1e-15)
     assert g[2, 2] == 1.0
@@ -47,7 +47,7 @@ def test_sol_entry_stores_expected_metric():
 def test_sl2r_entry_coefficients():
     m = get_entry("sl2r").metric
     t, s = 0.3, -0.4
-    g = m.eval_matrix((0.9, t, s))
+    g = m.eval_matrix_many([(0.9, t, s)])[0]
     et, emt = np.exp(t), np.exp(-t)
     assert g[1, 1] == pytest.approx(s * s + 1, rel=1e-14)
     assert g[1, 2] == pytest.approx(s, rel=1e-14)

@@ -215,7 +215,7 @@ def test_perturb_identity_byte_stable(tmp_path):
     from lcwcheck.dsl import parse_metric
 
     m = parse_metric(out1.read_text())
-    assert np.abs(m.eval_matrix((0.2, 0.3, -0.1)) - np.eye(3)).max() == 0.0
+    assert np.abs(m.eval_matrix_many([(0.2, 0.3, -0.1)])[0] - np.eye(3)).max() == 0.0
 
 
 def test_perturb_dim3_random_then_check_exit_10(tmp_path):

@@ -352,9 +352,9 @@ def test_a_metric_compiles_once_and_keeps_eq_hash_repr_and_pickle(monkeypatch):
     fresh = MetricDef(m.dim, m.components, m.name, m.chart)
     for p in ([0.1, 0.2, 0.3], [0.0, -0.4, 0.2]):
         fresh.eval_jets(p)
-        fresh.eval_matrix(p)
+        fresh.eval_matrix_many([p])[0]
     assert len(compiled) == 1
     assert fresh == m and hash(fresh) == before[1] and repr(fresh) == before[0]
     assert pickle.dumps(fresh) == pickle.dumps(MetricDef(m.dim, m.components, m.name, m.chart))
     back = pickle.loads(pickle.dumps(fresh))
-    assert back == fresh and np.array_equal(back.eval_matrix([0.1, 0.2, 0.3]), fresh.eval_matrix([0.1, 0.2, 0.3]))
+    assert back == fresh and np.array_equal(back.eval_matrix_many([[0.1, 0.2, 0.3]])[0], fresh.eval_matrix_many([[0.1, 0.2, 0.3]])[0])

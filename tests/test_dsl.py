@@ -53,7 +53,7 @@ def test_parse_sol():
     assert m.dim == 3
     assert m.name == "sol"
     z = 0.37
-    g = m.eval_matrix((0.0, 0.0, z))
+    g = m.eval_matrix_many([(0.0, 0.0, z)])[0]
     assert g[0, 0] == pytest.approx(np.exp(2 * z), rel=1e-15)
     assert g[1, 1] == pytest.approx(np.exp(-2 * z), rel=1e-15)
     assert g[2, 2] == 1.0
@@ -63,7 +63,7 @@ def test_parse_sol():
 def test_parse_nil():
     m = parse_metric(NIL_TEXT)
     x = -0.8
-    g = m.eval_matrix((x, 1.0, 2.0))
+    g = m.eval_matrix_many([(x, 1.0, 2.0)])[0]
     # dx^2 + dy^2 + (dz - x dy)^2 expanded
     expected = np.array([[1, 0, 0], [0, 1 + x * x, -x], [0, -x, 1]])
     assert np.allclose(g, expected, atol=1e-15)

@@ -409,6 +409,19 @@ def test_eigenflag_cp2_false():
     assert report.verdict is False
 
 
+def test_search_alone_on_an_isotropic_operator_stops_at_its_plateau():
+    """CP^2's Weyl operator is isotropic: F is constant on the sphere, so no
+    step improves a start, and the search stops at its plateau after
+    PLATEAU_WINDOW steps with the minimum it started from.  The reference
+    search masks every start (gradient 0) and stops before its first step."""
+    w = _cp2_weyl().mat
+    fmin, _, iters, converged = _search(w, 4, ObstructionConfig())
+    ref = _ref_minimize_residual(w.copy(), 4, ObstructionConfig())
+    assert (iters, ref[2]) == (PLATEAU_WINDOW, 0)
+    assert abs(fmin - ref[0]) <= 1e-14 * ref[0]
+    assert converged and ref[3]
+
+
 def test_eigenflag_cp2_false_without_precheck():
     """The spectral precheck decides CP^2; the search alone, which the
     precheck skips, finds no flag direction either."""

@@ -50,7 +50,7 @@ def test_normal_coordinates_flat_affine():
     assert np.abs(pl.gamma()).max() <= 1e-14
     # flat base: purely affine change, so the metric is exactly constant
     p = np.array([0.3, 0.7, -0.4])
-    assert np.abs(chart.eval_matrix(p) - np.eye(3)).max() <= 1e-12
+    assert np.abs(chart.eval_matrix_many([p])[0] - np.eye(3)).max() <= 1e-12
 
 
 def test_normal_coordinates_nil():
@@ -62,7 +62,7 @@ def test_normal_coordinates_nil():
         assert np.abs(pl.g - np.eye(3)).max() <= 1e-9
         assert np.abs(pl.gamma()).max() <= 1e-9
         # off the origin the base is evaluated, not the kept center jets
-        assert np.abs(metric.eval_matrix(np.full(3, 0.01)) - np.eye(3)).max() <= 1e-3
+        assert np.abs(metric.eval_matrix_many([np.full(3, 0.01)])[0] - np.eye(3)).max() <= 1e-3
 
 
 def test_normal_coordinates_sphere_chart():
@@ -366,7 +366,7 @@ def test_pulled_back_values_do_not_depend_on_the_batch(rng):
     grid = rng.uniform(-0.8, 0.8, (25, 4))
     batch, jets = metric.eval_matrix_many(grid), metric._jets(grid, 3)
     for k, y in enumerate(grid):
-        assert np.array_equal(batch[k], metric.eval_matrix(y))
+        assert np.array_equal(batch[k], metric.eval_matrix_many([y])[0])
         assert np.array_equal(batch[k], batch[k].T)
         assert np.array_equal(jets[k], metric.eval_jets(y))
 
@@ -432,8 +432,8 @@ def test_kept_origin_jets_have_the_bits_of_a_fresh_composition(kind, n, rng):
     chart = normal_coordinates(base, point, order=kept_order)
     res = _prescription(kind, base, point, rng)()
     assert not res.unchanged
-    rebumped = res.metric.with_bump(2.0 * res.metric.bump, res.metric.radius, "rebumped")
-    direct = chart.with_bump(rebumped.bump, rebumped.radius, "direct")
+    rebumped = res.metric.with_bump(2.0 * res.metric.bump)
+    direct = chart.with_bump(rebumped.bump)
     origin = np.zeros(n)
     for metric in (chart, res.metric, direct):
         assert metric.origin_jets.shape[-1] == jet_space(n, kept_order).size
@@ -518,7 +518,7 @@ def test_a_non_finite_grid_is_refused_before_any_factorisation(monkeypatch):
         raise AssertionError("a non-finite grid reached a factorisation")
 
     chart = normal_coordinates(FLAT3, np.zeros(3))
-    huge = chart.with_bump(np.full((3,) * 5, 1e308), 1.0, "huge")
+    huge = chart.with_bump(np.full((3,) * 5, 1e308))
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     with pytest.raises(DomainError, match="not finite on the positivity grid"):
@@ -547,8 +547,8 @@ def test_grid_matrices_equal_the_general_evaluator_at_the_grid_points(n, radius,
     chart = normal_coordinates(base, rng.uniform(-0.1, 0.1, n), radius)
     assert np.abs(chart.gamma_frame).max() > 0.0
     metrics = [chart, normal_coordinates(chart, rng.uniform(-0.1, 0.1, n), radius)]
-    metrics += [chart.with_bump(_symmetric_bump(rng, n, d, 1e-3), radius, "bumped") for d in (2, 3)]
-    metrics.append(metrics[1].with_bump(_symmetric_bump(rng, n, 2, 1e-3), radius, "bumped chart of a chart"))
+    metrics += [chart.with_bump(_symmetric_bump(rng, n, d, 1e-3)) for d in (2, 3)]
+    metrics.append(metrics[1].with_bump(_symmetric_bump(rng, n, 2, 1e-3)))
     radii, directions = _grid(n, 1.0)
     points = _grid_points(n, 1.0)
     assert _same_bits(points, (radii[:, None, None] * directions).reshape(-1, n))
