@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConstraintViolation, DimensionError, DomainError, NotOrthogonal, SingularMetric, SymmetryViolation
-from .pipeline import _check_curvature_symmetries, _perm_sign, kulkarni_nomizu
+from .errors import ConstraintViolation, DimensionError, DomainError, NotOrthogonal, SingularMetric
+from .pipeline import _check_curvature_symmetries, _perm_sign, _require_small, kulkarni_nomizu
 
 
 @lru_cache(maxsize=None)
@@ -65,6 +65,7 @@ class CurvatureOperator:
     dim: int
     mat: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")  # a matrix past the float range gives inf or nan; the gate refuses it
     def __post_init__(self):
         m = bivector_dim(self.dim)
         self.mat = np.asarray(self.mat, dtype=float)
@@ -72,9 +73,8 @@ class CurvatureOperator:
             raise DimensionError(
                 f"operator matrix must be {m}x{m} for dim {self.dim}, got {self.mat.shape}"
             )
-        if np.abs(self.mat - self.mat.T).max() > 1e-10 * max(1.0, np.abs(self.mat).max()):
-            raise SymmetryViolation("operator matrix is not symmetric")
-        self.mat = 0.5 * (self.mat + self.mat.T)
+        _require_small(self.mat - self.mat.T, 1e-10 * max(np.abs(self.mat).max(), 1.0), "operator matrix is not symmetric")
+        self.mat = 0.5 * self.mat + 0.5 * self.mat.T  # the bits of 0.5 * (mat + mat.T) in the normal range, without its overflow
 
     def norm(self):
         return float(np.linalg.norm(self.mat))
@@ -301,12 +301,12 @@ def induced_rotation(rho):
     return rho[i, k] * rho[j, l] - rho[i, l] * rho[j, k]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a matrix past the float range gives inf or nan; the gates refuse it
 def rotate_operator(op: CurvatureOperator, rho) -> CurvatureOperator:
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (op.dim, op.dim):
         raise DimensionError("rotation has the wrong shape")
-    if np.abs(rho.T @ rho - np.eye(op.dim)).max() > 1e-10:
-        raise NotOrthogonal("rotation matrix is not orthogonal")
+    _require_small(rho.T @ rho - np.eye(op.dim), 1e-10, "rotation matrix is not orthogonal", NotOrthogonal)
     b = induced_rotation(rho)
     return CurvatureOperator(dim=op.dim, mat=b @ op.mat @ b.T)
 
@@ -355,6 +355,7 @@ def ricci_target_operator(lambdas, n):
     return operator_from_0_4(r4).mat
 
 
+@np.errstate(over="ignore", invalid="ignore")  # parameters past the float range give inf or nan; the gates refuse them
 def phi_map(params: EigenflagParams) -> CurvatureOperator:
     """Assemble the flag-invariant Weyl operator
     B(rho) (diag(lambda) + [0 ... 0, W2]) B(rho)^T.
@@ -370,11 +371,9 @@ def phi_map(params: EigenflagParams) -> CurvatureOperator:
     lam = np.asarray(params.lambdas, dtype=float)
     if lam.shape != (n - 1,):
         raise ConstraintViolation(f"need {n-1} eigenvalues, got {lam.shape}")
-    bound = 1e-9 * max(np.abs(lam).max(), np.abs(params.w2).max(), 1.0)
-    if abs(lam.sum()) > bound:
-        raise ConstraintViolation(f"eigenvalues must sum to zero (sum = {lam.sum():g})")
-    if np.abs(rho.T @ rho - np.eye(n)).max() > 1e-12:
-        raise ConstraintViolation("rotation is not orthogonal to 1e-12")
+    bound = 1e-9 * max(np.abs(params.w2).max(), np.abs(lam).max(), 1.0)  # w2 first: its NaN reaches the bound, lam's the sum
+    _require_small(lam.sum(), bound, f"eigenvalues must sum to zero (sum = {lam.sum():g})", ConstraintViolation)
+    _require_small(rho.T @ rho - np.eye(n), 1e-12, "rotation is not orthogonal to 1e-12", ConstraintViolation)
     m = bivector_dim(n)
     core = np.zeros((m, m))
     for k in range(n - 1):
@@ -384,13 +383,8 @@ def phi_map(params: EigenflagParams) -> CurvatureOperator:
     core_op = CurvatureOperator(dim=n, mat=core)
     # the Ricci constraint on w2 makes the assembled operator a Weyl tensor
     rc = ricci_contract(core_op)
-    if np.abs(rc).max() > bound:
-        raise ConstraintViolation(
-            f"w2 violates its Ricci constraint (|r| = {np.abs(rc).max():g})"
-        )
-    bc = bianchi_project(core_op)
-    if np.abs(bc.mat).max() > bound:
-        raise ConstraintViolation("w2 is not an algebraic curvature operator (b != 0)")
+    _require_small(rc, bound, f"w2 violates its Ricci constraint (|r| = {np.abs(rc).max():g})", ConstraintViolation)
+    _require_small(bianchi_project(core_op).mat, bound, "w2 is not an algebraic curvature operator (b != 0)", ConstraintViolation)
     b = induced_rotation(rho)
     return CurvatureOperator(dim=n, mat=b @ core @ b.T)
 

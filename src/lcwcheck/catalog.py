@@ -14,6 +14,7 @@ values the tensor pipeline must reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -465,14 +466,7 @@ def _build_registry():
     return entries
 
 
-_REGISTRY = None
-
-
-def _registry():
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
-    return _REGISTRY
+_registry = lru_cache(maxsize=None)(_build_registry)  # built on first use, once per process
 
 
 THURSTON_NAMES = (

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .obstructions import ObstructionConfig, auto_test, cotton_york_test, eigenflag_test
 from .perturbation import normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
-from .pipeline import TENSOR_FIELDS, JetPipeline, compute_snapshot, format_json, snapshot_to_dict
+from .pipeline import TENSOR_FIELDS, JetPipeline, _require_small, compute_snapshot, format_json, snapshot_to_dict
 
 EXIT_PASSES = 0
 EXIT_PARSE = 2
@@ -128,10 +128,9 @@ def _load_target(target, n):
     if n == 3:
         return mat.astype(float)
     op = CurvatureOperator(dim=n, mat=mat)
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge operator's norms overflow; the prescription refuses it
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge operator's norms overflow to inf; the gate refuses it
         off = max(np.linalg.norm(ricci_contract(op)), np.linalg.norm(bianchi_project(op).mat))
-        if off > 1e-10 * max(op.norm(), 1.0):
-            raise ConstraintViolation("the weyl target is not a Weyl operator: its Ricci contraction or Bianchi part is not 0")
+        _require_small(off, 1e-10 * max(op.norm(), 1.0), "the weyl target is not a Weyl operator: its Ricci contraction or Bianchi part is not 0", ConstraintViolation)
     return op
 
 

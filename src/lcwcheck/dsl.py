@@ -177,11 +177,6 @@ def _walk(roots):
     return order
 
 
-def max_var_index(e) -> int:
-    """Largest 0-based variable index used, or -1 for constants."""
-    return max((n.index for n in _walk([e]) if type(n) is Var), default=-1)
-
-
 def used_vars(e) -> set:
     return {n.index for n in _walk([e]) if type(n) is Var}
 
@@ -791,20 +786,13 @@ def _same(a, b):
 
 
 def metric_from_components(components, name="", chart="") -> MetricDef:
-    """Build a MetricDef from a square (possibly upper-triangular) list of
-    Expr entries; None entries mirror across the diagonal."""
+    """Build a MetricDef from a square (possibly upper-triangular) list of Expr
+    entries; None entries mirror across the diagonal, a variable past dim fails at evaluation."""
     dim = len(components)
     full = [[components[i][j] or components[j][i] or ZERO for j in range(dim)] for i in range(dim)]
     for i, j in _upper(dim):
         if not _same(full[i][j], full[j][i]):
             raise ParseError(f"asymmetric entries g{i+1}{j+1} vs g{j+1}{i+1}")
-    # one walk over all entries (they may share subexpressions); the
-    # per-entry walks only name the culprit
-    if any(type(e) is Var and e.index >= dim for e in _walk([full[i][j] for i, j in _upper(dim)])):
-        for i, j in _upper(dim):
-            k = max_var_index(full[i][j])
-            if k >= dim:
-                raise ParseError(f"entry g{i+1}{j+1} uses x{k+1} but dim = {dim}")
     return MetricDef(dim=dim, components=tuple(tuple(row) for row in full), name=name, chart=chart)
 
 

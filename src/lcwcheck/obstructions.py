@@ -37,7 +37,7 @@ from .bivectors import (
 )
 from .dsl import MetricDef
 from .errors import DimensionError, DomainError, PreconditionViolation
-from .pipeline import JetPipeline, compute_snapshot, format_json
+from .pipeline import JetPipeline, _require_small, compute_snapshot, format_json
 
 
 GRAD_TOL = 1e-12  # the search has converged once its best gradient is below this times the scale
@@ -172,6 +172,7 @@ def _residual_batch(w, v_batch):
     return _residual_eval(_residual_form(w, v_batch.shape[1]), v_batch)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the float range: inf or nan, refused below
 def eigenflag_residual(op: CurvatureOperator, v) -> float:
     """Flag-invariance defect of the unit vector v; zero iff W leaves
     v ^ v-perp invariant.  Independent of how v is completed to a frame."""
@@ -179,10 +180,11 @@ def eigenflag_residual(op: CurvatureOperator, v) -> float:
         raise DimensionError("eigenflag residual needs dim >= 4")
     v = np.asarray(v, dtype=float)
     nv = np.linalg.norm(v)
-    if abs(nv - 1.0) > 1e-10:
-        raise PreconditionViolation("v must be a unit vector")
-    f, _ = _residual_batch(op.mat, v[None, :] / nv)
-    return max(float(f[0]), 0.0)  # cancellation can leave a tiny negative
+    _require_small(nv - 1.0, 1e-10, "v must be a unit vector", PreconditionViolation)
+    f = float(_residual_batch(op.mat, v[None, :] / nv)[0][0])
+    if not math.isfinite(f):
+        raise DomainError("Weyl operator too large: its residual is not a finite number")
+    return max(f, 0.0)  # cancellation can leave a tiny negative
 
 
 def _eigen_candidate_starts(vecs, n):
@@ -427,6 +429,7 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
 # -- dimension 3: Cotton-York determinant test --------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf or nan past the float range, refused by the gates; det of subnormal entries underflows
 def plane_from_traceless_degenerate(a, tol=1e-8):
     """Given a symmetric 3x3 matrix with trace and determinant (near) zero,
     return (plane, normal) with <A p, p'> = 0 for p, p' in the plane and
@@ -444,18 +447,16 @@ def plane_from_traceless_degenerate(a, tol=1e-8):
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
         return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([0.0, 0.0, 1.0])
-    if abs(np.trace(a)) > tol * max(norm, 1.0):
-        raise PreconditionViolation(f"trace {np.trace(a):g} not within tolerance of zero")
-    if abs(np.linalg.det(a)) > tol * max(norm**3, 1.0):
-        raise PreconditionViolation(
-            f"determinant {np.linalg.det(a):g} not within tolerance of zero"
-        )
+    bound = tol * max(norm, 1.0)
+    _require_small(a - a.T, bound, "matrix is not symmetric", PreconditionViolation)
+    trace = np.trace(a)
+    _require_small(trace, bound, f"trace {trace:g} not within tolerance of zero", PreconditionViolation)
+    det = np.linalg.det(a)
+    _require_small(det, tol * max(norm**3, 1.0), f"determinant {det:g} not within tolerance of zero", PreconditionViolation)
     vals, vecs = np.linalg.eigh(a)
     k = int(np.argmin(np.abs(vals)))
-    rest = [i for i in range(3) if i != k]
-    vp = vecs[:, rest[int(np.argmax(vals[rest]))]]
-    vm = vecs[:, rest[int(np.argmin(vals[rest]))]]
-    v3 = vecs[:, k]
+    lo, hi = [i for i in range(3) if i != k]  # eigh sorts the eigenvalues: two equal ones stay apart
+    vp, vm, v3 = vecs[:, hi], vecs[:, lo], vecs[:, k]
     p1 = (vp + vm) / np.linalg.norm(vp + vm)
     normal = (vp - vm) / np.linalg.norm(vp - vm)
     return np.vstack([p1, v3]), normal

@@ -63,10 +63,9 @@ from .errors import (
     DomainError,
     LinearSolveFailure,
     NotPositiveDefinite,
-    SymmetryViolation,
 )
 from .jets import jet_space
-from .pipeline import EPS3, JetPipeline, _check_bianchi, _check_curvature_symmetries
+from .pipeline import EPS3, JetPipeline, _check_bianchi, _check_curvature_symmetries, _require_small
 
 GRID_RADIAL = 10
 GRID_ANGULAR = 64
@@ -583,11 +582,10 @@ def prescribe_cotton_york_in(pl, target_cy) -> PerturbResult:
     cy0 = np.asarray(target_cy, dtype=float)
     if cy0.shape != (3, 3):
         raise DimensionError("target must be a 3x3 matrix")
-    scale = max(np.abs(cy0).max(), 1.0)
-    if np.abs(cy0 - cy0.T).max() > 1e-10 * scale:
-        raise SymmetryViolation("target Cotton-York tensor must be symmetric")
-    if abs(np.trace(cy0)) > 1e-10 * scale:
-        raise ConstraintViolation("target Cotton-York tensor must be traceless")
+    bound = 1e-10 * max(np.abs(cy0).max(), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a target past the float range gives inf or nan; the gates refuse it
+        _require_small(cy0 - cy0.T, bound, "target Cotton-York tensor must be symmetric")
+        _require_small(np.trace(cy0), bound, "target Cotton-York tensor must be traceless", ConstraintViolation)
 
     def bump_of(pl):
         dc = (cy_to_cotton(cy0) - pl.cotton()).reshape(-1)

@@ -67,12 +67,17 @@ def _perm_sign(p):
 EPS3 = _eps3()
 
 
-def _require_small(x, bound, what):
-    """SymmetryViolation(what) unless max |x| <= bound (NaN fails)."""
-    if not np.abs(x).max() <= bound:
-        raise SymmetryViolation(what)
+def _require_small(x, bound, what, error=SymmetryViolation):
+    """error(what) unless max |x| <= bound < inf (NaN fails), the rule of every
+    tolerance check on an input; its message says when a number is not finite."""
+    big = np.abs(x).max()
+    if not big <= bound < math.inf:
+        if not (math.isfinite(big) and math.isfinite(bound)):
+            what = f"{what} (not a finite number: {big:g} against a bound of {bound:g})"
+        raise error(what)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a tensor past the float range gives inf or nan; the gate refuses it
 def _check_curvature_symmetries(r4, tol):
     """Antisymmetry in each index pair and pair exchange symmetry, to
     ``tol`` relative to max(|r4|, 1)."""
@@ -82,6 +87,7 @@ def _check_curvature_symmetries(r4, tol):
     _require_small(r4 - r4.transpose(2, 3, 0, 1), bound, "tensor not symmetric under pair exchange")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as above
 def _check_bianchi(r4, tol):
     bianchi = r4 + r4.transpose(1, 2, 0, 3) + r4.transpose(2, 0, 1, 3)
     _require_small(bianchi, tol * max(np.abs(r4).max(), 1.0), "tensor violates the first Bianchi identity")

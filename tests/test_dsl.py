@@ -18,11 +18,12 @@ from lcwcheck.dsl import (
     _Program,
     eval_expr,
     expr_to_text,
+    metric_from_components,
     metric_to_text,
     parse_expr,
     parse_metric,
 )
-from lcwcheck.errors import ParseError
+from lcwcheck.errors import DomainError, ParseError
 
 
 def _value(e, point):
@@ -83,8 +84,16 @@ def test_parse_error_has_position():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_metric("dim = 2\ng11 = x3\ng22 = 1\n")
+    assert err.value.line == 2
+
+
+def test_programmatic_variable_past_dim_is_refused_at_its_first_evaluation():
+    one = Num(1.0)
+    m = metric_from_components([[one, None, None, None], [None, one, None, None], [None, None, one, None], [None, None, None, Var(4)]])
+    with pytest.raises(DomainError, match="x5 out of range for dim 4"):
+        m.eval_jets(np.zeros(4))
 
 
 def test_out_of_range_entry():
