@@ -371,7 +371,10 @@ def phi_map(params: EigenflagParams) -> CurvatureOperator:
     lam = np.asarray(params.lambdas, dtype=float)
     if lam.shape != (n - 1,):
         raise ConstraintViolation(f"need {n-1} eigenvalues, got {lam.shape}")
-    bound = 1e-9 * max(np.abs(params.w2).max(), np.abs(lam).max(), 1.0)  # w2 first: its NaN reaches the bound, lam's the sum
+    w2 = np.asarray(params.w2, dtype=float)
+    if not np.isfinite(w2).all():  # the bound below is built from it
+        raise ConstraintViolation("w2 has an entry that is not a finite number")
+    bound = 1e-9 * max(np.abs(w2).max(), np.abs(lam).max(), 1.0)
     _require_small(lam.sum(), bound, f"eigenvalues must sum to zero (sum = {lam.sum():g})", ConstraintViolation)
     _require_small(rho.T @ rho - np.eye(n), 1e-12, "rotation is not orthogonal to 1e-12", ConstraintViolation)
     m = bivector_dim(n)
@@ -379,7 +382,7 @@ def phi_map(params: EigenflagParams) -> CurvatureOperator:
     for k in range(n - 1):
         a = pair_index(n)[(0, k + 1)]
         core[a, a] = lam[k]
-    core += _embed_w2(np.asarray(params.w2, dtype=float), n)
+    core += _embed_w2(w2, n)
     core_op = CurvatureOperator(dim=n, mat=core)
     # the Ricci constraint on w2 makes the assembled operator a Weyl tensor
     rc = ricci_contract(core_op)

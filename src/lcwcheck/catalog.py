@@ -19,12 +19,12 @@ from functools import lru_cache
 import numpy as np
 
 from .dsl import (
+    COORDS,
     Add,
     Call,
     MetricDef,
     Mul,
     Num,
-    Var,
     eval_expr,
     metric_from_components,
     parse_expr,
@@ -213,7 +213,7 @@ def product_with_line(base: MetricDef, name=None) -> MetricDef:
     n = base.dim
     if n + 1 > 6:
         raise DimensionError("product exceeds the supported dimension")
-    shift = {k: Var(k + 1) for k in range(n)}
+    shift = {k: COORDS[k + 1] for k in range(n)}
     comp = [[Num(0.0)] * (n + 1) for _ in range(n + 1)]
     comp[0][0] = Num(1.0)
     for i in range(n):
@@ -339,12 +339,14 @@ def cp2_curvature() -> np.ndarray:
 def random_polynomial(dim, rng, amplitude=0.05):
     """Random polynomial expression: 6 monomials of degree 1 to 3 with
     normal coefficients times ``amplitude``."""
+    if not 1 <= dim <= len(COORDS):
+        raise DimensionError(f"random polynomials need 1 <= dim <= {len(COORDS)}, got {dim}")
     out = None
     for _ in range(6):
         c = amplitude * rng.standard_normal()
         mono = Num(c)
         for _ in range(int(rng.integers(1, 4))):
-            mono = Mul(mono, Var(int(rng.integers(0, dim))))
+            mono = Mul(mono, COORDS[int(rng.integers(0, dim))])
         out = mono if out is None else Add(out, mono)
     return out
 

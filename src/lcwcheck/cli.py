@@ -128,9 +128,11 @@ def _load_target(target, n):
     if n == 3:
         return mat.astype(float)
     op = CurvatureOperator(dim=n, mat=mat)
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge operator's norms overflow to inf; the gate refuses it
-        off = max(np.linalg.norm(ricci_contract(op)), np.linalg.norm(bianchi_project(op).mat))
-        _require_small(off, 1e-10 * max(op.norm(), 1.0), "the weyl target is not a Weyl operator: its Ricci contraction or Bianchi part is not 0", ConstraintViolation)
+    # tested as op / 2^k, k >= 0: exact, and the norms of a huge operator stay finite
+    k = max(math.frexp(float(np.abs(op.mat).max()))[1], 0)
+    scaled = CurvatureOperator(dim=n, mat=np.ldexp(op.mat, -k))
+    off = max(np.linalg.norm(ricci_contract(scaled)), np.linalg.norm(bianchi_project(scaled).mat))
+    _require_small(off, 1e-10 * max(scaled.norm(), math.ldexp(1.0, -k)), "the weyl target is not a Weyl operator: its Ricci contraction or Bianchi part is not 0", ConstraintViolation)
     return op
 
 

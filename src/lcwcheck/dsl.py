@@ -19,6 +19,12 @@ compilation) is iterative, so nesting depth is limited by memory, not by
 the Python stack; only the parser recurses, and it reports nesting past
 the recursion limit as a ParseError.
 
+Nodes are frozen, slotted dataclasses, compared and hashed by structure.
+The library's builders (the parser, the random and product metrics of the
+catalog, the polynomials of a perturbed chart) take every x_k from one
+table, ``COORDS``, so a coordinate is one node however often it is used;
+``Var(k)`` makes an equal node of its own.
+
 Evaluation compiles the DAG of the requested expressions (shared subtrees
 once) into a program, then runs it on a batch of points as jets of a given
 order, 0 to 3 (the program does not depend on it): an order-0 jet is the
@@ -85,52 +91,52 @@ UNARY_FUNCS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 # --- expression trees -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     index: int  # 0-based
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add:
     a: "Expr"
     b: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub:
     a: "Expr"
     b: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul:
     a: "Expr"
     b: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Div:
     a: "Expr"
     b: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow:
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     a: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     func: str
     args: tuple
@@ -138,6 +144,7 @@ class Call:
 Expr = (Num, Var, Add, Sub, Mul, Div, Pow, Neg, Call)
 
 ZERO = Num(0.0)
+COORDS = tuple(Var(k) for k in range(6))  # x1 .. x6: the one node of each coordinate that the library's builders share
 
 _BINARY = (Add, Sub, Mul, Div)
 
@@ -614,7 +621,7 @@ class _Parser:
             if m:
                 index = int(m.group(1)) - 1
                 self.max_var = max(self.max_var, index)
-                return Var(index)
+                return COORDS[index]
             if name in UNARY_FUNCS:
                 self.expect("(")
                 arg = self.parse_expr()

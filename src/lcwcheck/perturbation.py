@@ -46,13 +46,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dsl import (
+    COORDS,
     Add,
     Call,
     MetricDef,
     Mul,
     Num,
     Pow,
-    Var,
     _pair_index,
     _smoothbump_jet,
     substitute,
@@ -148,7 +148,7 @@ def _poly_expr(coeffs, lead=()):
                 continue
             term = None if coeff == 1.0 else Num(coeff)
             for k, p in counts.items():
-                f = Var(k) if p == 1 else Pow(Var(k), p)
+                f = COORDS[k] if p == 1 else Pow(COORDS[k], p)
                 term = f if term is None else Mul(term, f)
             term = Num(coeff) if term is None else term
             out = term if out is None else Add(out, term)

@@ -13,6 +13,7 @@ from lcwcheck.catalog import (
     nil_expected_tensors,
     r_cross_surface,
     r_cross_surface_cy,
+    random_metric_near_flat,
     sl2r_full_tensors,
 )
 from lcwcheck.dsl import metric_to_text, parse_metric
@@ -125,6 +126,11 @@ def test_cp2_chart_cross_check():
 def test_r_cross_surface_rejects_x1():
     with pytest.raises(DimensionError):
         r_cross_surface("x1 + x2")
+
+
+def test_random_metric_past_the_coordinates_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="got 7"):
+        random_metric_near_flat(7, np.random.default_rng(0))
 
 
 def test_r_cross_surface_flat_factor():

@@ -305,14 +305,15 @@ def test_perturb_target_that_cannot_be_read_exit_2(tmp_path, monkeypatch, metric
     assert not pathlib.Path("out.metric").exists()
 
 
-@pytest.mark.parametrize("kind", ["identity", "volume-form"])
+@pytest.mark.parametrize("kind", ["identity", "volume-form", "huge-identity"])
 def test_perturb_weyl_target_that_is_not_a_weyl_operator_exit_3(tmp_path, kind):
     """The identity is a curvature operator with a Ricci contraction; the
     volume form's operator (the Hodge star) is a 4-form, with a Bianchi
-    part.  Neither is a Weyl operator, so neither is a target."""
+    part.  Neither is a Weyl operator, so neither is a target, however
+    large."""
     from lcwcheck.bivectors import hodge_star_matrix
 
-    mat = np.eye(6) if kind == "identity" else hodge_star_matrix()
+    mat = {"identity": np.eye(6), "volume-form": hodge_star_matrix(), "huge-identity": 1e198 * np.eye(6)}[kind]
     target, out = tmp_path / "target.json", tmp_path / "out.metric"
     target.write_text(json.dumps({"weyl": mat.tolist()}))
     r = runner.invoke(
@@ -320,6 +321,23 @@ def test_perturb_weyl_target_that_is_not_a_weyl_operator_exit_3(tmp_path, kind):
     )
     assert r.exit_code == 3, r.output
     assert r.stdout == "" and "not a Weyl operator" in r.stderr
+    assert not out.exists()
+
+
+def test_perturb_weyl_target_whose_norm_overflows_is_refused_by_its_size(tmp_path):
+    """A Weyl operator near 1e198 is one (membership is tested on the
+    operator scaled by a power of 2), but its norm is past the float range:
+    the refusal names its size."""
+    from lcwcheck.bivectors import phi_map, sample_eigenflag_params
+
+    op = phi_map(sample_eigenflag_params(4, np.random.default_rng(3)))
+    target, out = tmp_path / "target.json", tmp_path / "out.metric"
+    target.write_text(json.dumps({"weyl": (1e198 * op.mat).tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = runner.invoke(main, ["perturb", "--metric", "product4_nil", "--target", str(target), "--out", str(out)])
+    assert r.exit_code == 3, r.output
+    assert r.stdout == "" and r.stderr == "error: target tensor is too large: its norm is not a finite number\n"
     assert not out.exists()
 
 

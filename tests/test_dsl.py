@@ -1,14 +1,21 @@
 """Expression and metric-file parsing, printing round trips, evaluation."""
 
+import copy
+import pickle
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcwcheck.catalog import get_entry, product_with_line, random_metric_near_flat
 from lcwcheck.dsl import (
+    COORDS,
     Add,
     Call,
     Div,
+    Expr,
     Mul,
     Neg,
     Num,
@@ -16,6 +23,7 @@ from lcwcheck.dsl import (
     Sub,
     Var,
     _Program,
+    _walk,
     eval_expr,
     expr_to_text,
     metric_from_components,
@@ -24,6 +32,7 @@ from lcwcheck.dsl import (
     parse_metric,
 )
 from lcwcheck.errors import DomainError, ParseError
+from lcwcheck.perturbation import CottonPrescription, prescribe_cotton_york
 
 
 def _value(e, point):
@@ -269,3 +278,56 @@ def test_bad_let_is_a_parse_error(text):
 def test_files_without_sharing_print_no_let():
     text = "dim = 2\ng11 = exp(x1)*sin(x2) + x1^2*x2^3 + cos(x1 + x2) + 1\ng22 = 1 + x1^2*x2^2*exp(x1 + x2)\n"
     assert metric_to_text(parse_metric(text)) == text
+
+
+# --- node layout: slotted nodes, one node per coordinate ---------------------------
+
+EVERY_NODE_TEXT = """
+dim = 3
+g11 = exp(2*x3) + x1^2
+g22 = 1 - x1/(2 + x2)
+g33 = 1 + -x2*smoothbump(x1^2, 0.25, 1)
+g12 = 0.1*sin(x3)
+"""
+
+
+def _nodes(metric):
+    return _walk([e for row in metric.components for e in row])
+
+
+def test_no_expression_node_has_an_instance_dict():
+    nodes = _nodes(parse_metric(EVERY_NODE_TEXT))
+    assert {type(e) for e in nodes} == set(Expr)
+    assert not any(hasattr(e, "__dict__") for e in nodes)
+
+
+def _built_metrics():
+    rng = np.random.default_rng(7)
+    cy = np.diag([1.0, 1.0, -2.0]) * 1e-3
+    perturbed = prescribe_cotton_york(CottonPrescription(base=get_entry("sl2r").metric, point=np.zeros(3), target_cy=cy))
+    assert not perturbed.unchanged
+    return {
+        "parsed": parse_metric(EVERY_NODE_TEXT),
+        "random": random_metric_near_flat(5, rng),
+        "product": product_with_line(parse_metric(NIL_TEXT)),
+        "perturbed": perturbed.metric,
+    }
+
+
+@pytest.mark.parametrize("name", ["parsed", "random", "product", "perturbed"])
+def test_the_builders_use_one_node_per_coordinate(name):
+    coords = [e for e in _nodes(_built_metrics()[name]) if type(e) is Var]
+    uses = Counter(e.index for e in coords)
+    assert uses and set(uses.values()) == {1}, uses
+    assert all(e is COORDS[e.index] for e in coords)
+
+
+@pytest.mark.parametrize("copier", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("name", ["parsed", "product"])
+def test_a_metric_survives_pickle_and_deepcopy_with_the_same_jets(name, copier):
+    metric = _built_metrics()[name]
+    point = np.linspace(0.1, 0.3, metric.dim)
+    jets = metric.eval_jets(point)
+    back = copier(metric)
+    assert back is not metric and back == metric
+    assert back.eval_jets(point).tobytes() == jets.tobytes()

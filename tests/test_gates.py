@@ -45,22 +45,24 @@ def _weyl4():
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, subject",
     [
-        (lambda: phi_map(_params(lambdas=(0, NAN))), ConstraintViolation),
-        (lambda: phi_map(_params(w2=((1, 2), NAN))), ConstraintViolation),
-        (lambda: CurvatureOperator(4, np.full((6, 6), NAN)), SymmetryViolation),
-        (lambda: rotate_operator(_weyl4(), np.full((4, 4), NAN)), NotOrthogonal),
-        (lambda: eigenflag_residual(_weyl4(), [NAN, 0.0, 0.0, 0.0]), PreconditionViolation),
-        (lambda: plane_from_traceless_degenerate(np.full((3, 3), NAN)), PreconditionViolation),
+        (lambda: phi_map(_params(lambdas=(0, NAN))), ConstraintViolation, "eigenvalues"),
+        (lambda: phi_map(_params(w2=((1, 2), NAN))), ConstraintViolation, "w2"),
+        (lambda: CurvatureOperator(4, np.full((6, 6), NAN)), SymmetryViolation, "operator matrix"),
+        (lambda: rotate_operator(_weyl4(), np.full((4, 4), NAN)), NotOrthogonal, "rotation matrix"),
+        (lambda: eigenflag_residual(_weyl4(), [NAN, 0.0, 0.0, 0.0]), PreconditionViolation, "v must be"),
+        (lambda: plane_from_traceless_degenerate(np.full((3, 3), NAN)), PreconditionViolation, "matrix"),
     ],
     ids=["phi_map-lambda", "phi_map-w2", "CurvatureOperator", "rotate_operator", "eigenflag_residual", "plane"],
 )
-def test_nan_is_refused_by_the_sites_own_error(call, error):
+def test_nan_is_refused_by_the_sites_own_error(call, error, subject):
+    """The refusal names the input that holds the NaN."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error, match="not a finite number"):
+        with pytest.raises(error, match="not a finite number") as info:
             call()
+    assert str(info.value).startswith(subject)
 
 
 @pytest.mark.parametrize(
