@@ -40,7 +40,6 @@ from .errors import (
     DimensionError,
     DomainError,
     LcwError,
-    LinearSolveFailure,
     NotOrthogonal,
     NotPositiveDefinite,
     ParseError,

@@ -56,8 +56,3 @@ class NotPositiveDefinite(LcwError):
 
 class UnknownEntry(LcwError):
     """Requested catalog entry does not exist."""
-
-
-class LinearSolveFailure(LcwError):
-    """A linear system that is guaranteed solvable failed to solve; this
-    indicates a bug or a rank-deficient input."""

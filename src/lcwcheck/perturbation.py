@@ -8,9 +8,8 @@ polynomial bump times a C^3 radial cutoff:
   shifts the curvature at the point by exactly R* while keeping the
   Christoffel symbols zero there;
 * cubic bump      g'_ij = g_ij + sum A_ij^{klm} y^k y^l y^m phi(y)
-  leaves g, dg, d^2g at the point unchanged and shifts the Cotton tensor
-  by the linear image 6 L(A) (the 6 = 3! from differentiating the cubic
-  three times), which is what the solver inverts.
+  leaves g, dg, d^2g at the point unchanged and shifts the Cotton-York
+  tensor by T for the closed form A = A(T) of ``prescribe_cotton_york``.
 
 The chart is a ``PulledBackMetric``: the base metric, the chart map
 x(y) = p + E y - 1/2 E Ghat(y, y) as the arrays (p, E, Ghat), and the bump
@@ -24,15 +23,10 @@ adds the bump's.  No expression is built on this path: the expression form
 (``components``) is made on first use, for printing the metric.  Both
 prescriptions run the same steps (measure at the origin, bump, check
 positivity, measure again); they differ only in the tensor they measure and
-the bump coefficients.  Positivity is decided by one batched Cholesky on 10
-radii times 64 fixed directions: x(y), J(y) and the bump are homogeneous by
-parts, so they are evaluated at the 64 directions and scaled by powers of
-the radius, and only the base metric runs at all 640 points.
-
-The bump coefficients live in the 60-dimensional space A indexed by
-(unordered pair {i,j}, unordered triple {k,l,m}); the linear map L onto
-algebraic Cotton tensors has rank 5, so any symmetric traceless
-Cotton-York target is reachable.
+the closed-form bump of its shift.  Positivity is decided by one batched
+Cholesky on 10 radii times 64 fixed directions: x(y), J(y) and the bump are
+homogeneous by parts, so they are evaluated at the 64 directions and scaled
+by powers of the radius, and only the base metric runs at all 640 points.
 """
 
 from __future__ import annotations
@@ -61,7 +55,6 @@ from .errors import (
     ConstraintViolation,
     DimensionError,
     DomainError,
-    LinearSolveFailure,
     NotPositiveDefinite,
 )
 from .jets import jet_space
@@ -287,7 +280,7 @@ class PulledBackMetric:
         ku = (directions @ self._jac[1].reshape(n * n, n).T).reshape(-1, n, n)  # 2 quad(., u)
         x = self.center + r * (directions @ self.frame.T) + (r * r) * (0.5 * ku @ directions[..., None])[..., 0]
         jac = (self.frame + r[..., None] * ku).reshape(-1, n, n)
-        out = (jac.swapaxes(1, 2) @ self.base._jets(x.reshape(-1, n), 0)[..., 0] @ jac)[(slice(None), *self._upper)]
+        out = (jac.swapaxes(1, 2) @ self.base.eval_matrix_many(x.reshape(-1, n)) @ jac)[(slice(None), *self._upper)]
         if self._bump is not None:
             phi = _smoothbump_jet(jet_space(n, 0), (radii * radii)[:, None], *self._cutoff_bounds())[:, 0]
             bump = _poly_taylor(self._bump, directions, order=0)[..., 0]
@@ -491,68 +484,8 @@ def prescribe_curvature_in(pl, target_r4) -> PerturbResult:
 
 # -- Cotton-York prescription (dim 3) ------------------------------------------
 
-_PAIRS_IJ = tuple((i, j) for i in range(3) for j in range(i, 3))
-_TRIPLES = tuple(
-    (k, l, m)
-    for k in range(3)
-    for l in range(k, 3)
-    for m in range(l, 3)
-)
-A_SPACE_DIM = len(_PAIRS_IJ) * len(_TRIPLES)  # 60
-
-
-def a_index(i, j, k, l, m):
-    """Index into the 60-dim coefficient space (0-based tensor indices)."""
-    pij = tuple(sorted((i, j)))
-    tkl = tuple(sorted((k, l, m)))
-    return _PAIRS_IJ.index(pij) * len(_TRIPLES) + _TRIPLES.index(tkl)
-
-
-# a_index of every entry of the full (3, 3, 3, 3, 3) tensor
-_A_INDEX = np.array([a_index(*t) for t in itertools.product(range(3), repeat=5)]).reshape((3,) * 5)
-
-
-def a_full(avec):
-    """Expand the 60-vector into the fully symmetric A[i,j,k,l,m] lookup
-    (trailing axes of ``avec`` carry over)."""
-    return np.asarray(avec, dtype=float)[_A_INDEX]
-
-
-def _cotton_of_full(af):
-    """L(A) of fully expanded coefficients af[i, j, k, l, m, ...]; trailing
-    axes carry over."""
-    tr1 = np.einsum("kikic...->c...", af) - np.einsum("kkiic...->c...", af)
-    out = 0.5 * (
-        np.einsum("kakcb...->cab...", af)
-        - np.einsum("kckab...->cab...", af)
-        - np.einsum("abkkc...->cab...", af)
-        + np.einsum("cbkka...->cab...", af)
-    )
-    eye = np.eye(3)
-    out -= 0.25 * np.einsum("ab,c...->cab...", eye, tr1)
-    out += 0.25 * np.einsum("cb,a...->cab...", eye, tr1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def l_matrix():
-    """The linear map L from bump coefficients to algebraic Cotton tensors,
-
-    L(A)[n,a,b] = 1/2 (A_ka^{knb} - A_kn^{kab} - A_ab^{kkn} + A_nb^{kka})
-                - 1/4 (A_ki^{kin} - A_kk^{iin}) delta_ab
-                + 1/4 (A_ki^{kia} - A_kk^{iia}) delta_nb,
-
-    as a 27 x 60 matrix: the images of the 60 unit coefficient vectors, all
-    at once.  Every image satisfies the four Cotton identities with the
-    identity metric."""
-    return _cotton_of_full(a_full(np.eye(A_SPACE_DIM))).reshape(27, A_SPACE_DIM)
-
-
-def cy_to_cotton(cy) -> np.ndarray:
-    """Invert the Cotton -> Cotton-York conversion at the identity metric:
-    C[a, b, i] = sum_j eps(a, b, j) CY[j, i]."""
-    cy = np.asarray(cy, dtype=float)
-    return np.einsum("abj,ji->abi", EPS3, cy)
+# a[_SORTED_KLM][..., k, l, m] = a[..., k', l', m'] with k' <= l' <= m' the sorted (k, l, m)
+_SORTED_KLM = (..., *np.sort(np.indices((3, 3, 3)), axis=0))
 
 
 @dataclass
@@ -567,9 +500,18 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
     """Metric equal to the base outside the bump whose Cotton-York tensor
     at the chart origin is the target (dim 3).
 
-    Solves 6 L(A) = Cotton shift by minimum-norm least squares (the actual
-    third derivatives of the cubic bump carry the 3! factor), then applies
-    the cubic bump with the C^3 cutoff.
+    The cubic bump for the shift T = target - CY (g = I at the origin) is
+
+        A(T)_ijklm = Sym_(ij) Sym_(klm) [eps_ika T_aj delta_lm - delta_ik eps_jla T_am] / 9,
+
+    times the C^3 cutoff.  It is the bump of least Frobenius norm with this
+    shift.  The linear map from bumps to shifts commutes with rotations, so
+    the least-norm bump, which lies in the image of the map's adjoint, is a
+    rotation-equivariant linear function of T (Schur's lemma).  The two
+    symmetrised terms span those functions; their difference is the one in
+    that image, and 1/9 makes the shift exactly T.  The bits are symmetric
+    in (i, j) and in (k, l, m), because positivity and jets contract the
+    full tensor while the written metric reads only its sorted entries.
     """
     chart = normal_coordinates(cp.base, cp.point, cp.radius)
     return prescribe_cotton_york_in(JetPipeline(chart, np.zeros(chart.dim)), cp.target_cy)
@@ -588,19 +530,11 @@ def prescribe_cotton_york_in(pl, target_cy) -> PerturbResult:
         _require_small(np.trace(cy0), bound, "target Cotton-York tensor must be traceless", ConstraintViolation)
 
     def bump_of(pl):
-        dc = (cy_to_cotton(cy0) - pl.cotton()).reshape(-1)
-        lmat = 6.0 * l_matrix()
-        avec, _, rank, _ = np.linalg.lstsq(lmat, dc, rcond=None)
-        if rank < 5:
-            raise LinearSolveFailure(f"Cotton prescription matrix has rank {rank} < 5")
-        with np.errstate(over="ignore"):  # a huge target's norms overflow; positivity then refuses it
-            err = np.linalg.norm(lmat @ avec - dc)
-            dc_norm = np.linalg.norm(dc)
-        if err > 1e-9 * max(1.0, dc_norm):
-            raise LinearSolveFailure(
-                f"Cotton shift not reachable (residual {err:g}); "
-                "the target is not an algebraic Cotton tensor"
-            )
-        return a_full(avec)
+        # T is divided by the 2 * 6 terms of the sums and the 9 first, so no
+        # partial sum overflows; the (k, l, m) sum is read at the sorted triple
+        t, eye = (cy0 - pl.cotton_york()) / 108.0, np.eye(3)
+        a = np.einsum("ika,aj,lm->ijklm", EPS3, t, eye) - np.einsum("ik,jla,am->ijklm", eye, EPS3, t)
+        a = a + a.swapaxes(0, 1)
+        return sum(a.transpose(0, 1, *p) for p in itertools.permutations((2, 3, 4)))[_SORTED_KLM]
 
     return _prescribe(pl, JetPipeline.cotton_york, cy0, bump_of)

@@ -7,6 +7,7 @@ pinned matrix itself (whose determinant is -1/4 identically); the matrix is
 the stronger, self-consistent oracle and is asserted at 1e-9.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -46,13 +47,12 @@ from lcwcheck.obstructions import ObstructionConfig, _minimize_residual, _residu
 from lcwcheck.perturbation import (
     CottonPrescription,
     CurvaturePrescription,
-    a_index,
-    l_matrix,
     normal_coordinates,
     prescribe_cotton_york,
     prescribe_curvature,
 )
 from lcwcheck.pipeline import (
+    JetPipeline,
     compute_snapshot,
     conformal_rescale,
     kulkarni_nomizu,
@@ -289,7 +289,10 @@ def test_acceptance_09_curvature_prescription():
 
 
 def test_acceptance_10_cotton_prescription():
-    assert np.linalg.matrix_rank(l_matrix(), tol=1e-10) == 5
+    # the five listed coefficient directions (indices 1-based), each a
+    # symmetric unit bump on a flat chart, shift the Cotton tensor at the
+    # origin independently: the shifts span all five dimensions
+    flat = normal_coordinates(parse_metric("dim = 3\ng11 = 1\ng22 = 1\ng33 = 1\n"), np.zeros(3))
     listed = [
         (1, 1, (1, 2, 2)),
         (1, 1, (1, 2, 3)),
@@ -299,9 +302,11 @@ def test_acceptance_10_cotton_prescription():
     ]
     rows = []
     for i, j, klm in listed:
-        e = np.zeros(60)
-        e[a_index(i - 1, j - 1, *(x - 1 for x in klm))] = 1.0
-        rows.append(l_matrix() @ e)
+        e = np.zeros((3,) * 5)
+        for ij in itertools.permutations((i - 1, j - 1)):
+            for t in itertools.permutations([x - 1 for x in klm]):
+                e[(*ij, *t)] = 1.0
+        rows.append(JetPipeline(flat.with_bump(e), np.zeros(3)).cotton().ravel())
     assert np.linalg.matrix_rank(np.array(rows), tol=1e-10) == 5
 
     rng = np.random.default_rng(110)

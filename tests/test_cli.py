@@ -725,3 +725,40 @@ def test_unreadable_metric_file_exit_2(tmp_path, kind):
     assert r.exit_code == 2
     assert r.stdout == ""
     assert str(path) in r.stderr and "Traceback" not in r.stderr
+
+
+# R^4 pulled back by y = (x1, x2, x3 + x2*x4, x4 + x1*x3): flat, so every
+# coordinate of y is a limiting Carleman weight and no point may fail
+E4_METRIC = """dim = 4
+g11 = 1 + x3^2
+g13 = x1*x3
+g14 = x3
+g22 = 1 + x4^2
+g23 = x4
+g24 = x2*x4
+g33 = 1 + x1^2
+g34 = x1 + x2
+g44 = 1 + x2^2
+"""
+ROUNDING_NOISE = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a Weyl tensor that is rounding noise gets a certified 'fails' (spectral)",
+)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        "0,0,0,0",
+        "0.2,-0.1,0.3,0.1",
+        pytest.param("0.1,0.2,0.3,0.4", marks=ROUNDING_NOISE),
+        pytest.param("-0.3,0.2,0.1,-0.2", marks=ROUNDING_NOISE),
+        pytest.param("0.5,0.5,0.5,0.5", marks=ROUNDING_NOISE),
+        pytest.param("0.05,0.1,-0.2,0.3", marks=ROUNDING_NOISE),
+    ],
+)
+def test_flat_pullback_does_not_fail(point, tmp_path):
+    path = tmp_path / "e4.metric"
+    path.write_text(E4_METRIC)
+    res = invoke("check", "--metric", str(path), "--point", point)
+    assert res.exit_code == 0, res.output

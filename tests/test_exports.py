@@ -25,8 +25,6 @@ KEPT = {
     "cp2_curvature": "test oracle: the Fubini-Study curvature table of the cp2_chart entry",
     "TensorSnapshot.check_invariants": "test oracle; its identities are the benchmark's reference",
     "CatalogEntry.sample_points": "the benchmark draws its catalog points with it",
-    "PulledBackMetric.eval_matrix_many": "the benchmark calls it",
-    "MetricDef.eval_matrix_many": "the same protocol as PulledBackMetric.eval_matrix_many",
 }
 
 

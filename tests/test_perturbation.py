@@ -1,4 +1,4 @@
-"""Normal coordinates, prescription bumps, the Cotton coefficient map."""
+"""Normal coordinates, prescription bumps, the closed-form Cotton-York bump."""
 
 import dataclasses
 import itertools
@@ -19,17 +19,12 @@ from lcwcheck.errors import (
 from lcwcheck.jets import jet_space
 from lcwcheck.obstructions import ObstructionConfig, auto_test
 from lcwcheck.perturbation import (
-    A_SPACE_DIM,
     CottonPrescription,
     CurvaturePrescription,
     PulledBackMetric,
     _check_positivity,
     _grid,
     _grid_points,
-    a_full,
-    a_index,
-    cy_to_cotton,
-    l_matrix,
     normal_coordinates,
     prescribe_cotton_york,
     prescribe_curvature,
@@ -157,64 +152,6 @@ def test_quadratic_bump_degree_bookkeeping(rng):
             assert np.abs(pl.g_jets[i, j][sp.unit]).max() == 0.0
 
 
-# --- the coefficient map L ----------------------------------------------------------
-
-
-def test_l_map_zero():
-    assert np.abs(l_matrix() @ np.zeros(A_SPACE_DIM)).max() == 0.0
-
-
-def test_l_map_rank_five():
-    lm = l_matrix()
-    assert lm.shape == (27, 60)
-    assert np.linalg.matrix_rank(lm, tol=1e-10) == 5
-
-
-def test_l_map_listed_basis_images_independent():
-    # the five distinguished coefficient directions map to independent
-    # Cotton tensors (indices here 1-based)
-    listed = [
-        (1, 1, (1, 2, 2)),
-        (1, 1, (1, 2, 3)),
-        (1, 1, (2, 2, 2)),
-        (1, 1, (2, 2, 3)),
-        (1, 2, (2, 2, 3)),
-    ]
-    rows = []
-    for i, j, klm in listed:
-        e = np.zeros(A_SPACE_DIM)
-        e[a_index(i - 1, j - 1, *(x - 1 for x in klm))] = 1.0
-        rows.append(l_matrix() @ e)
-    assert np.linalg.matrix_rank(np.array(rows), tol=1e-10) == 5
-
-
-def test_l_map_output_satisfies_cotton_symmetries(rng):
-    for _ in range(5):
-        c = (l_matrix() @ rng.standard_normal(A_SPACE_DIM)).reshape(3, 3, 3)
-        scale = max(np.abs(c).max(), 1.0)
-        assert np.abs(c + c.transpose(1, 0, 2)).max() <= 1e-13 * scale
-        cyc = c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1)
-        assert np.abs(cyc).max() <= 1e-13 * scale
-        assert np.abs(np.einsum("iik->k", c)).max() <= 1e-13 * scale
-        assert np.abs(np.einsum("iji->j", c)).max() <= 1e-13 * scale
-
-
-def test_a_space_dimension():
-    assert A_SPACE_DIM == 60
-
-
-def test_cy_to_cotton_round_trip(rng):
-    from lcwcheck.pipeline import EPS3
-
-    d = rng.standard_normal((3, 3))
-    d = (d + d.T) / 2
-    d -= np.trace(d) / 3 * np.eye(3)
-    c = cy_to_cotton(d)
-    # apply the forward conversion at the identity metric
-    cy = 0.5 * np.einsum("kli,klm->im", c, EPS3)
-    assert np.abs(cy - d).max() <= 1e-13
-
-
 # --- Cotton-York prescription --------------------------------------------------------
 
 
@@ -245,12 +182,46 @@ def test_prescribe_cy_flat_diag_target():
     assert res.target_error <= 1e-6
     bump = res.metric.bump
     assert bump.shape == (3,) * 5
-    avec = np.zeros(A_SPACE_DIM)
-    for t in itertools.product(range(3), repeat=5):
-        avec[a_index(*t)] = bump[t]
-    assert np.array_equal(bump, a_full(avec))  # the expansion of its 60-vector
+    for ij in itertools.permutations((0, 1)):
+        for klm in itertools.permutations((2, 3, 4)):
+            assert np.array_equal(bump, bump.transpose(*ij, *klm))  # bit for bit
     achieved = compute_snapshot(res.metric, res.evaluation_point).cotton_york
     assert np.abs(achieved - cy0).max() <= 1e-6 * max(np.abs(cy0).max(), 1.0)
+
+
+def _cy_bump(target):
+    """The bump ``prescribe_cotton_york`` writes for ``target`` on a flat
+    chart, whose own Cotton-York tensor is 0."""
+    return prescribe_cotton_york(CottonPrescription(base=FLAT3, point=np.zeros(3), target_cy=target)).metric.bump
+
+
+def _traceless(rng, scale):
+    d = rng.standard_normal((3, 3))
+    d = d + d.T
+    return scale * (d - np.trace(d) / 3 * np.eye(3))
+
+
+def test_cy_bump_commutes_with_rotations(rng):
+    """The bump for R T R^T is R applied to all five axes of the bump for T."""
+    for _ in range(5):
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        rot = q * np.sign(np.diag(r))
+        rot = rot if np.linalg.det(rot) > 0 else -rot
+        t = _traceless(rng, 1e-3)
+        want = np.einsum("ia,jb,kc,ld,me,abcde->ijklm", rot, rot, rot, rot, rot, _cy_bump(t), optimize=True)
+        got = _cy_bump(rot @ t @ rot.T)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_cy_bump_is_orthogonal_to_every_bump_that_keeps_the_cotton_york_tensor(rng):
+    """The bump has least Frobenius norm: it is orthogonal to K = B -
+    bump(shift of B), whose shift is 0, for symmetric cubics B."""
+    chart = normal_coordinates(FLAT3, np.zeros(3))
+    for _ in range(5):
+        b = _symmetric_bump(rng, 3, 3, 1e-3)
+        k = b - _cy_bump(JetPipeline(chart.with_bump(b), np.zeros(3)).cotton_york())
+        a = _cy_bump(_traceless(rng, 1e-3))
+        assert abs(np.vdot(a, k)) <= 1e-13 * np.linalg.norm(a) * np.linalg.norm(k)
 
 
 def test_prescribe_cy_requires_traceless():
