@@ -6,15 +6,21 @@ in the format documented in the dsl module.  A catalog name that is also a
 file in the working directory is ambiguous and exits 2; write ``./nil``
 for the file.
 
+Each command builds one document (a dict, or a list of rows for
+``catalog``) and ``_emit`` prints it as JSON or as a table rendered from
+that JSON.  ``check`` decides by the metric's dimension: the Cotton-York
+test in dim 3, the Weyl eigenflag test in dim >= 4.
+
 Exit codes of ``check`` (and ``weyl-space sample/phi``): 0 when the
 necessary condition for a limiting Carleman weight passes, 10 when it
 fails (no weight exists near the point), 11 when the result is in the
-inconclusive band.  Parse errors exit 2, evaluation/domain errors exit 3,
-positivity failures of ``perturb`` exit 4.  A result holding a number that
-is not finite (a ``perturb`` target whose norm overflows, for instance) is
-an evaluation error: exit 3 with nothing on stdout.
+inconclusive band.  Parse errors exit 2, evaluation/domain errors exit 3
+(``check`` on a metric of dim < 3 too), positivity failures of ``perturb``
+exit 4.  A document holding a number that is not finite (a ``perturb``
+target whose norm overflows, for instance) is an evaluation error in
+either format: exit 3 with nothing on stdout.
 
-Identical (command, seed) pairs produce byte-identical JSON.
+Identical (command, seed) pairs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -39,15 +45,8 @@ from .bivectors import (
     sample_eigenflag_params,
 )
 from .dsl import metric_to_text, parse_metric
-from .errors import (
-    ConstraintViolation,
-    DimensionError,
-    LcwError,
-    NotPositiveDefinite,
-    ParseError,
-    UnknownEntry,
-)
-from .obstructions import ObstructionConfig, auto_test, cotton_york_test, eigenflag_test
+from .errors import ConstraintViolation, DimensionError, LcwError, NotPositiveDefinite, ParseError, UnknownEntry
+from .obstructions import ObstructionConfig, auto_test, eigenflag_test
 from .perturbation import normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
 from .pipeline import TENSOR_FIELDS, JetPipeline, _require_small, compute_snapshot, format_json, snapshot_to_dict
 
@@ -97,10 +96,7 @@ def _load_source(source):
     path = pathlib.Path(source)
     if path.exists():
         if path.name == source and source in cat.list_catalog():
-            raise ParseError(
-                f"{source!r} is both a catalog entry and a file here; "
-                f"write ./{source} for the file"
-            )
+            raise ParseError(f"{source!r} is both a catalog entry and a file here; write ./{source} for the file")
         try:
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:
@@ -109,9 +105,7 @@ def _load_source(source):
     try:
         return cat.get_entry(source).metric
     except UnknownEntry:
-        raise ParseError(
-            f"{source!r} is neither a readable file nor a catalog entry"
-        )
+        raise ParseError(f"{source!r} is neither a readable file nor a catalog entry")
 
 
 def _load_target(target, n):
@@ -136,24 +130,49 @@ def _load_target(target, n):
     return op
 
 
-def _fmt_table_value(x):
+def _cell(x):
+    """A JSON scalar in a table: a float at 6 significant digits, a string
+    as it is, anything else as JSON spells it."""
     if isinstance(x, float):
         return f"{x:.6g}"
-    return str(x)
+    return x if isinstance(x, str) else json.dumps(x)
 
 
-def _echo_matrix(name, mat):
-    mat = np.asarray(mat)
-    click.echo(f"{name}:")
-    if mat.ndim <= 2:
-        for row in np.atleast_2d(mat):
-            click.echo("  " + "  ".join(f"{v:12.6g}" for v in np.atleast_1d(row)))
+def _table_lines(key, v):
+    """``key = value`` lines of one entry of a JSON document: a dict as
+    ``key.sub`` entries, a vector on one line, a matrix one row per line,
+    and a larger array as its shape and Frobenius norm."""
+    if isinstance(v, dict):
+        for k, x in v.items():
+            yield from _table_lines(f"{key}.{k}" if key else k, x)
+    elif not isinstance(v, list):
+        yield f"{key} = {_cell(v)}"
+    elif np.ndim(v) == 1:
+        yield f"{key} = " + ", ".join(map(_cell, v))
+    elif np.ndim(v) == 2:
+        yield f"{key} ="
+        for row in v:
+            yield "  " + " ".join(f"{_cell(x):>12}" for x in row)
     else:
-        flat_header = " x ".join(str(s) for s in mat.shape)
-        click.echo(f"  ({flat_header} array; use --format json for full output)")
+        a = np.asarray(v, dtype=float)
         with np.errstate(over="ignore"):  # inf past the float range
-            norm = float(np.linalg.norm(mat))
-        click.echo(f"  frobenius norm = {norm:.6g}")
+            yield f"{key} = {' x '.join(map(str, a.shape))} array, frobenius norm {_cell(float(np.linalg.norm(a)))}"
+
+
+def _emit(doc, fmt):
+    """Print the document ``doc`` as JSON or as a table rendered from that
+    JSON (a list of rows as columns).  Either way a number that is not
+    finite is refused (exit 3) before anything is printed."""
+    text = format_json(doc)
+    if fmt == "table":
+        doc = json.loads(text)
+        if isinstance(doc, list):
+            cols = [[k, *(_cell(row[k]) for row in doc)] for k in doc[0]]
+            widths = [max(map(len, col)) for col in cols]
+            text = "\n".join(" ".join(c[i].ljust(w) for c, w in zip(cols, widths)).rstrip() for i in range(len(doc) + 1))
+        else:
+            text = "\n".join(_table_lines("", doc))
+    click.echo(text)
 
 
 class _Group(click.Group):
@@ -179,16 +198,8 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
 def cmd_catalog(fmt):
     """List built-in geometries."""
-    rows = []
-    for name in cat.list_catalog():
-        e = cat.get_entry(name)
-        rows.append({"name": e.name, "dim": e.dim, "lcw": e.expected["lcw"]})
-    if fmt == "json":
-        click.echo(format_json(rows))
-    else:
-        click.echo(f"{'name':<18} {'dim':<4} lcw")
-        for r in rows:
-            click.echo(f"{r['name']:<18} {r['dim']:<4} {r['lcw']}")
+    entries = map(cat.get_entry, cat.list_catalog())
+    _emit([{"name": e.name, "dim": e.dim, "lcw": e.expected["lcw"]} for e in entries], fmt)
 
 
 @main.command("tensors")
@@ -204,62 +215,25 @@ def cmd_tensors(source, point, which, fmt):
         if w not in TENSOR_FIELDS:
             raise ParseError(f"unknown tensor {w!r}; choose from {', '.join(TENSOR_FIELDS)}")
     doc = snapshot_to_dict(compute_snapshot(metric, _parse_point(point, metric.dim)))
-    out = {k: v for k, v in doc.items() if k in ("dim", "point") or k in wanted}
-    text = format_json(out)  # refuses a number that is not finite, in either format
-    if fmt == "json":
-        click.echo(text)
-    else:
-        click.echo(f"dim = {out['dim']}")
-        click.echo("point = " + ", ".join(f"{v:.6g}" for v in out["point"]))
-        for k in wanted:
-            v = out.get(k)
-            if v is None:
-                click.echo(f"{k}: (not defined in this dimension)")
-            elif np.isscalar(v):
-                click.echo(f"{k} = {_fmt_table_value(float(v))}")
-            else:
-                _echo_matrix(k, v)
+    _emit({k: v for k, v in doc.items() if k in ("dim", "point") or k in wanted}, fmt)
 
 
 @main.command("check")
 @click.option("--metric", "source", required=True, help="catalog name or metric file")
 @click.option("--point", default="", help="evaluation point (default: origin)")
-@click.option(
-    "--test",
-    "which_test",
-    type=click.Choice(["auto", "eigenflag", "cotton-york"]),
-    default="auto",
-)
 @click.option("--tol", type=_POSITIVE, default=ObstructionConfig.tol_rel, help="relative tolerance (default 1e-8)")
 @click.option("--seed", type=click.IntRange(min=0), default=0, help="seed for the multi-start search")
 @click.option("--starts", type=click.IntRange(min=0, max=100_000), default=64)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
-def cmd_check(source, point, which_test, tol, seed, starts, fmt):
-    """Decide the necessary condition for a limiting Carleman weight.
+def cmd_check(source, point, tol, seed, starts, fmt):
+    """Decide the necessary condition for a limiting Carleman weight: the
+    Cotton-York test in dim 3, the Weyl eigenflag test in dim >= 4.
 
     Exit code 0: passes (no obstruction found); 10: fails (no LCW exists
     near the point); 11: inconclusive."""
     metric = _load_source(source)
-    p = _parse_point(point, metric.dim)
-    if which_test == "eigenflag" and metric.dim < 4:
-        raise DimensionError("eigenflag test needs dim >= 4")
-    test = cotton_york_test if which_test == "cotton-york" else auto_test
-    report = test(metric, p, ObstructionConfig(tol_rel=tol, starts=starts, seed=seed))
-    text = report.to_json()  # refuses a number that is not finite, in either format
-    if fmt == "json":
-        click.echo(text)
-    else:
-        click.echo(f"test      : {report.test}")
-        click.echo(f"verdict   : {report.verdict_string}")
-        if report.residual is not None:
-            click.echo(f"residual  : {report.residual:.6g}")
-        if report.det_cy is not None:
-            click.echo(f"det CY    : {report.det_cy:.6g}")
-        if report.witness is not None:
-            click.echo(
-                "witness   : " + ", ".join(f"{v:.6g}" for v in report.witness)
-            )
-        click.echo(f"note      : {report.note}")
+    report = auto_test(metric, _parse_point(point, metric.dim), ObstructionConfig(tol_rel=tol, starts=starts, seed=seed))
+    _emit(report.to_json_dict(), fmt)
     sys.exit(_VERDICT_EXIT[report.verdict_string])
 
 
@@ -291,7 +265,7 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
         # identity prescription: the metric itself already has the
         # requested tensors, so the output is the input
         pathlib.Path(out_path).write_text(metric_to_text(metric))
-        _emit_perturb({"unchanged": True, "target_error": 0.0, "evaluation_point": p, "out": str(out_path)}, fmt)
+        _emit({"unchanged": True, "target_error": 0.0, "evaluation_point": p, "out": str(out_path)}, fmt)
         return
 
     if n < 3:
@@ -314,26 +288,9 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
             r0 = pl.riemann() - pl.weyl() + operator_to_0_4(wanted)
         res = prescribe_curvature_in(pl, r0)
     pathlib.Path(out_path).write_text(metric_to_text(res.metric))
-    result_doc = {
-        "unchanged": res.unchanged,
-        "target_error": res.target_error,
-        "shift_norm": res.shift_norm,
-        "ck_norm_ratio": res.norm_ratio,
-        "evaluation_point": res.evaluation_point,
-        "out": str(out_path),
-        "note": "output metric uses normal coordinates centered at the bump point",
-    }
-    _emit_perturb(result_doc, fmt)
-
-
-def _emit_perturb(doc, fmt):
-    if fmt == "json":
-        click.echo(format_json(doc))
-    else:
-        for k, v in doc.items():
-            if isinstance(v, np.ndarray):
-                v = ", ".join(f"{x:.6g}" for x in v)
-            click.echo(f"{k}: {v}")
+    _emit({"unchanged": res.unchanged, "target_error": res.target_error, "shift_norm": res.shift_norm,
+           "ck_norm_ratio": res.norm_ratio, "evaluation_point": res.evaluation_point, "out": str(out_path),
+           "note": "output metric uses normal coordinates centered at the bump point"}, fmt)
 
 
 @main.command("weyl-space")
@@ -346,12 +303,7 @@ def cmd_weyl_space(n, subcommand, seed, tol, fmt):
     """Dimension arithmetic and random sampling in the space of algebraic
     Weyl operators."""
     if subcommand == "dims":
-        doc = dimension_report(n)
-        if fmt == "json":
-            click.echo(format_json(doc))
-        else:
-            for k, v in doc.items():
-                click.echo(f"{k}: {_fmt_table_value(v)}")
+        _emit(dimension_report(n), fmt)
         return
     kind = {"sample": "random-weyl-sphere-sample", "phi": "flag-parametrization-sample"}[subcommand]
     doc = {"dim": n, "kind": kind, "seed": seed}
@@ -363,11 +315,7 @@ def cmd_weyl_space(n, subcommand, seed, tol, fmt):
         op = phi_map(params)
         doc["witness_direction"] = params.rotation[:, 0]
     report = eigenflag_test(op, ObstructionConfig(tol_rel=tol, seed=seed))
-    doc.update(operator=op.to_json_dict(), report=report.to_json_dict())
-    if fmt == "json":
-        click.echo(format_json(doc))
-    else:
-        click.echo(f"verdict: {report.verdict_string}")
+    _emit({**doc, "operator": op.to_json_dict(), "report": report.to_json_dict()}, fmt)
     sys.exit(_VERDICT_EXIT[report.verdict_string])
 
 

@@ -37,7 +37,7 @@ from .bivectors import (
 )
 from .dsl import MetricDef
 from .errors import DimensionError, DomainError, PreconditionViolation
-from .pipeline import JetPipeline, _require_small, compute_snapshot, format_json
+from .pipeline import JetPipeline, _require_small, compute_snapshot
 
 
 GRAD_TOL = 1e-12  # the search has converged once its best gradient is below this times the scale
@@ -94,9 +94,6 @@ class ObstructionReport:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["verdict"] = self.verdict_string
         return doc
-
-    def to_json(self):
-        return format_json(self.to_json_dict())
 
 
 _PASS_NOTE = (

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import dataclasses
 import json
+import math
 import os
 import pathlib
 import warnings
@@ -153,13 +155,6 @@ def test_check_cp2_exit_10():
     assert np.abs(np.array(spectra["minus_spectrum"])).max() <= 1e-12
 
 
-def test_check_cp2_cotton_york_exit_3():
-    res = invoke("check", "--metric", "cp2_chart", "--test", "cotton-york")
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr == "error: Cotton-York test needs dim 3\n"
-
-
 def test_check_json_fields():
     res = invoke("check", "--metric", "nil", "--point", "0,0,0", "--format", "json")
     doc = json.loads(res.output)
@@ -184,12 +179,17 @@ def test_check_exit_code_follows_the_band(tol, code, verdict):
 
 @pytest.mark.parametrize("text", ["dim = 2\ng11 = 1\ng22 = 1\n", "dim = 3\ng11 = 1\ng22 = 1\ng33 = 1\n"])
 def test_check_eigenflag_below_dim_4_exit_3(tmp_path, text):
+    """Below dim 4 there is no eigenflag test: a flat dim-3 metric gets the
+    Cotton-York test and passes, a dim-2 metric gets no test and exits 3."""
     f = tmp_path / "low.metric"
     f.write_text(text)
-    res = runner.invoke(main, ["check", "--metric", str(f), "--test", "eigenflag"])
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr == "error: eigenflag test needs dim >= 4\n"
+    res = runner.invoke(main, ["check", "--metric", str(f)])
+    if text.startswith("dim = 3"):
+        assert res.exit_code == 0 and strict_json(res.stdout)["test"] == "cotton-york"
+    else:
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr == "error: obstruction tests need dim >= 3\n"
 
 
 def test_check_deterministic_output():
@@ -570,6 +570,61 @@ def test_tensors_not_finite_exit_3_in_either_format(tmp_path, fmt):
     r = invoke("tensors", "--metric", str(f), "--format", fmt)
     assert r.exit_code == 3
     assert r.stdout == "" and r.stderr.startswith("error: result has a non-finite number")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("command", ["perturb", "weyl-space"])
+def test_a_result_holding_nan_exits_3_in_either_format(tmp_path, monkeypatch, command, fmt):
+    """Both formats print the one document, so both refuse its NaN; the
+    table printers of perturb and weyl-space sample printed nan or the
+    verdict alone, and exited 0."""
+    import lcwcheck.cli as cli
+    from lcwcheck.obstructions import ObstructionReport
+
+    if command == "perturb":
+        prescribe = cli.prescribe_curvature_in
+        monkeypatch.setattr(cli, "prescribe_curvature_in", lambda pl, r0: dataclasses.replace(prescribe(pl, r0), target_error=math.nan))
+        args = ["perturb", "--metric", "product4_nil", "--target", "random", "--out", str(tmp_path / "out.metric")]
+    else:
+        monkeypatch.setattr(cli, "eigenflag_test", lambda op, config: ObstructionReport(dim=op.dim, test="eigenflag", verdict=True, residual=math.nan))
+        args = ["weyl-space", "--dim", "4", "sample"]
+    r = runner.invoke(main, [*args, "--format", fmt])
+    assert r.exit_code == 3
+    assert r.stdout == "" and r.stderr.startswith("error: result has a non-finite number")
+
+
+def _flat_keys(doc, prefix=""):
+    """The keys of a JSON document, a nested dict's as ``key.sub``."""
+    keys = []
+    for k, v in doc.items():
+        keys += _flat_keys(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
+    return keys
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("catalog",),
+        ("tensors", "--metric", "nil", "--point", "0.1,0.2,0.3"),
+        ("check", "--metric", "product4_nil", "--point", "0.1,0.2,0.3,0.4"),
+        ("perturb", "--metric", "sol", "--target", "random", "--seed", "3"),
+        ("weyl-space", "--dim", "5", "phi", "--seed", "7"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_the_table_shows_the_keys_of_the_json_document(tmp_path, args):
+    """One document, two renderings: the table has one line per key of the
+    JSON document, nested keys flattened, in its order; catalog's rows are
+    columns under a header of its keys."""
+    if args[0] == "perturb":
+        args = (*args, "--out", str(tmp_path / "out.metric"))
+    js, table = (invoke(*args, "--format", fmt) for fmt in ("json", "table"))
+    assert js.exit_code == table.exit_code
+    doc, lines = strict_json(js.stdout), table.stdout.splitlines()
+    if args[0] == "catalog":
+        assert [line.split() for line in lines] == [list(doc[0])] + [[str(v) for v in row.values()] for row in doc]
+    else:
+        assert [line.split(" =")[0] for line in lines if not line.startswith(" ")] == _flat_keys(doc)
 
 
 @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])

@@ -42,7 +42,7 @@ from lcwcheck.obstructions import (
     _unit_starts,
 )
 from lcwcheck.dsl import parse_metric
-from lcwcheck.pipeline import JetPipeline, compute_snapshot
+from lcwcheck.pipeline import JetPipeline, compute_snapshot, format_json
 
 
 def _random_rotation(n, rng):
@@ -343,11 +343,11 @@ def test_eigenflag_report_does_not_depend_on_earlier_calls(rng):
     other seeds, start counts and dims, which fill and evict the cache of
     starts."""
     ops = [phi_map(sample_eigenflag_params(5, rng)), random_weyl_operator(6, rng)]
-    before = [eigenflag_test(op).to_json() for op in ops]
+    before = [format_json(eigenflag_test(op).to_json_dict()) for op in ops]
     for seed in range(_unit_starts.cache_info().maxsize + 2):
         for n in (4, 5, 6):
             eigenflag_test(random_weyl_operator(n, rng), ObstructionConfig(seed=seed, starts=16 + seed))
-    assert [eigenflag_test(op).to_json() for op in ops] == before
+    assert [format_json(eigenflag_test(op).to_json_dict()) for op in ops] == before
 
 
 def _ref_residual_form(w, n):
@@ -501,7 +501,7 @@ def test_eigenflag_report_json():
     report = eigenflag_test(_cp2_weyl(), ObstructionConfig())
     import json
 
-    doc = json.loads(report.to_json())
+    doc = json.loads(format_json(report.to_json_dict()))
     assert doc["verdict"] == "fails_lcw_necessary"
     assert doc["dim"] == 4
     assert "tol_rel" in doc["tolerances"]
