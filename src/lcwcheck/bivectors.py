@@ -113,12 +113,16 @@ def operator_from_0_4(r4, g=None) -> CurvatureOperator:
         raise DimensionError("expected an (n,n,n,n) array")
     _check_curvature_symmetries(r4, 1e-8)
     if g is not None:
-        e = orthonormal_frame(g)
-        # each pass contracts the leading index and appends the frame index:
-        # np.tensordot(r4, e, ([0], [0]))'s own product, without its set-up
-        for _ in range(4):
-            r4 = np.dot(r4.transpose(1, 2, 3, 0).reshape(-1, n), e).reshape(n, n, n, n)
+        r4 = _to_frame(r4, orthonormal_frame(g))
     return CurvatureOperator(dim=n, mat=_lex_pair_matrix(r4))
+
+
+def _to_frame(t, e):
+    """t with every index moved to the frame e (columns): each pass contracts the leading
+    index and appends the frame index, np.tensordot(t, e, ([0], [0])) without its set-up."""
+    for _ in range(t.ndim):
+        t = np.dot(t.transpose(*range(1, t.ndim), 0).reshape(-1, len(e)), e).reshape(t.shape)
+    return t
 
 
 @lru_cache(maxsize=None)

@@ -159,11 +159,14 @@ def _table_lines(key, v):
             yield f"{key} = {' x '.join(map(str, a.shape))} array, frobenius norm {_cell(float(np.linalg.norm(a)))}"
 
 
-def _emit(doc, fmt):
+def _emit(doc, fmt, out=None):
     """Print the document ``doc`` as JSON or as a table rendered from that
     JSON (a list of rows as columns).  Either way a number that is not
-    finite is refused (exit 3) before anything is printed."""
+    finite is refused (exit 3) before anything is printed, and before the
+    metric ``out`` = (path, metric) is written."""
     text = format_json(doc)
+    if out:
+        pathlib.Path(out[0]).write_text(metric_to_text(out[1]))
     if fmt == "table":
         doc = json.loads(text)
         if isinstance(doc, list):
@@ -264,8 +267,7 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
     if target == "same":
         # identity prescription: the metric itself already has the
         # requested tensors, so the output is the input
-        pathlib.Path(out_path).write_text(metric_to_text(metric))
-        _emit({"unchanged": True, "target_error": 0.0, "evaluation_point": p, "out": str(out_path)}, fmt)
+        _emit({"unchanged": True, "target_error": 0.0, "evaluation_point": p, "out": str(out_path)}, fmt, (out_path, metric))
         return
 
     if n < 3:
@@ -287,10 +289,9 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
         else:
             r0 = pl.riemann() - pl.weyl() + operator_to_0_4(wanted)
         res = prescribe_curvature_in(pl, r0)
-    pathlib.Path(out_path).write_text(metric_to_text(res.metric))
     _emit({"unchanged": res.unchanged, "target_error": res.target_error, "shift_norm": res.shift_norm,
            "ck_norm_ratio": res.norm_ratio, "evaluation_point": res.evaluation_point, "out": str(out_path),
-           "note": "output metric uses normal coordinates centered at the bump point"}, fmt)
+           "note": "output metric uses normal coordinates centered at the bump point"}, fmt, (out_path, res.metric))
 
 
 @main.command("weyl-space")

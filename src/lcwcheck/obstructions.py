@@ -27,17 +27,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bivectors import (
-    CurvatureOperator,
-    _0_4_gather,
-    _pair_grid,
-    operator_from_0_4,
-    orthonormal_frame,
-    pm_split,
-)
+from .bivectors import CurvatureOperator, _0_4_gather, _lex_pair_matrix, _pair_grid, _to_frame, orthonormal_frame, pm_split
 from .dsl import MetricDef
 from .errors import DimensionError, DomainError, PreconditionViolation
-from .pipeline import JetPipeline, _require_small, compute_snapshot
+from .jets import jet_space
+from .pipeline import _antisym_pairs, _check_metric, _metric_partials, _require_small, compute_snapshot
 
 
 GRAD_TOL = 1e-12  # the search has converged once its best gradient is below this times the scale
@@ -47,6 +41,7 @@ PLATEAU_RATIO = 0.5  # this fraction of its value this many steps ago
 SOS_STEPS = 40  # Newton steps of the sum-of-squares certificate at most
 INCONCLUSIVE_FACTOR = 10.0  # width of the inconclusive band above the tolerance
 CY_ABS_FLOOR = 1e-9  # a Cotton-York norm below this passes as conformally flat
+NOISE_FLOOR = 1e4  # a Weyl operator at most this many roundings of its terms passes as conformally flat
 _U = 1.001 * 2.0**-53  # unit roundoff, rounded up: k _U bounds gamma_k = k u / (1 - k u), k < 1e12
 
 
@@ -357,9 +352,16 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
     rounding) above sqrt(8/3 INCONCLUSIVE_FACTOR tol_rel) ||W|| proves
     min F above the band top, with lower bound 3/8 mismatch^2.
     """
+    return _eigenflag_test(op, None, config or ObstructionConfig())
+
+
+def _eigenflag_test(op, size, config):
+    """``eigenflag_test``; where the size T of the terms W was summed from
+    is known (``size``, from ``_frame_weyl``), a noise ratio ||W|| / (u T)
+    at most NOISE_FLOOR passes as W = 0 to rounding: a passing flag
+    operator moved by rounding keeps its verdict only above 1 / sqrt(tol_rel)."""
     if op.dim < 4:
         raise DimensionError("eigenflag test needs dim >= 4")
-    config = config or ObstructionConfig()
     w = op.mat
     scaled, k = _pow2_scaled(w)  # norm squares the entries: near 1e-160 they underflow
     with np.errstate(over="ignore"):
@@ -373,8 +375,11 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
         tolerances={"tol_rel": config.tol_rel, "starts": config.starts, "seed": config.seed,
                     "grad_tol": GRAD_TOL, "inconclusive_factor": INCONCLUSIVE_FACTOR},
     )
-    if wnorm == 0.0:
-        report.note = "Weyl operator vanishes; every direction is invariant. " + _PASS_NOTE
+    if size is not None:
+        report.tolerances["noise_floor"] = NOISE_FLOOR
+    if wnorm == 0.0 or size is not None and (rho := wnorm / _U / size) <= NOISE_FLOOR:
+        report.note = ("Weyl operator vanishes" if wnorm == 0.0 else f"Weyl operator is rounding noise: ||W|| / (u T) = "
+                       f"{rho:.2e} <= {NOISE_FLOOR:g}, T the size of its terms") + "; every direction is invariant. " + _PASS_NOTE
         return report
 
     if op.dim == 4:
@@ -511,18 +516,52 @@ def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None 
     return report
 
 
+@lru_cache(maxsize=None)
+def _kn_identity(n):
+    """(m, m, n^2): the lex-pair matrix of the Kulkarni-Nomizu product
+    S ^o I, linear in S.ravel()."""
+    kn = _antisym_pairs(np.eye(n * n).reshape(-1, n, 1, n, 1) * np.eye(n)[:, None, :])  # [s, i, j, k, l] = e_s[i, k] I[j, l]
+    return np.moveaxis(kn[(slice(None), *_pair_grid(n))], 0, -1).copy()
+
+
+@np.errstate(over="ignore", invalid="ignore")  # past the float range: inf or nan, refused below
+def _frame_weyl(jets, point):
+    """(W, T) from the metric's order-2 Taylor coefficients ``jets`` (n, n,
+    size) at ``point``: W the Weyl operator in a g-orthonormal frame and T,
+    the size of the terms its Riemann tensor sums, (max|d^2 g| +
+    max|Gamma_1 . Gamma_1|) / 2 in that frame.  In the frame g = I, so
+    raising an index is the identity and the pipeline's formulas read: R
+    the pair antisymmetrization of (d_k d_l g_im + Gamma_{p,kl}
+    Gamma_{p,im}) / 2, Ric[k, m] = R[a, k, a, m], W = R - S ^o I."""
+    n = len(point)
+    _check_metric(jets[..., 0], point)
+    g, dg, ddg = _metric_partials(jet_space(n, 2), jets)
+    if not (np.isfinite(dg).all() and np.isfinite(ddg).all()):
+        raise DomainError(f"metric derivatives not finite at {point.tolist()}")
+    e = orthonormal_frame(g)
+    dg, ddg = _to_frame(dg, e), _to_frame(ddg, e).reshape(n * n, n * n)
+    gam1 = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg).reshape(n, n * n)  # [p, (k, l)]
+    quad = gam1.T @ gam1
+    r = _antisym_pairs(0.5 * (ddg + quad).reshape(n, n, n, n).transpose(2, 0, 1, 3))
+    ric = np.einsum("akam->km", r)
+    schouten = (ric - np.trace(ric) / (2.0 * (n - 1)) * np.eye(n)) / (n - 2)
+    w = _lex_pair_matrix(r) - _kn_identity(n) @ schouten.ravel()
+    if not np.isfinite(w).all():
+        raise DomainError(f"Weyl tensor not finite at {point.tolist()}")
+    # pair-symmetric by its formula: mirrored entries differ by roundings of T, which can exceed CurvatureOperator's 1e-10
+    return CurvatureOperator(dim=n, mat=0.5 * w + 0.5 * w.T), 0.5 * np.abs(ddg).max() + 0.5 * np.abs(quad).max()
+
+
 def auto_test(metric: MetricDef, point, config: ObstructionConfig | None = None) -> ObstructionReport:
     """Dimension dispatch: Cotton-York determinant in dim 3, Weyl eigenflag
-    in dim >= 4, where the Weyl tensor at the point reads only the metric's
-    2-jet."""
+    in dim >= 4, where the Weyl operator at the point reads only the
+    metric's 2-jet (``_frame_weyl``)."""
     config = config or ObstructionConfig()
     if metric.dim == 3:
         return cotton_york_test(metric, point, config)
     if metric.dim >= 4:
-        pl = JetPipeline(metric, point, order=2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = pl.weyl()
-        if not np.isfinite(w).all():
-            raise DomainError(f"Weyl tensor not finite at {pl.point.tolist()}")
-        return eigenflag_test(operator_from_0_4(w, g=pl.g), config)
+        point = np.asarray(point, dtype=float)
+        if len(point) != metric.dim:
+            raise DimensionError(f"point has {len(point)} coordinates, metric dim is {metric.dim}")
+        return _eigenflag_test(*_frame_weyl(metric.eval_jets(point, 2), point), config)
     raise DimensionError("obstruction tests need dim >= 3")

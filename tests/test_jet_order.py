@@ -2,10 +2,11 @@
 
 Order-2 jets are the graded-lex prefix of the order-3 ones, bit for bit
 (int64 view), for compiled metrics and for metrics in a normal chart; the
-verdict of ``auto_test``, which runs the pipeline at order 2 in dim >= 4,
-is the one an order-3 pipeline gives; an order-2 pipeline refuses the
-tensors that read first partials; and a chart that keeps order-2 jets
-never serves an order-3 request from them."""
+verdict of ``auto_test``, whose frame Weyl kernel reads the order-2 jets in
+dim >= 4, is the one the kernel gives on the 2-jet prefix of the order-3
+jets, and its operator is the order-3 pipeline's to rounding; an order-2
+pipeline refuses the tensors that read first partials; and a chart that
+keeps order-2 jets never serves an order-3 request from them."""
 
 import math
 
@@ -19,7 +20,7 @@ from lcwcheck.cli import main
 from lcwcheck.dsl import parse_metric
 from lcwcheck.errors import DomainError
 from lcwcheck.jets import jet_space
-from lcwcheck.obstructions import ObstructionConfig, auto_test, eigenflag_test
+from lcwcheck.obstructions import NOISE_FLOOR, _U, ObstructionConfig, _eigenflag_test, _frame_weyl, auto_test
 from lcwcheck.perturbation import CurvaturePrescription, normal_coordinates, prescribe_curvature
 from lcwcheck.pipeline import JetPipeline, format_json
 
@@ -124,28 +125,57 @@ def test_chart_metrics_at_order_2_are_the_order_3_prefix(n, rng):
 
 
 def assert_verdict_as_at_order_3(metric, point):
-    """``auto_test`` (order 2) reports what an order-3 pipeline gives."""
+    """``auto_test`` (order 2) reports, bit for bit, what the frame Weyl
+    kernel gives on the 2-jet prefix of the order-3 jets: the verdict reads
+    only the 2-jet."""
     config = ObstructionConfig()
     got = auto_test(metric, point, config)
-    pl = JetPipeline(metric, point)
-    want = eigenflag_test(operator_from_0_4(pl.weyl(), g=pl.g), config)
+    jets = coefficients(metric, point, 3)[..., : jet_space(metric.dim, 2).size]
+    want = _eigenflag_test(*_frame_weyl(jets, np.asarray(point, dtype=float)), config)
     assert (got.verdict, got.residual, got.note) == (want.verdict, want.residual, want.note)
     assert (got.witness is None and want.witness is None) or same_bits(got.witness, want.witness)
     assert format_json(got.to_json_dict()) == format_json(want.to_json_dict())
-    assert same_bits(JetPipeline(metric, point, order=2).weyl(), pl.weyl())
+    assert same_bits(JetPipeline(metric, point, order=2).weyl(), JetPipeline(metric, point).weyl())
+
+
+def assert_kernel_as_the_pipeline(metric, point):
+    """The kernel's frame Weyl operator is the pipeline's, moved to the
+    frame by ``operator_from_0_4``, to 1e-13 relative, and gives the same
+    verdict; where the pipeline's operator is itself rounding noise of the
+    terms, so is the kernel's."""
+    point = np.asarray(point, dtype=float)
+    op, size = _frame_weyl(coefficients(metric, point, 2), point)
+    pl = JetPipeline(metric, point)
+    want = operator_from_0_4(pl.weyl(), g=pl.g)
+    if want.norm() / _U / size <= NOISE_FLOOR:
+        assert op.norm() / _U / size <= NOISE_FLOOR
+    else:
+        assert np.linalg.norm(op.mat - want.mat) <= 1e-13 * want.norm()
+    config = ObstructionConfig()
+    assert auto_test(metric, point, config).verdict == _eigenflag_test(want, size, config).verdict
 
 
 @pytest.mark.parametrize("dim", [4, 5, 6])
 def test_auto_test_at_order_2_reports_as_an_order_3_pipeline(dim, rng):
     for _ in range(2):
         for metric in near_flat_and_product(dim, rng):
-            assert_verdict_as_at_order_3(metric, rng.uniform(-0.2, 0.2, dim))
+            point = rng.uniform(-0.2, 0.2, dim)
+            assert_verdict_as_at_order_3(metric, point)
+            assert_kernel_as_the_pipeline(metric, point)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_auto_test_of_a_curvature_prescription_reports_as_at_order_3(n, rng):
     _, res = prescribed(n, rng)
     assert_verdict_as_at_order_3(res.metric, res.evaluation_point)
+    assert_kernel_as_the_pipeline(res.metric, res.evaluation_point)
+
+
+@pytest.mark.parametrize("name", [name for name in catalog.list_catalog() if catalog.get_entry(name).dim >= 4])
+def test_frame_weyl_kernel_is_the_pipelines_operator_on_the_catalog(name):
+    entry = catalog.get_entry(name)
+    for point in entry.sample_points(np.random.default_rng(5), 4):
+        assert_kernel_as_the_pipeline(entry.metric, point)
 
 
 def test_prescribe_curvature_reads_the_riemann_tensor_of_order_3_pipelines(rng):
