@@ -82,7 +82,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DimensionError, DomainError, ParseError
 from .jets import jet_add, jet_apply, jet_inverse, jet_mul, jet_power, jet_space
 
 UNARY_FUNCS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
@@ -771,7 +771,15 @@ class MetricDef:
     def eval_jets(self, point, order=3):
         """(dim, dim, size) Taylor coefficients of ``order`` of the entries
         at ``point``."""
-        return self._jets(np.asarray(point, dtype=float)[None], order)[0]
+        return self._jets(_point_of(point, self.dim)[None], order)[0]
+
+
+def _point_of(point, dim):
+    """``point`` as a float array, refused unless it has ``dim`` coordinates."""
+    point = np.asarray(point, dtype=float)
+    if point.shape != (dim,):
+        raise DimensionError(f"point has {point.size} coordinates, metric dim is {dim}")
+    return point
 
 
 def _upper(dim):

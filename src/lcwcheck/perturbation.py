@@ -27,6 +27,11 @@ the closed-form bump of its shift.  Positivity is decided by one batched
 Cholesky on 10 radii times 64 fixed directions: x(y), J(y) and the bump are
 homogeneous by parts, so they are evaluated at the 64 directions and scaled
 by powers of the radius, and only the base metric runs at all 640 points.
+The bump times its cutoff on this fixed grid, and its C^k norm's jets at
+every 12th grid point, are linear in the bump's sorted coefficients: both
+maps are built once per dim, bump degree, radius and jet order (or grid
+radii) by the same formulas on the monomial basis, and cached, so each bump
+is one product with them.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .dsl import (
     Num,
     Pow,
     _pair_index,
+    _point_of,
     _smoothbump_jet,
     substitute,
 )
@@ -148,6 +154,30 @@ def _poly_expr(coeffs, lead=()):
     return out
 
 
+def _cutoff_bounds(radius):
+    """(u0, u1) = ((r/2)^2, r^2) of the cutoff radius r, refused unless
+    0 < u0 < u1 < inf: a square that underflows to 0 leaves no bump."""
+    u0, u1 = (0.5 * radius) * (0.5 * radius), radius * radius
+    if not 0.0 < u0 < u1 < math.inf:
+        raise DomainError(f"bump radius {radius:g} out of range: (r/2)^2 and r^2 must be positive and finite")
+    return u0, u1
+
+
+def _bump_jets(coeffs, radius, points, order=3):
+    """Jets (N, *lead, size) of ``order`` at the (N, n) points of the
+    polynomials ``coeffs`` times the cutoff phi(|y|^2) of ``radius``: phi
+    is 1 or 0 off the ramp u0 < |y|^2 < u1, where only a product is made."""
+    n = points.shape[1]
+    sp = jet_space(n, order)
+    u0, u1 = _cutoff_bounds(radius)
+    r2 = _poly_taylor([None, None, np.eye(n)], points, order=order)  # |y|^2
+    out = _poly_taylor(coeffs, points, order=order)
+    out[r2[:, 0] >= u1] = 0.0
+    ramp = (r2[:, 0] > u0) & (r2[:, 0] < u1)
+    out[ramp] = sp.mul(out[ramp], _smoothbump_jet(sp, r2[ramp], u0, u1)[:, None])
+    return out
+
+
 # -- the metric in a chart ---------------------------------------------------------------
 
 
@@ -157,7 +187,7 @@ class PulledBackMetric:
     x(y) = p + E y - 1/2 E Ghat(y, y).
 
     ``bump`` is None or a coefficient tensor (n, n, n, ..., n) symmetric in
-    its first two axes and in its trailing ones: bump_ij(y) =
+    its first two axes and in its d >= 1 trailing ones: bump_ij(y) =
     sum bump[i, j, k_1, ..., k_d] y^k_1 ... y^k_d.  The cutoff phi is 1 for
     |y| <= radius/2 and 0 for |y| >= radius.  The base is a ``MetricDef``
     or another ``PulledBackMetric``.  ``origin_jets`` are its own jets at
@@ -180,11 +210,11 @@ class PulledBackMetric:
         quad = -0.5 * np.einsum("ia,abc->ibc", self.frame, self.gamma_frame)
         self._x = [self.center, self.frame, quad]  # x(y)
         self._jac = [self.frame, 2.0 * quad]  # J[i, a] = dx^i/dy^a
-        self._r2 = [None, None, np.eye(n)]  # |y|^2
         self._bump = None
         if self.bump is not None:
             b = self.bump[tuple(self._upper)]
             self._bump = [None] * (b.ndim - 1) + [b]
+            self._sorted_bump = b[(slice(None), *_sorted_indices(n, b.ndim - 1))]  # (pairs, M)
 
     @property
     def dim(self):
@@ -196,31 +226,10 @@ class PulledBackMetric:
         adds them."""
         out = dataclasses.replace(self, bump=np.asarray(coeffs, dtype=float), name=f"{self.name}:bumped", origin_jets=None)
         if self.bump is None and self.origin_jets is not None:
-            out._cutoff_bounds()  # refuses a radius out of range; at y = 0 the cutoff is 1
+            _cutoff_bounds(out.radius)  # refuses a radius out of range; at y = 0 the cutoff is 1
             order = int(jet_space(self.dim).degrees[self.origin_jets.shape[-1] - 1])
             bump = _poly_taylor(out._bump, np.zeros((1, self.dim)), order)[0, self._pair]
             out.origin_jets = self.origin_jets + bump
-        return out
-
-    def _cutoff_bounds(self):
-        """(u0, u1) = ((r/2)^2, r^2) of the cutoff radius r, refused unless
-        0 < u0 < u1 < inf: a square that underflows to 0 leaves no bump."""
-        u0, u1 = (0.5 * self.radius) * (0.5 * self.radius), self.radius * self.radius
-        if not 0.0 < u0 < u1 < math.inf:
-            raise DomainError(f"bump radius {self.radius:g} out of range: (r/2)^2 and r^2 must be positive and finite")
-        return u0, u1
-
-    def _bump_jets(self, points, order=3):
-        """Jets (N, pairs, size) of ``order`` of bump_ij * phi at the points.
-        phi is the constant 1 or 0 off the ramp u0 < |y|^2 < u1, so only
-        ramp points need a product."""
-        sp = jet_space(self.dim, order)
-        u0, u1 = self._cutoff_bounds()
-        r2 = _poly_taylor(self._r2, points, order=order)
-        out = _poly_taylor(self._bump, points, order=order)
-        out[r2[:, 0] >= u1] = 0.0
-        ramp = (r2[:, 0] > u0) & (r2[:, 0] < u1)
-        out[ramp] = sp.mul(out[ramp], _smoothbump_jet(sp, r2[ramp], u0, u1)[:, None])
         return out
 
     def _jets(self, points, order):
@@ -256,13 +265,13 @@ class PulledBackMetric:
         t = sp.mul(g[..., None, :], jac[:, None]).sum(axis=-3)  # t_ib = g_ij J_jb
         out = sp.mul(jac[:, :, a], t[:, :, b]).sum(axis=-3)
         if self._bump is not None:
-            out = out + self._bump_jets(points, order)
+            out = out + _bump_jets(self._bump, self.radius, points, order)
         return out[:, self._pair]
 
     def eval_jets(self, point, order=3):
         """(dim, dim, size) Taylor coefficients of ``order`` of the entries
         at ``point``."""
-        return self._jets(np.asarray(point, dtype=float)[None], order)[0]
+        return self._jets(_point_of(point, self.dim)[None], order)[0]
 
     def eval_matrix_many(self, points) -> np.ndarray:
         """(N, dim, dim) metric matrices at an (N, dim) batch of points,
@@ -275,16 +284,18 @@ class PulledBackMetric:
         the A unit ``directions``, radius-major.  x(y), J(y) and the bump are
         sums of homogeneous parts, evaluated at the directions and scaled by
         powers of r, the cutoff at the radii; only the base metric and J^T g J
-        (a BLAS matmul, as no output is written from it) run at every point."""
+        (a BLAS matmul, as no output is written from it) run at every point.
+        The bump's parts come from the cached ``_bump_grid``."""
         n, r = self.dim, radii[:, None, None]
         ku = (directions @ self._jac[1].reshape(n * n, n).T).reshape(-1, n, n)  # 2 quad(., u)
         x = self.center + r * (directions @ self.frame.T) + (r * r) * (0.5 * ku @ directions[..., None])[..., 0]
         jac = (self.frame + r[..., None] * ku).reshape(-1, n, n)
         out = (jac.swapaxes(1, 2) @ self.base.eval_matrix_many(x.reshape(-1, n)) @ jac)[(slice(None), *self._upper)]
         if self._bump is not None:
-            phi = _smoothbump_jet(jet_space(n, 0), (radii * radii)[:, None], *self._cutoff_bounds())[:, 0]
-            bump = _poly_taylor(self._bump, directions, order=0)[..., 0]
-            out += ((radii ** (len(self._bump) - 1) * phi)[:, None, None] * bump).reshape(len(out), -1)
+            if not np.array_equal(directions, _grid_directions(n)):
+                raise ValueError("the bump is mapped at the positivity grid's directions only")
+            values, radial = _bump_grid(n, len(self._bump) - 1, self.radius, tuple(radii.tolist()))
+            out += (radial[:, None, None] * (values @ self._sorted_bump.T)).reshape(len(out), -1)
         return out[:, self._pair]
 
     @cached_property
@@ -308,7 +319,7 @@ class PulledBackMetric:
             return acc
 
         t = [[dot((g[i, j], jac[j][b]) for j in range(n)) for b in range(n)] for i in range(n)]
-        cutoff = Call("smoothbump", (_poly_expr(self._r2), *map(Num, self._cutoff_bounds())))
+        cutoff = Call("smoothbump", (_poly_expr([None, None, np.eye(n)]), *map(Num, _cutoff_bounds(self.radius))))
         comp = [[None] * n for _ in range(n)]
         for p, (a, b) in enumerate(zip(*self._upper)):
             bump = None if self._bump is None else _poly_expr(self._bump, p)
@@ -367,6 +378,47 @@ def _grid_points(n, radius):
     return (radii[:, None, None] * directions).reshape(-1, n)
 
 
+@lru_cache(maxsize=None)
+def _sorted_indices(n, degree):
+    """The M multi-indices k_1 <= ... <= k_degree < n, as index arrays."""
+    return tuple(np.array(k) for k in zip(*itertools.combinations_with_replacement(range(n), degree)))
+
+
+def _monomial_basis(n, degree):
+    """The M sorted monomials of ``degree`` times their numbers of
+    orderings, as coefficients (1 at every ordering): a bump's
+    ``_sorted_bump`` are its coordinates in this basis."""
+    idx = _sorted_indices(n, degree)
+    basis = np.zeros((len(idx[0]), *(n,) * degree))
+    for m, variables in enumerate(zip(*idx)):
+        for k in itertools.permutations(variables):
+            basis[(m, *k)] = 1.0
+    return [None] * degree + [basis]
+
+
+@lru_cache(maxsize=16)
+def _bump_ck_map(n, degree, order, radius):
+    """(M, P, size), read-only: ``_bump_jets`` of ``order`` of the monomial
+    basis times alpha! at the P points ``_ck_norm`` samples."""
+    jets = _bump_jets(_monomial_basis(n, degree), radius, _grid_points(n, radius)[::CK_STRIDE], order)
+    out = np.moveaxis(jets * jet_space(n, order).factorials, 1, 0).copy()
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _bump_grid(n, degree, radius, radii):
+    """The monomial basis at the grid directions (A, M) and r^degree phi(r^2)
+    at the ``radii`` (R,), read-only.  The bump at u is summed before this
+    factor scales it, so a bump that overflows there is not finite."""
+    radii = np.array(radii)
+    values = _poly_taylor(_monomial_basis(n, degree), _grid_directions(n), order=0)[..., 0]
+    radial = radii**degree * _smoothbump_jet(jet_space(n, 0), (radii * radii)[:, None], *_cutoff_bounds(radius))[:, 0]
+    for a in (values, radial):
+        a.setflags(write=False)
+    return values, radial
+
+
 def _check_positivity(metric, points):
     """On ``points`` = ``_grid_points(dim, metric.radius)``, one batched
     Cholesky decides: it completes on matrices within a backward error of
@@ -390,12 +442,13 @@ def _check_positivity(metric, points):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a tiny radius overflows the cutoff's jets; refused below
-def _ck_norm(metric: PulledBackMetric, points, order):
-    """sup over every CK_STRIDE-th grid point of sum_{|alpha| <= order}
-    |d^alpha(bump)| using exact jet derivatives, from one batched
-    evaluation of jets of ``order``; a DomainError if it is not finite."""
-    jets = metric._bump_jets(points[::CK_STRIDE], order)
-    norm = float(np.abs(jets * jet_space(metric.dim, order).factorials).sum(axis=-1).max(initial=0.0))
+def _ck_norm(metric: PulledBackMetric, order):
+    """sup over every CK_STRIDE-th point of the positivity grid of
+    sum_{|alpha| <= order} |d^alpha(bump)|, exact jet derivatives from the
+    cached ``_bump_ck_map``; a DomainError if it is not finite."""
+    m = _bump_ck_map(metric.dim, len(metric._bump) - 1, order, metric.radius)
+    jets = metric._sorted_bump @ m.reshape(len(m), -1)  # (pairs, P * size)
+    norm = float(np.abs(jets).reshape(len(jets), -1, m.shape[-1]).sum(axis=-1).max(initial=0.0))
     if not math.isfinite(norm):
         raise DomainError("the bump's C^k norm is not a finite number; enlarge the radius")
     return norm
@@ -429,14 +482,13 @@ def _prescribe(pl, measure, target, bump_of) -> PerturbResult:
     again."""
     chart, order, origin = pl.metric, pl.order, pl.point
     target_norm, shift = _finite_norms(target, target - measure(pl))
-    if shift <= 1e-13 * max(target_norm, 1.0):
-        return PerturbResult(chart, shift / max(target_norm, 1.0), 0.0, shift, True, origin)
+    if shift <= 1e-13 * target_norm:
+        return PerturbResult(chart, shift / max(target_norm, 1e-30), 0.0, shift, True, origin)
     bumped = chart.with_bump(bump_of(pl))
-    grid = _grid_points(chart.dim, chart.radius)
-    _check_positivity(bumped, grid)
+    _check_positivity(bumped, _grid_points(chart.dim, chart.radius))
     achieved = measure(JetPipeline(bumped, origin, order))
     target_error = float(np.linalg.norm(achieved - target) / max(target_norm, 1e-30))
-    return PerturbResult(bumped, target_error, _ck_norm(bumped, grid, order) / shift, shift, False, origin)
+    return PerturbResult(bumped, target_error, _ck_norm(bumped, order) / shift, shift, False, origin)
 
 
 # -- curvature prescription (dim >= 4 path, works in dim 3 too) ----------------

@@ -32,7 +32,7 @@ from lcwcheck.dsl import (
     parse_expr,
     parse_metric,
 )
-from lcwcheck.errors import DomainError
+from lcwcheck.errors import DimensionError, DomainError
 from lcwcheck.jets import jet_add, jet_apply, jet_inverse, jet_mul, jet_power, jet_space
 
 # --- the reference: one Python step per node ----------------------------------
@@ -328,11 +328,17 @@ def test_numbers_at_no_points_raise_what_every_run_raises(text):
 def test_a_point_batch_of_the_wrong_width_raises_domain_error():
     m = parse_metric("dim = 3\ng11 = 1 + x3^2\ng22 = 1\ng33 = 1\n")
     with pytest.raises(DomainError):
-        m.eval_jets((0.1, 0.2))
-    with pytest.raises(DomainError):
         m.eval_matrix_many(np.zeros((4, 2)))
-    with pytest.raises(DomainError):
-        m.eval_jets(np.zeros(7))  # no jet space of dimension 7
+
+
+def test_a_single_point_of_the_wrong_length_raises_dimension_error():
+    """``eval_jets`` checks its point's length before it evaluates: a
+    point with fewer coordinates than the metric uses, or with more (7:
+    there is no jet space of dimension 7), is refused by its length."""
+    m = parse_metric("dim = 3\ng11 = 1 + x3^2\ng22 = 1\ng33 = 1\n")
+    for point in ((0.1, 0.2), np.zeros(7)):
+        with pytest.raises(DimensionError, match="metric dim is 3"):
+            m.eval_jets(point)
 
 
 # --- the program is compiled once and stays outside the fields ---------------------

@@ -12,6 +12,7 @@ from lcwcheck.dsl import parse_metric
 from lcwcheck import perturbation
 from lcwcheck.errors import (
     ConstraintViolation,
+    DimensionError,
     DomainError,
     NotPositiveDefinite,
     SymmetryViolation,
@@ -82,6 +83,17 @@ def test_prescribe_curvature_identity():
     )
     assert res.unchanged is True
     assert res.target_error <= 1e-12
+
+
+def test_a_target_below_one_is_reached_not_taken_for_unchanged():
+    """The unchanged test is relative to the target at every size: a Weyl
+    target of norm 2e-14 on flat R^4, where the chart's curvature is 0, is
+    a shift of the whole target, so the metric is bumped and fails."""
+    r0 = 1e-14 * operator_to_0_4(random_weyl_operator(4, np.random.default_rng(3)))
+    res = prescribe_curvature(CurvaturePrescription(base=FLAT4, point=np.zeros(4), target_r4=r0))
+    assert res.unchanged is False
+    assert res.target_error <= 1e-6
+    assert auto_test(res.metric, res.evaluation_point, ObstructionConfig()).verdict is False
 
 
 def test_prescribe_curvature_random_targets(rng):
@@ -531,3 +543,100 @@ def test_grid_matrices_equal_the_general_evaluator_at_the_grid_points(n, radius,
         got = metric.grid_matrices(radii, directions)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("length", [-1, 1])
+def test_eval_jets_refuses_a_point_of_the_wrong_length(n, length):
+    base = get_entry("nil" if n == 3 else "product4_nil").metric
+    for metric in (base, normal_coordinates(base, np.zeros(n))):
+        with pytest.raises(DimensionError, match=f"point has {n + length} coordinates, metric dim is {n}"):
+            metric.eval_jets(np.zeros(n + length), 3)
+
+
+# --- the bump on the fixed grid as a cached linear map ------------------------------
+
+
+def _flat(n):
+    return parse_metric(f"dim = {n}\n" + "".join(f"g{i}{i} = 1\n" for i in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.3])
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_cached_bump_map_is_the_bump_formula(n, degree, radius, rng):
+    """The C^k norm and the grid's bump term, each one product of the
+    bump's sorted coefficients with a cached map, equal ``_bump_jets`` of
+    the bump itself at the same points, for the prescriptions' quadratic
+    and cubic bumps and a quartic one.  On a flat chart J^T g J is the
+    identity, so the grid's bump term is the grid matrices less it."""
+    chart = normal_coordinates(_flat(n), np.zeros(n), radius)
+    bumped = chart.with_bump(_symmetric_bump(rng, n, degree, 1.0))
+    points = _grid_points(n, radius)
+    for order in (2, 3):
+        jets = perturbation._bump_jets(bumped._bump, radius, points[::perturbation.CK_STRIDE], order)
+        want = np.abs(jets * jet_space(n, order).factorials).sum(axis=-1).max()
+        assert abs(perturbation._ck_norm(bumped, order) - want) <= 1e-13 * want
+    grid = _grid(n, radius)
+    got = (bumped.grid_matrices(*grid) - chart.grid_matrices(*grid))[(slice(None), *np.triu_indices(n))]
+    want = perturbation._bump_jets(bumped._bump, radius, points, 0)[..., 0]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    maps = [perturbation._bump_ck_map(n, degree, 3, radius), *perturbation._bump_grid(n, degree, radius, tuple(grid[0]))]
+    assert not any(m.flags.writeable for m in maps)
+    assert all(f.cache_info().maxsize is not None for f in (perturbation._bump_ck_map, perturbation._bump_grid))
+
+
+def test_grid_matrices_refuse_directions_the_bump_is_not_mapped_at():
+    bumped = normal_coordinates(FLAT3, np.zeros(3)).with_bump(np.full((3,) * 5, 1e-3))
+    radii, directions = _grid(3, 1.0)
+    with pytest.raises(ValueError, match="grid's directions"):
+        bumped.grid_matrices(radii, directions[::-1])
+
+
+def test_prescriptions_have_the_bits_of_a_cold_cache():
+    """Prescriptions at radius 1.0, 0.3 and 1.0 again in one process give
+    the bits each gives after the maps' caches are cleared."""
+    nil, base4 = get_entry("nil").metric, random_metric_near_flat(4, np.random.default_rng(5), amplitude=0.03)
+    cy0 = np.diag([1.0, 1.0, -2.0]) * 1e-2
+    r0 = 1e-2 * kulkarni_nomizu(np.diag([1.0, -1.0, 0.5, 0.0]), np.eye(4))
+
+    def run(radius):
+        out = []
+        for res in (
+            prescribe_cotton_york(CottonPrescription(base=nil, point=np.full(3, 0.1), target_cy=cy0, radius=radius)),
+            prescribe_curvature(CurvaturePrescription(base=base4, point=np.zeros(4), target_r4=r0, radius=radius)),
+        ):
+            out += [np.float64(res.norm_ratio), np.float64(res.target_error), res.metric.grid_matrices(*_grid(res.metric.dim, radius))]
+        return out
+
+    warm = [run(r) for r in (1.0, 0.3, 1.0)]
+    for radius, got in zip((1.0, 0.3, 1.0), warm):
+        perturbation._bump_ck_map.cache_clear()
+        perturbation._bump_grid.cache_clear()
+        assert all(_same_bits(a, b) for a, b in zip(got, run(radius)))
+
+
+def test_a_warm_prescription_evaluates_no_bump_or_cutoff_on_the_grid(monkeypatch):
+    """Once the maps of a (dim, degree, radius) are built, a whole
+    prescription evaluates polynomials only at the chart origin and the
+    cutoff nowhere: the positivity grid and the C^k norm read the maps."""
+    runs = [
+        lambda: prescribe_cotton_york(CottonPrescription(base=get_entry("sol").metric, point=np.full(3, 0.1), target_cy=np.diag([1.0, 1.0, -2.0]) * 1e-2)),
+        lambda: prescribe_curvature(CurvaturePrescription(base=FLAT4, point=np.zeros(4), target_r4=1e-2 * kulkarni_nomizu(np.diag([1.0, -1.0, 0.5, 0.0]), np.eye(4)))),
+    ]
+    for run in runs:
+        run()
+    poly_taylor, points = perturbation._poly_taylor, []
+
+    def counted(coeffs, at, order=3):
+        points.append(len(at))
+        return poly_taylor(coeffs, at, order)
+
+    def refuse(*args):
+        raise AssertionError("the cutoff was evaluated")
+
+    monkeypatch.setattr(perturbation, "_poly_taylor", counted)
+    monkeypatch.setattr(perturbation, "_smoothbump_jet", refuse)
+    for run in runs:
+        assert run().unchanged is False
+    assert set(points) == {1}
