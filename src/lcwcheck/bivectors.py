@@ -73,7 +73,7 @@ class CurvatureOperator:
             raise DimensionError(
                 f"operator matrix must be {m}x{m} for dim {self.dim}, got {self.mat.shape}"
             )
-        _require_small(self.mat - self.mat.T, 1e-10 * max(np.abs(self.mat).max(), 1.0), "operator matrix is not symmetric")
+        _require_small(self.mat - self.mat.T, 1e-10 * np.abs(self.mat).max(), "operator matrix is not symmetric")
         self.mat = 0.5 * self.mat + 0.5 * self.mat.T  # the bits of 0.5 * (mat + mat.T) in the normal range, without its overflow
 
     def norm(self):

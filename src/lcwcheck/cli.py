@@ -46,7 +46,7 @@ from .bivectors import (
 )
 from .dsl import metric_to_text, parse_metric
 from .errors import ConstraintViolation, DimensionError, LcwError, NotPositiveDefinite, ParseError, UnknownEntry
-from .obstructions import ObstructionConfig, auto_test, eigenflag_test
+from .obstructions import ObstructionConfig, _frame_curvature, _frame_weyl, auto_test, eigenflag_test
 from .perturbation import normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
 from .pipeline import TENSOR_FIELDS, JetPipeline, _require_small, compute_snapshot, format_json, snapshot_to_dict
 
@@ -273,22 +273,23 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
     if n < 3:
         raise DimensionError("perturb needs dim >= 3")
     wanted = None if target == "random" else _load_target(target, n)
-    order = 3 if n == 3 else 2
-    pl = JetPipeline(normal_coordinates(metric, p, radius, order), np.zeros(n), order)
+    chart, origin = normal_coordinates(metric, p, radius, 3 if n == 3 else 2), np.zeros(n)
     if n == 3:
+        cy = JetPipeline(chart, origin).cotton_york()
         if wanted is None:
             d = rng.standard_normal((3, 3))
             d = (d + d.T) / 2.0
             d -= np.trace(d) / 3.0 * np.eye(3)
-            wanted = pl.cotton_york() + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
-        res = prescribe_cotton_york_in(pl, wanted)
+            wanted = cy + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
+        res = prescribe_cotton_york_in(chart, wanted, cy)
     else:
+        r = _frame_curvature(chart.eval_jets(origin, 2), origin)[2]
         if wanted is None:
             # random Weyl shift on top of the current curvature
-            r0 = pl.riemann() + amplitude * operator_to_0_4(random_weyl_operator(n, rng))
+            r0 = r + amplitude * operator_to_0_4(random_weyl_operator(n, rng))
         else:
-            r0 = pl.riemann() - pl.weyl() + operator_to_0_4(wanted)
-        res = prescribe_curvature_in(pl, r0)
+            r0 = r - operator_to_0_4(_frame_weyl(r, origin)) + operator_to_0_4(wanted)
+        res = prescribe_curvature_in(chart, r0, r)
     _emit({"unchanged": res.unchanged, "target_error": res.target_error, "shift_norm": res.shift_norm,
            "ck_norm_ratio": res.norm_ratio, "evaluation_point": res.evaluation_point, "out": str(out_path),
            "note": "output metric uses normal coordinates centered at the bump point"}, fmt, (out_path, res.metric))

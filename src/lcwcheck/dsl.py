@@ -766,7 +766,7 @@ class MetricDef:
     def eval_matrix_many(self, points) -> np.ndarray:
         """(N, dim, dim) metric matrices at an (N, dim) batch of points,
         from the order-0 jets of the entries."""
-        return self._jets(np.asarray(points, dtype=float), 0)[..., 0]
+        return self._jets(_point_of(points, self.dim, batch=True), 0)[..., 0]
 
     def eval_jets(self, point, order=3):
         """(dim, dim, size) Taylor coefficients of ``order`` of the entries
@@ -774,11 +774,13 @@ class MetricDef:
         return self._jets(_point_of(point, self.dim)[None], order)[0]
 
 
-def _point_of(point, dim):
-    """``point`` as a float array, refused unless it has ``dim`` coordinates."""
+def _point_of(point, dim, batch=False):
+    """``point`` as a float array, refused unless it has ``dim`` coordinates;
+    with ``batch``, an (N, dim) batch of such points."""
     point = np.asarray(point, dtype=float)
-    if point.shape != (dim,):
-        raise DimensionError(f"point has {point.size} coordinates, metric dim is {dim}")
+    if point.ndim != 1 + batch or point.shape[-1] != dim:
+        got = f"point batch has shape {point.shape}" if batch else f"point has {point.size} coordinates"
+        raise DimensionError(f"{got}, metric dim is {dim}")
     return point
 
 

@@ -357,7 +357,7 @@ def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = Non
 
 def _eigenflag_test(op, size, config):
     """``eigenflag_test``; where the size T of the terms W was summed from
-    is known (``size``, from ``_frame_weyl``), a noise ratio ||W|| / (u T)
+    is known (``size``, from ``_frame_curvature``), a noise ratio ||W|| / (u T)
     at most NOISE_FLOOR passes as W = 0 to rounding: a passing flag
     operator moved by rounding keeps its verdict only above 1 / sqrt(tol_rel)."""
     if op.dim < 4:
@@ -524,15 +524,14 @@ def _kn_identity(n):
     return np.moveaxis(kn[(slice(None), *_pair_grid(n))], 0, -1).copy()
 
 
-@np.errstate(over="ignore", invalid="ignore")  # past the float range: inf or nan, refused below
-def _frame_weyl(jets, point):
-    """(W, T) from the metric's order-2 Taylor coefficients ``jets`` (n, n,
-    size) at ``point``: W the Weyl operator in a g-orthonormal frame and T,
-    the size of the terms its Riemann tensor sums, (max|d^2 g| +
-    max|Gamma_1 . Gamma_1|) / 2 in that frame.  In the frame g = I, so
-    raising an index is the identity and the pipeline's formulas read: R
-    the pair antisymmetrization of (d_k d_l g_im + Gamma_{p,kl}
-    Gamma_{p,im}) / 2, Ric[k, m] = R[a, k, a, m], W = R - S ^o I."""
+@np.errstate(over="ignore", invalid="ignore")  # past the float range: inf or nan, refused by the readers
+def _frame_curvature(jets, point):
+    """(E, Gamma, R, T) from the 2-jet prefix of the metric's Taylor
+    coefficients ``jets`` (n, n, size) at ``point``: E a g-orthonormal frame
+    (columns) and, in it, the Christoffel symbols Gamma[p, k, l], the Riemann
+    tensor R and T = (max|d^2 g| + max|Gamma . Gamma|) / 2, the size of R's
+    terms.  In the frame g = I, so raising an index is the identity and the
+    pipeline's R is the pair antisymmetrization of (d_k d_l g_im + Gamma_{p,kl} Gamma_{p,im}) / 2."""
     n = len(point)
     _check_metric(jets[..., 0], point)
     g, dg, ddg = _metric_partials(jet_space(n, 2), jets)
@@ -543,25 +542,32 @@ def _frame_weyl(jets, point):
     gam1 = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg).reshape(n, n * n)  # [p, (k, l)]
     quad = gam1.T @ gam1
     r = _antisym_pairs(0.5 * (ddg + quad).reshape(n, n, n, n).transpose(2, 0, 1, 3))
+    return e, gam1.reshape(n, n, n), r, 0.5 * np.abs(ddg).max() + 0.5 * np.abs(quad).max()
+
+
+@np.errstate(over="ignore", invalid="ignore")  # past the float range: inf or nan, refused below
+def _frame_weyl(r, point):
+    """The Weyl operator of the frame Riemann tensor ``r`` at ``point``:
+    Ric[k, m] = R[a, k, a, m], W = R - S ^o I."""
+    n = len(r)
     ric = np.einsum("akam->km", r)
     schouten = (ric - np.trace(ric) / (2.0 * (n - 1)) * np.eye(n)) / (n - 2)
     w = _lex_pair_matrix(r) - _kn_identity(n) @ schouten.ravel()
     if not np.isfinite(w).all():
         raise DomainError(f"Weyl tensor not finite at {point.tolist()}")
     # pair-symmetric by its formula: mirrored entries differ by roundings of T, which can exceed CurvatureOperator's 1e-10
-    return CurvatureOperator(dim=n, mat=0.5 * w + 0.5 * w.T), 0.5 * np.abs(ddg).max() + 0.5 * np.abs(quad).max()
+    return CurvatureOperator(dim=n, mat=0.5 * w + 0.5 * w.T)
 
 
 def auto_test(metric: MetricDef, point, config: ObstructionConfig | None = None) -> ObstructionReport:
     """Dimension dispatch: Cotton-York determinant in dim 3, Weyl eigenflag
     in dim >= 4, where the Weyl operator at the point reads only the
-    metric's 2-jet (``_frame_weyl``)."""
+    metric's 2-jet (``_frame_curvature``, then ``_frame_weyl``)."""
     config = config or ObstructionConfig()
     if metric.dim == 3:
         return cotton_york_test(metric, point, config)
     if metric.dim >= 4:
-        point = np.asarray(point, dtype=float)
-        if len(point) != metric.dim:
-            raise DimensionError(f"point has {len(point)} coordinates, metric dim is {metric.dim}")
-        return _eigenflag_test(*_frame_weyl(metric.eval_jets(point, 2), point), config)
+        point = np.asarray(point, dtype=float)  # the metric refuses a point of the wrong length
+        _, _, r, size = _frame_curvature(metric.eval_jets(point, 2), point)
+        return _eigenflag_test(_frame_weyl(r, point), size, config)
     raise DimensionError("obstruction tests need dim >= 3")

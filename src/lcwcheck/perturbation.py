@@ -14,24 +14,25 @@ polynomial bump times a C^3 radial cutoff:
 The chart is a ``PulledBackMetric``: the base metric, the chart map
 x(y) = p + E y - 1/2 E Ghat(y, y) as the arrays (p, E, Ghat), and the bump
 as its coefficient tensor and cutoff radius; ``normal_coordinates`` returns
-it without a bump.  One batched composition gives its jets at points y0
-(order 3, or 2 for a curvature prescription): the base jets at x(y0)
-composed with the jets of x(y) (truncated Taylor composition), then J^T g J
-plus the bump, all in jet arithmetic; values at any points are its order-0
-case.  A chart keeps its own origin jets, composed once, and ``with_bump``
-adds the bump's.  No expression is built on this path: the expression form
-(``components``) is made on first use, for printing the metric.  Both
-prescriptions run the same steps (measure at the origin, bump, check
-positivity, measure again); they differ only in the tensor they measure and
-the closed-form bump of its shift.  Positivity is decided by one batched
-Cholesky on 10 radii times 64 fixed directions: x(y), J(y) and the bump are
-homogeneous by parts, so they are evaluated at the 64 directions and scaled
-by powers of the radius, and only the base metric runs at all 640 points.
-The bump times its cutoff on this fixed grid, and its C^k norm's jets at
-every 12th grid point, are linear in the bump's sorted coefficients: both
-maps are built once per dim, bump degree, radius and jet order (or grid
-radii) by the same formulas on the monomial basis, and cached, so each bump
-is one product with them.
+it without a bump, E and Ghat read from the frame kernel.  One batched
+composition gives its jets at points y0 (order 3, or 2 for a curvature
+prescription): the base jets at x(y0) composed with the jets of x(y)
+(truncated Taylor composition), then J^T g J plus the bump, all in jet
+arithmetic; values at any points are its order-0 case.  A chart keeps its
+own origin jets, composed once, and ``with_bump`` adds the bump's.  No
+expression is built on this path: the expression form (``components``) is
+made on first use, for printing the metric.  Both prescriptions run the
+same steps (measure at the origin, bump, check positivity, measure again);
+they differ only in the tensor they measure (R by the frame kernel, CY by
+an order-3 pipeline) and the closed-form bump of its shift.  Positivity is
+decided by one batched Cholesky on 10 radii times 64 fixed directions:
+x(y), J(y) and the bump are homogeneous by parts, so they are evaluated at
+the 64 directions and scaled by powers of the radius, and only the base
+metric runs at all 640 points.  The bump times its cutoff on this fixed
+grid, and its C^k norm's jets at every 12th grid point, are linear in the
+bump's sorted coefficients: both maps are built once per dim, bump degree,
+radius and jet order (or grid radii) by the same formulas on the monomial
+basis, and cached, so each bump is one product with them.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .jets import jet_space
+from .obstructions import _frame_curvature
 from .pipeline import EPS3, JetPipeline, _check_bianchi, _check_curvature_symmetries, _require_small
 
 GRID_RADIAL = 10
@@ -276,7 +278,7 @@ class PulledBackMetric:
     def eval_matrix_many(self, points) -> np.ndarray:
         """(N, dim, dim) metric matrices at an (N, dim) batch of points,
         from order-0 jets."""
-        return self._jets(np.asarray(points, dtype=float), 0)[..., 0]
+        return self._jets(_point_of(points, self.dim, batch=True), 0)[..., 0]
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan; callers check finiteness
     def grid_matrices(self, radii, directions) -> np.ndarray:
@@ -338,12 +340,10 @@ def normal_coordinates(metric: MetricDef, point, radius=1.0, order=3) -> PulledB
     flat base gets an affine chart), hence g(0) = identity and Gamma(0) = 0.
     The chart keeps ``radius`` for the bump and its own jets at the origin
     of ``order``, the highest its users read there, composed once from the
-    base jets at p that built the chart."""
+    base jets at p that built the chart, whose 2-jet gives E and Ghat."""
     point = np.asarray(point, dtype=float)
-    pl = JetPipeline(metric, point, order)
-    L = np.linalg.cholesky(pl.g)
-    e = np.linalg.inv(L).T  # E^T g E = I
-    ghat = np.einsum("ai,ijk,jb,kc->abc", L.T, pl.gamma(), e, e)
+    jets = metric.eval_jets(point, order)
+    e, ghat, _, _ = _frame_curvature(jets, point)
     chart = PulledBackMetric(
         base=metric,
         center=point,
@@ -353,7 +353,7 @@ def normal_coordinates(metric: MetricDef, point, radius=1.0, order=3) -> PulledB
         name=f"{metric.name}:normal" if metric.name else "normal-chart",
         chart=f"normal coordinates centered at {point.tolist()}",
     )
-    chart.origin_jets = chart._compose(np.zeros((1, metric.dim)), order, pl.g_jets[None])[0]
+    chart.origin_jets = chart._compose(np.zeros((1, metric.dim)), order, jets[None])[0]
     return chart
 
 
@@ -474,19 +474,19 @@ class PerturbResult:
     evaluation_point: np.ndarray  # where to test the output metric (origin)
 
 
-def _prescribe(pl, measure, target, bump_of) -> PerturbResult:
-    """The steps both prescriptions share: ``measure`` (a tensor of a
-    pipeline) by ``pl`` at the origin of its chart; the chart itself if it
-    already has the target, else the chart plus the bump coefficients
-    ``bump_of(pl)``, refused unless positive on the grid, then measured
-    again."""
-    chart, order, origin = pl.metric, pl.order, pl.point
-    target_norm, shift = _finite_norms(target, target - measure(pl))
+def _prescribe(chart, current, target, bump_of, measure, order) -> PerturbResult:
+    """The steps both prescriptions share, on a normal chart whose tensor at
+    the origin is ``current``: the chart itself if it has the target, else
+    the chart plus the bump ``bump_of(target - current)``, refused unless
+    positive on the grid, then ``measure``d again at the origin (of jet ``order``)."""
+    origin = np.zeros(chart.dim)
+    delta = target - current
+    target_norm, shift = _finite_norms(target, delta)
     if shift <= 1e-13 * target_norm:
         return PerturbResult(chart, shift / max(target_norm, 1e-30), 0.0, shift, True, origin)
-    bumped = chart.with_bump(bump_of(pl))
+    bumped = chart.with_bump(bump_of(delta))
     _check_positivity(bumped, _grid_points(chart.dim, chart.radius))
-    achieved = measure(JetPipeline(bumped, origin, order))
+    achieved = measure(bumped, origin)
     target_error = float(np.linalg.norm(achieved - target) / max(target_norm, 1e-30))
     return PerturbResult(bumped, target_error, _ck_norm(bumped, order) / shift, shift, False, origin)
 
@@ -514,24 +514,26 @@ def prescribe_curvature(cp: CurvaturePrescription) -> PerturbResult:
     g_ij = delta_ij - 1/3 R_ihjk x^h x^k + O(|x|^3).
     """
     chart = normal_coordinates(cp.base, cp.point, cp.radius, order=2)
-    return prescribe_curvature_in(JetPipeline(chart, np.zeros(chart.dim), 2), cp.target_r4)
+    origin = np.zeros(chart.dim)
+    return prescribe_curvature_in(chart, cp.target_r4, _frame_curvature(chart.eval_jets(origin, 2), origin)[2])
 
 
-def prescribe_curvature_in(pl, target_r4) -> PerturbResult:
-    """``prescribe_curvature`` on the chart with order-2 origin pipeline ``pl``."""
-    n = pl.n
+def prescribe_curvature_in(chart, target_r4, r) -> PerturbResult:
+    """``prescribe_curvature`` on the normal chart ``chart`` (of order 2 or
+    3), whose Riemann tensor at the origin is ``r``."""
+    n = chart.dim
     r0 = np.asarray(target_r4, dtype=float)
     if r0.shape != (n, n, n, n):
         raise DimensionError("target curvature has the wrong shape")
     _check_curvature_symmetries(r0, 1e-9)
     _check_bianchi(r0, 1e-9)
 
-    def bump_of(pl):
+    def bump_of(shift):
         # bump_ij(y) = -1/3 sum_{h,k} R*_ihjk y^h y^k, symmetrized in (h, k)
-        quad = -(1.0 / 3.0) * (r0 - pl.riemann()).transpose(0, 2, 1, 3)
+        quad = -(1.0 / 3.0) * shift.transpose(0, 2, 1, 3)
         return 0.5 * (quad + quad.swapaxes(2, 3))
 
-    return _prescribe(pl, JetPipeline.riemann, r0, bump_of)
+    return _prescribe(chart, r, r0, bump_of, lambda m, y: _frame_curvature(m.eval_jets(y, 2), y)[2], 2)
 
 
 # -- Cotton-York prescription (dim 3) ------------------------------------------
@@ -566,12 +568,13 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
     full tensor while the written metric reads only its sorted entries.
     """
     chart = normal_coordinates(cp.base, cp.point, cp.radius)
-    return prescribe_cotton_york_in(JetPipeline(chart, np.zeros(chart.dim)), cp.target_cy)
+    return prescribe_cotton_york_in(chart, cp.target_cy, JetPipeline(chart, np.zeros(chart.dim)).cotton_york())
 
 
-def prescribe_cotton_york_in(pl, target_cy) -> PerturbResult:
-    """``prescribe_cotton_york`` on the chart with order-3 origin pipeline ``pl``."""
-    if pl.n != 3:
+def prescribe_cotton_york_in(chart, target_cy, cy) -> PerturbResult:
+    """``prescribe_cotton_york`` on the order-3 normal chart ``chart``, whose
+    Cotton-York tensor at the origin is ``cy``."""
+    if chart.dim != 3:
         raise DimensionError("Cotton-York prescription needs dim 3")
     cy0 = np.asarray(target_cy, dtype=float)
     if cy0.shape != (3, 3):
@@ -581,12 +584,12 @@ def prescribe_cotton_york_in(pl, target_cy) -> PerturbResult:
         _require_small(cy0 - cy0.T, bound, "target Cotton-York tensor must be symmetric")
         _require_small(np.trace(cy0), bound, "target Cotton-York tensor must be traceless", ConstraintViolation)
 
-    def bump_of(pl):
+    def bump_of(shift):
         # T is divided by the 2 * 6 terms of the sums and the 9 first, so no
         # partial sum overflows; the (k, l, m) sum is read at the sorted triple
-        t, eye = (cy0 - pl.cotton_york()) / 108.0, np.eye(3)
+        t, eye = shift / 108.0, np.eye(3)
         a = np.einsum("ika,aj,lm->ijklm", EPS3, t, eye) - np.einsum("ik,jla,am->ijklm", eye, EPS3, t)
         a = a + a.swapaxes(0, 1)
         return sum(a.transpose(0, 1, *p) for p in itertools.permutations((2, 3, 4)))[_SORTED_KLM]
 
-    return _prescribe(pl, JetPipeline.cotton_york, cy0, bump_of)
+    return _prescribe(chart, cy, cy0, bump_of, lambda m, y: JetPipeline(m, y).cotton_york(), 3)

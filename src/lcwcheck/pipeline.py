@@ -1,16 +1,14 @@
 """Pointwise curvature tensors of a coordinate metric.
 
-The metric enters as jets of its components, evaluated once by the dsl, of
-the order the consumer reads.  At order 3 every derived tensor (inverse
-metric, Christoffel symbols, curvature, Ricci, scalar, Schouten, Weyl) is a
-first-order jet: one ndarray of shape ``(1 + n, *tensor_shape)`` whose slice
-0 is the value at the point and whose slice ``1 + a`` is the partial d_a;
-Cotton and the Weyl divergence take the partials of Schouten and Weyl from
-slices 1..n.  At order 2 (the 2-jet of the metric, all that curvature and
-Weyl at the point depend on) each tensor is its value alone, shape
-``(1, *tensor_shape)``, through the same code; its values have the bits of
-the order-3 ones.  All derivatives are exact (no finite differencing
-anywhere).
+The metric enters as the order-3 jets of its components, evaluated once by
+the dsl.  Every derived tensor (inverse metric, Christoffel symbols,
+curvature, Ricci, scalar, Schouten, Weyl) is a first-order jet: one ndarray
+of shape ``(1 + n, *tensor_shape)`` whose slice 0 is the value at the point
+and whose slice ``1 + a`` is the partial d_a; Cotton and the Weyl divergence
+take the partials of Schouten and Weyl from slices 1..n.  (Readers of the
+values alone, which depend only on the metric's 2-jet, use the frame kernel
+``obstructions._frame_curvature``.)  All derivatives are exact (no finite
+differencing anywhere).
 
 Conventions, fixed once and used everywhere:
 
@@ -118,8 +116,6 @@ def _dot(spec, a, b):
     operands, out = spec.split("->")
     sa, sb = operands.split(",")
     value = np.einsum(spec, a[0], b[0])
-    if len(a) == 1:  # values only
-        return value[None]
     partials = np.einsum(f"Z{sa},{sb}->Z{out}", a[1:], b[0]) + np.einsum(
         f"{sa},Z{sb}->Z{out}", a[0], b[1:]
     )
@@ -129,9 +125,9 @@ def _dot(spec, a, b):
 @np.errstate(over="ignore", invalid="ignore")  # the caller checks finiteness
 def _metric_partials(space, coeffs):
     """d^k g for k = 0..order from the Taylor coefficients (n, n, size) of
-    the metric, each indexed [a_1, ..., a_k, i, j]: one gather per order
-    through the jet space's ``partial_slots``."""
-    d = coeffs * space.factorials
+    the metric, or their prefix of ``space``'s order, each indexed [a_1, ...,
+    a_k, i, j]: one gather per order through the jet space's ``partial_slots``."""
+    d = coeffs[..., : space.size] * space.factorials
     return [d[:, :, slots].transpose(*range(2, slots.ndim + 2), 0, 1) for slots in space.partial_slots]
 
 
@@ -152,41 +148,25 @@ def _check_metric(g, point):
 class JetPipeline:
     """One evaluation of every tensor at a single point.
 
-    With the metric jets exact to ``order`` 3, every derived tensor below,
-    through Weyl, is exact as a first-order jet ``(1 + n, *shape)``; with
-    order 2, as a value ``(1, *shape)``, and the tensors that read first
-    partials (``cotton``, ``cotton_york``, ``div_weyl``) refuse;
-    any other order is a DomainError.  Only the partials up to ``order``
-    must be finite.  ``g_jets`` holds the metric's ``(n, n, size)`` Taylor
-    coefficients.  Each tensor is built on first use and kept.
+    With the metric jets exact to order 3, every derived tensor below,
+    through Weyl, is exact as a first-order jet ``(1 + n, *shape)``.
+    ``g_jets`` holds the metric's ``(n, n, size)`` Taylor coefficients.
+    Each tensor is built on first use and kept.
     """
 
-    def __init__(self, metric: MetricDef, point, order=3):
+    def __init__(self, metric: MetricDef, point):
         self.metric = metric
         self.point = np.asarray(point, dtype=float)
         self.n = n = metric.dim
-        self.order = order
-        if order not in (2, 3):
-            raise DomainError(f"a pipeline runs at order 2 or 3, got {order}")
-        if len(self.point) != n:
-            raise DimensionError(
-                f"point has {len(self.point)} coordinates, metric dim is {n}"
-            )
-        self.g_jets = metric.eval_jets(self.point, order)
+        self.g_jets = metric.eval_jets(self.point)
         _check_metric(self.g_jets[..., 0], self.point)
-        d = _metric_partials(jet_space(n, order), self.g_jets)
+        d = _metric_partials(jet_space(n), self.g_jets)
         if not all(np.isfinite(dk).all() for dk in d[1:]):
             raise DomainError(f"metric derivatives not finite at {self.point.tolist()}")
         self.g = d[0]
         self.g_inv = np.linalg.inv(self.g)
         # g, d_a g_ij [z, a, i, j] and d_a d_b g_ij [z, a, b, i, j] as jets
-        self._g, self._dg, self._ddg = (np.concatenate([d[k][None], *d[k + 1 : k + order - 1]]) for k in range(3))
-
-    def _partials(self, t, what):
-        """Slices 1..n of the jet ``t``, which an order-2 pipeline lacks."""
-        if self.order < 3:
-            raise ValueError(f"{what} reads first partials: it needs an order-3 pipeline")
-        return t[1:]
+        self._g, self._dg, self._ddg = (np.concatenate([d[k][None], d[k + 1]]) for k in range(3))
 
     def _raise(self, t):
         """g^{ab} t_b... on the first tensor index of the jet ``t``.
@@ -196,8 +176,6 @@ class JetPipeline:
         on its own loses digits to cancellation on ill-conditioned metrics.
         """
         value = np.einsum("ab,b...->a...", self.g_inv, t[0])
-        if len(t) == 1:  # values only
-            return value[None]
         rest = t[1:] - np.einsum("zbc,c...->zb...", self._g[1:], value)
         return np.concatenate([value[None], np.einsum("ab,zb...->za...", self.g_inv, rest)])
 
@@ -274,7 +252,7 @@ class JetPipeline:
         gam = self.gamma()
         # (nabla_a S)_bc = d_a S_bc - Gamma^m_ab S_mc - Gamma^m_ac S_bm
         nas = (
-            self._partials(s, "cotton")
+            s[1:]
             - np.einsum("mab,mc->abc", gam, s[0])
             - np.einsum("mac,bm->abc", gam, s[0])
         )
@@ -301,7 +279,7 @@ class JetPipeline:
         w = self._weyl
         gam = self.gamma()
         nw = (
-            self._partials(w, "div_weyl")
+            w[1:]
             - np.einsum("mai,mjkl->aijkl", gam, w[0])
             - np.einsum("maj,imkl->aijkl", gam, w[0])
             - np.einsum("mak,ijml->aijkl", gam, w[0])

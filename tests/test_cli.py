@@ -356,17 +356,20 @@ def test_perturb_target_files_are_reached(tmp_path):
         assert json.loads(r.stdout)["target_error"] <= 1e-8
 
 
-@pytest.mark.parametrize("metric", ["nil", "product4_nil"])
-def test_perturb_builds_one_chart_and_three_pipelines(tmp_path, monkeypatch, metric):
-    """One normal chart per command: its pipeline at the base point, the
-    one at its origin (read for the current tensor and by the
-    prescription), and the one measuring the bumped metric."""
+@pytest.mark.parametrize("metric, counts", [("nil", (1, 2, 1)), ("product4_nil", (1, 0, 3))], ids=["nil", "product4_nil"])
+def test_perturb_builds_one_chart_and_three_pipelines(tmp_path, monkeypatch, metric, counts):
+    """One normal chart per command, and each tensor measured once:
+    (charts, pipelines, frame kernel calls).  In dim 4 the kernel gives the
+    chart's frame at the base point, the current curvature at its origin
+    and the bumped metric's, and no pipeline is built; in dim 3 the kernel
+    gives the chart, and order-3 pipelines measure the Cotton-York tensor
+    at the origin, before and after the bump."""
     import lcwcheck.cli as cli
-    from lcwcheck import perturbation
+    from lcwcheck import obstructions, perturbation
     from lcwcheck.pipeline import JetPipeline
 
-    charts, pipelines = [], []
-    chart_of, init = perturbation.normal_coordinates, JetPipeline.__init__
+    charts, pipelines, kernels = [], [], []
+    chart_of, init, kernel = perturbation.normal_coordinates, JetPipeline.__init__, obstructions._frame_curvature
 
     def counted_chart(*args, **kwargs):
         charts.append(args)
@@ -376,13 +379,19 @@ def test_perturb_builds_one_chart_and_three_pipelines(tmp_path, monkeypatch, met
         pipelines.append(args)
         init(self, *args, **kwargs)
 
+    def counted_kernel(*args):
+        kernels.append(args)
+        return kernel(*args)
+
     monkeypatch.setattr(cli, "normal_coordinates", counted_chart)
     monkeypatch.setattr(perturbation, "normal_coordinates", counted_chart)
     monkeypatch.setattr(JetPipeline, "__init__", counted_init)
+    for module in (obstructions, perturbation, cli):
+        monkeypatch.setattr(module, "_frame_curvature", counted_kernel)
     r = invoke("perturb", "--metric", metric, "--target", "random", "--out", str(tmp_path / "out.metric"))
     assert r.exit_code == 0
     assert strict_json(r.stdout)["unchanged"] is False
-    assert (len(charts), len(pipelines)) == (1, 3)
+    assert (len(charts), len(pipelines), len(kernels)) == counts
 
 
 def test_weyl_space_dims():
@@ -584,7 +593,7 @@ def test_a_result_holding_nan_exits_3_in_either_format(tmp_path, monkeypatch, co
 
     if command == "perturb":
         prescribe = cli.prescribe_curvature_in
-        monkeypatch.setattr(cli, "prescribe_curvature_in", lambda pl, r0: dataclasses.replace(prescribe(pl, r0), target_error=math.nan))
+        monkeypatch.setattr(cli, "prescribe_curvature_in", lambda *args: dataclasses.replace(prescribe(*args), target_error=math.nan))
         args = ["perturb", "--metric", "product4_nil", "--target", "random", "--out", str(tmp_path / "out.metric")]
     else:
         monkeypatch.setattr(cli, "eigenflag_test", lambda op, config: ObstructionReport(dim=op.dim, test="eigenflag", verdict=True, residual=math.nan))
@@ -750,8 +759,8 @@ def test_perturb_out_file_round_trips(tmp_path, monkeypatch, dim, max_bytes):
     src.write_text(metric_to_text(random_metric_near_flat(dim, np.random.default_rng(dim), amplitude=0.03)))
     results = []
 
-    def recording(pl, target_r4):
-        results.append(cli_prescribe(pl, target_r4))
+    def recording(*args):
+        results.append(cli_prescribe(*args))
         return results[-1]
 
     cli_prescribe = cli.prescribe_curvature_in

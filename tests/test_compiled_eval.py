@@ -326,9 +326,21 @@ def test_numbers_at_no_points_raise_what_every_run_raises(text):
 
 
 def test_a_point_batch_of_the_wrong_width_raises_domain_error():
+    """A batch whose points have n - 1 or n + 1 coordinates, or that is not
+    (N, n), is refused by its shape, as ``eval_jets`` refuses a single
+    point: a metric and its normal chart each returned (N, n, n) for a
+    narrower batch, and the chart raised a bare IndexError for a wider one."""
+    from lcwcheck.perturbation import normal_coordinates
+
     m = parse_metric("dim = 3\ng11 = 1 + x3^2\ng22 = 1\ng33 = 1\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionError, match="metric dim is 3"):
         m.eval_matrix_many(np.zeros((4, 2)))
+    base = catalog.get_entry("product4_nil").metric
+    for metric in (base, normal_coordinates(base, np.full(4, 0.1))):
+        for points in (np.zeros((2, 3)), np.zeros((2, 5)), np.zeros(4), np.zeros((1, 2, 4))):
+            with pytest.raises(DimensionError, match="metric dim is 4"):
+                metric.eval_matrix_many(points)
+        assert metric.eval_matrix_many(np.zeros((2, 4))).shape == (2, 4, 4)
 
 
 def test_a_single_point_of_the_wrong_length_raises_dimension_error():

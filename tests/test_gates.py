@@ -65,6 +65,23 @@ def test_nan_is_refused_by_the_sites_own_error(call, error, subject):
     assert str(info.value).startswith(subject)
 
 
+def test_operator_symmetry_is_checked_relative_to_the_matrix():
+    """The asymmetry bound is 1e-10 max|mat| with no absolute floor: a
+    matrix near 1e-11 whose mirrored entries differ by half their size is
+    refused (it was accepted and symmetrized to 5e-12), and one asymmetric
+    only at rounding level is accepted, and symmetrized, at every scale."""
+    tiny = np.zeros((6, 6))
+    tiny[0, 0] = tiny[0, 1] = 1e-11
+    with pytest.raises(SymmetryViolation, match="operator matrix is not symmetric"):
+        CurvatureOperator(4, tiny)
+    for scale in (1e-12, 1.0, 1e12):
+        mat = scale * _weyl4().mat
+        mat[0, 1] *= 1.0 + 1e-14
+        op = CurvatureOperator(4, mat)
+        assert np.array_equal(op.mat, op.mat.T) and not np.array_equal(op.mat, mat)
+    assert not CurvatureOperator(4, np.zeros((6, 6))).mat.any()
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [

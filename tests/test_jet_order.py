@@ -1,12 +1,13 @@
-"""The jet order as a parameter of the one algebra and the one pipeline.
+"""The jet order as a parameter of the one algebra, and the 2-jet frame kernel.
 
 Order-2 jets are the graded-lex prefix of the order-3 ones, bit for bit
 (int64 view), for compiled metrics and for metrics in a normal chart; the
-verdict of ``auto_test``, whose frame Weyl kernel reads the order-2 jets in
+verdict of ``auto_test``, whose frame kernel reads the order-2 jets in
 dim >= 4, is the one the kernel gives on the 2-jet prefix of the order-3
-jets, and its operator is the order-3 pipeline's to rounding; an order-2
-pipeline refuses the tensors that read first partials; and a chart that
-keeps order-2 jets never serves an order-3 request from them."""
+jets, and its operator is the order-3 pipeline's to rounding; the kernel's
+Christoffel symbols and Riemann tensor are the order-3 pipeline's moved to
+its frame; and a chart that keeps order-2 jets never serves an order-3
+request from them."""
 
 import math
 
@@ -15,12 +16,12 @@ import pytest
 from click.testing import CliRunner
 
 from lcwcheck import catalog
-from lcwcheck.bivectors import operator_from_0_4, operator_to_0_4, random_weyl_operator
+from lcwcheck.bivectors import _to_frame, operator_from_0_4, operator_to_0_4, random_weyl_operator
 from lcwcheck.cli import main
 from lcwcheck.dsl import parse_metric
 from lcwcheck.errors import DomainError
 from lcwcheck.jets import jet_space
-from lcwcheck.obstructions import NOISE_FLOOR, _U, ObstructionConfig, _eigenflag_test, _frame_weyl, auto_test
+from lcwcheck.obstructions import NOISE_FLOOR, _U, ObstructionConfig, _eigenflag_test, _frame_curvature, _frame_weyl, auto_test
 from lcwcheck.perturbation import CurvaturePrescription, normal_coordinates, prescribe_curvature
 from lcwcheck.pipeline import JetPipeline, format_json
 
@@ -33,6 +34,12 @@ def same_bits(a, b):
 
 def coefficients(metric, point, order):
     return metric.eval_jets(point, order)
+
+
+def kernel_weyl(jets, point):
+    """The frame Weyl operator and the size of its terms, as ``auto_test`` reads them."""
+    _, _, r, size = _frame_curvature(jets, point)
+    return _frame_weyl(r, point), size
 
 
 def assert_order_2_is_prefix(metric, points):
@@ -131,11 +138,10 @@ def assert_verdict_as_at_order_3(metric, point):
     config = ObstructionConfig()
     got = auto_test(metric, point, config)
     jets = coefficients(metric, point, 3)[..., : jet_space(metric.dim, 2).size]
-    want = _eigenflag_test(*_frame_weyl(jets, np.asarray(point, dtype=float)), config)
+    want = _eigenflag_test(*kernel_weyl(jets, np.asarray(point, dtype=float)), config)
     assert (got.verdict, got.residual, got.note) == (want.verdict, want.residual, want.note)
     assert (got.witness is None and want.witness is None) or same_bits(got.witness, want.witness)
     assert format_json(got.to_json_dict()) == format_json(want.to_json_dict())
-    assert same_bits(JetPipeline(metric, point, order=2).weyl(), JetPipeline(metric, point).weyl())
 
 
 def assert_kernel_as_the_pipeline(metric, point):
@@ -144,7 +150,7 @@ def assert_kernel_as_the_pipeline(metric, point):
     verdict; where the pipeline's operator is itself rounding noise of the
     terms, so is the kernel's."""
     point = np.asarray(point, dtype=float)
-    op, size = _frame_weyl(coefficients(metric, point, 2), point)
+    op, size = kernel_weyl(coefficients(metric, point, 2), point)
     pl = JetPipeline(metric, point)
     want = operator_from_0_4(pl.weyl(), g=pl.g)
     if want.norm() / _U / size <= NOISE_FLOOR:
@@ -178,37 +184,40 @@ def test_frame_weyl_kernel_is_the_pipelines_operator_on_the_catalog(name):
         assert_kernel_as_the_pipeline(entry.metric, point)
 
 
+def assert_kernel_is_the_pipeline_in_its_frame(metric, point):
+    """The kernel's Christoffel symbols and Riemann tensor are the order-3
+    pipeline's (the reference) moved to the kernel's frame E, to 1e-13
+    relative: Gamma with E^-1 on its upper index and E on its lower ones."""
+    point = np.asarray(point, dtype=float)
+    e, gamma, r, _ = _frame_curvature(coefficients(metric, point, 3), point)
+    pl = JetPipeline(metric, point)
+    want_gamma = np.einsum("ai,ijk,jb,kc->abc", np.linalg.inv(e), pl.gamma(), e, e)
+    for got, want in ((gamma, want_gamma), (r, _to_frame(pl.riemann(), e))):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_prescribe_curvature_reads_the_riemann_tensor_of_order_3_pipelines(rng):
-    """The order-2 prescription reads the Riemann tensor that order-3
-    pipelines give, before and after the bump."""
+    """The prescription measures R with the frame kernel on its chart,
+    before and after the bump; there the kernel's R is the order-3
+    pipeline's in the kernel's frame."""
     _, res = prescribed(4, rng)
-    origin = res.evaluation_point
-    r0 = JetPipeline(res.metric, origin).riemann()
-    assert same_bits(JetPipeline(res.metric, origin, order=2).riemann(), r0)
-    chart2, chart3 = (normal_coordinates(res.metric.base, res.metric.center, res.metric.radius, order=k) for k in (2, 3))
-    r_here = JetPipeline(chart3, origin).riemann()
-    assert same_bits(JetPipeline(chart2, origin, order=2).riemann(), r_here)
+    chart = normal_coordinates(res.metric.base, res.metric.center, res.metric.radius, order=2)
+    for metric in (chart, res.metric):
+        assert_kernel_is_the_pipeline_in_its_frame(metric, res.evaluation_point)
 
 
-# --- what an order-2 pipeline refuses or does not serve -----------------------------
-
-
-def test_an_order_2_pipeline_refuses_the_tensors_that_read_partials(rng):
-    pl = JetPipeline(catalog.random_metric_near_flat(4, rng), rng.uniform(-0.2, 0.2, 4), order=2)
-    pl.weyl()
-    for method in (pl.cotton, pl.div_weyl):
-        with pytest.raises(ValueError, match="order-3"):
-            method()
-    pl3 = JetPipeline(catalog.random_metric_near_flat(3, rng), np.zeros(3), order=2)
-    with pytest.raises(ValueError, match="order-3"):
-        pl3.cotton_york()
-
-
-@pytest.mark.parametrize("order", [0, 1, 4])
-def test_a_pipeline_refuses_an_order_it_cannot_serve(order):
-    """The pipeline reads second partials, and order 3 is the highest."""
-    with pytest.raises(DomainError, match="order 2 or 3"):
-        JetPipeline(catalog.get_entry("product4_nil").metric, [0.0] * 4, order=order)
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_the_frame_kernel_is_the_order_3_pipeline_in_its_frame(dim, rng):
+    """On random near-flat metrics and their products with a line, on a
+    normal chart of each and on that chart bumped."""
+    for metric in near_flat_and_product(dim, rng):
+        point = rng.uniform(-0.2, 0.2, dim)
+        assert_kernel_is_the_pipeline_in_its_frame(metric, point)
+        chart = normal_coordinates(metric, point, radius=0.5)
+        bump = 0.01 * rng.standard_normal((dim,) * 4)
+        bump = bump + bump.swapaxes(0, 1)
+        for m in (chart, chart.with_bump(bump + bump.swapaxes(2, 3))):
+            assert_kernel_is_the_pipeline_in_its_frame(m, np.zeros(dim))
 
 
 def test_an_order_2_chart_never_serves_order_3_jets_from_its_order_2_center_jets(rng):

@@ -72,6 +72,24 @@ def test_normal_coordinates_sphere_chart():
             assert np.abs(pl.g_jets[i, j][sp.unit]).max() <= 1e-9
 
 
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_normal_chart_takes_its_frame_and_christoffel_symbols_from_the_kernel(dim, rng):
+    """E is the Cholesky frame of g(p) (E^T g E = I) and Ghat is the
+    order-3 pipeline's Christoffel symbols moved to it, L^T Gamma(E, E)
+    with L the Cholesky factor, to 1e-14 relative; the catalog's nil and
+    sphere charts too."""
+    cases = [(random_metric_near_flat(dim, rng), rng.uniform(-0.2, 0.2, dim)) for _ in range(3)]
+    if dim == 3:
+        cases += [(get_entry("nil").metric, np.array([0.4, 0.1, -0.2])), (get_entry("sphere3").metric, np.array([0.2, -0.1, 0.3]))]
+    for metric, point in cases:
+        chart = normal_coordinates(metric, point)
+        pl = JetPipeline(metric, point)
+        L = np.linalg.cholesky(pl.g)
+        assert np.array_equal(chart.frame, np.linalg.inv(L).T)
+        want = np.einsum("ai,ijk,jb,kc->abc", L.T, pl.gamma(), chart.frame, chart.frame)
+        assert np.abs(chart.gamma_frame - want).max() <= 1e-14 * np.abs(want).max()
+
+
 # --- curvature prescription --------------------------------------------------------
 
 
