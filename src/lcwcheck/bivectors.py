@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConstraintViolation, DimensionError, DomainError, NotOrthogonal, SingularMetric
-from .pipeline import _check_curvature_symmetries, _perm_sign, _require_small, kulkarni_nomizu
+from .pipeline import INPUT_TOL, ORTHO_TOL, _check_curvature_symmetries, _perm_sign, _pow2_scaled, _require_small, _require_symmetric, kulkarni_nomizu
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +73,7 @@ class CurvatureOperator:
             raise DimensionError(
                 f"operator matrix must be {m}x{m} for dim {self.dim}, got {self.mat.shape}"
             )
-        _require_small(self.mat - self.mat.T, 1e-10 * np.abs(self.mat).max(), "operator matrix is not symmetric")
+        _require_symmetric(self.mat, "operator matrix is not symmetric")
         self.mat = 0.5 * self.mat + 0.5 * self.mat.T  # the bits of 0.5 * (mat + mat.T) in the normal range, without its overflow
 
     def norm(self):
@@ -100,7 +100,7 @@ def orthonormal_frame(g):
 def operator_from_0_4(r4, g=None) -> CurvatureOperator:
     """Curvature operator of a (0,4) tensor with curvature symmetries.
 
-    The symmetries are checked to 1e-8 relative.  The frame is
+    The symmetries are checked to INPUT_TOL relative.  The frame is
     orthonormalized against ``g`` first (identity when g is omitted), so
     the operator acts on bivectors of an orthonormal basis:
     mat[(ij),(kl)] = R(e_i, e_j, e_k, e_l).  The frame change is four
@@ -111,7 +111,7 @@ def operator_from_0_4(r4, g=None) -> CurvatureOperator:
     n = r4.shape[0]
     if r4.shape != (n, n, n, n):
         raise DimensionError("expected an (n,n,n,n) array")
-    _check_curvature_symmetries(r4, 1e-8)
+    _check_curvature_symmetries(r4)
     if g is not None:
         r4 = _to_frame(r4, orthonormal_frame(g))
     return CurvatureOperator(dim=n, mat=_lex_pair_matrix(r4))
@@ -310,7 +310,7 @@ def rotate_operator(op: CurvatureOperator, rho) -> CurvatureOperator:
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (op.dim, op.dim):
         raise DimensionError("rotation has the wrong shape")
-    _require_small(rho.T @ rho - np.eye(op.dim), 1e-10, "rotation matrix is not orthogonal", NotOrthogonal)
+    _require_small(rho.T @ rho - np.eye(op.dim), ORTHO_TOL, 1.0, "rotation matrix is not orthogonal", NotOrthogonal)
     b = induced_rotation(rho)
     return CurvatureOperator(dim=op.dim, mat=b @ op.mat @ b.T)
 
@@ -337,16 +337,6 @@ class EigenflagParams:
         return self.rotation.shape[0]
 
 
-def _embed_w2(w2, n):
-    """Place an operator on Lambda^2(e1-perp) into the full lex basis."""
-    m = bivector_dim(n)
-    sub_pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
-    idx = [pair_index(n)[p] for p in sub_pairs]
-    out = np.zeros((m, m))
-    out[np.ix_(idx, idx)] = w2
-    return out
-
-
 def ricci_target_operator(lambdas, n):
     """Particular curvature operator on e1-perp with
     r = -sum lambda_k e_k (x) e_k, built from a Kulkarni-Nomizu product."""
@@ -359,6 +349,14 @@ def ricci_target_operator(lambdas, n):
     return operator_from_0_4(r4).mat
 
 
+def _require_weyl(op, name):
+    """ConstraintViolation unless the Ricci contraction and Bianchi part of ``op`` vanish: the Frobenius
+    norm of each at most INPUT_TOL max|op|, tested on op / 2^k, which is exact and keeps the norms finite."""
+    scaled = CurvatureOperator(dim=op.dim, mat=_pow2_scaled(op.mat)[0])
+    off = max(np.linalg.norm(ricci_contract(scaled)), np.linalg.norm(bianchi_project(scaled).mat))
+    _require_small(off, INPUT_TOL, scaled.mat, f"{name} is not a Weyl operator: its Ricci contraction or Bianchi part is not 0", ConstraintViolation)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # parameters past the float range give inf or nan; the gates refuse them
 def phi_map(params: EigenflagParams) -> CurvatureOperator:
     """Assemble the flag-invariant Weyl operator
@@ -366,7 +364,7 @@ def phi_map(params: EigenflagParams) -> CurvatureOperator:
 
     The result satisfies b = 0 and r = 0 and is invariant on
     v ^ v-perp for v = rho(e1).  The constraints on the parameters are
-    checked to 1e-9 times their largest entry (at least 1).
+    checked to INPUT_TOL times their largest entry, the rotation to ORTHO_TOL.
     """
     n = params.dim
     if not 4 <= n <= 6:
@@ -376,22 +374,15 @@ def phi_map(params: EigenflagParams) -> CurvatureOperator:
     if lam.shape != (n - 1,):
         raise ConstraintViolation(f"need {n-1} eigenvalues, got {lam.shape}")
     w2 = np.asarray(params.w2, dtype=float)
-    if not np.isfinite(w2).all():  # the bound below is built from it
+    if not np.isfinite(w2).all():  # the bounds below are relative to it
         raise ConstraintViolation("w2 has an entry that is not a finite number")
-    bound = 1e-9 * max(np.abs(w2).max(), np.abs(lam).max(), 1.0)
-    _require_small(lam.sum(), bound, f"eigenvalues must sum to zero (sum = {lam.sum():g})", ConstraintViolation)
-    _require_small(rho.T @ rho - np.eye(n), 1e-12, "rotation is not orthogonal to 1e-12", ConstraintViolation)
-    m = bivector_dim(n)
-    core = np.zeros((m, m))
-    for k in range(n - 1):
-        a = pair_index(n)[(0, k + 1)]
-        core[a, a] = lam[k]
-    core += _embed_w2(w2, n)
-    core_op = CurvatureOperator(dim=n, mat=core)
+    core = np.zeros((bivector_dim(n),) * 2)
+    core[n - 1:, n - 1:] += w2  # the pairs of e1-perp, the last ones in lex order
+    core[range(n - 1), range(n - 1)] += lam  # the pairs (e1, e_k), the first n - 1
+    _require_small(lam.sum(), INPUT_TOL, core, f"eigenvalues must sum to zero (sum = {lam.sum():g})", ConstraintViolation)
+    _require_small(rho.T @ rho - np.eye(n), ORTHO_TOL, 1.0, f"rotation is not orthogonal to {ORTHO_TOL:g}", ConstraintViolation)
     # the Ricci constraint on w2 makes the assembled operator a Weyl tensor
-    rc = ricci_contract(core_op)
-    _require_small(rc, bound, f"w2 violates its Ricci constraint (|r| = {np.abs(rc).max():g})", ConstraintViolation)
-    _require_small(bianchi_project(core_op).mat, bound, "w2 is not an algebraic curvature operator (b != 0)", ConstraintViolation)
+    _require_weyl(CurvatureOperator(dim=n, mat=core), "diag(lambdas) + w2")
     b = induced_rotation(rho)
     return CurvatureOperator(dim=n, mat=b @ core @ b.T)
 

@@ -36,19 +36,20 @@ import numpy as np
 from . import catalog as cat
 from .bivectors import (
     CurvatureOperator,
+    _lex_pair_matrix,
+    _require_weyl,
     bianchi_project,
     dimension_report,
     operator_to_0_4,
     phi_map,
     random_weyl_operator,
-    ricci_contract,
     sample_eigenflag_params,
 )
 from .dsl import metric_to_text, parse_metric
-from .errors import ConstraintViolation, DimensionError, LcwError, NotPositiveDefinite, ParseError, UnknownEntry
+from .errors import DimensionError, LcwError, NotPositiveDefinite, ParseError, UnknownEntry
 from .obstructions import ObstructionConfig, _frame_curvature, _frame_weyl, auto_test, eigenflag_test
 from .perturbation import normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
-from .pipeline import TENSOR_FIELDS, JetPipeline, _require_small, compute_snapshot, format_json, snapshot_to_dict
+from .pipeline import TENSOR_FIELDS, JetPipeline, compute_snapshot, format_json, snapshot_to_dict
 
 EXIT_PASSES = 0
 EXIT_PARSE = 2
@@ -122,11 +123,7 @@ def _load_target(target, n):
     if n == 3:
         return mat.astype(float)
     op = CurvatureOperator(dim=n, mat=mat)
-    # tested as op / 2^k, k >= 0: exact, and the norms of a huge operator stay finite
-    k = max(math.frexp(float(np.abs(op.mat).max()))[1], 0)
-    scaled = CurvatureOperator(dim=n, mat=np.ldexp(op.mat, -k))
-    off = max(np.linalg.norm(ricci_contract(scaled)), np.linalg.norm(bianchi_project(scaled).mat))
-    _require_small(off, 1e-10 * max(scaled.norm(), math.ldexp(1.0, -k)), "the weyl target is not a Weyl operator: its Ricci contraction or Bianchi part is not 0", ConstraintViolation)
+    _require_weyl(op, "the weyl target")
     return op
 
 
@@ -280,15 +277,20 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
             d = rng.standard_normal((3, 3))
             d = (d + d.T) / 2.0
             d -= np.trace(d) / 3.0 * np.eye(3)
-            wanted = cy + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
+            base = 0.5 * cy + 0.5 * cy.T  # CY's symmetric traceless part, as R's algebraic part below
+            wanted = base - np.trace(base) / 3.0 * np.eye(3) + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
         res = prescribe_cotton_york_in(chart, wanted, cy)
     else:
         r = _frame_curvature(chart.eval_jets(origin, 2), origin)[2]
-        if wanted is None:
-            # random Weyl shift on top of the current curvature
-            r0 = r + amplitude * operator_to_0_4(random_weyl_operator(n, rng))
+        # the target is built on R's algebraic part: R's rounding is of the size of the terms it sums,
+        # not of R (a flat chart's R is all rounding), so it is not the target's defect
+        m = _lex_pair_matrix(r)
+        op = CurvatureOperator(n, 0.5 * m + 0.5 * m.T)
+        cur = operator_to_0_4(CurvatureOperator(n, op.mat - bianchi_project(op).mat))
+        if wanted is None:  # a random Weyl shift
+            r0 = cur + amplitude * operator_to_0_4(random_weyl_operator(n, rng))
         else:
-            r0 = r - operator_to_0_4(_frame_weyl(r, origin)) + operator_to_0_4(wanted)
+            r0 = cur - operator_to_0_4(_frame_weyl(cur, origin)) + operator_to_0_4(wanted)
         res = prescribe_curvature_in(chart, r0, r)
     _emit({"unchanged": res.unchanged, "target_error": res.target_error, "shift_norm": res.shift_norm,
            "ck_norm_ratio": res.norm_ratio, "evaluation_point": res.evaluation_point, "out": str(out_path),

@@ -31,7 +31,7 @@ from .bivectors import CurvatureOperator, _0_4_gather, _lex_pair_matrix, _pair_g
 from .dsl import MetricDef
 from .errors import DimensionError, DomainError, PreconditionViolation
 from .jets import jet_space
-from .pipeline import _antisym_pairs, _check_metric, _metric_partials, _require_small, compute_snapshot
+from .pipeline import INPUT_TOL, _antisym_pairs, _check_metric, _metric_partials, _pow2_scaled, _require_small, _require_symmetric, compute_snapshot
 
 
 GRAD_TOL = 1e-12  # the search has converged once its best gradient is below this times the scale
@@ -99,14 +99,6 @@ _FAIL_NOTE = "necessary condition fails: no limiting Carleman weight exists near
 _BAND_NOTE = f" lies within a factor {INCONCLUSIVE_FACTOR:g} of the tolerance; inconclusive"
 
 
-def _pow2_scaled(a):
-    """(a / 2^k, k) with max|a / 2^k| in [0.5, 1): exact for every entry
-    that stays in the normal range, and the norms of the scaled array
-    neither overflow nor underflow."""
-    k = math.frexp(float(np.abs(a).max()))[1]
-    return np.ldexp(a, -k), k
-
-
 def _cube_safe(a):
     """``a``, or a / 2^k once ||a||^3 could overflow (max|a| past 2^300),
     for the scale-free determinant ratio and plane of a 3x3 matrix.  Not
@@ -172,7 +164,7 @@ def eigenflag_residual(op: CurvatureOperator, v) -> float:
         raise DimensionError("eigenflag residual needs dim >= 4")
     v = np.asarray(v, dtype=float)
     nv = np.linalg.norm(v)
-    _require_small(nv - 1.0, 1e-10, "v must be a unit vector", PreconditionViolation)
+    _require_small(nv - 1.0, INPUT_TOL, 1.0, "v must be a unit vector", PreconditionViolation)
     f = float(_residual_batch(op.mat, v[None, :] / nv)[0][0])
     if not math.isfinite(f):
         raise DomainError("Weyl operator too large: its residual is not a finite number")
@@ -449,12 +441,14 @@ def plane_from_traceless_degenerate(a, tol=1e-8):
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
         return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([0.0, 0.0, 1.0])
-    bound = tol * max(norm, 1.0)
-    _require_small(a - a.T, bound, "matrix is not symmetric", PreconditionViolation)
+    # a computed CY, not an input: its rounding scales with the terms summed, not the result, so
+    # the floor at 1 stays until that size is known (ROADMAP items 1 and 4)
+    floor = max(norm, 1.0)
+    _require_symmetric(a, "matrix is not symmetric", PreconditionViolation, tol, floor)
     trace = np.trace(a)
-    _require_small(trace, bound, f"trace {trace:g} not within tolerance of zero", PreconditionViolation)
+    _require_small(trace, tol, floor, f"trace {trace:g} not within tolerance of zero", PreconditionViolation)
     det = np.linalg.det(a)
-    _require_small(det, tol * max(norm**3, 1.0), f"determinant {det:g} not within tolerance of zero", PreconditionViolation)
+    _require_small(det, tol, max(norm**3, 1.0), f"determinant {det:g} not within tolerance of zero", PreconditionViolation)
     vals, vecs = np.linalg.eigh(a)
     k = int(np.argmin(np.abs(vals)))
     lo, hi = [i for i in range(3) if i != k]  # eigh sorts the eigenvalues: two equal ones stay apart
@@ -555,7 +549,7 @@ def _frame_weyl(r, point):
     w = _lex_pair_matrix(r) - _kn_identity(n) @ schouten.ravel()
     if not np.isfinite(w).all():
         raise DomainError(f"Weyl tensor not finite at {point.tolist()}")
-    # pair-symmetric by its formula: mirrored entries differ by roundings of T, which can exceed CurvatureOperator's 1e-10
+    # pair-symmetric by its formula: mirrored entries differ by roundings of T, which can exceed INPUT_TOL of max|W|
     return CurvatureOperator(dim=n, mat=0.5 * w + 0.5 * w.T)
 
 

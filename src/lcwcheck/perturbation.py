@@ -66,7 +66,7 @@ from .errors import (
 )
 from .jets import jet_space
 from .obstructions import _frame_curvature
-from .pipeline import EPS3, JetPipeline, _check_bianchi, _check_curvature_symmetries, _require_small
+from .pipeline import EPS3, INPUT_TOL, JetPipeline, _check_curvature_symmetries, _require_small, _require_symmetric
 
 GRID_RADIAL = 10
 GRID_ANGULAR = 64
@@ -525,8 +525,7 @@ def prescribe_curvature_in(chart, target_r4, r) -> PerturbResult:
     r0 = np.asarray(target_r4, dtype=float)
     if r0.shape != (n, n, n, n):
         raise DimensionError("target curvature has the wrong shape")
-    _check_curvature_symmetries(r0, 1e-9)
-    _check_bianchi(r0, 1e-9)
+    _check_curvature_symmetries(r0, bianchi=True)
 
     def bump_of(shift):
         # bump_ij(y) = -1/3 sum_{h,k} R*_ihjk y^h y^k, symmetrized in (h, k)
@@ -579,10 +578,9 @@ def prescribe_cotton_york_in(chart, target_cy, cy) -> PerturbResult:
     cy0 = np.asarray(target_cy, dtype=float)
     if cy0.shape != (3, 3):
         raise DimensionError("target must be a 3x3 matrix")
-    bound = 1e-10 * max(np.abs(cy0).max(), 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a target past the float range gives inf or nan; the gates refuse it
-        _require_small(cy0 - cy0.T, bound, "target Cotton-York tensor must be symmetric")
-        _require_small(np.trace(cy0), bound, "target Cotton-York tensor must be traceless", ConstraintViolation)
+        _require_symmetric(cy0, "target Cotton-York tensor must be symmetric")
+        _require_small(np.trace(cy0), INPUT_TOL, cy0, "target Cotton-York tensor must be traceless", ConstraintViolation)
 
     def bump_of(shift):
         # T is divided by the 2 * 6 terms of the sums and the 9 first, so no

@@ -65,30 +65,43 @@ def _perm_sign(p):
 EPS3 = _eps3()
 
 
-def _require_small(x, bound, what, error=SymmetryViolation):
-    """error(what) unless max |x| <= bound < inf (NaN fails), the rule of every
-    tolerance check on an input; its message says when a number is not finite."""
-    big = np.abs(x).max()
+INPUT_TOL = 1e-10  # symmetry and constraint checks on an input, relative to its largest entry
+ORTHO_TOL = 1e-12  # orthogonality of an input rotation: rho^T rho - I against the identity's 1
+
+
+def _require_small(x, tol, ref, what, error=SymmetryViolation):
+    """error(what) unless max |x| <= tol * max |ref| < inf (NaN fails), the rule of every tolerance check
+    on an input: relative to ``ref``, with no floor at 1; its message says when a number is not finite."""
+    big, bound = np.abs(x).max(), tol * np.abs(ref).max()
     if not big <= bound < math.inf:
         if not (math.isfinite(big) and math.isfinite(bound)):
             what = f"{what} (not a finite number: {big:g} against a bound of {bound:g})"
         raise error(what)
 
 
+def _require_symmetric(m, what, error=SymmetryViolation, tol=INPUT_TOL, ref=None):
+    """The one symmetry check of a matrix (relative to m unless ``ref`` is given), and
+    on r4 as an n^2 x n^2 matrix, of a tensor's pair exchange."""
+    _require_small(m - m.T, tol, m if ref is None else ref, what, error)
+
+
+def _pow2_scaled(a):
+    """(a / 2^k, k) with max|a / 2^k| in [0.5, 1): exact for every entry that stays
+    in the normal range, and the norms of the scaled array neither overflow nor underflow."""
+    k = math.frexp(float(np.abs(a).max()))[1]
+    return np.ldexp(a, -k), k
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a tensor past the float range gives inf or nan; the gate refuses it
-def _check_curvature_symmetries(r4, tol):
-    """Antisymmetry in each index pair and pair exchange symmetry, to
-    ``tol`` relative to max(|r4|, 1)."""
-    bound = tol * max(np.abs(r4).max(), 1.0)
-    _require_small(r4 + r4.transpose(1, 0, 2, 3), bound, "tensor not antisymmetric in its first index pair")
-    _require_small(r4 + r4.transpose(0, 1, 3, 2), bound, "tensor not antisymmetric in its second index pair")
-    _require_small(r4 - r4.transpose(2, 3, 0, 1), bound, "tensor not symmetric under pair exchange")
-
-
-@np.errstate(over="ignore", invalid="ignore")  # as above
-def _check_bianchi(r4, tol):
-    bianchi = r4 + r4.transpose(1, 2, 0, 3) + r4.transpose(2, 0, 1, 3)
-    _require_small(bianchi, tol * max(np.abs(r4).max(), 1.0), "tensor violates the first Bianchi identity")
+def _check_curvature_symmetries(r4, tol=INPUT_TOL, ref=None, bianchi=False):
+    """Antisymmetry in each index pair, pair exchange symmetry and, if
+    ``bianchi``, the first Bianchi identity, to ``tol`` relative to r4 (or ``ref``)."""
+    ref, n = np.abs(r4 if ref is None else ref).max(), len(r4)  # one max for the four checks
+    _require_small(r4 + r4.transpose(1, 0, 2, 3), tol, ref, "tensor not antisymmetric in its first index pair")
+    _require_small(r4 + r4.transpose(0, 1, 3, 2), tol, ref, "tensor not antisymmetric in its second index pair")
+    _require_symmetric(r4.reshape(n * n, n * n), "tensor not symmetric under pair exchange", tol=tol, ref=ref)
+    if bianchi:
+        _require_small(r4 + r4.transpose(1, 2, 0, 3) + r4.transpose(2, 0, 1, 3), tol, ref, "tensor violates the first Bianchi identity")
 
 
 def _antisym_pairs(t):
@@ -329,23 +342,24 @@ class TensorSnapshot:
 
     def check_invariants(self):
         """Verify the algebraic identities every snapshot must satisfy, to
-        1e-9 relative.
+        1e-9 of each tensor's largest entry, or of 1 if that is larger.
 
         Raises SymmetryViolation with a description on the first failure.
         """
-        _check_curvature_symmetries(self.riemann, 1e-9)
-        _check_bianchi(self.riemann, 1e-9)
-        c = self.cotton
-        bound = 1e-9 * max(np.abs(c).max(), 1.0)
-        _require_small(c + c.transpose(1, 0, 2), bound, "Cotton not antisymmetric")
-        _require_small(c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1), bound, "Cotton cyclic sum nonzero")
-        _require_small(np.einsum("ij,ijk->k", self.g_inv, c), bound, "Cotton g^{ij}-trace nonzero")
-        _require_small(np.einsum("ik,ijk->j", self.g_inv, c), bound, "Cotton g^{ik}-trace nonzero")
-        if self.cotton_york is not None:
-            cy = self.cotton_york
-            bound = 1e-9 * max(np.abs(cy).max(), 1.0)
-            _require_small(cy - cy.T, bound, "Cotton-York not symmetric")
-            _require_small(np.einsum("ij,ij->", self.g_inv, cy), bound, "Cotton-York not traceless")
+        # Computed tensors, not inputs: their rounding scales with the terms summed, not the result (a flat
+        # metric's R is noise), so the floor at 1 stays until that size is known (ROADMAP items 1 and 4).
+        r, c, cy = self.riemann, self.cotton, self.cotton_york
+        floor = max(np.abs(r).max(), 1.0)
+        _check_curvature_symmetries(r, 1e-9, floor, bianchi=True)
+        floor = max(np.abs(c).max(), 1.0)
+        _require_small(c + c.transpose(1, 0, 2), 1e-9, floor, "Cotton not antisymmetric")
+        _require_small(c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1), 1e-9, floor, "Cotton cyclic sum nonzero")
+        _require_small(np.einsum("ij,ijk->k", self.g_inv, c), 1e-9, floor, "Cotton g^{ij}-trace nonzero")
+        _require_small(np.einsum("ik,ijk->j", self.g_inv, c), 1e-9, floor, "Cotton g^{ik}-trace nonzero")
+        if cy is not None:
+            floor = max(np.abs(cy).max(), 1.0)
+            _require_symmetric(cy, "Cotton-York not symmetric", tol=1e-9, ref=floor)
+            _require_small(np.einsum("ij,ij->", self.g_inv, cy), 1e-9, floor, "Cotton-York not traceless")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a tensor past the float range is inf or nan; every caller checks finiteness

@@ -305,15 +305,17 @@ def test_perturb_target_that_cannot_be_read_exit_2(tmp_path, monkeypatch, metric
     assert not pathlib.Path("out.metric").exists()
 
 
-@pytest.mark.parametrize("kind", ["identity", "volume-form", "huge-identity"])
+@pytest.mark.parametrize("kind", ["identity", "volume-form", "huge-identity", "tiny-flag-plus-volume-form"])
 def test_perturb_weyl_target_that_is_not_a_weyl_operator_exit_3(tmp_path, kind):
     """The identity is a curvature operator with a Ricci contraction; the
     volume form's operator (the Hodge star) is a 4-form, with a Bianchi
     part.  Neither is a Weyl operator, so neither is a target, however
-    large."""
-    from lcwcheck.bivectors import hodge_star_matrix
+    large or small: a flag operator times 1e-6 plus 1e-15 times the star
+    has a Bianchi part of about 1e-9 of its size."""
+    from lcwcheck.bivectors import hodge_star_matrix, phi_map, sample_eigenflag_params
 
-    mat = {"identity": np.eye(6), "volume-form": hodge_star_matrix(), "huge-identity": 1e198 * np.eye(6)}[kind]
+    tiny = 1e-6 * phi_map(sample_eigenflag_params(4, np.random.default_rng(3))).mat + 1e-15 * hodge_star_matrix()
+    mat = {"identity": np.eye(6), "volume-form": hodge_star_matrix(), "huge-identity": 1e198 * np.eye(6), "tiny-flag-plus-volume-form": tiny}[kind]
     target, out = tmp_path / "target.json", tmp_path / "out.metric"
     target.write_text(json.dumps({"weyl": mat.tolist()}))
     r = runner.invoke(
@@ -806,6 +808,21 @@ g33 = 1 + x1^2
 g34 = x1 + x2
 g44 = 1 + x2^2
 """
+
+
+@pytest.mark.parametrize("dim, point, radius, amplitude", [(3, "0.1,0.1,0.1", "0.5", "1e-8"), (4, "0.1,0.2,0.3,0.4", "1", "1e-6")])
+def test_perturb_random_target_on_a_flat_chart_leaves_the_charts_rounding_out_of_the_target(tmp_path, dim, point, radius, amplitude):
+    """On a flat metric in polynomial coordinates the measured CY or R is
+    rounding of the size of the terms it sums, far above the target's
+    1e-10.  The random target is built on the measured tensor's symmetric
+    traceless (algebraic) part, so a small shift is prescribed and that
+    rounding is not refused as the target's defect."""
+    src = tmp_path / "flat.metric"
+    src.write_text(E4_METRIC if dim == 4 else flat_pullback_text(3, np.random.default_rng(3), 1.0))
+    r = invoke("perturb", "--metric", str(src), "--point", point, "--target", "random", "--amplitude", amplitude,
+               "--radius", radius, "--out", str(tmp_path / "out.metric"))
+    assert r.exit_code == 0, r.output
+    assert strict_json(r.stdout)["target_error"] <= 1e-6
 
 
 @pytest.mark.parametrize(

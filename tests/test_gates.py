@@ -3,6 +3,9 @@ is not finite with its own error, and a call on any input, finite, huge,
 infinite or NaN, returns finite numbers or raises an LcwError, never a
 numpy error or warning."""
 
+import functools
+import itertools
+import json
 import warnings
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from lcwcheck.bivectors import (
     CurvatureOperator,
     EigenflagParams,
+    hodge_star_matrix,
     operator_from_0_4,
     operator_to_0_4,
     phi_map,
@@ -27,7 +31,11 @@ from lcwcheck.errors import (
     PreconditionViolation,
     SymmetryViolation,
 )
-from lcwcheck.obstructions import eigenflag_residual, plane_from_traceless_degenerate
+from lcwcheck.catalog import get_entry, random_metric_near_flat
+from lcwcheck.cli import _load_target
+from lcwcheck.obstructions import _frame_curvature, auto_test, eigenflag_residual, plane_from_traceless_degenerate
+from lcwcheck.perturbation import PulledBackMetric, normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
+from lcwcheck.pipeline import INPUT_TOL, ORTHO_TOL, JetPipeline
 
 NAN = float("nan")
 INF = float("inf")
@@ -203,3 +211,173 @@ def test_fuzz_plane_from_traceless_degenerate(seed, data):
     q = _rotation(rng, 3)
     a = data.draw(poked(q @ np.diag([1.0, -1.0, 0.0]) * rng.uniform(0.1, 10.0) @ q.T))
     assert_finite_or_refused(lambda: plane_from_traceless_degenerate(a))
+
+
+# -- one bound rule: tol * max|input|, no floor at 1 --------------------------
+
+
+def _unit_weyl4_tensor():
+    return operator_to_0_4(_weyl4())
+
+
+def _entries(plus, minus):
+    p = np.zeros((4, 4, 4, 4))
+    p[tuple(np.array(plus).T)], p[tuple(np.array(minus).T)] = 1.0, -1.0
+    return p
+
+
+def _pair_exchange_defect():
+    """Antisymmetric in each index pair, with R[0,1,0,2] += 1 and its
+    mirror R[0,2,0,1] -= 1: it breaks pair exchange and nothing else."""
+    return _entries(
+        [(0, 1, 0, 2), (1, 0, 2, 0), (0, 2, 1, 0), (2, 0, 0, 1)], [(1, 0, 0, 2), (0, 1, 2, 0), (0, 2, 0, 1), (2, 0, 1, 0)]
+    )
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (_pair_exchange_defect(), "tensor not symmetric under pair exchange"),
+        # two entries and their mirrors, without their images under the pair antisymmetries
+        (_entries([(0, 1, 0, 2), (1, 0, 2, 0)], [(0, 2, 0, 1), (2, 0, 1, 0)]), "tensor not antisymmetric in its first index pair"),
+    ],
+    ids=["pair-exchange", "four-entries"],
+)
+def test_operator_from_0_4_refuses_a_pair_exchange_defect_once_by_the_tensor_check(defect, message):
+    """A unit Weyl tensor moved by 1e-9 off pair exchange is refused by the
+    tensor check, with the tensor's message: the tensor check and
+    ``CurvatureOperator`` apply one bound, so the lex-pair matrix the caller
+    never built is not what refuses it."""
+    with pytest.raises(SymmetryViolation) as info:
+        operator_from_0_4(_unit_weyl4_tensor() + 1e-9 * defect)
+    assert str(info.value) == message
+
+
+def _levi_civita4():
+    eps = np.zeros((4, 4, 4, 4))
+    for p in itertools.permutations(range(4)):
+        eps[p] = np.linalg.det(np.eye(4)[list(p)])
+    return eps
+
+
+@functools.cache
+def _charts():
+    chart4 = normal_coordinates(random_metric_near_flat(4, np.random.default_rng(5), amplitude=0.03), np.zeros(4), order=2)
+    chart3 = normal_coordinates(get_entry("nil").metric, np.zeros(3))
+    return chart4, _frame_curvature(chart4.eval_jets(np.zeros(4), 2), np.zeros(4))[2], chart3, JetPipeline(chart3, np.zeros(3)).cotton_york()
+
+
+def _operator(s, d):
+    mat = s * _weyl4().mat
+    mat[0, 1] += d * np.abs(mat).max()
+    return CurvatureOperator(4, mat)
+
+
+def _from_0_4(s, d, where):
+    r4 = s * _unit_weyl4_tensor()
+    r4[where] += d * np.abs(r4).max()
+    return operator_from_0_4(r4)
+
+
+def _rotate(s, d):
+    rho = np.eye(4)
+    rho[0, 1] = d
+    return rotate_operator(CurvatureOperator(4, s * _weyl4().mat), rho)
+
+
+def _phi(s, d, part):
+    p = _params()
+    lam, w2, rho = s * p.lambdas, s * p.w2, p.rotation.copy()
+    size = max(np.abs(lam).max(), np.abs(w2).max())
+    if part == "sum":
+        lam[0] += d * size
+    elif part == "ricci":
+        w2 = w2 + d * size * np.eye(3)
+    else:
+        rho[0, 1] += d
+    return phi_map(EigenflagParams(rho, lam, w2))
+
+
+def _residual(s, d):
+    return eigenflag_residual(CurvatureOperator(4, s * _weyl4().mat), [1.0 + d, 0.0, 0.0, 0.0])
+
+
+def _curvature_target(s, d, defect):
+    chart, r, _, _ = _charts()
+    r0 = s * _unit_weyl4_tensor()
+    return prescribe_curvature_in(chart, r0 + d * np.abs(r0).max() * defect, r)
+
+
+def _cy_target(s, d, where):
+    _, _, chart, cy = _charts()
+    t = s * np.diag([0.5, -0.5, 0.0])
+    t[0, 1] = t[1, 0] = 0.3 * s
+    t[where] += d * np.abs(t).max()
+    return prescribe_cotton_york_in(chart, t, cy)
+
+
+def _weyl_target(s, d, tmp_path):
+    mat = s * phi_map(_params()).mat
+    mat = mat + d * np.abs(mat).max() * hodge_star_matrix()
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"weyl": mat.tolist()}))
+    return _load_target(str(path), 4)
+
+
+GATE_ERRORS = (SymmetryViolation, ConstraintViolation, NotOrthogonal, PreconditionViolation)
+
+
+@pytest.mark.parametrize(
+    "gate, tol",
+    [
+        (lambda s, d, _: _operator(s, d), INPUT_TOL),
+        (lambda s, d, _: _from_0_4(s, d, (1, 0, 0, 2)), INPUT_TOL),
+        (lambda s, d, _: operator_from_0_4(s * _unit_weyl4_tensor() + d * s * _pair_exchange_defect()), INPUT_TOL),
+        (lambda s, d, _: _rotate(s, d), ORTHO_TOL),
+        (lambda s, d, _: _phi(s, d, "sum"), INPUT_TOL),
+        (lambda s, d, _: _phi(s, d, "ricci"), INPUT_TOL),
+        (lambda s, d, _: _phi(s, d, "rotation"), ORTHO_TOL),
+        (lambda s, d, _: _residual(s, d), INPUT_TOL),
+        (lambda s, d, _: _curvature_target(s, d, _entries([(1, 0, 0, 2)], [])), INPUT_TOL),
+        (lambda s, d, _: _curvature_target(s, d, _levi_civita4()), INPUT_TOL),
+        (lambda s, d, _: _cy_target(s, d, (0, 1)), INPUT_TOL),
+        (lambda s, d, _: _cy_target(s, d, (2, 2)), INPUT_TOL),
+        (_weyl_target, INPUT_TOL),
+    ],
+    ids=[
+        "CurvatureOperator", "operator_from_0_4-antisymmetry", "operator_from_0_4-pair-exchange", "rotate_operator",
+        "phi_map-sum", "phi_map-ricci", "phi_map-rotation", "eigenflag_residual", "curvature-target-antisymmetry", "curvature-target-bianchi",
+        "cy-target-symmetric", "cy-target-traceless", "weyl-target",
+    ],
+)
+def test_every_input_gate_bounds_relative_to_the_input(gate, tol, tmp_path):
+    """Each input check applies tol * max|input| with no floor at 1: an
+    input scaled by 1e-6 that misses its property by 1e-8 of its size is
+    refused, and so is one at scale 1 that misses it by 5 tol (below the
+    looser literals some checks had); valid inputs at scales 1e-6, 1 and
+    1e6 pass the gate (a prescription may still refuse a huge target for
+    its size or its positivity, which is not the gate's refusal).  A
+    rotation or a unit vector has no scale: there the operator is scaled."""
+    for s, d in ((1e-6, 1e-8), (1.0, 5.0 * tol)):
+        with pytest.raises(GATE_ERRORS):
+            gate(s, d, tmp_path)
+    for s in (1e-6, 1.0, 1e6):
+        try:
+            gate(s, 0.0, tmp_path)
+        except LcwError as exc:
+            assert not isinstance(exc, GATE_ERRORS), (s, exc)
+
+
+@pytest.mark.parametrize("name", ["cp2_chart", "product4_sol", "product4_nil", "product4_sphere3"])
+def test_verdicts_keep_under_a_homothety_of_the_coordinates(name):
+    """auto_test on the metric pulled back by x -> lam x (g(lam y) lam^2,
+    an isometry) at the mapped sample points gives the unscaled verdicts,
+    for lam = 1e-4 and 1e4: the curvature's frame components, and the
+    verdict, do not depend on the coordinates' units.  (Dims >= 4; dim 3
+    waits on the Cotton-York test's absolute floor.)"""
+    entry = get_entry(name)
+    points = entry.sample_points(np.random.default_rng(11), 6)
+    want = [auto_test(entry.metric, p).verdict_string for p in points]
+    for lam in (1e-4, 1e4):
+        pulled = PulledBackMetric(entry.metric, np.zeros(4), lam * np.eye(4), np.zeros((4, 4, 4)))
+        assert [auto_test(pulled, p / lam).verdict_string for p in points] == want, lam
