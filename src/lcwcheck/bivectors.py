@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConstraintViolation, DimensionError, DomainError, NotOrthogonal, SingularMetric
-from .pipeline import INPUT_TOL, ORTHO_TOL, _check_curvature_symmetries, _perm_sign, _pow2_scaled, _require_small, _require_symmetric, kulkarni_nomizu
+from .pipeline import INPUT_TOL, ORTHO_TOL, _check_curvature_symmetries, _perm_sign, _pow2_scaled, _require_small, kulkarni_nomizu
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +73,7 @@ class CurvatureOperator:
             raise DimensionError(
                 f"operator matrix must be {m}x{m} for dim {self.dim}, got {self.mat.shape}"
             )
-        _require_symmetric(self.mat, "operator matrix is not symmetric")
+        _require_small(self.mat - self.mat.T, INPUT_TOL, self.mat, "operator matrix is not symmetric")
         self.mat = 0.5 * self.mat + 0.5 * self.mat.T  # the bits of 0.5 * (mat + mat.T) in the normal range, without its overflow
 
     def norm(self):

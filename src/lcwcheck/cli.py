@@ -36,9 +36,7 @@ import numpy as np
 from . import catalog as cat
 from .bivectors import (
     CurvatureOperator,
-    _lex_pair_matrix,
     _require_weyl,
-    bianchi_project,
     dimension_report,
     operator_to_0_4,
     phi_map,
@@ -48,7 +46,7 @@ from .bivectors import (
 from .dsl import metric_to_text, parse_metric
 from .errors import DimensionError, LcwError, NotPositiveDefinite, ParseError, UnknownEntry
 from .obstructions import ObstructionConfig, _frame_curvature, _frame_weyl, auto_test, eigenflag_test
-from .perturbation import normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
+from .perturbation import algebraic_part, normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
 from .pipeline import TENSOR_FIELDS, JetPipeline, compute_snapshot, format_json, snapshot_to_dict
 
 EXIT_PASSES = 0
@@ -277,16 +275,11 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
             d = rng.standard_normal((3, 3))
             d = (d + d.T) / 2.0
             d -= np.trace(d) / 3.0 * np.eye(3)
-            base = 0.5 * cy + 0.5 * cy.T  # CY's symmetric traceless part, as R's algebraic part below
-            wanted = base - np.trace(base) / 3.0 * np.eye(3) + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
+            wanted = algebraic_part(cy) + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
         res = prescribe_cotton_york_in(chart, wanted, cy)
     else:
         r = _frame_curvature(chart.eval_jets(origin, 2), origin)[2]
-        # the target is built on R's algebraic part: R's rounding is of the size of the terms it sums,
-        # not of R (a flat chart's R is all rounding), so it is not the target's defect
-        m = _lex_pair_matrix(r)
-        op = CurvatureOperator(n, 0.5 * m + 0.5 * m.T)
-        cur = operator_to_0_4(CurvatureOperator(n, op.mat - bianchi_project(op).mat))
+        cur = algebraic_part(r)
         if wanted is None:  # a random Weyl shift
             r0 = cur + amplitude * operator_to_0_4(random_weyl_operator(n, rng))
         else:

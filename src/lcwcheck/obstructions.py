@@ -31,7 +31,7 @@ from .bivectors import CurvatureOperator, _0_4_gather, _lex_pair_matrix, _pair_g
 from .dsl import MetricDef
 from .errors import DimensionError, DomainError, PreconditionViolation
 from .jets import jet_space
-from .pipeline import INPUT_TOL, _antisym_pairs, _check_metric, _metric_partials, _pow2_scaled, _require_small, _require_symmetric, compute_snapshot
+from .pipeline import INPUT_TOL, _antisym_pairs, _check_metric, _metric_partials, _pow2_scaled, _require_small, compute_snapshot
 
 
 GRAD_TOL = 1e-12  # the search has converged once its best gradient is below this times the scale
@@ -444,7 +444,7 @@ def plane_from_traceless_degenerate(a, tol=1e-8):
     # a computed CY, not an input: its rounding scales with the terms summed, not the result, so
     # the floor at 1 stays until that size is known (ROADMAP items 1 and 4)
     floor = max(norm, 1.0)
-    _require_symmetric(a, "matrix is not symmetric", PreconditionViolation, tol, floor)
+    _require_small(a - a.T, tol, floor, "matrix is not symmetric", PreconditionViolation)
     trace = np.trace(a)
     _require_small(trace, tol, floor, f"trace {trace:g} not within tolerance of zero", PreconditionViolation)
     det = np.linalg.det(a)

@@ -45,6 +45,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .bivectors import CurvatureOperator, _lex_pair_matrix, bianchi_project, operator_to_0_4
 from .dsl import (
     COORDS,
     Add,
@@ -66,7 +67,7 @@ from .errors import (
 )
 from .jets import jet_space
 from .obstructions import _frame_curvature
-from .pipeline import EPS3, INPUT_TOL, JetPipeline, _check_curvature_symmetries, _require_small, _require_symmetric
+from .pipeline import EPS3, INPUT_TOL, JetPipeline, _check_curvature_symmetries, _require_small
 
 GRID_RADIAL = 10
 GRID_ANGULAR = 64
@@ -491,6 +492,17 @@ def _prescribe(chart, current, target, bump_of, measure, order) -> PerturbResult
     return PerturbResult(bumped, target_error, _ck_norm(bumped, order) / shift, shift, False, origin)
 
 
+def algebraic_part(t):
+    """Algebraic part of a measured R (n, n, n, n) or CY (3, 3) at a normal chart's origin (g = I): the measured
+    tensor's rounding scales with the terms it sums, not with it (a flat chart's R is all rounding), so a target
+    built on it, which is checked to INPUT_TOL of its own size, is built on this part."""
+    if t.shape == (3, 3):
+        return 0.5 * t + 0.5 * t.T - np.trace(t) / 3.0 * np.eye(3)
+    m = _lex_pair_matrix(t)
+    op = CurvatureOperator(len(t), 0.5 * m + 0.5 * m.T)
+    return operator_to_0_4(CurvatureOperator(op.dim, op.mat - bianchi_project(op).mat))
+
+
 # -- curvature prescription (dim >= 4 path, works in dim 3 too) ----------------
 
 
@@ -519,8 +531,8 @@ def prescribe_curvature(cp: CurvaturePrescription) -> PerturbResult:
 
 
 def prescribe_curvature_in(chart, target_r4, r) -> PerturbResult:
-    """``prescribe_curvature`` on the normal chart ``chart`` (of order 2 or
-    3), whose Riemann tensor at the origin is ``r``."""
+    """``prescribe_curvature`` on the normal chart ``chart`` (of order 2 or 3), whose Riemann
+    tensor at the origin is ``r``; a target built on ``r`` is built on ``algebraic_part(r)``."""
     n = chart.dim
     r0 = np.asarray(target_r4, dtype=float)
     if r0.shape != (n, n, n, n):
@@ -571,15 +583,15 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
 
 
 def prescribe_cotton_york_in(chart, target_cy, cy) -> PerturbResult:
-    """``prescribe_cotton_york`` on the order-3 normal chart ``chart``, whose
-    Cotton-York tensor at the origin is ``cy``."""
+    """``prescribe_cotton_york`` on the order-3 normal chart ``chart``, whose Cotton-York tensor
+    at the origin is ``cy``; a target built on ``cy`` is built on ``algebraic_part(cy)``."""
     if chart.dim != 3:
         raise DimensionError("Cotton-York prescription needs dim 3")
     cy0 = np.asarray(target_cy, dtype=float)
     if cy0.shape != (3, 3):
         raise DimensionError("target must be a 3x3 matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # a target past the float range gives inf or nan; the gates refuse it
-        _require_symmetric(cy0, "target Cotton-York tensor must be symmetric")
+        _require_small(cy0 - cy0.T, INPUT_TOL, cy0, "target Cotton-York tensor must be symmetric")
         _require_small(np.trace(cy0), INPUT_TOL, cy0, "target Cotton-York tensor must be traceless", ConstraintViolation)
 
     def bump_of(shift):

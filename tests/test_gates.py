@@ -33,9 +33,10 @@ from lcwcheck.errors import (
 )
 from lcwcheck.catalog import get_entry, random_metric_near_flat
 from lcwcheck.cli import _load_target
+from lcwcheck.dsl import parse_metric
 from lcwcheck.obstructions import _frame_curvature, auto_test, eigenflag_residual, plane_from_traceless_degenerate
 from lcwcheck.perturbation import PulledBackMetric, normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
-from lcwcheck.pipeline import INPUT_TOL, ORTHO_TOL, JetPipeline
+from lcwcheck.pipeline import INPUT_TOL, ORTHO_TOL, JetPipeline, compute_snapshot
 
 NAN = float("nan")
 INF = float("inf")
@@ -381,3 +382,34 @@ def test_verdicts_keep_under_a_homothety_of_the_coordinates(name):
     for lam in (1e-4, 1e4):
         pulled = PulledBackMetric(entry.metric, np.zeros(4), lam * np.eye(4), np.zeros((4, 4, 4)))
         assert [auto_test(pulled, p / lam).verdict_string for p in points] == want, lam
+
+
+def _conformally_flat_text(n, rng):
+    """exp(2 f) times the Euclidean metric, f a random cubic polynomial."""
+    f = " + ".join(
+        f"({0.1 * rng.standard_normal()!r})*" + "*".join(f"x{int(i) + 1}" for i in rng.integers(0, n, int(rng.integers(1, 4))))
+        for _ in range(6)
+    )
+    return f"dim = {n}\n" + "".join(f"g{i}{i} = exp(2*({f}))\n" for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_operator_from_0_4_takes_the_computed_weyl_tensor_of_a_conformally_flat_metric(n):
+    """A conformally flat metric's computed W is all rounding, and rounding
+    need not respect pair exchange; the pipeline makes W exactly pair
+    symmetric, as it makes gamma symmetric, so the input check, to
+    INPUT_TOL of W's own size, takes it.  Unsymmetrized, about one such
+    tensor in ten misses pair exchange by more than that."""
+    rng = np.random.default_rng(n)
+    cases = []
+    for _ in range(4):
+        metric = parse_metric(_conformally_flat_text(n, rng))
+        cases += [(metric, 0.3 * rng.uniform(-1.0, 1.0, n)) for _ in range(6)]
+    if n == 4:  # and the catalog's R x S^3, at its sample points
+        cases += [(get_entry("product4_sphere3").metric, p) for p in get_entry("product4_sphere3").sample_points(rng, 4)]
+    for metric, p in cases:
+        snap = compute_snapshot(metric, p)
+        w = snap.weyl04
+        operator_from_0_4(w, g=snap.g)
+        operator_from_0_4(w)
+        assert np.array_equal(w, w.transpose(2, 3, 0, 1)) and np.abs(w).max() <= 1e-12 * np.abs(snap.riemann).max()
