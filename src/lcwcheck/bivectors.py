@@ -374,6 +374,9 @@ def phi_map(params: EigenflagParams) -> CurvatureOperator:
     if lam.shape != (n - 1,):
         raise ConstraintViolation(f"need {n-1} eigenvalues, got {lam.shape}")
     w2 = np.asarray(params.w2, dtype=float)
+    m = bivector_dim(n - 1)
+    if rho.shape != (n, n) or w2.shape != (m, m):
+        raise DimensionError(f"need a {n}x{n} rotation and a {m}x{m} w2, got {rho.shape} and {w2.shape}")
     if not np.isfinite(w2).all():  # the bounds below are relative to it
         raise ConstraintViolation("w2 has an entry that is not a finite number")
     core = np.zeros((bivector_dim(n),) * 2)

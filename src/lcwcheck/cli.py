@@ -45,9 +45,9 @@ from .bivectors import (
 )
 from .dsl import metric_to_text, parse_metric
 from .errors import DimensionError, LcwError, NotPositiveDefinite, ParseError, UnknownEntry
-from .obstructions import ObstructionConfig, _frame_curvature, _frame_weyl, auto_test, eigenflag_test
-from .perturbation import algebraic_part, normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
-from .pipeline import TENSOR_FIELDS, JetPipeline, compute_snapshot, format_json, snapshot_to_dict
+from .obstructions import ObstructionConfig, _frame_weyl, auto_test, eigenflag_test
+from .perturbation import algebraic_part, chart_cotton_york, chart_riemann, normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
+from .pipeline import TENSOR_FIELDS, compute_snapshot, format_json, snapshot_to_dict
 
 EXIT_PASSES = 0
 EXIT_PARSE = 2
@@ -268,9 +268,9 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
     if n < 3:
         raise DimensionError("perturb needs dim >= 3")
     wanted = None if target == "random" else _load_target(target, n)
-    chart, origin = normal_coordinates(metric, p, radius, 3 if n == 3 else 2), np.zeros(n)
+    chart = normal_coordinates(metric, p, radius, 3 if n == 3 else 2)
     if n == 3:
-        cy = JetPipeline(chart, origin).cotton_york()
+        cy = chart_cotton_york(chart)
         if wanted is None:
             d = rng.standard_normal((3, 3))
             d = (d + d.T) / 2.0
@@ -278,12 +278,12 @@ def cmd_perturb(source, point, target, radius, amplitude, seed, out_path, fmt):
             wanted = algebraic_part(cy) + amplitude * (d / np.linalg.norm(d))  # amplitude * d alone can overflow
         res = prescribe_cotton_york_in(chart, wanted, cy)
     else:
-        r = _frame_curvature(chart.eval_jets(origin, 2), origin)[2]
+        r = chart_riemann(chart)
         cur = algebraic_part(r)
         if wanted is None:  # a random Weyl shift
             r0 = cur + amplitude * operator_to_0_4(random_weyl_operator(n, rng))
         else:
-            r0 = cur - operator_to_0_4(_frame_weyl(cur, origin)) + operator_to_0_4(wanted)
+            r0 = cur - operator_to_0_4(_frame_weyl(cur, np.zeros(n))) + operator_to_0_4(wanted)
         res = prescribe_curvature_in(chart, r0, r)
     _emit({"unchanged": res.unchanged, "target_error": res.target_error, "shift_norm": res.shift_norm,
            "ck_norm_ratio": res.norm_ratio, "evaluation_point": res.evaluation_point, "out": str(out_path),

@@ -31,7 +31,7 @@ from .bivectors import CurvatureOperator, _0_4_gather, _lex_pair_matrix, _pair_g
 from .dsl import MetricDef
 from .errors import DimensionError, DomainError, PreconditionViolation
 from .jets import jet_space
-from .pipeline import INPUT_TOL, _antisym_pairs, _check_metric, _metric_partials, _pow2_scaled, _require_small, compute_snapshot
+from .pipeline import INPUT_TOL, _antisym_pairs, _checked_partials, _pow2_scaled, _require_small, compute_snapshot
 
 
 GRAD_TOL = 1e-12  # the search has converged once its best gradient is below this times the scale
@@ -527,10 +527,7 @@ def _frame_curvature(jets, point):
     terms.  In the frame g = I, so raising an index is the identity and the
     pipeline's R is the pair antisymmetrization of (d_k d_l g_im + Gamma_{p,kl} Gamma_{p,im}) / 2."""
     n = len(point)
-    _check_metric(jets[..., 0], point)
-    g, dg, ddg = _metric_partials(jet_space(n, 2), jets)
-    if not (np.isfinite(dg).all() and np.isfinite(ddg).all()):
-        raise DomainError(f"metric derivatives not finite at {point.tolist()}")
+    g, dg, ddg = _checked_partials(jet_space(n, 2), jets, point)
     e = orthonormal_frame(g)
     dg, ddg = _to_frame(dg, e), _to_frame(ddg, e).reshape(n * n, n * n)
     gam1 = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg).reshape(n, n * n)  # [p, (k, l)]

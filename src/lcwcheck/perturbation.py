@@ -25,14 +25,13 @@ made on first use, for printing the metric.  Both prescriptions run the
 same steps (measure at the origin, bump, check positivity, measure again);
 they differ only in the tensor they measure (R by the frame kernel, CY by
 an order-3 pipeline) and the closed-form bump of its shift.  Positivity is
-decided by one batched Cholesky on 10 radii times 64 fixed directions:
-x(y), J(y) and the bump are homogeneous by parts, so they are evaluated at
-the 64 directions and scaled by powers of the radius, and only the base
-metric runs at all 640 points.  The bump times its cutoff on this fixed
-grid, and its C^k norm's jets at every 12th grid point, are linear in the
-bump's sorted coefficients: both maps are built once per dim, bump degree,
-radius and jet order (or grid radii) by the same formulas on the monomial
-basis, and cached, so each bump is one product with them.
+decided by one batched Cholesky on a fixed grid of 640 points (10 radii
+times 64 directions): x(y) and J(y) in closed form, the base metric at
+x(y), and the bump.  The bump times its cutoff is linear in its sorted
+coefficients, so its jets at the grid points are one cached map per dim,
+bump degree, jet order, radius and stride (``_bump_map``): the grid reads
+its values at every point, the C^k norm its jets at every 12th point, and
+each bump is one product with them.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .dsl import (
     Num,
     Pow,
     _pair_index,
-    _point_of,
     _smoothbump_jet,
     substitute,
 )
@@ -271,34 +269,23 @@ class PulledBackMetric:
             out = out + _bump_jets(self._bump, self.radius, points, order)
         return out[:, self._pair]
 
-    def eval_jets(self, point, order=3):
-        """(dim, dim, size) Taylor coefficients of ``order`` of the entries
-        at ``point``."""
-        return self._jets(_point_of(point, self.dim)[None], order)[0]
-
-    def eval_matrix_many(self, points) -> np.ndarray:
-        """(N, dim, dim) metric matrices at an (N, dim) batch of points,
-        from order-0 jets."""
-        return self._jets(_point_of(points, self.dim, batch=True), 0)[..., 0]
+    eval_jets = MetricDef.eval_jets  # both read ``_jets``
+    eval_matrix_many = MetricDef.eval_matrix_many
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan; callers check finiteness
-    def grid_matrices(self, radii, directions) -> np.ndarray:
-        """(R * A, dim, dim) matrices at each of the R ``radii`` times each of
-        the A unit ``directions``, radius-major.  x(y), J(y) and the bump are
-        sums of homogeneous parts, evaluated at the directions and scaled by
-        powers of r, the cutoff at the radii; only the base metric and J^T g J
-        (a BLAS matmul, as no output is written from it) run at every point.
-        The bump's parts come from the cached ``_bump_grid``."""
-        n, r = self.dim, radii[:, None, None]
-        ku = (directions @ self._jac[1].reshape(n * n, n).T).reshape(-1, n, n)  # 2 quad(., u)
-        x = self.center + r * (directions @ self.frame.T) + (r * r) * (0.5 * ku @ directions[..., None])[..., 0]
-        jac = (self.frame + r[..., None] * ku).reshape(-1, n, n)
-        out = (jac.swapaxes(1, 2) @ self.base.eval_matrix_many(x.reshape(-1, n)) @ jac)[(slice(None), *self._upper)]
+    def grid_matrices(self) -> np.ndarray:
+        """(P, dim, dim) matrices at the P points of ``_grid_points(dim,
+        radius)``: x(y) and J(y) in closed form, the base metric's values at
+        x(y), J^T g J as a BLAS matmul (no output is written from it), and
+        the bump as one product with the cached ``_bump_map``."""
+        n, y = self.dim, _grid_points(self.dim, self.radius)
+        ky = (y @ self._jac[1].reshape(n * n, n).T).reshape(-1, n, n)  # 2 quad(., y)
+        x = self.center + y @ self.frame.T + (0.5 * ky @ y[..., None])[..., 0]
+        jac = self.frame + ky
+        out = (jac.swapaxes(1, 2) @ self.base.eval_matrix_many(x) @ jac)[(slice(None), *self._upper)]
         if self._bump is not None:
-            if not np.array_equal(directions, _grid_directions(n)):
-                raise ValueError("the bump is mapped at the positivity grid's directions only")
-            values, radial = _bump_grid(n, len(self._bump) - 1, self.radius, tuple(radii.tolist()))
-            out += (radial[:, None, None] * (values @ self._sorted_bump.T)).reshape(len(out), -1)
+            m = _bump_map(n, len(self._bump) - 1, 0, self.radius, 1)
+            out += (self._sorted_bump @ m[..., 0]).T
         return out[:, self._pair]
 
     @cached_property
@@ -358,25 +345,28 @@ def normal_coordinates(metric: MetricDef, point, radius=1.0, order=3) -> PulledB
     return chart
 
 
+def chart_riemann(chart):
+    """The Riemann tensor at the chart's origin: the frame kernel on its 2-jet."""
+    return _frame_curvature(chart.eval_jets(np.zeros(chart.dim), 2), np.zeros(chart.dim))[2]
+
+
+def chart_cotton_york(chart):
+    """The Cotton-York tensor at the chart's origin: an order-3 pipeline."""
+    return JetPipeline(chart, np.zeros(chart.dim)).cotton_york()
+
+
 # -- shared bump machinery -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _grid_directions(n):
+@lru_cache(maxsize=16)
+def _grid_points(n, radius):
+    """The positivity grid, read-only: GRID_RADIAL radii up to ``radius``
+    times GRID_ANGULAR fixed unit directions, radius-major."""
     dirs = np.random.default_rng(_GRID_SEED).standard_normal((GRID_ANGULAR, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs.setflags(write=False)  # shared by every grid in dim n
-    return dirs
-
-
-def _grid(n, radius):
-    """The positivity grid's GRID_RADIAL radii up to ``radius`` and its directions."""
-    return np.linspace(radius / GRID_RADIAL, radius, GRID_RADIAL), _grid_directions(n)
-
-
-def _grid_points(n, radius):
-    radii, directions = _grid(n, radius)
-    return (radii[:, None, None] * directions).reshape(-1, n)
+    out = (np.linspace(radius / GRID_RADIAL, radius, GRID_RADIAL)[:, None, None] * dirs).reshape(-1, n)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -398,36 +388,23 @@ def _monomial_basis(n, degree):
 
 
 @lru_cache(maxsize=16)
-def _bump_ck_map(n, degree, order, radius):
-    """(M, P, size), read-only: ``_bump_jets`` of ``order`` of the monomial
-    basis times alpha! at the P points ``_ck_norm`` samples."""
-    jets = _bump_jets(_monomial_basis(n, degree), radius, _grid_points(n, radius)[::CK_STRIDE], order)
+def _bump_map(n, degree, order, radius, stride):
+    """(M, P, size), read-only: ``_bump_jets`` of ``order`` of the monomial basis times
+    alpha! at every ``stride``-th grid point (the grid: order 0, stride 1; ``_ck_norm``: CK_STRIDE)."""
+    jets = _bump_jets(_monomial_basis(n, degree), radius, _grid_points(n, radius)[::stride], order)
     out = np.moveaxis(jets * jet_space(n, order).factorials, 1, 0).copy()
     out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=16)
-def _bump_grid(n, degree, radius, radii):
-    """The monomial basis at the grid directions (A, M) and r^degree phi(r^2)
-    at the ``radii`` (R,), read-only.  The bump at u is summed before this
-    factor scales it, so a bump that overflows there is not finite."""
-    radii = np.array(radii)
-    values = _poly_taylor(_monomial_basis(n, degree), _grid_directions(n), order=0)[..., 0]
-    radial = radii**degree * _smoothbump_jet(jet_space(n, 0), (radii * radii)[:, None], *_cutoff_bounds(radius))[:, 0]
-    for a in (values, radial):
-        a.setflags(write=False)
-    return values, radial
-
-
-def _check_positivity(metric, points):
-    """On ``points`` = ``_grid_points(dim, metric.radius)``, one batched
-    Cholesky decides: it completes on matrices within a backward error of
-    order n eps ||g|| of positive definite ones (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 10), the level at which
-    eigvalsh's smallest eigenvalue is accurate.  Only on a failure does
-    eigvalsh run: its smallest eigenvalue decides and names the point."""
-    g = metric.grid_matrices(*_grid(metric.dim, metric.radius))
+def _check_positivity(metric):
+    """On the positivity grid, one batched Cholesky decides: it completes
+    on matrices within a backward error of order n eps ||g|| of positive
+    definite ones (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 10), the level at which eigvalsh's smallest eigenvalue is
+    accurate.  Only on a failure does eigvalsh run: its smallest eigenvalue
+    decides and names the point."""
+    g = metric.grid_matrices()
     if not np.isfinite(g).all():
         raise DomainError("perturbed metric is not finite on the positivity grid; shrink the radius")
     try:
@@ -437,7 +414,7 @@ def _check_positivity(metric, points):
         worst = int(np.argmin(w))
         if w[worst] <= 0.0:
             raise NotPositiveDefinite(
-                f"perturbed metric loses positivity at {points[worst].tolist()} "
+                f"perturbed metric loses positivity at {_grid_points(metric.dim, metric.radius)[worst].tolist()} "
                 f"(min eigenvalue {w[worst]:g}); shrink the target or the radius"
             ) from None
 
@@ -446,8 +423,8 @@ def _check_positivity(metric, points):
 def _ck_norm(metric: PulledBackMetric, order):
     """sup over every CK_STRIDE-th point of the positivity grid of
     sum_{|alpha| <= order} |d^alpha(bump)|, exact jet derivatives from the
-    cached ``_bump_ck_map``; a DomainError if it is not finite."""
-    m = _bump_ck_map(metric.dim, len(metric._bump) - 1, order, metric.radius)
+    cached ``_bump_map``; a DomainError if it is not finite."""
+    m = _bump_map(metric.dim, len(metric._bump) - 1, order, metric.radius, CK_STRIDE)
     jets = metric._sorted_bump @ m.reshape(len(m), -1)  # (pairs, P * size)
     norm = float(np.abs(jets).reshape(len(jets), -1, m.shape[-1]).sum(axis=-1).max(initial=0.0))
     if not math.isfinite(norm):
@@ -479,15 +456,16 @@ def _prescribe(chart, current, target, bump_of, measure, order) -> PerturbResult
     """The steps both prescriptions share, on a normal chart whose tensor at
     the origin is ``current``: the chart itself if it has the target, else
     the chart plus the bump ``bump_of(target - current)``, refused unless
-    positive on the grid, then ``measure``d again at the origin (of jet ``order``)."""
+    positive on the grid, then ``measure``d again at the origin (``chart_riemann`` or
+    ``chart_cotton_york``); the C^k norm is of jet ``order``."""
     origin = np.zeros(chart.dim)
     delta = target - current
     target_norm, shift = _finite_norms(target, delta)
     if shift <= 1e-13 * target_norm:
         return PerturbResult(chart, shift / max(target_norm, 1e-30), 0.0, shift, True, origin)
     bumped = chart.with_bump(bump_of(delta))
-    _check_positivity(bumped, _grid_points(chart.dim, chart.radius))
-    achieved = measure(bumped, origin)
+    _check_positivity(bumped)
+    achieved = measure(bumped)
     target_error = float(np.linalg.norm(achieved - target) / max(target_norm, 1e-30))
     return PerturbResult(bumped, target_error, _ck_norm(bumped, order) / shift, shift, False, origin)
 
@@ -526,8 +504,7 @@ def prescribe_curvature(cp: CurvaturePrescription) -> PerturbResult:
     g_ij = delta_ij - 1/3 R_ihjk x^h x^k + O(|x|^3).
     """
     chart = normal_coordinates(cp.base, cp.point, cp.radius, order=2)
-    origin = np.zeros(chart.dim)
-    return prescribe_curvature_in(chart, cp.target_r4, _frame_curvature(chart.eval_jets(origin, 2), origin)[2])
+    return prescribe_curvature_in(chart, cp.target_r4, chart_riemann(chart))
 
 
 def prescribe_curvature_in(chart, target_r4, r) -> PerturbResult:
@@ -544,7 +521,7 @@ def prescribe_curvature_in(chart, target_r4, r) -> PerturbResult:
         quad = -(1.0 / 3.0) * shift.transpose(0, 2, 1, 3)
         return 0.5 * (quad + quad.swapaxes(2, 3))
 
-    return _prescribe(chart, r, r0, bump_of, lambda m, y: _frame_curvature(m.eval_jets(y, 2), y)[2], 2)
+    return _prescribe(chart, r, r0, bump_of, chart_riemann, 2)
 
 
 # -- Cotton-York prescription (dim 3) ------------------------------------------
@@ -579,7 +556,7 @@ def prescribe_cotton_york(cp: CottonPrescription) -> PerturbResult:
     full tensor while the written metric reads only its sorted entries.
     """
     chart = normal_coordinates(cp.base, cp.point, cp.radius)
-    return prescribe_cotton_york_in(chart, cp.target_cy, JetPipeline(chart, np.zeros(chart.dim)).cotton_york())
+    return prescribe_cotton_york_in(chart, cp.target_cy, chart_cotton_york(chart))
 
 
 def prescribe_cotton_york_in(chart, target_cy, cy) -> PerturbResult:
@@ -602,4 +579,4 @@ def prescribe_cotton_york_in(chart, target_cy, cy) -> PerturbResult:
         a = a + a.swapaxes(0, 1)
         return sum(a.transpose(0, 1, *p) for p in itertools.permutations((2, 3, 4)))[_SORTED_KLM]
 
-    return _prescribe(chart, cy, cy0, bump_of, lambda m, y: JetPipeline(m, y).cotton_york(), 3)
+    return _prescribe(chart, cy, cy0, bump_of, chart_cotton_york, 3)

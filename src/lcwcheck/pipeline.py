@@ -152,6 +152,16 @@ def _check_metric(g, point):
         raise SingularMetric(f"metric too ill-conditioned at {point.tolist()} (cond {hi / lo:g})")
 
 
+def _checked_partials(space, coeffs, point):
+    """``_metric_partials`` of a metric that passes ``_check_metric`` at
+    ``point``, refused (DomainError) unless its derivatives are finite."""
+    _check_metric(coeffs[..., 0], point)
+    d = _metric_partials(space, coeffs)
+    if not all(np.isfinite(dk).all() for dk in d[1:]):
+        raise DomainError(f"metric derivatives not finite at {point.tolist()}")
+    return d
+
+
 class JetPipeline:
     """One evaluation of every tensor at a single point.
 
@@ -166,10 +176,7 @@ class JetPipeline:
         self.point = np.asarray(point, dtype=float)
         self.n = n = metric.dim
         self.g_jets = metric.eval_jets(self.point)
-        _check_metric(self.g_jets[..., 0], self.point)
-        d = _metric_partials(jet_space(n), self.g_jets)
-        if not all(np.isfinite(dk).all() for dk in d[1:]):
-            raise DomainError(f"metric derivatives not finite at {self.point.tolist()}")
+        d = _checked_partials(jet_space(n), self.g_jets, self.point)
         self.g = d[0]
         self.g_inv = np.linalg.inv(self.g)
         # g, d_a g_ij [z, a, i, j] and d_a d_b g_ij [z, a, b, i, j] as jets

@@ -388,7 +388,7 @@ def test_perturb_builds_one_chart_and_three_pipelines(tmp_path, monkeypatch, met
     monkeypatch.setattr(cli, "normal_coordinates", counted_chart)
     monkeypatch.setattr(perturbation, "normal_coordinates", counted_chart)
     monkeypatch.setattr(JetPipeline, "__init__", counted_init)
-    for module in (obstructions, perturbation, cli):
+    for module in (obstructions, perturbation):
         monkeypatch.setattr(module, "_frame_curvature", counted_kernel)
     r = invoke("perturb", "--metric", metric, "--target", "random", "--out", str(tmp_path / "out.metric"))
     assert r.exit_code == 0

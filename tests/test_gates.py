@@ -3,6 +3,7 @@ is not finite with its own error, and a call on any input, finite, huge,
 infinite or NaN, returns finite numbers or raises an LcwError, never a
 numpy error or warning."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -26,6 +27,7 @@ from lcwcheck.bivectors import (
 )
 from lcwcheck.errors import (
     ConstraintViolation,
+    DimensionError,
     LcwError,
     NotOrthogonal,
     PreconditionViolation,
@@ -105,6 +107,14 @@ def test_finite_refusal_keeps_its_message(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("part, value", [("w2", np.zeros((4, 4))), ("rotation", np.eye(4)[:, :3])], ids=["w2-4x4", "rotation-4x3"])
+def test_phi_map_refuses_parts_of_the_wrong_shape(part, value):
+    """In dim 4 the rotation is 4x4 and w2 acts on the 3 pairs of e1-perp."""
+    params = dataclasses.replace(sample_eigenflag_params(4, np.random.default_rng(3)), **{part: value})
+    with pytest.raises(DimensionError, match="need a 4x4 rotation and a 3x3 w2"):
+        phi_map(params)
 
 
 # -- library-contract fuzz ----------------------------------------------------

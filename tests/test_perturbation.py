@@ -14,6 +14,7 @@ from lcwcheck.errors import (
     ConstraintViolation,
     DimensionError,
     DomainError,
+    LcwError,
     NotPositiveDefinite,
     SymmetryViolation,
 )
@@ -24,7 +25,6 @@ from lcwcheck.perturbation import (
     CurvaturePrescription,
     PulledBackMetric,
     _check_positivity,
-    _grid,
     _grid_points,
     normal_coordinates,
     prescribe_cotton_york,
@@ -487,9 +487,9 @@ def test_lost_positivity_names_the_point_and_eigenvalue_of_an_eigvalsh_reference
     bits of the matrices."""
     checked, factorised, cholesky = [], [], np.linalg.cholesky
 
-    def check(metric, points):
-        checked.append((metric, points))
-        return _check_positivity(metric, points)
+    def check(metric):
+        checked.append(metric)
+        return _check_positivity(metric)
 
     def recorded(g):
         factorised.append(g)
@@ -504,8 +504,8 @@ def test_lost_positivity_names_the_point_and_eigenvalue_of_an_eigvalsh_reference
         else:
             r0 = kulkarni_nomizu(np.eye(4), np.eye(4)) * 50.0
             prescribe_curvature(CurvaturePrescription(base=FLAT4, point=np.zeros(4), target_r4=r0))
-    (_, points), = checked
-    assert _same_bits(points, _grid_points(n, 1.0))
+    (metric,) = checked
+    points = _grid_points(n, metric.radius)
     (g,) = [m for m in factorised if m.ndim == 3]  # the chart's own Cholesky is of one matrix
     assert g.shape == (len(points), n, n)
     w = np.linalg.eigvalsh(g)[:, 0]
@@ -518,12 +518,30 @@ def test_a_non_finite_grid_is_refused_before_any_factorisation(monkeypatch):
     def refuse(g):
         raise AssertionError("a non-finite grid reached a factorisation")
 
-    chart = normal_coordinates(FLAT3, np.zeros(3))
-    huge = chart.with_bump(np.full((3,) * 5, 1e308))
+    huge = _huge_bump()
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     with pytest.raises(DomainError, match="not finite on the positivity grid"):
-        _check_positivity(huge, _grid_points(3, 1.0))
+        _check_positivity(huge)
+
+
+def _huge_bump():
+    """A cubic bump of 1e308 coefficients at radius 10: its values overflow
+    on the grid (at radius 1 they stay finite)."""
+    return normal_coordinates(FLAT3, np.zeros(3), 10.0).with_bump(np.full((3,) * 5, 1e308))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["huge bump", "sol at radius 1e150"])
+def test_a_grid_past_the_float_range_is_refused_with_no_warning(case):
+    """Overflow on the grid, in the bump's sum or in the base metric at
+    x(y), ends in an LcwError and nothing else, numpy warnings included."""
+    if case == "huge bump":
+        metric = _huge_bump()
+    else:
+        metric = normal_coordinates(get_entry("sol").metric, np.array([0.1, 0.2, 0.3]), 1e150).with_bump(np.full((3,) * 5, 1e-3))
+    with pytest.raises(LcwError):
+        _check_positivity(metric)
 
 
 def _symmetric_bump(rng, n, degree, scale):
@@ -537,28 +555,25 @@ def _symmetric_bump(rng, n, degree, scale):
 @pytest.mark.parametrize("radius", [1.0, 0.3])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_grid_matrices_equal_the_general_evaluator_at_the_grid_points(n, radius, rng):
-    """The positivity grid's matrices, from the chart's homogeneous parts
-    at the directions scaled by the radii, equal ``eval_matrix_many`` at
-    the same points: for a chart with a curved base (nonzero Ghat), its
-    quadratic and cubic bumps, and a chart whose base is a chart, with and
-    without a bump.  The grid reaches radius 1, so with a bump of radius
-    ``radius`` it has points on the plateau, the ramp and (at 0.3) outside
-    the bump."""
+    """The positivity grid's matrices, from x(y) and J(y) in closed form
+    and the cached bump map, equal ``eval_matrix_many`` at the same points:
+    for a chart with a curved base (nonzero Ghat), its quadratic and cubic
+    bumps, and a chart whose base is a chart, with and without a bump.  The
+    grid reaches the chart's radius, so it has points on the bump's plateau
+    and on its ramp."""
     base = get_entry("nil").metric if n == 3 else random_metric_near_flat(n, rng, amplitude=0.03)
     chart = normal_coordinates(base, rng.uniform(-0.1, 0.1, n), radius)
     assert np.abs(chart.gamma_frame).max() > 0.0
     metrics = [chart, normal_coordinates(chart, rng.uniform(-0.1, 0.1, n), radius)]
     metrics += [chart.with_bump(_symmetric_bump(rng, n, d, 1e-3)) for d in (2, 3)]
     metrics.append(metrics[1].with_bump(_symmetric_bump(rng, n, 2, 1e-3)))
-    radii, directions = _grid(n, 1.0)
-    points = _grid_points(n, 1.0)
-    assert _same_bits(points, (radii[:, None, None] * directions).reshape(-1, n))
+    points = _grid_points(n, radius)
     r2 = (points * points).sum(axis=1)
     u0, u1 = (0.5 * radius) ** 2, radius**2
-    assert (r2 < u0).any() and ((u0 < r2) & (r2 < u1)).any() and (radius == 1.0 or (r2 > u1).any())
+    assert (r2 < u0).any() and ((u0 < r2) & (r2 < u1)).any()
     for metric in metrics:
         want = metric.eval_matrix_many(points)
-        got = metric.grid_matrices(radii, directions)
+        got = metric.grid_matrices()
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -595,20 +610,12 @@ def test_the_cached_bump_map_is_the_bump_formula(n, degree, radius, rng):
         jets = perturbation._bump_jets(bumped._bump, radius, points[::perturbation.CK_STRIDE], order)
         want = np.abs(jets * jet_space(n, order).factorials).sum(axis=-1).max()
         assert abs(perturbation._ck_norm(bumped, order) - want) <= 1e-13 * want
-    grid = _grid(n, radius)
-    got = (bumped.grid_matrices(*grid) - chart.grid_matrices(*grid))[(slice(None), *np.triu_indices(n))]
+    got = (bumped.grid_matrices() - chart.grid_matrices())[(slice(None), *np.triu_indices(n))]
     want = perturbation._bump_jets(bumped._bump, radius, points, 0)[..., 0]
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    maps = [perturbation._bump_ck_map(n, degree, 3, radius), *perturbation._bump_grid(n, degree, radius, tuple(grid[0]))]
+    maps = [perturbation._bump_map(n, degree, 3, radius, perturbation.CK_STRIDE), perturbation._bump_map(n, degree, 0, radius, 1)]
     assert not any(m.flags.writeable for m in maps)
-    assert all(f.cache_info().maxsize is not None for f in (perturbation._bump_ck_map, perturbation._bump_grid))
-
-
-def test_grid_matrices_refuse_directions_the_bump_is_not_mapped_at():
-    bumped = normal_coordinates(FLAT3, np.zeros(3)).with_bump(np.full((3,) * 5, 1e-3))
-    radii, directions = _grid(3, 1.0)
-    with pytest.raises(ValueError, match="grid's directions"):
-        bumped.grid_matrices(radii, directions[::-1])
+    assert perturbation._bump_map.cache_info().maxsize is not None
 
 
 def test_prescriptions_have_the_bits_of_a_cold_cache():
@@ -624,13 +631,12 @@ def test_prescriptions_have_the_bits_of_a_cold_cache():
             prescribe_cotton_york(CottonPrescription(base=nil, point=np.full(3, 0.1), target_cy=cy0, radius=radius)),
             prescribe_curvature(CurvaturePrescription(base=base4, point=np.zeros(4), target_r4=r0, radius=radius)),
         ):
-            out += [np.float64(res.norm_ratio), np.float64(res.target_error), res.metric.grid_matrices(*_grid(res.metric.dim, radius))]
+            out += [np.float64(res.norm_ratio), np.float64(res.target_error), res.metric.grid_matrices()]
         return out
 
     warm = [run(r) for r in (1.0, 0.3, 1.0)]
     for radius, got in zip((1.0, 0.3, 1.0), warm):
-        perturbation._bump_ck_map.cache_clear()
-        perturbation._bump_grid.cache_clear()
+        perturbation._bump_map.cache_clear()
         assert all(_same_bits(a, b) for a, b in zip(got, run(radius)))
 
 
