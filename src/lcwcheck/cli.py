@@ -220,8 +220,8 @@ def cmd_tensors(source, point, which, fmt):
 @click.option("--metric", "source", required=True, help="catalog name or metric file")
 @click.option("--point", default="", help="evaluation point (default: origin)")
 @click.option("--tol", type=_POSITIVE, default=ObstructionConfig.tol_rel, help="relative tolerance (default 1e-8)")
-@click.option("--seed", type=click.IntRange(min=0), default=0, help="seed for the multi-start search")
-@click.option("--starts", type=click.IntRange(min=0, max=100_000), default=64)
+@click.option("--seed", type=click.IntRange(min=0), default=0, help="seed for the multi-start search (dims 5 and 6)")
+@click.option("--starts", type=click.IntRange(min=0, max=100_000), default=64, help="random starts of the multi-start search (dims 5 and 6)")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
 def cmd_check(source, point, tol, seed, starts, fmt):
     """Decide the necessary condition for a limiting Carleman weight: the

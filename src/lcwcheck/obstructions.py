@@ -4,15 +4,14 @@ weights.
 Dimension >= 4: a metric with an LCW near p has a Weyl operator leaving
 some v ^ v-perp invariant ("eigenflag" direction), where the residual
 F(v) = || proj_{Lambda^2(v-perp)} o W o proj_{v ^ v-perp} ||_F^2 = C(v, v,
-v, v) = z^T Q0 z (z_ab = v_a v_b) vanishes.  The verdict has two stages:
-a multi-start descent looks only for a witness of a pass, and where its
-minimum says "fails", a certificate runs once after it.  A verdict of False
-certifies that no LCW exists near the point: it comes only from a proof of
-min F above the band, the dim-4 spectral precheck or a sum-of-squares
-certificate (Shor's relaxation, Parrilo / Lasserre form: Q0 + sum t_i L_i -
-gamma D >= 0 with z^T L_i z = 0 and z^T D z = ||v||^4 proves F >= gamma).
-A verdict of True only says the necessary condition holds; it never asserts
-existence.
+v, v) = z^T Q0 z (z_ab = v_a v_b) vanishes.  In dim 4, min F is a closed
+form in the spectra of W+ and W-.  In dims 5 and 6 a multi-start descent
+looks only for a witness of a pass, and where its minimum says "fails", a
+sum-of-squares certificate runs once after it (Shor's relaxation, Parrilo /
+Lasserre form: Q0 + sum t_i L_i - gamma D >= 0 with z^T L_i z = 0 and
+z^T D z = ||v||^4 proves F >= gamma).  A verdict of False certifies that no
+LCW exists near the point: it comes only from a proved lower bound on min F
+above the band.  A verdict of True only says the necessary condition holds.
 
 Dimension 3: the necessary condition is det(CY) = 0 for the Cotton-York
 tensor, tested scale-invariantly, with the degenerate plane recovered from
@@ -27,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bivectors import CurvatureOperator, _0_4_gather, _lex_pair_matrix, _pair_grid, _to_frame, orthonormal_frame, pm_split
+from .bivectors import CurvatureOperator, _0_4_gather, _lex_pair_matrix, _pair_grid, _to_frame, orthonormal_frame, pm_basis_matrix, pm_split
 from .dsl import MetricDef
 from .errors import DimensionError, DomainError, PreconditionViolation
 from .jets import jet_space
@@ -47,12 +46,9 @@ _U = 1.001 * 2.0**-53  # unit roundoff, rounded up: k _U bounds gamma_k = k u / 
 
 @dataclass
 class ObstructionConfig:
-    """Tolerance and search settings; every field is echoed in the
-    ``tolerances`` of each report whose test reads it, with the tolerance
-    constants above that the test uses.  The note gives the search's
-    iterations (MAX_ITER caps them) and, for a certified "fails", the
-    Newton steps of the certificate that ran after the search (SOS_STEPS
-    caps them)."""
+    """Tolerance and search settings, echoed in the ``tolerances`` of each
+    report whose test reads them (``starts`` and ``seed``: the search of dims
+    5 and 6, whose note gives its iterations and Newton steps)."""
 
     tol_rel: float = 1e-8
     starts: int = 64
@@ -171,15 +167,27 @@ def eigenflag_residual(op: CurvatureOperator, v) -> float:
     return max(f, 0.0)  # cancellation can leave a tiny negative
 
 
+def _bivector_matrices(rows, n):
+    """(N, n, n): the antisymmetric matrix of each lex-pair vector in ``rows``."""
+    i, j = _pair_grid(n)[:2]  # the lex pairs as (m, 1) index columns
+    a = np.zeros((len(rows), n, n))
+    a[:, i, j], a[:, j, i] = rows[..., None], -rows[..., None]
+    return a
+
+
 def _eigen_candidate_starts(vecs, n):
     """Factor (near-)simple eigenvectors of W (columns of ``vecs``) into
     plane vectors; these are high-quality starting points for the flag search."""
-    i, j = _pair_grid(n)[:2]  # the lex pairs as (m, 1) index columns
-    a = np.zeros((vecs.shape[1], n, n))
-    a[:, i, j] = vecs.T[..., None]
-    a[:, j, i] = -vecs.T[..., None]
-    u = np.linalg.svd(a)[0]  # (N, n, n); the plane is u[:, :, :2]
+    u = np.linalg.svd(_bivector_matrices(vecs.T, n))[0]  # (N, n, n); the plane is u[:, :, :2]
     return u[:, :, :2].transpose(0, 2, 1).reshape(-1, n)
+
+
+def _flag_direction(r):
+    """Davenport's q-method for the unit v with iota_v = +-R in SO(3): the
+    columns of U (I; R) are sqrt(2) v ^ u_b exactly when iota_v = R, and their
+    matrices X_b give sum X_b X_b^T = 3 I + K(R), v^T K(R) v = tr(R^T iota_v)."""
+    x = _bivector_matrices((pm_basis_matrix() @ np.vstack([np.eye(3), r * np.sign(np.linalg.det(r))])).T, 4)
+    return np.linalg.eigh(np.einsum("bij,bkj->ik", x, x))[1][:, -1]
 
 
 # -- sum-of-squares certificate -----------------------------------------------
@@ -330,19 +338,19 @@ def _minimize_residual(form, n, scale, config, vecs):
 
 
 def eigenflag_test(op: CurvatureOperator, config: ObstructionConfig | None = None) -> ObstructionReport:
-    """The ``_band`` of the search minimum over ||W||^2, where a "fails"
-    needs a proof of min F above the band top (else it is inconclusive):
-    the search looks only for a witness, and ``_sos_bound`` runs once after
-    it, on the same residual form, when the band says "fails".
+    """The ``_band`` of min F over ||W||^2, where a "fails" needs a proof of
+    min F above the band top (else it is inconclusive).
 
-    The dim-4 precheck: in the basis (e_i of v ^ v-perp, *e_i of
-    Lambda^2(v-perp)), W commutes with *, so W = [[A, B], [B, A]] with B
-    symmetric, F(v) = ||B||_F^2 and W+- = A +- B.  W+- are traceless, so
-    tr B = 0 and ||B||_2 <= sqrt(2/3) ||B||_F.  By Weyl's inequality
-    |lambda_k(W+) - lambda_k(W-)| <= 2 ||B||_2 <= sqrt(8/3) sqrt(F(v)) for
-    every v.  So a mismatch of the sorted spectra (less 64 eps ||W|| for
-    rounding) above sqrt(8/3 INCONCLUSIVE_FACTOR tol_rel) ||W|| proves
-    min F above the band top, with lower bound 3/8 mismatch^2.
+    Dim 4, in closed form: in the basis (e_i of v ^ v-perp, *e_i of
+    Lambda^2(v-perp)), W commutes with *, so W = [[A, B], [B, A]] and F(v) =
+    ||B||_F^2 = ||W+ - iota_v^T W- iota_v||_F^2 / 4, W+- the blocks of W on
+    Lambda^+- and iota_v: (e + *e) / sqrt2 -> (e - *e) / sqrt2, e = v ^ u.
+    v -> iota_v is the double cover S^3 -> SO(3), so by Hoffman-Wielandt
+    min F = ||lambda(W+) - lambda(W-)||^2 / 4, both spectra sorted, at the v
+    of ``_flag_direction``, whose F is the residual of a pass.  A "fails"
+    takes each |lambda_k(W+) - lambda_k(W-)| less 64 u ||W|| for rounding.
+    Dims 5 and 6: a multi-start search looks only for a witness, and
+    ``_sos_bound`` runs once after it, on the same form, if the band says "fails".
     """
     return _eigenflag_test(op, None, config or ObstructionConfig())
 
@@ -362,61 +370,53 @@ def _eigenflag_test(op, size, config):
         # the verdict compares the residual with tol_rel * ||W||^2
         raise DomainError("Weyl operator too large: its squared norm is not a finite number")
     vals, vecs = np.linalg.eigh(w)
+    mantissa, e = math.frexp(wnorm)  # W / 2^e: exact, no underflow, and ||W / 2^e|| < 1
+    w, scale = np.ldexp(w, -e), mantissa**2
+    band_top, top = INCONCLUSIVE_FACTOR * config.tol_rel, config.tol_rel * scale * INCONCLUSIVE_FACTOR  # of W and of W / 2^e
+    search = {} if op.dim == 4 else {"starts": config.starts, "seed": config.seed, "grad_tol": GRAD_TOL}
     report = ObstructionReport(
         dim=op.dim, test="eigenflag", verdict=True, residual=0.0, eigen_data={"eigenvalues": vals},
-        tolerances={"tol_rel": config.tol_rel, "starts": config.starts, "seed": config.seed,
-                    "grad_tol": GRAD_TOL, "inconclusive_factor": INCONCLUSIVE_FACTOR},
+        tolerances={"tol_rel": config.tol_rel, **search, "inconclusive_factor": INCONCLUSIVE_FACTOR,
+                    **({} if size is None else {"noise_floor": NOISE_FLOOR})},
     )
-    if size is not None:
-        report.tolerances["noise_floor"] = NOISE_FLOOR
+    if op.dim == 4:  # W+- of W / 2^e, whose entries are not subnormal
+        split = pm_split(CurvatureOperator(dim=4, mat=w))
+        (sp, up), (sm, um) = np.linalg.eigh(split.wplus), np.linalg.eigh(split.wminus)
+        report.eigen_data.update(plus_spectrum=np.ldexp(sp, e), minus_spectrum=np.ldexp(sm, e))
     if wnorm == 0.0 or size is not None and (rho := wnorm / _U / size) <= NOISE_FLOOR:
         report.note = ("Weyl operator vanishes" if wnorm == 0.0 else f"Weyl operator is rounding noise: ||W|| / (u T) = "
                        f"{rho:.2e} <= {NOISE_FLOOR:g}, T the size of its terms") + "; every direction is invariant. " + _PASS_NOTE
         return report
 
     if op.dim == 4:
-        split = pm_split(op)
-        sp = np.sort(np.linalg.eigvalsh(split.wplus))
-        sm = np.sort(np.linalg.eigvalsh(split.wminus))
-        # rounding moves the mismatch of an exact flag operator by < 5 eps ||W||
-        mismatch = float(np.abs(sp - sm).max()) - 64.0 * _U * wnorm
-        spectral_tol = math.sqrt(8.0 / 3.0 * INCONCLUSIVE_FACTOR * config.tol_rel) * wnorm
-        report.tolerances["spectral_tol"] = spectral_tol
-        report.eigen_data["plus_spectrum"] = sp
-        report.eigen_data["minus_spectrum"] = sm
-        if mismatch > spectral_tol:
-            report.verdict, report.residual = False, None
-            report.certificate, report.lower_bound = "spectral", 0.375 * mismatch**2
-            report.note = (
-                "self-dual and anti-self-dual spectra differ by "
-                f"{mismatch:.3e} > {spectral_tol:.3e}; a flag-invariant "
-                "operator must have isospectral blocks. " + _FAIL_NOTE
-            )
-            return report
-
-    mantissa, e = math.frexp(wnorm)  # W / 2^e: exact, no underflow, and ||W / 2^e|| < 1
-    scale = mantissa**2
-    form = _residual_form(np.ldexp(w, -e), op.dim)
-    f, vbest, iters, converged = _minimize_residual(form, op.dim, scale, config, vecs)
+        gap = np.abs(sp - sm)
+        f, vbest, where, how = 0.25 * float(gap @ gap), None, "", " (closed form: 1/4 ||lambda(W+) - lambda(W-)||^2)"
+        if f <= top:  # F at the witness is the residual of a pass
+            f = float(_residual_batch(w, (vbest := _flag_direction(um @ up.T))[None, :])[0][0])
+    else:
+        form = _residual_form(w, op.dim)
+        f, vbest, iters, converged = _minimize_residual(form, op.dim, scale, config, vecs)
+        where, how = f" over {config.starts + 2 * len(vecs)} starts", f" ({iters} iterations, converged={converged})"
     report.residual = fmin = max(math.ldexp(f, 2 * e), 0.0)  # 0 below the float range
     report.verdict = _band(max(f, 0.0) / scale, config.tol_rel)
-    band_top, starts = INCONCLUSIVE_FACTOR * config.tol_rel, config.starts + 2 * len(vecs)
     if report.verdict:
         report.witness = vbest
     if report.verdict is not False:
         tail = f" <= {config.tol_rel:.1e} * ||W||^2. " + _PASS_NOTE if report.verdict else _BAND_NOTE
     else:
-        top = config.tol_rel * scale * INCONCLUSIVE_FACTOR  # the band top of W / 2^e
-        bound, newton = _sos_bound(form, op.dim, top, 1.0)  # ||W / 2^e|| < 1
+        if op.dim == 4:
+            cert = name = "spectral"  # each gap less 64 u ||W / 2^e|| for the rounding of the spectra
+            bound, steps = 0.25 * float(np.sum(np.maximum(gap - 64.0 * _U * mantissa, 0.0) ** 2)), ""
+        else:
+            (bound, newton), cert, name = _sos_bound(form, op.dim, top, 1.0), "sos", "sum-of-squares"  # ||W / 2^e|| < 1
+            steps = f", {newton} Newton steps"
         if bound is None or bound <= top:  # a loose bound costs the verdict; it never gives a wrong "fails"
             report.verdict = None
-            tail = (f" over {starts} starts lies above {band_top:.1e} * ||W||^2, but no "
-                    "sum-of-squares certificate was found; inconclusive")
+            tail = f"{where} lies above {band_top:.1e} * ||W||^2, but no {name} certificate was found; inconclusive"
         else:
-            report.certificate, report.lower_bound = "sos", math.ldexp(bound, 2 * e)
-            tail = (f" (sum-of-squares lower bound {report.lower_bound:.3e} > {band_top:.1e} * ||W||^2, "
-                    f"{newton} Newton steps) over {starts} starts. " + _FAIL_NOTE)
-    report.note = f"minimum residual {fmin:.3e}" + tail + f" ({iters} iterations, converged={converged})"
+            report.certificate, report.lower_bound = cert, math.ldexp(bound, 2 * e)
+            tail = f" ({name} lower bound {report.lower_bound:.3e} > {band_top:.1e} * ||W||^2{steps}){where}. " + _FAIL_NOTE
+    report.note = f"minimum residual {fmin:.3e}" + tail + how
     return report
 
 

@@ -156,7 +156,7 @@ def test_acceptance_04_cp2():
         [np.zeros((3, 3)), split.wminus],
     ]) @ u.T)
     config = ObstructionConfig(starts=64)
-    assert eigenflag_test(wop, config).verdict is False  # by the spectral precheck
+    assert eigenflag_test(wop, config).verdict is False  # by the dim-4 closed form
     form = _residual_form(wop.mat, 4)
     fmin = _minimize_residual(form, 4, np.linalg.norm(wop.mat) ** 2, config, np.linalg.eigh(wop.mat)[1])[0]  # the search alone
     assert fmin > 0.1 * np.linalg.norm(wop.mat) ** 2
