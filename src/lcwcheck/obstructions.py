@@ -16,6 +16,11 @@ above the band.  A verdict of True only says the necessary condition holds.
 Dimension 3: the necessary condition is det(CY) = 0 for the Cotton-York
 tensor, tested scale-invariantly, with the degenerate plane recovered from
 the eigendecomposition when the test passes.
+
+In every dimension a tensor of at most NOISE_FLOOR roundings of the terms
+it is summed from (||X|| / (u T) <= NOISE_FLOOR, T their size) passes as
+rounding noise of a conformally flat point; the ratio does not change when
+g is multiplied by a constant.
 """
 
 from __future__ import annotations
@@ -39,8 +44,7 @@ PLATEAU_WINDOW = 6  # the search stops once its minimum is above
 PLATEAU_RATIO = 0.5  # this fraction of its value this many steps ago
 SOS_STEPS = 40  # Newton steps of the sum-of-squares certificate at most
 INCONCLUSIVE_FACTOR = 10.0  # width of the inconclusive band above the tolerance
-CY_ABS_FLOOR = 1e-9  # a Cotton-York norm below this passes as conformally flat
-NOISE_FLOOR = 1e4  # a Weyl operator at most this many roundings of its terms passes as conformally flat
+NOISE_FLOOR = 1e4  # a Weyl or Cotton-York tensor at most this many roundings of its terms passes as conformally flat
 _U = 1.001 * 2.0**-53  # unit roundoff, rounded up: k _U bounds gamma_k = k u / (1 - k u), k < 1e12
 
 
@@ -95,12 +99,21 @@ _FAIL_NOTE = "necessary condition fails: no limiting Carleman weight exists near
 _BAND_NOTE = f" lies within a factor {INCONCLUSIVE_FACTOR:g} of the tolerance; inconclusive"
 
 
+def _noise_note(tensor, sym, rho, then):
+    """The note of a pass on a tensor that vanishes (``rho`` None) or is
+    rounding noise, ||sym|| / (u T) = ``rho`` <= NOISE_FLOOR, in dims 3-6."""
+    head = f"{tensor} vanishes" if rho is None else (
+        f"{tensor} is rounding noise: ||{sym}|| / (u T) = {rho:.2e} <= {NOISE_FLOOR:g}, T the size of its terms")
+    return f"{head}; {then}. " + _PASS_NOTE
+
+
 def _cube_safe(a):
-    """``a``, or a / 2^k once ||a||^3 could overflow (max|a| past 2^300),
-    for the scale-free determinant ratio and plane of a 3x3 matrix.  Not
-    always a / 2^k: np.linalg.det of the scaled matrix rounds differently."""
+    """(``a``, 0), or (a / 2^k, k) once ||a||^3 could overflow or underflow
+    (max|a| past 2^+-300), for the scale-free determinant ratio and plane of
+    a 3x3 matrix.  Not always a / 2^k: np.linalg.det of the scaled matrix
+    rounds differently."""
     scaled, k = _pow2_scaled(a)
-    return a if k <= 300 else scaled
+    return (a, 0) if abs(k) <= 300 else (scaled, k)
 
 
 def _band(ratio, tol):
@@ -384,8 +397,7 @@ def _eigenflag_test(op, size, config):
         (sp, up), (sm, um) = np.linalg.eigh(split.wplus), np.linalg.eigh(split.wminus)
         report.eigen_data.update(plus_spectrum=np.ldexp(sp, e), minus_spectrum=np.ldexp(sm, e))
     if wnorm == 0.0 or size is not None and (rho := wnorm / _U / size) <= NOISE_FLOOR:
-        report.note = ("Weyl operator vanishes" if wnorm == 0.0 else f"Weyl operator is rounding noise: ||W|| / (u T) = "
-                       f"{rho:.2e} <= {NOISE_FLOOR:g}, T the size of its terms") + "; every direction is invariant. " + _PASS_NOTE
+        report.note = _noise_note("Weyl operator", "W", rho if wnorm else None, "every direction is invariant")
         return report
 
     if op.dim == 4:
@@ -431,18 +443,18 @@ def plane_from_traceless_degenerate(a, tol=1e-8):
 
     Eigenvalues are (lam, -lam, 0); the plane is spanned by the sum of the
     two opposite-eigenvalue directions and the kernel direction, the normal
-    is their difference.  Past 2^300 (where the tolerances are relative)
-    the matrix is tested and decomposed as a / 2^k.
+    is their difference.  Past 2^+-300 the matrix is tested and decomposed
+    as a / 2^k.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3):
         raise DimensionError("expected a 3x3 matrix")
-    a = _cube_safe(a)
+    a = _cube_safe(a)[0]
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
         return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([0.0, 0.0, 1.0])
     # a computed CY, not an input: its rounding scales with the terms summed, not the result, so
-    # the floor at 1 stays until that size is known (ROADMAP items 1 and 4)
+    # the floor at 1 stays until that size is known (ROADMAP item 6)
     floor = max(norm, 1.0)
     _require_small(a - a.T, tol, floor, "matrix is not symmetric", PreconditionViolation)
     trace = np.trace(a)
@@ -459,42 +471,63 @@ def plane_from_traceless_degenerate(a, tol=1e-8):
 
 
 def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None = None) -> ObstructionReport:
-    """Dimension-3 necessary condition: det(CY) = 0, decided on the
-    g-orthonormal frame components by the ``_band`` of the scale-invariant
-    ratio |det| / ||CY||^3.  A vanishing CY (conformally flat point) passes
-    via an absolute floor.  When the test passes with CY != 0 the
-    degenerate plane and its normal are reported, the normal acting as
-    witness."""
+    """Dimension-3 necessary condition: det(CY) = 0, decided on the frame
+    matrix A = E^T CY E (E a g-orthonormal frame) by the ``_band`` of the
+    scale-invariant ratio f(A) = |det A| / ||A||^3.
+
+    A sums terms of size T3 = max|d^3 g| / 2 + max|d^2 g| max|d g| +
+    max|d g|^3, the partials moved to E.  Multiplying g by s scales A and T3
+    by s^(-3/2), so rho = ||A|| / (u T3) does not change, and rho <=
+    NOISE_FLOOR passes as the rounding noise of a conformally flat point,
+    where any plane is admissible.  Above it, rounding moves A by at most
+    NOISE_FLOOR u T3 = (NOISE_FLOOR / rho) ||A||, so A / ||A|| by an angle
+    of at most (pi / 2) NOISE_FLOOR / rho.  On unit symmetric matrices the
+    gradient of f, cof(A) - 3 det(A) A, has norm at most 1/2 (in A's
+    eigenbasis, lambda_j lambda_k - 3 lambda_1 lambda_2 lambda_3 lambda_i;
+    the maximum is at eigenvalues (1, +-1, 0) / sqrt2), so f moves by at most
+    (pi / 4) NOISE_FLOOR / rho: a "fails" needs f above the band top by more
+    than NOISE_FLOOR / rho, else it is inconclusive.  When the test passes
+    with CY != 0 the degenerate plane and its normal are reported, the
+    normal acting as witness."""
     config = config or ObstructionConfig()
     if metric.dim != 3:
         raise DimensionError("Cotton-York test needs dim 3")
     snap = compute_snapshot(metric, point)
-    cy = snap.cotton_york
     e = orthonormal_frame(snap.g)
-    a = e.T @ cy @ e
+    a = e.T @ snap.cotton_york @ e
+    b, k = _cube_safe(a)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range, refused below
-        norm = float(np.linalg.norm(a))
-        det_cy, det_frame = float(np.linalg.det(cy)), float(np.linalg.det(a))
+        nb = float(np.linalg.norm(b))
+        det_cy, det_frame = float(np.linalg.det(snap.cotton_york)), float(np.linalg.det(a))
+        d1, d2, d3 = (np.abs(_to_frame(dk, e)).max() for dk in snap.partials[1:])
+        # T3 / 2^(3m) and ||A|| / 2^(3m) are those of 4^m g, whose frame |d g| < 1 has a finite cube
+        m = max(math.frexp(d1)[1], 0)
+        size = float(np.ldexp(d3, -3 * m) / 2 + np.ldexp(d2, -2 * m) * np.ldexp(d1, -m) + np.ldexp(d1, -m) ** 3)
+        norm_m = float(np.ldexp(nb, k - 3 * m))
+    if not math.isfinite(size):
+        raise DomainError("metric derivatives too large: the size of the Cotton-York tensor's terms is not a finite number")
     if not (math.isfinite(det_cy) and math.isfinite(det_frame)):
         raise DomainError("Cotton-York tensor too large: its determinant is not a finite number")
     report = ObstructionReport(
         dim=3, test="cotton-york", verdict=True, det_cy=det_cy, residual=abs(det_frame),
-        tolerances={"tol_rel": config.tol_rel, "cy_abs_floor": CY_ABS_FLOOR, "inconclusive_factor": INCONCLUSIVE_FACTOR},
+        tolerances={"tol_rel": config.tol_rel, "noise_floor": NOISE_FLOOR, "inconclusive_factor": INCONCLUSIVE_FACTOR},
     )
-    if norm <= CY_ABS_FLOOR:
+    noise = NOISE_FLOOR * _U * size  # the most rounding can move A / 2^(3m)
+    if norm_m <= noise:
         report.residual = 0.0
         report.plane = np.vstack([e[:, 0], e[:, 1]])
         report.witness = e[:, 2] / np.linalg.norm(e[:, 2])
-        report.note = (
-            f"Cotton-York norm {norm:.2e} below the absolute floor; "
-            "the point is conformally flat at tolerance and any plane is "
-            "admissible. " + _PASS_NOTE
-        )
+        report.note = _noise_note("Cotton-York tensor", "CY", norm_m / _U / size if nb else None,
+                                  "the point is conformally flat at tolerance and any plane is admissible")
         return report
-    b = _cube_safe(a)
-    ratio = abs(float(np.linalg.det(b))) / float(np.linalg.norm(b)) ** 3
+    ratio = abs(float(np.linalg.det(b))) / nb**3
     report.tolerances["det_ratio"] = ratio
     report.verdict = _band(ratio, config.tol_rel)
+    tail = {True: f" <= {config.tol_rel:.1e}. " + _PASS_NOTE, None: _BAND_NOTE, False: ". " + _FAIL_NOTE}[report.verdict]
+    if report.verdict is False and ratio <= (top := config.tol_rel * INCONCLUSIVE_FACTOR) + noise / norm_m:
+        report.verdict = None
+        tail = (f" exceeds {top:.1e} by less than {noise / norm_m:.1e} = {NOISE_FLOOR:g} / (||CY|| / (u T)), the most "
+                f"rounding can move it (||CY|| / (u T) = {norm_m / _U / size:.2e}); inconclusive")
     if report.verdict:
         plane_f, normal_f = plane_from_traceless_degenerate(
             a, tol=config.tol_rel * INCONCLUSIVE_FACTOR
@@ -502,11 +535,7 @@ def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None 
         report.plane = plane_f @ e.T  # rows are coordinate vectors of the plane basis
         normal = e @ normal_f
         report.witness = normal / np.linalg.norm(normal)
-    report.note = f"|det CY| / ||CY||^3 = {ratio:.3e}" + {
-        True: f" <= {config.tol_rel:.1e}. " + _PASS_NOTE,
-        None: _BAND_NOTE,
-        False: ". " + _FAIL_NOTE,
-    }[report.verdict]
+    report.note = f"|det CY| / ||CY||^3 = {ratio:.3e}" + tail
     return report
 
 

@@ -167,7 +167,8 @@ class JetPipeline:
 
     With the metric jets exact to order 3, every derived tensor below,
     through Weyl, is exact as a first-order jet ``(1 + n, *shape)``.
-    ``g_jets`` holds the metric's ``(n, n, size)`` Taylor coefficients.
+    ``g_jets`` holds the metric's ``(n, n, size)`` Taylor coefficients and
+    ``partials`` their ``_metric_partials``.
     Each tensor is built on first use and kept.
     """
 
@@ -176,7 +177,7 @@ class JetPipeline:
         self.point = np.asarray(point, dtype=float)
         self.n = n = metric.dim
         self.g_jets = metric.eval_jets(self.point)
-        d = _checked_partials(jet_space(n), self.g_jets, self.point)
+        self.partials = d = _checked_partials(jet_space(n), self.g_jets, self.point)
         self.g = d[0]
         self.g_inv = np.linalg.inv(self.g)
         # g, d_a g_ij [z, a, i, j] and d_a d_b g_ij [z, a, b, i, j] as jets
@@ -342,6 +343,7 @@ class TensorSnapshot:
     cotton: np.ndarray
     cotton_york: np.ndarray | None = None  # dim 3 only
     div_weyl: np.ndarray | None = None  # dim >= 4 only
+    partials: list | None = None  # d^k g for k = 0..3, each indexed [a_1, ..., a_k, i, j]
 
     def check_invariants(self):
         """Verify the algebraic identities every snapshot must satisfy, to
@@ -350,7 +352,7 @@ class TensorSnapshot:
         Raises SymmetryViolation with a description on the first failure.
         """
         # Computed tensors, not inputs: their rounding scales with the terms summed, not the result (a flat
-        # metric's R is noise), so the floor at 1 stays until that size is known (ROADMAP items 1 and 4).
+        # metric's R is noise), so the floor at 1 stays until that size is known (ROADMAP item 6).
         r, c, cy = self.riemann, self.cotton, self.cotton_york
         floor = max(np.abs(r).max(), 1.0)
         _check_curvature_symmetries(r, 1e-9, floor, bianchi=True)
@@ -382,6 +384,7 @@ def compute_snapshot(metric: MetricDef, point) -> TensorSnapshot:
         schouten=pl.schouten(),
         weyl04=pl.weyl(),
         cotton=pl.cotton(),
+        partials=pl.partials,
     )
     if pl.n == 3:
         snap.cotton_york = pl.cotton_york()

@@ -835,36 +835,72 @@ def test_flat_pullback_does_not_fail(point, tmp_path):
     assert res.exit_code == 0, res.output
 
 
-def flat_pullback_text(dim, rng, scale):
+@pytest.mark.parametrize("c, want", [("1e100", 0), ("1e104", 3)])
+def test_check_near_the_edge_of_the_float_range_in_dim_3(c, want, tmp_path):
+    """g11 = 1 + c x1 x2 at (0, 0.5, 0): the size of the Cotton-York
+    tensor's terms is about 1.25e299 at c = 1e100, which passes, and past
+    the float range at c = 1e104 (the cube of 5e103): summed for 4^m g, it
+    raises no OverflowError, and the Cotton-York determinant, not finite,
+    exits 3."""
+    path = tmp_path / "edge.metric"
+    path.write_text(f"dim = 3\ng11 = 1 + {c}*x1*x2\ng22 = 1 + x1*x2*x3\ng33 = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = invoke("check", "--metric", str(path), "--point", "0,0.5,0")
+    assert res.exit_code == want, res.output
+    if want == 0:
+        assert strict_json(res.stdout)["verdict"] == "passes_necessary"
+
+
+def flat_pullback_text(dim, rng, scale, variant="quadratic"):
     """``scale`` times R^dim pulled back by y = x + q(x), q a quadratic map
-    with coefficients uniform in +-0.3: g = scale J^T J as metric text."""
+    with coefficients uniform in +-0.3: g = scale J^T J as metric text.
+    ``variant`` "cubic" adds a cubic map with coefficients uniform in +-0.3
+    to q; "conformal" multiplies g by exp(2 f), f a random cubic polynomial
+    (conformally flat)."""
     c = rng.uniform(-0.3, 0.3, (dim, dim, dim))
-    c = c + c.transpose(0, 2, 1)  # J[a, i] = delta_ai + sum_k c[a, i, k] x_k
+    c = c + c.transpose(0, 2, 1)  # J[a, i] = delta_ai + sum_k c[a, i, k] x_k (+ sum_kl d[a, i, k, l] x_k x_l)
+    if variant == "cubic":  # d symmetric in (i, k, l): a Jacobian
+        d = rng.uniform(-0.3, 0.3, (dim,) * 4)
+        d = d + d.transpose(0, 2, 1, 3) + d.transpose(0, 3, 2, 1)
+        d = d + d.transpose(0, 1, 3, 2)
     lines = [f"dim = {dim}"]
     for a in range(dim):
         for i in range(dim):
             terms = " + ".join(f"({float(c[a, i, k])!r})*x{k + 1}" for k in range(dim))
+            if variant == "cubic":
+                terms += "".join(f" + ({float(d[a, i, k, m])!r})*x{k + 1}*x{m + 1}" for k in range(dim) for m in range(dim))
             lines.append(f"let j{a}{i} = {int(a == i)} + {terms}")
+    factor = f"{scale!r}"
+    if variant == "conformal":
+        f = " + ".join(
+            f"({0.1 * rng.standard_normal()!r})*" + "*".join(f"x{int(k) + 1}" for k in rng.integers(0, dim, int(rng.integers(1, 4))))
+            for _ in range(6)
+        )
+        factor += f"*exp(2*({f}))"
     for i in range(dim):
         for j in range(i, dim):
-            lines.append(f"g{i + 1}{j + 1} = {scale!r}*(" + " + ".join(f"j{a}{i}*j{a}{j}" for a in range(dim)) + ")")
+            lines.append(f"g{i + 1}{j + 1} = {factor}*(" + " + ".join(f"j{a}{i}*j{a}{j}" for a in range(dim)) + ")")
     return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-2, 1e-4, 1e-6])
-@pytest.mark.parametrize("dim", [4, 5, 6])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
 def test_seeded_flat_pullbacks_pass_wherever_check_reaches_a_verdict(dim, scale, tmp_path):
     """A flat metric has a limiting Carleman weight (a Cartesian
-    coordinate), so no point may fail, whatever its Weyl tensor's rounding
-    noise and the metric's constant scale; a point where the map's Jacobian
-    is too ill-conditioned exits 3."""
+    coordinate), and so does a conformally flat one in dim 3, so no point
+    may fail, whatever its Weyl or Cotton-York tensor's rounding noise and
+    the metric's constant scale; a point where the map's Jacobian is too
+    ill-conditioned exits 3.  Dim 3 also takes cubic maps and e^(2 f)
+    multiples."""
     rng = np.random.default_rng(1000 * dim)  # the same metrics and points at every scale
     path = tmp_path / "flat.metric"
-    codes = []
-    for _ in range(3):
-        path.write_text(flat_pullback_text(dim, rng, scale))
-        point = ",".join(map(repr, rng.uniform(-0.5, 0.5, dim).tolist()))
-        res = invoke("check", "--metric", str(path), "--point", point)
-        assert res.exit_code in (0, 3), res.output
-        codes.append(res.exit_code)
-    assert 0 in codes
+    for variant in ("quadratic", "cubic", "conformal") if dim == 3 else ("quadratic",):
+        codes = []
+        for _ in range(3):
+            path.write_text(flat_pullback_text(dim, rng, scale, variant))
+            point = ",".join(map(repr, rng.uniform(-0.5, 0.5, dim).tolist()))
+            res = invoke("check", "--metric", str(path), "--point", point)
+            assert res.exit_code in (0, 3), (variant, res.output)
+            codes.append(res.exit_code)
+        assert 0 in codes, variant

@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -35,10 +36,10 @@ from lcwcheck.errors import (
 )
 from lcwcheck.catalog import get_entry, random_metric_near_flat
 from lcwcheck.cli import _load_target
-from lcwcheck.dsl import parse_metric
+from lcwcheck.dsl import Num, parse_metric
 from lcwcheck.obstructions import _frame_curvature, auto_test, eigenflag_residual, plane_from_traceless_degenerate
 from lcwcheck.perturbation import PulledBackMetric, normal_coordinates, prescribe_cotton_york_in, prescribe_curvature_in
-from lcwcheck.pipeline import INPUT_TOL, ORTHO_TOL, JetPipeline, compute_snapshot
+from lcwcheck.pipeline import INPUT_TOL, ORTHO_TOL, JetPipeline, compute_snapshot, conformal_rescale
 
 NAN = float("nan")
 INF = float("inf")
@@ -379,19 +380,36 @@ def test_every_input_gate_bounds_relative_to_the_input(gate, tol, tmp_path):
             assert not isinstance(exc, GATE_ERRORS), (s, exc)
 
 
-@pytest.mark.parametrize("name", ["cp2_chart", "product4_sol", "product4_nil", "product4_sphere3"])
+@pytest.mark.parametrize(
+    "name", ["nil", "sol", "sl2r", "h2xr", "sphere3", "cp2_chart", "product4_sol", "product4_nil", "product4_sphere3"]
+)
 def test_verdicts_keep_under_a_homothety_of_the_coordinates(name):
     """auto_test on the metric pulled back by x -> lam x (g(lam y) lam^2,
     an isometry) at the mapped sample points gives the unscaled verdicts,
     for lam = 1e-4 and 1e4: the curvature's frame components, and the
-    verdict, do not depend on the coordinates' units.  (Dims >= 4; dim 3
-    waits on the Cotton-York test's absolute floor.)"""
+    verdict, do not depend on the coordinates' units."""
     entry = get_entry(name)
+    n = entry.metric.dim
     points = entry.sample_points(np.random.default_rng(11), 6)
     want = [auto_test(entry.metric, p).verdict_string for p in points]
     for lam in (1e-4, 1e4):
-        pulled = PulledBackMetric(entry.metric, np.zeros(4), lam * np.eye(4), np.zeros((4, 4, 4)))
+        pulled = PulledBackMetric(entry.metric, np.zeros(n), lam * np.eye(n), np.zeros((n, n, n)))
         assert [auto_test(pulled, p / lam).verdict_string for p in points] == want, lam
+
+
+@pytest.mark.parametrize("name", ["nil", "sol", "sl2r", "h2xr", "sphere3"])
+def test_verdicts_keep_under_a_constant_scale_of_the_metric(name):
+    """s g has the limiting Carleman weights of g, so auto_test on s g gives
+    g's verdicts at the sample points for s from 1e-6 to 1e100: the frame
+    Cotton-York matrix and the size of its terms both scale as s^(-3/2),
+    and their ratio decides when the tensor is rounding noise (at 1e100 the
+    matrix, near 1e-150, is weighed as A / 2^k: its determinant underflows)."""
+    entry = get_entry(name)
+    points = entry.sample_points(np.random.default_rng(11), 6)
+    want = [auto_test(entry.metric, p).verdict_string for p in points]
+    for s in (1e-6, 1e-2, 1e2, 1e7, 1e10, 1e100):
+        scaled = conformal_rescale(entry.metric, Num(0.5 * math.log(s)))
+        assert [auto_test(scaled, p).verdict_string for p in points] == want, s
 
 
 def _conformally_flat_text(n, rng):

@@ -935,6 +935,35 @@ def test_cotton_york_test_refuses_a_determinant_past_the_float_range():
         cotton_york_test(huge, np.zeros(3))
 
 
+# a flat pullback (y = (x1, x2 + x1 x3, x3 + x1 x2)) plus d times cubic terms: ||CY|| is about d, T about 1
+CY_NEAR_NOISE = (
+    "dim = 3\ng11 = 1 + x2^2 + x3^2 + {d}*x2*x3^2\ng12 = x3 + x1*x2\ng13 = x2 + x1*x3\n"
+    "g22 = 1 + x1^2 + {d}*x1^3\ng23 = 2*x1\ng33 = 1 + x1^2 + {d}*x1*x2^2\n"
+)
+
+
+def test_cotton_york_test_fails_only_beyond_the_rounding_margin():
+    """The noise ratio rho = ||CY|| / (u T) grows with d: at d = 1e-12 it is
+    below NOISE_FLOOR (rounding noise: passes); at d = 1e-11 the ratio
+    |det| / ||CY||^3, about 0.031, exceeds the band top by less than
+    NOISE_FLOOR / rho (inconclusive); at d = 1e-9 by more (fails)."""
+    p = np.array([0.1, 0.2, 0.3])
+    reps = {d: cotton_york_test(parse_metric(CY_NEAR_NOISE.format(d=d)), p) for d in ("1e-12", "1e-11", "1e-9")}
+    assert {d: rep.verdict for d, rep in reps.items()} == {"1e-12": True, "1e-11": None, "1e-9": False}
+    assert all(rep.tolerances["noise_floor"] == obstructions.NOISE_FLOOR for rep in reps.values())
+    assert "rounding noise" in reps["1e-12"].note and "the most rounding can move it" in reps["1e-11"].note
+
+
+@pytest.mark.filterwarnings("error")
+def test_cotton_york_test_refuses_terms_past_the_float_range():
+    """g11 = 1e-11 + 1e300 x2: d2 g11 is finite, but in the g-orthonormal
+    frame it is about 1e311, so the size T of the Cotton-York tensor's terms
+    is not finite; it is refused, not read as a noise ratio of 0."""
+    huge = parse_metric("dim = 3\ng11 = 1e-11 + 1e300*x2\ng22 = 1\ng33 = 1\n")
+    with pytest.raises(DomainError, match="size of the Cotton-York tensor's terms is not a finite number"):
+        cotton_york_test(huge, np.zeros(3))
+
+
 @pytest.mark.filterwarnings("error")
 def test_auto_test_refuses_a_weyl_tensor_past_the_float_range():
     """g44 = 1 + 1e300 x1: its Christoffel products overflow, and inf - inf
