@@ -496,7 +496,8 @@ def cotton_york_test(metric: MetricDef, point, config: ObstructionConfig | None 
     e = orthonormal_frame(snap.g)
     a = e.T @ snap.cotton_york @ e
     b, k = _cube_safe(a)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range, refused below
+    # inf or nan past the float range, refused below; a determinant that underflows reads 0 (noise near 1e-116 at g ~ 1e200)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nb = float(np.linalg.norm(b))
         det_cy, det_frame = float(np.linalg.det(snap.cotton_york)), float(np.linalg.det(a))
         d1, d2, d3 = (np.abs(_to_frame(dk, e)).max() for dk in snap.partials[1:])

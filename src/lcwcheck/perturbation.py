@@ -19,12 +19,17 @@ composition gives its jets at points y0 (order 3, or 2 for a curvature
 prescription): the base jets at x(y0) composed with the jets of x(y)
 (truncated Taylor composition), then J^T g J plus the bump, all in jet
 arithmetic; values at any points are its order-0 case.  A chart keeps its
-own origin jets, composed once, and ``with_bump`` adds the bump's.  No
+own origin jets, composed once, and ``with_bump`` adds the bump's.  It
+also keeps its order-3 pipeline at the origin, built on first use
+(``origin_pipeline``): the Cotton-York prescription measures the bumped
+chart with it, and ``compute_snapshot`` (so ``auto_test``) of the result at
+its origin reads the same one, so each chart is analysed once.  No
 expression is built on this path: the expression form (``components``) is
 made on first use, for printing the metric.  Both prescriptions run the
 same steps (measure at the origin, bump, check positivity, measure again);
 they differ only in the tensor they measure (R by the frame kernel, CY by
-an order-3 pipeline) and the closed-form bump of its shift.  Positivity is
+the chart's origin pipeline) and the closed-form bump of its shift, for
+CY one cached linear map of the shift (``_cy_bump_map``).  Positivity is
 decided by one batched Cholesky on a fixed grid of 640 points (10 radii
 times 64 directions): x(y) and J(y) in closed form, the base metric at
 x(y), and the bump.  The bump times its cutoff is linear in its sorted
@@ -55,6 +60,7 @@ from .dsl import (
     Pow,
     _pair_index,
     _smoothbump_jet,
+    _upper,
     substitute,
 )
 from .errors import (
@@ -65,7 +71,7 @@ from .errors import (
 )
 from .jets import jet_space
 from .obstructions import _frame_curvature
-from .pipeline import EPS3, INPUT_TOL, JetPipeline, _check_curvature_symmetries, _require_small
+from .pipeline import EPS3, INPUT_TOL, JetPipeline, _check_curvature_symmetries, _frozen, _require_small
 
 GRID_RADIAL = 10
 GRID_ANGULAR = 64
@@ -206,9 +212,9 @@ class PulledBackMetric:
 
     def __post_init__(self):
         n = self.dim
-        self._upper = np.array([(i, j) for i in range(n) for j in range(i, n)]).T
+        self._upper = _upper_pairs(n)
         self._pair = _pair_index(n)  # (i, j) -> index into the upper pairs
-        quad = -0.5 * np.einsum("ia,abc->ibc", self.frame, self.gamma_frame)
+        quad = -0.5 * (self.frame @ self.gamma_frame.reshape(n, n * n)).reshape(n, n, n)
         self._x = [self.center, self.frame, quad]  # x(y)
         self._jac = [self.frame, 2.0 * quad]  # J[i, a] = dx^i/dy^a
         self._bump = None
@@ -271,6 +277,13 @@ class PulledBackMetric:
 
     eval_jets = MetricDef.eval_jets  # both read ``_jets``
     eval_matrix_many = MetricDef.eval_matrix_many
+
+    @cached_property
+    def origin_pipeline(self):
+        """The order-3 ``JetPipeline`` at y = 0, built on first use and kept
+        (it holds no reference to the chart): ``chart_cotton_york`` and
+        ``compute_snapshot`` at the origin read it."""
+        return JetPipeline(self, np.zeros(self.dim))
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan; callers check finiteness
     def grid_matrices(self) -> np.ndarray:
@@ -351,8 +364,8 @@ def chart_riemann(chart):
 
 
 def chart_cotton_york(chart):
-    """The Cotton-York tensor at the chart's origin: an order-3 pipeline."""
-    return JetPipeline(chart, np.zeros(chart.dim)).cotton_york()
+    """The Cotton-York tensor at the chart's origin, read-only: its kept order-3 pipeline's."""
+    return chart.origin_pipeline.cotton_york()
 
 
 # -- shared bump machinery -----------------------------------------------------
@@ -364,9 +377,13 @@ def _grid_points(n, radius):
     times GRID_ANGULAR fixed unit directions, radius-major."""
     dirs = np.random.default_rng(_GRID_SEED).standard_normal((GRID_ANGULAR, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    out = (np.linspace(radius / GRID_RADIAL, radius, GRID_RADIAL)[:, None, None] * dirs).reshape(-1, n)
-    out.setflags(write=False)
-    return out
+    return _frozen((np.linspace(radius / GRID_RADIAL, radius, GRID_RADIAL)[:, None, None] * dirs).reshape(-1, n))
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(n):
+    """(2, n(n + 1) / 2), read-only: the rows and the columns of the pairs i <= j."""
+    return _frozen(np.array(_upper(n)).T)
 
 
 @lru_cache(maxsize=None)
@@ -392,9 +409,7 @@ def _bump_map(n, degree, order, radius, stride):
     """(M, P, size), read-only: ``_bump_jets`` of ``order`` of the monomial basis times
     alpha! at every ``stride``-th grid point (the grid: order 0, stride 1; ``_ck_norm``: CK_STRIDE)."""
     jets = _bump_jets(_monomial_basis(n, degree), radius, _grid_points(n, radius)[::stride], order)
-    out = np.moveaxis(jets * jet_space(n, order).factorials, 1, 0).copy()
-    out.setflags(write=False)
-    return out
+    return _frozen(np.moveaxis(jets * jet_space(n, order).factorials, 1, 0).copy())
 
 
 def _check_positivity(metric):
@@ -526,8 +541,22 @@ def prescribe_curvature_in(chart, target_r4, r) -> PerturbResult:
 
 # -- Cotton-York prescription (dim 3) ------------------------------------------
 
-# a[_SORTED_KLM][..., k, l, m] = a[..., k', l', m'] with k' <= l' <= m' the sorted (k, l, m)
-_SORTED_KLM = (..., *np.sort(np.indices((3, 3, 3)), axis=0))
+@lru_cache(maxsize=None)
+def _cy_bump_map():
+    """(map, index), read-only: A(108 t) of ``prescribe_cotton_york`` is
+    (map @ t.ravel())[index].  The (60, 9) map holds the entries (i <= j,
+    k <= l <= m) of the sums for each unit t, integers whose absolute row
+    sums are at most 12, so no partial sum of a finite T overflows; ``index``
+    (3, 3, 3, 3, 3) reads every entry at its sorted indices, so the bump is
+    exactly symmetric in (i, j) and in (k, l, m)."""
+    t, eye = np.eye(9).reshape(9, 3, 3), np.eye(3)
+    a = np.einsum("ika,qaj,lm->qijklm", EPS3, t, eye) - np.einsum("ik,jla,qam->qijklm", eye, EPS3, t)
+    a = a + a.swapaxes(1, 2)
+    a = sum(a.transpose(0, 1, 2, *p) for p in itertools.permutations((3, 4, 5)))
+    ij, klm = np.sort(np.indices((3, 3)), axis=0), np.sort(np.indices((3, 3, 3)), axis=0)
+    key = np.ravel_multi_index((*ij[:, :, :, None, None, None], *klm[:, None, None]), (3,) * 5)
+    entries, index = np.unique(key, return_inverse=True)
+    return _frozen(a.reshape(9, -1)[:, entries].T.copy()), _frozen(index.reshape((3,) * 5))
 
 
 @dataclass
@@ -572,11 +601,7 @@ def prescribe_cotton_york_in(chart, target_cy, cy) -> PerturbResult:
         _require_small(np.trace(cy0), INPUT_TOL, cy0, "target Cotton-York tensor must be traceless", ConstraintViolation)
 
     def bump_of(shift):
-        # T is divided by the 2 * 6 terms of the sums and the 9 first, so no
-        # partial sum overflows; the (k, l, m) sum is read at the sorted triple
-        t, eye = shift / 108.0, np.eye(3)
-        a = np.einsum("ika,aj,lm->ijklm", EPS3, t, eye) - np.einsum("ik,jla,am->ijklm", eye, EPS3, t)
-        a = a + a.swapaxes(0, 1)
-        return sum(a.transpose(0, 1, *p) for p in itertools.permutations((2, 3, 4)))[_SORTED_KLM]
+        bump_map, index = _cy_bump_map()
+        return (bump_map @ (shift.ravel() / 108.0))[index]
 
     return _prescribe(chart, cy, cy0, bump_of, chart_cotton_york, 3)

@@ -24,8 +24,11 @@ Conventions, fixed once and used everywhere:
 * ``div_weyl[i, j, k] = g^{la} (nabla_l W)[i, j, a, k]``; with these signs
   it equals (n-3) * cotton on every metric (divergence identity).
 
-All functions are pure; snapshots at distinct points can be computed in
-parallel with no shared state.
+Products and contractions are matmuls on reshaped views.  A pipeline
+keeps each tensor, read-only, and no reference to its metric; a chart
+(``perturbation.PulledBackMetric``) keeps the pipeline at its origin, so its
+Cotton-York measurement and ``compute_snapshot`` there share one.  A
+``MetricDef`` keeps none: each snapshot of it builds its own pipeline.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -116,19 +119,6 @@ def kulkarni_nomizu(alpha, beta) -> np.ndarray:
     return _antisym_pairs(np.einsum("ik,jl->ijkl", a, b))
 
 
-def _dot(spec, a, b):
-    """Product of two first-order jets, contracted by the einsum ``spec``
-    written for the tensor indices only; the partials follow the product
-    rule."""
-    operands, out = spec.split("->")
-    sa, sb = operands.split(",")
-    value = np.einsum(spec, a[0], b[0])
-    partials = np.einsum(f"Z{sa},{sb}->Z{out}", a[1:], b[0]) + np.einsum(
-        f"{sa},Z{sb}->Z{out}", a[0], b[1:]
-    )
-    return np.concatenate([value[None], partials])
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the caller checks finiteness
 def _metric_partials(space, coeffs):
     """d^k g for k = 0..order from the Taylor coefficients (n, n, size) of
@@ -162,26 +152,48 @@ def _checked_partials(space, coeffs, point):
     return d
 
 
+def _frozen(a):
+    """``a``, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
+def _kept(build):
+    """A cached_property whose array is read-only: every reader of a kept
+    pipeline sees the same bits, and a write into them raises."""
+    return cached_property(wraps(build)(lambda self: _frozen(build(self))))
+
+
 class JetPipeline:
     """One evaluation of every tensor at a single point.
 
     With the metric jets exact to order 3, every derived tensor below,
     through Weyl, is exact as a first-order jet ``(1 + n, *shape)``.
     ``g_jets`` holds the metric's ``(n, n, size)`` Taylor coefficients and
-    ``partials`` their ``_metric_partials``.
-    Each tensor is built on first use and kept.
+    ``partials`` their ``_metric_partials``.  Each tensor is built on first
+    use and kept, read-only, and every contraction is a matmul on reshaped
+    views.  The pipeline keeps no reference to its metric, so a chart can
+    keep its origin pipeline without a reference cycle.
     """
 
     def __init__(self, metric: MetricDef, point):
-        self.metric = metric
-        self.point = np.asarray(point, dtype=float)
+        self.point = _frozen(np.array(point, dtype=float))
         self.n = n = metric.dim
-        self.g_jets = metric.eval_jets(self.point)
-        self.partials = d = _checked_partials(jet_space(n), self.g_jets, self.point)
+        self.g_jets = _frozen(metric.eval_jets(self.point))
+        self.partials = d = tuple(map(_frozen, _checked_partials(jet_space(n), self.g_jets, self.point)))
         self.g = d[0]
-        self.g_inv = np.linalg.inv(self.g)
+        self.g_inv = _frozen(np.linalg.inv(self.g))
         # g, d_a g_ij [z, a, i, j] and d_a d_b g_ij [z, a, b, i, j] as jets
-        self._g, self._dg, self._ddg = (np.concatenate([d[k][None], d[k + 1]]) for k in range(3))
+        self._g, self._dg, self._ddg = (_frozen(np.concatenate([d[k][None], d[k + 1]])) for k in range(3))
+
+    def _raise_parts(self, t):
+        """The value g^-1 t[0] of ``_raise(t)``, on the first tensor index,
+        and the partials d_z t - (d_z g) g^-1 t that it multiplies by g^-1,
+        as (n, R) and (n, n, R)."""
+        n = self.n
+        t = t.reshape(len(t), n, -1)
+        value = self.g_inv @ t[0]
+        return value, t[1:] - (self._g[1:].reshape(n * n, n) @ value).reshape(n, n, -1)
 
     def _raise(self, t):
         """g^{ab} t_b... on the first tensor index of the jet ``t``.
@@ -190,22 +202,31 @@ class JetPipeline:
         with d_z(g^-1) = -g^-1 (d_z g) g^-1 regrouped: forming d_z(g^-1)
         on its own loses digits to cancellation on ill-conditioned metrics.
         """
-        value = np.einsum("ab,b...->a...", self.g_inv, t[0])
-        rest = t[1:] - np.einsum("zbc,c...->zb...", self._g[1:], value)
-        return np.concatenate([value[None], np.einsum("ab,zb...->za...", self.g_inv, rest)])
+        value, rest = self._raise_parts(t)
+        return np.concatenate([value[None], self.g_inv @ rest]).reshape(t.shape)
+
+    def _trace(self, t, axis):
+        """g^{ab} t[a, ..., b, ...] of the jet ``t``, b its tensor index
+        ``axis``: the trace of ``_raise(t)``, whose last g^-1 is folded into
+        one matrix-vector product with the (a, b) axes moved last."""
+        n, z = self.n, len(t)
+        _, rest = self._raise_parts(t)
+        w = np.concatenate([t[:1], rest.reshape(n, *t.shape[1:])])
+        w = w.transpose(0, *(k for k in range(2, w.ndim) if k != axis + 1), 1, axis + 1)
+        return (w.reshape(-1, n * n) @ self.g_inv.T.ravel()).reshape(z, *w.shape[1:-2])
 
     # -- Christoffel symbols --------------------------------------------
 
-    @cached_property
+    @_kept
     def _gamma1(self):
         """First-kind symbols Gamma_{k,ij} = (d_i g_kj + d_j g_ki - d_k g_ij)/2."""
         dg = self._dg
-        return 0.5 * (np.einsum("zikj->zkij", dg) + np.einsum("zjki->zkij", dg) - dg)
+        return 0.5 * (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg)
 
-    @cached_property
+    @_kept
     def _gamma(self):
         gam = self._raise(self._gamma1)
-        # exact (i, j) symmetry: einsum need not round mirrored sums alike
+        # exact (i, j) symmetry: a matmul need not round mirrored sums alike
         return 0.5 * (gam + gam.swapaxes(-1, -2))
 
     def gamma(self):
@@ -213,47 +234,61 @@ class JetPipeline:
 
     # -- curvature -------------------------------------------------------
 
-    @cached_property
+    @_kept
     def _riemann(self):
         # R_iklm = (d_k d_l g_im + d_i d_m g_kl - d_k d_m g_il - d_i d_l g_km)/2
         #          + Gamma_{p,kl} Gamma^p_im - Gamma_{p,km} Gamma^p_il,
         # which is the pair antisymmetrization of
         # (d_k d_l g_im + Gamma_{p,kl} Gamma^p_im)/2, because
         # Gamma_{p,kl} Gamma^p_im is unchanged by swapping i<->k and l<->m together.
-        quad = _dot("pkl,pim->iklm", self._gamma1, self._gamma)
-        return _antisym_pairs(0.5 * (np.einsum("zklim->ziklm", self._ddg) + quad))
+        n, z = self.n, self.n + 1
+        g1, gam = self._gamma1.reshape(z, n, n * n), self._gamma.reshape(z, n, n * n)
+        # Gamma_{p,kl} Gamma^p_im as [z, (k, l), (i, m)], its partials by the product rule
+        quad = (g1.swapaxes(1, 2).reshape(-1, n) @ gam[0]).reshape(z, n * n, n * n)
+        quad[1:] += g1[0].T @ gam[1:]
+        r = 0.5 * (self._ddg + quad.reshape(self._ddg.shape))  # [z, k, l, i, m]
+        return _antisym_pairs(r.transpose(0, 3, 1, 2, 4))
 
     def riemann(self):
         return self._riemann[0]
 
-    @cached_property
+    @_kept
     def _ricci(self):
-        return np.einsum("zbkbm->zkm", self._raise(self._riemann))
+        return self._trace(self._riemann, 2)
 
     def ricci(self):
         return self._ricci[0]
 
-    @cached_property
+    @_kept
     def _scalar(self):
-        return np.einsum("zkk->z", self._raise(self._ricci))
+        return self._trace(self._ricci, 1)
 
     def scalar(self):
         return float(self._scalar[0])
 
-    @cached_property
+    @_kept
     def _schouten(self):
         n = self.n
         if n < 3:
             raise DimensionError("Schouten tensor needs dim >= 3")
-        sg = _dot(",ij->ij", self._scalar, self._g)
+        s, g = self._scalar, self._g
+        sg = s[:, None, None] * g[0]
+        sg[1:] += s[0] * g[1:]
         return (self._ricci - sg / (2.0 * (n - 1))) / (n - 2)
 
     def schouten(self):
         return self._schouten[0]
 
-    @cached_property
+    @_kept
     def _weyl(self):
-        w = self._riemann - _antisym_pairs(_dot("ik,jl->ijkl", self._schouten, self._g))
+        """W as a jet in dim >= 4, where div W reads its partials; in dim 3
+        its value alone."""
+        k = None if self.n >= 4 else 1
+        r, s, g = self._riemann[:k], self._schouten[:k], self._g[:k]
+        # (S ^o g) before its antisymmetrization: S_ik g_jl as [z, i, j, k, l]
+        sg = s[:, :, None, :, None] * g[0, None, :, None, :]
+        sg[1:] += s[0, None, :, None, :, None] * g[1:, None, :, None, :]
+        w = r - _antisym_pairs(sg)
         # exact pair exchange, as gamma's (i, j) symmetry: a conformally flat metric's W is all rounding
         return 0.5 * w + 0.5 * w.transpose(0, 3, 4, 1, 2)
 
@@ -262,47 +297,48 @@ class JetPipeline:
 
     # -- third-order tensors ----------------------------------------------
 
-    @cached_property
+    @_kept
     def _cotton(self):
         """C[i, j, k] = (nabla_i S)[j, k] - (nabla_j S)[i, k] at the point."""
-        s = self._schouten
-        gam = self.gamma()
-        # (nabla_a S)_bc = d_a S_bc - Gamma^m_ab S_mc - Gamma^m_ac S_bm
-        nas = (
-            s[1:]
-            - np.einsum("mab,mc->abc", gam, s[0])
-            - np.einsum("mac,bm->abc", gam, s[0])
-        )
+        n, s = self.n, self._schouten
+        # (nabla_a S)_bc = d_a S_bc - Gamma^m_ab S_mc - Gamma^m_ac S_bm; Gamma^m_ab S_mc is
+        # exactly symmetric in (a, b), so it drops out of C
+        conn = (s[0] @ self.gamma().reshape(n, n * n)).reshape(n, n, n)  # [b, a, c] = S_bm Gamma^m_ac
+        nas = s[1:] - conn.transpose(1, 0, 2)
         return nas - nas.transpose(1, 0, 2)
 
     def cotton(self):
         return self._cotton
 
-    @cached_property
+    @_kept
     def _cotton_york(self):
         if self.n != 3:
             raise DimensionError("Cotton-York tensor is defined in dimension 3 only")
-        sqrtdet = math.sqrt(np.linalg.det(self.g))
-        return 0.5 * np.einsum("kli,jm,klm->ij", self._cotton, self.g, EPS3) / sqrtdet
+        # 1/2 eps(k, l, m) C[k, l, i] summed over (k, l) is C[k, l, i] at the cyclic (k, l, m): C is
+        # exactly antisymmetric in (k, l)
+        dual = self._cotton[(1, 2, 0), (2, 0, 1)]  # [m, i]
+        # sqrt(det g) = l0 l1 l2, the diagonal of g's Cholesky factor, divided out one factor at a
+        # time: det g overflows once g passes about 1e103, and l0 l1 l2 once it passes about 1e205
+        lo = np.diagonal(np.linalg.cholesky(self.g))
+        return dual.T @ (self.g.T / lo[0] / lo[1] / lo[2])
 
     def cotton_york(self):
         return self._cotton_york
 
-    @cached_property
+    @_kept
     def _div_weyl(self):
         """(nabla_l W)^l[i, j, k] = g^{la} (nabla_l W)[i, j, a, k]."""
-        if self.n < 4:
+        n = self.n
+        if n < 4:
             raise DimensionError("Weyl divergence needs dim >= 4")
         w = self._weyl
-        gam = self.gamma()
-        nw = (
-            w[1:]
-            - np.einsum("mai,mjkl->aijkl", gam, w[0])
-            - np.einsum("maj,imkl->aijkl", gam, w[0])
-            - np.einsum("mak,ijml->aijkl", gam, w[0])
-            - np.einsum("mal,ijkm->aijkl", gam, w[0])
-        )
-        return np.einsum("la,lijak->ijk", self.g_inv, nw)
+        # (nabla_a W)_ijkl = d_a W_ijkl minus Gamma^m_a. on each index in turn; with t[a, p, q, r, s] =
+        # Gamma^m_ap W_mqrs, W's exact pair symmetries make the four terms t at (i, j, k, l),
+        # -t at (j, i, k, l), t at (k, l, i, j) and -t at (l, k, i, j)
+        t = (self.gamma().reshape(n, n * n).T @ w[0].reshape(n, -1)).reshape((n,) * 5)
+        nw = w[1:] - t + t.transpose(0, 2, 1, 3, 4) - t.transpose(0, 3, 4, 1, 2) + t.transpose(0, 3, 4, 2, 1)
+        # g^{la} nw[l, i, j, a, k], with (l, a) moved last
+        return (nw.transpose(1, 2, 4, 0, 3).reshape(-1, n * n) @ self.g_inv.ravel()).reshape(n, n, n)
 
     def div_weyl(self):
         return self._div_weyl
@@ -343,7 +379,7 @@ class TensorSnapshot:
     cotton: np.ndarray
     cotton_york: np.ndarray | None = None  # dim 3 only
     div_weyl: np.ndarray | None = None  # dim >= 4 only
-    partials: list | None = None  # d^k g for k = 0..3, each indexed [a_1, ..., a_k, i, j]
+    partials: tuple | None = None  # d^k g for k = 0..3, each indexed [a_1, ..., a_k, i, j]
 
     def check_invariants(self):
         """Verify the algebraic identities every snapshot must satisfy, to
@@ -369,7 +405,11 @@ class TensorSnapshot:
 
 @np.errstate(over="ignore", invalid="ignore")  # a tensor past the float range is inf or nan; every caller checks finiteness
 def compute_snapshot(metric: MetricDef, point) -> TensorSnapshot:
-    pl = JetPipeline(metric, point)
+    """Every tensor at ``point``, read from the pipeline a chart keeps at its
+    origin (``PulledBackMetric.origin_pipeline``) or from a new one."""
+    point = np.asarray(point, dtype=float)
+    at_origin = point.shape == (metric.dim,) and not point.any()
+    pl = metric.origin_pipeline if at_origin and hasattr(type(metric), "origin_pipeline") else JetPipeline(metric, point)
     if pl.n < 3:
         raise DimensionError("tensor snapshot needs dim >= 3")
     snap = TensorSnapshot(

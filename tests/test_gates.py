@@ -400,14 +400,16 @@ def test_verdicts_keep_under_a_homothety_of_the_coordinates(name):
 @pytest.mark.parametrize("name", ["nil", "sol", "sl2r", "h2xr", "sphere3"])
 def test_verdicts_keep_under_a_constant_scale_of_the_metric(name):
     """s g has the limiting Carleman weights of g, so auto_test on s g gives
-    g's verdicts at the sample points for s from 1e-6 to 1e100: the frame
+    g's verdicts at the sample points for s from 1e-6 to 1e200: the frame
     Cotton-York matrix and the size of its terms both scale as s^(-3/2),
     and their ratio decides when the tensor is rounding noise (at 1e100 the
-    matrix, near 1e-150, is weighed as A / 2^k: its determinant underflows)."""
+    matrix, near 1e-150, is weighed as A / 2^k: its determinant underflows;
+    from 1e120 det g itself overflows, and the coordinate tensor divides by
+    sqrt(det g) as the product of g's Cholesky diagonal)."""
     entry = get_entry(name)
     points = entry.sample_points(np.random.default_rng(11), 6)
     want = [auto_test(entry.metric, p).verdict_string for p in points]
-    for s in (1e-6, 1e-2, 1e2, 1e7, 1e10, 1e100):
+    for s in (1e-6, 1e-2, 1e2, 1e7, 1e10, 1e100, 1e120, 1e200):
         scaled = conformal_rescale(entry.metric, Num(0.5 * math.log(s)))
         assert [auto_test(scaled, p).verdict_string for p in points] == want, s
 

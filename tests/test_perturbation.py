@@ -1,7 +1,9 @@
 """Normal coordinates, prescription bumps, the closed-form Cotton-York bump."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from lcwcheck.perturbation import (
     PulledBackMetric,
     _check_positivity,
     _grid_points,
+    chart_cotton_york,
     normal_coordinates,
     prescribe_cotton_york,
     prescribe_curvature,
@@ -461,22 +464,58 @@ def test_origin_jets_by_gather_have_the_bits_of_the_summed_taylor_terms(n, rng):
 def test_a_prescription_and_its_test_compose_the_chart_at_one_point_once(n, rng, monkeypatch):
     """The chart's origin jets are composed once, in ``normal_coordinates``;
     the prescription's measurements and ``auto_test`` of the result read
-    them."""
+    them.  In dim 3 each chart is analysed once: an order-3 pipeline on the
+    normal chart and one on the bumped chart, which ``auto_test`` reads
+    again; in dim 4 the frame kernel measures and no pipeline is built."""
     if n == 3:
         run = _prescription("cy", get_entry("nil").metric, np.array([0.1, 0.2, -0.1]), rng)
     else:
         run = _prescription("curv", random_metric_near_flat(4, rng, amplitude=0.03), np.zeros(4), rng)
-    compose, calls = PulledBackMetric._compose, []
+    compose, init, calls, pipelines = PulledBackMetric._compose, JetPipeline.__init__, [], []
 
     def counted(self, points, order, base=None):
         if len(points) == 1:
             calls.append(order)
         return compose(self, points, order, base)
 
+    def counted_init(self, metric, point):
+        pipelines.append(metric)
+        init(self, metric, point)
+
     monkeypatch.setattr(PulledBackMetric, "_compose", counted)
+    monkeypatch.setattr(JetPipeline, "__init__", counted_init)
     res = run()
     auto_test(res.metric, res.evaluation_point, ObstructionConfig())
     assert calls == [3 if n == 3 else 2]
+    assert len(pipelines) == (2 if n == 3 else 0)
+
+
+def test_a_kept_origin_pipeline_is_read_only_and_holds_no_reference_to_its_chart(rng):
+    """A chart keeps the pipeline at its origin, and the pipeline keeps no
+    reference back: with the collector off, the result of a prescription
+    that ``auto_test`` has read is freed with its last name.  Its arrays
+    are read-only: a write into a snapshot of the chart raises, and the
+    chart's next reader sees the same bits."""
+    run = _prescription("cy", get_entry("nil").metric, np.array([0.1, 0.2, -0.1]), rng)
+    gc.disable()
+    try:
+        res = run()
+        auto_test(res.metric, res.evaluation_point)
+        ref = weakref.ref(res.metric)
+        del res
+        assert ref() is None
+    finally:
+        gc.enable()
+    chart, origin = run().metric, np.zeros(3)
+    cy = chart_cotton_york(chart).copy()
+    snap = compute_snapshot(chart, origin)
+    arrays = [snap.point, snap.g, snap.g_inv, snap.gamma, snap.riemann, snap.ricci, snap.schouten, snap.weyl04,
+              snap.cotton, snap.cotton_york, *snap.partials]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+    assert _same_bits(chart_cotton_york(chart), cy)
+    assert compute_snapshot(chart, origin).cotton_york is chart_cotton_york(chart)
 
 
 @pytest.mark.parametrize("n", [3, 4])
